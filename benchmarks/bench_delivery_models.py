@@ -11,7 +11,6 @@ import time
 
 from repro.mapreduce.api import MapReduce
 from repro.runtime.app import Application
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.component import Context
 from repro.runtime.device import CallableDriver
 from repro.sema.analyzer import analyze
@@ -188,8 +187,8 @@ class RawWindowSink(Context):
 
 
 class MapReduceWindowSink(Context, MapReduce):
-    """Same aggregate through map/combine/reduce; the handler tolerates
-    both the buffered list and the streamed folded value."""
+    """Same aggregate through map/combine/reduce; the window delivers
+    one folded value per zone."""
 
     def map(self, zone, free, collector):
         if free:
@@ -202,18 +201,13 @@ class MapReduceWindowSink(Context, MapReduce):
         collector.emit_reduce(zone, sum(counts))
 
     def on_periodic_free(self, free_by_zone, discover):
-        return sum(
-            sum(value) if isinstance(value, list) else value
-            for value in free_by_zone.values()
-        )
+        return sum(free_by_zone.values())
 
 
-def build_windowed(design_template, sink, sensors, zones, streaming):
+def build_windowed(design_template, sink, sensors, zones):
     zone_names = [f"Z{i}" for i in range(zones)]
     design = design_template.format(zones=", ".join(zone_names))
-    app = Application(
-        analyze(design), RuntimeConfig(streaming_windows=streaming)
-    )
+    app = Application(analyze(design))
     app.implement("Sink", sink)
     published = []
     app.bus.subscribe(
@@ -238,16 +232,11 @@ def test_windowed_aggregation_models(table, benchmark):
     def run_comparison():
         rows = []
         results = {}
-        for label, template, sink, streaming in (
-            ("raw buffered", RAW_WINDOW_DESIGN, RawWindowSink(), False),
-            ("mapreduce buffered", MR_WINDOW_DESIGN, MapReduceWindowSink(),
-             False),
-            ("mapreduce streaming", MR_WINDOW_DESIGN, MapReduceWindowSink(),
-             True),
+        for label, template, sink in (
+            ("raw buffered", RAW_WINDOW_DESIGN, RawWindowSink()),
+            ("mapreduce streaming", MR_WINDOW_DESIGN, MapReduceWindowSink()),
         ):
-            app, published = build_windowed(
-                template, sink, sensors, zones, streaming
-            )
+            app, published = build_windowed(template, sink, sensors, zones)
             app.bus.reset_stats()
             start = time.perf_counter()
             app.advance(day)
@@ -275,15 +264,12 @@ def test_windowed_aggregation_models(table, benchmark):
         rows,
     )
     raw_published, raw_window = results["raw buffered"]
-    buffered_published, buffered_window = results["mapreduce buffered"]
     streaming_published, streaming_window = results["mapreduce streaming"]
-    # Identical published values across all three pipelines.
-    assert raw_published == buffered_published == streaming_published
+    # Identical published values across both pipelines.
+    assert raw_published == streaming_published
     assert len(streaming_published) == 1  # one 24-hour publication
-    # Peak window state: O(readings) raw, O(sweeps x groups) buffered
-    # MapReduce, O(groups) streaming.
+    # Peak window state: O(readings) raw, O(groups) streaming.
     assert raw_window["peak_buffered_values"] == sensors * sweeps
-    assert buffered_window["peak_buffered_values"] == zones * sweeps
     assert streaming_window["peak_buffered_values"] == zones
 
 
@@ -295,7 +281,7 @@ def test_streaming_window_state_constant_in_fleet_size(table, benchmark):
         peaks = {}
         for sensors in (100, 400):
             app, __ = build_windowed(
-                MR_WINDOW_DESIGN, MapReduceWindowSink(), sensors, zones, True
+                MR_WINDOW_DESIGN, MapReduceWindowSink(), sensors, zones
             )
             app.advance(day)
             peaks[sensors] = (

@@ -21,7 +21,9 @@ against that run.  A snapshot only gates the sections it records
 ``BENCH_006.json`` covers the batch/cache/plan sections,
 ``BENCH_007.json`` covers ``shard_scaling``, ``BENCH_008.json`` covers
 ``placement``, ``BENCH_009.json`` covers ``tuning`` and
-``BENCH_010.json`` covers ``fleet``::
+``BENCH_012.json`` covers ``fleet`` (``BENCH_010.json`` is the same
+section from when a row-tuple wire format still existed to compare
+against; it stays as history and is no longer checked)::
 
     python benchmarks/perf_snapshot.py \\
         --check BENCH_006.json --check BENCH_007.json
@@ -62,6 +64,10 @@ SNAPSHOT_VERSION = 1
 DEFAULT_TOLERANCE = 0.5  # a run may lose half the recorded speedup
 TEN_K_FLEET = {"A22": 3400, "B16": 3300, "D6": 3300}
 PLAN_PUBLISHES = 200
+# Fleet wire gate: pickled bytes per device per sweep over the worker
+# pipes at activity=0.02 (BENCH_010 recorded 1.38; the row-tuple
+# format the delta blocks replaced cost 9.70).
+MAX_BYTES_PER_DEVICE_SWEEP = 2.0
 
 PLAN_DESIGN = analyze(
     """
@@ -118,8 +124,9 @@ def measure_batch_read() -> dict:
 
 
 def measure_scale_10k() -> dict:
-    """10k devices on a zero-latency gateway: modeled round-trip
-    reduction (deterministic) — the large-scale acceptance number."""
+    """10k devices on a zero-latency gateway: the driver round-trip
+    count with and without batching (deterministic structure, not a
+    timing)."""
     trips = {}
     payloads = {}
     for label, batch in (
@@ -138,7 +145,7 @@ def measure_scale_10k() -> dict:
         "devices": sum(TEN_K_FLEET.values()),
         "scalar_round_trips": trips["scalar"],
         "batch_round_trips": trips["batch"],
-        "modeled_speedup": round(trips["scalar"] / trips["batch"], 1),
+        "round_trip_ratio": round(trips["scalar"] / trips["batch"], 1),
     }
 
 
@@ -314,14 +321,16 @@ def measure_fleet() -> dict:
     A scaled-down sibling of ``bench_fleet_scale.py`` (the 1M run
     lives in the CI ``fleet-smoke`` job).  Shard assignment is stable
     crc32 and the activity signal is deterministic in the seed, so the
-    pickled byte counts, delta-row and quiescent-row counts gate
-    exactly; only the 4-worker wall-time speedup is machine-dependent
-    and gates as a ratio.
+    pickled byte count, delta-row and quiescent-row counts gate
+    exactly, and the bytes each device costs per sweep gate against
+    an absolute ceiling; only the 4-worker wall-time speedup is
+    machine-dependent and gates as a ratio.
     """
     import time as _time
 
+    from fleet_scale import FleetScaleBootstrap
+
     from repro.api import ShardConfig, ShardedRuntime
-    from repro.runtime.shard import FleetScaleBootstrap
 
     devices = 100_000
     service_time = 50e-6
@@ -343,31 +352,21 @@ def measure_fleet() -> dict:
         )
         return runtime.start(), published
 
-    def wire_run(wire, delta):
-        runtime, published = runtime_for(
-            ShardConfig(
-                enabled=True, workers=4, wire_format=wire, delta_sync=delta
-            ),
-            0.0,
-        )
-        try:
-            runtime.advance(sweeps * 60.0)
-            stats = runtime.stats()
-            return (
-                stats["router"]["wire_bytes"],
-                stats["delta_rows"],
-                stats["quiescent_rows"],
-                published,
-            )
-        finally:
-            runtime.stop()
-
-    rows_bytes, __, __ignored, rows_published = wire_run("rows", False)
-    delta_bytes, delta_rows, quiescent_rows, delta_published = wire_run(
-        "columnar", True
+    runtime, delta_published = runtime_for(
+        ShardConfig(enabled=True, workers=4), 0.0
     )
-    if delta_published != rows_published:
-        raise AssertionError("delta deliveries diverged from rows wire")
+    try:
+        runtime.advance(sweeps * 60.0)
+        stats = runtime.stats()
+    finally:
+        runtime.stop()
+    delta_bytes = stats["router"]["wire_bytes"]
+    bytes_per_device_sweep = delta_bytes / (devices * sweeps)
+    if bytes_per_device_sweep > MAX_BYTES_PER_DEVICE_SWEEP:
+        raise AssertionError(
+            f"wire cost {bytes_per_device_sweep:.2f} B per device-sweep "
+            f"exceeds the {MAX_BYTES_PER_DEVICE_SWEEP} B ceiling"
+        )
 
     runtime, serial_published = runtime_for(
         ShardConfig(enabled=False), service_time
@@ -391,16 +390,17 @@ def measure_fleet() -> dict:
         runtime.stop()
     if sharded_published[: len(serial_published)] != serial_published:
         raise AssertionError("sharded deliveries diverged from single")
+    if delta_published[: len(serial_published)] != serial_published:
+        raise AssertionError("zero-latency deliveries diverged from single")
     return {
         "devices": devices,
         "workers": 4,
         "sweeps": sweeps,
         "deliveries_identical": True,
-        "rows_bytes": rows_bytes,
         "delta_bytes": delta_bytes,
-        "byte_cut": round(rows_bytes / delta_bytes, 2),
-        "delta_rows": delta_rows,
-        "quiescent_rows": quiescent_rows,
+        "bytes_per_device_sweep": round(bytes_per_device_sweep, 2),
+        "delta_rows": stats["delta_rows"],
+        "quiescent_rows": stats["quiescent_rows"],
         "speedup": round(serial_s / sharded_s, 2),
     }
 
@@ -433,7 +433,7 @@ EXACT = {
         "devices",
         "scalar_round_trips",
         "batch_round_trips",
-        "modeled_speedup",
+        "round_trip_ratio",
     ),
     "delivery_plans": ("publishes", "compiles", "hits", "invalidations"),
     "shard_scaling": ("devices", "workers", "sweeps_identical"),
@@ -461,9 +461,8 @@ EXACT = {
         "workers",
         "sweeps",
         "deliveries_identical",
-        "rows_bytes",
         "delta_bytes",
-        "byte_cut",
+        "bytes_per_device_sweep",
         "delta_rows",
         "quiescent_rows",
     ),

@@ -112,7 +112,6 @@ from repro.runtime.shard import (
     ShardConfig,
     ShardContext,
     ShardedRuntime,
-    SimulatedFleetBootstrap,
 )
 from repro.runtime.sweep import SweepConfig, SweepEngine
 from repro.runtime.tracing import Tracer
@@ -122,6 +121,7 @@ from repro.runtime.tuning import (
     TuningConfig,
     TuningController,
 )
+from repro.simulation.fleet import SimulatedFleetBootstrap
 from repro.simulation.network import (
     HopProfile,
     NetworkConditions,

@@ -88,18 +88,12 @@ class _FrameworkGenerator:
         e.blank()
         e.line("from repro.api import (")
         e.line("    Application,")
-        e.line("    BatchConfig,")
-        e.line("    CacheConfig,")
         e.line("    Context,")
         e.line("    Controller,")
         e.line("    DeviceDriver,")
         e.line("    MapReduce,")
-        e.line("    NetworkConfig,")
-        e.line("    PlacementConfig,")
         e.line("    Publishable,")
         e.line("    RuntimeConfig,")
-        e.line("    ShardConfig,")
-        e.line("    SweepConfig,")
         e.line("    analyze,")
         e.line(")")
         e.blank(1)
@@ -579,32 +573,11 @@ class _FrameworkGenerator:
                     )
             e.line("}")
             e.blank()
-            e.line("def __init__(self, clock=None, mapreduce_executor=None,")
-            e.line("             streaming_windows=True, sweep=None,")
-            e.line("             cache=None, batch=None, shard=None,")
-            e.line("             network=None, placement=None,")
-            e.line("             config=None):")
+            e.line("def __init__(self, config=None):")
             with e.indented():
                 e.line("self.design = DESIGN")
                 e.line("if config is None:")
-                e.line("    config = RuntimeConfig(")
-                e.line("        clock=clock,")
-                e.line("        mapreduce_executor=mapreduce_executor,")
-                e.line(f'        name="{self.name}",')
-                e.line("        streaming_windows=streaming_windows,")
-                e.line("        sweep=sweep if sweep is not None"
-                       " else SweepConfig(),")
-                e.line("        cache=cache if cache is not None"
-                       " else CacheConfig(),")
-                e.line("        batch=batch if batch is not None"
-                       " else BatchConfig(),")
-                e.line("        shard=shard if shard is not None"
-                       " else ShardConfig(),")
-                e.line("        network=network if network is not None"
-                       " else NetworkConfig(),")
-                e.line("        placement=placement if placement is not None"
-                       " else PlacementConfig(),")
-                e.line("    )")
+                e.line(f'    config = RuntimeConfig(name="{self.name}")')
                 e.line("self.application = Application(DESIGN, config)")
             e.blank()
             e.line("def implement(self, name, implementation):")
@@ -750,9 +723,7 @@ def _periodic_argument(interaction) -> "tuple[str, str]":
     if group.uses_mapreduce and group.window is not None:
         detail = (
             "``%s`` maps each %s to the per-sweep reduced values folded\n"
-            "incrementally over the %s window through combine/reduce\n"
-            "(streaming mode, the default), or to their buffered list "
-            "when the\napplication is built with streaming_windows=False."
+            "incrementally over the %s window through combine/reduce."
             % (argument, group.attribute, group.window)
         )
     elif group.uses_mapreduce:

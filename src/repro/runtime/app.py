@@ -106,11 +106,6 @@ class Application:
         app.create_device("Clock", "clock-1", clock_driver)
         app.start()
         app.advance(60)        # drive virtual time
-
-    The keyword form (``Application(design, clock=..., error_policy=
-    ...)``) is deprecated; keywords are folded into a
-    :class:`RuntimeConfig` with a :class:`DeprecationWarning` for one
-    release.
     """
 
     ERROR_POLICIES = ("raise", "isolate")
@@ -119,31 +114,18 @@ class Application:
         self,
         design: AnalyzedSpec,
         config: Optional[RuntimeConfig] = None,
-        **legacy_kwargs: Any,
     ):
-        if legacy_kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either a RuntimeConfig or legacy keyword "
-                    "arguments, not both"
-                )
-            # The one shim entry point; it emits the consolidated
-            # DeprecationWarning itself.
-            config = RuntimeConfig.from_legacy_kwargs(**legacy_kwargs)
-        elif config is None:
+        if config is None:
             config = RuntimeConfig()
         self.config = config
         self.design = design
         self.name = config.name
         # A NetworkConfig builds a fresh stateful model per application
-        # (single hop or fog topology); legacy pre-built instances pass
-        # through for one release.
-        self.network, self.apply_network_to_reads = config.build_network()
+        # (single hop or fog topology), or nothing when inert.
+        self.network = (
+            config.network.build() if config.network is not None else None
+        )
         self.error_policy = config.error_policy
-        # Streaming fast path: contexts declaring ``every <window>`` with
-        # MapReduce fold deliveries incrementally instead of buffering
-        # the whole window (disable to force buffered accumulation).
-        self.streaming_windows = config.streaming_windows
         self._component_errors: List[ComponentError] = []
         self._error_listeners: List[Callable[[str, Exception], None]] = []
         self.clock: Clock = (
@@ -160,9 +142,7 @@ class Application:
         )
         self.bus = EventBus(metrics=self.metrics)
         self.registry = EntityRegistry(metrics=self.metrics)
-        if self.network is not None and callable(
-            getattr(self.network, "attach_metrics", None)
-        ):
+        if self.network is not None:
             # Network delivery counters join app.metrics like every
             # other layer (per-hop series too, for a topology).
             self.network.attach_metrics(self.metrics)
@@ -202,21 +182,15 @@ class Application:
             else None
         )
         # Batch hot path (repro.runtime.plan): columnar driver reads
-        # during sweeps and precompiled publish/grouping dispatch.  All
-        # three handles are inert by default — with
+        # during sweeps and precompiled publish/grouping dispatch.
+        # Both planners are ``None`` by default — with
         # ``BatchConfig(enabled=False)`` the scalar read path and the
         # per-publish topic walk below stay byte-identical.
-        self._columnar_reads = (
-            config.batch.enabled and config.batch.columnar_reads
-        )
-        self._columnar_windows = (
-            config.batch.enabled and config.batch.columnar_windows
-        )
         self.planner: Optional[DeliveryPlanner] = (
             DeliveryPlanner(
                 design, self.bus, self.registry, metrics=self.metrics
             )
-            if config.batch.enabled and config.batch.compile_plans
+            if config.batch.enabled
             else None
         )
         # Persistent (shard, batch_key) cohort plans for the columnar
@@ -503,7 +477,6 @@ class Application:
             "stale",
             "error_policy",
             "tuning",
-            "shard",
         }
     )
 
@@ -518,12 +491,10 @@ class Application:
 
         Live sections: ``sweep`` (mode/workers/batch size/shard
         attribute), ``cache`` (TTLs, coalescing, invalidation scope —
-        but not ``enabled``), ``batch`` (``min_column`` and
-        ``columnar_reads`` only), ``supervision`` policies and
-        overrides (retuned across every live breaker),``stale``,
-        ``error_policy``, ``tuning`` itself and ``shard``
-        (``wire_format`` and ``delta_sync`` only — the worker gang is
-        structural).  Changing any structural field raises
+        but not ``enabled``), ``batch`` (``min_column`` only),
+        ``supervision`` policies and overrides (retuned across every
+        live breaker), ``stale``, ``error_policy`` and ``tuning``
+        itself.  Changing any structural field raises
         :class:`~repro.errors.TuningError`.
         """
         old = self.config
@@ -541,25 +512,14 @@ class Application:
             raise TuningError(
                 "the read cache cannot be enabled or disabled live"
             )
-        if old.batch.replace(
-            min_column=config.batch.min_column,
-            columnar_reads=config.batch.columnar_reads,
-        ) != config.batch:
+        if old.batch.enabled != config.batch.enabled:
             raise TuningError(
-                "only batch.min_column and batch.columnar_reads may "
-                "change on a running application"
+                "only batch.min_column may change on a running "
+                "application"
             )
         if old.supervised() != config.supervised():
             raise TuningError(
                 "supervision cannot be enabled or disabled live"
-            )
-        if old.shard.replace(
-            wire_format=config.shard.wire_format,
-            delta_sync=config.shard.delta_sync,
-        ) != config.shard:
-            raise TuningError(
-                "only shard.wire_format and shard.delta_sync may "
-                "change on a running application"
             )
         self.config = config
         self.error_policy = config.error_policy
@@ -572,9 +532,6 @@ class Application:
         )
         self.supervision.reconfigure(
             config.supervision, config.supervision_overrides
-        )
-        self._columnar_reads = (
-            config.batch.enabled and config.batch.columnar_reads
         )
 
     # ------------------------------------------------------------------
@@ -614,7 +571,6 @@ class Application:
             "network": (
                 self.network.stats()
                 if self.network is not None
-                and callable(getattr(self.network, "stats", None))
                 else None
             ),
             "context_cache_hits": dict(self._context_cache_hits),
@@ -820,22 +776,22 @@ class Application:
         accumulator = None
         group = interaction.group
         if group is not None and group.window is not None:
-            if group.uses_mapreduce and self.streaming_windows:
-                # Streaming fast path: each sweep's reduced value folds
-                # into one partial aggregate per group through the job's
-                # combine/reduce, so window state is O(groups) instead of
+            if group.uses_mapreduce:
+                # Each sweep's reduced value folds into one partial
+                # aggregate per group through the job's combine/reduce,
+                # so window state is O(groups) instead of
                 # O(deliveries x groups).
                 accumulator = WindowAccumulator.incremental_for_job(
                     interaction.period.seconds,
                     group.window.seconds,
                     implementation,
-                    columnar=self._columnar_windows,
+                    columnar=self.config.batch.enabled,
                 )
             else:
                 accumulator = WindowAccumulator.for_design(
                     interaction.period.seconds,
                     group.window.seconds,
-                    flatten=not group.uses_mapreduce,
+                    flatten=True,
                 )
             accumulator.attach_metrics(self.metrics, context=name)
             self._accumulators[name] = accumulator
@@ -884,6 +840,13 @@ class Application:
     # ------------------------------------------------------------------
 
     def _on_device_publish(self, instance, source, value, index) -> None:
+        """Deliver one device publish: network model, cache
+        invalidation, then plan dispatch or the topic walk.
+
+        ``instance`` is a bound :class:`DeviceInstance` — or, on a shard
+        coordinator replaying a worker's recorded publish, its stand-in
+        for an instance living in that worker (same ``info`` /
+        ``entity_id`` / ``attributes``, reads and actions routed)."""
         if self.network is None:
             self._deliver_source_event(instance, source, value, index)
             return
@@ -1047,27 +1010,11 @@ class Application:
         """One sweep's pre-window payload: poll, fold, group, mapreduce.
 
         Split from :meth:`_gather` so a sharded runtime can substitute
-        collection (:meth:`attach_gather_delegate`) — running this exact
-        logic inside each worker process over its registry shard — while
-        windowing, payload memoization and delivery stay with the
+        collection (:meth:`attach_gather_delegate`) — each worker
+        process runs :meth:`_sweep_readings` over its registry shard —
+        while windowing, payload memoization and delivery stay with the
         caller."""
-        sampler = self._read_sampler(interaction)
-        outcomes = self.sweeper.sweep(
-            interaction.device,
-            functools.partial(
-                self._gather_read, interaction.source, sampler
-            ),
-            read_column=(
-                functools.partial(
-                    self._gather_read_column,
-                    interaction.source,
-                    sampler,
-                )
-                if self._columnar_reads
-                else None
-            ),
-        )
-        readings = self._fold_read_outcomes(outcomes, interaction.source)
+        readings, __, __ = self._sweep_readings(interaction)
         group = interaction.group
         placement = self.placement
         if group is None:
@@ -1103,6 +1050,47 @@ class Application:
             return self.mapreduce.run(implementation, grouped)
         return grouped
 
+    def _sweep_readings(self, interaction):
+        """The per-process head of one periodic gather: sample, sweep,
+        fold.
+
+        Returns ``(readings, dropped, failed)`` — the ``(instance,
+        value)`` pairs that survived, in registry order, plus how many
+        reads this sweep lost to the network model and to read
+        failures (already added to this application's counters; a shard
+        worker ships them so the coordinator can
+        :meth:`_note_gather_losses`).  Both :meth:`_collect_payload`
+        and the shard worker's poll go through here, so the sampler,
+        the columnar read path, supervision and stale handling attach
+        at exactly one point."""
+        source = interaction.source
+        sampler = self._read_sampler(interaction)
+        dropped = self._gather_network_dropped
+        failed = self._gather_read_failed
+        outcomes = self.sweeper.sweep(
+            interaction.device,
+            functools.partial(self._gather_read, source, sampler),
+            read_column=(
+                functools.partial(
+                    self._gather_read_column, source, sampler
+                )
+                if self._cohort_planner is not None
+                else None
+            ),
+        )
+        readings = self._fold_read_outcomes(outcomes, source)
+        return (
+            readings,
+            self._gather_network_dropped - dropped,
+            self._gather_read_failed - failed,
+        )
+
+    def _note_gather_losses(self, dropped: int, failed: int) -> None:
+        """Count reads lost inside shard workers' sweeps as this
+        application's own."""
+        self._gather_network_dropped += dropped
+        self._gather_read_failed += failed
+
     def _fold_read_outcomes(self, outcomes, source) -> List[Any]:
         """Fold per-instance sweep outcomes into ``(instance, value)``
         readings, bumping the drop/failure counters and applying the
@@ -1131,7 +1119,7 @@ class Application:
         samples only the device→edge access hop — its raw readings
         never touch the WAN — while cloud-placed gathers sample the
         whole path.  Zero-loss hops draw no randomness either way."""
-        if self.network is None or not self.apply_network_to_reads:
+        if self.network is None or not self.config.network.apply_to_reads:
             return None
         network = self.network
         if isinstance(network, TopologyModel):

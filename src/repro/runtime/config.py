@@ -1,9 +1,9 @@
-"""Runtime configuration: one record instead of keyword sprawl.
+"""Runtime configuration: the one record an application is built from.
 
-``Application.__init__`` had grown a new keyword argument per release
-(clock, executor, network knobs, error policy, streaming windows,
-metrics, and now the supervision/stale policies of :mod:`repro.faults`).
-:class:`RuntimeConfig` gathers them into a single validated dataclass::
+:class:`RuntimeConfig` gathers every runtime choice (clock, executor,
+network model, error policy, metrics, the supervision/stale policies of
+:mod:`repro.faults`, and the sweep/cache/batch/shard/placement/tuning
+sections) into a single validated dataclass::
 
     from repro.runtime.config import RuntimeConfig
 
@@ -20,20 +20,13 @@ Every section (and the record itself) speaks the
 ``replace()``, JSON-able ``to_dict()``/``from_dict()`` — which is what
 lets the live-tuning controller derive neighbouring configs from a
 running one and lets ``Application.apply_config`` swap them atomically.
-
-The legacy keyword form (``Application(design, clock=...,
-streaming_windows=...)``) and the pre-``NetworkConfig`` network
-keywords still work for one release through a single shim entry point,
-:meth:`RuntimeConfig.from_legacy_kwargs`, which emits one consolidated
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
 
 from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.runtime.cache import CacheConfig
@@ -67,8 +60,8 @@ ERROR_POLICIES = ("raise", "isolate")
 class RuntimeConfig(ConfigBase):
     """Everything an :class:`~repro.runtime.app.Application` can tune.
 
-    Every field has the historical default, so ``RuntimeConfig()`` is
-    exactly the pre-redesign ``Application(design)`` behaviour.
+    Every field has a default, so ``RuntimeConfig()`` is exactly what
+    ``Application(design)`` runs under.
 
     * ``clock`` — application clock; ``None`` means a fresh
       :class:`~repro.runtime.clock.SimulationClock`.
@@ -77,12 +70,8 @@ class RuntimeConfig(ConfigBase):
     * ``network`` — a frozen :class:`NetworkConfig` describing the
       simulated delivery conditions (single hop or multi-hop fog
       topology); the application builds a fresh stateful model from it.
-      Passing a pre-built ``NetworkConditions`` instance (the legacy
-      form, together with ``apply_network_to_reads``) still works for
-      one release with a :class:`DeprecationWarning`.
     * ``error_policy`` — ``'raise'`` propagates component failures,
       ``'isolate'`` contains them (see ``Application._run_component``).
-    * ``streaming_windows`` — incremental window accumulation fast path.
     * ``metrics`` — shared telemetry registry (own registry when
       ``None``).
     * ``supervision`` — default :class:`SupervisionPolicy` applied to
@@ -110,9 +99,8 @@ class RuntimeConfig(ConfigBase):
       to the unbatched runtime.
     * ``shard`` — :class:`~repro.runtime.shard.ShardConfig` governing
       the process-sharded runtime (hash-partitioned fleet, one worker
-      process per shard, cross-shard event routing, and the coordinator
-      wire protocol: ``wire_format``, ``delta_sync`` and
-      ``local_cache``); disabled by default, which keeps the runtime
+      process per shard, cross-shard event routing over the delta
+      block wire protocol); disabled by default, which keeps the runtime
       single-process and byte-identical to the unsharded code path.
     * ``placement`` — :class:`~repro.runtime.placement.PlacementConfig`
       governing the edge/cloud placement tier (edge-local map+combine
@@ -129,10 +117,8 @@ class RuntimeConfig(ConfigBase):
     clock: Optional["Clock"] = None
     mapreduce_executor: Any = None
     name: str = "app"
-    network: Any = None
-    apply_network_to_reads: bool = False
+    network: Optional[NetworkConfig] = None
     error_policy: str = "raise"
-    streaming_windows: bool = True
     metrics: Optional["MetricsRegistry"] = None
     supervision: Optional[SupervisionPolicy] = None
     supervision_overrides: Mapping[str, SupervisionPolicy] = field(
@@ -170,18 +156,10 @@ class RuntimeConfig(ConfigBase):
             raise ValueError(
                 f"error_policy must be one of {ERROR_POLICIES}"
             )
-        # Validation only — the legacy-keyword DeprecationWarnings that
-        # used to live here are consolidated in ``from_legacy_kwargs``,
-        # keeping construction (and therefore ``replace``/``validate``)
-        # warning-free.
         if self.network is not None and not isinstance(
             self.network, NetworkConfig
         ):
-            if not callable(getattr(self.network, "transmit", None)):
-                raise TypeError(
-                    "network must be a NetworkConfig, a network model "
-                    "with a transmit() method, or None"
-                )
+            raise TypeError("network must be a NetworkConfig or None")
         if not isinstance(self.tuning, TuningConfig):
             raise TypeError("tuning must be a TuningConfig")
         if not isinstance(self.placement, PlacementConfig):
@@ -212,22 +190,6 @@ class RuntimeConfig(ConfigBase):
         """
         return super().replace(**changes)
 
-    def build_network(self) -> Tuple[Any, bool]:
-        """The ``(model, apply_to_reads)`` pair an application attaches.
-
-        A :class:`NetworkConfig` builds a fresh stateful model (or
-        ``None`` when inert); a legacy pre-built instance passes
-        through unchanged with the deprecated
-        ``apply_network_to_reads`` flag.
-        """
-        network = self.network
-        if isinstance(network, NetworkConfig):
-            return (
-                network.build(),
-                network.apply_to_reads or self.apply_network_to_reads,
-            )
-        return network, self.apply_network_to_reads
-
     def supervised(self) -> bool:
         """Is any device type supervised under this configuration?"""
         return self.supervision is not None or bool(
@@ -238,51 +200,6 @@ class RuntimeConfig(ConfigBase):
     def stale_policy(self) -> StalePolicy:
         """The effective stale policy (``skip`` when unset)."""
         return self.stale if self.stale is not None else StalePolicy()
-
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "RuntimeConfig":
-        """The one shim for every deprecated keyword spelling.
-
-        Folds the legacy ``Application(design, clock=..., ...)``
-        keywords — including the pre-``NetworkConfig`` forms
-        ``network=<model instance>`` and ``apply_network_to_reads`` —
-        into a config, emitting a **single consolidated**
-        :class:`DeprecationWarning` that spells out each migration.
-        Unknown keywords raise ``TypeError`` exactly as the old
-        constructor did.
-        """
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(kwargs) - fields
-        if unknown:
-            raise TypeError(
-                "Application() got unexpected keyword argument(s) "
-                f"{sorted(unknown)}"
-            )
-        if not kwargs:
-            return cls()
-        notes = [
-            "pass RuntimeConfig("
-            + ", ".join(f"{name}=..." for name in sorted(kwargs))
-            + ") instead of keyword argument(s)"
-        ]
-        network = kwargs.get("network")
-        if network is not None and not isinstance(network, NetworkConfig):
-            notes.append(
-                "network=<model instance> becomes a frozen "
-                "NetworkConfig (the application builds the model)"
-            )
-        if kwargs.get("apply_network_to_reads"):
-            notes.append(
-                "apply_network_to_reads=True becomes "
-                "NetworkConfig(apply_to_reads=True)"
-            )
-        warnings.warn(
-            "legacy Application/RuntimeConfig keywords are deprecated: "
-            + "; ".join(notes),
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return cls(**kwargs)
 
     def describe(self) -> Dict[str, Any]:
         """Loggable summary (policies as reprs, objects as type names)."""

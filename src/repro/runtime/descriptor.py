@@ -51,11 +51,10 @@ expects, so one JSON file describes both the fleet and the continuum it
 runs on.
 
 A ``shard`` entry inside ``topology`` declares that the site runs the
-process-sharded runtime and with which wire settings::
+process-sharded runtime::
 
     "topology": {
-      "shard": {"workers": 4, "wire_format": "columnar",
-                "delta_sync": true, "local_cache": true}
+      "shard": {"workers": 4, "start_method": "spawn"}
     }
 
 :meth:`DeploymentDescriptor.shard_config` turns it into an enabled
@@ -67,7 +66,7 @@ descriptor alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import BindingError, PlacementError
@@ -197,14 +196,7 @@ class DeploymentDescriptor:
 
 
 _HOP_FIELDS = ("latency", "jitter", "loss", "bandwidth")
-_SHARD_FIELDS = (
-    "enabled",
-    "workers",
-    "start_method",
-    "wire_format",
-    "delta_sync",
-    "local_cache",
-)
+_SHARD_FIELDS = tuple(f.name for f in fields(ShardConfig))
 
 
 def _parse_shard(raw: Any) -> Tuple[Tuple[str, Any], ...]:

@@ -16,8 +16,7 @@ stop at the access network:
 * :class:`NetworkConfig` — frozen description of the simulated network;
   builds a single-hop :class:`~repro.simulation.network.NetworkConditions`
   or a multi-hop :class:`~repro.simulation.network.TopologyModel` per
-  application (replacing the deprecated ``RuntimeConfig(network=…,
-  apply_network_to_reads=…)`` pair).
+  application.
 * :class:`PlacementConfig` — frozen placement policy on
   :class:`~repro.runtime.config.RuntimeConfig`, off by default like
   ``SweepConfig``/``CacheConfig``/``BatchConfig``/``ShardConfig``.
@@ -146,8 +145,7 @@ class NetworkConfig(ConfigBase):
     classic single-hop model; ``hops`` describes a multi-hop fog
     topology instead (conventionally ``access`` + ``wan``).  The two
     forms are mutually exclusive.  ``apply_to_reads`` extends loss to
-    polled gather reads, replacing the deprecated
-    ``RuntimeConfig(apply_network_to_reads=…)`` flag.
+    polled gather reads.
 
     The config is immutable deployment data; :meth:`build` constructs a
     fresh stateful model (RNG streams, counters) per application, so

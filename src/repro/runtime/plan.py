@@ -35,7 +35,7 @@ the per-publish resolution path byte-identical to previous releases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.runtime.configbase import ConfigBase
 from repro.telemetry.instrument import Instrumented, MetricSpec
@@ -59,30 +59,29 @@ class BatchConfig(ConfigBase):
 
     * ``enabled`` — master switch; ``False`` (default) keeps both the
       per-device scalar read path and the per-publish topic resolution
-      byte-identical to the unbatched runtime.
-    * ``columnar_reads`` — issue one driver-level
-      :meth:`~repro.runtime.device.DeviceDriver.read_batch` per
-      (shard, source) cohort during periodic sweeps instead of one
-      Python read per device; entities that cannot batch (no driver
-      support, degraded/quarantined health, failed flag) are demoted to
-      the scalar path with full supervision accounting.
+      byte-identical to the unbatched runtime.  ``True`` turns on all
+      three parts of the hot path together:
+
+      - one driver-level
+        :meth:`~repro.runtime.device.DeviceDriver.read_batch` per
+        (shard, source) cohort during periodic sweeps instead of one
+        Python read per device; entities that cannot batch (no driver
+        support, degraded/quarantined health, failed flag) are demoted
+        to the scalar path with full supervision accounting;
+      - the publish→subscription fan-out precompiled into
+        :class:`SourcePlan` dispatch tables and gather grouping
+        membership into per-type tables (see :class:`DeliveryPlanner`);
+      - incremental window accumulators fold a whole column of window
+        values per group through the job's combine/reduce in one call
+        instead of item-by-item (the same associativity incremental
+        windows already demand).
     * ``min_column`` — smallest cohort worth a batch read; smaller
       cohorts take the scalar path (a column of one would only add
       overhead).
-    * ``compile_plans`` — precompile the publish→subscription fan-out
-      into :class:`SourcePlan` dispatch tables and gather grouping
-      membership into per-type tables (see :class:`DeliveryPlanner`).
-    * ``columnar_windows`` — fold a whole column of window values per
-      group through the job's combine/reduce in one call instead of
-      item-by-item (incremental accumulators only; requires the same
-      associativity the streaming fast path already demands).
     """
 
     enabled: bool = False
-    columnar_reads: bool = True
     min_column: int = 2
-    compile_plans: bool = True
-    columnar_windows: bool = True
 
     def __post_init__(self):
         if self.min_column < 1:

@@ -11,7 +11,6 @@ applications.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import BindingError
@@ -165,12 +164,10 @@ class EntityRegistry(Instrumented):
         except KeyError:
             raise BindingError(f"no entity with id '{entity_id}'") from None
 
-    _FILTER_KEYWORDS = ("include_failed", "health", "include_quarantined")
-
     def instances_of(
         self,
         device_type: str,
-        *legacy_positional: Any,
+        *,
         include_failed: bool = False,
         health: Optional[str] = None,
         include_quarantined: bool = False,
@@ -187,9 +184,7 @@ class EntityRegistry(Instrumented):
         contract, not an implementation accident.
 
         The filter arguments (``include_failed``, ``health``,
-        ``include_quarantined``) are keyword-only; passing them
-        positionally still works for one release through a shim that
-        emits a :class:`DeprecationWarning`.
+        ``include_quarantined``) are keyword-only.
 
         With filters, the narrowest ``(type, attribute, value)`` index
         bucket seeds the scan, so cost tracks the match count rather than
@@ -206,41 +201,6 @@ class EntityRegistry(Instrumented):
         whole fleet (the gather path does, so quarantined entities keep
         receiving recovery probes when their breaker half-opens).
         """
-        if legacy_positional:
-            if len(legacy_positional) > len(self._FILTER_KEYWORDS):
-                raise TypeError(
-                    "instances_of() takes at most "
-                    f"{1 + len(self._FILTER_KEYWORDS)} positional "
-                    f"arguments ({1 + len(legacy_positional)} given)"
-                )
-            names = self._FILTER_KEYWORDS[: len(legacy_positional)]
-            warnings.warn(
-                "passing instances_of() filter arguments positionally "
-                f"({', '.join(names)}) is deprecated; pass them as "
-                "keywords",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            supplied = {
-                "include_failed": include_failed,
-                "health": health,
-                "include_quarantined": include_quarantined,
-            }
-            defaults = {
-                "include_failed": False,
-                "health": None,
-                "include_quarantined": False,
-            }
-            for name, value in zip(names, legacy_positional):
-                if supplied[name] != defaults[name]:
-                    raise TypeError(
-                        f"instances_of() got multiple values for "
-                        f"argument '{name}'"
-                    )
-                supplied[name] = value
-            include_failed = supplied["include_failed"]
-            health = supplied["health"]
-            include_quarantined = supplied["include_quarantined"]
         self._lookups += 1
         candidates: Iterable[DeviceInstance]
         buckets = []

@@ -1,0 +1,415 @@
+"""Both ends of the shard wire format.
+
+Everything that knows what crosses a worker pipe lives here, so the
+block format can be round-tripped (and property-tested) without
+spawning a process:
+
+* the transport — one explicitly pickled byte string per message
+  (:func:`_wire_send` / :func:`_wire_recv`), which is what lets the
+  router meter the wire;
+* the column encodings — gap-coded positions and the dictionary-coded
+  group-key column;
+* the worker-side :class:`_DeltaEncoder`, which turns one sweep's
+  readings into ``register`` / ``changed`` / ``retract`` blocks plus a
+  ``quiescent`` count;
+* the coordinator-side :class:`_GroupedMirror` / :class:`_FlatMirror`,
+  which fold those blocks back into the exact single-process payload in
+  global registration order.
+"""
+
+from __future__ import annotations
+
+import pickle
+from typing import Any, Callable, Dict, List, Sequence, Tuple
+
+# ----------------------------------------------------------------------
+# Transport
+# ----------------------------------------------------------------------
+#
+# Every pipe message — commands, replies, the ready handshake — is one
+# explicitly pickled byte string sent with ``send_bytes``.  Doing the
+# pickling by hand (instead of ``Connection.send``) is what lets the
+# coordinator meter the wire: the router counts the bytes of every
+# command it sends and every reply it receives into
+# ``shard_wire_bytes_total``, which is the quantity the delta protocol
+# exists to shrink and the fleet-scale benchmark gates on.
+
+_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+
+def _wire_send(conn, obj: Any) -> int:
+    """Pickle ``obj`` onto the pipe; returns the byte count."""
+    data = pickle.dumps(obj, _PICKLE_PROTOCOL)
+    conn.send_bytes(data)
+    return len(data)
+
+
+def _wire_recv(conn) -> Tuple[Any, int]:
+    """Receive one pickled message; returns ``(object, byte_count)``."""
+    data = conn.recv_bytes()
+    return pickle.loads(data), len(data)
+
+
+def _pack_positions(positions: List[int]) -> List[int]:
+    """Gap-encode an ascending position list: ``[first, gap, gap, ...]``.
+
+    Worker reading positions are ascending (registry order is bind
+    order is ascending coordinator position), so the gaps are small
+    ints that pickle in 2 bytes where a million-device fleet's
+    absolute positions cost 5."""
+    if not positions:
+        return positions
+    packed = [positions[0]]
+    prev = positions[0]
+    for position in positions[1:]:
+        packed.append(position - prev)
+        prev = position
+    return packed
+
+
+def _unpack_positions(packed: List[int]) -> List[int]:
+    """Inverse of :func:`_pack_positions`."""
+    if not packed:
+        return packed
+    positions = [packed[0]]
+    prev = packed[0]
+    for gap in packed[1:]:
+        prev += gap
+        positions.append(prev)
+    return positions
+
+
+def _encode_group_keys(keys: List[Any]) -> Tuple[Any, ...]:
+    """Dictionary-encode a group-key column.
+
+    Fleets group a huge position space into a handful of cohorts, so
+    the column is almost always ``("t", table, index_bytes)`` — each
+    key string pickled once plus one byte per row.  Columns with more
+    than 256 distinct (or unhashable) keys fall back to the plain list
+    ``("k", keys)``."""
+    table: List[Any] = []
+    index_of: Dict[Any, int] = {}
+    indexes = bytearray()
+    try:
+        for key in keys:
+            index = index_of.get(key)
+            if index is None:
+                index = index_of[key] = len(table)
+                if index > 255:
+                    return ("k", keys)
+                table.append(key)
+            indexes.append(index)
+    except TypeError:
+        return ("k", keys)
+    return ("t", table, bytes(indexes))
+
+
+def _decode_group_keys(block: Tuple[Any, ...]) -> List[Any]:
+    """Inverse of :func:`_encode_group_keys`."""
+    if block[0] == "t":
+        table = block[1]
+        return [table[index] for index in block[2]]
+    return block[1]
+
+
+# ----------------------------------------------------------------------
+# Worker side: readings -> blocks
+# ----------------------------------------------------------------------
+
+
+class _DeltaEncoder:
+    """Worker-side delta state of one gather: the registry version the
+    epoch started at plus the last value shipped per global position.
+
+    Blocks (all optional, all columnar, positions always gap-encoded
+    via :func:`_pack_positions`):
+
+    * ``register`` — rows never shipped this epoch, identity and first
+      value together: ``(packed_positions, key_block, values)`` for
+      grouped gathers (``key_block`` per :func:`_encode_group_keys`),
+      ``(packed_positions, type_names, entity_ids, attribute_dicts,
+      values)`` for flat ones.
+    * ``changed`` — ``(packed_positions, values)`` for
+      previously-registered readings that moved.  "Changed" is
+      ``type(prev) is not type(value) or prev != value`` — NaN
+      therefore always re-ships (never stale), at worst a handful of
+      false re-sends.
+    * ``retract`` — packed positions shipped earlier this epoch that
+      have no reading this sweep (unbound, sampler-dropped, read-failed
+      past the stale window); the coordinator drops them from its
+      mirror.
+    * ``quiescent`` — count of readings identical to the last shipped
+      value; they cross the pipe as this single integer.
+    * ``reset`` — set when the shard's registry version moved (or the
+      epoch is new): the coordinator must clear this shard's slice of
+      the mirror before applying the blocks.
+    """
+
+    __slots__ = ("flat", "version", "known")
+
+    def __init__(self, flat: bool):
+        self.flat = flat
+        self.version: Any = None
+        self.known: Dict[int, Any] = {}
+
+    def encode(
+        self,
+        version: int,
+        positions: Sequence[int],
+        readings: Sequence[Tuple[Any, Any]],
+        ident_of: Callable[[Any], Any],
+    ) -> Dict[str, Any]:
+        """One sweep's blocks.
+
+        ``readings`` are ``(subject, value)`` pairs with their
+        ascending global ``positions`` alongside; ``ident_of(subject)``
+        — the group key, or the ``(type, entity id, attributes)``
+        triple of a flat gather — is asked only for rows that register,
+        so a steady-state sweep never touches identity.  A registry
+        ``version`` other than the epoch's starts a new epoch.
+        """
+        blocks: Dict[str, Any] = {}
+        if self.version != version:
+            self.version = version
+            self.known = {}
+            blocks["reset"] = True
+        known = self.known
+        reg_pos: List[int] = []
+        reg_ident: List[Any] = []
+        reg_val: List[Any] = []
+        changed_pos: List[int] = []
+        changed_val: List[Any] = []
+        quiescent = 0
+        for position, (subject, value) in zip(positions, readings):
+            if position not in known:
+                reg_pos.append(position)
+                reg_ident.append(ident_of(subject))
+                reg_val.append(value)
+                known[position] = value
+            else:
+                prev = known[position]
+                if type(prev) is type(value) and prev == value:
+                    quiescent += 1
+                else:
+                    changed_pos.append(position)
+                    changed_val.append(value)
+                    known[position] = value
+        if len(known) != len(readings):
+            present = set(positions)
+            retract = sorted(p for p in known if p not in present)
+            for position in retract:
+                del known[position]
+            blocks["retract"] = _pack_positions(retract)
+        if reg_pos:
+            if self.flat:
+                blocks["register"] = (
+                    _pack_positions(reg_pos),
+                    [ident[0] for ident in reg_ident],
+                    [ident[1] for ident in reg_ident],
+                    [ident[2] for ident in reg_ident],
+                    reg_val,
+                )
+            else:
+                blocks["register"] = (
+                    _pack_positions(reg_pos),
+                    _encode_group_keys(reg_ident),
+                    reg_val,
+                )
+        if changed_pos:
+            blocks["changed"] = (_pack_positions(changed_pos), changed_val)
+        blocks["quiescent"] = quiescent
+        return blocks
+
+
+# ----------------------------------------------------------------------
+# Coordinator side: blocks -> payload
+# ----------------------------------------------------------------------
+
+
+class _GroupedMirror:
+    """Coordinator-side registration-order mirror of one grouped
+    gather under delta sync.
+
+    Holds the last applied ``position → group key`` and ``position →
+    value`` maps (positions are globally unique, so one merged map
+    serves all shards; per-shard position sets exist only so a shard
+    ``reset`` can clear exactly its slice).  The grouped payload is
+    maintained **incrementally**: value changes write through position
+    slots into prebuilt per-group columns, and the full
+    sort-and-regroup rebuild runs only when registration churn
+    (register/retract/reset) dirties the order — steady-state merge
+    cost is O(changed), not O(fleet).
+    """
+
+    __slots__ = (
+        "keys",
+        "values",
+        "shard_positions",
+        "order",
+        "groups",
+        "slots",
+        "dirty",
+    )
+
+    def __init__(self, shards: int):
+        self.keys: Dict[int, Any] = {}
+        self.values: Dict[int, Any] = {}
+        self.shard_positions: List[set] = [set() for __ in range(shards)]
+        self.order: List[int] = []
+        self.groups: Dict[Any, List[Any]] = {}
+        self.slots: Dict[int, Tuple[List[Any], int]] = {}
+        self.dirty = False
+
+    def _register(self, shard: int, positions, idents) -> None:
+        self.shard_positions[shard].update(positions)
+        keys = self.keys
+        for position, key in zip(positions, idents):
+            keys[position] = key
+
+    def apply(self, shard: int, reply: Dict[str, Any]) -> Tuple[int, int]:
+        """Fold one shard's delta blocks in; returns ``(delta_rows,
+        quiescent_rows)`` — rows that crossed the pipe (registered +
+        changed + retracted) and rows that didn't."""
+        delta_rows = 0
+        if reply.get("reset"):
+            mine = self.shard_positions[shard]
+            if mine:
+                for position in mine:
+                    self.keys.pop(position, None)
+                    self.values.pop(position, None)
+                self.shard_positions[shard] = set()
+                self.dirty = True
+        register = reply.get("register")
+        if register:
+            packed, key_block, column = register
+            positions = _unpack_positions(packed)
+            self._register(shard, positions, _decode_group_keys(key_block))
+            values = self.values
+            for position, value in zip(positions, column):
+                values[position] = value
+            delta_rows += len(positions)
+            self.dirty = True
+        retract = reply.get("retract")
+        if retract:
+            retract = _unpack_positions(retract)
+            self.shard_positions[shard].difference_update(retract)
+            for position in retract:
+                self.keys.pop(position, None)
+                self.values.pop(position, None)
+            self.dirty = True
+            delta_rows += len(retract)
+        changed = reply.get("changed")
+        if changed:
+            packed, column = changed
+            positions = _unpack_positions(packed)
+            delta_rows += len(positions)
+            values = self.values
+            if self.dirty:
+                for position, value in zip(positions, column):
+                    values[position] = value
+            else:
+                slots = self.slots
+                for position, value in zip(positions, column):
+                    values[position] = value
+                    group_column, offset = slots[position]
+                    group_column[offset] = value
+        return delta_rows, reply.get("quiescent", 0)
+
+    def _rebuild(self) -> None:
+        keys = self.keys
+        values = self.values
+        order = sorted(keys)
+        groups: Dict[Any, List[Any]] = {}
+        slots: Dict[int, Tuple[List[Any], int]] = {}
+        for position in order:
+            column = groups.get(keys[position])
+            if column is None:
+                column = groups[keys[position]] = []
+            slots[position] = (column, len(column))
+            column.append(values[position])
+        self.order = order
+        self.groups = groups
+        self.slots = slots
+        self.dirty = False
+
+    def payload(self) -> Dict[Any, List[Any]]:
+        """The full grouped payload — fresh per-group lists (so a
+        context implementation mutating its payload cannot corrupt the
+        mirror), in first-occurrence-by-position key order, exactly as
+        ``group_readings`` builds it."""
+        if self.dirty:
+            self._rebuild()
+        return {key: list(column) for key, column in self.groups.items()}
+
+    def value_pairs(self) -> List[Tuple[None, Any]]:
+        """Per-reading pairs for placement byte accounting."""
+        if self.dirty:
+            self._rebuild()
+        values = self.values
+        return [(None, values[position]) for position in self.order]
+
+
+class _FlatMirror:
+    """Registration-order mirror of one ungrouped gather under delta
+    sync: ``position → (type, entity id, attributes)`` identity plus
+    the last shipped value, with the sorted position order cached
+    across quiescent sweeps."""
+
+    __slots__ = ("ident", "values", "shard_positions", "order", "dirty")
+
+    def __init__(self, shards: int):
+        self.ident: Dict[int, Tuple[str, str, Dict[str, Any]]] = {}
+        self.values: Dict[int, Any] = {}
+        self.shard_positions: List[set] = [set() for __ in range(shards)]
+        self.order: List[int] = []
+        self.dirty = False
+
+    def apply(self, shard: int, reply: Dict[str, Any]) -> Tuple[int, int]:
+        delta_rows = 0
+        if reply.get("reset"):
+            mine = self.shard_positions[shard]
+            if mine:
+                for position in mine:
+                    self.ident.pop(position, None)
+                    self.values.pop(position, None)
+                self.shard_positions[shard] = set()
+                self.dirty = True
+        register = reply.get("register")
+        if register:
+            packed, type_names, entity_ids, attribute_dicts, column = register
+            positions = _unpack_positions(packed)
+            self.shard_positions[shard].update(positions)
+            ident = self.ident
+            values = self.values
+            rows = zip(
+                positions, type_names, entity_ids, attribute_dicts, column
+            )
+            for position, type_name, entity_id, attributes, value in rows:
+                ident[position] = (type_name, entity_id, attributes)
+                values[position] = value
+            delta_rows += len(positions)
+            self.dirty = True
+        retract = reply.get("retract")
+        if retract:
+            retract = _unpack_positions(retract)
+            self.shard_positions[shard].difference_update(retract)
+            for position in retract:
+                self.ident.pop(position, None)
+                self.values.pop(position, None)
+            self.dirty = True
+            delta_rows += len(retract)
+        changed = reply.get("changed")
+        if changed:
+            packed, column = changed
+            positions = _unpack_positions(packed)
+            delta_rows += len(positions)
+            values = self.values
+            for position, value in zip(positions, column):
+                values[position] = value
+        return delta_rows, reply.get("quiescent", 0)
+
+    def positions(self) -> List[int]:
+        if self.dirty:
+            self.order = sorted(self.ident)
+            self.dirty = False
+        return self.order

@@ -351,10 +351,9 @@ class SweepEngine(Instrumented):
         ]
 
     def _sweep_threaded(self, shards, read_one):
-        pool = self._ensure_pool()
         batch_size = self.config.batch_size
         # One pool task per batch; batches never span shards.  Each
-        # member keeps its registry position so the merge below restores
+        # member keeps its registry position so the merge restores
         # registry iteration order no matter which future finishes first.
         batches: List[List[Tuple[int, DeviceInstance]]] = []
         total = 0
@@ -362,13 +361,20 @@ class SweepEngine(Instrumented):
             total += len(members)
             for offset in range(0, len(members), batch_size):
                 batches.append(members[offset:offset + batch_size])
+        return self._fan_out(self._run_batch, batches, read_one, total)
+
+    def _fan_out(self, run, tasks, read, total):
+        """Submit ``run(task, read)`` per task to the pool and merge the
+        ``(index, instance, value)`` triples back into registry order.
+        Every future is drained before the first error re-raises."""
+        pool = self._ensure_pool()
         slots: List[Any] = [None] * total
-        instances_in_order: List[Optional[DeviceInstance]] = [None] * total
-        self._batches += len(batches)
+        instances: List[Optional[DeviceInstance]] = [None] * total
+        self._batches += len(tasks)
         in_flight = self._m_in_flight
         pending = set()
-        for batch in batches:
-            pending.add(pool.submit(self._run_batch, batch, read_one))
+        for task in tasks:
+            pending.add(pool.submit(run, task, read))
             if in_flight is not None:
                 in_flight.inc()
         first_error: Optional[BaseException] = None
@@ -384,10 +390,10 @@ class SweepEngine(Instrumented):
                     continue
                 for index, instance, value in future.result():
                     slots[index] = value
-                    instances_in_order[index] = instance
+                    instances[index] = instance
         if first_error is not None:
             raise first_error
-        return list(zip(instances_in_order, slots))
+        return list(zip(instances, slots))
 
     @staticmethod
     def _run_batch(batch, read_one):
@@ -411,36 +417,12 @@ class SweepEngine(Instrumented):
     def _sweep_threaded_columnar(self, shards, read_column):
         """One pool task per shard; the batch read spans the shard, so
         finer-grained tasks would just split the column for no gain."""
-        pool = self._ensure_pool()
-        total = sum(len(members) for __, members in shards)
-        slots: List[Any] = [None] * total
-        instances: List[Optional[DeviceInstance]] = [None] * total
-        self._batches += len(shards)
-        in_flight = self._m_in_flight
-        pending = set()
-        for __, members in shards:
-            pending.add(
-                pool.submit(self._run_column, members, read_column)
-            )
-            if in_flight is not None:
-                in_flight.inc()
-        first_error: Optional[BaseException] = None
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                if in_flight is not None:
-                    in_flight.dec()
-                error = future.exception()
-                if error is not None:
-                    if first_error is None:
-                        first_error = error
-                    continue
-                for index, instance, value in future.result():
-                    slots[index] = value
-                    instances[index] = instance
-        if first_error is not None:
-            raise first_error
-        return list(zip(instances, slots))
+        return self._fan_out(
+            self._run_column,
+            [members for __, members in shards],
+            read_column,
+            sum(len(members) for __, members in shards),
+        )
 
     @staticmethod
     def _run_column(members, read_column):

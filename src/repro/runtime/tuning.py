@@ -371,19 +371,6 @@ class KnobRegistry:
                     signal="read_cache_hits_total",
                 )
             )
-        if config.shard.enabled:
-            registry.register(
-                Knob(
-                    name="shard.delta_sync",
-                    section="shard",
-                    attribute="delta_sync",
-                    minimum=0,
-                    maximum=1,
-                    step=1,
-                    scale="linear",
-                    signal="shard_wire_bytes_total",
-                )
-            )
         if config.supervised():
             registry.register(
                 Knob(

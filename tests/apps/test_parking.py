@@ -208,9 +208,7 @@ class TestDescriptorShardedDeployment:
 
     def test_sharded_matches_single_process(self):
         single = self.run_deployment(None)
-        sharded = self.run_deployment(
-            {"workers": 2, "wire_format": "columnar", "delta_sync": True}
-        )
+        sharded = self.run_deployment({"workers": 2})
         assert sharded == single
         assert single["panel"]  # the run actually drove the panels
 

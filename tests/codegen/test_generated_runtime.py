@@ -214,38 +214,41 @@ class TestParkingViaGeneratedFramework:
 
     def test_cache_config_flows_through(self, parking_module):
         mod = parking_module
-        from repro.api import CacheConfig
+        from repro.api import CacheConfig, RuntimeConfig
 
         framework = mod.ParkingManagementFramework()
         assert framework.application.read_cache is None  # off by default
         cached = mod.ParkingManagementFramework(
-            cache=CacheConfig(enabled=True, ttl_seconds=5.0)
+            config=RuntimeConfig(
+                cache=CacheConfig(enabled=True, ttl_seconds=5.0)
+            )
         )
         assert cached.application.read_cache is not None
         assert cached.application.config.cache.ttl_seconds == 5.0
 
     def test_batch_config_flows_through(self, parking_module):
         mod = parking_module
-        from repro.api import BatchConfig
+        from repro.api import BatchConfig, RuntimeConfig
 
         framework = mod.ParkingManagementFramework()
         assert framework.application.planner is None  # off by default
-        assert not framework.application._columnar_reads
         batched = mod.ParkingManagementFramework(
-            batch=BatchConfig(enabled=True, min_column=4)
+            config=RuntimeConfig(
+                batch=BatchConfig(enabled=True, min_column=4)
+            )
         )
         assert batched.application.planner is not None
-        assert batched.application._columnar_reads
         assert batched.application.config.batch.min_column == 4
 
     def test_shard_config_flows_through(self, parking_module):
         mod = parking_module
-        from repro.api import ShardConfig
+        from repro.api import RuntimeConfig, ShardConfig
 
         framework = mod.ParkingManagementFramework()
         assert framework.application.config.shard.enabled is False
+        assert framework.application.name == "ParkingManagement"
         sharded = mod.ParkingManagementFramework(
-            shard=ShardConfig(enabled=True, workers=2)
+            config=RuntimeConfig(shard=ShardConfig(enabled=True, workers=2))
         )
         assert sharded.application.config.shard.enabled
         assert sharded.application.config.shard.workers == 2
@@ -278,6 +281,7 @@ class TestPlacementThroughGeneratedFramework:
             HopProfile,
             NetworkConfig,
             PlacementConfig,
+            RuntimeConfig,
         )
 
         mod = compile_design(EDGE_DESIGN, "EdgeCells")
@@ -294,10 +298,12 @@ class TestPlacementThroughGeneratedFramework:
                 return sum(by_cell.values())
 
         framework = mod.EdgeCellsFramework(
-            network=NetworkConfig(
-                hops={"access": HopProfile(), "wan": HopProfile()}
-            ),
-            placement=PlacementConfig(enabled=True),
+            config=RuntimeConfig(
+                network=NetworkConfig(
+                    hops={"access": HopProfile(), "wan": HopProfile()}
+                ),
+                placement=PlacementConfig(enabled=True),
+            )
         )
         framework.implement_cell_count(CellCount())
         for index in range(4):

@@ -29,7 +29,6 @@ class TestRuntimeConfig:
         config = RuntimeConfig()
         assert config.clock is None
         assert config.error_policy == "raise"
-        assert config.streaming_windows is True
         assert config.supervision is None
         assert config.supervision_overrides == {}
         assert not config.supervised()
@@ -89,28 +88,14 @@ class TestApplicationAcceptsConfig:
 
 
 class TestLegacyKeywordShim:
-    def test_legacy_keywords_warn_once_and_work(self):
-        clock = SimulationClock()
-        with pytest.warns(DeprecationWarning) as caught:
-            app = Application(
-                design(), clock=clock, streaming_windows=False
-            )
-        assert app.clock is clock
-        assert app.config.streaming_windows is False
-        # One consolidated warning, not one per keyword.
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "deprecated" in message
-        assert "clock=..." in message
-        assert "streaming_windows=..." in message
+    """The keyword route is gone: ``RuntimeConfig`` is the only way to
+    configure an application, and a stray keyword is a plain
+    ``TypeError``."""
 
     def test_config_plus_keywords_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="error_policy"):
             Application(
-                design(), RuntimeConfig(), streaming_windows=False
+                design(), RuntimeConfig(), error_policy="isolate"
             )
 
     def test_unknown_keyword_is_an_error_without_warning(self):
@@ -120,20 +105,5 @@ class TestLegacyKeywordShim:
             warnings_module.simplefilter("error")
             with pytest.raises(TypeError, match="wibble"):
                 Application(design(), wibble=1)
-
-    def test_from_legacy_kwargs_round_trip(self):
-        clock = SimulationClock()
-        with pytest.warns(DeprecationWarning):
-            config = RuntimeConfig.from_legacy_kwargs(
-                clock=clock, error_policy="isolate"
-            )
-        assert config.clock is clock
-        assert config.error_policy == "isolate"
-
-    def test_from_legacy_kwargs_without_kwargs_is_silent(self):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            config = RuntimeConfig.from_legacy_kwargs()
-        assert config == RuntimeConfig()
+            with pytest.raises(TypeError, match="clock"):
+                Application(design(), clock=SimulationClock())

@@ -116,8 +116,6 @@ class TestBatchConfig:
     def test_defaults_are_off(self):
         config = BatchConfig()
         assert config.enabled is False
-        assert config.columnar_reads is True
-        assert config.compile_plans is True
         assert config.min_column == 2
 
     def test_min_column_validated(self):

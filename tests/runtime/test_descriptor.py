@@ -305,12 +305,7 @@ class TestShardSection:
         descriptor = load_descriptor(
             {
                 "topology": {
-                    "shard": {
-                        "workers": 3,
-                        "wire_format": "columnar",
-                        "delta_sync": True,
-                        "local_cache": False,
-                    }
+                    "shard": {"workers": 3, "start_method": "spawn"}
                 },
                 "entities": [],
             }
@@ -318,9 +313,7 @@ class TestShardSection:
         shard = descriptor.shard_config()
         assert shard.enabled is True
         assert shard.workers == 3
-        assert shard.wire_format == "columnar"
-        assert shard.delta_sync is True
-        assert shard.local_cache is False
+        assert shard.start_method == "spawn"
 
     def test_shard_section_defaults_enabled(self):
         descriptor = load_descriptor(
@@ -350,10 +343,18 @@ class TestShardSection:
             )
 
     def test_invalid_shard_value_fails_at_load(self):
-        with pytest.raises(BindingError, match="wire_format"):
+        with pytest.raises(BindingError, match="workers must be"):
+            load_descriptor(
+                {"topology": {"shard": {"workers": 0}}, "entities": []}
+            )
+        # The wire format is no longer a choice: a descriptor that still
+        # names one is rejected like any other unknown field.
+        with pytest.raises(
+            BindingError, match=r"unknown fields \['wire_format'\]"
+        ):
             load_descriptor(
                 {
-                    "topology": {"shard": {"wire_format": "json"}},
+                    "topology": {"shard": {"wire_format": "columnar"}},
                     "entities": [],
                 }
             )

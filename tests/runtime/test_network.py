@@ -217,41 +217,13 @@ class TestPolledReadsThroughNetwork:
 
 
 class TestLegacyNetworkKwargs:
-    def test_model_instance_on_config_is_silent_passthrough(self):
-        import warnings as warnings_module
-
-        network = NetworkConditions(latency=5.0)
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            config = RuntimeConfig(network=network)
-        app = Application(analyze(DESIGN), config)
-        assert app.network is network
-
-    def test_model_instance_application_kwarg_warns_once(self):
-        network = NetworkConditions(latency=5.0)
-        with pytest.warns(DeprecationWarning) as caught:
-            app = Application(analyze(DESIGN), network=network)
-        assert app.network is network
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-        assert "NetworkConfig" in str(deprecations[0].message)
-
-    def test_apply_network_to_reads_kwarg_warns_once(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            app = Application(
-                analyze(DESIGN),
-                network=NetworkConfig(loss=0.9, seed=5),
-                apply_network_to_reads=True,
-            )
-        assert app.apply_network_to_reads
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-        assert "apply_to_reads" in str(deprecations[0].message)
+    """``network`` takes a ``NetworkConfig`` or ``None`` — nothing
+    else."""
 
     def test_network_without_transmit_is_a_type_error(self):
-        with pytest.raises(TypeError, match="transmit"):
+        with pytest.raises(TypeError, match="NetworkConfig"):
             RuntimeConfig(network=42)
+
+    def test_model_instance_on_config_is_a_type_error(self):
+        with pytest.raises(TypeError, match="NetworkConfig"):
+            RuntimeConfig(network=NetworkConditions(latency=5.0))

@@ -11,6 +11,7 @@ actions on remote entities behave exactly as local ones.
 
 import multiprocessing
 import os
+import signal
 import weakref
 
 import pytest
@@ -220,22 +221,12 @@ class TestShardConfig:
         assert config.enabled is False
         assert config.workers == 4
         assert config.start_method is None
-        assert config.wire_format == "columnar"
-        assert config.delta_sync is True
-        assert config.local_cache is True
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardConfig(workers=0)
         with pytest.raises(ValueError):
             ShardConfig(start_method="threads")
-        with pytest.raises(ValueError):
-            ShardConfig(wire_format="json")
-
-    def test_wire_knobs_coerce_to_bool(self):
-        config = ShardConfig(delta_sync=0, local_cache=1)
-        assert config.delta_sync is False
-        assert config.local_cache is True
 
     def test_runtime_config_field(self):
         config = RuntimeConfig(shard=ShardConfig(enabled=True, workers=2))
@@ -273,11 +264,9 @@ class TestEquivalence:
         seed=st.integers(min_value=0, max_value=2**16),
         batch=st.booleans(),
         cache=st.booleans(),
-        wire=st.sampled_from(["rows", "columnar"]),
-        delta=st.booleans(),
     )
     def test_sweeps_windows_and_events_match(
-        self, sensors, workers, seed, batch, cache, wire, delta
+        self, sensors, workers, seed, batch, cache
     ):
         def bootstrap(shard):
             return PresenceBootstrap(
@@ -296,14 +285,7 @@ class TestEquivalence:
             queries=queries,
         )
         sharded = run_scenario(
-            bootstrap(
-                ShardConfig(
-                    enabled=True,
-                    workers=workers,
-                    wire_format=wire,
-                    delta_sync=delta,
-                )
-            ),
+            bootstrap(ShardConfig(enabled=True, workers=workers)),
             publishes=publishes,
             queries=queries,
         )
@@ -495,8 +477,8 @@ class TestMetrics:
             assert stats["router"]["events_routed"] >= 1
             assert stats["router"]["errors"] == 0
             assert stats["router"]["wire_bytes"] > 0
-            # Default wire settings are columnar+delta: the first sweep
-            # registers every reading, later sweeps ship only changes.
+            # The first sweep registers every reading, later sweeps
+            # ship only changes.
             assert stats["delta_rows"] >= 6
             assert stats["quiescent_rows"] >= 0
         finally:
@@ -504,58 +486,7 @@ class TestMetrics:
 
 
 class TestWireProtocol:
-    """Every wire encoding delivers byte-identical results, and the
-    delta protocol actually suppresses quiescent rows."""
-
-    @pytest.mark.parametrize(
-        "wire,delta",
-        [("rows", False), ("columnar", False), ("columnar", True)],
-    )
-    def test_encodings_identical(self, wire, delta):
-        publishes = [("s-004", True)]
-        queries = ["s-000", "s-008"]
-        single = run_scenario(
-            PresenceBootstrap(sensors=9, shard=ShardConfig(enabled=False)),
-            publishes=publishes,
-            queries=queries,
-        )
-        sharded = run_scenario(
-            PresenceBootstrap(
-                sensors=9,
-                shard=ShardConfig(
-                    enabled=True,
-                    workers=3,
-                    wire_format=wire,
-                    delta_sync=delta,
-                ),
-            ),
-            publishes=publishes,
-            queries=queries,
-        )
-        assert sharded == single
-
-    def test_delta_ships_fewer_bytes_than_rows(self):
-        def wire_bytes(wire, delta):
-            runtime = ShardedRuntime(
-                PresenceBootstrap(
-                    sensors=12,
-                    seed=3,
-                    shard=ShardConfig(
-                        enabled=True,
-                        workers=2,
-                        wire_format=wire,
-                        delta_sync=delta,
-                    ),
-                )
-            )
-            runtime.start()
-            try:
-                runtime.advance(6 * PERIOD)
-                return runtime.stats()["router"]["wire_bytes"]
-            finally:
-                runtime.stop()
-
-        assert wire_bytes("columnar", True) < wire_bytes("rows", False)
+    """The delta protocol actually suppresses quiescent rows."""
 
     def test_delta_counts_quiescent_rows(self):
         runtime = ShardedRuntime(
@@ -689,24 +620,6 @@ class TestCacheInvalidation:
         finally:
             runtime.stop()
 
-    def test_local_cache_off_strips_worker_caches(self):
-        runtime = ShardedRuntime(
-            PresenceBootstrap(
-                sensors=6,
-                shard=ShardConfig(
-                    enabled=True, workers=2, local_cache=False
-                ),
-                cache=CacheConfig(enabled=True),
-            )
-        )
-        runtime.start()
-        try:
-            runtime.advance(PERIOD)
-            for stats in runtime.worker_stats():
-                assert stats["cache"] is None
-        finally:
-            runtime.stop()
-
 
 class TestRouterFailures:
     """Worker death and worker-side errors surface as typed ShardErrors
@@ -753,6 +666,38 @@ class TestRouterFailures:
         runtime.stop()
         assert not any(p.is_alive() for p in children)
         assert len(runtime.router) == 0
+
+    def test_worker_killed_with_unread_command_raises_shard_error(self):
+        """A worker that dies with the command still unread resets the
+        socketpair: ``recv_bytes`` raises ``ConnectionResetError``, not
+        ``EOFError`` — it must still surface as a typed ShardError."""
+        runtime = self._running_runtime(workers=2)
+        children = sorted(
+            (
+                p
+                for p in multiprocessing.active_children()
+                if p.name.startswith("repro-shard-")
+            ),
+            key=lambda p: p.name,
+        )
+        router = runtime.router
+        try:
+            os.kill(children[0].pid, signal.SIGSTOP)
+            router._send_to(0, "stats", ())  # parked in the socket buffer
+            os.kill(children[0].pid, signal.SIGKILL)
+            children[0].join(timeout=10)
+            assert not children[0].is_alive()
+            with pytest.raises(ShardError) as excinfo:
+                router._receive(0)
+            assert excinfo.value.shard == 0
+            assert router.stats()["errors"] == 1
+        finally:
+            runtime.stop()
+        assert not any(p.is_alive() for p in children)
+        assert not any(
+            p.name.startswith("repro-shard-")
+            for p in multiprocessing.active_children()
+        )
 
     def test_worker_error_reply_names_shard(self):
         runtime = self._running_runtime(workers=2)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.mapreduce.api import MapReduce
 from repro.runtime.app import Application
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.component import Context
 from repro.runtime.device import CallableDriver
 from repro.runtime.grouping import WindowAccumulator, fold_for_job
@@ -165,7 +164,8 @@ context DailyFree as Integer {
 
 
 class DailyFreeImpl(Context, MapReduce):
-    """Counts free spaces; window handler tolerates both payload shapes."""
+    """Counts free spaces; the window payload is one folded value per
+    lot."""
 
     def __init__(self):
         super().__init__()
@@ -182,19 +182,12 @@ class DailyFreeImpl(Context, MapReduce):
         collector.emit_reduce(lot, sum(counts))
 
     def on_periodic_presence(self, free_by_lot, discover):
-        totals = {
-            lot: (sum(value) if isinstance(value, list) else value)
-            for lot, value in free_by_lot.items()
-        }
-        self.windows.append(totals)
-        return sum(totals.values())
+        self.windows.append(dict(free_by_lot))
+        return sum(free_by_lot.values())
 
 
-def build_windowed(streaming):
-    app = Application(
-        analyze(WINDOWED_DESIGN),
-        RuntimeConfig(streaming_windows=streaming),
-    )
+def build_windowed():
+    app = Application(analyze(WINDOWED_DESIGN))
     impl = app.implement("DailyFree", DailyFreeImpl())
     published = []
     app.bus.subscribe(
@@ -217,31 +210,22 @@ def build_windowed(streaming):
 
 class TestStreamingWindowApplication:
     def test_streaming_is_default_and_matches_buffered(self):
-        streaming_app, streaming_impl, streaming_published = build_windowed(
-            True
-        )
-        buffered_app, buffered_impl, buffered_published = build_windowed(
-            False
-        )
+        """MapReduce windows always fold incrementally; the delivered
+        values are what buffering the window would have summed to."""
+        app, impl, published = build_windowed()
         # Two 30-minute windows of 3 sweeps each.
-        streaming_app.advance(3600)
-        buffered_app.advance(3600)
-        assert streaming_published == buffered_published
-        assert streaming_impl.windows == buffered_impl.windows
+        app.advance(3600)
         # 2 free in A22 + 1 free in B16, times 3 sweeps per window.
-        assert streaming_published == [9, 9]
+        assert impl.windows == [{"A22": 6, "B16": 3}] * 2
+        assert published == [9, 9]
 
     def test_streaming_window_state_is_constant_in_sweeps(self):
-        streaming_app, __, ___ = build_windowed(True)
-        buffered_app, __, ___ = build_windowed(False)
-        streaming_app.advance(3600)
-        buffered_app.advance(3600)
-        streaming = streaming_app.stats["windows"]["DailyFree"]
-        buffered = buffered_app.stats["windows"]["DailyFree"]
-        assert streaming["mode"] == "incremental"
-        assert buffered["mode"] == "buffered"
-        assert streaming["peak_buffered_values"] == 2  # one per lot
-        assert buffered["peak_buffered_values"] == 6  # lots x sweeps
+        app, __, ___ = build_windowed()
+        app.advance(3600)
+        window = app.stats["windows"]["DailyFree"]
+        assert window["mode"] == "incremental"
+        # One partial per lot, not lots x sweeps.
+        assert window["peak_buffered_values"] == 2
 
     def test_non_mapreduce_window_stays_buffered(self):
         design = """\

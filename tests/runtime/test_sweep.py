@@ -327,29 +327,20 @@ class TestSweepMetrics:
 
 
 class TestInstancesOfKeywordShim:
-    def test_positional_filters_warn_and_still_work(self):
-        app, __, __ = build_app()
-        registry = app.registry
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            shimmed = registry.instances_of("PresenceSensor", True)
-        assert shimmed == registry.instances_of(
-            "PresenceSensor", include_failed=True
-        )
+    """The health/failure filters are keyword-only; a positional one
+    is Python's own ``TypeError``."""
 
     def test_positional_and_keyword_duplicate_raises(self):
         app, __, __ = build_app()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                app.registry.instances_of(
-                    "PresenceSensor", True, include_failed=True
-                )
+        with pytest.raises(TypeError, match="positional"):
+            app.registry.instances_of(
+                "PresenceSensor", True, include_failed=True
+            )
 
     def test_too_many_positionals_raise(self):
         app, __, __ = build_app()
         with pytest.raises(TypeError, match="positional"):
-            app.registry.instances_of(
-                "PresenceSensor", True, None, False, "extra"
-            )
+            app.registry.instances_of("PresenceSensor", True)
 
     def test_attribute_filters_stay_keyword(self):
         app, __, __ = build_app()

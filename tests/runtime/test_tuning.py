@@ -9,6 +9,7 @@ from repro.runtime.cache import CacheConfig
 from repro.runtime.clock import SimulationClock
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.plan import BatchConfig
+from repro.runtime.shard import ShardConfig
 from repro.runtime.sweep import SweepConfig
 from repro.runtime.tuning import (
     DOWN,
@@ -178,20 +179,7 @@ class TestKnobRegistry:
         assert "cache.ttl_seconds" in full
         assert "supervision.failure_threshold" in full
         assert "supervision.backoff_base_seconds" in full
-        assert "shard.delta_sync" not in full
-
-        from repro.runtime.shard import ShardConfig
-
-        sharded = KnobRegistry.for_config(
-            RuntimeConfig(shard=ShardConfig(enabled=True))
-        )
-        assert "shard.delta_sync" in sharded
-        flipped = sharded.with_value(
-            RuntimeConfig(shard=ShardConfig(enabled=True)),
-            "shard.delta_sync",
-            0,
-        )
-        assert flipped.shard.delta_sync is False
+        assert len(full) == 6
 
     def test_describe_carries_ranges_and_values(self):
         registry = KnobRegistry.for_config(RuntimeConfig())
@@ -370,7 +358,9 @@ class TestApplyConfig:
         with pytest.raises(TuningError, match="structural"):
             app.apply_config(app.config.replace(name="other"))
         with pytest.raises(TuningError, match="structural"):
-            app.apply_config(app.config.replace(streaming_windows=False))
+            app.apply_config(
+                app.config.replace(shard=ShardConfig(enabled=True))
+            )
 
     def test_cache_cannot_toggle_live(self):
         app = make_app()
