@@ -394,7 +394,7 @@ def _cmd_tune(arguments) -> int:
     """
     import json
 
-    from repro.runtime.tuning import run_parking_tuning
+    from repro.apps.parking.tuning import run_parking_tuning
 
     report = run_parking_tuning(
         seed=arguments.seed,

@@ -27,6 +27,7 @@ from repro.mapreduce.engine import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
+    map_partition,
     run_mapreduce,
 )
 from repro.mapreduce.partition import hash_partition, partition_items
@@ -43,6 +44,7 @@ __all__ = [
     "ThreadExecutor",
     "hash_partition",
     "job_combiner",
+    "map_partition",
     "partition_items",
     "run_mapreduce",
 ]

@@ -39,7 +39,17 @@ and friends).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, Hashable, List, Mapping, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 from repro.mapreduce.api import (
     CombineCollector,
@@ -52,6 +62,7 @@ from repro.telemetry.instrument import Instrumented, MetricSpec
 from repro.mapreduce.partition import group_pairs, hash_partition, partition_items
 
 Pairs = List[Tuple[Hashable, Any]]
+_tag = itemgetter(0)
 
 
 def _run_map_chunk(
@@ -82,6 +93,84 @@ def _run_reduce_bucket(job: MapReduce, bucket: Pairs) -> Pairs:
     for key, values in group_pairs(bucket).items():
         job.reduce(key, values, collector)
     return collector.pairs
+
+
+# Partitioned map side (edge nodes, shard workers).  When one sweep's
+# readings are mapped in several places, every emission carries a
+# ``(rank, position, emission)`` tag: the rank of its group among the
+# sweep's groups, the global position of its reading, its index among
+# that reading's emissions.  Tags compare across partitions, so sorting
+# the partials by tag reproduces the single-process emission sequence.
+# Only the functions below know the tag format.
+
+Tagged = List[Tuple[Tuple[int, int, int], Hashable, Any]]
+
+
+def first_positions(
+    keyed: Iterable[Tuple[Hashable, int]]
+) -> Dict[Hashable, int]:
+    """The lowest position of each group key among ``(key, position)``
+    pairs in any order."""
+    firsts: Dict[Hashable, int] = {}
+    for key, position in keyed:
+        if key not in firsts or position < firsts[key]:
+            firsts[key] = position
+    return firsts
+
+
+def rank_groups(keyed: Iterable[Tuple[Hashable, int]]) -> Dict[Hashable, int]:
+    """Each group key's rank by the position of its first surviving
+    reading — the order ``group_readings`` meets the keys in when it
+    sees the whole sweep."""
+    firsts = first_positions(keyed)
+    ordered = sorted(firsts, key=firsts.__getitem__)
+    return {key: rank for rank, key in enumerate(ordered)}
+
+
+def map_partition(
+    job: MapReduce,
+    rows: Iterable[Tuple[int, Hashable, Any]],
+    ranks: Mapping[Hashable, int],
+) -> Tuple[Tagged, int]:
+    """Map (and map-side combine) one partition of a sweep.
+
+    ``rows`` are ``(position, group key, value)`` readings, ``ranks``
+    the sweep-wide :func:`rank_groups` order; mapping in ``(rank,
+    position)`` order reproduces the slice of the single-process input
+    sequence this partition owns.  Every reading maps through its own
+    collector so its emissions can be tagged; a combined partial keeps
+    the lowest tag it folded.  Returns ``(tagged pairs, raw map
+    emission count)``.
+    """
+    pairs: Tagged = []
+    for position, key, value in sorted(
+        rows, key=lambda row: (ranks[row[1]], row[0])
+    ):
+        collector = MapCollector()
+        job.map(key, value, collector)
+        rank = ranks[key]
+        for emission, (out_key, out_value) in enumerate(collector.pairs):
+            pairs.append(((rank, position, emission), out_key, out_value))
+    mapped = len(pairs)
+    combine = job_combiner(job)
+    if combine is not None and pairs:
+        grouped: Dict[Hashable, List[Tuple[Any, Any]]] = {}
+        for tag, out_key, out_value in pairs:
+            grouped.setdefault(out_key, []).append((tag, out_value))
+        pairs = []
+        for out_key, tagged in grouped.items():
+            combined = CombineCollector()
+            combine(out_key, [value for __, value in tagged], combined)
+            first = min(tag for tag, __ in tagged)
+            for pair_key, pair_value in combined.pairs:
+                pairs.append((first, pair_key, pair_value))
+    return pairs, mapped
+
+
+def sequence_partials(tagged: Tagged) -> Pairs:
+    """Every partition's partials in single-process emission order,
+    tags stripped: what :meth:`MapReduceEngine.merge_partials` takes."""
+    return [(key, value) for __, key, value in sorted(tagged, key=_tag)]
 
 
 def _stats(mapped: int, shuffled: int, reduced: int, combine_used: bool):
@@ -229,13 +318,15 @@ class MapReduceEngine(Instrumented):
         self, job: MapReduce, grouped: Mapping[Hashable, Sequence[Any]]
     ) -> Dict[Hashable, Any]:
         result = self.executor.run(job, grouped)
-        stats = self.executor.last_stats
+        self._account(self.executor.last_stats)
+        return result
+
+    def _account(self, stats: Dict[str, Any]) -> None:
         self._runs += 1
         self._combined_runs += 1 if stats["combine_used"] else 0
         self._mapped += stats["mapped"]
         self._shuffled += stats["shuffled"]
         self._reduced += stats["reduced"]
-        return result
 
     def merge_partials(
         self, job: MapReduce, pairs: Pairs, mapped: int
@@ -255,11 +346,7 @@ class MapReduceEngine(Instrumented):
             mapped, len(pairs), len(result), job_combiner(job) is not None
         )
         self.executor.last_stats = stats
-        self._runs += 1
-        self._combined_runs += 1 if stats["combine_used"] else 0
-        self._mapped += stats["mapped"]
-        self._shuffled += stats["shuffled"]
-        self._reduced += stats["reduced"]
+        self._account(stats)
         return result
 
     @property

@@ -465,8 +465,9 @@ class Application:
     # Config sections that may change on a running application.
     # Everything else is structural wiring resolved at construction
     # (clock, metrics registry, network model, placement/shard/planner
-    # objects, window accumulators) and must be identical in any config
-    # handed to ``apply_config``.
+    # objects, window accumulators, the tuning controller and its
+    # scheduled job) and must be identical in any config handed to
+    # ``apply_config``.
     _LIVE_FIELDS = frozenset(
         {
             "sweep",
@@ -476,7 +477,6 @@ class Application:
             "supervision_overrides",
             "stale",
             "error_policy",
-            "tuning",
         }
     )
 
@@ -493,8 +493,9 @@ class Application:
         attribute), ``cache`` (TTLs, coalescing, invalidation scope —
         but not ``enabled``), ``batch`` (``min_column`` only),
         ``supervision`` policies and overrides (retuned across every
-        live breaker), ``stale``, ``error_policy`` and ``tuning``
-        itself.  Changing any structural field raises
+        live breaker), ``stale`` and ``error_policy``.  Changing any
+        structural field — ``tuning`` included: the controller is
+        built, and its job scheduled, at construction — raises
         :class:`~repro.errors.TuningError`.
         """
         old = self.config
@@ -785,7 +786,6 @@ class Application:
                     interaction.period.seconds,
                     group.window.seconds,
                     implementation,
-                    columnar=self.config.batch.enabled,
                 )
             else:
                 accumulator = WindowAccumulator.for_design(

@@ -18,7 +18,12 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import DiscoveryError
 from repro.naming import proxy_set_method_name
-from repro.runtime.proxies import ProxySet, make_proxy_set
+from repro.runtime.proxies import (
+    ProxySet,
+    filter_names,
+    make_proxy_set,
+    resolve_filters,
+)
 from repro.runtime.registry import EntityRegistry
 from repro.sema.analyzer import AnalyzedSpec
 
@@ -39,17 +44,40 @@ class Discover:
             proxy_set_method_name(name): name
             for name in design.devices
         }
+        # device type -> filter_names table, built on first discovery.
+        self._filter_names: Dict[str, Dict[str, str]] = {}
+
+    def _names_for(self, device_type: str) -> Dict[str, str]:
+        """Filter spellings for ``device_type``: its own attributes and
+        those of its subtypes, whose instances the lookup also returns."""
+        names = self._filter_names.get(device_type)
+        if names is None:
+            devices = self._design.devices
+            family = [devices[device_type]]
+            for info in family:  # grows as it is walked: all descendants
+                family.extend(devices[name] for name in info.subtypes)
+            names = self._filter_names[device_type] = filter_names(family)
+        return names
 
     def devices(self, device_type: str, **attribute_filters: Any) -> ProxySet:
-        """All bound instances of ``device_type`` (or its subtypes)."""
+        """All bound instances of ``device_type`` (or its subtypes),
+        optionally narrowed by attribute values.
+
+        Filter names are resolved once, against the declaration: the
+        declared spelling (``parkingLot="A22"``) and its snake-case form
+        (``parking_lot="A22"``) both work here and in
+        :meth:`ProxySet.where`; any other name raises
+        :class:`DiscoveryError`."""
         if device_type not in self._design.devices:
             raise DiscoveryError(
                 f"'{device_type}' is not a device of this design"
             )
+        names = self._names_for(device_type)
         instances = self._registry.instances_of(
-            device_type, **attribute_filters
+            device_type,
+            **resolve_filters(device_type, names, attribute_filters),
         )
-        return make_proxy_set(device_type, instances)
+        return make_proxy_set(device_type, instances, names)
 
     def device(self, entity_id: str):
         """A proxy for one specific entity id."""

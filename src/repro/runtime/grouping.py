@@ -37,7 +37,24 @@ from repro.runtime.plan import missing
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 Fold = Callable[[Hashable, Any, Any], Any]
-ColumnFold = Callable[[Hashable, List[Any]], Any]
+
+
+def no_group_attribute(instance, attribute: str) -> BindingError:
+    """The error every grouping path raises for an entity that lacks
+    the ``grouped by`` attribute (built only on that path, so the
+    per-reading loops pay nothing for sharing it)."""
+    return BindingError(
+        f"entity '{instance.entity_id}' has no attribute "
+        f"'{attribute}' to group by"
+    )
+
+
+def group_key(instance, attribute: str) -> Hashable:
+    """One instance's ``grouped by`` key."""
+    try:
+        return instance.attributes[attribute]
+    except KeyError:
+        raise no_group_attribute(instance, attribute) from None
 
 
 def group_readings(
@@ -53,10 +70,7 @@ def group_readings(
         try:
             key = instance.attributes[attribute]
         except KeyError:
-            raise BindingError(
-                f"entity '{instance.entity_id}' has no attribute "
-                f"'{attribute}' to group by"
-            ) from None
+            raise no_group_attribute(instance, attribute) from None
         grouped.setdefault(key, []).append(value)
     return grouped
 
@@ -81,10 +95,7 @@ def group_readings_planned(
     for instance, value in readings:
         key = membership.get(instance.entity_id, sentinel)
         if key is sentinel:
-            raise BindingError(
-                f"entity '{instance.entity_id}' has no attribute "
-                f"'{attribute}' to group by"
-            )
+            raise no_group_attribute(instance, attribute)
         grouped.setdefault(key, []).append(value)
     return grouped
 
@@ -112,34 +123,6 @@ def fold_for_job(job: Any) -> Fold:
         return pairs[0][1]
 
     return fold
-
-
-def column_fold_for_job(job: Any) -> ColumnFold:
-    """Build a *columnar* fold from a MapReduce job.
-
-    Where :func:`fold_for_job` folds values pairwise — one phase call
-    per arriving value — the columnar fold hands the phase a whole
-    column (``[accumulated, v1, v2, ...]``) in one call.  For an
-    associative phase (already required by incremental mode) the result
-    is identical; the saving is one ``FoldCollector`` and one Python
-    call per column instead of per value.
-    """
-    phase = job_combiner(job) or job.reduce
-
-    def fold_column(key: Hashable, values: List[Any]) -> Any:
-        if len(values) == 1:
-            return values[0]
-        collector = FoldCollector()
-        phase(key, values, collector)
-        pairs = collector.pairs
-        if len(pairs) != 1:
-            raise ValueError(
-                f"columnar fold for key {key!r} must emit exactly one "
-                f"pair, got {len(pairs)}"
-            )
-        return pairs[0][1]
-
-    return fold_column
 
 
 class WindowAccumulator(Instrumented):
@@ -202,18 +185,12 @@ class WindowAccumulator(Instrumented):
         deliveries_per_window: int,
         flatten: bool,
         fold: Optional[Fold] = None,
-        fold_column: Optional[ColumnFold] = None,
     ):
         if deliveries_per_window < 1:
             raise ValueError("a window must span at least one delivery")
-        if fold_column is not None and fold is None:
-            raise ValueError(
-                "fold_column requires an incremental accumulator (fold)"
-            )
         self.deliveries_per_window = deliveries_per_window
         self.flatten = flatten
         self.fold = fold
-        self.fold_column = fold_column
         self._buffer: Dict[Hashable, Any] = {}
         self._count = 0
         self._buffered_values = 0
@@ -235,25 +212,15 @@ class WindowAccumulator(Instrumented):
         window_seconds: float,
         job: Any,
         flatten: bool = False,
-        columnar: bool = False,
     ) -> "WindowAccumulator":
         """Incremental accumulator folding deliveries through ``job``.
 
         ``job`` is any MapReduce implementation (a context declaring
         ``with map ... reduce ...``); its ``combine`` hook is preferred,
-        its ``reduce`` phase is the fallback.  With ``columnar=True``
-        (the ``BatchConfig(enabled=True)`` hot path), flattened columns
-        fold through one phase call per delivery instead of one per
-        value — identical results for the associative phases this mode
-        already requires.
+        its ``reduce`` phase is the fallback.
         """
         deliveries = max(1, round(window_seconds / period_seconds))
-        return cls(
-            deliveries,
-            flatten,
-            fold=fold_for_job(job),
-            fold_column=column_fold_for_job(job) if columnar else None,
-        )
+        return cls(deliveries, flatten, fold=fold_for_job(job))
 
     @property
     def incremental(self) -> bool:
@@ -292,16 +259,8 @@ class WindowAccumulator(Instrumented):
     def _add_incremental(self, grouped: Dict[Hashable, Any]) -> None:
         buffer = self._buffer
         fold = self.fold
-        fold_column = self.fold_column
         for key, value in grouped.items():
             is_column = self.flatten and isinstance(value, (list, tuple))
-            if fold_column is not None and is_column and value:
-                if key in buffer:
-                    buffer[key] = fold_column(key, [buffer[key], *value])
-                else:
-                    buffer[key] = fold_column(key, list(value))
-                    self._buffered_values += 1
-                continue
             values = value if is_column else (value,)
             for item in values:
                 if key in buffer:
@@ -323,6 +282,5 @@ class WindowAccumulator(Instrumented):
     def _extra_stats(self) -> Dict[str, Any]:
         return {
             "mode": "incremental" if self.incremental else "buffered",
-            "columnar": self.fold_column is not None,
             "deliveries_per_window": self.deliveries_per_window,
         }

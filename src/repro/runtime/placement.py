@@ -40,13 +40,14 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import BindingError, PlacementError
-from repro.mapreduce.api import (
-    CombineCollector,
-    MapCollector,
-    job_combiner,
+from repro.errors import PlacementError
+from repro.mapreduce.engine import (
+    map_partition,
+    rank_groups,
+    sequence_partials,
 )
 from repro.runtime.configbase import ConfigBase
+from repro.runtime.grouping import group_key
 from repro.simulation.network import (
     HopProfile,
     NetworkConditions,
@@ -498,68 +499,28 @@ class PlacementExecutor(Instrumented):
 
         Reproduces the sharded runtime's discipline with edge nodes in
         place of shards: groups are ranked by their first reading
-        across the whole sweep, each node maps (and map-side combines)
-        its slice sorted by ``(rank, gpos)`` with globally comparable
-        ``(rank, gpos, emission)`` tags, and the surviving partials
-        merge through the engine's coordinator-side final reduce.
+        across the whole sweep, each node runs
+        :func:`~repro.mapreduce.engine.map_partition` over its slice,
+        and the partials that survive the WAN merge through the
+        engine's coordinator-side final reduce.
         """
         self._edge_sweeps += 1
-        keyed: List[Tuple[int, Any, Any, str]] = []
-        ranks: Dict[Any, int] = {}
+        nodes: Dict[str, List[Tuple[int, Any, Any]]] = {}
         for position, (instance, value) in enumerate(readings):
             self._account_access(payload_nbytes(value))
-            try:
-                key = instance.attributes[group_attribute]
-            except KeyError:
-                raise BindingError(
-                    f"entity '{instance.entity_id}' has no attribute "
-                    f"'{group_attribute}' to group by"
-                ) from None
-            if key not in ranks:
-                ranks[key] = len(ranks)
+            key = group_key(instance, group_attribute)
             node = self.node_for(instance, group_attribute)
-            keyed.append((position, key, value, node))
-        nodes: Dict[str, List[Tuple[int, Any, Any]]] = {}
-        for position, key, value, node in keyed:
             nodes.setdefault(node, []).append((position, key, value))
         self._last_nodes = len(nodes)
-        combine = job_combiner(job)
-        tagged: List[Tuple[Tuple[int, int, int], Any, Any]] = []
+        ranks = rank_groups(
+            (key, position)
+            for rows in nodes.values()
+            for position, key, __ in rows
+        )
+        tagged = []
         mapped = 0
         for node in sorted(nodes):
-            rows = nodes[node]
-            rows.sort(key=lambda row: (ranks[row[1]], row[0]))
-            pairs: List[Tuple[Tuple[int, int, int], Any, Any]] = []
-            for position, key, value in rows:
-                collector = MapCollector()
-                job.map(key, value, collector)
-                rank = ranks[key]
-                for emission, (out_key, out_value) in enumerate(
-                    collector.pairs
-                ):
-                    pairs.append(
-                        ((rank, position, emission), out_key, out_value)
-                    )
-            mapped += len(pairs)
-            if combine is not None and pairs:
-                grouped: Dict[Any, List[Tuple[Any, Any]]] = {}
-                for tag, out_key, out_value in pairs:
-                    grouped.setdefault(out_key, []).append(
-                        (tag, out_value)
-                    )
-                combined = []
-                for out_key, pairs_for_key in grouped.items():
-                    collector = CombineCollector()
-                    combine(
-                        out_key,
-                        [value for __, value in pairs_for_key],
-                        collector,
-                    )
-                    first = min(tag for tag, __ in pairs_for_key)
-                    for pair_key, pair_value in collector.pairs:
-                        combined.append((first, pair_key, pair_value))
-                pairs = combined
+            pairs, emitted = map_partition(job, nodes[node], ranks)
+            mapped += emitted
             tagged.extend(self.deliver_partials(pairs))
-        tagged.sort(key=lambda pair: pair[0])
-        pairs = [(key, value) for __, key, value in tagged]
-        return engine.merge_partials(job, pairs, mapped)
+        return engine.merge_partials(job, sequence_partials(tagged), mapped)

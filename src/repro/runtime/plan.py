@@ -59,8 +59,8 @@ class BatchConfig(ConfigBase):
 
     * ``enabled`` — master switch; ``False`` (default) keeps both the
       per-device scalar read path and the per-publish topic resolution
-      byte-identical to the unbatched runtime.  ``True`` turns on all
-      three parts of the hot path together:
+      byte-identical to the unbatched runtime.  ``True`` turns on
+      both parts of the hot path together:
 
       - one driver-level
         :meth:`~repro.runtime.device.DeviceDriver.read_batch` per
@@ -70,11 +70,7 @@ class BatchConfig(ConfigBase):
         to the scalar path with full supervision accounting;
       - the publish→subscription fan-out precompiled into
         :class:`SourcePlan` dispatch tables and gather grouping
-        membership into per-type tables (see :class:`DeliveryPlanner`);
-      - incremental window accumulators fold a whole column of window
-        values per group through the job's combine/reduce in one call
-        instead of item-by-item (the same associativity incremental
-        windows already demand).
+        membership into per-type tables (see :class:`DeliveryPlanner`).
     * ``min_column`` — smallest cohort worth a batch read; smaller
       cohorts take the scalar path (a column of one would only add
       overhead).

@@ -17,7 +17,7 @@ read-only properties (``sensor.parking_lot``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ActuationError, DiscoveryError
 from repro.naming import action_method_name, camel_to_snake, query_method_name
@@ -104,16 +104,51 @@ class DeviceProxy:
         return f"<proxy {self.device_type} {self.entity_id}>"
 
 
+def filter_names(infos: Iterable[Any]) -> Dict[str, str]:
+    """Every spelling a discovery filter may use — the declared name
+    (``parkingLot``) and its snake-case form (``parking_lot``) of each
+    attribute the declarations ``infos`` carry — mapped to the declared
+    name, which is what instances are keyed by."""
+    declared = [name for info in infos for name in info.attributes]
+    names = {camel_to_snake(name): name for name in declared}
+    names.update((name, name) for name in declared)
+    return names
+
+
+def resolve_filters(
+    device_type: str, names: Dict[str, str], filters: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Discovery filters keyed by declared attribute name.  A name that
+    is no spelling of a declared attribute could only ever select
+    nothing: :class:`DiscoveryError`."""
+    try:
+        return {names[name]: value for name, value in filters.items()}
+    except KeyError as unknown:
+        declared = sorted(set(names.values()))
+        raise DiscoveryError(
+            f"device '{device_type}' has no attribute {unknown} to filter "
+            f"by (attributes: {', '.join(declared) or 'none'})"
+        ) from None
+
+
 class ProxySet:
     """An immutable, order-preserving set of device proxies.
 
     Filters return new sets; calling an action method broadcasts to every
-    member and returns the per-entity results.
+    member and returns the per-entity results.  ``names`` is the
+    :func:`filter_names` table of the declaration the set was discovered
+    against; a set built by hand derives it from its members.
     """
 
-    def __init__(self, device_type: str, proxies: List[DeviceProxy]):
+    def __init__(
+        self,
+        device_type: str,
+        proxies: List[DeviceProxy],
+        names: Optional[Dict[str, str]] = None,
+    ):
         self._device_type = device_type
         self._proxies: Tuple[DeviceProxy, ...] = tuple(proxies)
+        self._names = names
 
     # -- collection protocol --------------------------------------------------
 
@@ -139,19 +174,31 @@ class ProxySet:
     # -- selection -------------------------------------------------------------
 
     def where(self, **attribute_filters: Any) -> "ProxySet":
-        """Keep proxies whose attributes match all given values (snake-case
-        attribute names)."""
-        kept = []
-        for proxy in self._proxies:
-            attrs = {
-                camel_to_snake(k): v for k, v in proxy.attributes.items()
-            }
+        """Keep proxies whose attributes match all given values.
+
+        Attribute names may be spelt as declared (``parkingLot``) or in
+        snake case (``parking_lot``); a name the declaration does not
+        know raises :class:`DiscoveryError`.  An empty hand-built set
+        has no declaration to check against and stays empty."""
+        names = self._names
+        if names is None:
+            if not self._proxies:
+                return self
+            names = self._names = filter_names(
+                proxy._instance.info for proxy in self._proxies
+            )
+        wanted = resolve_filters(
+            self._device_type, names, attribute_filters
+        ).items()
+        kept = [
+            proxy
+            for proxy in self._proxies
             if all(
-                attrs.get(name) == value
-                for name, value in attribute_filters.items()
-            ):
-                kept.append(proxy)
-        return ProxySet(self._device_type, kept)
+                proxy._instance.attributes.get(name) == value
+                for name, value in wanted
+            )
+        ]
+        return ProxySet(self._device_type, kept, names)
 
     def one(self) -> DeviceProxy:
         """Exactly one match, or :class:`DiscoveryError`."""
@@ -232,9 +279,11 @@ def make_proxy(instance: DeviceInstance) -> DeviceProxy:
 
 
 def make_proxy_set(
-    device_type: str, instances: List[DeviceInstance]
+    device_type: str,
+    instances: List[DeviceInstance],
+    names: Optional[Dict[str, str]] = None,
 ) -> ProxySet:
     """Proxy set over ``instances``, reusing each instance's cached
     proxy so repeated discovery over a large fleet allocates no new
     facet tables."""
-    return ProxySet(device_type, [make_proxy(i) for i in instances])
+    return ProxySet(device_type, [make_proxy(i) for i in instances], names)

@@ -12,9 +12,8 @@ spawning a process:
 * the worker-side :class:`_DeltaEncoder`, which turns one sweep's
   readings into ``register`` / ``changed`` / ``retract`` blocks plus a
   ``quiescent`` count;
-* the coordinator-side :class:`_GroupedMirror` / :class:`_FlatMirror`,
-  which fold those blocks back into the exact single-process payload in
-  global registration order.
+* the coordinator-side :class:`_Mirror`, which folds those blocks back
+  into the exact single-process payload in global registration order.
 """
 
 from __future__ import annotations
@@ -202,19 +201,14 @@ class _DeltaEncoder:
             blocks["retract"] = _pack_positions(retract)
         if reg_pos:
             if self.flat:
-                blocks["register"] = (
-                    _pack_positions(reg_pos),
-                    [ident[0] for ident in reg_ident],
-                    [ident[1] for ident in reg_ident],
-                    [ident[2] for ident in reg_ident],
-                    reg_val,
-                )
+                ident_columns = [list(column) for column in zip(*reg_ident)]
             else:
-                blocks["register"] = (
-                    _pack_positions(reg_pos),
-                    _encode_group_keys(reg_ident),
-                    reg_val,
-                )
+                ident_columns = [_encode_group_keys(reg_ident)]
+            blocks["register"] = (
+                _pack_positions(reg_pos),
+                *ident_columns,
+                reg_val,
+            )
         if changed_pos:
             blocks["changed"] = (_pack_positions(changed_pos), changed_val)
         blocks["quiescent"] = quiescent
@@ -226,23 +220,29 @@ class _DeltaEncoder:
 # ----------------------------------------------------------------------
 
 
-class _GroupedMirror:
-    """Coordinator-side registration-order mirror of one grouped
-    gather under delta sync.
+class _Mirror:
+    """Coordinator-side registration-order mirror of one gather's
+    delta stream.
 
-    Holds the last applied ``position → group key`` and ``position →
+    Holds the last applied ``position → identity`` and ``position →
     value`` maps (positions are globally unique, so one merged map
     serves all shards; per-shard position sets exist only so a shard
-    ``reset`` can clear exactly its slice).  The grouped payload is
-    maintained **incrementally**: value changes write through position
-    slots into prebuilt per-group columns, and the full
-    sort-and-regroup rebuild runs only when registration churn
-    (register/retract/reset) dirties the order — steady-state merge
-    cost is O(changed), not O(fleet).
+    ``reset`` can clear exactly its slice).  Identity is opaque here —
+    whatever the :class:`_DeltaEncoder` registered: the group key of a
+    grouped gather, the ``(type, entity id, attributes)`` triple of a
+    ``flat`` one.  Registration churn (register/retract/reset) dirties
+    the cached position order; a quiescent sweep reuses it.
+
+    Two reads: :meth:`payload` for grouped gathers, :meth:`rows` for
+    flat ones.  The grouped payload is maintained **incrementally**:
+    value changes write through position slots into prebuilt per-group
+    columns, and the sort-and-regroup rebuild runs only when the order
+    is dirty — steady-state merge cost is O(changed), not O(fleet).
     """
 
     __slots__ = (
-        "keys",
+        "flat",
+        "ident",
         "values",
         "shard_positions",
         "order",
@@ -251,8 +251,9 @@ class _GroupedMirror:
         "dirty",
     )
 
-    def __init__(self, shards: int):
-        self.keys: Dict[int, Any] = {}
+    def __init__(self, shards: int, flat: bool):
+        self.flat = flat
+        self.ident: Dict[int, Any] = {}
         self.values: Dict[int, Any] = {}
         self.shard_positions: List[set] = [set() for __ in range(shards)]
         self.order: List[int] = []
@@ -260,43 +261,39 @@ class _GroupedMirror:
         self.slots: Dict[int, Tuple[List[Any], int]] = {}
         self.dirty = False
 
-    def _register(self, shard: int, positions, idents) -> None:
-        self.shard_positions[shard].update(positions)
-        keys = self.keys
-        for position, key in zip(positions, idents):
-            keys[position] = key
+    def _drop(self, positions) -> None:
+        for position in positions:
+            self.ident.pop(position, None)
+            self.values.pop(position, None)
+        self.dirty = True
 
     def apply(self, shard: int, reply: Dict[str, Any]) -> Tuple[int, int]:
         """Fold one shard's delta blocks in; returns ``(delta_rows,
         quiescent_rows)`` — rows that crossed the pipe (registered +
         changed + retracted) and rows that didn't."""
         delta_rows = 0
-        if reply.get("reset"):
-            mine = self.shard_positions[shard]
-            if mine:
-                for position in mine:
-                    self.keys.pop(position, None)
-                    self.values.pop(position, None)
-                self.shard_positions[shard] = set()
-                self.dirty = True
+        mine = self.shard_positions[shard]
+        if reply.get("reset") and mine:
+            self._drop(mine)
+            mine.clear()
         register = reply.get("register")
         if register:
-            packed, key_block, column = register
+            packed, *ident_columns, column = register
             positions = _unpack_positions(packed)
-            self._register(shard, positions, _decode_group_keys(key_block))
-            values = self.values
-            for position, value in zip(positions, column):
-                values[position] = value
+            if self.flat:
+                idents = zip(*ident_columns)
+            else:
+                idents = _decode_group_keys(ident_columns[0])
+            mine.update(positions)
+            self.ident.update(zip(positions, idents))
+            self.values.update(zip(positions, column))
             delta_rows += len(positions)
             self.dirty = True
         retract = reply.get("retract")
         if retract:
             retract = _unpack_positions(retract)
-            self.shard_positions[shard].difference_update(retract)
-            for position in retract:
-                self.keys.pop(position, None)
-                self.values.pop(position, None)
-            self.dirty = True
+            mine.difference_update(retract)
+            self._drop(retract)
             delta_rows += len(retract)
         changed = reply.get("changed")
         if changed:
@@ -304,9 +301,8 @@ class _GroupedMirror:
             positions = _unpack_positions(packed)
             delta_rows += len(positions)
             values = self.values
-            if self.dirty:
-                for position, value in zip(positions, column):
-                    values[position] = value
+            if self.flat or self.dirty:
+                values.update(zip(positions, column))
             else:
                 slots = self.slots
                 for position, value in zip(positions, column):
@@ -316,21 +312,22 @@ class _GroupedMirror:
         return delta_rows, reply.get("quiescent", 0)
 
     def _rebuild(self) -> None:
-        keys = self.keys
+        self.order = sorted(self.ident)
+        self.dirty = False
+        if self.flat:
+            return
+        keys = self.ident
         values = self.values
-        order = sorted(keys)
         groups: Dict[Any, List[Any]] = {}
         slots: Dict[int, Tuple[List[Any], int]] = {}
-        for position in order:
+        for position in self.order:
             column = groups.get(keys[position])
             if column is None:
                 column = groups[keys[position]] = []
             slots[position] = (column, len(column))
             column.append(values[position])
-        self.order = order
         self.groups = groups
         self.slots = slots
-        self.dirty = False
 
     def payload(self) -> Dict[Any, List[Any]]:
         """The full grouped payload — fresh per-group lists (so a
@@ -341,75 +338,11 @@ class _GroupedMirror:
             self._rebuild()
         return {key: list(column) for key, column in self.groups.items()}
 
-    def value_pairs(self) -> List[Tuple[None, Any]]:
-        """Per-reading pairs for placement byte accounting."""
+    def rows(self) -> List[Tuple[Any, Any]]:
+        """``(identity, value)`` per reading in registration order —
+        what a flat gather delivers."""
         if self.dirty:
             self._rebuild()
+        ident = self.ident
         values = self.values
-        return [(None, values[position]) for position in self.order]
-
-
-class _FlatMirror:
-    """Registration-order mirror of one ungrouped gather under delta
-    sync: ``position → (type, entity id, attributes)`` identity plus
-    the last shipped value, with the sorted position order cached
-    across quiescent sweeps."""
-
-    __slots__ = ("ident", "values", "shard_positions", "order", "dirty")
-
-    def __init__(self, shards: int):
-        self.ident: Dict[int, Tuple[str, str, Dict[str, Any]]] = {}
-        self.values: Dict[int, Any] = {}
-        self.shard_positions: List[set] = [set() for __ in range(shards)]
-        self.order: List[int] = []
-        self.dirty = False
-
-    def apply(self, shard: int, reply: Dict[str, Any]) -> Tuple[int, int]:
-        delta_rows = 0
-        if reply.get("reset"):
-            mine = self.shard_positions[shard]
-            if mine:
-                for position in mine:
-                    self.ident.pop(position, None)
-                    self.values.pop(position, None)
-                self.shard_positions[shard] = set()
-                self.dirty = True
-        register = reply.get("register")
-        if register:
-            packed, type_names, entity_ids, attribute_dicts, column = register
-            positions = _unpack_positions(packed)
-            self.shard_positions[shard].update(positions)
-            ident = self.ident
-            values = self.values
-            rows = zip(
-                positions, type_names, entity_ids, attribute_dicts, column
-            )
-            for position, type_name, entity_id, attributes, value in rows:
-                ident[position] = (type_name, entity_id, attributes)
-                values[position] = value
-            delta_rows += len(positions)
-            self.dirty = True
-        retract = reply.get("retract")
-        if retract:
-            retract = _unpack_positions(retract)
-            self.shard_positions[shard].difference_update(retract)
-            for position in retract:
-                self.ident.pop(position, None)
-                self.values.pop(position, None)
-            self.dirty = True
-            delta_rows += len(retract)
-        changed = reply.get("changed")
-        if changed:
-            packed, column = changed
-            positions = _unpack_positions(packed)
-            delta_rows += len(positions)
-            values = self.values
-            for position, value in zip(positions, column):
-                values[position] = value
-        return delta_rows, reply.get("quiescent", 0)
-
-    def positions(self) -> List[int]:
-        if self.dirty:
-            self.order = sorted(self.ident)
-            self.dirty = False
-        return self.order
+        return [(ident[position], values[position]) for position in self.order]

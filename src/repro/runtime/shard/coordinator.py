@@ -5,7 +5,7 @@ The coordinator hosts the application logic (contexts, controllers,
 windows, periodic jobs) and no devices.  :class:`ShardRouter` owns the
 worker pipes; :class:`ShardedRuntime` substitutes periodic payload
 collection with a fan-out over the workers (folding their delta blocks
-through the :mod:`~repro.runtime.shard.codec` mirrors), replays
+through the :mod:`~repro.runtime.shard.codec` mirror), replays
 worker-recorded device publishes through the application's own publish
 path, and routes reads, actions and (re)binds to the owning shard.
 """
@@ -16,17 +16,13 @@ import multiprocessing
 from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.errors import ShardError
+from repro.mapreduce.engine import rank_groups, sequence_partials
 from repro.mapreduce.partition import shard_index
 from repro.runtime.clock import SimulationClock
 from repro.runtime.component import GatherReading
 from repro.runtime.proxies import make_proxy
 from repro.runtime.shard import ShardBootstrap, ShardConfig, ShardContext
-from repro.runtime.shard.codec import (
-    _FlatMirror,
-    _GroupedMirror,
-    _wire_recv,
-    _wire_send,
-)
+from repro.runtime.shard.codec import _Mirror, _wire_recv, _wire_send
 from repro.runtime.shard.worker import _shard_worker_main
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
@@ -311,7 +307,7 @@ class ShardedRuntime(Instrumented):
         self._started = False
         # Delta mirrors per (context name, interaction index);
         # populated lazily on the first flat or grouped poll.
-        self._mirrors: Dict[Tuple[str, int], Any] = {}
+        self._mirrors: Dict[Tuple[str, int], _Mirror] = {}
         # Next global registration position handed to a dynamic
         # rebind — the static fleet occupies [0, len(fleet)).
         self._next_position = len(bootstrap.fleet())
@@ -377,15 +373,36 @@ class ShardedRuntime(Instrumented):
         their own scheduled jobs raised."""
         fired = self.app.advance(seconds)
         if self.sharded and self._started:
-            replies = self.router.broadcast("sync", (self.app.clock.now(),))
-            for reply in replies:
-                self._replay_events(reply["events"])
+            self._command("sync", (self.app.clock.now(),))
         return fired
 
     # -- cross-shard routing --------------------------------------------
 
     def _owning_shard(self, entity_id: str) -> int:
         return shard_index(entity_id, self.config.workers)
+
+    def _command(
+        self,
+        op: str,
+        args: Tuple[Any, ...] = (),
+        entity_id: Optional[str] = None,
+    ) -> List[Dict[str, Any]]:
+        """The coordinator half of the command envelope.
+
+        Every worker command goes through here: to the shard owning
+        ``entity_id``, or to every shard without one.  The worker
+        synced its clock to ``args[0]`` and drained its recorded device
+        publishes into the reply (:meth:`_ShardWorker.serve`); they
+        replay into the coordinator bus here, once, before the caller
+        sees the replies (in shard order)."""
+        if entity_id is None:
+            replies = self.router.broadcast(op, args)
+        else:
+            shard = self._owning_shard(entity_id)
+            replies = [self.router.send(shard, op, args)]
+        for reply in replies:
+            self._replay_events(reply["events"])
+        return replies
 
     def publish(
         self, entity_id: str, source: str, value: Any, index: Any = None
@@ -403,36 +420,29 @@ class ShardedRuntime(Instrumented):
             )
             return
         self.router._publishes += 1
-        reply = self.router.send(
-            self._owning_shard(entity_id),
+        self._command(
             "publish",
             (self.app.clock.now(), entity_id, source, value, index),
+            entity_id,
         )
-        self._replay_events(reply["events"])
 
     def query(self, entity_id: str, source: str) -> Any:
         """Query-driven read routed to the owning shard."""
         if not self.sharded:
             return self.app.registry.get(entity_id).read(source)
         self._remote_reads += 1
-        reply = self.router.send(
-            self._owning_shard(entity_id),
-            "read",
-            (self.app.clock.now(), entity_id, source),
+        (reply,) = self._command(
+            "read", (self.app.clock.now(), entity_id, source), entity_id
         )
-        self._replay_events(reply["events"])
         return reply["value"]
 
     def act(self, entity_id: str, action: str, **params: Any) -> Any:
         """Actuation routed to the owning shard."""
         if not self.sharded:
             return self.app.registry.get(entity_id).act(action, **params)
-        reply = self.router.send(
-            self._owning_shard(entity_id),
-            "act",
-            (self.app.clock.now(), entity_id, action, params),
+        (reply,) = self._command(
+            "act", (self.app.clock.now(), entity_id, action, params), entity_id
         )
-        self._replay_events(reply["events"])
         return reply["value"]
 
     def rebind(self, entity_id: str) -> None:
@@ -451,24 +461,16 @@ class ShardedRuntime(Instrumented):
         if not self.sharded:
             self.bootstrap.bind_entity(self.app, entity_id, position)
             return
-        reply = self.router.send(
-            self._owning_shard(entity_id),
-            "bind",
-            (self.app.clock.now(), entity_id, position),
+        self._command(
+            "bind", (self.app.clock.now(), entity_id, position), entity_id
         )
-        self._replay_events(reply["events"])
 
     def unbind(self, entity_id: str) -> None:
         """Dynamically unbind an entity, wherever it lives."""
         if not self.sharded:
             self.app.unbind_device(entity_id)
             return
-        reply = self.router.send(
-            self._owning_shard(entity_id),
-            "unbind",
-            (self.app.clock.now(), entity_id),
-        )
-        self._replay_events(reply["events"])
+        self._command("unbind", (self.app.clock.now(), entity_id), entity_id)
         self._remotes.pop(entity_id, None)
         if self.app.read_cache is not None:
             self.app.read_cache.invalidate(entity_id)
@@ -477,8 +479,7 @@ class ShardedRuntime(Instrumented):
         """Per-shard registry/sweep/supervision snapshots."""
         if not self.sharded:
             return []
-        replies = self.router.broadcast("stats")
-        return [reply["value"] for reply in replies]
+        return [reply["value"] for reply in self._command("stats")]
 
     # -- event replay ---------------------------------------------------
 
@@ -542,13 +543,11 @@ class ShardedRuntime(Instrumented):
         app = self.app
         name, index = self._interactions[id(interaction)]
         self._sweeps += 1
-        polls = self.router.broadcast("poll", (app.clock.now(), name, index))
+        polls = self._command("poll", (app.clock.now(), name, index))
         app._note_gather_losses(
             sum(reply["dropped"] for reply in polls),
             sum(reply["failed"] for reply in polls),
         )
-        for reply in polls:
-            self._replay_events(reply["events"])
         kind = polls[0]["kind"]
         placement = app.placement
         if kind != "mapreduce":
@@ -556,16 +555,10 @@ class ShardedRuntime(Instrumented):
         # MapReduce: rank groups by their first surviving reading
         # across the whole fleet, then let each worker map+combine its
         # slice in that global order.
-        mins: Dict[Any, int] = {}
-        for reply in polls:
-            for key, position in reply["keys"].items():
-                if key not in mins or position < mins[key]:
-                    mins[key] = position
-        order = sorted(mins, key=mins.__getitem__)
-        ranks = {key: rank for rank, key in enumerate(order)}
-        maps = self.router.broadcast("map", (name, index, ranks))
-        for reply in maps:
-            self._replay_events(reply["events"])
+        ranks = rank_groups(
+            first for reply in polls for first in reply["keys"].items()
+        )
+        maps = self._command("map", (name, index, ranks))
         tagged = [pair for reply in maps for pair in reply["data"]]
         if placement is not None and id(interaction) in app._edge_interactions:
             # One edge node per shard: the worker-side map+combine *is*
@@ -573,8 +566,7 @@ class ShardedRuntime(Instrumented):
             # traffic — sample loss and account bytes per partial.
             placement.note_edge_sweep(len(maps))
             tagged = placement.deliver_partials(tagged)
-        tagged.sort(key=lambda pair: pair[0])
-        pairs = [(key, value) for __, key, value in tagged]
+        pairs = sequence_partials(tagged)
         mapped = sum(reply["mapped"] for reply in maps)
         self._merge_pairs += len(pairs)
         return app.mapreduce.merge_partials(implementation, pairs, mapped)
@@ -587,32 +579,23 @@ class ShardedRuntime(Instrumented):
         key = (name, index)
         mirror = self._mirrors.get(key)
         if mirror is None:
-            mirror = (
-                _GroupedMirror(len(self.router))
-                if kind == "grouped"
-                else _FlatMirror(len(self.router))
+            mirror = self._mirrors[key] = _Mirror(
+                len(self.router), flat=kind == "flat"
             )
-            self._mirrors[key] = mirror
         for shard, reply in enumerate(polls):
             delta_rows, quiescent = mirror.apply(shard, reply)
             self._delta_rows += delta_rows
             self._quiescent_rows += quiescent
-        if kind == "grouped":
+        if not mirror.flat:
             if placement is not None:
-                placement.account_cloud(mirror.value_pairs())
+                placement.account_cloud(mirror.rows())
             return mirror.payload()
-        order = mirror.positions()
-        ident = mirror.ident
-        values = mirror.values
+        rows = mirror.rows()
         if placement is not None:
-            placement.account_cloud(
-                [(None, values[position]) for position in order]
-            )
+            placement.account_cloud(rows)
         return [
-            GatherReading(
-                make_proxy(self._remote(*ident[position])), values[position]
-            )
-            for position in order
+            GatherReading(make_proxy(self._remote(*ident)), value)
+            for ident, value in rows
         ]
 
     def _extra_stats(self) -> Dict[str, Any]:

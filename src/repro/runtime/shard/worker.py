@@ -14,13 +14,10 @@ from __future__ import annotations
 import functools
 from typing import Any, Dict, List, Tuple
 
-from repro.errors import BindingError, ShardError
-from repro.mapreduce.api import (
-    CombineCollector,
-    MapCollector,
-    job_combiner,
-)
+from repro.errors import ShardError
+from repro.mapreduce.engine import first_positions, map_partition
 from repro.runtime.clock import SimulationClock
+from repro.runtime.grouping import group_key
 from repro.runtime.shard import ShardBootstrap, ShardContext
 from repro.runtime.shard.codec import (
     _DeltaEncoder,
@@ -95,30 +92,13 @@ class _ShardWorker:
         events, self._events = self._events, []
         return events
 
-    def _apply_invalidations(self, items) -> None:
-        """Apply coordinator-routed cache invalidations.
-
-        These piggyback on the next command instead of costing a
-        dedicated round-trip: the router queues them (cross-shard
-        cohort invalidations, unbind cleanups) and attaches the queue
-        to whatever command reaches this shard next — which is always
-        before the next read this shard serves, so the worker-local
-        cache can never serve a value the coordinator knows is stale.
-        """
-        cache = self.app.read_cache
-        if cache is None:
-            return
-        cache.apply_invalidations(items)
-
     # -- commands -------------------------------------------------------
+    #
+    # Handlers run inside the envelope of :meth:`serve`: the clock is
+    # already synced to the coordinator's, and the events they record
+    # are drained into the reply after they return.
 
-    def _cmd_sync(self, target: float) -> Dict[str, Any]:
-        self.clock.run_until(target)
-        return {"events": self._drain_events()}
-
-    def _cmd_poll(
-        self, target: float, name: str, index: int
-    ) -> Dict[str, Any]:
+    def _cmd_poll(self, name: str, index: int) -> Dict[str, Any]:
         """Sweep this shard for one periodic gather.
 
         Runs the per-process head of ``Application._collect_payload``
@@ -131,41 +111,33 @@ class _ShardWorker:
         delta blocks of :class:`~repro.runtime.shard.codec.
         _DeltaEncoder`.
         """
-        self.clock.run_until(target)
         app = self.app
         interaction = app.design.contexts[name].decl.interactions[index]
         readings, dropped, failed = app._sweep_readings(interaction)
-        reply: Dict[str, Any] = {
-            "dropped": dropped,
-            "failed": failed,
-            "events": self._drain_events(),
-        }
+        reply: Dict[str, Any] = {"dropped": dropped, "failed": failed}
         gpos = self._gpos
         group = interaction.group
         if group is not None and group.uses_mapreduce:
-            keyed = []
-            for instance, value in readings:
-                keyed.append(
-                    (
-                        gpos[instance.entity_id],
-                        self._group_key(instance, group),
-                        value,
-                    )
+            keyed = [
+                (
+                    gpos[instance.entity_id],
+                    group_key(instance, group.attribute),
+                    value,
                 )
+                for instance, value in readings
+            ]
             self._pending[(name, index)] = keyed
-            mins: Dict[Any, int] = {}
-            for position, key, __ in keyed:
-                if key not in mins or position < mins[key]:
-                    mins[key] = position
             reply["kind"] = "mapreduce"
-            reply["keys"] = mins
+            reply["keys"] = first_positions(
+                (key, position) for position, key, __ in keyed
+            )
             return reply
         if group is None:
             reply["kind"] = "flat"
             ident_of = _flat_ident
         else:
             reply["kind"] = "grouped"
-            ident_of = functools.partial(self._group_key, group=group)
+            ident_of = functools.partial(group_key, attribute=group.attribute)
         encoder = self._encoders.get((name, index))
         if encoder is None:
             encoder = _DeltaEncoder(flat=group is None)
@@ -187,78 +159,37 @@ class _ShardWorker:
             raise
         return reply
 
-    def _group_key(self, instance, group):
-        try:
-            return instance.attributes[group.attribute]
-        except KeyError:
-            raise BindingError(
-                f"entity '{instance.entity_id}' has no attribute "
-                f"'{group.attribute}' to group by"
-            ) from None
-
     def _cmd_map(
         self, name: str, index: int, ranks: Dict[Any, int]
     ) -> Dict[str, Any]:
         """Map (and map-side combine) the parked poll readings.
 
         ``ranks`` is the coordinator's global group order — the rank of
-        each group's first *surviving* reading across all shards — so
-        sorting this shard's inputs by ``(rank, gpos)`` reproduces the
-        exact slice of the single-process input sequence this shard
-        owns, and the emission tags ``(rank, gpos, emission)`` are
-        globally comparable.
+        each group's first *surviving* reading across all shards — which
+        is what makes this shard's
+        :func:`~repro.mapreduce.engine.map_partition` tags globally
+        comparable.
         """
-        keyed = self._pending.pop((name, index))
-        job = self.app.implementation(name)
-        keyed.sort(key=lambda row: (ranks[row[1]], row[0]))
-        pairs: List[Tuple[Tuple[int, int, int], Any, Any]] = []
-        for position, key, value in keyed:
-            collector = MapCollector()
-            job.map(key, value, collector)
-            rank = ranks[key]
-            emissions = enumerate(collector.pairs)
-            for emission, (out_key, out_value) in emissions:
-                tag = (rank, position, emission)
-                pairs.append((tag, out_key, out_value))
-        mapped = len(pairs)
-        combine = job_combiner(job)
-        if combine is not None and pairs:
-            grouped: Dict[Any, List[Tuple[Any, Any]]] = {}
-            for tag, out_key, out_value in pairs:
-                grouped.setdefault(out_key, []).append((tag, out_value))
-            combined = []
-            for out_key, tagged in grouped.items():
-                collector = CombineCollector()
-                combine(out_key, [v for __, v in tagged], collector)
-                first = min(tag for tag, __ in tagged)
-                for pair_key, pair_value in collector.pairs:
-                    combined.append((first, pair_key, pair_value))
-            pairs = combined
-        return {
-            "data": pairs,
-            "mapped": mapped,
-            "events": self._drain_events(),
-        }
+        pairs, mapped = map_partition(
+            self.app.implementation(name),
+            self._pending.pop((name, index)),
+            ranks,
+        )
+        return {"data": pairs, "mapped": mapped}
 
-    def _cmd_publish(
-        self, target, entity_id, source, value, index
-    ) -> Dict[str, Any]:
-        self.clock.run_until(target)
+    def _cmd_publish(self, entity_id, source, value, index) -> Dict[str, Any]:
         instance = self.app.registry.get(entity_id)
         instance.publish(source, value, index=index)
-        return {"events": self._drain_events()}
+        return {}
 
-    def _cmd_read(self, target, entity_id, source) -> Dict[str, Any]:
-        self.clock.run_until(target)
-        value = self.app.registry.get(entity_id).read(source)
-        return {"value": value, "events": self._drain_events()}
+    def _cmd_read(self, entity_id, source) -> Dict[str, Any]:
+        return {"value": self.app.registry.get(entity_id).read(source)}
 
-    def _cmd_act(self, target, entity_id, action, params) -> Dict[str, Any]:
-        self.clock.run_until(target)
+    def _cmd_act(self, entity_id, action, params) -> Dict[str, Any]:
         value = self.app.registry.get(entity_id).act(action, **params)
-        return {"value": value, "events": self._drain_events()}
+        return {"value": value}
 
-    def _cmd_bind(self, target, entity_id, position) -> Dict[str, Any]:
+    def _cmd_bind(self, entity_id, position) -> Dict[str, Any]:
         """Dynamic re-partitioning: bind one more entity into this
         shard's running application.
 
@@ -269,24 +200,16 @@ class _ShardWorker:
         resets its delta epochs, so the next poll re-registers — no
         static fleet required.
         """
-        self.clock.run_until(target)
         self.bootstrap.bind_entity(self.app, entity_id, position)
         instance = self.app.registry.get(entity_id)
         instance.attach(self._record_publish)
         self._gpos[entity_id] = position
-        return {
-            "bound": len(self.app.registry),
-            "events": self._drain_events(),
-        }
+        return {"bound": len(self.app.registry)}
 
-    def _cmd_unbind(self, target, entity_id) -> Dict[str, Any]:
-        self.clock.run_until(target)
+    def _cmd_unbind(self, entity_id) -> Dict[str, Any]:
         self.app.unbind_device(entity_id)
         self._gpos.pop(entity_id, None)
-        return {
-            "bound": len(self.app.registry),
-            "events": self._drain_events(),
-        }
+        return {"bound": len(self.app.registry)}
 
     def _cmd_stats(self) -> Dict[str, Any]:
         stats = self.app.stats
@@ -299,20 +222,34 @@ class _ShardWorker:
                 "sweep": stats["sweep"],
                 "supervision": stats["supervision"],
                 "cache": stats["read_cache"],
-            },
-            "events": self._drain_events(),
+            }
         }
 
-    def serve(self, conn) -> None:
-        """The command loop: recv, dispatch, reply, until ``stop``.
+    # Commands that carry no clock: ``map`` and ``stats`` only read
+    # state that an earlier command of the same coordinator step already
+    # synced, ``stop`` reads none.
+    _UNCLOCKED = frozenset({"map", "stats", "stop"})
 
-        Every message is ``(op, args, invalidations)``; piggybacked
-        invalidations apply to the worker cache *before* the command
-        dispatches, so a poll or read can never serve a cache entry
-        the coordinator has already superseded.
+    def serve(self, conn) -> None:
+        """The command loop and the worker half of the command
+        envelope: recv, sync, dispatch, drain, reply, until ``stop``.
+
+        Every message is ``(op, args, invalidations)``.  The router
+        queues cache invalidations (cross-shard cohort drops, unbind
+        cleanups) and piggybacks them on whatever command reaches this
+        shard next instead of paying a round trip; they apply *before*
+        the command dispatches, so a poll or read can never serve a
+        cache entry the coordinator has superseded.  Clocked commands lead
+        their ``args`` with the coordinator's time: the worker clock
+        runs up to it here, once, and the handler gets the rest.  Every
+        reply carries the device publishes recorded since the last one
+        (``events``), which the coordinator replays
+        (:meth:`ShardedRuntime._command`); an error reply carries none,
+        so they ride on the next command's reply instead of being lost.
         """
+        # ``sync`` and ``stop`` are the bare envelope: an empty reply.
         handlers = {
-            "sync": self._cmd_sync,
+            "sync": dict,
             "poll": self._cmd_poll,
             "map": self._cmd_map,
             "publish": self._cmd_publish,
@@ -321,31 +258,25 @@ class _ShardWorker:
             "bind": self._cmd_bind,
             "unbind": self._cmd_unbind,
             "stats": self._cmd_stats,
+            "stop": dict,
         }
-        while True:
+        op = None
+        while op != "stop":
             try:
                 message, __ = _wire_recv(conn)
             except EOFError:
                 break
             op, args, invalidations = message
-            if invalidations:
-                self._apply_invalidations(invalidations)
-            if op == "stop":
-                _wire_send(conn, ("ok", {"events": self._drain_events()}))
-                break
+            if invalidations and self.app.read_cache is not None:
+                self.app.read_cache.apply_invalidations(invalidations)
             try:
+                if op not in self._UNCLOCKED:
+                    self.clock.run_until(args[0])
+                    args = args[1:]
                 reply = handlers[op](*args)
+                reply["events"] = self._drain_events()
             except Exception as exc:  # noqa: BLE001 - shipped upstream
-                try:
-                    _wire_send(conn, ("error", exc))
-                except Exception:  # unpicklable exception payload
-                    _wire_send(
-                        conn,
-                        (
-                            "error",
-                            ShardError(repr(exc), shard=self.ctx.index),
-                        ),
-                    )
+                _send_error(conn, exc, self.ctx.index)
             else:
                 _wire_send(conn, ("ok", reply))
         self.app.sweeper.close()
@@ -362,6 +293,15 @@ def _flat_ident(instance) -> Tuple[str, str, Dict[str, Any]]:
     )
 
 
+def _send_error(conn, exc: Exception, shard: int) -> None:
+    """Ship ``exc`` upstream as an error reply; an exception that does
+    not pickle goes as a :class:`ShardError` carrying its repr."""
+    try:
+        _wire_send(conn, ("error", exc))
+    except Exception:  # noqa: BLE001 - unpicklable exception payload
+        _wire_send(conn, ("error", ShardError(repr(exc), shard=shard)))
+
+
 def _shard_worker_main(conn, bootstrap, index, shards) -> None:
     """Worker process entry point (module-level for spawn pickling)."""
     try:
@@ -369,10 +309,7 @@ def _shard_worker_main(conn, bootstrap, index, shards) -> None:
             bootstrap, ShardContext(shards=shards, index=index)
         )
     except Exception as exc:  # noqa: BLE001 - surfaced as ShardError
-        try:
-            _wire_send(conn, ("error", exc))
-        except Exception:
-            _wire_send(conn, ("error", ShardError(repr(exc), shard=index)))
+        _send_error(conn, exc, index)
         conn.close()
         return
     _wire_send(conn, ("ok", {"bound": len(worker.app.registry)}))

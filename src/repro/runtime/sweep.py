@@ -26,6 +26,12 @@ indistinguishable from the serial loop:
   ``mode='threaded'`` is honoured even under simulation (the
   equivalence tests do exactly that).
 
+All of it is one loop: a sweep is cut into tasks (the whole type in
+registration order, one per shard for columnar reads, ``batch_size``
+slices for threaded scalar ones), every task runs through the same
+``_run_task`` — inline or on the pool — and the columns merge by
+registry position once.
+
 The engine executes an arbitrary per-instance callable, so supervised
 reads, circuit-breaker gating and stale-policy substitution behave
 exactly as in the serial loop — :meth:`Application._gather` keeps
@@ -45,6 +51,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.clock import SimulationClock
@@ -72,6 +79,13 @@ SWEEP_DURATION_BUCKETS = (
     5.0,
 )
 
+_position = itemgetter(0)
+
+
+def _column_of(read_one):
+    """A scalar read as the column reader the sweep loop runs."""
+    return lambda instances: list(map(read_one, instances))
+
 
 @dataclass(frozen=True)
 class SweepConfig(ConfigBase):
@@ -98,8 +112,7 @@ class SweepConfig(ConfigBase):
     def __post_init__(self):
         if self.mode not in SWEEP_MODES:
             raise ValueError(
-                f"sweep mode must be one of {SWEEP_MODES}, got "
-                f"'{self.mode}'"
+                f"sweep mode must be one of {SWEEP_MODES}, got '{self.mode}'"
             )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -315,122 +328,81 @@ class SweepEngine(Instrumented):
             attribute=self.config.shard_attribute,
             include_quarantined=include_quarantined,
         )
+        total = 0
         for shard_key, members in shards:
-            self._reads += len(members)
+            total += len(members)
             self._count_shard(shard_key, len(members))
+        self._reads += total
+        threaded = self.mode_for_clock() == "threaded"
+        # A task is a list of (registry position, instance) members read
+        # as one column; the modes differ only in how the sweep is cut
+        # into tasks and where the tasks run.
         if read_column is not None:
+            # One task per shard: the batch read spans the shard, so
+            # finer-grained tasks would just split the column.
             self._columnar_sweeps += 1
-            if self.mode_for_clock() == "threaded":
-                self._threaded_sweeps += 1
-                results = self._sweep_threaded_columnar(shards, read_column)
-            else:
-                self._serial_sweeps += 1
-                results = self._sweep_serial_columnar(shards, read_column)
-        elif self.mode_for_clock() == "threaded":
+            tasks = [members for __, members in shards]
+        elif threaded:
+            # batch_size slices; batches never span shards.
+            size = self.config.batch_size
+            tasks = [
+                members[offset : offset + size]
+                for __, members in shards
+                for offset in range(0, len(members), size)
+            ]
+        else:
+            # The reference order.  Shards may interleave in
+            # registration order, so the whole type is one task sorted
+            # by position — every stateful side effect (network-drop RNG
+            # draws, breaker probes) keeps its historical sequence.
+            pairs = (pair for __, members in shards for pair in members)
+            tasks = [sorted(pairs, key=_position)]
+        if read_column is None:
+            read_column = _column_of(read_one)
+        if threaded:
             self._threaded_sweeps += 1
-            results = self._sweep_threaded(shards, read_one)
+            columns = self._fan_out(tasks, read_column)
         else:
             self._serial_sweeps += 1
-            results = self._sweep_serial(shards, read_one)
+            columns = [self._run_task(task, read_column) for task in tasks]
+        # Merge by registry position, whichever task finished first.
+        results: List[Any] = [None] * total
+        for members, column in zip(tasks, columns):
+            for (index, instance), value in zip(members, column):
+                results[index] = (instance, value)
         if self._m_duration is not None:
             self._m_duration.observe(time.perf_counter() - started)
         return results
 
-    def _sweep_serial(self, shards, read_one):
-        """The reference loop.  Shards may interleave in registration
-        order, so reads are re-ordered by position first — the loop then
-        polls in exactly the historical registry iteration order, which
-        keeps every stateful side effect (network-drop RNG draws,
-        breaker probes) in the byte-identical sequence."""
-        ordered = sorted(
-            (pair for __, members in shards for pair in members),
-            key=lambda pair: pair[0],
-        )
-        return [
-            (instance, read_one(instance)) for __, instance in ordered
-        ]
+    @staticmethod
+    def _run_task(members, read_column):
+        """One task, inline or on a pool thread: its members' column."""
+        return read_column([instance for __, instance in members])
 
-    def _sweep_threaded(self, shards, read_one):
-        batch_size = self.config.batch_size
-        # One pool task per batch; batches never span shards.  Each
-        # member keeps its registry position so the merge restores
-        # registry iteration order no matter which future finishes first.
-        batches: List[List[Tuple[int, DeviceInstance]]] = []
-        total = 0
-        for __, members in shards:
-            total += len(members)
-            for offset in range(0, len(members), batch_size):
-                batches.append(members[offset:offset + batch_size])
-        return self._fan_out(self._run_batch, batches, read_one, total)
-
-    def _fan_out(self, run, tasks, read, total):
-        """Submit ``run(task, read)`` per task to the pool and merge the
-        ``(index, instance, value)`` triples back into registry order.
-        Every future is drained before the first error re-raises."""
+    def _fan_out(self, tasks, read_column):
+        """Run every task on the pool; returns their columns in task
+        order.  Every future is drained before the first error
+        re-raises."""
         pool = self._ensure_pool()
-        slots: List[Any] = [None] * total
-        instances: List[Optional[DeviceInstance]] = [None] * total
         self._batches += len(tasks)
         in_flight = self._m_in_flight
-        pending = set()
+        futures = []
         for task in tasks:
-            pending.add(pool.submit(run, task, read))
+            futures.append(pool.submit(self._run_task, task, read_column))
             if in_flight is not None:
                 in_flight.inc()
         first_error: Optional[BaseException] = None
+        pending = set(futures)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 if in_flight is not None:
                     in_flight.dec()
-                error = future.exception()
-                if error is not None:
-                    if first_error is None:
-                        first_error = error
-                    continue
-                for index, instance, value in future.result():
-                    slots[index] = value
-                    instances[index] = instance
+                if first_error is None:
+                    first_error = future.exception()
         if first_error is not None:
             raise first_error
-        return list(zip(instances, slots))
-
-    @staticmethod
-    def _run_batch(batch, read_one):
-        return [
-            (index, instance, read_one(instance))
-            for index, instance in batch
-        ]
-
-    def _sweep_serial_columnar(self, shards, read_column):
-        """One read_column call per shard, merged by registry position."""
-        total = sum(len(members) for __, members in shards)
-        slots: List[Any] = [None] * total
-        instances: List[Optional[DeviceInstance]] = [None] * total
-        for __, members in shards:
-            column = read_column([instance for __, instance in members])
-            for (index, instance), value in zip(members, column):
-                slots[index] = value
-                instances[index] = instance
-        return list(zip(instances, slots))
-
-    def _sweep_threaded_columnar(self, shards, read_column):
-        """One pool task per shard; the batch read spans the shard, so
-        finer-grained tasks would just split the column for no gain."""
-        return self._fan_out(
-            self._run_column,
-            [members for __, members in shards],
-            read_column,
-            sum(len(members) for __, members in shards),
-        )
-
-    @staticmethod
-    def _run_column(members, read_column):
-        column = read_column([instance for __, instance in members])
-        return [
-            (index, instance, value)
-            for (index, instance), value in zip(members, column)
-        ]
+        return [future.result() for future in futures]
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:

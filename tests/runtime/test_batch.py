@@ -27,7 +27,6 @@ from repro.api import (
     analyze,
 )
 from repro.faults.policy import QUARANTINED
-from repro.runtime.grouping import WindowAccumulator, column_fold_for_job
 from repro.simulation.sensors import FleetSubstrate, SubstrateDriver
 
 DESIGN = """\
@@ -288,43 +287,6 @@ class TestCacheInterplay:
         assert cache_stats["entries"] == 6
         # Each batched slot counted as a miss (the driver really ran).
         assert cache_stats["misses"] >= 6
-
-
-class TestColumnarWindows:
-    class SumJob:
-        def map(self, key, value, collector):
-            collector.emit_map(key, value)
-
-        def reduce(self, key, values, collector):
-            collector.emit_reduce(key, sum(values))
-
-    def test_columnar_fold_matches_pairwise(self):
-        job = self.SumJob()
-        pairwise = WindowAccumulator.incremental_for_job(
-            1.0, 3.0, job, flatten=True, columnar=False
-        )
-        columnar = WindowAccumulator.incremental_for_job(
-            1.0, 3.0, job, flatten=True, columnar=True
-        )
-        assert columnar.fold_column is not None
-        deliveries = [
-            {"a": [1, 2, 3], "b": [10]},
-            {"a": [4], "b": []},
-            {"a": [5, 6], "b": [20, 30]},
-        ]
-        out_pair = [pairwise.add(d) for d in deliveries]
-        out_col = [columnar.add(d) for d in deliveries]
-        assert out_pair == out_col
-        assert out_col[-1] == {"a": 21, "b": 60}
-
-    def test_column_fold_for_job_single_value_shortcut(self):
-        fold = column_fold_for_job(self.SumJob())
-        assert fold("k", [42]) == 42
-        assert fold("k", [1, 2, 3]) == 6
-
-    def test_fold_column_requires_fold(self):
-        with pytest.raises(ValueError):
-            WindowAccumulator(2, True, fold=None, fold_column=lambda k, v: v)
 
 
 class TestSubstrate:

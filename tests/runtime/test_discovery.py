@@ -65,6 +65,52 @@ class TestDeviceDiscovery:
             "ParkingEntrancePanel", location="B16"
         ).entity_ids() == ["p2"]
 
+    def test_both_filter_spellings_at_both_entry_points(self, design,
+                                                        registry, discover):
+        """``parkingLot`` as declared and ``parking_lot`` in snake case
+        select the same entities through ``devices(**filters)`` and
+        through ``where(**filters)`` — each used to accept only one."""
+        for entity_id, lot in (("s1", "A22"), ("s2", "B16"), ("s3", "A22")):
+            registry.register(
+                DeviceInstance(
+                    design.devices["PresenceSensor"],
+                    entity_id,
+                    CallableDriver(sources={"presence": lambda: True}),
+                    {"parkingLot": lot},
+                )
+            )
+        for spelling in ("parkingLot", "parking_lot"):
+            narrowed = discover.devices("PresenceSensor", **{spelling: "A22"})
+            assert narrowed.entity_ids() == ["s1", "s3"]
+            everything = discover.presence_sensors()
+            assert everything.where(**{spelling: "A22"}).entity_ids() == [
+                "s1", "s3"
+            ]
+        assert discover.presence_sensors().where_parking_lot(
+            "B16"
+        ).entity_ids() == ["s2"]
+
+    def test_unknown_filter_name_raises(self, design, registry, discover):
+        bind_panel(design, registry, "p1", "A22")
+        with pytest.raises(DiscoveryError) as error:
+            discover.devices("PresenceSensor", lot="A22")
+        assert "PresenceSensor" in str(error.value)
+        assert "parkingLot" in str(error.value)
+        # No entity bound: the declaration is still at hand.
+        with pytest.raises(DiscoveryError, match="'lot'"):
+            discover.presence_sensors().where(lot="A22")
+
+    def test_subtype_attributes_filter_a_supertype_lookup(self, design,
+                                                          registry, discover):
+        bind_panel(design, registry, "p1", "A22")
+        bind_panel(design, registry, "p2", "B16")
+        assert discover.devices(
+            "DisplayPanel", location="B16"
+        ).entity_ids() == ["p2"]
+        assert discover.display_panels().where(
+            location="A22"
+        ).entity_ids() == ["p1"]
+
     def test_supertype_accessor_sees_subtypes(self, design, registry,
                                               discover):
         bind_panel(design, registry, "p1", "A22")

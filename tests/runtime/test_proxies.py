@@ -94,6 +94,25 @@ class TestProxySet:
     def test_where_filter(self, panels):
         assert panels.where(location="B16").entity_ids() == ["p2", "p3"]
 
+    def test_where_rejects_an_unknown_attribute(self, panels):
+        # A misspelt filter used to select nothing, silently.
+        with pytest.raises(DiscoveryError, match="'locaton'.*location"):
+            panels.where(locaton="B16")
+        # Still checked on a set a filter has emptied.
+        with pytest.raises(DiscoveryError, match="'locaton'"):
+            panels.where(location="D6").where(locaton="B16")
+
+    def test_where_compares_live_attributes_without_copying(self, panels):
+        class NoCopy(dict):
+            def __iter__(self):
+                raise AssertionError("attribute dict copied per filter")
+
+            keys = items = __iter__
+
+        for proxy in panels:
+            proxy.instance.attributes = NoCopy(proxy.instance.attributes)
+        assert panels.where(location="B16").entity_ids() == ["p2", "p3"]
+
     def test_dynamic_where_method(self, panels):
         assert panels.where_location("A22").entity_ids() == ["p1"]
 

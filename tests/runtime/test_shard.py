@@ -577,6 +577,100 @@ class TestRepartitioning:
             runtime.stop()
 
 
+class EnvelopeBootstrap(PresenceBootstrap):
+    """Workers publish outside any gather: from a job their own clock
+    fires at t=900 (between the sweeps at 600 and 1200, so it runs
+    inside whichever command next syncs the clock past it), and from an
+    already-bound neighbour whenever an entity binds."""
+
+    def build(self, ctx):
+        app = super().build(ctx)
+        if ctx.index is not None and len(app.registry):
+            first = next(iter(app.registry))
+            app.clock.schedule(
+                900.0, lambda: first.publish("presence", True)
+            )
+        return app
+
+    def bind_entity(self, app, entity_id, position):
+        neighbour = next(iter(app.registry))
+        neighbour.publish("presence", False)
+        if entity_id == "s-refused":
+            raise BindingError("refused after the neighbour published")
+        super().bind_entity(app, entity_id, position)
+
+
+class TestCommandEnvelope:
+    """The worker drains recorded publishes into every reply and the
+    coordinator replays every reply — each once, whatever the command."""
+
+    def running(self, workers=2):
+        runtime = ShardedRuntime(
+            EnvelopeBootstrap(
+                sensors=6, shard=ShardConfig(enabled=True, workers=workers)
+            )
+        )
+        runtime.start()
+        return runtime, runtime.app.implementation("Pushes").events
+
+    def test_publish_raised_inside_a_sync_replays_once(self):
+        runtime, events = self.running()
+        try:
+            runtime.advance(800.0)  # sweep at 600, sync to 800
+            assert events == []
+            routed = runtime.router.stats()["events_routed"]
+            runtime.advance(200.0)  # no sweep: only the sync reaches 900
+            assert runtime.router.stats()["events_routed"] == routed + 2
+            # One per worker, each exactly once, stamped by the
+            # coordinator clock the sync carried.
+            assert sorted(events) == sorted(
+                (shard_first, True, 1000.0)
+                for shard_first in self.first_per_shard(runtime)
+            )
+            runtime.advance(1000.0)
+            assert len(events) == 2  # nothing replays twice
+        finally:
+            runtime.stop()
+
+    def test_publish_raised_inside_a_bind_replays_once(self):
+        runtime, events = self.running()
+        try:
+            runtime.advance(100.0)
+            runtime.rebind("s-006")
+            owner = shard_index("s-006", 2)
+            neighbour = self.first_per_shard(runtime)[owner]
+            assert events == [(neighbour, False, 100.0)]
+            runtime.advance(100.0)
+            runtime.worker_stats()
+            assert len(events) == 1
+        finally:
+            runtime.stop()
+
+    def test_publish_before_a_failed_command_rides_the_next_reply(self):
+        """An error reply carries no events; whatever the worker had
+        recorded stays queued for the next reply — any reply, a stats
+        one included — instead of being dropped."""
+        runtime, events = self.running()
+        try:
+            runtime.advance(100.0)
+            with pytest.raises(BindingError, match="refused"):
+                runtime.rebind("s-refused")
+            assert events == []
+            runtime.worker_stats()
+            owner = shard_index("s-refused", 2)
+            neighbour = self.first_per_shard(runtime)[owner]
+            assert events == [(neighbour, False, 100.0)]
+        finally:
+            runtime.stop()
+
+    @staticmethod
+    def first_per_shard(runtime):
+        firsts = {}
+        for entity_id in runtime.bootstrap.fleet():
+            firsts.setdefault(shard_index(entity_id, 2), entity_id)
+        return [firsts[shard] for shard in sorted(firsts)]
+
+
 class TestCacheInvalidation:
     """Cross-shard cohort invalidations piggyback on the next command
     reaching each worker's local cache."""

@@ -2,7 +2,7 @@
 
 ``repro.runtime.shard.codec`` owns both ends of the block format: the
 column encodings, the worker-side delta encoder and the coordinator-side
-mirrors.  These properties drive encoder → ``pickle`` → mirror directly,
+mirror.  These properties drive encoder → ``pickle`` → mirror directly,
 so a format bug shows up here rather than as a diverging sharded run.
 """
 
@@ -16,8 +16,7 @@ from repro.mapreduce.partition import shard_index
 from repro.runtime.grouping import group_readings
 from repro.runtime.shard.codec import (
     _DeltaEncoder,
-    _FlatMirror,
-    _GroupedMirror,
+    _Mirror,
     _decode_group_keys,
     _encode_group_keys,
     _pack_positions,
@@ -133,16 +132,17 @@ def scripts(draw):
 
 
 class TestEncoderToMirror:
-    @settings(max_examples=150, deadline=None)
-    @given(scripts())
-    def test_mirrors_track_the_surviving_readings(self, script):
+    @settings(max_examples=200, deadline=None)
+    @given(scripts(), st.booleans())
+    def test_mirrors_track_the_surviving_readings(self, script, flat):
+        """One mirror class serves both gather shapes; ``flat`` only
+        picks the identity the encoder registers and the read method."""
         shards, fleet, sweeps = script
         owner = [shard_index(f"e-{p:03d}", shards) for p in range(fleet)]
         versions = [0] * shards
-        grouped_encoders = [_DeltaEncoder(flat=False) for __ in range(shards)]
-        flat_encoders = [_DeltaEncoder(flat=True) for __ in range(shards)]
-        grouped_mirror = _GroupedMirror(shards)
-        flat_mirror = _FlatMirror(shards)
+        encoders = [_DeltaEncoder(flat=flat) for __ in range(shards)]
+        mirror = _Mirror(shards, flat=flat)
+        ident_of = flat_ident if flat else zone_of
         for present, values, bumps in sweeps:
             for shard, bumped in enumerate(bumps):
                 versions[shard] += bumped
@@ -155,41 +155,32 @@ class TestEncoderToMirror:
                 mine = [row for row in surviving if owner[row[0]] == shard]
                 positions = [position for position, __, ___ in mine]
                 readings = [(subject, value) for __, subject, value in mine]
-                for encoder, mirror, ident_of in (
-                    (grouped_encoders[shard], grouped_mirror, zone_of),
-                    (flat_encoders[shard], flat_mirror, flat_ident),
-                ):
-                    blocks = over_the_wire(
-                        encoder.encode(
-                            versions[shard], positions, readings, ident_of
-                        )
+                blocks = over_the_wire(
+                    encoders[shard].encode(
+                        versions[shard], positions, readings, ident_of
                     )
-                    delta_rows, quiescent = mirror.apply(shard, blocks)
-                    register = blocks.get("register")
-                    shipped = len(register[-1]) if register else 0
-                    changed = blocks.get("changed")
-                    shipped += len(changed[-1]) if changed else 0
-                    # Every reading is either shipped or counted.
-                    assert shipped + quiescent == len(readings)
-                    assert delta_rows >= shipped
-            expected = group_readings(
-                [(subject, value) for __, subject, value in surviving], "zone"
-            )
-            # repr: key order, value types and NaN all have to agree.
-            assert repr(grouped_mirror.payload()) == repr(expected)
-            order = [position for position, __, ___ in surviving]
-            assert flat_mirror.positions() == order
-            assert repr(
+                )
+                delta_rows, quiescent = mirror.apply(shard, blocks)
+                register = blocks.get("register")
+                shipped = len(register[-1]) if register else 0
+                changed = blocks.get("changed")
+                shipped += len(changed[-1]) if changed else 0
+                # Every reading is either shipped or counted.
+                assert shipped + quiescent == len(readings)
+                assert delta_rows >= shipped
+            # repr: order, value types and NaN all have to agree.
+            assert repr(mirror.rows()) == repr(
                 [
-                    (flat_mirror.ident[p], flat_mirror.values[p])
-                    for p in flat_mirror.positions()
-                ]
-            ) == repr(
-                [
-                    (flat_ident(subject), value)
+                    (ident_of(subject), value)
                     for __, subject, value in surviving
                 ]
             )
+            if not flat:
+                expected = group_readings(
+                    [(subject, value) for __, subject, value in surviving],
+                    "zone",
+                )
+                assert repr(mirror.payload()) == repr(expected)
 
     def test_steady_state_ships_one_integer(self):
         encoder = _DeltaEncoder(flat=False)
@@ -203,7 +194,7 @@ class TestEncoderToMirror:
 
     def test_payload_is_a_fresh_copy(self):
         encoder = _DeltaEncoder(flat=False)
-        mirror = _GroupedMirror(1)
+        mirror = _Mirror(1, flat=False)
         readings = [(entity(0, 0), 5), (entity(1, 0), 6)]
         mirror.apply(0, encoder.encode(1, [0, 1], readings, zone_of))
         payload = mirror.payload()

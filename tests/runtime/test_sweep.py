@@ -228,6 +228,110 @@ class TestDeterministicMerge:
         assert {key for key, __ in shards} == set(LOTS)
 
 
+class TestOneSweepLoop:
+    """Serial/threaded x scalar/columnar are one loop over differently
+    cut task lists; what each cut promises is pinned here."""
+
+    SENSORS = 7  # round-robin over three lots: shards of 3, 2 and 2
+
+    def build(self, mode, batch_size=2):
+        app = Application(
+            analyze(DESIGN),
+            RuntimeConfig(
+                sweep=SweepConfig(mode=mode, workers=3, batch_size=batch_size)
+            ),
+        )
+        driver_reads = []
+        for index in range(self.SENSORS):
+            entity_id = f"s-{index}"
+            app.create_device(
+                "PresenceSensor",
+                entity_id,
+                CallableDriver(
+                    sources={
+                        "presence": lambda e=entity_id: (
+                            driver_reads.append(e) or True
+                        )
+                    }
+                ),
+                parkingLot=LOTS[index % len(LOTS)],
+            )
+        return app, driver_reads
+
+    @pytest.mark.parametrize("mode", ["serial", "threaded"])
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_results_come_back_in_registry_order(self, mode, columnar):
+        app, driver_reads = self.build(mode)
+        columns = []
+        lock = threading.Lock()
+
+        def read_one(instance):
+            return (instance.entity_id, instance.read("presence"))
+
+        def read_column(instances):
+            with lock:
+                columns.append([i.entity_id for i in instances])
+            return [read_one(instance) for instance in instances]
+
+        results = app.sweeper.sweep(
+            "PresenceSensor",
+            read_one,
+            read_column=read_column if columnar else None,
+        )
+        expected = [f"s-{i}" for i in range(self.SENSORS)]
+        assert [instance.entity_id for instance, __ in results] == expected
+        assert [value for __, value in results] == [
+            (entity_id, True) for entity_id in expected
+        ]
+        assert sorted(driver_reads) == expected
+        stats = app.sweeper.stats()
+        assert stats["reads"] == self.SENSORS
+        assert stats[f"{mode}_sweeps"] == 1
+        assert stats["columnar_sweeps"] == (1 if columnar else 0)
+        if columnar:
+            # One read_column call per attribute shard, each shard's
+            # members in registration order.
+            assert sorted(columns) == [
+                ["s-0", "s-3", "s-6"],
+                ["s-1", "s-4"],
+                ["s-2", "s-5"],
+            ]
+        if mode == "threaded":
+            # Columnar: one pool task per shard.  Scalar: batch_size
+            # slices that never span shards — ceil(3/2) + 1 + 1.
+            assert stats["batches"] == (3 if columnar else 4)
+        else:
+            assert stats["batches"] == 0
+        app.sweeper.close()
+
+    def test_serial_scalar_reads_in_registration_order(self):
+        """Shards interleave in registration order; the reference loop
+        must still poll s-0, s-1, s-2, ... so sampler RNG draws and
+        breaker probes keep their sequence."""
+        app, driver_reads = self.build("serial")
+        app.sweeper.sweep(
+            "PresenceSensor", lambda instance: instance.read("presence")
+        )
+        assert driver_reads == [f"s-{i}" for i in range(self.SENSORS)]
+
+    def test_an_error_in_one_task_surfaces_after_the_rest_ran(self):
+        app, __ = self.build("threaded", batch_size=1)
+        ran = []
+        lock = threading.Lock()
+
+        def read_one(instance):
+            with lock:
+                ran.append(instance.entity_id)
+            if instance.entity_id == "s-3":
+                raise DeliveryError("boom")
+            return True
+
+        with pytest.raises(DeliveryError, match="boom"):
+            app.sweeper.sweep("PresenceSensor", read_one)
+        assert len(ran) == self.SENSORS  # every future was drained
+        app.sweeper.close()
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     workers=st.integers(min_value=1, max_value=12),

@@ -362,6 +362,18 @@ class TestApplyConfig:
                 app.config.replace(shard=ShardConfig(enabled=True))
             )
 
+    def test_tuning_section_is_structural(self):
+        # The controller is built at construction; a live swap used to
+        # be accepted and silently ignored (config said enabled, tuner
+        # stayed None).
+        app = make_app()
+        with pytest.raises(TuningError, match="'tuning' is structural"):
+            app.apply_config(
+                app.config.replace(tuning=TuningConfig(enabled=True))
+            )
+        assert app.config.tuning.enabled is False
+        assert app.tuner is None
+
     def test_cache_cannot_toggle_live(self):
         app = make_app()
         with pytest.raises(TuningError, match="cache"):
