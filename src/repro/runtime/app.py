@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Union
+from collections import Counter
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     BindingError,
@@ -77,21 +79,36 @@ from repro.runtime.registry import EntityRegistry
 from repro.runtime.sweep import SweepEngine
 from repro.sema.analyzer import AnalyzedSpec
 from repro.telemetry import MetricsRegistry
-from repro.typesys.values import check_value, coerce_value
+from repro.typesys.values import check_value, coerce_column
 
 # Sentinel distinguishing "isolated component failed" from a None result.
 _FAILED = object()
 
-# Per-instance read outcomes produced inside a sweep and folded back on
-# the sweep-driving thread (worker threads never touch app counters).
-_READ_OK = "ok"
-_READ_DROPPED = "dropped"
-_READ_FAILED = "failed"
 
-# Placeholder marking a position demoted out of its batch cohort for
-# this sweep (failed flag, degraded health); the scalar fallback loop
-# overwrites it with the real (outcome, payload) pair.
+class _Lost:
+    """The outcome of a read that produced no value — something no
+    DiaSpec value can be, so a successful read's outcome is simply its
+    coerced value.  ``error`` is the :class:`DeliveryError` of a failed
+    read, ``None`` for a read the network model dropped.  Outcomes are
+    produced inside a sweep and folded back on the sweep-driving thread
+    (worker threads never touch app counters)."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Optional[DeliveryError] = None):
+        self.error = error
+
+
+_DROPPED = _Lost()
+
+# Column placeholders of one columnar shard read: a position not yet
+# settled, and one demoted out of its batch cohort for this sweep
+# (failed flag, degraded health); the scalar fallback loop overwrites
+# the latter with the real outcome.
+_PENDING = object()
 _DEMOTED = object()
+
+_reads_counter_of = attrgetter("_m_reads")
 
 
 class Application:
@@ -194,11 +211,11 @@ class Application:
             else None
         )
         # Persistent (shard, batch_key) cohort plans for the columnar
-        # sweep path, invalidated by registry version — re-deriving the
-        # cohorts per sweep is pure overhead once fleets grow past a
-        # few thousand devices.
+        # sweep path, living and dying with the sweep engine's cut —
+        # re-deriving the cohorts per sweep is pure overhead once
+        # fleets grow past a few thousand devices.
         self._cohort_planner: Optional[CohortPlanner] = (
-            CohortPlanner(self.registry, metrics=self.metrics)
+            CohortPlanner(self.sweeper, metrics=self.metrics)
             if config.batch.enabled
             else None
         )
@@ -1014,17 +1031,13 @@ class Application:
         process runs :meth:`_sweep_readings` over its registry shard —
         while windowing, payload memoization and delivery stay with the
         caller."""
-        readings, __, __ = self._sweep_readings(interaction)
+        instances, values, __, __ = self._sweep_readings(interaction)
         group = interaction.group
         placement = self.placement
-        if group is None:
-            if placement is not None:
-                placement.account_cloud(readings)
-            return [
-                GatherReading(make_proxy(instance), value)
-                for instance, value in readings
-            ]
         if placement is not None:
+            # The placement tier works on (instance, value) pairs; they
+            # are built only here, at its boundary.
+            readings = list(zip(instances, values))
             if id(interaction) in self._edge_interactions:
                 # Edge split: map + map-side combine run per edge node,
                 # only per-group partials transit the WAN hop, and the
@@ -1036,16 +1049,21 @@ class Application:
                     group.attribute,
                 )
             placement.account_cloud(readings)
+        if group is None:
+            return [
+                GatherReading(make_proxy(instance), value)
+                for instance, value in zip(instances, values)
+            ]
         if self.planner is not None:
             grouped = group_readings_planned(
-                readings,
+                zip(instances, values),
                 self.planner.membership(
                     interaction.device, group.attribute
                 ),
                 group.attribute,
             )
         else:
-            grouped = group_readings(readings, group.attribute)
+            grouped = group_readings(zip(instances, values), group.attribute)
         if group.uses_mapreduce:
             return self.mapreduce.run(implementation, grouped)
         return grouped
@@ -1054,33 +1072,38 @@ class Application:
         """The per-process head of one periodic gather: sample, sweep,
         fold.
 
-        Returns ``(readings, dropped, failed)`` — the ``(instance,
-        value)`` pairs that survived, in registry order, plus how many
-        reads this sweep lost to the network model and to read
-        failures (already added to this application's counters; a shard
-        worker ships them so the coordinator can
-        :meth:`_note_gather_losses`).  Both :meth:`_collect_payload`
-        and the shard worker's poll go through here, so the sampler,
-        the columnar read path, supervision and stale handling attach
-        at exactly one point."""
+        Returns ``(instances, values, dropped, failed)`` — the readings
+        that survived as two aligned columns in registry order (the
+        instance column is the sweep engine's own while nothing was
+        lost: do not mutate it), plus how many reads this sweep lost to
+        the network model and to read failures (already added to this
+        application's counters; a shard worker ships them so the
+        coordinator can :meth:`_note_gather_losses`).  Both
+        :meth:`_collect_payload` and the shard worker's poll go through
+        here, so the sampler, the columnar read path, supervision and
+        stale handling attach at exactly one point."""
         source = interaction.source
+        device = interaction.device
         sampler = self._read_sampler(interaction)
         dropped = self._gather_network_dropped
         failed = self._gather_read_failed
-        outcomes = self.sweeper.sweep(
-            interaction.device,
+        instances, outcomes = self.sweeper.sweep(
+            device,
             functools.partial(self._gather_read, source, sampler),
             read_column=(
                 functools.partial(
-                    self._gather_read_column, source, sampler
+                    self._gather_read_column, device, source, sampler
                 )
                 if self._cohort_planner is not None
                 else None
             ),
         )
-        readings = self._fold_read_outcomes(outcomes, source)
+        instances, values = self._fold_read_outcomes(
+            instances, outcomes, source
+        )
         return (
-            readings,
+            instances,
+            values,
             self._gather_network_dropped - dropped,
             self._gather_read_failed - failed,
         )
@@ -1091,25 +1114,34 @@ class Application:
         self._gather_network_dropped += dropped
         self._gather_read_failed += failed
 
-    def _fold_read_outcomes(self, outcomes, source) -> List[Any]:
-        """Fold per-instance sweep outcomes into ``(instance, value)``
-        readings, bumping the drop/failure counters and applying the
-        stale policy — always on the sweep-driving thread."""
-        readings: List[Any] = []
-        for instance, (kind, value) in outcomes:
-            if kind is _READ_OK:
-                readings.append((instance, value))
-            elif kind is _READ_DROPPED:
+    def _fold_read_outcomes(
+        self, instances, outcomes, source
+    ) -> Tuple[List[Any], List[Any]]:
+        """Fold a sweep's outcome column into the ``(instances,
+        values)`` columns of the readings that survived, bumping the
+        drop/failure counters and applying the stale policy — always on
+        the sweep-driving thread.  When nothing was lost (one scan
+        tells) the columns come back as they are."""
+        if _Lost not in set(map(type, outcomes)):
+            return instances, outcomes
+        kept: List[Any] = []
+        values: List[Any] = []
+        for instance, outcome in zip(instances, outcomes):
+            if type(outcome) is not _Lost:
+                kept.append(instance)
+                values.append(outcome)
+            elif outcome is _DROPPED:
                 self._gather_network_dropped += 1
             else:
                 self._gather_read_failed += 1
                 if self.stale.mode == "fail":
-                    raise value
+                    raise outcome.error
                 if self.stale.serves_stale:
                     stale = self._stale_reading(instance, source)
                     if stale is not None:
-                        readings.append((instance, stale[0]))
-        return readings
+                        kept.append(instance)
+                        values.append(stale[0])
+        return kept, values
 
     def _read_sampler(self, interaction) -> Optional[Callable[[], bool]]:
         """Zero-arg survival sampler for this gather's polled reads.
@@ -1139,39 +1171,43 @@ class Application:
     def _gather_read(self, source, sampler, instance):
         """Poll one instance inside a sweep (possibly on a pool thread).
 
-        Returns an ``(outcome, payload)`` pair instead of mutating
-        counters, so the sweep engine can run it concurrently and the
-        caller folds outcomes deterministically in registry order."""
+        Returns the read's outcome — its value, or a :class:`_Lost` —
+        instead of mutating counters, so the sweep engine can run it
+        concurrently and the caller folds outcomes deterministically in
+        registry order."""
         if sampler is not None and not sampler():
-            return (_READ_DROPPED, None)
+            return _DROPPED
         try:
-            return (_READ_OK, instance.read(source))
+            return instance.read(source)
         except DeliveryError as exc:
-            return (_READ_FAILED, exc)
+            return _Lost(exc)
 
-    def _gather_read_column(self, source, sampler, instances):
+    def _gather_read_column(self, device, source, sampler, instances):
         """Columnar shard read: cohorts, batch reads, scalar demotion.
 
-        Produces the same ``(outcome, payload)`` column the scalar path
-        would, one entry per instance in order.  Eligible entities —
-        healthy, not failed, not cache-fresh, with a driver that shares
-        a :meth:`~repro.runtime.device.DeviceDriver.batch_key` cohort of
+        Produces the same outcome column the scalar path would, one
+        entry per instance in order.  Eligible entities — healthy, not
+        failed, not cache-fresh, with a driver that shares a
+        :meth:`~repro.runtime.device.DeviceDriver.batch_key` cohort of
         at least ``min_column`` — are read in one ``read_batch`` call
         per cohort; everything else **demotes to the scalar path**,
         where per-entity retries, breaker accounting and stale handling
         behave exactly as in an unbatched sweep.  A cohort whose batch
         read fails (or returns a mis-shaped column) demotes whole.
+
+        In the common case — the eligibility loop settles nothing and
+        one cohort spans the shard — no per-reading container is built.
         """
-        results: List[Any] = [None] * len(instances)
+        results: List[Any] = [_PENDING] * len(instances)
         demoted: List[int] = []
         cache = self.read_cache
         # Static partition — (shard, batch_key) cohorts and the
         # no-batch-driver positions — comes from the memoized plan;
         # only the per-sweep eligibility below stays dynamic.
-        plan = self._cohort_planner.plan(source, instances)
+        plan = self._cohort_planner.plan(device, source, instances)
         for position, instance in enumerate(instances):
             if sampler is not None and not sampler():
-                results[position] = (_READ_DROPPED, None)
+                results[position] = _DROPPED
                 continue
             supervisor = instance.supervisor
             if instance.failed or (
@@ -1186,28 +1222,42 @@ class Application:
             if cache is not None:
                 hit = cache.lookup(instance.entity_id, source)
                 if hit is not None:
-                    results[position] = (_READ_OK, hit[0])
+                    results[position] = hit[0]
+        # Nothing settled above: the cohorts read as they were planned.
+        whole = results.count(_PENDING) == len(results)
         scalar = [
             position
             for position in plan.scalar
-            if results[position] is None
+            if results[position] is _PENDING
         ]
         scalar.extend(demoted)
         min_column = self.config.batch.min_column
-        for positions in plan.groups:
-            pending = [
-                position
-                for position in positions
-                if results[position] is None
-            ]
-            if not pending:
+        for positions, entity_ids in plan.groups:
+            if not whole:
+                positions = [
+                    position
+                    for position in positions
+                    if results[position] is _PENDING
+                ]
+                entity_ids = [instances[p].entity_id for p in positions]
+            if len(positions) < min_column:
+                scalar.extend(positions)
                 continue
-            if len(pending) < min_column:
-                scalar.extend(pending)
-                continue
-            batch = [(p, instances[p]) for p in pending]
-            if not self._read_batch_cohort(source, batch, results):
-                scalar.extend(pending)
+            # A cohort that spans the shard reads its columns as they
+            # are, and its value column is the shard's result.
+            spans = len(positions) == len(instances)
+            column = self._read_batch_cohort(
+                source,
+                instances if spans else [instances[p] for p in positions],
+                entity_ids,
+            )
+            if column is None:
+                scalar.extend(positions)
+            elif spans:
+                return column
+            else:
+                for position, value in zip(positions, column):
+                    results[position] = value
         if scalar:
             self.sweeper.note_batch_demoted(len(scalar))
             scalar.sort()
@@ -1217,45 +1267,52 @@ class Application:
                 )
         return results
 
-    def _read_batch_cohort(self, source, batch, results) -> bool:
+    def _read_batch_cohort(
+        self, source, instances, entity_ids
+    ) -> Optional[List[Any]]:
         """One driver-level batch read over a cohort.
 
-        Fills ``results`` and returns True on success; returns False —
-        leaving ``results`` untouched for these positions — when the
-        cohort must be demoted to the scalar path (driver declined,
-        read failed, or the column does not align with the cohort).
+        Returns the cohort's coerced value column, aligned with
+        ``instances``; ``None`` when the cohort must be demoted to the
+        scalar path (driver declined, read failed, or the column does
+        not align with the cohort).
         """
-        instances = [instance for __, instance in batch]
-        entity_ids = [instance.entity_id for instance in instances]
-        driver = instances[0].driver
         try:
-            column = driver.read_batch(entity_ids, source)
+            column = instances[0].driver.read_batch(entity_ids, source)
         except DeliveryError:
-            return False
+            return None
         if column is NotImplemented or column is None:
-            return False
+            return None
         try:
             values = list(column)
         except TypeError:
-            return False
-        if len(values) != len(batch):
-            return False
+            return None
+        if len(values) != len(instances):
+            return None
         self.sweeper.note_batch_read(len(values))
+        # A subtype cannot redeclare an inherited source, so one
+        # declaration types the whole column.
+        values = coerce_column(
+            instances[0].info.source(source).dia_type, values
+        )
+        # Instances of a type share their read counter.
+        for counter, reads in Counter(
+            map(_reads_counter_of, instances)
+        ).items():
+            if counter is not None:
+                counter.inc(reads)
         cache = self.read_cache
-        for (position, instance), raw in zip(batch, values):
-            source_info = instance.info.source(source)
-            value = coerce_value(source_info.dia_type, raw)
-            supervisor = instance.supervisor
-            if supervisor is not None:
-                # Keeps last-known stale values fresh and the breaker's
-                # success accounting truthful, exactly as a scalar read.
-                supervisor.record_success(source, value)
-            if instance._m_reads is not None:
-                instance._m_reads.inc()
-            if cache is not None:
-                cache.store(instance, source, value)
-            results[position] = (_READ_OK, value)
-        return True
+        if cache is not None or self.config.supervised():
+            for instance, value in zip(instances, values):
+                supervisor = instance.supervisor
+                if supervisor is not None:
+                    # Keeps last-known stale values fresh and the
+                    # breaker's success accounting truthful, exactly as
+                    # a scalar read.
+                    supervisor.record_success(source, value)
+                if cache is not None:
+                    cache.store(instance, source, value)
+        return values
 
     def _stale_reading(self, instance, source):
         """Last-known cached reading for a dark source, or ``None``.

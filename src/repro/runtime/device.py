@@ -77,8 +77,9 @@ class DeviceDriver:
         Drivers backed by a shared substrate (a vectorized simulation
         model, a fleet gateway that answers one RPC for a whole shard)
         override this to return a sequence of raw values **aligned
-        with** ``entity_ids``.  The sweep engine then issues one batch
-        read per (shard, source) cohort instead of one Python
+        with** ``entity_ids`` (read it, never mutate it: the runtime
+        reuses the column across sweeps).  The sweep engine then issues
+        one batch read per (shard, source) cohort instead of one Python
         :meth:`read` per device.
 
         The default returns :data:`NotImplemented` — "this driver only

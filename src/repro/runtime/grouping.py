@@ -28,7 +28,7 @@ order-sensitive analyses) must stay buffered.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import BindingError
 from repro.mapreduce.api import FoldCollector, job_combiner
@@ -58,12 +58,14 @@ def group_key(instance, attribute: str) -> Hashable:
 
 
 def group_readings(
-    readings: Sequence[Tuple[DeviceInstance, Any]], attribute: str
+    readings: Iterable[Tuple[DeviceInstance, Any]], attribute: str
 ) -> Dict[Hashable, List[Any]]:
     """Partition ``(instance, value)`` readings by an instance attribute.
 
-    Group keys appear in first-encounter order, which follows registration
-    order — keeping periodic deliveries deterministic.
+    ``readings`` is consumed once, so the gather path passes its two
+    columns as ``zip(instances, values)`` and no pair outlives its loop
+    step.  Group keys appear in first-encounter order, which follows
+    registration order — keeping periodic deliveries deterministic.
     """
     grouped: Dict[Hashable, List[Any]] = {}
     for instance, value in readings:
@@ -76,7 +78,7 @@ def group_readings(
 
 
 def group_readings_planned(
-    readings: Sequence[Tuple[DeviceInstance, Any]],
+    readings: Iterable[Tuple[DeviceInstance, Any]],
     membership: Dict[str, Any],
     attribute: str,
 ) -> Dict[Hashable, List[Any]]:

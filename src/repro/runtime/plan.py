@@ -94,8 +94,14 @@ class SourcePlan:
     still match.
     """
 
-    __slots__ = ("device_type", "source", "topics", "targets", "epoch",
-                 "version")
+    __slots__ = (
+        "device_type",
+        "source",
+        "topics",
+        "targets",
+        "epoch",
+        "version",
+    )
 
     def __init__(self, device_type, source, topics, targets, epoch, version):
         self.device_type = device_type
@@ -259,43 +265,45 @@ class DeliveryPlanner(Instrumented):
 
 
 class CohortPlan:
-    """Persistent (shard, batch_key) cohort partition for one columnar
-    sweep shard.
+    """Persistent (shard, batch_key) cohort partition of one sweep
+    task's instance column.
 
-    ``groups`` is a tuple of position tuples — one per ``batch_key``
-    cohort, in first-appearance order, positions being indexes into the
-    sweep shard's instance column; ``scalar`` the positions whose
-    driver declines batching (``batch_key`` is ``None``).  ``version``
-    is the registry version captured at compile time: cohort membership
-    is a pure function of the bindings, so the plan stays valid until
-    the registry moves.  Per-sweep *eligibility* (sampler drops, failed
-    flags, breaker health, cache freshness) stays dynamic in the gather
-    path — the plan only spares it the per-instance ``batch_key`` calls
-    and cohort re-formation every sweep.
+    ``groups`` holds one ``(positions, entity_ids)`` pair per
+    ``batch_key`` cohort, in first-appearance order: the members'
+    indexes into the column and, aligned with them, the entity-id
+    column ``read_batch`` is handed when the cohort reads whole.
+    ``scalar`` is the positions whose driver declines batching
+    (``batch_key`` is ``None``).  Per-sweep *eligibility* (sampler
+    drops, failed flags, breaker health, cache freshness) stays dynamic
+    in the gather path — the plan only spares it the per-instance
+    ``batch_key`` calls, cohort re-formation and id-column rebuilds
+    every sweep.
     """
 
-    __slots__ = ("groups", "scalar", "version")
+    __slots__ = ("groups", "scalar")
 
-    def __init__(self, groups, scalar, version):
+    def __init__(self, groups, scalar):
         self.groups = groups
         self.scalar = scalar
-        self.version = version
 
     def __repr__(self) -> str:
         return (
             f"<CohortPlan groups={len(self.groups)} "
-            f"scalar={len(self.scalar)} v{self.version}>"
+            f"scalar={len(self.scalar)}>"
         )
 
 
 class CohortPlanner(Instrumented):
     """Memoized cohort plans for the columnar sweep hot path.
 
-    Keyed by ``(source, shard length, first entity id)`` — a sweep
-    shard's membership and order are fixed for a registry version, and
-    its first entity identifies it among the shards of one sweep — and
-    invalidated by the registry version, the same two-integer-compare
-    discipline :class:`DeliveryPlanner` uses.
+    A plan is compiled for one instance column of the sweep engine's
+    memoized cut and lives in that cut's memo
+    (:meth:`~repro.runtime.sweep.SweepEngine.cut_memo`), keyed by
+    ``(source, id(column))``: the cut keeps its columns alive and is
+    replaced whenever the registry hands out another partition — a
+    bind, an unbind, or a ``failed`` flag filtering members without a
+    version bump — so a plan can never be replayed over a column it
+    was not compiled for.
     """
 
     metric_specs = (
@@ -313,51 +321,41 @@ class CohortPlanner(Instrumented):
         ),
     )
 
-    def __init__(self, registry, metrics=None):
-        self.registry = registry
-        self._plans: Dict[Tuple[str, int, str], CohortPlan] = {}
+    def __init__(self, sweeper, metrics=None):
+        self.sweeper = sweeper
         self._compiles = 0
         self._hits = 0
         if metrics is not None:
             self.attach_metrics(metrics)
 
-    def plan(self, source: str, instances) -> CohortPlan:
-        """The cohort plan for one sweep shard (compiling on miss)."""
-        version = self.registry.version
-        key = (
-            source,
-            len(instances),
-            instances[0].entity_id if instances else "",
-        )
-        plan = self._plans.get(key)
-        if plan is not None and plan.version == version:
+    def plan(self, device_type: str, source: str, instances) -> CohortPlan:
+        """The cohort plan for one column of the current cut of
+        ``device_type`` (compiling on miss)."""
+        plans = self.sweeper.cut_memo(device_type)
+        key = (source, id(instances))
+        plan = plans.get(key)
+        if plan is not None:
             self._hits += 1
             return plan
-        cohorts: Dict[int, list] = {}
+        cohorts: Dict[int, Tuple[list, list]] = {}
         scalar = []
         for position, instance in enumerate(instances):
             batch_key = instance.driver.batch_key(source)
             if batch_key is None:
                 scalar.append(position)
-            else:
-                cohorts.setdefault(id(batch_key), []).append(position)
-        plan = CohortPlan(
-            tuple(tuple(positions) for positions in cohorts.values()),
-            tuple(scalar),
-            version,
-        )
-        self._plans[key] = plan
+                continue
+            cohort = cohorts.get(id(batch_key))
+            if cohort is None:
+                cohort = cohorts[id(batch_key)] = ([], [])
+            cohort[0].append(position)
+            cohort[1].append(instance.entity_id)
+        plan = CohortPlan(tuple(cohorts.values()), tuple(scalar))
+        plans[key] = plan
         self._compiles += 1
         return plan
 
-    def clear(self) -> None:
-        self._plans.clear()
-
-    def _extra_stats(self) -> Dict[str, Any]:
-        return {"plans": len(self._plans)}
-
     def __repr__(self) -> str:
-        return f"<CohortPlanner plans={len(self._plans)} hits={self._hits}>"
+        return f"<CohortPlanner compiles={self._compiles} hits={self._hits}>"
 
 
 # Sentinel marking an entity without the grouping attribute; the gather

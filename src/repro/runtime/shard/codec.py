@@ -10,8 +10,8 @@ spawning a process:
 * the column encodings — gap-coded positions and the dictionary-coded
   group-key column;
 * the worker-side :class:`_DeltaEncoder`, which turns one sweep's
-  readings into ``register`` / ``changed`` / ``retract`` blocks plus a
-  ``quiescent`` count;
+  reading columns into ``register`` / ``changed`` / ``retract`` blocks
+  plus a ``quiescent`` count;
 * the coordinator-side :class:`_Mirror`, which folds those blocks back
   into the exact single-process payload in global registration order.
 """
@@ -155,17 +155,19 @@ class _DeltaEncoder:
         self,
         version: int,
         positions: Sequence[int],
-        readings: Sequence[Tuple[Any, Any]],
+        subjects: Sequence[Any],
+        values: Sequence[Any],
         ident_of: Callable[[Any], Any],
     ) -> Dict[str, Any]:
         """One sweep's blocks.
 
-        ``readings`` are ``(subject, value)`` pairs with their
-        ascending global ``positions`` alongside; ``ident_of(subject)``
-        — the group key, or the ``(type, entity id, attributes)``
-        triple of a flat gather — is asked only for rows that register,
-        so a steady-state sweep never touches identity.  A registry
-        ``version`` other than the epoch's starts a new epoch.
+        The sweep's readings come as three aligned columns: ascending
+        global ``positions``, the ``subjects`` read and their
+        ``values``.  ``ident_of(subject)`` — the group key, or the
+        ``(type, entity id, attributes)`` triple of a flat gather — is
+        asked only for rows that register, so a steady-state sweep
+        never touches identity.  A registry ``version`` other than the
+        epoch's starts a new epoch.
         """
         blocks: Dict[str, Any] = {}
         if self.version != version:
@@ -179,7 +181,7 @@ class _DeltaEncoder:
         changed_pos: List[int] = []
         changed_val: List[Any] = []
         quiescent = 0
-        for position, (subject, value) in zip(positions, readings):
+        for position, subject, value in zip(positions, subjects, values):
             if position not in known:
                 reg_pos.append(position)
                 reg_ident.append(ident_of(subject))
@@ -193,7 +195,7 @@ class _DeltaEncoder:
                     changed_pos.append(position)
                     changed_val.append(value)
                     known[position] = value
-        if len(known) != len(readings):
+        if len(known) != len(values):
             present = set(positions)
             retract = sorted(p for p in known if p not in present)
             for position in retract:

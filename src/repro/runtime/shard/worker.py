@@ -61,6 +61,11 @@ class _ShardWorker:
         # version bump (bind/unbind) resets its epoch — the worker
         # re-registers everything.
         self._encoders: Dict[Tuple[str, int], _DeltaEncoder] = {}
+        # (context, interaction) -> (instances, their global
+        # positions) of the gather's last poll.  The sweep hands back
+        # the same instance column until the membership moves or a
+        # reading is lost, so a steady-state poll never probes ``_gpos``.
+        self._positions: Dict[Tuple[str, int], Tuple[list, list]] = {}
         # Re-attach every instance's publish hook to the recorder so
         # pushes surface in command replies instead of dead-ending in
         # the worker's subscriber-less bus.  Recording happens at the
@@ -113,18 +118,20 @@ class _ShardWorker:
         """
         app = self.app
         interaction = app.design.contexts[name].decl.interactions[index]
-        readings, dropped, failed = app._sweep_readings(interaction)
+        instances, values, dropped, failed = app._sweep_readings(interaction)
         reply: Dict[str, Any] = {"dropped": dropped, "failed": failed}
-        gpos = self._gpos
+        seen, positions = self._positions.get((name, index), (None, None))
+        if seen is not instances:
+            gpos = self._gpos
+            positions = [gpos[instance.entity_id] for instance in instances]
+            self._positions[(name, index)] = (instances, positions)
         group = interaction.group
         if group is not None and group.uses_mapreduce:
             keyed = [
-                (
-                    gpos[instance.entity_id],
-                    group_key(instance, group.attribute),
-                    value,
+                (position, group_key(instance, group.attribute), value)
+                for position, instance, value in zip(
+                    positions, instances, values
                 )
-                for instance, value in readings
             ]
             self._pending[(name, index)] = keyed
             reply["kind"] = "mapreduce"
@@ -146,8 +153,9 @@ class _ShardWorker:
             reply.update(
                 encoder.encode(
                     app.registry.version,
-                    [gpos[instance.entity_id] for instance, __ in readings],
-                    readings,
+                    positions,
+                    instances,
+                    values,
                     ident_of,
                 )
             )

@@ -28,9 +28,11 @@ indistinguishable from the serial loop:
 
 All of it is one loop: a sweep is cut into tasks (the whole type in
 registration order, one per shard for columnar reads, ``batch_size``
-slices for threaded scalar ones), every task runs through the same
-``_run_task`` — inline or on the pool — and the columns merge by
-registry position once.
+slices for threaded scalar ones), every task's instance column goes to
+the same column reader — inline or on the pool — and the value columns
+merge by registry position once.  The cut is compiled once per registry
+partition (:class:`_SweepCut`), so a steady-state sweep builds one
+result list, not a container per reading.
 
 The engine executes an arbitrary per-instance callable, so supervised
 reads, circuit-breaker gating and stale-policy substitution behave
@@ -87,6 +89,56 @@ def _column_of(read_one):
     return lambda instances: list(map(read_one, instances))
 
 
+class _SweepCut:
+    """One device type's sweep, compiled from a registry partition: the
+    registry-ordered ``instances`` column every sweep returns, and per
+    task a ``(positions, instances)`` pair of columns — ``positions``
+    the registry position of each task member.  ``memo`` holds what a
+    column reader derives from these columns (cohort plans), so it
+    cannot outlive them.
+
+    Valid while the registry hands back the very ``partition`` object
+    it was compiled from — its memo lasts until a bind, an unbind or a
+    ``failed`` flag moves the membership — under the same ``shape``,
+    ``(columnar, threaded, batch_size)``.
+    """
+
+    __slots__ = ("partition", "shape", "instances", "tasks", "memo")
+
+    def __init__(self, partition, shape):
+        self.partition = partition
+        self.shape = shape
+        self.memo: Dict[Any, Any] = {}
+        pairs = (pair for __, members in partition for pair in members)
+        ordered = sorted(pairs, key=_position)
+        self.instances = [instance for __, instance in ordered]
+        columnar, threaded, size = shape
+        if columnar:
+            # One task per shard: the batch read spans the shard, so
+            # finer-grained tasks would just split the column.
+            slices = [members for __, members in partition]
+        elif threaded:
+            # batch_size slices; batches never span shards.
+            slices = [
+                members[offset : offset + size]
+                for __, members in partition
+                for offset in range(0, len(members), size)
+            ]
+        else:
+            # The reference order.  Shards may interleave in
+            # registration order, so the whole type is one task in
+            # position order — every stateful side effect (network-drop
+            # RNG draws, breaker probes) keeps its historical sequence.
+            slices = [ordered]
+        self.tasks = [
+            (
+                [position for position, __ in members],
+                [instance for __, instance in members],
+            )
+            for members in slices
+        ]
+
+
 @dataclass(frozen=True)
 class SweepConfig(ConfigBase):
     """How periodic gather sweeps execute.
@@ -123,9 +175,10 @@ class SweepConfig(ConfigBase):
 class SweepEngine(Instrumented):
     """Bounded fan-out of per-instance reads with ordered merge.
 
-    One engine serves all of an application's periodic gathers; it is
-    stateless between sweeps apart from its cumulative counters and its
-    lazily created thread pool.
+    One engine serves all of an application's periodic gathers.
+    Between sweeps it keeps its cumulative counters, its lazily created
+    thread pool and one compiled :class:`_SweepCut` per swept device
+    type.
     """
 
     metric_specs = (
@@ -201,6 +254,7 @@ class SweepEngine(Instrumented):
         self._batch_demoted = 0
         self._shard_reads: Dict[str, int] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._cuts: Dict[str, _SweepCut] = {}
         self._metrics = None
         self._m_duration = None
         self._m_in_flight = None
@@ -304,12 +358,15 @@ class SweepEngine(Instrumented):
         read_column: Optional[
             Callable[[Sequence[DeviceInstance]], List[Any]]
         ] = None,
-    ) -> List[Tuple[DeviceInstance, Any]]:
+    ) -> Tuple[List[DeviceInstance], List[Any]]:
         """Run ``read_one`` over every bound instance of ``device_type``.
 
-        Returns ``(instance, result)`` pairs **in registry iteration
-        order** whatever the execution mode — downstream grouping and
-        windowing see the same stream either way.  Exceptions raised by
+        Returns ``(instances, results)`` — two aligned columns **in
+        registry iteration order** whatever the execution mode, so
+        downstream grouping and windowing see the same stream either
+        way.  ``instances`` belongs to the engine's memoized cut and is
+        the same list sweep after sweep while the registry membership
+        holds: treat it as immutable.  Exceptions raised by
         ``read_one`` propagate (callers wanting per-read containment
         catch inside the callable, as ``Application._gather`` does).
 
@@ -328,67 +385,57 @@ class SweepEngine(Instrumented):
             attribute=self.config.shard_attribute,
             include_quarantined=include_quarantined,
         )
-        total = 0
         for shard_key, members in shards:
-            total += len(members)
             self._count_shard(shard_key, len(members))
-        self._reads += total
         threaded = self.mode_for_clock() == "threaded"
-        # A task is a list of (registry position, instance) members read
-        # as one column; the modes differ only in how the sweep is cut
-        # into tasks and where the tasks run.
-        if read_column is not None:
-            # One task per shard: the batch read spans the shard, so
-            # finer-grained tasks would just split the column.
-            self._columnar_sweeps += 1
-            tasks = [members for __, members in shards]
-        elif threaded:
-            # batch_size slices; batches never span shards.
-            size = self.config.batch_size
-            tasks = [
-                members[offset : offset + size]
-                for __, members in shards
-                for offset in range(0, len(members), size)
-            ]
-        else:
-            # The reference order.  Shards may interleave in
-            # registration order, so the whole type is one task sorted
-            # by position — every stateful side effect (network-drop RNG
-            # draws, breaker probes) keeps its historical sequence.
-            pairs = (pair for __, members in shards for pair in members)
-            tasks = [sorted(pairs, key=_position)]
+        # The modes differ only in how the sweep is cut into tasks and
+        # where the tasks run.
+        shape = (read_column is not None, threaded, self.config.batch_size)
+        cut = self._cuts.get(device_type)
+        if cut is None or cut.partition is not shards or cut.shape != shape:
+            cut = self._cuts[device_type] = _SweepCut(shards, shape)
+        self._reads += len(cut.instances)
         if read_column is None:
             read_column = _column_of(read_one)
+        else:
+            self._columnar_sweeps += 1
+        columns = [instances for __, instances in cut.tasks]
         if threaded:
             self._threaded_sweeps += 1
-            columns = self._fan_out(tasks, read_column)
+            columns = self._fan_out(columns, read_column)
         else:
             self._serial_sweeps += 1
-            columns = [self._run_task(task, read_column) for task in tasks]
-        # Merge by registry position, whichever task finished first.
-        results: List[Any] = [None] * total
-        for members, column in zip(tasks, columns):
-            for (index, instance), value in zip(members, column):
-                results[index] = (instance, value)
+            columns = [read_column(instances) for instances in columns]
+        # Merge by registry position, whichever task finished first; a
+        # lone task is the registry order already.
+        if len(columns) == 1:
+            (results,) = columns
+        else:
+            results = [None] * len(cut.instances)
+            for (positions, __), column in zip(cut.tasks, columns):
+                for position, value in zip(positions, column):
+                    results[position] = value
         if self._m_duration is not None:
             self._m_duration.observe(time.perf_counter() - started)
-        return results
+        return cut.instances, results
 
-    @staticmethod
-    def _run_task(members, read_column):
-        """One task, inline or on a pool thread: its members' column."""
-        return read_column([instance for __, instance in members])
+    def cut_memo(self, device_type: str) -> Dict[Any, Any]:
+        """Scratch space living exactly as long as the current cut of
+        ``device_type`` — for state derived from the instance columns
+        a column reader is handed (keyed by ``id(column)``: the cut
+        keeps them alive)."""
+        return self._cuts[device_type].memo
 
     def _fan_out(self, tasks, read_column):
-        """Run every task on the pool; returns their columns in task
-        order.  Every future is drained before the first error
-        re-raises."""
+        """Read every task's instance column on the pool; returns the
+        value columns in task order.  Every future is drained before
+        the first error re-raises."""
         pool = self._ensure_pool()
         self._batches += len(tasks)
         in_flight = self._m_in_flight
         futures = []
-        for task in tasks:
-            futures.append(pool.submit(self._run_task, task, read_column))
+        for instances in tasks:
+            futures.append(pool.submit(read_column, instances))
             if in_flight is not None:
                 in_flight.inc()
         first_error: Optional[BaseException] = None

@@ -8,7 +8,7 @@ an action argument) is checked against its declared type before delivery.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, List, Mapping
 
 from repro.errors import ValueConformanceError
 from repro.typesys.core import (
@@ -101,7 +101,10 @@ def check_value(dia_type: DiaType, value: Any) -> Any:
             )
         return value
     if isinstance(dia_type, StructureType):
-        if isinstance(value, StructureValue) and value.structure_type == dia_type:
+        if (
+            isinstance(value, StructureValue)
+            and value.structure_type == dia_type
+        ):
             return value
         if isinstance(value, Mapping):
             return StructureValue(dia_type, **value)
@@ -134,6 +137,31 @@ def coerce_value(dia_type: DiaType, value: Any) -> Any:
         if isinstance(value, int):
             return float(value)
     return check_value(dia_type, value)
+
+
+# The Python class whose exact instances conform to a primitive as they
+# are.  ``type(True) is bool``, so an exact ``int`` is never a Boolean;
+# an ``int`` in a Float column is not exactly ``float`` and widens below.
+_EXACT_CLASS = {"Boolean": bool, "Integer": int, "Float": float, "String": str}
+
+
+def coerce_column(dia_type: DiaType, values: List[Any]) -> List[Any]:
+    """:func:`coerce_value` over a whole column of readings.
+
+    This is the per-value rule proved in one pass, not a second rule:
+    when every value is *exactly* the primitive's Python class no value
+    can fail or widen, and the column is returned **as is** (the same
+    list — callers must own it).  Anything else — an ``int`` among
+    Floats, a ``bool`` among Integers, a subclass, ``None``, every
+    non-primitive type — runs :func:`coerce_value` per value, so results
+    and :class:`ValueConformanceError` messages are those of the scalar
+    path.
+    """
+    if isinstance(dia_type, PrimitiveType):
+        exact = _EXACT_CLASS.get(dia_type.name)
+        if exact is not None and set(map(type, values)) <= {exact}:
+            return values
+    return [coerce_value(dia_type, value) for value in values]
 
 
 def _check_primitive(dia_type: PrimitiveType, value: Any) -> None:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import DeliveryError, DeviceUnavailableError
 from repro.faults.policy import StalePolicy, SupervisionPolicy
-from repro.runtime.app import Application
+from repro.runtime.app import _DROPPED, _Lost, Application
 from repro.runtime.clock import SimulationClock
 from repro.runtime.component import Context
 from repro.runtime.config import RuntimeConfig
@@ -136,6 +136,77 @@ class TestStaleServingIntoSweeps:
         # The cached value aged past 90s, so later sweeps drop to skip
         # behaviour for that entity.
         assert sweeps.deliveries[-1]["NORTH"] == [2.0]
+
+
+class TestFoldReadOutcomes:
+    """``Application._fold_read_outcomes`` on the outcome column of one
+    sweep: the identity on a sweep that lost nothing, one rebuild of
+    both columns otherwise."""
+
+    def sweep(self, stale):
+        app, __, __, __ = build(stale=stale)
+        app.advance(60)  # one clean sweep: every entity has a last value
+        instances = list(app.registry.instances_of("Sensor"))
+        return app, instances, [10.0, 20.0, 30.0, 40.0]
+
+    def lost_counters(self, app):
+        return (
+            app.stats["gather_network_dropped"],
+            app.stats["gather_read_failed"],
+            app.supervision.stats()["stale_serves"],
+        )
+
+    def test_nothing_lost_returns_the_very_columns(self):
+        app, instances, outcomes = self.sweep(StalePolicy("last_known"))
+        before = self.lost_counters(app)
+        kept, values = app._fold_read_outcomes(instances, outcomes, "reading")
+        assert kept is instances and values is outcomes
+        assert self.lost_counters(app) == before
+
+    def test_dropped_reads_leave_the_columns(self):
+        app, instances, outcomes = self.sweep(StalePolicy("last_known"))
+        outcomes[0] = outcomes[2] = _DROPPED
+        kept, values = app._fold_read_outcomes(instances, outcomes, "reading")
+        # A network drop is not a failure: never served stale.
+        assert [i.entity_id for i in kept] == ["n-1", "s-1"]
+        assert values == [20.0, 40.0]
+        assert self.lost_counters(app) == (2, 0, 0)
+        assert len(instances) == len(outcomes) == 4  # inputs untouched
+
+    @pytest.mark.parametrize(
+        "mode, entities, readings, stale_serves",
+        [
+            ("skip", ["n-0", "s-0", "s-1"], [10.0, 30.0, 40.0], 0),
+            # The failed read is served from the last good value (2.0),
+            # in its registry position.
+            (
+                "last_known",
+                ["n-0", "n-1", "s-0", "s-1"],
+                [10.0, 2.0, 30.0, 40.0],
+                1,
+            ),
+        ],
+    )
+    def test_failed_reads_follow_the_stale_policy(
+        self, mode, entities, readings, stale_serves
+    ):
+        app, instances, outcomes = self.sweep(StalePolicy(mode))
+        outcomes[1] = _Lost(DeliveryError("sensor is dark"))
+        kept, values = app._fold_read_outcomes(instances, outcomes, "reading")
+        assert [i.entity_id for i in kept] == entities
+        assert values == readings
+        assert self.lost_counters(app) == (0, 1, stale_serves)
+
+    def test_fail_mode_raises_the_read_error(self):
+        app, instances, outcomes = self.sweep(StalePolicy("fail"))
+        error = DeliveryError("sensor is dark")
+        outcomes[0] = _DROPPED
+        outcomes[2] = _Lost(error)
+        with pytest.raises(DeliveryError) as raised:
+            app._fold_read_outcomes(instances, outcomes, "reading")
+        assert raised.value is error
+        # Counted up to and including the read that raised.
+        assert self.lost_counters(app) == (1, 1, 0)
 
 
 class TestStaleServingIntoWindows:

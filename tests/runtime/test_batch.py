@@ -232,6 +232,66 @@ class TestDemotion:
         assert batched.sweeper.stats()["batch_demoted"] >= 1
         assert batched.stats["gather_read_failed"] == 0
 
+    def test_a_cohort_plan_never_outlives_the_membership_it_was_cut_for(
+        self,
+    ):
+        """``failed`` flags move members in and out of a sweep shard
+        without a registry version bump.  Two such memberships of the
+        same length and first entity must not share a cohort plan — it
+        would read an entity through another cohort's gateway."""
+        batch_calls = []
+
+        class RecordingSubstrate(FleetSubstrate):
+            def read_column(self, source, entity_ids):
+                batch_calls.append((self, list(entity_ids)))
+                return super().read_column(source, entity_ids)
+
+        config = RuntimeConfig(batch=BatchConfig(enabled=True))
+        app = Application(analyze(DESIGN), config)
+        free = app.implement("FreeCount", FreeCountImpl())
+        app.implement("Windowed", WindowedImpl())
+        gateways = [
+            RecordingSubstrate(
+                app.clock, seed=seed, models={"presence": lambda draw: False}
+            )
+            for seed in (1, 2)
+        ]
+        owner = {}
+        for index in range(4):
+            owner[f"s-{index}"] = gateways[index % 2]
+            app.create_device(
+                "PresenceSensor",
+                f"s-{index}",
+                owner[f"s-{index}"].driver("presence"),
+                parkingLot="A22",
+            )
+        app.start()
+
+        def fail_only(*entity_ids):
+            for instance in app.registry.instances_of(
+                "PresenceSensor", include_failed=True
+            ):
+                instance.failed = instance.entity_id in entity_ids
+
+        # Sweep [s-0, s-2]: one gateway, one cohort of two.
+        fail_only("s-1", "s-3")
+        app.advance(PERIOD)
+        assert batch_calls and all(
+            call == (gateways[0], ["s-0", "s-2"]) for call in batch_calls
+        )
+        del batch_calls[:]
+        demoted = app.sweeper.stats()["batch_demoted"]
+        # Sweep [s-0, s-1]: same length, same first entity, same
+        # registry version — two gateways, so two cohorts of one, both
+        # below min_column and read one by one.
+        fail_only("s-2", "s-3")
+        app.advance(PERIOD)
+        for gateway, entity_ids in batch_calls:
+            assert all(owner[e] is gateway for e in entity_ids)
+        assert batch_calls == []
+        assert app.sweeper.stats()["batch_demoted"] > demoted
+        assert free.deliveries[-1] == {"A22": 2}
+
     def test_quarantined_device_demotes_to_scalar_breaker_path(self):
         policy = SupervisionPolicy(
             failure_threshold=1, quarantine_after=1, jitter=0.0

@@ -838,3 +838,57 @@ class TestShardScalingShape:
         # loosely — CI boxes are noisy — the real gate lives in
         # benchmarks/bench_shard_scaling.py.
         assert sharded < serial
+
+
+class TestPollAllocation:
+    """A steady-state worker poll is column-native: it allocates a
+    handful of fleet-sized lists, not a container per reading, so the
+    cyclic collector has nothing to chase."""
+
+    @staticmethod
+    def collections_during_one_poll(sensors):
+        """Collector runs per generation over one steady-state
+        ``_cmd_poll`` of an in-process worker (columnar reads, static
+        fleet, grouped gather through the delta encoder)."""
+        import gc
+
+        from repro.runtime.shard.worker import _ShardWorker
+
+        worker = _ShardWorker(
+            PresenceBootstrap(
+                sensors=sensors, batch=BatchConfig(enabled=True)
+            ),
+            ShardContext(shards=1, index=0),
+        )
+        first = worker._cmd_poll("Windowed", 0)
+        assert first["reset"] is True and "register" in first
+        steady = worker._cmd_poll("Windowed", 0)
+        assert steady["quiescent"] == sensors and "register" not in steady
+        runs = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "start":
+                runs[info["generation"]] += 1
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            reply = worker._cmd_poll("Windowed", 0)
+        finally:
+            gc.callbacks.remove(count)
+            if not was_enabled:
+                gc.disable()
+        assert reply["quiescent"] == sensors
+        assert worker.app.sweeper.stats()["batch_reads"] == 3 * len(LOTS)
+        return runs
+
+    def test_collections_do_not_grow_with_the_fleet(self):
+        small = self.collections_during_one_poll(2_000)
+        large = self.collections_during_one_poll(8_000)
+        assert small[2] == 0 and large[2] == 0
+        # Four times the readings, no more young collections: nothing
+        # is allocated per reading.  (With four short-lived tuples per
+        # reading this read 8 collections at 2 000 devices, 32 at 8 000.)
+        assert large[0] <= small[0] <= 1

@@ -153,11 +153,13 @@ class TestEncoderToMirror:
             ]
             for shard in range(shards):
                 mine = [row for row in surviving if owner[row[0]] == shard]
-                positions = [position for position, __, ___ in mine]
-                readings = [(subject, value) for __, subject, value in mine]
+                # Three aligned columns, as the worker's poll hands them.
+                positions, subjects, column = (
+                    [row[field] for row in mine] for field in range(3)
+                )
                 blocks = over_the_wire(
                     encoders[shard].encode(
-                        versions[shard], positions, readings, ident_of
+                        versions[shard], positions, subjects, column, ident_of
                     )
                 )
                 delta_rows, quiescent = mirror.apply(shard, blocks)
@@ -166,7 +168,7 @@ class TestEncoderToMirror:
                 changed = blocks.get("changed")
                 shipped += len(changed[-1]) if changed else 0
                 # Every reading is either shipped or counted.
-                assert shipped + quiescent == len(readings)
+                assert shipped + quiescent == len(mine)
                 assert delta_rows >= shipped
             # repr: order, value types and NaN all have to agree.
             assert repr(mirror.rows()) == repr(
@@ -184,19 +186,21 @@ class TestEncoderToMirror:
 
     def test_steady_state_ships_one_integer(self):
         encoder = _DeltaEncoder(flat=False)
-        readings = [(entity(p, 0), 0) for p in range(50)]
+        subjects = [entity(p, 0) for p in range(50)]
         positions = list(range(50))
-        first = encoder.encode(1, positions, readings, zone_of)
+        first = encoder.encode(1, positions, subjects, [0] * 50, zone_of)
         assert first["reset"] is True
         assert len(first["register"][-1]) == 50
-        second = encoder.encode(1, positions, readings, zone_of)
+        second = encoder.encode(1, positions, subjects, [0] * 50, zone_of)
         assert second == {"quiescent": 50}
 
     def test_payload_is_a_fresh_copy(self):
         encoder = _DeltaEncoder(flat=False)
         mirror = _Mirror(1, flat=False)
-        readings = [(entity(0, 0), 5), (entity(1, 0), 6)]
-        mirror.apply(0, encoder.encode(1, [0, 1], readings, zone_of))
+        subjects = [entity(0, 0), entity(1, 0)]
+        mirror.apply(
+            0, encoder.encode(1, [0, 1], subjects, [5, 6], zone_of)
+        )
         payload = mirror.payload()
         for column in payload.values():
             column.clear()

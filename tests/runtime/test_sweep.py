@@ -197,9 +197,10 @@ class TestDeterministicMerge:
                 seen.append(instance.entity_id)
             return instance.entity_id
 
-        results = app.sweeper.sweep("PresenceSensor", read_one)
-        merged = [instance.entity_id for instance, __ in results]
+        instances, results = app.sweeper.sweep("PresenceSensor", read_one)
+        merged = [instance.entity_id for instance in instances]
         assert merged == [f"s-{i}" for i in range(6)]
+        assert results == merged  # aligned with the instance column
         assert sorted(seen) == sorted(merged)
         app.stop()
 
@@ -273,16 +274,15 @@ class TestOneSweepLoop:
                 columns.append([i.entity_id for i in instances])
             return [read_one(instance) for instance in instances]
 
-        results = app.sweeper.sweep(
+        instances, results = app.sweeper.sweep(
             "PresenceSensor",
             read_one,
             read_column=read_column if columnar else None,
         )
         expected = [f"s-{i}" for i in range(self.SENSORS)]
-        assert [instance.entity_id for instance, __ in results] == expected
-        assert [value for __, value in results] == [
-            (entity_id, True) for entity_id in expected
-        ]
+        # Two columns, aligned, both in registry order.
+        assert [instance.entity_id for instance in instances] == expected
+        assert results == [(entity_id, True) for entity_id in expected]
         assert sorted(driver_reads) == expected
         stats = app.sweeper.stats()
         assert stats["reads"] == self.SENSORS
@@ -302,6 +302,61 @@ class TestOneSweepLoop:
             assert stats["batches"] == (3 if columnar else 4)
         else:
             assert stats["batches"] == 0
+        app.sweeper.close()
+
+    @pytest.mark.parametrize("mode", ["serial", "threaded"])
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_the_cut_is_reused_until_the_membership_moves(
+        self, mode, columnar
+    ):
+        """The instance column belongs to the memoized cut: the very
+        same list comes back while the registry partition holds, and a
+        bind, an unbind and a flipped ``failed`` flag each recompile
+        it."""
+        app, __ = self.build(mode)
+
+        def ids():
+            instances, results = app.sweeper.sweep(
+                "PresenceSensor",
+                lambda instance: instance.entity_id,
+                read_column=(
+                    (lambda column: [i.entity_id for i in column])
+                    if columnar
+                    else None
+                ),
+            )
+            assert results == [i.entity_id for i in instances]
+            return instances
+
+        first = ids()
+        assert ids() is first
+        app.create_device(
+            "PresenceSensor",
+            "s-new",
+            CallableDriver(sources={"presence": lambda: True}),
+            parkingLot=LOTS[0],
+        )
+        bound = ids()
+        assert bound is not first
+        assert [i.entity_id for i in bound][-1] == "s-new"
+        assert ids() is bound
+        app.unbind_device("s-new")
+        unbound = ids()
+        assert unbound is not bound
+        assert [i.entity_id for i in unbound] == [
+            f"s-{i}" for i in range(self.SENSORS)
+        ]
+        assert ids() is unbound
+        # A failed flag filters the member without a version bump, so
+        # the partition is not memoizable while it is up.
+        app.registry.get("s-2").fail()
+        flagged = ids()
+        assert "s-2" not in [i.entity_id for i in flagged]
+        assert ids() is not flagged
+        app.registry.get("s-2").recover()
+        recovered = ids()
+        assert len(recovered) == self.SENSORS
+        assert ids() is recovered
         app.sweeper.close()
 
     def test_serial_scalar_reads_in_registration_order(self):

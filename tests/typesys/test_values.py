@@ -14,7 +14,12 @@ from repro.typesys.core import (
     STRING,
     StructureType,
 )
-from repro.typesys.values import StructureValue, check_value, coerce_value
+from repro.typesys.values import (
+    StructureValue,
+    check_value,
+    coerce_column,
+    coerce_value,
+)
 
 LOTS = EnumerationType("LotEnum", ("A22", "B16", "D6"))
 AVAILABILITY = StructureType(
@@ -191,3 +196,87 @@ def test_mixed_garbage_never_passes_string_silently(values):
     else:
         with pytest.raises(ValueConformanceError):
             check_value(array_type, values)
+
+
+class _Level(int):
+    """An ``int`` subclass: conforms to Integer, but only the per-value
+    rule may say so."""
+
+
+_COLUMN_TYPES = (
+    BOOLEAN,
+    INTEGER,
+    FLOAT,
+    STRING,
+    LOTS,
+    AVAILABILITY,
+    ArrayType(INTEGER),
+)
+
+_COLUMN_ITEMS = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-5, max_value=5),
+    st.floats(allow_nan=False, width=16),
+    st.sampled_from(["A22", "D6", "nowhere", ""]),
+    st.none(),
+    st.builds(_Level, st.integers(min_value=0, max_value=3)),
+    st.just({"parkingLot": "A22", "count": 1}),
+    st.just({"parkingLot": "A22"}),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+)
+
+
+def _outcome(coerce):
+    """What a coercion produced, down to value types and the error
+    message."""
+    try:
+        values = coerce()
+    except ValueConformanceError as error:
+        return ("raised", str(error))
+    return ("ok", [(type(value), value) for value in values])
+
+
+@given(
+    st.sampled_from(_COLUMN_TYPES),
+    st.one_of(
+        # Mostly-uniform columns (the fast path and its near misses) ...
+        st.sampled_from(
+            [st.booleans(), st.integers(), st.floats(), st.text()]
+        ).flatmap(
+            lambda items: st.tuples(
+                st.lists(items, max_size=6),
+                st.lists(_COLUMN_ITEMS, max_size=1),
+                st.lists(items, max_size=2),
+            ).map(lambda parts: parts[0] + parts[1] + parts[2])
+        ),
+        # ... and arbitrary mixtures.
+        st.lists(_COLUMN_ITEMS, max_size=6),
+    ),
+)
+def test_coerce_column_is_coerce_value_per_value(dia_type, column):
+    """Column coercion is the per-value rule proved in one pass: same
+    values, same value types, same error for the same first offender."""
+    per_value = _outcome(
+        lambda: [coerce_value(dia_type, value) for value in column]
+    )
+    assert _outcome(lambda: coerce_column(dia_type, list(column))) == per_value
+
+
+def test_coerce_column_returns_an_exact_column_as_it_is():
+    for dia_type, column in (
+        (BOOLEAN, [True, False]),
+        (INTEGER, [1, 2, 3]),
+        (FLOAT, [0.5, 1.5]),
+        (STRING, ["a", ""]),
+        (INTEGER, []),
+    ):
+        assert coerce_column(dia_type, column) is column
+    # Near misses take the per-value rule: widening, and the strictness
+    # about bool that ``isinstance`` alone would lose.
+    widened = coerce_column(FLOAT, [1, 2.5])
+    assert widened == [1.0, 2.5] and type(widened[0]) is float
+    assert coerce_column(INTEGER, [_Level(2), 1]) == [2, 1]
+    with pytest.raises(ValueConformanceError, match="True is not an Integer"):
+        coerce_column(INTEGER, [1, True])
+    with pytest.raises(ValueConformanceError, match="None is not a String"):
+        coerce_column(STRING, ["a", None])
