@@ -15,19 +15,17 @@ custom cumulative-cost objective hill-climbs ``batch.min_column`` online
 through ``Application.apply_config``, re-batching in congestion and
 demoting to scalar when stragglers appear.
 
-Headline assertion (the PR acceptance bar, gated in the CI
-``tuning-smoke`` job and snapshotted in ``BENCH_009.json``): over the
-full flapping schedule the adaptive run's p99 per-sweep modeled gather
-latency beats **every** fixed ``min_column x failure_threshold`` config
-in the grid, while delivering the same number of full-cohort payloads.
+Headline assertion: over the full flapping schedule the adaptive run's
+p99 per-sweep modeled gather latency beats **every** fixed
+``min_column x failure_threshold`` config in the grid, while delivering
+the same number of full-cohort payloads.  This is the tuning
+controller's only scenario until an end-to-end flapping-gateway
+workload measures it on the wall clock.
 
 Everything is deterministic: the fault schedule is a pure function of
 the sweep index, the cost model is analytic (no wall-clock sleeps), and
 the controller runs with ``epsilon=0``.
 """
-
-import json
-import os
 
 from repro.api import (
     Application,
@@ -66,8 +64,10 @@ TIMEOUT_MS = 100.0  # a scalar read that hits READ_TIMEOUT_S
 FIXED_MIN_COLUMNS = (2, 8, 128)
 FIXED_THRESHOLDS = (1, 3)
 ADAPTIVE_THRESHOLD = 1
-
-ARTIFACT = os.environ.get("ADAPTIVE_JSON")
+# The model is analytic and the controller runs with epsilon=0, so the
+# headline numbers repeat exactly on every machine.
+ADAPTIVE_P99_MS = 120.0
+BEST_FIXED_P99_MS = 1320.0
 
 DESIGN = analyze(
     """
@@ -264,28 +264,6 @@ def test_adaptive_beats_every_fixed_config(table, benchmark):
         rows,
     )
     stats = adaptive["tuning"]["stats"]
-    best_fixed = min(fixed, key=lambda run: run["p99_ms"])
-    if ARTIFACT:
-        with open(ARTIFACT, "w") as handle:
-            json.dump(
-                {
-                    "devices": DEVICES,
-                    "sweeps": SWEEPS,
-                    "adaptive_p99_ms": adaptive["p99_ms"],
-                    "adaptive_mean_ms": adaptive["mean_ms"],
-                    "best_fixed_p99_ms": best_fixed["p99_ms"],
-                    "best_fixed": (
-                        f"mc={best_fixed['min_column']} "
-                        f"ft={best_fixed['failure_threshold']}"
-                    ),
-                    "adjustments": stats["adjustments"],
-                    "rollbacks": stats["rollbacks"],
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
     # Every sweep delivered a full cohort: stale-value delivery kept
     # payloads whole through breaker-open windows in every mode.
     for run in fixed + [adaptive]:
@@ -302,3 +280,5 @@ def test_adaptive_beats_every_fixed_config(table, benchmark):
             f"fixed mc={run['min_column']} ft={run['failure_threshold']} "
             f"({run['p99_ms']:.1f} ms)"
         )
+    assert adaptive["p99_ms"] == ADAPTIVE_P99_MS
+    assert min(run["p99_ms"] for run in fixed) == BEST_FIXED_P99_MS

@@ -9,7 +9,6 @@ query-driven pays only per consumer demand.
 
 import time
 
-from repro.mapreduce.api import MapReduce
 from repro.runtime.app import Application
 from repro.runtime.component import Context
 from repro.runtime.device import CallableDriver
@@ -139,163 +138,6 @@ def test_delivery_model_comparison(table, benchmark):
     assert periodic_deliveries == 60 * sensors
     assert event_deliveries == change_events_per_sensor * sensors
     assert periodic_deliveries > event_deliveries > sensors / 2
-
-
-# ---------------------------------------------------------------------------
-# C3b — windowed aggregation: buffered vs streaming (incremental) windows.
-# The paper's AverageOccupancy gathers every 10 minutes but publishes once
-# per 24-hour window; buffering the window costs O(readings), the
-# streaming fast path O(groups).
-# ---------------------------------------------------------------------------
-
-RAW_WINDOW_DESIGN = """\
-device Sensor {{
-    attribute zone as ZoneEnum;
-    source free as Boolean;
-}}
-enumeration ZoneEnum {{ {zones} }}
-context Sink as Integer {{
-    when periodic free from Sensor <10 min>
-    grouped by zone every <24 hr>
-    always publish;
-}}
-"""
-
-MR_WINDOW_DESIGN = """\
-device Sensor {{
-    attribute zone as ZoneEnum;
-    source free as Boolean;
-}}
-enumeration ZoneEnum {{ {zones} }}
-context Sink as Integer {{
-    when periodic free from Sensor <10 min>
-    grouped by zone every <24 hr>
-    with map as Integer reduce as Integer
-    always publish;
-}}
-"""
-
-
-class RawWindowSink(Context):
-    """Buffered raw readings: count free observations over the window."""
-
-    def on_periodic_free(self, window_by_zone, discover):
-        return sum(
-            sum(1 for free in readings if free)
-            for readings in window_by_zone.values()
-        )
-
-
-class MapReduceWindowSink(Context, MapReduce):
-    """Same aggregate through map/combine/reduce; the window delivers
-    one folded value per zone."""
-
-    def map(self, zone, free, collector):
-        if free:
-            collector.emit_map(zone, 1)
-
-    def combine(self, zone, counts, collector):
-        collector.emit_combine(zone, sum(counts))
-
-    def reduce(self, zone, counts, collector):
-        collector.emit_reduce(zone, sum(counts))
-
-    def on_periodic_free(self, free_by_zone, discover):
-        return sum(free_by_zone.values())
-
-
-def build_windowed(design_template, sink, sensors, zones):
-    zone_names = [f"Z{i}" for i in range(zones)]
-    design = design_template.format(zones=", ".join(zone_names))
-    app = Application(analyze(design))
-    app.implement("Sink", sink)
-    published = []
-    app.bus.subscribe(
-        ("context", "Sink"), lambda event: published.append(event.value)
-    )
-    for index in range(sensors):
-        app.create_device(
-            "Sensor",
-            f"s{index}",
-            CallableDriver(sources={"free": lambda i=index: i % 3 == 0}),
-            zone=zone_names[index % zones],
-        )
-    app.start()
-    return app, published
-
-
-def test_windowed_aggregation_models(table, benchmark):
-    sensors, zones = 200, 8
-    day = 24 * 3600
-    sweeps = 144  # 24 hr / 10 min
-
-    def run_comparison():
-        rows = []
-        results = {}
-        for label, template, sink in (
-            ("raw buffered", RAW_WINDOW_DESIGN, RawWindowSink()),
-            ("mapreduce streaming", MR_WINDOW_DESIGN, MapReduceWindowSink()),
-        ):
-            app, published = build_windowed(template, sink, sensors, zones)
-            app.bus.reset_stats()
-            start = time.perf_counter()
-            app.advance(day)
-            elapsed = time.perf_counter() - start
-            window = app.stats["windows"]["Sink"]
-            results[label] = (published, window)
-            rows.append(
-                (
-                    label,
-                    window["mode"],
-                    window["peak_buffered_values"],
-                    published[0] if published else "-",
-                    f"{elapsed * 1e3:.0f} ms",
-                    app.bus.stats()["published"],
-                )
-            )
-        return rows, results
-
-    rows, results = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    table(
-        f"C3b: 24-hr window over 10-min sweeps, {sensors} sensors, "
-        f"{zones} zones",
-        ("window mode", "accumulator", "peak buffered", "published total",
-         "wall time", "bus publishes"),
-        rows,
-    )
-    raw_published, raw_window = results["raw buffered"]
-    streaming_published, streaming_window = results["mapreduce streaming"]
-    # Identical published values across both pipelines.
-    assert raw_published == streaming_published
-    assert len(streaming_published) == 1  # one 24-hour publication
-    # Peak window state: O(readings) raw, O(groups) streaming.
-    assert raw_window["peak_buffered_values"] == sensors * sweeps
-    assert streaming_window["peak_buffered_values"] == zones
-
-
-def test_streaming_window_state_constant_in_fleet_size(table, benchmark):
-    """Doubling the fleet must not grow streaming window state."""
-    zones, day = 8, 24 * 3600
-
-    def run_scaling():
-        peaks = {}
-        for sensors in (100, 400):
-            app, __ = build_windowed(
-                MR_WINDOW_DESIGN, MapReduceWindowSink(), sensors, zones
-            )
-            app.advance(day)
-            peaks[sensors] = (
-                app.stats["windows"]["Sink"]["peak_buffered_values"]
-            )
-        return peaks
-
-    peaks = benchmark.pedantic(run_scaling, rounds=1, iterations=1)
-    table(
-        "C3b2: streaming window state vs fleet size (8 zones)",
-        ("sensors", "peak buffered values"),
-        [(sensors, peak) for sensors, peak in sorted(peaks.items())],
-    )
-    assert peaks[100] == peaks[400] == zones
 
 
 def test_bench_event_dispatch(benchmark):

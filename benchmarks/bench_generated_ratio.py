@@ -7,6 +7,7 @@ implementation LoC (logic + devices + assembly).  The headline number is
 the generated ratio per application.
 """
 
+import importlib
 import inspect
 
 import pytest
@@ -18,26 +19,12 @@ from repro.codegen.report import measure_generation
 
 def handwritten_source(app_package) -> str:
     """The developer-written code of a bundled app: logic + devices."""
-    chunks = []
-    for module_name in ("logic", "devices"):
-        module = getattr(
-            __import__(
-                f"{app_package.__name__}.{module_name}",
-                fromlist=[module_name],
-            ),
-            "__name__",
-            None,
+    return "\n".join(
+        inspect.getsource(
+            importlib.import_module(f"{app_package.__name__}.{module_name}")
         )
-        import importlib
-
-        chunks.append(
-            inspect.getsource(
-                importlib.import_module(
-                    f"{app_package.__name__}.{module_name}"
-                )
-            )
-        )
-    return "\n".join(chunks)
+        for module_name in ("logic", "devices")
+    )
 
 
 APPS = [
@@ -85,7 +72,9 @@ def test_generated_ratio_table(table, benchmark):
     assert max(ratios.values()) >= 0.55
 
 
-@pytest.mark.parametrize("name,package,design", APPS)
+@pytest.mark.parametrize(
+    "name,package,design", APPS, ids=[app[0] for app in APPS]
+)
 def test_bench_compile_design(benchmark, name, package, design):
     """Compiler throughput: parse + analyze + generate."""
     source = benchmark(generate_framework, design, name.capitalize())

@@ -1,12 +1,11 @@
 """The fleet-scale benchmark bootstrap (million-device hot path).
 
-Shared by ``bench_fleet_scale.py`` and ``perf_snapshot.py --section
-fleet``; not part of the library.
+Used by ``bench_fleet_scale.py``; not part of the library.  Module-level
+and frozen so worker processes can unpickle it by import path.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,12 +19,7 @@ from repro.api import (
     ShardContext,
     analyze,
 )
-from repro.simulation.sensors import GatewaySubstrate
-
-# app -> the GatewaySubstrate its bootstrap built, so bind_entity can
-# attach late entities to the same per-process substrate without
-# stashing live (unpicklable) objects on the frozen bootstrap record.
-_SUBSTRATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+from repro.simulation.sensors import FleetSubstrate
 
 _FLEET_SCALE_DESIGN = """\
 device FleetSensor {
@@ -63,27 +57,15 @@ class FleetScaleBootstrap(ShardBootstrap):
     ``activity`` fraction of devices that flipped cross the pipe, the
     rest collapse into the quiescent count, and the columnar batch path
     plus memoized cohort plans keep the worker-side sweep cost flat.
-    ``service_time`` models per-device gateway read latency — the
-    quantity sharding overlaps across worker processes.  Frozen and
-    module-level, so it survives ``spawn`` pickling.
     """
 
     count: int = 10_000
     seed: int = 0
-    service_time: float = 0.0
     activity: float = 0.02
     shard: Optional[ShardConfig] = None
 
     def fleet(self) -> Sequence[str]:
         return [f"fleet-sensor-{index:07d}" for index in range(self.count)]
-
-    def _create(self, app, substrate, entity_id: str, position: int) -> None:
-        app.create_device(
-            "FleetSensor",
-            entity_id,
-            substrate.driver("level"),
-            zone=_FLEET_SCALE_ZONES[position % len(_FLEET_SCALE_ZONES)],
-        )
 
     def build(self, ctx: ShardContext) -> Application:
         class ZoneLevelsImpl(Context):
@@ -96,19 +78,18 @@ class FleetScaleBootstrap(ShardBootstrap):
         )
         app = Application(analyze(_FLEET_SCALE_DESIGN), config)
         app.implement("ZoneLevels", ZoneLevelsImpl())
-        substrate = GatewaySubstrate(
+        substrate = FleetSubstrate(
             app.clock,
             seed=self.seed,
             models={"level": _make_activity_model(self.activity)},
-            service_time=self.service_time,
         )
-        _SUBSTRATES[app] = substrate
+        zones = len(_FLEET_SCALE_ZONES)
         for position, entity_id in enumerate(self.fleet()):
             if ctx.owns(entity_id):
-                self._create(app, substrate, entity_id, position)
+                app.create_device(
+                    "FleetSensor",
+                    entity_id,
+                    substrate.driver("level"),
+                    zone=_FLEET_SCALE_ZONES[position % zones],
+                )
         return app
-
-    def bind_entity(
-        self, app: Application, entity_id: str, position: int
-    ) -> None:
-        self._create(app, _SUBSTRATES[app], entity_id, position)

@@ -63,6 +63,7 @@ from repro.runtime.component import (
     SourceEvent,
 )
 from repro.faults.policy import HEALTHY
+from repro.faults.supervisor import SupervisionManager
 from repro.runtime.device import DeviceDriver, DeviceInstance
 from repro.runtime.discovery import Discover
 from repro.runtime.grouping import (
@@ -169,11 +170,6 @@ class Application:
         self.qos = QoSMonitor(metrics=self.metrics)
         # Fault-tolerance layer: per-entity breakers/health plus the
         # degraded-delivery policy gathers apply when a source is dark.
-        # Imported here, not at module level: when repro.faults is the
-        # import entry point its own init chain re-enters this module
-        # (faults.supervisor -> telemetry -> chrometrace -> runtime).
-        from repro.faults.supervisor import SupervisionManager
-
         self.supervision = SupervisionManager(
             self.clock,
             default_policy=config.supervision,

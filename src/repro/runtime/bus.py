@@ -21,8 +21,8 @@ the last publish on that topic, not copied on every publish.
 Delivery counters are plain integers bumped inline; when a
 :class:`~repro.telemetry.MetricsRegistry` is attached (the application
 always attaches its own), they are exported as pull-time callback
-metrics — the publish path itself pays nothing for telemetry, which the
-``bench_telemetry_overhead`` benchmark enforces.
+metrics — the publish path itself pays nothing for telemetry, which
+``tests/telemetry/test_instrument.py::TestZeroCostContract`` enforces.
 """
 
 from __future__ import annotations

@@ -261,32 +261,17 @@ class EntityRegistry(Instrumented):
         device_type: str,
         *,
         attribute: Optional[str] = None,
-        shards: Optional[int] = None,
         include_failed: bool = False,
         include_quarantined: bool = False,
     ) -> List[Tuple[str, List[Tuple[int, DeviceInstance]]]]:
         """Instances of ``device_type`` partitioned into deterministic
         shards for sweep fan-out.
 
-        Two partitioning modes:
-
-        * **Attribute mode** (default) — shards are keyed by the value
-          of one registry-indexed attribute (``attribute``, or the
-          device type's first declared attribute when ``None``;
-          attribute-less types collapse to one ``""`` shard).  Only
-          shards with at least one member exist, and shard order is the
-          registration order of each shard's first instance.
-        * **Hash mode** (``shards=N``) — instances are partitioned by
-          the stable crc32 hash of their entity id
-          (:func:`repro.mapreduce.partition.shard_index`) into
-          **exactly** ``N`` shards keyed ``"hash:0"`` .. ``"hash:N-1"``,
-          in that fixed order.  When ``shards`` exceeds the entity
-          count, the surplus shards are present and **empty** — never
-          dropped, renumbered, or coalesced — so a process-sharded
-          runtime can hold one worker per shard whatever the fleet size
-          and the assignment of any one entity never depends on how
-          many other entities exist.  ``shards`` and ``attribute`` are
-          mutually exclusive.
+        Shards are keyed by the value of one registry-indexed attribute
+        (``attribute``, or the device type's first declared attribute
+        when ``None``; attribute-less types collapse to one ``""``
+        shard).  Only shards with at least one member exist, and shard
+        order is the registration order of each shard's first instance.
 
         Each member is a ``(position, instance)`` pair where
         ``position`` is the instance's index in the registration-ordered
@@ -295,16 +280,8 @@ class EntityRegistry(Instrumented):
         :class:`~repro.runtime.sweep.SweepEngine` (and the sharded
         runtime's coordinator) merge per-shard results back into the
         exact registry iteration order.  Instances keep registration
-        order within their shard in both modes.
+        order within their shard.
         """
-        if shards is not None:
-            if attribute is not None:
-                raise ValueError(
-                    "iter_shards() takes either attribute= or shards=, "
-                    "not both"
-                )
-            if shards < 1:
-                raise ValueError("shards must be >= 1")
         # Partition memo: at fleet scale re-deriving the shard lists
         # every sweep dominates the sweep's own bookkeeping, yet the
         # partition is a pure function of the registry contents
@@ -315,7 +292,6 @@ class EntityRegistry(Instrumented):
         memo_key = (
             device_type,
             attribute,
-            shards,
             include_failed,
             include_quarantined,
         )
@@ -333,23 +309,6 @@ class EntityRegistry(Instrumented):
             include_failed=include_failed,
             include_quarantined=include_quarantined,
         )
-        if shards is not None:
-            from repro.mapreduce.partition import shard_index
-
-            buckets: List[List[Tuple[int, DeviceInstance]]] = [
-                [] for __ in range(shards)
-            ]
-            for position, instance in enumerate(instances):
-                buckets[shard_index(instance.entity_id, shards)].append(
-                    (position, instance)
-                )
-            result = [
-                (f"hash:{index}", members)
-                for index, members in enumerate(buckets)
-            ]
-            if memoizable:
-                self._shard_memo[memo_key] = (self._version, result)
-            return result
         grouped: Dict[str, List[Tuple[int, DeviceInstance]]] = {}
         for position, instance in enumerate(instances):
             name = attribute

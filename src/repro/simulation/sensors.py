@@ -221,9 +221,8 @@ class GatewaySubstrate(FleetSubstrate):
     batched — batching amortizes round-trips, not radio time).  The
     sleep happens in whichever process issues the read, so a sharded
     runtime overlaps the modeled service time across worker processes
-    exactly as real gateways serve their shards concurrently — the same
-    latency-modeling convention ``bench_sweep_concurrency`` uses for
-    threads.  Values remain the byte-identical pure function of
+    exactly as real gateways serve their shards concurrently.  Values
+    remain the byte-identical pure function of
     ``(seed, source, entity_id, now)`` from the base class.
     """
 

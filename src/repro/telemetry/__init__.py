@@ -18,10 +18,6 @@ The pre-existing ad-hoc surfaces (``bus.stats()``,
 same numbers.
 """
 
-# Import order matters: the registry must be bound before chrometrace,
-# whose import chain re-enters this package via repro.runtime.app
-# (app.py imports MetricsRegistry from the partially initialized
-# module).
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
     CallbackValue,

@@ -1,10 +1,12 @@
-"""Chrome-trace (``chrome://tracing`` / Perfetto) export of a Tracer timeline.
+"""The orchestration timeline record and its Chrome-trace export.
 
 The runtime's :class:`~repro.runtime.tracing.Tracer` records a causal
 timeline of orchestration events (source readings, context publications,
-actions).  This module serialises that timeline into the Trace Event
-Format's JSON-object form, which loads directly in ``chrome://tracing``
-or https://ui.perfetto.dev:
+actions) as :class:`TraceEntry` records.  The record lives here, below
+``repro.runtime``, so exporting a timeline never imports the runtime.
+This module serialises that timeline into the Trace Event Format's
+JSON-object form, which loads directly in ``chrome://tracing`` or
+https://ui.perfetto.dev:
 
 * every trace entry becomes a global *instant* event (``"ph": "i"``)
   with the simulation timestamp converted to microseconds;
@@ -19,11 +21,14 @@ or https://ui.perfetto.dev:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Union
 
-from repro.runtime.tracing import TraceEntry, Tracer
+if TYPE_CHECKING:
+    from repro.runtime.tracing import Tracer
 
 __all__ = [
+    "TraceEntry",
     "chrome_trace_events",
     "render_chrome_trace",
     "parse_chrome_trace",
@@ -31,6 +36,45 @@ __all__ = [
 
 _KIND_TIDS = {"source": 1, "context": 2, "action": 3}
 _PID = 1
+
+
+@dataclass(frozen=True)
+class TraceEntry:
+    """One recorded orchestration event."""
+
+    timestamp: float
+    kind: str  # 'source' | 'context' | 'action'
+    subject: str  # device entity id or context name
+    detail: str  # source/action name or empty
+    value: Any = None
+
+    def render(self) -> str:
+        clock = _format_time(self.timestamp)
+        if self.kind == "source":
+            return (
+                f"{clock}  source   {self.subject}.{self.detail} = "
+                f"{_short(self.value)}"
+            )
+        if self.kind == "context":
+            return (
+                f"{clock}  context  {self.subject} published "
+                f"{_short(self.value)}"
+            )
+        return f"{clock}  action   {self.detail} on {self.subject}" + (
+            f" {_short(self.value)}" if self.value else ""
+        )
+
+
+def _format_time(seconds: float) -> str:
+    hours = int(seconds // 3600)
+    minutes = int(seconds % 3600 // 60)
+    secs = seconds % 60
+    return f"{hours:03d}:{minutes:02d}:{secs:06.3f}"
+
+
+def _short(value: Any, limit: int = 60) -> str:
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def chrome_trace_events(

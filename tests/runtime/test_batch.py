@@ -181,6 +181,24 @@ class TestBatchEquivalence:
         assert app.sweeper.stats()["columnar_sweeps"] == 0
         assert substrate.scalar_reads > 0
 
+    def test_one_round_trip_per_cohort_not_per_device(self):
+        """What batching buys at scale: a sweep costs the gateway one
+        round trip per lot cohort, not one per sensor — O(cohorts), so
+        the ratio grows with the fleet."""
+        sensors, sweeps = 900, 2  # FreeCount + Windowed, each period
+        round_trips = {}
+        for enabled in (False, True):
+            app, __, __, substrate = build_app(
+                batch=BatchConfig(enabled=enabled), sensors=sensors
+            )
+            app.advance(PERIOD)
+            round_trips[enabled] = (
+                substrate.scalar_reads,
+                substrate.batch_reads,
+            )
+        assert round_trips[False] == (sweeps * sensors, 0)
+        assert round_trips[True] == (0, sweeps * len(LOTS))
+
 
 class TestDemotion:
     def test_small_cohorts_demote_to_scalar(self):

@@ -1,21 +1,59 @@
-"""``repro.runtime`` is the bottom of the stack: applications, the CLI
-and the benchmarks import it, never the other way round — not even
-lazily inside a function, which is how the reference scenarios used to
-sneak in."""
+"""The import graph is a DAG.  ``repro.runtime`` sits below the
+applications, the CLI and the benchmarks: they import it, never the
+other way round — not even lazily inside a function, which is how the
+reference scenarios used to sneak in.  The compiler front end, the
+MapReduce engine and telemetry sit below the runtime in turn: importing
+one of them must not execute an import of anything above."""
 
 import ast
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-RUNTIME = Path(__file__).resolve().parents[2] / "src" / "repro" / "runtime"
+SRC = Path(__file__).resolve().parents[2] / "src"
+RUNTIME = SRC / "repro" / "runtime"
 SOURCES = sorted(RUNTIME.rglob("*.py"))
 FORBIDDEN = ("repro.apps", "repro.cli", "benchmarks")
 
+BELOW_RUNTIME = ("telemetry", "typesys", "lang", "sema", "mapreduce")
+BELOW_SOURCES = sorted(
+    path
+    for package in BELOW_RUNTIME
+    for path in (SRC / "repro" / package).rglob("*.py")
+)
+ABOVE = ("repro.runtime", "repro.apps", "repro.cli")
 
-def imported_modules(tree):
-    """Every module an import statement names, at any nesting level."""
-    for node in ast.walk(tree):
+TOP_LEVEL = sorted(
+    f"repro.{module.name}"
+    for module in pkgutil.iter_modules([str(SRC / "repro")])
+    if module.name != "__main__"
+)
+
+
+def import_time_nodes(tree):
+    """The nodes that run when the module is imported: function bodies
+    and ``if TYPE_CHECKING:`` blocks are skipped."""
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING",
+            "typing.TYPE_CHECKING",
+        ):
+            pending.extend(node.orelse)
+            continue
+        yield node
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def imported_modules(nodes):
+    """Every module an import statement among ``nodes`` names."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
@@ -24,6 +62,12 @@ def imported_modules(tree):
             yield node.module
             for alias in node.names:
                 yield f"{node.module}.{alias.name}"
+
+
+def within(module, layers):
+    return any(
+        module == layer or module.startswith(layer + ".") for layer in layers
+    )
 
 
 def test_the_runtime_has_sources():
@@ -36,8 +80,32 @@ def test_the_runtime_has_sources():
 )
 def test_runtime_imports_nothing_above_it(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    for module in imported_modules(tree):
-        for layer in FORBIDDEN:
-            assert module != layer and not module.startswith(layer + "."), (
-                f"runtime/{path.relative_to(RUNTIME)} imports {module}"
-            )
+    for module in imported_modules(ast.walk(tree)):
+        assert not within(module, FORBIDDEN), (
+            f"runtime/{path.relative_to(RUNTIME)} imports {module}"
+        )
+
+
+@pytest.mark.parametrize(
+    "path", BELOW_SOURCES, ids=lambda p: str(p.relative_to(SRC / "repro"))
+)
+def test_lower_layers_import_nothing_above_them_at_import_time(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for module in imported_modules(import_time_nodes(tree)):
+        assert not within(module, ABOVE), (
+            f"{path.relative_to(SRC)} imports {module} at import time"
+        )
+
+
+@pytest.mark.parametrize("package", TOP_LEVEL)
+def test_every_package_imports_first_in_a_fresh_interpreter(package):
+    """A cycle only bites the package that happens to be imported
+    first, so each one gets its own interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {package}"],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -294,9 +294,10 @@ class TestEdgeSplit:
         stats = app.stats["placement"]
         # The cloud-only shape would ship every raw boolean over the
         # WAN; the edge split ships at most one combined partial per
-        # node per sweep.
+        # node per sweep — at least a 5x byte cut at 16 sensors per
+        # node, and growing with the cohort.
         raw_bytes = sensors * 2 * payload_nbytes(True)
-        assert stats["wan_bytes"] < raw_bytes
+        assert stats["wan_bytes"] * 5 <= raw_bytes
         assert 0 < stats["partials_sent"] <= 2 * len(LOTS)
         assert free.deliveries  # still delivered
 

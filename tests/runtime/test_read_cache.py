@@ -11,6 +11,8 @@ driver read per pull — is pinned explicitly.
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ContextNotQueryableError
 from repro.errors import DeliveryError
@@ -398,6 +400,48 @@ class TestTypedQueryError:
         app, __, __sources, __sweep = build()
         with pytest.raises(DeliveryError, match="unknown context"):
             app.query_context("Nope")
+
+
+class TestCacheOnEqualsCacheOff:
+    """While every state change flows through an actuation (which
+    invalidates), a cached application answers every query exactly as
+    an uncached one does, with no more driver reads."""
+
+    SENSORS = 6
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.just(("query",)),
+                st.tuples(st.just("act"), st.integers(0, SENSORS - 1)),
+                st.tuples(st.just("advance"), st.floats(0.1, 120.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_queries_agree_under_actuation_and_time(self, ops):
+        cached, cached_clock, cached_sources, __ = build(ON, self.SENSORS)
+        plain, plain_clock, plain_sources, __ = build(None, self.SENSORS)
+        for op in ops:
+            if op[0] == "query":
+                expected = plain.query_context("Snapshot")
+                assert cached.query_context("Snapshot") == expected
+            elif op[0] == "act":
+                entity_id = f"s-{op[1]}"
+                for app, sources in (
+                    (cached, cached_sources),
+                    (plain, plain_sources),
+                ):
+                    sources[entity_id].value += 1.0
+                    app.discover.device(entity_id).nudge()
+            else:
+                cached_clock.advance(op[1])
+                plain_clock.advance(op[1])
+        assert sum(s.calls for s in cached_sources.values()) <= sum(
+            s.calls for s in plain_sources.values()
+        )
 
 
 class TestMetrics:

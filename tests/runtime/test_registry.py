@@ -193,48 +193,3 @@ class TestListeners:
         registry.register(sensor(design, "s1", "A22"))
         assert events == []
         remove()  # second removal is a no-op
-
-
-class TestHashShards:
-    """iter_shards(shards=N): the hash-partitioning mode behind the
-    process-sharded runtime."""
-
-    def test_exactly_n_shards_in_fixed_order(self, design, registry):
-        for index in range(10):
-            registry.register(sensor(design, f"s-{index}", "A22"))
-        shards = registry.iter_shards("PresenceSensor", shards=3)
-        assert [key for key, __ in shards] == ["hash:0", "hash:1", "hash:2"]
-        members = [pair for __, bucket in shards for pair in bucket]
-        assert sorted(p for p, __ in members) == list(range(10))
-
-    def test_surplus_shards_are_present_and_empty(self, design, registry):
-        registry.register(sensor(design, "only", "A22"))
-        shards = registry.iter_shards("PresenceSensor", shards=5)
-        assert [key for key, __ in shards] == [
-            f"hash:{index}" for index in range(5)
-        ]
-        assert sum(len(bucket) for __, bucket in shards) == 1
-        # Empty fleets still yield every shard, deterministically.
-        empty = EntityRegistry().iter_shards("PresenceSensor", shards=3)
-        assert empty == [("hash:0", []), ("hash:1", []), ("hash:2", [])]
-
-    def test_assignment_ignores_other_entities(self, design, registry):
-        from repro.mapreduce.partition import shard_index
-
-        for index in range(8):
-            registry.register(sensor(design, f"s-{index}", "A22"))
-        shards = dict(registry.iter_shards("PresenceSensor", shards=4))
-        for key, bucket in shards.items():
-            for __, instance in bucket:
-                assert (
-                    f"hash:{shard_index(instance.entity_id, 4)}" == key
-                )
-
-    def test_mode_exclusivity_and_validation(self, design, registry):
-        registry.register(sensor(design, "s-0", "A22"))
-        with pytest.raises(ValueError, match="not both"):
-            registry.iter_shards(
-                "PresenceSensor", attribute="parkingLot", shards=2
-            )
-        with pytest.raises(ValueError, match=">= 1"):
-            registry.iter_shards("PresenceSensor", shards=0)

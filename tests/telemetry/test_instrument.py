@@ -1,6 +1,13 @@
 """The Instrumented mixin: declarative attach_metrics/stats/reset_stats."""
 
-from repro.telemetry import MetricsRegistry
+from repro.runtime.bus import EventBus
+from repro.telemetry import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    render_prometheus,
+)
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 
@@ -56,6 +63,33 @@ class TestAttachMetrics:
         Widget().attach_metrics(registry)
         assert registry.get("widget_events_total").kind == "counter"
         assert registry.get("widget_depth").kind == "gauge"
+
+
+class TestZeroCostContract:
+    """Hot layers export their inline integers as pull-time callbacks:
+    observing a publish costs the publisher nothing, the scraper pays."""
+
+    def test_publishing_pushes_into_no_instrument(self, monkeypatch):
+        pushes = []
+        for instrument, method in (
+            (Counter, "inc"),
+            (Gauge, "set"),
+            (Histogram, "observe"),
+        ):
+            monkeypatch.setattr(
+                instrument,
+                method,
+                lambda self, *args, _name=method: pushes.append(_name),
+            )
+        registry = MetricsRegistry()
+        bus = EventBus(metrics=registry)
+        topic = ("source", "PresenceSensor", "presence")
+        bus.subscribe(topic, lambda payload: None)
+        for __ in range(500):
+            bus.publish(topic, {"value": 1})
+        assert pushes == []
+        assert registry.value("bus_published_total") == 500
+        assert "bus_published_total 500" in render_prometheus(registry)
 
 
 class TestStats:
