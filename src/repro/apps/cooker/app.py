@@ -46,17 +46,26 @@ def build_cooker_app(
     threshold_seconds: int = 1200,
     renotify_seconds: int = 600,
     start: bool = True,
+    config: Optional[RuntimeConfig] = None,
 ) -> CookerApp:
     """Build (and by default start) the cooker monitoring application.
 
     The home environment is attached to the same clock, so advancing the
     application advances the simulated home too.
+
+    ``config`` carries runtime policy (batching, supervision, error
+    policy...); as in :func:`~repro.apps.parking.build_parking_app`,
+    the ``clock`` argument wins over ``config.clock`` and a config left
+    at the default name runs as ``CookerMonitoring``.
     """
-    clock = clock or SimulationClock()
+    clock = clock or (config.clock if config else None) or SimulationClock()
     environment = environment or HomeEnvironment(step_seconds=60.0)
-    application = Application(
-        get_design(), RuntimeConfig(clock=clock, name="CookerMonitoring")
+    base = config if config is not None else RuntimeConfig()
+    config = base.replace(
+        clock=clock,
+        name=base.name if base.name != "app" else "CookerMonitoring",
     )
+    application = Application(get_design(), config)
 
     alert = AlertContext(threshold_seconds, renotify_seconds)
     notify = NotifyController()

@@ -9,6 +9,7 @@ generator and the runtime agree exactly on method names.
 
 from __future__ import annotations
 
+import functools
 import re
 
 _CAMEL_BOUNDARY = re.compile(
@@ -20,8 +21,14 @@ _CAMEL_BOUNDARY = re.compile(
 )
 
 
+@functools.lru_cache(maxsize=4096)
 def camel_to_snake(name: str) -> str:
-    """``tickSecond`` → ``tick_second``; ``HTTPServer`` → ``http_server``."""
+    """``tickSecond`` → ``tick_second``; ``HTTPServer`` → ``http_server``.
+
+    Memoised: a design's vocabulary is closed, and the runtime asks for
+    the same few names on every read, actuation and proxy, so the regex
+    runs once per name.  (Bounded, because driver parameter names come
+    from callers.)"""
     return _CAMEL_BOUNDARY.sub("_", name).lower()
 
 

@@ -143,19 +143,10 @@ class EventBus(Instrumented):
         Subscribers added *during* delivery do not receive this event
         (snapshot semantics), keeping runtime entity binding race-free.
         """
-        self._published += 1
         snapshot = self._snapshots.get(topic)
         if snapshot is None:
             snapshot = self._rebuild_snapshot(topic)
-        delivered = 0
-        for subscription in snapshot:
-            # A subscription cancelled mid-delivery stays in this (stale)
-            # snapshot but must not fire.
-            if subscription.active:
-                subscription.callback(payload)
-                delivered += 1
-        self._delivered += delivered
-        return delivered
+        return self.dispatch_compiled(snapshot, 1, payload)
 
     def _rebuild_snapshot(
         self, topic: Hashable
@@ -194,15 +185,16 @@ class EventBus(Instrumented):
         """Deliver ``payload`` through a precompiled dispatch table.
 
         ``targets`` is a flat sequence of subscriptions (what a plan
-        stores) standing in for ``topic_count`` individual topic
-        publishes; counters advance exactly as if each topic had been
-        published separately, so bus stats stay truthful whichever path
-        delivered the event."""
+        stores, or one topic's snapshot) standing in for ``topic_count``
+        individual topic publishes; counters advance exactly as if each
+        topic had been published separately, so bus stats stay truthful
+        whichever path delivered the event.  Every delivery passes
+        here — the one place an observer needs to wrap."""
         self._published += topic_count
         delivered = 0
         for subscription in targets:
-            # Same stale-snapshot rule as publish(): a subscription
-            # cancelled mid-delivery must not fire.
+            # A subscription cancelled mid-delivery stays in this (stale)
+            # snapshot but must not fire.
             if subscription.active:
                 subscription.callback(payload)
                 delivered += 1

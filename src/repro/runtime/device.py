@@ -313,25 +313,28 @@ class DeviceInstance:
         for attempt in range(attempts):
             if attempt and self._m_retries is not None:
                 self._m_retries.inc()
-            started = time.perf_counter()
+            # A read is timed only when a timeout is in force: nothing
+            # else looks at how long it took.
+            started = 0.0 if timeout is None else time.perf_counter()
             try:
                 value = self.driver.read(source)
             except DeliveryError as exc:
                 last_error = exc
                 continue
-            # Chaos-injected latency is virtual (no sleeping): the
-            # wrapper reports it and the timeout check honours it here.
-            elapsed = time.perf_counter() - started + getattr(
-                self.driver, "last_injected_latency", 0.0
-            )
-            if timeout is not None and elapsed > timeout:
-                last_error = DeliveryError(
-                    f"read of '{source}' on '{self.entity_id}' exceeded "
-                    f"its {timeout}s timeout"
+            if timeout is not None:
+                # Chaos-injected latency is virtual (no sleeping): the
+                # wrapper reports it and the timeout check honours it.
+                elapsed = time.perf_counter() - started + getattr(
+                    self.driver, "last_injected_latency", 0.0
                 )
-                if self._m_timeouts is not None:
-                    self._m_timeouts.inc()
-                continue
+                if elapsed > timeout:
+                    last_error = DeliveryError(
+                        f"read of '{source}' on '{self.entity_id}' "
+                        f"exceeded its {timeout}s timeout"
+                    )
+                    if self._m_timeouts is not None:
+                        self._m_timeouts.inc()
+                    continue
             value = coerce_value(source_info.dia_type, value)
             if supervisor is not None:
                 supervisor.record_success(source, value)

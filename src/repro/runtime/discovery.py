@@ -21,7 +21,7 @@ from repro.naming import proxy_set_method_name
 from repro.runtime.proxies import (
     ProxySet,
     filter_names,
-    make_proxy_set,
+    make_proxy,
     resolve_filters,
 )
 from repro.runtime.registry import EntityRegistry
@@ -61,7 +61,9 @@ class Discover:
 
     def devices(self, device_type: str, **attribute_filters: Any) -> ProxySet:
         """All bound instances of ``device_type`` (or its subtypes),
-        optionally narrowed by attribute values.
+        optionally narrowed by attribute values — as of the moment the
+        returned set is first used; until then ``.where()`` narrows the
+        same registry query.
 
         Filter names are resolved once, against the declaration: the
         declared spelling (``parkingLot="A22"``) and its snake-case form
@@ -73,16 +75,15 @@ class Discover:
                 f"'{device_type}' is not a device of this design"
             )
         names = self._names_for(device_type)
-        instances = self._registry.instances_of(
+        return ProxySet.discovered(
+            self._registry,
             device_type,
-            **resolve_filters(device_type, names, attribute_filters),
+            names,
+            resolve_filters(device_type, names, attribute_filters),
         )
-        return make_proxy_set(device_type, instances, names)
 
     def device(self, entity_id: str):
         """A proxy for one specific entity id."""
-        from repro.runtime.proxies import make_proxy
-
         return make_proxy(self._registry.get(entity_id))
 
     def context_value(self, context_name: str) -> Any:

@@ -138,17 +138,47 @@ class ProxySet:
     member and returns the per-entity results.  ``names`` is the
     :func:`filter_names` table of the declaration the set was discovered
     against; a set built by hand derives it from its members.
+
+    A set that :meth:`discovered` built is a registry query until its
+    members are first looked at (iterated, counted, indexed, acted on):
+    that look runs the query and freezes the result, so the set is a
+    snapshot of the moment it was first used.
     """
 
     def __init__(
         self,
         device_type: str,
-        proxies: List[DeviceProxy],
+        proxies: Iterable[DeviceProxy],
         names: Optional[Dict[str, str]] = None,
     ):
         self._device_type = device_type
-        self._proxies: Tuple[DeviceProxy, ...] = tuple(proxies)
+        self._frozen: Optional[Tuple[DeviceProxy, ...]] = tuple(proxies)
+        self._query: Optional[Tuple[Any, Dict[str, Any]]] = None
         self._names = names
+
+    @classmethod
+    def discovered(
+        cls,
+        registry,
+        device_type: str,
+        names: Dict[str, str],
+        filters: Dict[str, Any],
+    ) -> "ProxySet":
+        """The bound ``device_type`` instances matching ``filters``
+        (keyed by declared attribute name), looked up at first use."""
+        found = cls(device_type, (), names)
+        found._frozen = None
+        found._query = (registry, filters)
+        return found
+
+    @property
+    def _proxies(self) -> Tuple[DeviceProxy, ...]:
+        proxies = self._frozen
+        if proxies is None:
+            registry, filters = self._query
+            found = registry.instances_of(self._device_type, **filters)
+            proxies = self._frozen = tuple(map(make_proxy, found))
+        return proxies
 
     # -- collection protocol --------------------------------------------------
 
@@ -179,7 +209,11 @@ class ProxySet:
         Attribute names may be spelt as declared (``parkingLot``) or in
         snake case (``parking_lot``); a name the declaration does not
         know raises :class:`DiscoveryError`.  An empty hand-built set
-        has no declaration to check against and stays empty."""
+        has no declaration to check against and stays empty.
+
+        On a discovered set nobody has looked at yet this narrows the
+        query, which the registry then answers from its attribute index
+        instead of a scan over every member."""
         names = self._names
         if names is None:
             if not self._proxies:
@@ -187,15 +221,23 @@ class ProxySet:
             names = self._names = filter_names(
                 proxy._instance.info for proxy in self._proxies
             )
-        wanted = resolve_filters(
-            self._device_type, names, attribute_filters
-        ).items()
+        wanted = resolve_filters(self._device_type, names, attribute_filters)
+        if self._frozen is None:
+            registry, filters = self._query
+            if any(
+                filters.get(name, value) != value
+                for name, value in wanted.items()
+            ):
+                return ProxySet(self._device_type, (), names)
+            return ProxySet.discovered(
+                registry, self._device_type, names, {**filters, **wanted}
+            )
         kept = [
             proxy
             for proxy in self._proxies
             if all(
                 proxy._instance.attributes.get(name) == value
-                for name, value in wanted
+                for name, value in wanted.items()
             )
         ]
         return ProxySet(self._device_type, kept, names)

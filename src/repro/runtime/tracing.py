@@ -7,7 +7,7 @@ actions issued to devices.  Traces serve the examples ("show me the day"),
 debugging, and assertions about *ordering* that per-component counters
 cannot express.
 
-The tracer hooks the application's bus topics and wraps device actuation;
+The tracer hooks the application's bus delivery and wraps device actuation;
 it is observation-only (no behavioural change) and can be detached.
 """
 
@@ -36,7 +36,7 @@ class Tracer:
         self.dropped = 0
         self._patched_instances: List[Any] = []
         self._attached = False
-        self._original_publish = None
+        self._original_dispatch = None
         self._last_source_event = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -44,22 +44,23 @@ class Tracer:
     def attach(self) -> "Tracer":
         """Start recording.
 
-        Intercepts the application's bus publication (recording *before*
+        Intercepts the bus's delivery loop — which a topic publish and a
+        compiled delivery plan both go through — recording *before*
         delivery, so entries appear in causal order: source → context →
-        action) and wraps device actuation.
+        action; and wraps device actuation.
         """
         if self._attached:
             raise RuntimeError("tracer already attached")
         self._attached = True
         app = self.application
-        self._original_publish = app.bus.publish
+        self._original_dispatch = app.bus.dispatch_compiled
         self._last_source_event = None
 
-        def traced_publish(topic, payload):
-            self._on_bus_publish(topic, payload)
-            return self._original_publish(topic, payload)
+        def traced_dispatch(targets, topic_count, payload):
+            self._on_dispatch(payload)
+            return self._original_dispatch(targets, topic_count, payload)
 
-        app.bus.publish = traced_publish
+        app.bus.dispatch_compiled = traced_dispatch
         for instance in app.registry:
             self._patch_instance(instance)
         self._registry_remover = app.registry.add_listener(
@@ -70,24 +71,21 @@ class Tracer:
     def detach(self) -> None:
         if not self._attached:
             return
-        self.application.bus.publish = self._original_publish
+        self.application.bus.dispatch_compiled = self._original_dispatch
         for instance, original in self._patched_instances:
             instance.act = original
         self._patched_instances.clear()
         self._registry_remover()
         self._attached = False
 
-    def _on_bus_publish(self, topic, payload) -> None:
-        if not isinstance(topic, tuple) or not topic:
-            return
-        if topic[0] == "source" and isinstance(payload, SourceEvent):
-            # The same event is published once per ancestor device type;
-            # record it only once.
-            if payload is self._last_source_event:
-                return
-            self._last_source_event = payload
-            self._on_source(payload)
-        elif topic[0] == "context" and isinstance(payload, ContextEvent):
+    def _on_dispatch(self, payload) -> None:
+        if isinstance(payload, SourceEvent):
+            # Without a delivery plan the same event is dispatched once
+            # per ancestor device type; record it only once.
+            if payload is not self._last_source_event:
+                self._last_source_event = payload
+                self._on_source(payload)
+        elif isinstance(payload, ContextEvent):
             self._on_context(payload)
 
     # -- hooks -----------------------------------------------------------------

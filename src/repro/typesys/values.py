@@ -124,37 +124,45 @@ def check_value(dia_type: DiaType, value: Any) -> Any:
     raise ValueConformanceError(f"unsupported type {dia_type!r}")
 
 
+# The Python class whose exact instances conform to a primitive as they
+# are.  ``type(True) is bool``, so an exact ``int`` is never a Boolean;
+# an ``int`` in a Float position is not exactly ``float`` and widens.
+_EXACT_CLASS = {"Boolean": bool, "Integer": int, "Float": float, "String": str}
+
+
 def coerce_value(dia_type: DiaType, value: Any) -> Any:
     """Like :func:`check_value`, but applies safe numeric widening.
 
     ``Integer`` readings are widened to float for a ``Float`` position;
     mappings are promoted to structure values.  Used at the device boundary
     where drivers may produce plain Python data.
+
+    A value that is *exactly* the primitive's Python class
+    (``_EXACT_CLASS``) can neither fail nor widen and is returned as it
+    is; anything else — an ``int`` for a Float, a ``bool`` for an
+    Integer, a subclass, ``None``, every non-primitive type — is checked
+    in full.
     """
-    if isinstance(dia_type, PrimitiveType) and dia_type.name == "Float":
-        if isinstance(value, bool):
-            raise ValueConformanceError("Boolean is not a Float")
-        if isinstance(value, int):
-            return float(value)
+    if isinstance(dia_type, PrimitiveType):
+        name = dia_type.name
+        if type(value) is _EXACT_CLASS.get(name):
+            return value
+        if name == "Float":
+            if isinstance(value, bool):
+                raise ValueConformanceError("Boolean is not a Float")
+            if isinstance(value, int):
+                return float(value)
     return check_value(dia_type, value)
-
-
-# The Python class whose exact instances conform to a primitive as they
-# are.  ``type(True) is bool``, so an exact ``int`` is never a Boolean;
-# an ``int`` in a Float column is not exactly ``float`` and widens below.
-_EXACT_CLASS = {"Boolean": bool, "Integer": int, "Float": float, "String": str}
 
 
 def coerce_column(dia_type: DiaType, values: List[Any]) -> List[Any]:
     """:func:`coerce_value` over a whole column of readings.
 
     This is the per-value rule proved in one pass, not a second rule:
-    when every value is *exactly* the primitive's Python class no value
-    can fail or widen, and the column is returned **as is** (the same
-    list — callers must own it).  Anything else — an ``int`` among
-    Floats, a ``bool`` among Integers, a subclass, ``None``, every
-    non-primitive type — runs :func:`coerce_value` per value, so results
-    and :class:`ValueConformanceError` messages are those of the scalar
+    when every value is exactly the primitive's ``_EXACT_CLASS`` the
+    column is returned **as is** (the same list — callers must own it).
+    Anything else runs :func:`coerce_value` per value, so results and
+    :class:`ValueConformanceError` messages are those of the scalar
     path.
     """
     if isinstance(dia_type, PrimitiveType):

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import naming
+from repro.apps.cooker import build_cooker_app
 from repro.apps.parking import (
     ParkingAvailabilityContext,
     build_parking_app,
 )
 from repro.mapreduce.engine import ThreadExecutor
+from repro.runtime import proxies
 
 
 @pytest.fixture
@@ -151,6 +154,61 @@ class TestScaleContinuum:
             lot: panel.status
             for lot, panel in threaded.entrance_panels.items()
         }
+
+
+class TestDefaultPathSteadyState:
+    """What one more delivery costs once names and proxies are resolved,
+    as counts: the design fixes every name, so none is re-derived; the
+    registry index answers ``discover...where(location=lot)``."""
+
+    @pytest.fixture
+    def regex_runs(self, monkeypatch):
+        """The names ``repro.naming`` ran its regex over, in order."""
+        pattern = naming._CAMEL_BOUNDARY
+        names = []
+
+        class Counting:
+            def sub(self, replacement, name):
+                names.append(name)
+                return pattern.sub(replacement, name)
+
+        monkeypatch.setattr(naming, "_CAMEL_BOUNDARY", Counting())
+        return names
+
+    def test_parking_delivery(self, regex_runs, monkeypatch):
+        app = build_parking_app(seed=5)
+        app.advance(1200)  # two warm-up deliveries
+        panel_proxies = []
+        make_proxy = proxies.make_proxy
+
+        def counting_make_proxy(instance):
+            if instance.info.name == "ParkingEntrancePanel":
+                panel_proxies.append(instance.entity_id)
+            return make_proxy(instance)
+
+        monkeypatch.setattr(proxies, "make_proxy", counting_make_proxy)
+        registry = app.application.registry
+        index_hits = registry.stats()["index_hits"]
+        regex_runs.clear()
+        app.advance(600)
+        lots = sorted(app.entrance_panels)
+        assert all(
+            len(panel.history) == 3 for panel in app.entrance_panels.values()
+        )
+        assert regex_runs == []
+        # One indexed look-up per lot refreshed, touching only the
+        # panel it actuates.
+        assert registry.stats()["index_hits"] == index_hits + len(lots)
+        assert sorted(panel_proxies) == [f"panel-{lot}" for lot in lots]
+
+    def test_cooker_tick(self, regex_runs):
+        app = build_cooker_app(threshold_seconds=1)
+        app.environment.set_cooker(True)
+        app.advance(2)
+        regex_runs.clear()
+        app.advance(1)
+        assert app.application.stats["context_activations"]["Alert"] == 3
+        assert regex_runs == []
 
 
 class TestDeploymentDetails:

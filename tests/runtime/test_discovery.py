@@ -1,8 +1,13 @@
 """The discover façade: device accessors and context queries."""
 
+import functools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import DiscoveryError
+from repro.faults.policy import HEALTHY, QUARANTINED
 from repro.runtime.device import CallableDriver, DeviceInstance
 from repro.runtime.discovery import Discover
 from repro.runtime.registry import EntityRegistry
@@ -133,6 +138,112 @@ class TestDeviceDiscovery:
         assert len(discover.parking_entrance_panels()) == 0
         bind_panel(design, registry, "p1", "A22")
         assert len(discover.parking_entrance_panels()) == 1
+
+
+LAZY_DESIGN = analyze("""\
+device Panel {
+    attribute panelZone as ZoneEnum;
+    action update(status as String);
+}
+device EntrancePanel extends Panel { attribute accessTags as String[]; }
+enumeration ZoneEnum { north, south }
+""")
+SNAKE = {"panelZone": "panel_zone", "accessTags": "access_tags"}
+# ``accessTags`` values are lists: the registry cannot index them and
+# serves such a filter by scanning.
+_value = st.sampled_from(["north", "south", ["a"], ["b"]])
+# One filter call: declared name -> (value, spelt in snake case?).
+_filters = st.dictionaries(
+    st.sampled_from(sorted(SNAKE)), st.tuples(_value, st.booleans())
+)
+_entity = st.tuples(
+    st.sampled_from(["Panel", "EntrancePanel"]),
+    st.sampled_from(["north", "south"]),
+    st.sampled_from([["a"], ["b"]]),
+    st.sampled_from(["ok", "failed", "quarantined"]),
+)
+
+
+class TestLazyDiscovery:
+    """A discovered set is a registry query until it is first used."""
+
+    @given(
+        entities=st.lists(_entity, max_size=8),
+        device_type=st.sampled_from(["Panel", "EntrancePanel"]),
+        calls=st.tuples(_filters, _filters, _filters),
+        unknown_at=st.sampled_from([None, 0, 1, 2]),
+        late=_entity,
+    )
+    def test_lazy_chain_is_the_eager_lookup_filtered_by_hand(
+        self, entities, device_type, calls, unknown_at, late
+    ):
+        registry = EntityRegistry()
+        quarantined = set()
+        registry.attach_health(
+            lambda entity_id: QUARANTINED
+            if entity_id in quarantined
+            else HEALTHY
+        )
+
+        def bind(entity_id, kind, zone, tags, state):
+            attributes = {"panelZone": zone}
+            if kind == "EntrancePanel":
+                attributes["accessTags"] = tags
+            instance = registry.register(
+                DeviceInstance(
+                    LAZY_DESIGN.devices[kind],
+                    entity_id,
+                    CallableDriver(),
+                    attributes,
+                )
+            )
+            instance.failed = state == "failed"
+            if state == "quarantined":
+                quarantined.add(entity_id)
+
+        def by_hand():
+            return [
+                instance.entity_id
+                for instance in registry.instances_of(device_type)
+                if all(
+                    instance.attributes.get(name) == value
+                    for filters in calls
+                    for name, (value, _) in filters.items()
+                )
+            ]
+
+        for number, entity in enumerate(entities):
+            bind(f"e{number}", *entity)
+        discover = Discover(LAZY_DESIGN, registry)
+        found = None
+        for number, filters in enumerate(calls):
+            spelt = {
+                SNAKE[name] if snake else name: value
+                for name, (value, snake) in filters.items()
+            }
+            narrow = (
+                found.where
+                if number
+                else functools.partial(discover.devices, device_type)
+            )
+            if number == unknown_at:
+                # An unknown name raises at the call that introduces it.
+                with pytest.raises(DiscoveryError, match="bogus"):
+                    narrow(bogus="north", **spelt)
+                return
+            found = narrow(**spelt)
+
+        # A binding change before the set is first used is seen ...
+        bind("late", *late)
+        if entities:
+            registry.unregister("e0")
+        expected = by_hand()
+        assert found.entity_ids() == expected
+        # ... one after is not: the set froze when it was looked at.
+        bind("later", *late)
+        registry.unregister("late")
+        assert found.entity_ids() == expected
+        assert found.where(**spelt).entity_ids() == expected
 
 
 class TestContextQueries:

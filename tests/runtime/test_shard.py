@@ -810,35 +810,43 @@ class TestRouterFailures:
 
 @pytest.mark.skipif(os.name != "posix", reason="fork start method")
 class TestShardScalingShape:
-    """Tiny-scale sanity check of the scaling claim: the modeled
-    gateway service time overlaps across worker processes."""
+    """What the scaling claim stands on, as structure: each worker owns
+    its share of the fleet and reads it itself, and the results are the
+    single-process run's.  How much wall clock that buys is the e2e
+    ``fleet_sharded`` workload's ``shard.speedup_vs_single``."""
 
-    def test_workers_overlap_modeled_latency(self):
-        import time
-
-        def timed(workers):
-            bootstrap = SimulatedFleetBootstrap(
-                count=400,
-                service_time=0.001,
-                batch=True,
-                shard=ShardConfig(enabled=workers > 1, workers=workers),
+    def test_workers_split_the_fleet_and_its_reads(self):
+        def run(workers):
+            runtime = ShardedRuntime(
+                SimulatedFleetBootstrap(
+                    count=400,
+                    batch=True,
+                    shard=ShardConfig(enabled=workers > 1, workers=workers),
+                )
             )
-            runtime = ShardedRuntime(bootstrap)
+            seen = []
+            runtime.app.bus.subscribe(
+                ("context", "ZoneLoad"),
+                lambda event: seen.append((event.value, event.timestamp)),
+            )
             runtime.start()
             try:
-                start = time.perf_counter()
                 runtime.advance(60.0)
-                return time.perf_counter() - start
+                return seen, runtime.worker_stats()
             finally:
                 runtime.stop()
 
-        serial = timed(1)
-        sharded = timed(4)
-        # 400 devices x 1ms = 0.4s serial; 4 workers ~0.1s each.  Gate
-        # loosely — CI boxes are noisy; what sharding buys on the wall
-        # clock without modeled latency is the e2e fleet_sharded
-        # workload's shard.speedup_vs_single.
-        assert sharded < serial
+        single, no_workers = run(1)
+        sharded, workers = run(4)
+        assert len(single) == 1 and sharded == single
+        assert no_workers == []
+        assert sum(w["bound_entities"] for w in workers) == 400
+        for worker in workers:
+            assert 75 <= worker["bound_entities"] <= 125  # about a quarter
+            sweep = worker["sweep"]
+            assert sweep["reads"] == worker["bound_entities"]
+            assert sweep["batch_reads"] == 4  # one column per zone
+            assert sweep["batch_demoted"] == 0
 
 
 class TestPollAllocation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import BatchConfig, RuntimeConfig
 from repro.apps.cooker import build_cooker_app
 from repro.runtime.tracing import TraceEntry, Tracer
 
@@ -56,6 +57,24 @@ class TestRecording:
             return app.application.stats["context_activations"]
 
         assert run(False) == run(True)
+
+    def test_trace_is_the_same_with_delivery_plans_compiled(self):
+        """Batch mode delivers through compiled plans, not topic
+        publishes; the timeline is the same entry for entry."""
+
+        def run(batch):
+            app = build_cooker_app(
+                threshold_seconds=3,
+                config=RuntimeConfig(batch=BatchConfig(enabled=batch)),
+            )
+            tracer = Tracer(app.application).attach()
+            app.environment.set_cooker(True)
+            app.advance(5)
+            return tracer.entries
+
+        plain = run(False)
+        assert len([e for e in plain if e.kind == "source"]) == 5
+        assert run(True) == plain
 
 
 class TestQueries:
