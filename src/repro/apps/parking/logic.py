@@ -37,10 +37,9 @@ class ParkingAvailabilityContext(Context, MapReduce):
         # A fully occupied lot emits no Map pairs at all (Figure 10's map
         # only emits for free spaces), so it is absent from the reduced
         # dict; enumerate deployed lots through discovery and report zero.
-        deployed_lots = {
-            proxy.parking_lot
-            for proxy in discover.devices("PresenceSensor")
-        }
+        deployed_lots = discover.devices("PresenceSensor").distinct(
+            "parkingLot"
+        )
         return [
             {"parkingLot": lot, "count": free_by_lot.get(lot, 0)}
             for lot in sorted(deployed_lots)

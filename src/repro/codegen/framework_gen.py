@@ -31,6 +31,8 @@ from repro.naming import (
     camel_to_snake,
     class_name,
     context_handler_name,
+    driver_handler_name,
+    driver_reader_name,
     event_handler_name,
     periodic_handler_short_name,
     publishable_name,
@@ -210,7 +212,7 @@ class _FrameworkGenerator:
                 body = False
                 for source in decl.sources:
                     body = True
-                    reader = f"read_{query_method_name(source.name)}"
+                    reader = driver_reader_name(source.name)
                     e.blank()
                     e.line(f"def {reader}(self):")
                     with e.indented():
@@ -245,7 +247,7 @@ class _FrameworkGenerator:
                             e.line(f'self.push("{source.name}", value)')
                 for action in decl.actions:
                     body = True
-                    handler = f"do_{action_method_name(action.name)}"
+                    handler = driver_handler_name(action.name)
                     params = ", ".join(
                         camel_to_snake(p.name) for p in action.params
                     )

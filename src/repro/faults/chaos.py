@@ -332,15 +332,16 @@ class ChaosInjector:
         for entity_id in self._targets:
             instance = registry.get(entity_id)
             wrapper = ChaosDriver(instance.driver, self, entity_id)
-            self._wrapped[entity_id] = (instance, instance.driver)
-            instance.driver = wrapper
-            wrapper.instance = instance
+            self._wrapped[entity_id] = (
+                instance,
+                instance.swap_driver(wrapper),
+            )
         return self
 
     def detach(self) -> None:
         """Unwrap every driver the injector wrapped."""
         for instance, inner in self._wrapped.values():
-            instance.driver = inner
+            instance.swap_driver(inner)
         self._wrapped.clear()
         self._targets.clear()
 

@@ -87,6 +87,17 @@ def action_method_name(action: str) -> str:
     return camel_to_snake(action)
 
 
+def driver_reader_name(source: str) -> str:
+    """Driver method serving a source: ``presence`` → ``read_presence``."""
+    return f"read_{query_method_name(source)}"
+
+
+def driver_handler_name(action: str) -> str:
+    """Driver method performing an action: ``askQuestion`` →
+    ``do_ask_question``."""
+    return f"do_{action_method_name(action)}"
+
+
 def where_method_name(attribute: str) -> str:
     """Figure 11: ``whereLocation`` → ``where_location``."""
     return f"where_{camel_to_snake(attribute)}"

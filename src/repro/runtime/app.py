@@ -112,6 +112,29 @@ _DEMOTED = object()
 _reads_counter_of = attrgetter("_m_reads")
 
 
+def _read_column(source, sampler, instances) -> List[Any]:
+    """Poll one task's instance column (possibly on a pool thread), in
+    order: per instance the sampler's draw, then its read plan.
+
+    Returns the outcomes — each a value or a :class:`_Lost` — instead
+    of mutating counters, so the sweep engine can run tasks
+    concurrently and the caller folds outcomes deterministically in
+    registry order."""
+    outcomes: List[Any] = []
+    for instance in instances:
+        if sampler is not None and not sampler():
+            outcomes.append(_DROPPED)
+            continue
+        plan = instance.plan
+        if plan is None:
+            plan = instance.bind_plan()
+        try:
+            outcomes.append(plan[source](instance))
+        except DeliveryError as exc:
+            outcomes.append(_Lost(exc))
+    return outcomes
+
+
 class Application:
     """A running (or runnable) orchestrating application.
 
@@ -382,7 +405,6 @@ class Application:
         instance = self.registry.unregister(entity_id)
         instance.detach()
         self.supervision.release(entity_id)
-        instance.supervisor = None
         if self.read_cache is not None:
             self.read_cache.invalidate(entity_id)
         return instance
@@ -1083,16 +1105,15 @@ class Application:
         sampler = self._read_sampler(interaction)
         dropped = self._gather_network_dropped
         failed = self._gather_read_failed
+        columnar = self._cohort_planner is not None
         instances, outcomes = self.sweeper.sweep(
             device,
-            functools.partial(self._gather_read, source, sampler),
-            read_column=(
-                functools.partial(
-                    self._gather_read_column, device, source, sampler
-                )
-                if self._cohort_planner is not None
-                else None
-            ),
+            functools.partial(
+                self._gather_read_column, device, source, sampler
+            )
+            if columnar
+            else functools.partial(_read_column, source, sampler),
+            columnar=columnar,
         )
         instances, values = self._fold_read_outcomes(
             instances, outcomes, source
@@ -1163,20 +1184,6 @@ class Application:
                 )
             return network.sample_read_ok
         return network.sample_read_ok
-
-    def _gather_read(self, source, sampler, instance):
-        """Poll one instance inside a sweep (possibly on a pool thread).
-
-        Returns the read's outcome — its value, or a :class:`_Lost` —
-        instead of mutating counters, so the sweep engine can run it
-        concurrently and the caller folds outcomes deterministically in
-        registry order."""
-        if sampler is not None and not sampler():
-            return _DROPPED
-        try:
-            return instance.read(source)
-        except DeliveryError as exc:
-            return _Lost(exc)
 
     def _gather_read_column(self, device, source, sampler, instances):
         """Columnar shard read: cohorts, batch reads, scalar demotion.
@@ -1257,10 +1264,11 @@ class Application:
         if scalar:
             self.sweeper.note_batch_demoted(len(scalar))
             scalar.sort()
-            for position in scalar:
-                results[position] = self._gather_read(
-                    source, None, instances[position]
-                )
+            outcomes = _read_column(
+                source, None, [instances[position] for position in scalar]
+            )
+            for position, outcome in zip(scalar, outcomes):
+                results[position] = outcome
         return results
 
     def _read_batch_cohort(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import time
+from operator import methodcaller
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import (
@@ -28,9 +29,13 @@ from repro.errors import (
     DeliveryError,
     DeviceUnavailableError,
 )
-from repro.naming import action_method_name, camel_to_snake, query_method_name
+from repro.naming import (
+    camel_to_snake,
+    driver_handler_name,
+    driver_reader_name,
+)
 from repro.sema.symbols import DeviceInfo
-from repro.typesys.values import check_value, coerce_value
+from repro.typesys.values import check_value, coerce_value, exact_class
 
 
 class DeviceDriver:
@@ -47,7 +52,7 @@ class DeviceDriver:
 
     def read(self, source: str) -> Any:
         """Query-driven delivery: return the current value of ``source``."""
-        method = getattr(self, f"read_{query_method_name(source)}", None)
+        method = getattr(self, driver_reader_name(source), None)
         if method is None:
             raise DeliveryError(
                 f"{type(self).__name__} implements no reader for source "
@@ -61,7 +66,7 @@ class DeviceDriver:
         Parameter names arrive in DiaSpec spelling (``questionId``) and are
         converted to the ``do_*`` method's snake_case spelling.
         """
-        method = getattr(self, f"do_{action_method_name(action)}", None)
+        method = getattr(self, driver_handler_name(action), None)
         if method is None:
             raise ActuationError(
                 f"{type(self).__name__} implements no handler for action "
@@ -182,21 +187,11 @@ class DeviceInstance:
 
         self.info = info
         self.entity_id = entity_id
-        self.driver = driver
         self.attributes = attributes
         self.failed = False
-        # Supervision handle (repro.faults): None means unsupervised —
-        # the exact pre-supervision behaviour at zero added cost.
-        self.supervisor = None
-        # Read-cache handle (repro.runtime.cache): None means every
-        # read reaches the driver — the exact pre-cache behaviour.
-        self._cache = None
-        self._publish_hook: Optional[Callable[..., None]] = None
-        self._m_reads = None
-        self._m_retries = None
-        self._m_timeouts = None
-        self._m_failures = None
+        self.driver = driver
         driver.instance = self
+        self.detach()
 
     # -- wiring -------------------------------------------------------------
 
@@ -239,6 +234,7 @@ class DeviceInstance:
         stale-value degraded delivery.
         """
         self.supervisor = supervisor
+        self.plan = None
 
     def attach_cache(self, cache) -> None:
         """Serve reads through a freshness-aware
@@ -249,14 +245,53 @@ class DeviceInstance:
         and populate the cache.  Pass ``None`` to detach.
         """
         self._cache = cache
+        self.plan = None
 
     def detach(self) -> None:
-        self._publish_hook = None
+        """Undo every ``attach*``: the instance reads and acts as one
+        nothing was ever attached to."""
+        self._publish_hook: Optional[Callable[..., None]] = None
+        # Supervision handle (repro.faults): None means unsupervised —
+        # the exact pre-supervision behaviour at zero added cost.
+        self.supervisor = None
+        # Read-cache handle (repro.runtime.cache): None means every
+        # read reaches the driver — the exact pre-cache behaviour.
         self._cache = None
+        self._m_reads = None
+        self._m_retries = None
+        self._m_timeouts = None
+        self._m_failures = None
+        self.plan = None
         # Drop the memoized device proxy (repro.runtime.proxies) so a
         # later rebind builds a fresh one instead of resurrecting the
         # detached wiring.
-        self.__dict__.pop("_cached_proxy", None)
+        self._cached_proxy = None
+
+    def swap_driver(self, driver: DeviceDriver) -> DeviceDriver:
+        """Put ``driver`` behind the instance — through here, never by
+        assignment: the plan depends on its class.  Returns the one it
+        replaces."""
+        previous, self.driver = self.driver, driver
+        driver.instance = self
+        self.plan = None
+        return previous
+
+    def bind_plan(self) -> "_Plan":
+        """Resolve ``self.plan``: what a read of each source and a call
+        of each action come down to, shared by every instance of this
+        declaration with this driver class and envelope (anything
+        attached?).  Whatever changes one of those resets it to None."""
+        enveloped = self.supervisor is not None or self._cache is not None
+        key = (type(self.driver), enveloped)
+        plans = self.info.__dict__.setdefault("_plans", {})
+        plan = plans.get(key)
+        if plan is None:
+            plan = _Plan(_compile_reader, self.info, *key)
+            plan.actors = _Plan(_compile_actor, self.info, key[0])
+            # Threaded sweeps bind concurrently: the first one in wins.
+            plan = plans.setdefault(key, plan)
+        self.plan = plan
+        return plan
 
     # -- the three delivery modes --------------------------------------------
 
@@ -271,7 +306,16 @@ class DeviceInstance:
         is served without touching the driver or the supervision state;
         misses (and all reads when no cache is attached) take the path
         below unchanged.
+
+        How much of this a source needs is resolved once, in the plan.
         """
+        plan = self.plan
+        if plan is None:
+            plan = self.bind_plan()
+        return plan[source](self)
+
+    def _read_general(self, source: str) -> Any:
+        """A read with everything that may apply to one."""
         cache = self._cache
         if cache is None:
             return self._read_fresh(source)
@@ -367,45 +411,40 @@ class DeviceInstance:
             raise ActuationError(
                 f"device '{self.entity_id}' has failed and cannot act"
             )
-        action_info = self.info.action(action)
-        declared = [name for name, __ in action_info.params]
+        plan = self.plan
+        if plan is None:
+            plan = self.bind_plan()
+        declared, types, call = plan.actors[action]
         if sorted(declared) != sorted(params):
             raise ActuationError(
                 f"action '{action}' on '{self.entity_id}' expects parameters "
                 f"{declared}, got {sorted(params)}"
             )
-        types = dict(action_info.params)
         for name, value in params.items():
             check_value(types[name], value)
         supervisor = self.supervisor
-        if supervisor is None:
-            try:
-                return self.driver.invoke(action, **params)
-            finally:
-                self._invalidate_cached_sources()
-        if not supervisor.allow():
+        if supervisor is not None and not supervisor.allow():
             raise CircuitOpenError(
                 f"circuit breaker open for '{self.entity_id}'; action "
                 f"'{action}' refused",
                 entity_id=self.entity_id,
             )
         try:
-            result = self.driver.invoke(action, **params)
+            result = call(self.driver, params)
         except (ActuationError, DeliveryError):
-            supervisor.record_failure()
+            if supervisor is not None:
+                supervisor.record_failure()
             raise
         finally:
-            self._invalidate_cached_sources()
-        supervisor.record_success()
+            # Actuation reached the driver: the physical state this
+            # device's sources report may have changed, so cached
+            # readings (even from a failed actuation, which may have
+            # had partial effect) are no longer trustworthy.
+            if self._cache is not None:
+                self._cache.invalidate(self.entity_id)
+        if supervisor is not None:
+            supervisor.record_success()
         return result
-
-    def _invalidate_cached_sources(self) -> None:
-        """Actuation reached the driver: the physical state this
-        device's sources report may have changed, so cached readings
-        (even from a failed actuation, which may have had partial
-        effect) are no longer trustworthy."""
-        if self._cache is not None:
-            self._cache.invalidate(self.entity_id)
 
     # -- failure injection ----------------------------------------------------
 
@@ -419,3 +458,73 @@ class DeviceInstance:
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in self.attributes.items())
         return f"<{self.info.name} {self.entity_id} {attrs}>"
+
+
+class _Plan(dict):
+    """``source -> reader(instance)``, each entry compiled on first
+    use; ``actors`` is the same for ``action -> (declared, types,
+    call)``.  Holds no instance: drivers are reached by method name."""
+
+    def __init__(self, compile: Callable[..., Any], *key: Any):
+        self.compile, self.key = compile, key
+
+    def __missing__(self, name: str) -> Any:
+        compiled = self[name] = self.compile(*self.key, name)
+        return compiled
+
+
+def _compile_reader(info, driver_class, enveloped, source):
+    """With nothing to apply — no cache, supervisor, declared timeout
+    or retries — and a ``read_<source>`` method under the stock
+    :meth:`DeviceDriver.read`, one function; else the general body (a
+    driver overriding ``read`` wholesale simply opts out)."""
+    source_info = info.sources.get(source)
+    method = driver_reader_name(source)
+    if (
+        enveloped
+        or source_info is None  # the general body says so, in its turn
+        or source_info.retries
+        or source_info.timeout_seconds is not None
+        or driver_class.read is not DeviceDriver.read
+        or not hasattr(driver_class, method)
+    ):
+        return functools.partial(DeviceInstance._read_general, source=source)
+    dia_type = source_info.dia_type
+    exact = exact_class(dia_type)
+    call = methodcaller(method)
+
+    def read(instance: DeviceInstance) -> Any:
+        # _read_fresh, for the one attempt nobody times or supervises.
+        if instance.failed:
+            return instance._read_fresh(source)  # raises
+        if instance._m_reads is not None:
+            instance._m_reads.inc()
+        try:
+            value = call(instance.driver)
+        except DeliveryError:
+            if instance._m_failures is not None:
+                instance._m_failures.inc()
+            raise
+        return value if type(value) is exact else coerce_value(dia_type, value)
+
+    return read
+
+
+def _compile_actor(info, driver_class, action):
+    """``(declared names, their types, call(driver, params))``: under
+    the stock :meth:`DeviceDriver.invoke` the ``do_<action>`` method is
+    called with names already snake case, else ``invoke`` itself."""
+    params = info.action(action).params
+    handler = driver_handler_name(action)
+    snake = {name: camel_to_snake(name) for name, __ in params}
+    direct = driver_class.invoke is DeviceDriver.invoke and hasattr(
+        driver_class, handler
+    )
+
+    def call(driver, given):
+        if not direct:
+            return driver.invoke(action, **given)
+        renamed = {snake[name]: value for name, value in given.items()}
+        return getattr(driver, handler)(**renamed)
+
+    return [name for name, __ in params], dict(params), call

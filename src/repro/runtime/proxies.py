@@ -214,13 +214,9 @@ class ProxySet:
         On a discovered set nobody has looked at yet this narrows the
         query, which the registry then answers from its attribute index
         instead of a scan over every member."""
-        names = self._names
+        names = self._filter_names()
         if names is None:
-            if not self._proxies:
-                return self
-            names = self._names = filter_names(
-                proxy._instance.info for proxy in self._proxies
-            )
+            return self
         wanted = resolve_filters(self._device_type, names, attribute_filters)
         if self._frozen is None:
             registry, filters = self._query
@@ -241,6 +237,39 @@ class ProxySet:
             )
         ]
         return ProxySet(self._device_type, kept, names)
+
+    def _filter_names(self) -> Optional[Dict[str, str]]:
+        """The :func:`filter_names` table; a hand-built set derives it
+        from its members, and has none while it is empty."""
+        if self._names is None and self._proxies:
+            self._names = filter_names(
+                proxy._instance.info for proxy in self._proxies
+            )
+        return self._names
+
+    def distinct(self, attribute: str) -> List[Any]:
+        """The values ``attribute`` (spelt as for :meth:`where`) takes
+        over the members, each once, in member order: the ordered-unique
+        ``[proxy.<attribute> for proxy in self]``, skipping members of
+        a supertype set that do not declare it.
+
+        On an unfiltered discovered set nobody has looked at yet the
+        registry answers from its attribute index — "which lots are
+        deployed?" costs one step per lot and builds no proxy."""
+        names = self._filter_names()
+        if names is None:
+            return []
+        (name,) = resolve_filters(self._device_type, names, {attribute: 0})
+        if self._frozen is None and not self._query[1]:
+            found = self._query[0].distinct_values(self._device_type, name)
+            if found is not None:
+                return found
+        records = [proxy._instance.attributes for proxy in self._proxies]
+        values = [record[name] for record in records if name in record]
+        try:
+            return list(dict.fromkeys(values))
+        except TypeError:  # array-typed values are unhashable
+            return [v for i, v in enumerate(values) if v not in values[:i]]
 
     def one(self) -> DeviceProxy:
         """Exactly one match, or :class:`DiscoveryError`."""
@@ -318,14 +347,3 @@ def make_proxy(instance: DeviceInstance) -> DeviceProxy:
         proxy = DeviceProxy(instance)
         instance._cached_proxy = proxy
     return proxy
-
-
-def make_proxy_set(
-    device_type: str,
-    instances: List[DeviceInstance],
-    names: Optional[Dict[str, str]] = None,
-) -> ProxySet:
-    """Proxy set over ``instances``, reusing each instance's cached
-    proxy so repeated discovery over a large fleet allocates no new
-    facet tables."""
-    return ProxySet(device_type, [make_proxy(i) for i in instances], names)

@@ -25,16 +25,6 @@ HealthLookup = Callable[[str], str]
 _failed_flag = attrgetter("failed")
 
 
-def _index_key(type_name: str, attribute: str, value: Any):
-    """Index key for an attribute value, or None when unhashable
-    (structure-typed attributes fall back to the type-bucket scan)."""
-    try:
-        hash(value)
-    except TypeError:
-        return None
-    return (type_name, attribute, value)
-
-
 class EntityRegistry(Instrumented):
     """Mutable index of bound :class:`DeviceInstance` objects.
 
@@ -87,7 +77,8 @@ class EntityRegistry(Instrumented):
     def __init__(self, metrics=None):
         self._by_id: Dict[str, DeviceInstance] = {}
         self._by_type: Dict[str, List[DeviceInstance]] = {}
-        self._by_attribute: Dict[tuple, List[DeviceInstance]] = {}
+        # (type, attribute) -> value -> instances in registration order
+        self._by_attribute: Dict[tuple, Dict[Any, List[DeviceInstance]]] = {}
         self._listeners: List[Listener] = []
         self._health_lookup: Optional[HealthLookup] = None
         self._lookups = 0
@@ -135,10 +126,16 @@ class EntityRegistry(Instrumented):
         for type_name in (instance.info.name, *instance.info.ancestors):
             self._by_type.setdefault(type_name, []).append(instance)
             for attribute, value in instance.attributes.items():
-                key = _index_key(type_name, attribute, value)
-                if key is not None:
-                    self._by_attribute.setdefault(key, []).append(instance)
+                values = self._by_attribute.setdefault(
+                    (type_name, attribute), {}
+                )
+                try:
+                    values.setdefault(value, []).append(instance)
+                except TypeError:
+                    pass  # unhashable: not indexed, see _bucket
         self._registrations += 1
+        # Registration order, comparable without walking a type bucket.
+        instance._registration = self._registrations
         self._version += 1
         for listener in list(self._listeners):
             listener("register", instance)
@@ -152,14 +149,24 @@ class EntityRegistry(Instrumented):
         for type_name in (instance.info.name, *instance.info.ancestors):
             self._by_type[type_name].remove(instance)
             for attribute, value in instance.attributes.items():
-                key = _index_key(type_name, attribute, value)
-                if key is not None:
-                    self._by_attribute[key].remove(instance)
+                bucket = self._bucket(type_name, attribute, value)
+                if bucket is not None:
+                    bucket.remove(instance)
         self._unregistrations += 1
         self._version += 1
         for listener in list(self._listeners):
             listener("unregister", instance)
         return instance
+
+    def _bucket(self, type_name: str, attribute: str, value: Any):
+        """The ``(type, attribute, value)`` index bucket, or None when
+        ``value`` is unhashable (array-typed attributes fall back to
+        the type-bucket scan)."""
+        values = self._by_attribute.get((type_name, attribute), {})
+        try:
+            return values.get(value, ())
+        except TypeError:
+            return None
 
     def get(self, entity_id: str) -> DeviceInstance:
         try:
@@ -208,13 +215,13 @@ class EntityRegistry(Instrumented):
         candidates: Iterable[DeviceInstance]
         buckets = []
         for name, value in attribute_filters.items():
-            key = _index_key(device_type, name, value)
-            if key is None:
+            bucket = self._bucket(device_type, name, value)
+            if bucket is None:
                 # Unhashable filter value: the index cannot serve it;
                 # fall back to scanning the type bucket.
                 buckets = []
                 break
-            buckets.append((name, self._by_attribute.get(key, [])))
+            buckets.append((name, bucket))
         if buckets:
             self._index_hits += 1
             seed_name, candidates = min(
@@ -255,6 +262,31 @@ class EntityRegistry(Instrumented):
                     continue
             results.append(instance)
         return results
+
+    def distinct_values(
+        self, device_type: str, attribute: str
+    ) -> Optional[List[Any]]:
+        """The values ``attribute`` takes over ``instances_of(
+        device_type)``, each once, ordered by the first instance
+        carrying it — from the index alone, one bucket head per value;
+        ``None`` when the index does not hold every member (unhashable
+        values, an attribute only a subtype declares)."""
+        values = self._by_attribute.get((device_type, attribute), {})
+        if sum(map(len, values.values())) != len(
+            self._by_type.get(device_type, ())
+        ):
+            return None
+        self._lookups += 1
+        self._index_hits += 1
+        firsts = []
+        for value, bucket in values.items():
+            for instance in bucket:
+                if not instance.failed and (
+                    self.health_of(instance.entity_id) != QUARANTINED
+                ):
+                    firsts.append((instance._registration, value))
+                    break
+        return [value for __, value in sorted(firsts)]
 
     def iter_shards(
         self,

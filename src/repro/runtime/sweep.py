@@ -34,10 +34,8 @@ merge by registry position once.  The cut is compiled once per registry
 partition (:class:`_SweepCut`), so a steady-state sweep builds one
 result list, not a container per reading.
 
-The engine executes an arbitrary per-instance callable, so supervised
-reads, circuit-breaker gating and stale-policy substitution behave
-exactly as in the serial loop — :meth:`Application._gather` keeps
-owning that policy and only delegates the fan-out here.
+Supervised reads, breaker gating and stale-policy substitution live in
+the column reader — :meth:`Application._gather` keeps owning them.
 
 Observability follows the :class:`~repro.telemetry.instrument.Instrumented`
 protocol: cumulative sweep/batch counters are pull-time callbacks, and
@@ -82,11 +80,6 @@ SWEEP_DURATION_BUCKETS = (
 )
 
 _position = itemgetter(0)
-
-
-def _column_of(read_one):
-    """A scalar read as the column reader the sweep loop runs."""
-    return lambda instances: list(map(read_one, instances))
 
 
 class _SweepCut:
@@ -353,13 +346,13 @@ class SweepEngine(Instrumented):
     def sweep(
         self,
         device_type: str,
-        read_one: Callable[[DeviceInstance], Any],
+        read_column: Callable[[Sequence[DeviceInstance]], List[Any]],
         include_quarantined: bool = True,
-        read_column: Optional[
-            Callable[[Sequence[DeviceInstance]], List[Any]]
-        ] = None,
+        columnar: bool = False,
     ) -> Tuple[List[DeviceInstance], List[Any]]:
-        """Run ``read_one`` over every bound instance of ``device_type``.
+        """Run ``read_column`` over every bound instance of
+        ``device_type``: it is handed each task's instance column and
+        returns a result column aligned with it.
 
         Returns ``(instances, results)`` — two aligned columns **in
         registry iteration order** whatever the execution mode, so
@@ -367,16 +360,14 @@ class SweepEngine(Instrumented):
         way.  ``instances`` belongs to the engine's memoized cut and is
         the same list sweep after sweep while the registry membership
         holds: treat it as immutable.  Exceptions raised by
-        ``read_one`` propagate (callers wanting per-read containment
+        ``read_column`` propagate (callers wanting per-read containment
         catch inside the callable, as ``Application._gather`` does).
 
-        With ``read_column`` (the columnar batch-read path), the engine
-        hands each shard's instances to it in one call and expects a
-        result column aligned with the input; one pool task per shard
-        replaces one task per ``batch_size`` reads.  The caller owns
-        cohort formation, eligibility and scalar demotion inside
-        ``read_column`` — the engine only owns fan-out and the ordered
-        merge, exactly as on the scalar path.
+        ``columnar`` (the batch-read path) makes each shard one task,
+        so one pool task per shard replaces one per ``batch_size``
+        reads; the caller owns cohort formation, eligibility and scalar
+        demotion inside ``read_column`` — the engine only owns fan-out
+        and the ordered merge, exactly as on the scalar path.
         """
         started = time.perf_counter()
         self._sweeps += 1
@@ -390,14 +381,12 @@ class SweepEngine(Instrumented):
         threaded = self.mode_for_clock() == "threaded"
         # The modes differ only in how the sweep is cut into tasks and
         # where the tasks run.
-        shape = (read_column is not None, threaded, self.config.batch_size)
+        shape = (columnar, threaded, self.config.batch_size)
         cut = self._cuts.get(device_type)
         if cut is None or cut.partition is not shards or cut.shape != shape:
             cut = self._cuts[device_type] = _SweepCut(shards, shape)
         self._reads += len(cut.instances)
-        if read_column is None:
-            read_column = _column_of(read_one)
-        else:
+        if columnar:
             self._columnar_sweeps += 1
         columns = [instances for __, instances in cut.tasks]
         if threaded:

@@ -130,6 +130,14 @@ def check_value(dia_type: DiaType, value: Any) -> Any:
 _EXACT_CLASS = {"Boolean": bool, "Integer": int, "Float": float, "String": str}
 
 
+def exact_class(dia_type: DiaType) -> Any:
+    """The class whose exact instances :func:`coerce_value` returns as
+    they are for ``dia_type``; ``None`` when every value is checked."""
+    if isinstance(dia_type, PrimitiveType):
+        return _EXACT_CLASS.get(dia_type.name)
+    return None
+
+
 def coerce_value(dia_type: DiaType, value: Any) -> Any:
     """Like :func:`check_value`, but applies safe numeric widening.
 
@@ -165,10 +173,9 @@ def coerce_column(dia_type: DiaType, values: List[Any]) -> List[Any]:
     :class:`ValueConformanceError` messages are those of the scalar
     path.
     """
-    if isinstance(dia_type, PrimitiveType):
-        exact = _EXACT_CLASS.get(dia_type.name)
-        if exact is not None and set(map(type, values)) <= {exact}:
-            return values
+    exact = exact_class(dia_type)
+    if exact is not None and set(map(type, values)) <= {exact}:
+        return values
     return [coerce_value(dia_type, value) for value in values]
 
 

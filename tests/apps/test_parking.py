@@ -9,7 +9,8 @@ from repro.apps.parking import (
     build_parking_app,
 )
 from repro.mapreduce.engine import ThreadExecutor
-from repro.runtime import proxies
+from repro.runtime import device, proxies
+from repro.sema.symbols import DeviceInfo
 
 
 @pytest.fixture
@@ -159,7 +160,9 @@ class TestScaleContinuum:
 class TestDefaultPathSteadyState:
     """What one more delivery costs once names and proxies are resolved,
     as counts: the design fixes every name, so none is re-derived; the
-    registry index answers ``discover...where(location=lot)``."""
+    registry index answers ``discover...where(location=lot)`` and
+    "which lots are deployed?"; how an entity reads and acts was
+    resolved when it first did."""
 
     @pytest.fixture
     def regex_runs(self, monkeypatch):
@@ -175,7 +178,31 @@ class TestDefaultPathSteadyState:
         monkeypatch.setattr(naming, "_CAMEL_BOUNDARY", Counting())
         return names
 
-    def test_parking_delivery(self, regex_runs, monkeypatch):
+    @pytest.fixture
+    def resolutions(self, monkeypatch):
+        """Every per-reading question the plan answers ahead of time,
+        as it is asked again: ``(what, name)`` pairs."""
+        asked = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                asked.append((name, args[-1]))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(DeviceInfo, "source")
+        counting(device._Plan, "__missing__")
+        counting(device.DeviceInstance, "bind_plan")
+        # Whichever modules bound the name at import.
+        for module in (naming, device, proxies):
+            if hasattr(module, "query_method_name"):
+                counting(module, "query_method_name")
+        return asked
+
+    def test_parking_delivery(self, regex_runs, resolutions, monkeypatch):
         app = build_parking_app(seed=5)
         app.advance(1200)  # two warm-up deliveries
         panel_proxies = []
@@ -189,26 +216,51 @@ class TestDefaultPathSteadyState:
         monkeypatch.setattr(proxies, "make_proxy", counting_make_proxy)
         registry = app.application.registry
         index_hits = registry.stats()["index_hits"]
+        lookups = []
+        instances_of = registry.instances_of
+
+        def recording_instances_of(device_type, **filters):
+            lookups.append((device_type, filters))
+            return instances_of(device_type, **filters)
+
+        monkeypatch.setattr(registry, "instances_of", recording_instances_of)
         regex_runs.clear()
+        resolutions.clear()
         app.advance(600)
         lots = sorted(app.entrance_panels)
         assert all(
             len(panel.history) == 3 for panel in app.entrance_panels.values()
         )
         assert regex_runs == []
-        # One indexed look-up per lot refreshed, touching only the
-        # panel it actuates.
-        assert registry.stats()["index_hits"] == index_hits + len(lots)
+        # One indexed look-up enumerates the deployed lots, and one per
+        # lot refreshed touches only the panel it actuates.
+        assert registry.stats()["index_hits"] == index_hits + 1 + len(lots)
         assert sorted(panel_proxies) == [f"panel-{lot}" for lot in lots]
+        # 360 readings and 5 actuations re-derived nothing ...
+        assert resolutions == []
+        # ... the handler learnt the lots from the index, not from the
+        # sensors: no walk over them, no proxy for any of them ...
+        assert "PresenceSensor" not in {kind for kind, __ in lookups}
+        sensors = instances_of("PresenceSensor")
+        assert len(sensors) == app.sensor_count
+        assert not any(one._cached_proxy for one in sensors)
+        # ... and 120 sensors of one declaration and one driver class
+        # share one plan (a closure per instance is 9 MiB on 10 000).
+        assert len({id(one.plan) for one in sensors}) == 1
+        assert len(vars(sensors[0].info)["_plans"]) == 1
 
-    def test_cooker_tick(self, regex_runs):
+    def test_cooker_tick(self, regex_runs, resolutions):
         app = build_cooker_app(threshold_seconds=1)
         app.environment.set_cooker(True)
         app.advance(2)
         regex_runs.clear()
+        resolutions.clear()
         app.advance(1)
         assert app.application.stats["context_activations"]["Alert"] == 3
         assert regex_runs == []
+        # One tickSecond: the event is typed against its declaration;
+        # the query and the actuation it causes compile nothing.
+        assert resolutions == [("source", "tickSecond")]
 
 
 class TestDeploymentDetails:

@@ -25,7 +25,11 @@ from repro.runtime.app import Application
 from repro.runtime.clock import SimulationClock
 from repro.runtime.component import Context
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.device import CallableDriver
+from repro.runtime.device import (
+    CallableDriver,
+    DeviceDriver,
+    DeviceInstance,
+)
 from repro.sema.analyzer import analyze
 
 
@@ -151,6 +155,40 @@ class TestInjectorMechanics:
         ChaosInjector(app, plan).attach()
         with pytest.raises(DeviceUnavailableError):
             app.registry.get("sensor-0").driver.read("reading")
+
+    def test_a_plan_installed_after_a_first_read_is_seen(self, monkeypatch):
+        """The injector swaps the driver of an instance that has already
+        resolved how it reads (unsupervised, a ``read_<source>`` method:
+        the plain plan) through the one entry point that drops that
+        resolution; the swap must reach the next read, and ``detach``
+        must give the inner driver's behaviour back."""
+        swaps = []
+        swap_driver = DeviceInstance.swap_driver
+
+        def counting_swap(instance, driver):
+            swaps.append(type(driver).__name__)
+            return swap_driver(instance, driver)
+
+        class Steady(DeviceDriver):
+            def read_reading(self):
+                return 4.0
+
+        app = Application(analyze(DESIGN))
+        app.implement("Sweep", CountingSweep())
+        sensor = app.create_device("Sensor", "sensor-0", Steady())
+        assert sensor.read("reading") == 4.0
+        monkeypatch.setattr(DeviceInstance, "swap_driver", counting_swap)
+        plan = FaultPlan(seed=1).outage(
+            "Sensor", start=0.0, duration=60.0, entity_ids=["sensor-0"]
+        )
+        injector = ChaosInjector(app, plan).attach()
+        with pytest.raises(DeviceUnavailableError, match="chaos outage"):
+            sensor.read("reading")
+        assert injector.injected_failures == 1
+        injector.detach()
+        assert sensor.read("reading") == 4.0
+        assert injector.injected_failures == 1
+        assert swaps == ["ChaosDriver", "Steady"]
 
     def test_same_seed_targets_same_entities(self):
         app_a, __ = build_small_app()

@@ -162,6 +162,26 @@ class TestDeviceBinding:
         app.unbind_device("s1")
         assert len(app.registry) == 0
 
+    def test_an_unbound_instance_no_longer_counts_into_the_app(self):
+        """``detach`` is the inverse of every ``attach*``: a read on an
+        unbound instance is no business of the application's."""
+        app = app_with()
+        sensor = app.create_device(
+            "Sensor", "s1",
+            CallableDriver(sources={"reading": lambda: 1.0}), zone="NORTH",
+        )
+
+        def reads():
+            family = app.metrics.snapshot()["device_reads_total"]
+            return sum(family.values())
+
+        assert sensor.read("reading") == 1.0
+        assert reads() == 1
+        assert app.unbind_device("s1") is sensor
+        assert sensor.supervisor is None
+        assert sensor.read("reading") == 1.0
+        assert reads() == 1
+
     def test_implementation_lookup(self):
         app = app_with()
         assert isinstance(app.implementation("Grouped"), GoodGrouped)

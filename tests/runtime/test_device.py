@@ -1,6 +1,12 @@
 """Device instances, drivers and the three delivery modes."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ActuationError,
@@ -8,8 +14,13 @@ from repro.errors import (
     DeliveryError,
     ValueConformanceError,
 )
+from repro.faults.policy import SupervisionPolicy
+from repro.faults.supervisor import SupervisionManager
+from repro.runtime.cache import CacheConfig, ReadCache
+from repro.runtime.clock import SimulationClock
 from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
 from repro.sema.analyzer import analyze
+from repro.telemetry import MetricsRegistry
 
 DESIGN = """\
 device PresenceSensor {
@@ -231,3 +242,394 @@ class TestFailureState:
         instance.fail()
         instance.recover()
         assert instance.read("presence") is True
+
+
+PLAN_DESIGN = analyze("""\
+device Meter {
+    source level as Float;
+    source count as Integer expect timeout <60 s> retry 1;
+    action setRate(newRate as Integer);
+    action Reset;
+}
+""")
+READ_COUNTERS = (
+    "device_reads_total",
+    "device_read_retries_total",
+    "device_read_timeouts_total",
+    "device_read_failures_total",
+)
+
+
+class Feed:
+    """What a driver answers, call after call: the drawn responses in
+    a cycle (``DeliveryError``/``ActuationError`` instances raise)."""
+
+    def __init__(self, responses):
+        self.responses = responses
+        self.calls = []
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        response = self.responses[(len(self.calls) - 1) % len(self.responses)]
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+
+def method_driver(feed):
+    class Methods(DeviceDriver):
+        def read_level(self):
+            return feed("level")
+
+        def read_count(self):
+            return feed("count")
+
+    return Methods()
+
+
+def shadowed_method_driver(feed):
+    """The class has the readers; the instance overrides them."""
+    driver = method_driver(lambda source: pytest.fail("shadowed"))
+    driver.read_level = lambda: feed("level")
+    driver.read_count = lambda: feed("count")
+    return driver
+
+
+def instance_attribute_driver(feed):
+    driver = DeviceDriver()
+    driver.read_level = lambda: feed("level")
+    driver.read_count = lambda: feed("count")
+    return driver
+
+
+def callable_driver(feed):
+    return CallableDriver(
+        sources={
+            "level": lambda: feed("level"),
+            "count": lambda: feed("count"),
+        }
+    )
+
+
+def wholesale_driver(feed):
+    class Wholesale(DeviceDriver):
+        # Never reached: ``read`` is overridden wholesale.
+        read_level = read_count = None
+
+        def read(self, source):
+            return feed(source)
+
+    return Wholesale()
+
+
+def late_driver(feed):
+    """Reports a virtual delay beyond any declared timeout, the way a
+    chaos-wrapped driver does."""
+    driver = method_driver(feed)
+    driver.last_injected_latency = 3600.0
+    return driver
+
+
+def no_reader_driver(feed):
+    return DeviceDriver()
+
+
+DRIVER_SHAPES = (
+    method_driver,
+    shadowed_method_driver,
+    instance_attribute_driver,
+    callable_driver,
+    wholesale_driver,
+    late_driver,
+    no_reader_driver,
+)
+_response = st.sampled_from(
+    [1.5, 3, True, "high", None, DeliveryError("boom")]
+)
+_step = st.one_of(
+    st.tuples(st.just("read"), st.sampled_from(["level", "count", "ghost"])),
+    st.tuples(
+        st.sampled_from(
+            [
+                "fail",
+                "recover",
+                "attach_metrics",
+                "attach_supervisor",
+                "attach_cache",
+                "uncache",
+                "detach",
+                "tick",
+            ]
+        ),
+        st.none(),
+    ),
+    st.tuples(st.just("swap"), st.sampled_from(DRIVER_SHAPES)),
+)
+
+
+class Twin:
+    """One of two identically wired instances the same script runs on:
+    one reads through its plan, the other through the general body."""
+
+    def __init__(self, shape, responses):
+        self.feed = Feed(responses)
+        self.clock = SimulationClock()
+        self.metrics = MetricsRegistry()
+        self.manager = SupervisionManager(
+            self.clock, default_policy=SupervisionPolicy()
+        )
+        self.cache = ReadCache(self.clock, CacheConfig(enabled=True))
+        self.instance = DeviceInstance(
+            PLAN_DESIGN.devices["Meter"], "m1", shape(self.feed)
+        )
+
+    def apply(self, step, argument):
+        instance = self.instance
+        if step == "swap":
+            instance.swap_driver(argument(self.feed))
+        elif step == "attach_metrics":
+            instance.attach_metrics(self.metrics)
+        elif step == "attach_supervisor":
+            instance.attach_supervisor(self.manager.supervise(instance))
+        elif step == "attach_cache":
+            instance.attach_cache(self.cache)
+        elif step == "uncache":
+            instance.attach_cache(None)
+        elif step == "tick":
+            self.clock.advance(2.0)  # past the cache TTL
+        else:
+            getattr(instance, step)()
+
+    def counters(self):
+        families = self.metrics.snapshot()
+        return [sum(families.get(name, {}).values()) for name in READ_COUNTERS]
+
+
+def outcome_of(call):
+    try:
+        return ("value", repr(call()))
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc), str(exc))
+
+
+class TestReadPlan:
+    """The plan is an optimisation of the general body, never a second
+    semantics."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from(DRIVER_SHAPES),
+        responses=st.lists(_response, min_size=1, max_size=5),
+        wiring=st.sets(
+            st.sampled_from(
+                ["attach_metrics", "attach_supervisor", "attach_cache"]
+            )
+        ),
+        script=st.lists(_step, max_size=14),
+    )
+    def test_compiled_reads_are_the_general_body(
+        self, shape, responses, wiring, script
+    ):
+        compiled = Twin(shape, responses)
+        general = Twin(shape, responses)
+        for step in sorted(wiring):
+            compiled.apply(step, None)
+            general.apply(step, None)
+        for step, argument in script:
+            if step != "read":
+                compiled.apply(step, argument)
+                general.apply(step, argument)
+                continue
+            assert outcome_of(
+                lambda: compiled.instance.read(argument)
+            ) == outcome_of(
+                lambda: general.instance._read_general(argument)
+            )
+            assert compiled.counters() == general.counters()
+            assert compiled.feed.calls == general.feed.calls
+
+    def test_the_plain_plan_is_chosen_and_shared(self):
+        meters = [
+            DeviceInstance(
+                PLAN_DESIGN.devices["Meter"],
+                f"m{number}",
+                method_driver(Feed([2])),
+            )
+            for number in range(3)
+        ]
+        assert [meter.read("level") for meter in meters] == [2.0] * 3
+        # Each ``method_driver`` call makes its own class: three plans.
+        assert len({id(meter.plan) for meter in meters}) == 3
+        twins = [
+            DeviceInstance(
+                PLAN_DESIGN.devices["Meter"], f"t{number}", DeviceDriver()
+            )
+            for number in range(3)
+        ]
+        for twin in twins:
+            with pytest.raises(DeliveryError, match="no reader"):
+                twin.read("level")
+        assert len({id(twin.plan) for twin in twins}) == 1
+        # Undeclared timeout, stock ``read``, a class-level reader: the
+        # plain function; a declared ``expect`` keeps the general body.
+        plan = meters[0].plan
+        assert plan["level"].__name__ == "read"
+        assert plan["count"].func is DeviceInstance._read_general
+
+    def test_concurrent_first_reads_share_one_plan(self):
+        """Threaded sweeps bind plans from pool threads: the table on
+        the declaration is shared state, and the first bind must win."""
+
+        class Steady(DeviceDriver):
+            def read_level(self):
+                return 1.0
+
+        info = analyze("device Meter { source level as Float; }").devices[
+            "Meter"
+        ]
+        workers = 8
+        meters = [
+            DeviceInstance(info, f"m{number}", Steady())
+            for number in range(workers * 16)
+        ]
+        barrier = threading.Barrier(workers)
+
+        def first_reads(chunk):
+            barrier.wait(timeout=10)
+            return [meter.read("level") for meter in chunk]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                columns = list(
+                    pool.map(
+                        first_reads,
+                        [meters[n::workers] for n in range(workers)],
+                        timeout=30,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert columns == [[1.0] * 16] * workers
+        assert len({id(meter.plan) for meter in meters}) == 1
+        assert len(vars(info)["_plans"]) == 1
+
+    @pytest.mark.parametrize(
+        "event",
+        ["attach_supervisor", "attach_cache", "detach", "swap_driver"],
+    )
+    def test_what_changes_the_answers_drops_the_plan(self, event):
+        twin = Twin(method_driver, [2])
+        instance = twin.instance
+        instance.read("level")
+        assert instance.plan is not None
+        if event == "swap_driver":
+            instance.swap_driver(wholesale_driver(twin.feed))
+        else:
+            twin.apply(event, None)
+        assert instance.plan is None
+
+    def test_detach_undoes_every_attach(self):
+        twin = Twin(method_driver, [2])
+        for step in ("attach_metrics", "attach_supervisor", "attach_cache"):
+            twin.apply(step, None)
+        twin.instance.attach(lambda *args: pytest.fail("detached"))
+        twin.instance.read("level")
+        assert twin.counters() == [1, 0, 0, 0]
+        twin.instance.detach()
+        assert twin.instance.supervisor is None
+        twin.instance.read("level")
+        twin.instance.publish("level", 1.0)
+        assert twin.counters() == [1, 0, 0, 0]
+        assert twin.cache.stats()["misses"] == 1
+
+
+class SetRate(DeviceDriver):
+    """``do_*`` methods, reached directly under the stock ``invoke``."""
+
+    def __init__(self, feed):
+        self.feed = feed
+
+    def do_set_rate(self, new_rate):
+        return self.feed(new_rate=new_rate)
+
+    def do_reset(self):
+        return self.feed()
+
+
+class SetRateThroughInvoke(SetRate):
+    """The same driver, but ``invoke`` overridden: the general path."""
+
+    def invoke(self, action, **params):
+        return DeviceDriver.invoke(self, action, **params)
+
+
+_params = st.sampled_from(
+    [
+        {"newRate": 3},
+        {"new_rate": 3},
+        {},
+        {"newRate": 3, "boost": 1},
+        {"newRate": "fast"},
+        {"newRate": True},
+    ]
+)
+_act_step = st.one_of(
+    st.tuples(st.sampled_from(["setRate", "Reset", "Ghost"]), _params),
+    st.tuples(
+        st.sampled_from(["fail", "recover", "attach_supervisor", "detach"]),
+        st.none(),
+    ),
+)
+
+
+class TestActPlan:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        responses=st.lists(
+            st.sampled_from([None, "ok", ActuationError("jammed")]),
+            min_size=1,
+            max_size=4,
+        ),
+        supervised=st.booleans(),
+        script=st.lists(_act_step, max_size=12),
+    )
+    def test_direct_dispatch_is_invoke(self, responses, supervised, script):
+        direct = Twin(SetRate, responses)
+        general = Twin(SetRateThroughInvoke, responses)
+        twins = (direct, general)
+        if supervised:
+            for twin in twins:
+                twin.apply("attach_supervisor", None)
+        for step, params in script:
+            if params is None:
+                for twin in twins:
+                    twin.apply(step, None)
+                continue
+            first, second = (
+                outcome_of(lambda: twin.instance.act(step, **params))
+                for twin in twins
+            )
+            assert first == second
+            # camelCase parameters reach ``do_*`` in snake case.
+            assert direct.feed.calls == general.feed.calls
+            assert all(
+                kwargs in ({}, {"new_rate": 3})
+                for __, kwargs in direct.feed.calls
+            )
+            for twin in twins:
+                supervisor = twin.instance.supervisor
+                if supervisor is not None:
+                    breaker = supervisor.breaker
+                    assert (breaker.state, breaker._failures) == (
+                        general.instance.supervisor.breaker.state,
+                        general.instance.supervisor.breaker._failures,
+                    )
+
+    def test_an_actuation_error_under_supervision_counts_a_failure(self):
+        twin = Twin(SetRate, [ActuationError("jammed")])
+        twin.apply("attach_supervisor", None)
+        with pytest.raises(ActuationError, match="jammed"):
+            twin.instance.act("setRate", newRate=3)
+        assert twin.instance.supervisor.breaker._failures == 1

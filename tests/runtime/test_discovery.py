@@ -10,6 +10,7 @@ from repro.errors import DiscoveryError
 from repro.faults.policy import HEALTHY, QUARANTINED
 from repro.runtime.device import CallableDriver, DeviceInstance
 from repro.runtime.discovery import Discover
+from repro.runtime.proxies import ProxySet, make_proxy
 from repro.runtime.registry import EntityRegistry
 from repro.sema.analyzer import analyze
 
@@ -173,9 +174,10 @@ class TestLazyDiscovery:
         calls=st.tuples(_filters, _filters, _filters),
         unknown_at=st.sampled_from([None, 0, 1, 2]),
         late=_entity,
+        distinct=st.tuples(st.sampled_from(sorted(SNAKE)), st.booleans()),
     )
     def test_lazy_chain_is_the_eager_lookup_filtered_by_hand(
-        self, entities, device_type, calls, unknown_at, late
+        self, entities, device_type, calls, unknown_at, late, distinct
     ):
         registry = EntityRegistry()
         quarantined = set()
@@ -201,9 +203,9 @@ class TestLazyDiscovery:
             if state == "quarantined":
                 quarantined.add(entity_id)
 
-        def by_hand():
+        def members_by_hand():
             return [
-                instance.entity_id
+                instance
                 for instance in registry.instances_of(device_type)
                 if all(
                     instance.attributes.get(name) == value
@@ -211,6 +213,22 @@ class TestLazyDiscovery:
                     for name, (value, _) in filters.items()
                 )
             ]
+
+        def by_hand():
+            return [instance.entity_id for instance in members_by_hand()]
+
+        attribute, snake = distinct
+        spelling = SNAKE[attribute] if snake else attribute
+
+        def distinct_by_hand():
+            """Ordered-unique ``[proxy.<attribute> for proxy in set]``
+            (members of a supertype set may not declare it)."""
+            values = []
+            for instance in members_by_hand():
+                value = instance.attributes.get(attribute)
+                if value is not None and value not in values:
+                    values.append(value)
+            return values
 
         for number, entity in enumerate(entities):
             bind(f"e{number}", *entity)
@@ -238,12 +256,127 @@ class TestLazyDiscovery:
         if entities:
             registry.unregister("e0")
         expected = by_hand()
+        values = distinct_by_hand()
+        with pytest.raises(DiscoveryError, match="bogus"):
+            found.distinct("bogus")
+        # Index-answered or read off the members, it is the eager
+        # answer, before the set is first used and after.
+        assert found.distinct(spelling) == values
+        by_hand_set = ProxySet(
+            device_type, map(make_proxy, members_by_hand())
+        )
+        if values or not expected:
+            assert by_hand_set.distinct(spelling) == values
+        else:
+            # A hand-built set knows the attributes its members declare.
+            with pytest.raises(DiscoveryError, match=spelling):
+                by_hand_set.distinct(spelling)
         assert found.entity_ids() == expected
+        assert found.distinct(spelling) == values
         # ... one after is not: the set froze when it was looked at.
         bind("later", *late)
         registry.unregister("late")
         assert found.entity_ids() == expected
         assert found.where(**spelt).entity_ids() == expected
+        assert found.distinct(spelling) == values
+        # A new query sees the new bindings.
+        fresh = discover.devices(device_type)
+        for filters in calls:
+            fresh = fresh.where(
+                **{name: value for name, (value, __) in filters.items()}
+            )
+        assert fresh.distinct(attribute) == distinct_by_hand()
+
+
+class TestDistinct:
+    """``discover.devices(T).distinct(a)``: which values are deployed,
+    from the registry's attribute index."""
+
+    def bind(self, registry, entity_id, zone, kind="Panel", tags=None):
+        attributes = {"panelZone": zone}
+        if kind == "EntrancePanel":
+            attributes["accessTags"] = tags
+        return registry.register(
+            DeviceInstance(
+                LAZY_DESIGN.devices[kind],
+                entity_id,
+                CallableDriver(),
+                attributes,
+            )
+        )
+
+    def test_the_index_answers_without_a_walk_or_a_proxy(self, monkeypatch):
+        registry = EntityRegistry()
+        panels = [
+            self.bind(registry, f"p{number}", zone)
+            for number, zone in enumerate(["south", "north", "south"])
+        ]
+        monkeypatch.setattr(
+            registry,
+            "instances_of",
+            lambda *args, **filters: pytest.fail("walked the members"),
+        )
+        found = Discover(LAZY_DESIGN, registry).devices("Panel")
+        assert found.distinct("panel_zone") == ["south", "north"]
+        assert found._frozen is None
+        assert not any(panel._cached_proxy for panel in panels)
+
+    def test_values_come_in_the_order_of_their_first_visible_member(self):
+        registry = EntityRegistry()
+        quarantined = set()
+        registry.attach_health(
+            lambda entity_id: QUARANTINED
+            if entity_id in quarantined
+            else HEALTHY
+        )
+        first = self.bind(registry, "p0", "south")
+        self.bind(registry, "p1", "north")
+        self.bind(registry, "p2", "south")
+        discover = Discover(LAZY_DESIGN, registry)
+
+        def zones():
+            found = discover.devices("Panel")
+            values = found.distinct("panelZone")
+            # ... which is what looking at every member says.
+            assert values == list(
+                dict.fromkeys(proxy.panel_zone for proxy in found)
+            )
+            return values
+
+        assert zones() == ["south", "north"]
+        first.fail()  # south is now first seen at p2, after north
+        assert zones() == ["north", "south"]
+        quarantined.add("p2")  # every south panel is dark: not deployed
+        assert zones() == ["north"]
+        first.recover()
+        registry.unregister("p0")
+        quarantined.clear()
+        assert zones() == ["north", "south"]
+        registry.unregister("p2")
+        assert zones() == ["north"]
+        self.bind(registry, "p3", "south")
+        assert zones() == ["north", "south"]
+
+    def test_what_the_index_does_not_hold_falls_back_to_the_members(self):
+        registry = EntityRegistry()
+        self.bind(registry, "p0", "south")
+        self.bind(registry, "e0", "north", "EntrancePanel", ["a"])
+        self.bind(registry, "e1", "north", "EntrancePanel", ["b"])
+        self.bind(registry, "e2", "south", "EntrancePanel", ["a"])
+        discover = Discover(LAZY_DESIGN, registry)
+        # Unhashable values are not indexed ...
+        entrances = discover.devices("EntrancePanel")
+        assert entrances.distinct("accessTags") == [["a"], ["b"]]
+        # ... a plain Panel declares no accessTags and carries none ...
+        assert discover.devices("Panel").distinct("access_tags") == [
+            ["a"],
+            ["b"],
+        ]
+        # ... and a filtered query is served by its (smaller) members.
+        north = discover.devices("Panel", panelZone="north")
+        assert north.distinct("accessTags") == [["a"], ["b"]]
+        assert north.distinct("panelZone") == ["north"]
+        assert entrances.distinct("panelZone") == ["north", "south"]
 
 
 class TestContextQueries:

@@ -22,7 +22,7 @@ from repro.api import (
 from repro.errors import BindingError
 from repro.runtime.grouping import group_readings, group_readings_planned
 from repro.runtime.plan import DeliveryPlanner, missing
-from repro.runtime.proxies import make_proxy, make_proxy_set
+from repro.runtime.proxies import ProxySet, make_proxy
 
 DESIGN = """\
 device MotionSensor {
@@ -248,7 +248,7 @@ class TestProxyCache:
     def test_proxy_set_reuses_cached_proxies(self):
         app, __, instance = build_app()
         proxy = make_proxy(instance)
-        proxy_set = make_proxy_set("MotionSensor", [instance])
+        proxy_set = ProxySet("MotionSensor", map(make_proxy, [instance]))
         assert proxy_set[0] is proxy
 
     def test_unbind_clears_cached_proxy(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ActuationError, DiscoveryError
 from repro.runtime.device import CallableDriver, DeviceInstance
-from repro.runtime.proxies import make_proxy, make_proxy_set
+from repro.runtime.proxies import ProxySet, make_proxy
 from repro.sema.analyzer import analyze
 
 DESIGN = """\
@@ -83,7 +83,7 @@ class TestProxySet:
             make_panel(design, "p2", "B16", self.log),
             make_panel(design, "p3", "B16", self.log),
         ]
-        return make_proxy_set("ParkingEntrancePanel", instances)
+        return ProxySet("ParkingEntrancePanel", map(make_proxy, instances))
 
     def test_collection_protocol(self, panels):
         assert len(panels) == 3
@@ -161,10 +161,10 @@ class TestProxySet:
         """discover.parking_entrance_panels().where_location(lot)
         .update(status) — the exact call shape of Figure 11."""
         log = []
-        panels = make_proxy_set(
+        panels = ProxySet(
             "ParkingEntrancePanel",
-            [make_panel(design, "p1", "A22", log),
-             make_panel(design, "p2", "B16", log)],
+            map(make_proxy, [make_panel(design, "p1", "A22", log),
+                             make_panel(design, "p2", "B16", log)]),
         )
         panels.where_location("A22").update(status="FREE: 12")
         assert log == [("p1", "FREE: 12")]

@@ -54,6 +54,11 @@ context Windowed as Integer {
 LOTS = ("A22", "B16", "D6")
 
 
+def column_of(read_one):
+    """A per-instance read as the column reader a sweep runs."""
+    return lambda instances: [read_one(instance) for instance in instances]
+
+
 class FreeCountImpl(Context):
     def __init__(self):
         super().__init__()
@@ -197,7 +202,9 @@ class TestDeterministicMerge:
                 seen.append(instance.entity_id)
             return instance.entity_id
 
-        instances, results = app.sweeper.sweep("PresenceSensor", read_one)
+        instances, results = app.sweeper.sweep(
+            "PresenceSensor", column_of(read_one)
+        )
         merged = [instance.entity_id for instance in instances]
         assert merged == [f"s-{i}" for i in range(6)]
         assert results == merged  # aligned with the instance column
@@ -276,8 +283,8 @@ class TestOneSweepLoop:
 
         instances, results = app.sweeper.sweep(
             "PresenceSensor",
-            read_one,
-            read_column=read_column if columnar else None,
+            read_column if columnar else column_of(read_one),
+            columnar=columnar,
         )
         expected = [f"s-{i}" for i in range(self.SENSORS)]
         # Two columns, aligned, both in registry order.
@@ -318,12 +325,8 @@ class TestOneSweepLoop:
         def ids():
             instances, results = app.sweeper.sweep(
                 "PresenceSensor",
-                lambda instance: instance.entity_id,
-                read_column=(
-                    (lambda column: [i.entity_id for i in column])
-                    if columnar
-                    else None
-                ),
+                lambda column: [i.entity_id for i in column],
+                columnar=columnar,
             )
             assert results == [i.entity_id for i in instances]
             return instances
@@ -365,7 +368,8 @@ class TestOneSweepLoop:
         breaker probes keep their sequence."""
         app, driver_reads = self.build("serial")
         app.sweeper.sweep(
-            "PresenceSensor", lambda instance: instance.read("presence")
+            "PresenceSensor",
+            column_of(lambda instance: instance.read("presence")),
         )
         assert driver_reads == [f"s-{i}" for i in range(self.SENSORS)]
 
@@ -382,7 +386,7 @@ class TestOneSweepLoop:
             return True
 
         with pytest.raises(DeliveryError, match="boom"):
-            app.sweeper.sweep("PresenceSensor", read_one)
+            app.sweeper.sweep("PresenceSensor", column_of(read_one))
         assert len(ran) == self.SENSORS  # every future was drained
         app.sweeper.close()
 
