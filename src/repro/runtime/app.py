@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import Counter
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import (
     BindingError,
@@ -62,77 +60,27 @@ from repro.runtime.component import (
     Publishable as PublishableWrapper,
     SourceEvent,
 )
-from repro.faults.policy import HEALTHY
 from repro.faults.supervisor import SupervisionManager
 from repro.runtime.device import DeviceDriver, DeviceInstance
 from repro.runtime.discovery import Discover
+from repro.runtime.gather import Gatherer
 from repro.runtime.grouping import (
     WindowAccumulator,
     group_readings,
     group_readings_planned,
 )
 from repro.runtime.placement import PlacementExecutor
-from repro.runtime.plan import CohortPlanner, DeliveryPlanner
+from repro.runtime.plan import DeliveryPlanner, source_topics
 from repro.runtime.proxies import make_proxy
-from repro.simulation.network import TopologyModel
 from repro.runtime.qos import QoSMonitor
 from repro.runtime.registry import EntityRegistry
 from repro.runtime.sweep import SweepEngine
 from repro.sema.analyzer import AnalyzedSpec
 from repro.telemetry import MetricsRegistry
-from repro.typesys.values import check_value, coerce_column
+from repro.typesys.values import check_value
 
 # Sentinel distinguishing "isolated component failed" from a None result.
 _FAILED = object()
-
-
-class _Lost:
-    """The outcome of a read that produced no value — something no
-    DiaSpec value can be, so a successful read's outcome is simply its
-    coerced value.  ``error`` is the :class:`DeliveryError` of a failed
-    read, ``None`` for a read the network model dropped.  Outcomes are
-    produced inside a sweep and folded back on the sweep-driving thread
-    (worker threads never touch app counters)."""
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: Optional[DeliveryError] = None):
-        self.error = error
-
-
-_DROPPED = _Lost()
-
-# Column placeholders of one columnar shard read: a position not yet
-# settled, and one demoted out of its batch cohort for this sweep
-# (failed flag, degraded health); the scalar fallback loop overwrites
-# the latter with the real outcome.
-_PENDING = object()
-_DEMOTED = object()
-
-_reads_counter_of = attrgetter("_m_reads")
-
-
-def _read_column(source, sampler, instances) -> List[Any]:
-    """Poll one task's instance column (possibly on a pool thread), in
-    order: per instance the sampler's draw, then its read plan.
-
-    Returns the outcomes — each a value or a :class:`_Lost` — instead
-    of mutating counters, so the sweep engine can run tasks
-    concurrently and the caller folds outcomes deterministically in
-    registry order."""
-    outcomes: List[Any] = []
-    for instance in instances:
-        if sampler is not None and not sampler():
-            outcomes.append(_DROPPED)
-            continue
-        plan = instance.plan
-        if plan is None:
-            plan = instance.bind_plan()
-        try:
-            outcomes.append(plan[source](instance))
-        except DeliveryError as exc:
-            outcomes.append(_Lost(exc))
-    return outcomes
 
 
 class Application:
@@ -148,8 +96,6 @@ class Application:
         app.start()
         app.advance(60)        # drive virtual time
     """
-
-    ERROR_POLICIES = ("raise", "isolate")
 
     def __init__(
         self,
@@ -200,7 +146,6 @@ class Application:
             seed=config.supervision_seed,
         )
         self.supervision.attach_metrics(self.metrics)
-        self.stale = config.stale_policy
         self.registry.attach_health(self.supervision.health_of)
         # Sweep execution: periodic gathers fan device reads out through
         # the engine (bounded thread pool under a wall clock, serial
@@ -217,9 +162,9 @@ class Application:
             if config.cache.enabled
             else None
         )
-        # Batch hot path (repro.runtime.plan): columnar driver reads
-        # during sweeps and precompiled publish/grouping dispatch.
-        # Both planners are ``None`` by default — with
+        # Batch hot path (repro.runtime.plan): precompiled
+        # publish/grouping dispatch here, columnar driver reads in the
+        # gatherer below.  The planner is ``None`` by default — with
         # ``BatchConfig(enabled=False)`` the scalar read path and the
         # per-publish topic walk below stay byte-identical.
         self.planner: Optional[DeliveryPlanner] = (
@@ -229,19 +174,10 @@ class Application:
             if config.batch.enabled
             else None
         )
-        # Persistent (shard, batch_key) cohort plans for the columnar
-        # sweep path, living and dying with the sweep engine's cut —
-        # re-deriving the cohorts per sweep is pure overhead once
-        # fleets grow past a few thousand devices.
-        self._cohort_planner: Optional[CohortPlanner] = (
-            CohortPlanner(self.sweeper, metrics=self.metrics)
-            if config.batch.enabled
-            else None
-        )
-        # (device type, source) -> ancestor-walk topic tuple.  The walk
-        # is a pure function of the immutable analyzed design, so the
-        # memo never needs invalidating; it serves the plans-off publish
-        # path (plans flatten further, down to the subscriber list).
+        # (device type, source) -> ``source_topics``: a pure function of
+        # the immutable analyzed design, so the memo never needs
+        # invalidating; it serves the plans-off publish path (plans
+        # flatten further, down to the subscriber list).
         self._topic_memo: Dict[Any, tuple] = {}
         self._memoize_contexts = (
             self.read_cache is not None and config.cache.memoize_contexts
@@ -255,7 +191,7 @@ class Application:
         # payload collection (poll + group + mapreduce) to the shard
         # coordinator instead of sweeping the local registry.  ``None``
         # keeps the local single-process path byte-identical.
-        self._gather_delegate: Optional[Callable[[Any, Any], Any]] = None
+        self._gather_delegate: Optional[Callable[[str, Any, Any], Any]] = None
         # Placement tier (repro.runtime.placement): edge-local
         # map+combine for grouped MapReduce gathers plus WAN byte
         # accounting.  ``None`` keeps every gather cloud-only and
@@ -267,26 +203,23 @@ class Application:
             if config.placement.enabled
             else None
         )
-        # id(interaction) -> True for periodic interactions that run
-        # the edge split (resolved once; the design is immutable, so
-        # the same interaction objects flow through _collect_payload
-        # and the shard workers alike).
-        self._edge_interactions: set = set()
-        if self.placement is not None:
-            for info in design.contexts.values():
-                for interaction in info.decl.interactions:
-                    if isinstance(
-                        interaction, WhenPeriodic
-                    ) and self.placement.splits(info.decl, interaction):
-                        self._edge_interactions.add(id(interaction))
+        # The read path of every periodic gather (repro.runtime.gather);
+        # a shard coordinator only books its workers' losses on it.
+        self.gatherer = Gatherer(
+            self.sweeper,
+            config,
+            network=self.network,
+            placement=self.placement,
+            cache=self.read_cache,
+            supervision=self.supervision,
+            metrics=self.metrics,
+        )
         self.discover = Discover(design, self.registry, self.query_context)
         self.started = False
         self._implementations: Dict[str, Component] = {}
         self._jobs: List[Any] = []
         self._subscriptions: List[Any] = []
         self._accumulators: Dict[str, WindowAccumulator] = {}
-        self._gather_network_dropped = 0
-        self._gather_read_failed = 0
         self._gather_sweeps = 0
         self._context_activations: Dict[str, int] = {}
         self._controller_activations: Dict[str, int] = {}
@@ -294,25 +227,6 @@ class Application:
             "app_gather_sweeps_total",
             lambda: self._gather_sweeps,
             help="Periodic gathering sweeps executed.",
-        )
-        self.metrics.callback(
-            "app_gather_network_dropped_total",
-            lambda: self._gather_network_dropped,
-            help="Reads dropped by the simulated network model during "
-            "gathering sweeps.",
-        )
-        self.metrics.callback(
-            "app_gather_read_failed_total",
-            lambda: self._gather_read_failed,
-            help="Supervised reads that failed during gathering sweeps.",
-        )
-        # Derived sum kept for dashboard continuity; the two series
-        # above are the primary counters.
-        self.metrics.callback(
-            "app_gather_errors_total",
-            lambda: self._gather_errors,
-            help="Failed or dropped reads during gathering sweeps "
-            "(sum of network_dropped and read_failed).",
         )
         self.metrics.callback(
             "app_component_errors_total",
@@ -371,7 +285,7 @@ class Application:
                 "design"
             )
         self.registry.register(instance)
-        instance.attach(self._on_device_publish)
+        instance.attach(self.on_device_publish)
         instance.attach_metrics(self.metrics)
         # Memoize the publish topic walk for every source of this type
         # now, so the first publish is as cheap as the thousandth.
@@ -430,11 +344,11 @@ class Application:
             raise BindingError(f"'{name}' has no implementation") from None
 
     def attach_gather_delegate(
-        self, delegate: Optional[Callable[[Any, Any], Any]]
+        self, delegate: Optional[Callable[[str, Any, Any], Any]]
     ) -> None:
         """Replace periodic payload collection (sharded-runtime hook).
 
-        ``delegate(interaction, implementation)`` must return exactly
+        ``delegate(name, interaction, implementation)`` must return exactly
         what :meth:`_collect_payload` would — the pre-window payload in
         registry order — while windowing, payload memoization, delivery
         and publishing stay here on the calling application.  Pass
@@ -559,8 +473,8 @@ class Application:
             )
         self.config = config
         self.error_policy = config.error_policy
-        self.stale = config.stale_policy
         self.sweeper.reconfigure(config.sweep)
+        self.gatherer.reconfigure(config)
         if self.read_cache is not None:
             self.read_cache.reconfigure(config.cache)
         self._memoize_contexts = (
@@ -587,9 +501,9 @@ class Application:
                 for name, accumulator in self._accumulators.items()
             },
             "gather_sweeps": self._gather_sweeps,
-            "gather_errors": self._gather_errors,
-            "gather_network_dropped": self._gather_network_dropped,
-            "gather_read_failed": self._gather_read_failed,
+            "gather_errors": self.gatherer.errors,
+            "gather_network_dropped": self.gatherer.network_dropped,
+            "gather_read_failed": self.gatherer.read_failed,
             "sweep": self.sweeper.stats(),
             "read_cache": (
                 self.read_cache.stats()
@@ -620,13 +534,6 @@ class Application:
                 for record in self._component_errors
             ],
         }
-
-    @property
-    def _gather_errors(self) -> int:
-        """Legacy aggregate: every read lost to a sweep, whatever the
-        cause.  Kept as a derived sum so the historical stats key and
-        ``app_gather_errors_total`` series stay continuous."""
-        return self._gather_network_dropped + self._gather_read_failed
 
     @property
     def component_errors(self) -> List[ComponentError]:
@@ -874,7 +781,7 @@ class Application:
     # Internal dispatch
     # ------------------------------------------------------------------
 
-    def _on_device_publish(self, instance, source, value, index) -> None:
+    def on_device_publish(self, instance, source, value, index) -> None:
         """Deliver one device publish: network model, cache
         invalidation, then plan dispatch or the topic walk.
 
@@ -904,10 +811,8 @@ class Application:
             index=index,
             timestamp=self.clock.now(),
         )
-        # Publish under the instance's type and every ancestor that
-        # declares the source, so supertype subscriptions see subtype
-        # instances (taxonomy reuse, Section III).  With delivery plans
-        # compiled, the whole walk *and* the per-topic subscriber
+        # One publish goes out under ``source_topics``.  With delivery
+        # plans compiled, the whole walk *and* the per-topic subscriber
         # resolution collapse into one flat dispatch table; without
         # them, the memoized topic tuple still spares the per-publish
         # ancestor re-walk.
@@ -927,13 +832,9 @@ class Application:
         key = (info.name, source)
         topics = self._topic_memo.get(key)
         if topics is None:
-            devices = self.design.devices
-            topics = tuple(
-                ("source", type_name, source)
-                for type_name in (info.name, *info.ancestors)
-                if source in devices[type_name].sources
+            topics = self._topic_memo[key] = source_topics(
+                self.design, info.name, source
             )
-            self._topic_memo[key] = topics
         return topics
 
     def on_component_error(
@@ -1002,22 +903,12 @@ class Application:
     ) -> None:
         """One periodic sweep: poll, group, mapreduce, window, deliver.
 
-        Polling is delegated to the :class:`SweepEngine` — a serial loop
-        under simulation, bounded thread-pool fan-out under a wall clock
-        — which returns per-instance outcomes in registry iteration
-        order regardless of completion order.  Outcomes fold into
-        readings and error counters here, on the sweep-driving thread,
-        so worker threads never touch application state.
-
-        Quarantined entities stay in the sweep (hidden only from
-        application-level discovery): probing them is what lets a
-        half-open breaker observe a recovery.  When a supervised read
-        fails, the stale policy decides whether the entity drops out of
-        this sweep (``skip``), serves its last known value
-        (``last_known``), or fails the sweep (``fail``)."""
+        Polling is :meth:`Gatherer.sweep` (sampler, sweep engine,
+        outcome fold with loss counters and the stale policy) — this
+        application's, or its shard workers' behind the delegate."""
         self._gather_sweeps += 1
         collect = self._gather_delegate or self._collect_payload
-        payload = collect(interaction, implementation)
+        payload = collect(name, interaction, implementation)
         if accumulator is not None:
             payload = accumulator.add(payload)
             if payload is None:
@@ -1041,22 +932,22 @@ class Application:
         if result is not _FAILED:
             self._publish_context(name, interaction.publish, result)
 
-    def _collect_payload(self, interaction, implementation) -> Any:
+    def _collect_payload(self, name, interaction, implementation) -> Any:
         """One sweep's pre-window payload: poll, fold, group, mapreduce.
 
         Split from :meth:`_gather` so a sharded runtime can substitute
         collection (:meth:`attach_gather_delegate`) — each worker
-        process runs :meth:`_sweep_readings` over its registry shard —
-        while windowing, payload memoization and delivery stay with the
-        caller."""
-        instances, values, __, __ = self._sweep_readings(interaction)
+        sweeps its own registry shard — while windowing, payload
+        memoization and delivery stay with the caller."""
+        decl = self.design.contexts[name].decl
+        instances, values, __, __ = self.gatherer.sweep(decl, interaction)
         group = interaction.group
         placement = self.placement
         if placement is not None:
             # The placement tier works on (instance, value) pairs; they
             # are built only here, at its boundary.
             readings = list(zip(instances, values))
-            if id(interaction) in self._edge_interactions:
+            if placement.splits(decl, interaction):
                 # Edge split: map + map-side combine run per edge node,
                 # only per-group partials transit the WAN hop, and the
                 # engine's coordinator-side final reduce merges them.
@@ -1085,251 +976,6 @@ class Application:
         if group.uses_mapreduce:
             return self.mapreduce.run(implementation, grouped)
         return grouped
-
-    def _sweep_readings(self, interaction):
-        """The per-process head of one periodic gather: sample, sweep,
-        fold.
-
-        Returns ``(instances, values, dropped, failed)`` — the readings
-        that survived as two aligned columns in registry order (the
-        instance column is the sweep engine's own while nothing was
-        lost: do not mutate it), plus how many reads this sweep lost to
-        the network model and to read failures (already added to this
-        application's counters; a shard worker ships them so the
-        coordinator can :meth:`_note_gather_losses`).  Both
-        :meth:`_collect_payload` and the shard worker's poll go through
-        here, so the sampler, the columnar read path, supervision and
-        stale handling attach at exactly one point."""
-        source = interaction.source
-        device = interaction.device
-        sampler = self._read_sampler(interaction)
-        dropped = self._gather_network_dropped
-        failed = self._gather_read_failed
-        columnar = self._cohort_planner is not None
-        instances, outcomes = self.sweeper.sweep(
-            device,
-            functools.partial(
-                self._gather_read_column, device, source, sampler
-            )
-            if columnar
-            else functools.partial(_read_column, source, sampler),
-            columnar=columnar,
-        )
-        instances, values = self._fold_read_outcomes(
-            instances, outcomes, source
-        )
-        return (
-            instances,
-            values,
-            self._gather_network_dropped - dropped,
-            self._gather_read_failed - failed,
-        )
-
-    def _note_gather_losses(self, dropped: int, failed: int) -> None:
-        """Count reads lost inside shard workers' sweeps as this
-        application's own."""
-        self._gather_network_dropped += dropped
-        self._gather_read_failed += failed
-
-    def _fold_read_outcomes(
-        self, instances, outcomes, source
-    ) -> Tuple[List[Any], List[Any]]:
-        """Fold a sweep's outcome column into the ``(instances,
-        values)`` columns of the readings that survived, bumping the
-        drop/failure counters and applying the stale policy — always on
-        the sweep-driving thread.  When nothing was lost (one scan
-        tells) the columns come back as they are."""
-        if _Lost not in set(map(type, outcomes)):
-            return instances, outcomes
-        kept: List[Any] = []
-        values: List[Any] = []
-        for instance, outcome in zip(instances, outcomes):
-            if type(outcome) is not _Lost:
-                kept.append(instance)
-                values.append(outcome)
-            elif outcome is _DROPPED:
-                self._gather_network_dropped += 1
-            else:
-                self._gather_read_failed += 1
-                if self.stale.mode == "fail":
-                    raise outcome.error
-                if self.stale.serves_stale:
-                    stale = self._stale_reading(instance, source)
-                    if stale is not None:
-                        kept.append(instance)
-                        values.append(stale[0])
-        return kept, values
-
-    def _read_sampler(self, interaction) -> Optional[Callable[[], bool]]:
-        """Zero-arg survival sampler for this gather's polled reads.
-
-        ``None`` when reads are reliable (no network, or loss not
-        applied to reads).  Under a topology, an edge-placed gather
-        samples only the device→edge access hop — its raw readings
-        never touch the WAN — while cloud-placed gathers sample the
-        whole path.  Zero-loss hops draw no randomness either way."""
-        if self.network is None or not self.config.network.apply_to_reads:
-            return None
-        network = self.network
-        if isinstance(network, TopologyModel):
-            if (
-                self.placement is not None
-                and id(interaction) in self._edge_interactions
-            ):
-                access = self.config.placement.access_hop
-                if access not in network.hop_names:
-                    return None
-                return functools.partial(
-                    network.sample_read_ok, (access,)
-                )
-            return network.sample_read_ok
-        return network.sample_read_ok
-
-    def _gather_read_column(self, device, source, sampler, instances):
-        """Columnar shard read: cohorts, batch reads, scalar demotion.
-
-        Produces the same outcome column the scalar path would, one
-        entry per instance in order.  Eligible entities — healthy, not
-        failed, not cache-fresh, with a driver that shares a
-        :meth:`~repro.runtime.device.DeviceDriver.batch_key` cohort of
-        at least ``min_column`` — are read in one ``read_batch`` call
-        per cohort; everything else **demotes to the scalar path**,
-        where per-entity retries, breaker accounting and stale handling
-        behave exactly as in an unbatched sweep.  A cohort whose batch
-        read fails (or returns a mis-shaped column) demotes whole.
-
-        In the common case — the eligibility loop settles nothing and
-        one cohort spans the shard — no per-reading container is built.
-        """
-        results: List[Any] = [_PENDING] * len(instances)
-        demoted: List[int] = []
-        cache = self.read_cache
-        # Static partition — (shard, batch_key) cohorts and the
-        # no-batch-driver positions — comes from the memoized plan;
-        # only the per-sweep eligibility below stays dynamic.
-        plan = self._cohort_planner.plan(device, source, instances)
-        for position, instance in enumerate(instances):
-            if sampler is not None and not sampler():
-                results[position] = _DROPPED
-                continue
-            supervisor = instance.supervisor
-            if instance.failed or (
-                supervisor is not None and supervisor.health != HEALTHY
-            ):
-                # Degraded/quarantined entities keep their breaker
-                # probes and half-open recovery; a batch read would
-                # bypass both.
-                results[position] = _DEMOTED
-                demoted.append(position)
-                continue
-            if cache is not None:
-                hit = cache.lookup(instance.entity_id, source)
-                if hit is not None:
-                    results[position] = hit[0]
-        # Nothing settled above: the cohorts read as they were planned.
-        whole = results.count(_PENDING) == len(results)
-        scalar = [
-            position
-            for position in plan.scalar
-            if results[position] is _PENDING
-        ]
-        scalar.extend(demoted)
-        min_column = self.config.batch.min_column
-        for positions, entity_ids in plan.groups:
-            if not whole:
-                positions = [
-                    position
-                    for position in positions
-                    if results[position] is _PENDING
-                ]
-                entity_ids = [instances[p].entity_id for p in positions]
-            if len(positions) < min_column:
-                scalar.extend(positions)
-                continue
-            # A cohort that spans the shard reads its columns as they
-            # are, and its value column is the shard's result.
-            spans = len(positions) == len(instances)
-            column = self._read_batch_cohort(
-                source,
-                instances if spans else [instances[p] for p in positions],
-                entity_ids,
-            )
-            if column is None:
-                scalar.extend(positions)
-            elif spans:
-                return column
-            else:
-                for position, value in zip(positions, column):
-                    results[position] = value
-        if scalar:
-            self.sweeper.note_batch_demoted(len(scalar))
-            scalar.sort()
-            outcomes = _read_column(
-                source, None, [instances[position] for position in scalar]
-            )
-            for position, outcome in zip(scalar, outcomes):
-                results[position] = outcome
-        return results
-
-    def _read_batch_cohort(
-        self, source, instances, entity_ids
-    ) -> Optional[List[Any]]:
-        """One driver-level batch read over a cohort.
-
-        Returns the cohort's coerced value column, aligned with
-        ``instances``; ``None`` when the cohort must be demoted to the
-        scalar path (driver declined, read failed, or the column does
-        not align with the cohort).
-        """
-        try:
-            column = instances[0].driver.read_batch(entity_ids, source)
-        except DeliveryError:
-            return None
-        if column is NotImplemented or column is None:
-            return None
-        try:
-            values = list(column)
-        except TypeError:
-            return None
-        if len(values) != len(instances):
-            return None
-        self.sweeper.note_batch_read(len(values))
-        # A subtype cannot redeclare an inherited source, so one
-        # declaration types the whole column.
-        values = coerce_column(
-            instances[0].info.source(source).dia_type, values
-        )
-        # Instances of a type share their read counter.
-        for counter, reads in Counter(
-            map(_reads_counter_of, instances)
-        ).items():
-            if counter is not None:
-                counter.inc(reads)
-        cache = self.read_cache
-        if cache is not None or self.config.supervised():
-            for instance, value in zip(instances, values):
-                supervisor = instance.supervisor
-                if supervisor is not None:
-                    # Keeps last-known stale values fresh and the
-                    # breaker's success accounting truthful, exactly as
-                    # a scalar read.
-                    supervisor.record_success(source, value)
-                if cache is not None:
-                    cache.store(instance, source, value)
-        return values
-
-    def _stale_reading(self, instance, source):
-        """Last-known cached reading for a dark source, or ``None``.
-
-        Returns ``(value, age_seconds)`` so a cached ``None`` reading is
-        distinguishable from a cache miss."""
-        supervisor = instance.supervisor
-        if supervisor is None:
-            return None
-        hit = supervisor.last_known(source, self.stale.max_age_seconds)
-        if hit is not None:
-            self.supervision.record_stale_serve()
-        return hit
 
     def _publish_context(self, name: str, discipline: Publish, result) -> None:
         if isinstance(result, PublishableWrapper):

@@ -42,10 +42,9 @@ from repro.telemetry.instrument import Instrumented, MetricSpec
 
 __all__ = [
     "BatchConfig",
-    "CohortPlan",
-    "CohortPlanner",
     "DeliveryPlanner",
     "SourcePlan",
+    "source_topics",
 ]
 
 # Column-size buckets: cohorts below min_column never batch, city-scale
@@ -82,6 +81,19 @@ class BatchConfig(ConfigBase):
     def __post_init__(self):
         if self.min_column < 1:
             raise ValueError("min_column must be >= 1")
+
+
+def source_topics(design, device_type: str, source: str) -> tuple:
+    """The ``("source", type, source)`` topics one publish of
+    ``device_type`` goes out under: its own type and every ancestor
+    that declares the source, so supertype subscriptions see subtype
+    instances (taxonomy reuse, Section III)."""
+    devices = design.devices
+    return tuple(
+        ("source", type_name, source)
+        for type_name in (device_type, *devices[device_type].ancestors)
+        if source in devices[type_name].sources
+    )
 
 
 class SourcePlan:
@@ -197,13 +209,7 @@ class DeliveryPlanner(Instrumented):
 
     def _compile_source(self, key: Tuple[str, str]) -> SourcePlan:
         device_type, source = key
-        info = self.design.devices[device_type]
-        devices = self.design.devices
-        topics = tuple(
-            ("source", type_name, source)
-            for type_name in (device_type, *info.ancestors)
-            if source in devices[type_name].sources
-        )
+        topics = source_topics(self.design, device_type, source)
         targets = tuple(
             subscription
             for topic in topics
@@ -262,100 +268,6 @@ class DeliveryPlanner(Instrumented):
             f"<DeliveryPlanner plans={len(self._plans)} "
             f"memberships={len(self._memberships)} hits={self._hits}>"
         )
-
-
-class CohortPlan:
-    """Persistent (shard, batch_key) cohort partition of one sweep
-    task's instance column.
-
-    ``groups`` holds one ``(positions, entity_ids)`` pair per
-    ``batch_key`` cohort, in first-appearance order: the members'
-    indexes into the column and, aligned with them, the entity-id
-    column ``read_batch`` is handed when the cohort reads whole.
-    ``scalar`` is the positions whose driver declines batching
-    (``batch_key`` is ``None``).  Per-sweep *eligibility* (sampler
-    drops, failed flags, breaker health, cache freshness) stays dynamic
-    in the gather path — the plan only spares it the per-instance
-    ``batch_key`` calls, cohort re-formation and id-column rebuilds
-    every sweep.
-    """
-
-    __slots__ = ("groups", "scalar")
-
-    def __init__(self, groups, scalar):
-        self.groups = groups
-        self.scalar = scalar
-
-    def __repr__(self) -> str:
-        return (
-            f"<CohortPlan groups={len(self.groups)} "
-            f"scalar={len(self.scalar)}>"
-        )
-
-
-class CohortPlanner(Instrumented):
-    """Memoized cohort plans for the columnar sweep hot path.
-
-    A plan is compiled for one instance column of the sweep engine's
-    memoized cut and lives in that cut's memo
-    (:meth:`~repro.runtime.sweep.SweepEngine.cut_memo`), keyed by
-    ``(source, id(column))``: the cut keeps its columns alive and is
-    replaced whenever the registry hands out another partition — a
-    bind, an unbind, or a ``failed`` flag filtering members without a
-    version bump — so a plan can never be replayed over a column it
-    was not compiled for.
-    """
-
-    metric_specs = (
-        MetricSpec(
-            "cohort_plan_compiles_total",
-            "_compiles",
-            stats_key="compiles",
-            help="Columnar cohort plans compiled.",
-        ),
-        MetricSpec(
-            "cohort_plan_hits_total",
-            "_hits",
-            stats_key="hits",
-            help="Columnar sweeps served from a memoized cohort plan.",
-        ),
-    )
-
-    def __init__(self, sweeper, metrics=None):
-        self.sweeper = sweeper
-        self._compiles = 0
-        self._hits = 0
-        if metrics is not None:
-            self.attach_metrics(metrics)
-
-    def plan(self, device_type: str, source: str, instances) -> CohortPlan:
-        """The cohort plan for one column of the current cut of
-        ``device_type`` (compiling on miss)."""
-        plans = self.sweeper.cut_memo(device_type)
-        key = (source, id(instances))
-        plan = plans.get(key)
-        if plan is not None:
-            self._hits += 1
-            return plan
-        cohorts: Dict[int, Tuple[list, list]] = {}
-        scalar = []
-        for position, instance in enumerate(instances):
-            batch_key = instance.driver.batch_key(source)
-            if batch_key is None:
-                scalar.append(position)
-                continue
-            cohort = cohorts.get(id(batch_key))
-            if cohort is None:
-                cohort = cohorts[id(batch_key)] = ([], [])
-            cohort[0].append(position)
-            cohort[1].append(instance.entity_id)
-        plan = CohortPlan(tuple(cohorts.values()), tuple(scalar))
-        plans[key] = plan
-        self._compiles += 1
-        return plan
-
-    def __repr__(self) -> str:
-        return f"<CohortPlanner compiles={self._compiles} hits={self._hits}>"
 
 
 # Sentinel marking an entity without the grouping attribute; the gather

@@ -149,14 +149,22 @@ class ShardRouter(Instrumented):
         self._send_to(shard, op, args)
         return self._receive(shard)
 
-    def broadcast(
-        self, op: str, args: Tuple[Any, ...] = ()
-    ) -> List[Dict[str, Any]]:
-        """The same command to every shard; replies in shard order."""
+    def broadcast(self, op: str, args: Tuple[Any, ...] = ()) -> List[Any]:
+        """The same command to every shard; replies in shard order,
+        a failed shard's exception in place of its reply.  Every reply
+        is read before the caller raises any of them: one left in its
+        pipe would answer that shard's *next* command, and every one
+        after it would be one command late."""
         self._commands += len(self._workers)
         for shard in range(len(self._workers)):
             self._send_to(shard, op, args)
-        return [self._receive(shard) for shard in range(len(self._workers))]
+        replies: List[Any] = []
+        for shard in range(len(self._workers)):
+            try:
+                replies.append(self._receive(shard))
+            except Exception as exc:  # noqa: BLE001 - raised by _command
+                replies.append(exc)
+        return replies
 
     def shutdown(self) -> None:
         for shard, (__, conn) in enumerate(self._workers):
@@ -311,13 +319,12 @@ class ShardedRuntime(Instrumented):
         # Next global registration position handed to a dynamic
         # rebind — the static fleet occupies [0, len(fleet)).
         self._next_position = len(bootstrap.fleet())
-        # interaction identity -> (context name, interaction index);
-        # how the delegate names a gather to the workers.
-        self._interactions: Dict[int, Tuple[str, int]] = {}
-        for name, info in self.app.design.contexts.items():
-            interactions = info.decl.interactions
-            for position, interaction in enumerate(interactions):
-                self._interactions[id(interaction)] = (name, position)
+        # interaction identity -> its index in its context; with the
+        # context name, how the delegate names a gather to the workers.
+        self._interactions: Dict[int, int] = {}
+        for info in self.app.design.contexts.values():
+            for position, interaction in enumerate(info.decl.interactions):
+                self._interactions[id(interaction)] = position
         # entity id -> coordinator-side stand-in, built lazily from
         # worker reply rows (attributes are static while bound).
         self._remotes: Dict[str, _RemoteInstance] = {}
@@ -394,14 +401,19 @@ class ShardedRuntime(Instrumented):
         synced its clock to ``args[0]`` and drained its recorded device
         publishes into the reply (:meth:`_ShardWorker.serve`); they
         replay into the coordinator bus here, once, before the caller
-        sees the replies (in shard order)."""
+        sees the replies (in shard order); the first failure of a
+        broadcast raises after the other shards' events replayed."""
         if entity_id is None:
             replies = self.router.broadcast(op, args)
         else:
             shard = self._owning_shard(entity_id)
             replies = [self.router.send(shard, op, args)]
         for reply in replies:
-            self._replay_events(reply["events"])
+            if not isinstance(reply, Exception):
+                self._replay_events(reply["events"])
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
         return replies
 
     def publish(
@@ -496,7 +508,7 @@ class ShardedRuntime(Instrumented):
     def _replay_events(self, events) -> None:
         """Publish worker-recorded device events through the
         coordinator application's own publish path
-        (``Application._on_device_publish``: network model, cache
+        (``Application.on_device_publish``: network model, cache
         invalidation, delivery plans), with a routed stand-in in place
         of the local instance."""
         app = self.app
@@ -521,7 +533,7 @@ class ShardedRuntime(Instrumented):
                         ("cohort", source, shard_value),
                         skip=self._owning_shard(entity_id),
                     )
-            app._on_device_publish(
+            app.on_device_publish(
                 self._remote(type_name, entity_id, attributes),
                 source,
                 value,
@@ -530,7 +542,7 @@ class ShardedRuntime(Instrumented):
 
     # -- the delegated gather -------------------------------------------
 
-    def _collect_sharded(self, interaction, implementation) -> Any:
+    def _collect_sharded(self, name, interaction, implementation) -> Any:
         """Collect one periodic gather across all shards.
 
         Replaces ``Application._collect_payload`` via the gather
@@ -541,10 +553,10 @@ class ShardedRuntime(Instrumented):
         final reduce for MapReduce gathers.
         """
         app = self.app
-        name, index = self._interactions[id(interaction)]
+        index = self._interactions[id(interaction)]
         self._sweeps += 1
         polls = self._command("poll", (app.clock.now(), name, index))
-        app._note_gather_losses(
+        app.gatherer.note_losses(
             sum(reply["dropped"] for reply in polls),
             sum(reply["failed"] for reply in polls),
         )
@@ -560,7 +572,9 @@ class ShardedRuntime(Instrumented):
         )
         maps = self._command("map", (name, index, ranks))
         tagged = [pair for reply in maps for pair in reply["data"]]
-        if placement is not None and id(interaction) in app._edge_interactions:
+        if placement is not None and placement.splits(
+            app.design.contexts[name].decl, interaction
+        ):
             # One edge node per shard: the worker-side map+combine *is*
             # the edge execution, so the shipped partials are the WAN
             # traffic — sample loss and account bytes per partial.

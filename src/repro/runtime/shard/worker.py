@@ -33,7 +33,7 @@ class _ShardWorker:
     The worker's application is never ``start()``-ed — its periodic
     jobs live at the coordinator — but all of its machinery below the
     wiring layer (registry, sweep engine, supervision, read cache,
-    columnar batch path) is fully live, which is exactly what the
+    the gatherer over them) is fully live, which is exactly what the
     coordinator's gather commands exercise.
     """
 
@@ -106,19 +106,20 @@ class _ShardWorker:
     def _cmd_poll(self, name: str, index: int) -> Dict[str, Any]:
         """Sweep this shard for one periodic gather.
 
-        Runs the per-process head of ``Application._collect_payload``
-        (:meth:`Application._sweep_readings`: sweep engine fan-out —
-        serial under the simulation clock, columnar when the batch path
-        is on — and outcome folding with supervision/stale accounting),
-        then extracts group keys.  Values stay in this process for
+        Runs the same :meth:`~repro.runtime.gather.Gatherer.sweep` the
+        single-process gather runs (sampler, sweep engine, outcome
+        fold), then extracts group keys.  Values stay in this process for
         MapReduce gathers — only ``{group: min gpos}`` crosses the pipe
         until the map round.  Flat and grouped gathers reply with the
         delta blocks of :class:`~repro.runtime.shard.codec.
         _DeltaEncoder`.
         """
         app = self.app
-        interaction = app.design.contexts[name].decl.interactions[index]
-        instances, values, dropped, failed = app._sweep_readings(interaction)
+        decl = app.design.contexts[name].decl
+        interaction = decl.interactions[index]
+        instances, values, dropped, failed = app.gatherer.sweep(
+            decl, interaction
+        )
         reply: Dict[str, Any] = {"dropped": dropped, "failed": failed}
         seen, positions = self._positions.get((name, index), (None, None))
         if seen is not instances:

@@ -35,7 +35,7 @@ partition (:class:`_SweepCut`), so a steady-state sweep builds one
 result list, not a container per reading.
 
 Supervised reads, breaker gating and stale-policy substitution live in
-the column reader — :meth:`Application._gather` keeps owning them.
+the column reader — :class:`~repro.runtime.gather.Gatherer` owns them.
 
 Observability follows the :class:`~repro.telemetry.instrument.Instrumented`
 protocol: cumulative sweep/batch counters are pull-time callbacks, and
@@ -347,12 +347,11 @@ class SweepEngine(Instrumented):
         self,
         device_type: str,
         read_column: Callable[[Sequence[DeviceInstance]], List[Any]],
-        include_quarantined: bool = True,
         columnar: bool = False,
     ) -> Tuple[List[DeviceInstance], List[Any]]:
         """Run ``read_column`` over every bound instance of
-        ``device_type``: it is handed each task's instance column and
-        returns a result column aligned with it.
+        ``device_type`` (quarantined too): it is handed each task's
+        instance column and returns a result column aligned with it.
 
         Returns ``(instances, results)`` — two aligned columns **in
         registry iteration order** whatever the execution mode, so
@@ -361,7 +360,7 @@ class SweepEngine(Instrumented):
         the same list sweep after sweep while the registry membership
         holds: treat it as immutable.  Exceptions raised by
         ``read_column`` propagate (callers wanting per-read containment
-        catch inside the callable, as ``Application._gather`` does).
+        catch inside the callable, as the gatherer's readers do).
 
         ``columnar`` (the batch-read path) makes each shard one task,
         so one pool task per shard replaces one per ``batch_size``
@@ -374,7 +373,7 @@ class SweepEngine(Instrumented):
         shards = self.registry.iter_shards(
             device_type,
             attribute=self.config.shard_attribute,
-            include_quarantined=include_quarantined,
+            include_quarantined=True,
         )
         for shard_key, members in shards:
             self._count_shard(shard_key, len(members))

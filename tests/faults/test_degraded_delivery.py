@@ -10,11 +10,12 @@ import pytest
 
 from repro.errors import DeliveryError, DeviceUnavailableError
 from repro.faults.policy import StalePolicy, SupervisionPolicy
-from repro.runtime.app import _DROPPED, _Lost, Application
+from repro.runtime.app import Application
 from repro.runtime.clock import SimulationClock
 from repro.runtime.component import Context
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import DeviceDriver
+from repro.runtime.gather import _DROPPED, _Lost
 from repro.sema.analyzer import analyze
 
 DESIGN = """\
@@ -139,7 +140,7 @@ class TestStaleServingIntoSweeps:
 
 
 class TestFoldReadOutcomes:
-    """``Application._fold_read_outcomes`` on the outcome column of one
+    """``Gatherer._fold_read_outcomes`` on the outcome column of one
     sweep: the identity on a sweep that lost nothing, one rebuild of
     both columns otherwise."""
 
@@ -148,6 +149,9 @@ class TestFoldReadOutcomes:
         app.advance(60)  # one clean sweep: every entity has a last value
         instances = list(app.registry.instances_of("Sensor"))
         return app, instances, [10.0, 20.0, 30.0, 40.0]
+
+    def fold(self, app, instances, outcomes):
+        return app.gatherer._fold_read_outcomes(instances, outcomes, "reading")
 
     def lost_counters(self, app):
         return (
@@ -159,17 +163,19 @@ class TestFoldReadOutcomes:
     def test_nothing_lost_returns_the_very_columns(self):
         app, instances, outcomes = self.sweep(StalePolicy("last_known"))
         before = self.lost_counters(app)
-        kept, values = app._fold_read_outcomes(instances, outcomes, "reading")
+        kept, values, *lost = self.fold(app, instances, outcomes)
         assert kept is instances and values is outcomes
+        assert lost == [0, 0]
         assert self.lost_counters(app) == before
 
     def test_dropped_reads_leave_the_columns(self):
         app, instances, outcomes = self.sweep(StalePolicy("last_known"))
         outcomes[0] = outcomes[2] = _DROPPED
-        kept, values = app._fold_read_outcomes(instances, outcomes, "reading")
+        kept, values, *lost = self.fold(app, instances, outcomes)
         # A network drop is not a failure: never served stale.
         assert [i.entity_id for i in kept] == ["n-1", "s-1"]
         assert values == [20.0, 40.0]
+        assert lost == [2, 0]
         assert self.lost_counters(app) == (2, 0, 0)
         assert len(instances) == len(outcomes) == 4  # inputs untouched
 
@@ -192,9 +198,10 @@ class TestFoldReadOutcomes:
     ):
         app, instances, outcomes = self.sweep(StalePolicy(mode))
         outcomes[1] = _Lost(DeliveryError("sensor is dark"))
-        kept, values = app._fold_read_outcomes(instances, outcomes, "reading")
+        kept, values, *lost = self.fold(app, instances, outcomes)
         assert [i.entity_id for i in kept] == entities
         assert values == readings
+        assert lost == [0, 1]
         assert self.lost_counters(app) == (0, 1, stale_serves)
 
     def test_fail_mode_raises_the_read_error(self):
@@ -203,7 +210,7 @@ class TestFoldReadOutcomes:
         outcomes[0] = _DROPPED
         outcomes[2] = _Lost(error)
         with pytest.raises(DeliveryError) as raised:
-            app._fold_read_outcomes(instances, outcomes, "reading")
+            self.fold(app, instances, outcomes)
         assert raised.value is error
         # Counted up to and including the read that raised.
         assert self.lost_counters(app) == (1, 1, 0)

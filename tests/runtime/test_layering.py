@@ -3,7 +3,10 @@ applications, the CLI and the benchmarks: they import it, never the
 other way round — not even lazily inside a function, which is how the
 reference scenarios used to sneak in.  The compiler front end, the
 MapReduce engine and telemetry sit below the runtime in turn: importing
-one of them must not execute an import of anything above."""
+one of them must not execute an import of anything above.
+
+Inside the runtime, ``Application`` is used through its public surface:
+no module but ``runtime/app.py`` itself reads an ``app._private``."""
 
 import ast
 import pkgutil
@@ -64,6 +67,23 @@ def imported_modules(nodes):
                 yield f"{node.module}.{alias.name}"
 
 
+def application_private_reaches(tree):
+    """Every ``<app>._name`` attribute access, ``<app>`` being anything
+    called ``app`` or ``application`` (``app``, ``self.app``,
+    ``runtime.app`` …); dunders are the language's, not private."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        name = getattr(owner, "id", None) or getattr(owner, "attr", None)
+        if (
+            name in ("app", "application")
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            yield f"{name}.{node.attr} (line {node.lineno})"
+
+
 def within(module, layers):
     return any(
         module == layer or module.startswith(layer + ".") for layer in layers
@@ -95,6 +115,21 @@ def test_lower_layers_import_nothing_above_them_at_import_time(path):
         assert not within(module, ABOVE), (
             f"{path.relative_to(SRC)} imports {module} at import time"
         )
+
+
+def test_only_app_py_reads_application_privates():
+    """What another module reaches through an ``app._private`` it has
+    to know the format of: the shard package drives the gather through
+    ``app.gatherer`` and ``Application.on_device_publish`` instead."""
+    reaches = [
+        f"{path.relative_to(SRC)}: {reach}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path != RUNTIME / "app.py"
+        for reach in application_private_reaches(
+            ast.parse(path.read_text(encoding="utf-8"), str(path))
+        )
+    ]
+    assert reaches == []
 
 
 @pytest.mark.parametrize("package", TOP_LEVEL)

@@ -30,9 +30,10 @@ from repro.api import (
     ShardError,
     ShardedRuntime,
     SimulatedFleetBootstrap,
+    StalePolicy,
     analyze,
 )
-from repro.errors import BindingError
+from repro.errors import BindingError, DeliveryError
 from repro.mapreduce.partition import shard_index
 from repro.simulation.sensors import FleetSubstrate, SubstrateDriver
 
@@ -209,7 +210,7 @@ def run_scenario(bootstrap, periods=4, publishes=(), queries=()):
             "windows": windowed.windows,
             "events": pushes.events,
             "reads": reads,
-            "gather_errors": runtime.app._gather_errors,
+            "gather_errors": runtime.app.stats["gather_errors"],
         }
     finally:
         runtime.stop()
@@ -715,6 +716,33 @@ class TestCacheInvalidation:
             runtime.stop()
 
 
+class DarkOnceDriver(TaggingDriver):
+    """Fails its first read, then answers like its neighbours."""
+
+    dark = True
+
+    def read(self, source):
+        if self.dark:
+            self.dark = False
+            raise DeliveryError("sensor is dark")
+        return super().read(source)
+
+
+class DarkSweepBootstrap(PresenceBootstrap):
+    """``StalePolicy("fail")`` and one sensor of shard 0 behind a
+    :class:`DarkOnceDriver`: the first sweep's poll fails on shard 0
+    and succeeds everywhere else."""
+
+    def build(self, ctx):
+        app = super().build(ctx)
+        app.apply_config(app.config.replace(stale=StalePolicy("fail")))
+        if ctx.index == 0:
+            next(iter(app.registry)).swap_driver(
+                DarkOnceDriver(_SUBSTRATES[app], sources=("presence",))
+            )
+        return app
+
+
 class TestRouterFailures:
     """Worker death and worker-side errors surface as typed ShardErrors
     naming the shard, and stop() still reaps the survivors."""
@@ -804,6 +832,34 @@ class TestRouterFailures:
             assert "action exploded" in str(excinfo.value)
             # The worker survives the error and keeps serving.
             assert runtime.act("s-001", "tag", label="ok") == "s-001:ok"
+        finally:
+            runtime.stop()
+
+    def test_failed_broadcast_leaves_no_reply_behind(self):
+        """When one shard answers a broadcast with an error, the other
+        shards' replies are still read: left in their pipes they would
+        answer the *next* command, and every reply after would be one
+        command late."""
+        runtime = ShardedRuntime(
+            DarkSweepBootstrap(
+                sensors=6, shard=ShardConfig(enabled=True, workers=2)
+            )
+        )
+        runtime.start()
+        try:
+            with pytest.raises(DeliveryError, match="sensor is dark"):
+                runtime.advance(PERIOD)
+            other = TestCommandEnvelope.first_per_shard(runtime)[1]
+            assert runtime.query(other, "presence") in (True, False)
+            stats = runtime.worker_stats()
+            assert [shard["shard"] for shard in stats] == [0, 1]
+            assert [shard["gather_read_failed"] for shard in stats] == [1, 0]
+            free = runtime.app.implementation("FreeCount")
+            delivered = len(free.deliveries)
+            runtime.advance(PERIOD)  # the sensor is back: a clean sweep
+            assert len(free.deliveries) > delivered
+            assert set(free.deliveries[-1]) <= set(LOTS)
+            assert runtime.router.stats()["errors"] == 1
         finally:
             runtime.stop()
 
