@@ -10,10 +10,11 @@ masked-straggler pathology pinned in ``tests/faults/test_chaos_batch.py``
 fail fast behind stale-value delivery).  A low ``batch.min_column``
 wins the first regime and loses the second; a high one the reverse.
 
-The adaptive run closes the loop: ``TuningConfig(enabled=True)`` with a
-custom cumulative-cost objective hill-climbs ``batch.min_column`` online
-through ``Application.apply_config``, re-batching in congestion and
-demoting to scalar when stragglers appear.
+The adaptive run closes the loop: a ``TuningController`` built beside
+the started application, with the gateway's cumulative cost as its
+objective, hill-climbs ``batch.min_column`` online through
+``Application.apply_config``, re-batching in congestion and demoting to
+scalar when stragglers appear.
 
 Headline assertion: over the full flapping schedule the adaptive run's
 p99 per-sweep modeled gather latency beats **every** fixed
@@ -24,7 +25,7 @@ workload measures it on the wall clock.
 
 Everything is deterministic: the fault schedule is a pure function of
 the sweep index, the cost model is analytic (no wall-clock sleeps), and
-the controller runs with ``epsilon=0``.
+the controller's policy has no random choice in it.
 """
 
 from repro.api import (
@@ -36,7 +37,7 @@ from repro.api import (
     SimulationClock,
     StalePolicy,
     SupervisionPolicy,
-    TuningConfig,
+    TuningController,
     analyze,
 )
 from repro.errors import DeviceUnavailableError
@@ -64,7 +65,7 @@ TIMEOUT_MS = 100.0  # a scalar read that hits READ_TIMEOUT_S
 FIXED_MIN_COLUMNS = (2, 8, 128)
 FIXED_THRESHOLDS = (1, 3)
 ADAPTIVE_THRESHOLD = 1
-# The model is analytic and the controller runs with epsilon=0, so the
+# The model is analytic and the controller is deterministic, so the
 # headline numbers repeat exactly on every machine.
 ADAPTIVE_P99_MS = 120.0
 BEST_FIXED_P99_MS = 1320.0
@@ -109,7 +110,7 @@ class Gateway:
     """Shared fleet transport with an analytic latency/cost model.
 
     ``cost`` accumulates modeled milliseconds of gather latency; the
-    adaptive run feeds it to the controller as the custom objective.
+    adaptive run hands it to the controller as its objective.
     """
 
     def __init__(self, clock):
@@ -177,15 +178,6 @@ def run_config(min_column, failure_threshold, adaptive=False):
             quarantine_after=None,
         ),
         stale=StalePolicy(mode="last_known"),
-        tuning=TuningConfig(
-            enabled=True,
-            interval_seconds=PERIOD,
-            knobs=("batch.min_column",),
-            objective="custom",
-            epsilon=0.0,
-        )
-        if adaptive
-        else TuningConfig(),
     )
     app = Application(DESIGN, config)
     count = app.implement("Count", CountImpl())
@@ -196,16 +188,26 @@ def run_config(min_column, failure_threshold, adaptive=False):
         app.create_device(
             "PresenceSensor", entity_id, GatewayDriver(gateway, entity_id)
         )
-    if adaptive:
-        app.tuner.set_objective(lambda: gateway.cost)
     app.start()
+    controller = None
+    if adaptive:
+        controller = TuningController(
+            app,
+            knobs=("batch.min_column",),
+            objective=lambda: gateway.cost,
+            interval_seconds=PERIOD,
+        )
+        controller.start()
     sweep_costs = []
     previous = 0.0
     for __ in range(SWEEPS):
         app.advance(PERIOD)
         sweep_costs.append(gateway.cost - previous)
         previous = gateway.cost
-    report = app.tuner.report() if adaptive else None
+    report = None
+    if controller is not None:
+        report = controller.report()
+        controller.stop()
     final_min_column = app.config.batch.min_column
     app.stop()
     ordered = sorted(sweep_costs)

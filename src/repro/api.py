@@ -52,12 +52,12 @@ The surface, by concern:
   :class:`EntityPlacement`, and the typed :class:`PlacementError`);
 * **Observability** — :class:`MetricsRegistry`, :class:`Tracer`;
 * **Adaptive tuning** — :class:`ConfigBase` (the shared
-  replace/serialize/validate protocol every config section follows),
-  :class:`TuningConfig` (the frozen ``tuning=`` section, off by
-  default), :class:`Knob` and :class:`KnobRegistry` (named live
-  tunables with safe ranges, exposed as ``Application.knobs``),
-  :class:`TuningController` (the drift-gated hill climb behind
-  ``Application.tuner``), and the typed :class:`TuningError`;
+  replace/validate protocol every config section follows),
+  :class:`Knob` and :class:`KnobRegistry` (named live tunables with
+  safe ranges; ``KnobRegistry.for_config`` is the standard catalog),
+  :class:`TuningController` (the drift-gated hill climb its owner
+  builds beside a started application), and the typed
+  :class:`TuningError`;
 * **Deployment descriptors** — :class:`DeploymentDescriptor`,
   :class:`DriverCatalog`, :func:`load_descriptor`,
   :func:`apply_descriptor`.
@@ -118,7 +118,6 @@ from repro.runtime.tracing import Tracer
 from repro.runtime.tuning import (
     Knob,
     KnobRegistry,
-    TuningConfig,
     TuningController,
 )
 from repro.simulation.fleet import SimulatedFleetBootstrap
@@ -183,7 +182,6 @@ __all__ = [
     "Tier",
     "TopologyModel",
     "Tracer",
-    "TuningConfig",
     "TuningController",
     "TuningError",
     "WallClock",

@@ -15,7 +15,7 @@ from repro.faults.chaos import ChaosInjector, FaultPlan
 from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.runtime.clock import SimulationClock
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.tuning import TuningConfig
+from repro.runtime.tuning import TuningController
 
 __all__ = ["run_parking_tuning"]
 
@@ -58,14 +58,6 @@ def run_parking_tuning(
         ),
         supervision_seed=seed,
         stale=StalePolicy("last_known"),
-        tuning=TuningConfig(
-            enabled=True,
-            interval_seconds=interval_seconds,
-            knobs=tuple(knobs),
-            objective="custom",
-            epsilon=0.0,
-            seed=seed,
-        ),
     )
     parking = build_parking_app(
         clock=clock,
@@ -85,12 +77,19 @@ def run_parking_tuning(
         fraction=flap_fraction,
     )
     injector = ChaosInjector(app, plan).attach()
-    # Cumulative cost: every read the flapping hardware still receives.
-    app.tuner.set_objective(lambda: float(injector.injected_failures))
     app.start()
+    controller = TuningController(
+        app,
+        knobs=knobs,
+        # Cumulative cost: every read the flapping hardware still
+        # receives.
+        objective=lambda: float(injector.injected_failures),
+        interval_seconds=interval_seconds,
+    )
+    controller.start()
     app.advance(duration_seconds)
 
-    tuning = app.tuner.report()
+    tuning = controller.report()
     report: Dict[str, Any] = {
         "seed": seed,
         "duration_seconds": duration_seconds,
@@ -103,6 +102,7 @@ def run_parking_tuning(
         "tuning": tuning,
         "adjusted": bool(tuning["stats"]["adjustments"]),
     }
+    controller.stop()
     injector.detach()
     app.stop()
     return report

@@ -162,11 +162,12 @@ class PlacementError(RuntimeOrchestrationError):
 class TuningError(RuntimeOrchestrationError):
     """The live-tuning layer was misconfigured or misused.
 
-    Raised for unknown knob names, config sections that do not speak
-    the :class:`~repro.runtime.configbase.ConfigBase` protocol, a
-    ``custom`` objective with no callable installed, or an attempt to
-    change a structural (non-live) config field on a running
-    application via ``Application.apply_config``.
+    Raised for unknown knob names, knobs on a config section that is
+    absent or does not speak the
+    :class:`~repro.runtime.configbase.ConfigBase` protocol, a
+    controller built with no knobs or started before its application,
+    or an attempt to change a structural (non-live) config field on a
+    running application via ``Application.apply_config``.
     """
 
 

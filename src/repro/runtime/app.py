@@ -234,17 +234,6 @@ class Application:
             help="Component failures contained under error_policy="
             "'isolate'.",
         )
-        # Live-tuning layer (repro.runtime.tuning): the knob registry
-        # names every tunable of the enabled subsystems; the controller
-        # exists only when tuning is on, so a disabled config schedules
-        # nothing and stays byte-identical to the untuned runtime.
-        from repro.runtime.tuning import KnobRegistry, TuningController
-
-        self.knobs = KnobRegistry.for_config(config)
-        self.tuner: Optional[TuningController] = None
-        if config.tuning.enabled:
-            self.tuner = TuningController(self, config.tuning, self.knobs)
-            self.tuner.attach_metrics(self.metrics)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -376,13 +365,6 @@ class Application:
             self._wire_context(context_name)
         for controller_name in sorted(self.design.controllers):
             self._wire_controller(controller_name)
-        if self.tuner is not None:
-            # Scheduled after every gather job on purpose: the
-            # simulation clock breaks same-timestamp ties by scheduling
-            # order, so each controller tick runs after the sweeps of
-            # its own interval and adjusts between sweeps, never inside
-            # one.
-            self.tuner.start()
         self.started = True
         for implementation in self._implementations.values():
             implementation.on_start()
@@ -390,8 +372,6 @@ class Application:
     def stop(self) -> None:
         if not self.started:
             return
-        if self.tuner is not None:
-            self.tuner.stop()
         for job in self._jobs:
             job.cancel()
         self._jobs.clear()
@@ -414,9 +394,8 @@ class Application:
     # Config sections that may change on a running application.
     # Everything else is structural wiring resolved at construction
     # (clock, metrics registry, network model, placement/shard/planner
-    # objects, window accumulators, the tuning controller and its
-    # scheduled job) and must be identical in any config handed to
-    # ``apply_config``.
+    # objects, window accumulators) and must be identical in any config
+    # handed to ``apply_config``.
     _LIVE_FIELDS = frozenset(
         {
             "sweep",
@@ -433,9 +412,9 @@ class Application:
         """Atomically adopt the live-tunable sections of ``config``.
 
         The swap is a handful of attribute rebinds executed
-        synchronously between clock jobs — the tuning controller runs
-        as its own scheduled job after the sweeps of its interval — so
-        a running gather can never observe a torn config: every sweep
+        synchronously between clock jobs — whoever re-tunes live runs
+        as its own scheduled job or between ``advance`` calls — so a
+        running gather can never observe a torn config: every sweep
         executes wholly under the config that was live when it began.
 
         Live sections: ``sweep`` (mode/workers/batch size/shard
@@ -443,9 +422,7 @@ class Application:
         but not ``enabled``), ``batch`` (``min_column`` only),
         ``supervision`` policies and overrides (retuned across every
         live breaker), ``stale`` and ``error_policy``.  Changing any
-        structural field — ``tuning`` included: the controller is
-        built, and its job scheduled, at construction — raises
-        :class:`~repro.errors.TuningError`.
+        structural field raises :class:`~repro.errors.TuningError`.
         """
         old = self.config
         for f in dataclasses.fields(RuntimeConfig):

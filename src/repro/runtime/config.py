@@ -2,8 +2,8 @@
 
 :class:`RuntimeConfig` gathers every runtime choice (clock, executor,
 network model, error policy, metrics, the supervision/stale policies of
-:mod:`repro.faults`, and the sweep/cache/batch/shard/placement/tuning
-sections) into a single validated dataclass::
+:mod:`repro.faults`, and the sweep/cache/batch/shard/placement sections)
+into a single validated dataclass::
 
     from repro.runtime.config import RuntimeConfig
 
@@ -16,10 +16,9 @@ sections) into a single validated dataclass::
     app = Application(design, config)
 
 Every section (and the record itself) speaks the
-:class:`~repro.runtime.configbase.ConfigBase` protocol — validated
-``replace()``, JSON-able ``to_dict()``/``from_dict()`` — which is what
-lets the live-tuning controller derive neighbouring configs from a
-running one and lets ``Application.apply_config`` swap them atomically.
+:class:`~repro.runtime.configbase.ConfigBase` protocol — a validated
+``replace()`` — which is how a neighbouring config is derived from a
+running one before ``Application.apply_config`` swaps it in atomically.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.runtime.placement import NetworkConfig, PlacementConfig
 from repro.runtime.plan import BatchConfig
 from repro.runtime.shard import ShardConfig
 from repro.runtime.sweep import SweepConfig
-from repro.runtime.tuning import TuningConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
     from repro.runtime.clock import Clock
@@ -50,7 +48,6 @@ __all__ = [
     "RuntimeConfig",
     "ShardConfig",
     "SweepConfig",
-    "TuningConfig",
 ]
 
 ERROR_POLICIES = ("raise", "isolate")
@@ -107,11 +104,6 @@ class RuntimeConfig(ConfigBase):
       for grouped MapReduce gathers, WAN byte accounting); disabled by
       default, which keeps every gather cloud-only and byte-identical
       to the placement-less runtime.
-    * ``tuning`` — :class:`~repro.runtime.tuning.TuningConfig`
-      governing the adaptive controller that closes the telemetry →
-      config loop online; disabled by default, which schedules no
-      controller and keeps every run byte-identical to the untuned
-      runtime.
     """
 
     clock: Optional["Clock"] = None
@@ -131,25 +123,6 @@ class RuntimeConfig(ConfigBase):
     batch: BatchConfig = BatchConfig()
     shard: ShardConfig = ShardConfig()
     placement: PlacementConfig = PlacementConfig()
-    tuning: TuningConfig = TuningConfig()
-
-    # Live runtime objects: wiring, not deployment data.
-    _runtime_fields = ("clock", "mapreduce_executor", "metrics")
-    _decoders = {
-        "network": NetworkConfig.from_dict,
-        "sweep": SweepConfig.from_dict,
-        "cache": CacheConfig.from_dict,
-        "batch": BatchConfig.from_dict,
-        "shard": ShardConfig.from_dict,
-        "placement": PlacementConfig.from_dict,
-        "tuning": TuningConfig.from_dict,
-        "supervision": lambda raw: SupervisionPolicy(**raw),
-        "supervision_overrides": lambda raw: {
-            name: SupervisionPolicy(**policy)
-            for name, policy in raw.items()
-        },
-        "stale": lambda raw: StalePolicy(**raw),
-    }
 
     def __post_init__(self):
         if self.error_policy not in ERROR_POLICIES:
@@ -160,8 +133,6 @@ class RuntimeConfig(ConfigBase):
             self.network, NetworkConfig
         ):
             raise TypeError("network must be a NetworkConfig or None")
-        if not isinstance(self.tuning, TuningConfig):
-            raise TypeError("tuning must be a TuningConfig")
         if not isinstance(self.placement, PlacementConfig):
             raise TypeError("placement must be a PlacementConfig")
         if not isinstance(self.sweep, SweepConfig):

@@ -2,10 +2,11 @@
 
 Every section of :class:`~repro.runtime.config.RuntimeConfig`
 (``SweepConfig``, ``CacheConfig``, ``BatchConfig``, ``ShardConfig``,
-``PlacementConfig``, ``NetworkConfig``, ``TuningConfig``) and the config
-record itself are frozen dataclasses.  Before this module each grew its
-own ad-hoc copy/validation idioms; the live-tuning controller needs one
-uniform contract to derive neighbouring configs from a running one:
+``PlacementConfig``, ``NetworkConfig``) and the config record itself
+are frozen dataclasses.  Whoever re-tunes a running application — a
+caller of ``Application.apply_config``, a tuning controller — derives
+the neighbouring config from the running one through one uniform
+contract:
 
 * :meth:`ConfigBase.replace` — ``dataclasses.replace`` **plus a full
   re-validation** of the copy.  ``__post_init__`` checks re-run on
@@ -13,12 +14,6 @@ uniform contract to derive neighbouring configs from a running one:
   so subclasses can add cross-field checks beyond what construction
   enforces.  A replaced config is exactly as trustworthy as a freshly
   constructed one.
-* :meth:`ConfigBase.to_dict` / :meth:`ConfigBase.from_dict` — JSON-able
-  round-trip for every *data* field.  Nested configs, frozen policy
-  records, enums and tuples encode structurally; live runtime objects
-  (clocks, executors, metric registries) are declared in
-  ``_runtime_fields`` and omitted — they are wiring, not deployment
-  data.
 * :meth:`ConfigBase.validate` — explicit re-run of the construction
   checks on an existing instance (the default delegates to
   ``__post_init__``, which every config keeps idempotent).
@@ -30,60 +25,13 @@ runtime and faults packages can adopt it without import cycles.
 from __future__ import annotations
 
 import dataclasses
-import enum
-from typing import Any, Callable, ClassVar, Dict, Mapping, Tuple
+from typing import Any
 
-__all__ = ["ConfigBase", "encode_config_value"]
-
-_ATOMIC = (str, int, float, bool, type(None))
-
-
-def encode_config_value(value: Any) -> Any:
-    """Encode one config field value into JSON-able data.
-
-    Understands the vocabulary the config family is built from: nested
-    :class:`ConfigBase` records, plain frozen dataclasses
-    (``HopProfile``, ``EdgeNode``), enums, mappings and sequences.
-    Anything else (a live clock, an executor, a pre-built network
-    model) is not deployment data and raises ``TypeError``.
-    """
-    if isinstance(value, _ATOMIC):
-        return value
-    if isinstance(value, ConfigBase):
-        return value.to_dict()
-    if isinstance(value, enum.Enum):
-        return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: encode_config_value(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, Mapping):
-        return {
-            key: encode_config_value(item) for key, item in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [encode_config_value(item) for item in value]
-    raise TypeError(
-        f"{type(value).__name__} is not encodable config data; runtime "
-        "objects belong in _runtime_fields, not in to_dict() output"
-    )
+__all__ = ["ConfigBase"]
 
 
 class ConfigBase:
-    """Mixin giving a frozen config dataclass the uniform protocol.
-
-    Subclasses may declare two class-level hooks:
-
-    * ``_runtime_fields`` — field names holding live runtime objects;
-      they are omitted from :meth:`to_dict` and left to their defaults
-      by :meth:`from_dict`.
-    * ``_decoders`` — per-field callables rebuilding rich values
-      (nested configs, enums, policy records) from their encoded form.
-    """
-
-    _runtime_fields: ClassVar[Tuple[str, ...]] = ()
-    _decoders: ClassVar[Mapping[str, Callable[[Any], Any]]] = {}
+    """Mixin giving a frozen config dataclass the uniform protocol."""
 
     def validate(self) -> None:
         """Re-run construction-time validation on this instance.
@@ -106,41 +54,3 @@ class ConfigBase:
         replaced = dataclasses.replace(self, **changes)
         replaced.validate()
         return replaced
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able mapping of every data field (runtime objects
-        omitted per ``_runtime_fields``)."""
-        encoded: Dict[str, Any] = {}
-        for f in dataclasses.fields(self):
-            if f.name in self._runtime_fields:
-                continue
-            encoded[f.name] = encode_config_value(getattr(self, f.name))
-        return encoded
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], **overrides: Any) -> Any:
-        """Rebuild a config from :meth:`to_dict` output.
-
-        ``overrides`` win over ``data`` (they may carry runtime objects
-        such as a clock).  Unknown keys raise ``TypeError`` — a config
-        dict never silently drops a misspelled knob.
-        """
-        merged: Dict[str, Any] = dict(data)
-        merged.update(overrides)
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(merged) - names)
-        if unknown:
-            raise TypeError(
-                f"{cls.__name__}.from_dict() got unknown field(s) "
-                f"{unknown}"
-            )
-        kwargs: Dict[str, Any] = {}
-        for name, raw in merged.items():
-            decoder = cls._decoders.get(name)
-            if decoder is not None and raw is not None and name not in (
-                overrides
-            ):
-                kwargs[name] = decoder(raw)
-            else:
-                kwargs[name] = raw
-        return cls(**kwargs)

@@ -160,20 +160,6 @@ class NetworkConfig(ConfigBase):
     apply_to_reads: bool = False
     hops: Any = ()
 
-    _decoders = {
-        "hops": lambda raw: tuple(
-            (
-                name,
-                profile
-                if isinstance(profile, HopProfile)
-                else HopProfile(**profile),
-            )
-            for name, profile in (
-                raw.items() if isinstance(raw, Mapping) else raw
-            )
-        )
-    }
-
     def __post_init__(self):
         hops = self.hops
         items = tuple(
@@ -248,18 +234,6 @@ class PlacementConfig(ConfigBase):
     access_hop: str = ACCESS_HOP
     wan_hop: str = WAN_HOP
     edge_nodes: Tuple[EdgeNode, ...] = ()
-
-    _decoders = {
-        "default_tier": Tier.parse,
-        "edge_nodes": lambda raw: tuple(
-            node
-            if isinstance(node, EdgeNode)
-            else EdgeNode(
-                node_id=node["node_id"], values=tuple(node["values"])
-            )
-            for node in raw
-        ),
-    }
 
     def __post_init__(self):
         object.__setattr__(

@@ -3,12 +3,10 @@
 The paper's large-scale story assumes operators hand-pick deployment
 parameters; the runtime grew every knob that matters (sweep workers,
 columnar ``min_column``, cache TTLs, breaker thresholds) plus the
-telemetry to measure each one.  This module closes the loop online:
+telemetry to measure each one.  This module automates that operator,
+as a *client* of the runtime: nothing else in ``repro.runtime`` imports
+it, and an application never knows a controller is watching it.
 
-* :class:`TuningConfig` — frozen section of
-  :class:`~repro.runtime.config.RuntimeConfig`; off by default, so a
-  run with ``tuning.enabled = False`` is byte-identical to one that
-  predates this module.
 * :class:`Knob` / :class:`KnobRegistry` — the named tunables
   (``sweep.workers``, ``batch.min_column``, ``cache.ttl_seconds``,
   ``supervision.failure_threshold`` …), each with a safe range, a step
@@ -16,17 +14,16 @@ telemetry to measure each one.  This module closes the loop online:
   config: it derives a *replaced and re-validated* copy through the
   :class:`~repro.runtime.configbase.ConfigBase` protocol, and the
   application swaps the whole record atomically between sweeps.
-* :class:`TuningController` — a drift-gated hill climb with an
-  epsilon-greedy tie-break.  Each interval it measures an objective
-  (built-in: p99 sweep latency from the ``sweep_duration_seconds``
-  histogram, mean sweep latency, gather errors; or a pluggable
-  cumulative-cost callable).  While **settled** it only watches for
-  drift; a drift beyond tolerance opens a **search**: one bounded step
-  per interval, rolled back (and cooled down) when the objective
-  regresses, accepted otherwise.  Neutral steps are kept so the climb
-  can cross plateaus (``min_column`` values between two behaviour
-  changes measure identically); the search closes when every direction
-  is exhausted, and the controller goes quiet again.
+* :class:`TuningController` — a drift-gated hill climb.  Its owner
+  builds it beside a started application with the knobs to tune and a
+  cumulative-cost callable; each interval it measures that objective's
+  increment.  While **settled** it only watches for drift; a drift
+  beyond tolerance opens a **search**: one bounded step per interval,
+  rolled back (and cooled down) when the objective regresses, accepted
+  otherwise.  Neutral steps are kept so the climb can cross plateaus
+  (``min_column`` values between two behaviour changes measure
+  identically); the search closes when every direction is exhausted,
+  and the controller goes quiet again.
 
 Everything runs on the application clock.  The controller's periodic
 job is scheduled *after* the gather jobs, so at every shared timestamp
@@ -38,7 +35,6 @@ is exactly reproducible.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -55,89 +51,23 @@ from repro.errors import TuningError
 from repro.runtime.configbase import ConfigBase
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
-__all__ = [
-    "Knob",
-    "KnobRegistry",
-    "TuningConfig",
-    "TuningController",
-    "TUNING_OBJECTIVES",
-]
+__all__ = ["Knob", "KnobRegistry", "TuningController"]
 
 DOWN = "down"
 UP = "up"
 
-#: Built-in objective signals (all minimised).  ``custom`` requires
-#: :meth:`TuningController.set_objective` before the first tick.
-TUNING_OBJECTIVES = (
-    "sweep_p99",
-    "sweep_mean",
-    "gather_errors",
-    "custom",
-)
+#: Measured intervals observed before the first adjustment.
+WARMUP_INTERVALS = 1
+#: Ticks a knob sits out after a rollback.
+COOLDOWN_INTERVALS = 3
+#: Relative regression that rolls the last step back (and,
+#: symmetrically, the relative improvement required to lower the
+#: accepted baseline).
+ROLLBACK_TOLERANCE = 0.05
+#: Relative change of the settled baseline that re-opens a search.
+DRIFT_TOLERANCE = 0.25
 
 _SCALES = ("linear", "geometric")
-
-
-@dataclass(frozen=True)
-class TuningConfig(ConfigBase):
-    """How (and whether) the adaptive controller runs.
-
-    * ``enabled`` — master switch; ``False`` (default) creates no
-      controller, schedules no job, and leaves every run byte-identical
-      to the untuned runtime.
-    * ``interval_seconds`` — application-clock period between ticks;
-      align it with the slowest periodic gather so every tick observes
-      fresh sweeps.
-    * ``knobs`` — names to tune (must exist in the application's
-      :class:`KnobRegistry`); empty tunes every registered knob.
-    * ``objective`` — one of :data:`TUNING_OBJECTIVES`.
-    * ``epsilon`` — probability of exploring a random eligible move
-      instead of the greedy choice while searching.  ``0`` (default)
-      keeps the controller fully deterministic.
-    * ``warmup_intervals`` — measured intervals to observe before the
-      first adjustment.
-    * ``cooldown_intervals`` — ticks a knob sits out after a rollback.
-    * ``rollback_tolerance`` — relative regression that triggers a
-      rollback of the last step (and, symmetrically, the relative
-      improvement required to lower the accepted baseline).
-    * ``drift_tolerance`` — relative change of the settled baseline
-      that re-opens a search.
-    * ``seed`` — RNG seed for epsilon exploration.
-    """
-
-    enabled: bool = False
-    interval_seconds: float = 60.0
-    knobs: Tuple[str, ...] = ()
-    objective: str = "sweep_p99"
-    epsilon: float = 0.0
-    warmup_intervals: int = 1
-    cooldown_intervals: int = 3
-    rollback_tolerance: float = 0.05
-    drift_tolerance: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be > 0")
-        if not isinstance(self.knobs, tuple):
-            object.__setattr__(self, "knobs", tuple(self.knobs))
-        if self.objective not in TUNING_OBJECTIVES:
-            raise ValueError(
-                f"objective must be one of {TUNING_OBJECTIVES}, "
-                f"not '{self.objective}'"
-            )
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be within [0, 1]")
-        if self.warmup_intervals < 0:
-            raise ValueError("warmup_intervals must be >= 0")
-        if self.cooldown_intervals < 0:
-            raise ValueError("cooldown_intervals must be >= 0")
-        if self.rollback_tolerance < 0:
-            raise ValueError("rollback_tolerance must be >= 0")
-        if self.drift_tolerance < 0:
-            raise ValueError("drift_tolerance must be >= 0")
-
-    _decoders = {"knobs": tuple}
 
 
 @dataclass(frozen=True)
@@ -216,9 +146,18 @@ class Knob(ConfigBase):
 
     # -- config access -------------------------------------------------------
 
+    def _section_of(self, config: Any) -> Any:
+        section = getattr(config, self.section)
+        if section is None:
+            raise TuningError(
+                f"knob '{self.name}': config section '{self.section}' "
+                "is not enabled on this config"
+            )
+        return section
+
     def read(self, config: Any) -> Any:
         """Current value of this knob inside a ``RuntimeConfig``."""
-        return getattr(getattr(config, self.section), self.attribute)
+        return getattr(self._section_of(config), self.attribute)
 
     def apply(self, config: Any, value: float) -> Any:
         """A re-validated config copy with this knob set (clamped).
@@ -228,12 +167,7 @@ class Knob(ConfigBase):
         go through ``dataclasses.replace``, whose reconstruction
         re-runs their ``__post_init__`` validation just the same.
         """
-        section = getattr(config, self.section)
-        if section is None:
-            raise TuningError(
-                f"knob '{self.name}': config section '{self.section}' "
-                "is not enabled on this config"
-            )
+        section = self._section_of(config)
         changed = {self.attribute: self.clamp(value)}
         if isinstance(section, ConfigBase):
             replaced = section.replace(**changed)
@@ -370,7 +304,9 @@ class KnobRegistry:
                     signal="read_cache_hits_total",
                 )
             )
-        if config.supervised():
+        # Per-type ``supervision_overrides`` alone leave the section
+        # these two knobs live on ``None``.
+        if config.supervision is not None:
             registry.register(
                 Knob(
                     name="supervision.failure_threshold",
@@ -419,33 +355,37 @@ def _opposite(direction: str) -> str:
 
 
 class TuningController(Instrumented):
-    """Drift-gated hill climb over the application's declared knobs.
+    """Drift-gated hill climb over the named knobs of one application.
 
-    One instance serves one application.  :meth:`start` schedules the
-    periodic tick on the application clock *after* the gather jobs so
-    every tick observes the sweeps of its own interval; :meth:`tick`
-    is also callable directly by tests and offline replays.
+    Built, started and stopped by its owner, beside a started
+    application (docs/tuning.md).  ``knobs`` names what to tune in
+    ``registry`` (default: :meth:`KnobRegistry.for_config` of the
+    running config); ``objective`` is a monotone cumulative-cost
+    callable whose per-interval increments the controller minimises;
+    ``interval_seconds`` is the application-clock period between ticks
+    — align it with the slowest periodic gather so every tick observes
+    fresh sweeps.  :meth:`start` schedules the periodic tick *after*
+    the gather jobs; :meth:`tick` is also callable directly by tests
+    and offline replays.
 
     The policy, interval by interval:
 
     1. **Measure** the objective level for the interval that just
-       ended (built-in signals derive it from ``app.metrics``; a
-       custom callable supplies a cumulative cost and the controller
-       takes deltas).  No observations → no action.
+       ended (the increment of the cumulative cost since the previous
+       tick).  No previous reading → no action.
     2. **Warmup / settled** — record the baseline; while the level
-       stays within ``drift_tolerance`` of it, do nothing.  Drift
+       stays within :data:`DRIFT_TOLERANCE` of it, do nothing.  Drift
        beyond the band opens a search anchored at the drifted level.
     3. **Searching** — evaluate the pending trial first: a regression
-       beyond ``rollback_tolerance`` rolls the knob back, cools it
+       beyond :data:`ROLLBACK_TOLERANCE` rolls the knob back, cools it
        down and marks the direction dead; an improvement lowers the
        baseline and keeps momentum; a neutral step is kept (plateau
        traversal) without moving the baseline.  Then propose the next
        move — momentum first, otherwise greedy on observed per-move
-       reward with optional epsilon exploration — never proposing a
-       dead direction, a cooling knob, the exact undo of the last
-       accepted move, or a clamped no-op.  When nothing is proposable
-       the search closes and the controller settles at the best point
-       found.
+       reward — never proposing a dead direction, a cooling knob, the
+       exact undo of the last accepted move, or a clamped no-op.  When
+       nothing is proposable the search closes and the controller
+       settles at the best point found.
     """
 
     metric_specs = (
@@ -481,18 +421,25 @@ class TuningController(Instrumented):
     def __init__(
         self,
         app: Any,
-        config: TuningConfig,
+        knobs: Iterable[str],
+        objective: Callable[[], float],
+        interval_seconds: float,
         registry: Optional[KnobRegistry] = None,
-        objective: Optional[Callable[[], float]] = None,
     ):
+        if interval_seconds <= 0:
+            raise TuningError("interval_seconds must be > 0")
         self.app = app
-        self.config = config
-        self.registry = registry if registry is not None else app.knobs
-        names = config.knobs or self.registry.names()
-        for name in names:
-            self.registry.get(name)  # unknown names fail at wiring time
-        self._names: Tuple[str, ...] = tuple(names)
-        self._rng = random.Random(config.seed)
+        self.interval_seconds = interval_seconds
+        if registry is None:
+            registry = KnobRegistry.for_config(app.config)
+        self.registry = registry
+        self._names: Tuple[str, ...] = tuple(knobs)
+        if not self._names:
+            raise TuningError("a controller needs at least one knob to tune")
+        for name in self._names:
+            # Unknown names, and knobs whose config section is absent,
+            # fail at wiring time.
+            self.registry.value_of(app.config, name)
         self._objective_fn = objective
         self._job = None
         self._phase = _WARMUP
@@ -504,34 +451,18 @@ class TuningController(Instrumented):
         self._cooldowns: Dict[str, int] = {}
         self._rewards: Dict[Tuple[str, str], List[float]] = {}
         self._last_cumulative: Optional[float] = None
-        self._histogram_counts: Optional[Tuple[Tuple[float, int], ...]] = None
-        self._histogram_sum = 0.0
         self._ticks = 0
         self._evaluations = 0
         self._rollbacks = 0
         self._drifts = 0
         self._adjustments: Dict[Tuple[str, str], int] = {}
-        self._metrics = None
-        self._metric_labels: Dict[str, Any] = {}
         self._trajectory: List[Dict[str, Any]] = []
-
-    # -- wiring ---------------------------------------------------------------
-
-    def set_objective(self, fn: Callable[[], float]) -> None:
-        """Install a cumulative-cost objective (monotone callable; the
-        controller minimises its per-interval increments).  Required
-        before the first tick when ``objective='custom'``."""
-        self._objective_fn = fn
-
-    def attach_metrics(self, metrics, **labels: Any) -> None:
-        """Counters via the Instrumented protocol, plus a per-knob
-        current-value gauge; adjustment counters materialise per
-        ``{knob, direction}`` on first use."""
-        super().attach_metrics(metrics, **labels)
-        self._metrics = metrics
-        self._metric_labels = dict(labels)
+        # Counters via the Instrumented protocol, plus a per-knob
+        # current-value gauge; adjustment counters materialise per
+        # ``{knob, direction}`` on first use.
+        self.attach_metrics(app.metrics)
         for name in self._names:
-            metrics.callback(
+            app.metrics.callback(
                 "tuning_knob_value",
                 lambda name=name: float(
                     self.registry.value_of(self.app.config, name)
@@ -539,25 +470,29 @@ class TuningController(Instrumented):
                 kind="gauge",
                 help="Current value of each tunable knob.",
                 knob=name,
-                **labels,
             )
+
+    # -- wiring ---------------------------------------------------------------
 
     def start(self) -> None:
         """Schedule the periodic tick on the application clock.
 
-        Must run after the gather jobs are scheduled: the simulation
-        clock breaks same-timestamp ties by scheduling order, so a
+        The application must be started: its gather jobs are then
+        already scheduled, and the simulation clock breaks
+        same-timestamp ties by scheduling order, so this
         later-scheduled job with the same period observes every sweep
-        of its own interval, every interval.
+        of its own interval, every interval — and adjusts between
+        sweeps, never inside one.
         """
         if self._job is not None:
             return
-        if self.config.objective == "custom" and self._objective_fn is None:
+        if not self.app.started:
             raise TuningError(
-                "objective='custom' requires set_objective() before start()"
+                "start the application before its tuning controller: "
+                "the tick must be scheduled after the gather jobs"
             )
         self._job = self.app.clock.schedule_periodic(
-            self.config.interval_seconds, self.tick
+            self.interval_seconds, self.tick
         )
 
     def stop(self) -> None:
@@ -578,13 +513,13 @@ class TuningController(Instrumented):
 
         if self._phase is _WARMUP:
             self._baseline = level
-            if self._evaluations > self.config.warmup_intervals:
+            if self._evaluations > WARMUP_INTERVALS:
                 self._phase = _SETTLED
             return
 
         if self._phase is _SETTLED:
             assert self._baseline is not None
-            if self._within(level, self._baseline, self.config.drift_tolerance):
+            if self._within(level, self._baseline, DRIFT_TOLERANCE):
                 self._baseline = level  # absorb in-band drift
                 return
             self._drifts += 1
@@ -619,8 +554,7 @@ class TuningController(Instrumented):
         assert self._baseline is not None
         baseline = self._baseline
         move = (trial.knob, trial.direction)
-        tolerance = self.config.rollback_tolerance
-        band = tolerance * max(abs(baseline), 1e-12)
+        band = ROLLBACK_TOLERANCE * max(abs(baseline), 1e-12)
         self._note_reward(move, baseline - level)
         if level > baseline + band:
             # Regression: undo the step, cool the knob down.
@@ -631,7 +565,7 @@ class TuningController(Instrumented):
             )
             self._rollbacks += 1
             self._record(trial.knob, trial.previous_value, "rollback")
-            self._cooldowns[trial.knob] = self.config.cooldown_intervals
+            self._cooldowns[trial.knob] = COOLDOWN_INTERVALS
             self._dead.add(move)
             self._momentum = None
             return False
@@ -683,8 +617,7 @@ class TuningController(Instrumented):
             for entry in candidates:
                 if (entry[0], entry[1]) == self._momentum:
                     return entry
-        if self.config.epsilon and self._rng.random() < self.config.epsilon:
-            return candidates[self._rng.randrange(len(candidates))]
+
         # Greedy on mean observed reward; untried moves score 0 so a
         # known-good move wins, a known-bad one loses to fresh ground.
         def score(entry):
@@ -711,65 +644,15 @@ class TuningController(Instrumented):
     # -- measurement ----------------------------------------------------------
 
     def _measure(self) -> Optional[float]:
-        """Objective level for the interval that just ended, or
-        ``None`` when there is nothing to measure yet."""
-        objective = self.config.objective
-        if self._objective_fn is not None:
-            cumulative = float(self._objective_fn())
-            previous = self._last_cumulative
-            self._last_cumulative = cumulative
-            if previous is None:
-                return None
-            return cumulative - previous
-        if objective == "custom":
-            raise TuningError(
-                "objective='custom' requires set_objective() first"
-            )
-        if objective == "gather_errors":
-            cumulative = float(self.app.metrics.value("app_gather_errors_total"))
-            previous = self._last_cumulative
-            self._last_cumulative = cumulative
-            if previous is None:
-                return None
-            return cumulative - previous
-        return self._measure_sweep_histogram(objective)
-
-    def _measure_sweep_histogram(self, objective: str) -> Optional[float]:
-        family = self.app.metrics.get("sweep_duration_seconds")
-        if family is None:
-            return None
-        merged: Dict[float, int] = {}
-        total_sum = 0.0
-        for _labels, histogram in family.samples():
-            for bound, cumulative in histogram.bucket_counts():
-                merged[bound] = merged.get(bound, 0) + cumulative
-            total_sum += histogram.sum
-        counts = tuple(sorted(merged.items()))
-        previous, self._histogram_counts = self._histogram_counts, counts
-        previous_sum, self._histogram_sum = self._histogram_sum, total_sum
+        """Objective level for the interval that just ended (the
+        cumulative cost's increment), or ``None`` on the priming tick
+        that only anchors the cumulative reading."""
+        cumulative = float(self._objective_fn())
+        previous = self._last_cumulative
+        self._last_cumulative = cumulative
         if previous is None:
             return None
-        before = dict(previous)
-        deltas = [
-            (bound, cumulative - before.get(bound, 0))
-            for bound, cumulative in counts
-        ]
-        observed = deltas[-1][1] if deltas else 0
-        if observed <= 0:
-            return None
-        if objective == "sweep_mean":
-            return (total_sum - previous_sum) / observed
-        # p99 over the interval's observations, walked through the
-        # cumulative-delta buckets; the overflow bucket reports twice
-        # the last finite bound (a pessimistic but monotone stand-in).
-        rank = 0.99 * observed
-        last_finite = 0.0
-        for bound, cumulative in deltas:
-            if bound != float("inf"):
-                last_finite = bound
-            if cumulative >= rank:
-                return bound if bound != float("inf") else 2 * last_finite
-        return 2 * last_finite
+        return cumulative - previous
 
     # -- accounting -----------------------------------------------------------
 
@@ -788,15 +671,14 @@ class TuningController(Instrumented):
 
     def _count_adjustment(self, name: str, direction: str) -> None:
         move = (name, direction)
-        if move not in self._adjustments and self._metrics is not None:
-            self._metrics.callback(
+        if move not in self._adjustments:
+            self.app.metrics.callback(
                 "tuning_adjustments_total",
                 lambda move=move: self._adjustments.get(move, 0),
                 kind="counter",
                 help="Knob adjustments applied, by knob and direction.",
                 knob=name,
                 direction=direction,
-                **self._metric_labels,
             )
         self._adjustments[move] = self._adjustments.get(move, 0) + 1
 
@@ -841,8 +723,7 @@ class TuningController(Instrumented):
     def report(self) -> Dict[str, Any]:
         """JSON-able summary for the ``repro tune`` CLI."""
         return {
-            "objective": self.config.objective,
-            "interval_seconds": self.config.interval_seconds,
+            "interval_seconds": self.interval_seconds,
             "stats": self.stats(),
             "knobs": self.registry.describe(self.app.config),
             "trajectory": self.trajectory,

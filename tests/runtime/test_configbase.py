@@ -1,24 +1,14 @@
 """The shared ConfigBase protocol across the whole config family."""
 
-import dataclasses
-
 import pytest
 
-from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.runtime.cache import CacheConfig
-from repro.runtime.clock import SimulationClock
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.configbase import ConfigBase, encode_config_value
-from repro.runtime.placement import (
-    EdgeNode,
-    NetworkConfig,
-    PlacementConfig,
-    Tier,
-)
+from repro.runtime.configbase import ConfigBase
+from repro.runtime.placement import NetworkConfig, PlacementConfig
 from repro.runtime.plan import BatchConfig
 from repro.runtime.shard import ShardConfig
 from repro.runtime.sweep import SweepConfig
-from repro.runtime.tuning import TuningConfig
 from repro.simulation.network import HopProfile
 
 SECTION_TYPES = (
@@ -28,7 +18,6 @@ SECTION_TYPES = (
     ShardConfig,
     PlacementConfig,
     NetworkConfig,
-    TuningConfig,
 )
 
 
@@ -37,103 +26,6 @@ class TestProtocolAdoption:
     def test_every_section_speaks_configbase(self, config_type):
         assert issubclass(config_type, ConfigBase)
         assert issubclass(RuntimeConfig, ConfigBase)
-
-    @pytest.mark.parametrize("config_type", SECTION_TYPES)
-    def test_default_sections_round_trip(self, config_type):
-        config = config_type()
-        rebuilt = config_type.from_dict(config.to_dict())
-        assert rebuilt == config
-
-    def test_to_dict_is_json_able(self):
-        import json
-
-        config = RuntimeConfig(
-            supervision=SupervisionPolicy(failure_threshold=2),
-            supervision_overrides={"Sensor": SupervisionPolicy()},
-            stale=StalePolicy("last_known", max_age_seconds=60.0),
-            network=NetworkConfig(
-                hops={
-                    "access": HopProfile(latency=1.0),
-                    "wan": HopProfile(latency=4.0),
-                }
-            ),
-            placement=PlacementConfig(
-                enabled=True,
-                edge_nodes=(
-                    EdgeNode(node_id="edge-0", values=("a", "b")),
-                ),
-            ),
-            tuning=TuningConfig(knobs=("sweep.workers",)),
-        )
-        json.dumps(config.to_dict())  # must not raise
-
-
-class TestRuntimeConfigRoundTrip:
-    def test_full_round_trip_including_policies(self):
-        config = RuntimeConfig(
-            error_policy="isolate",
-            supervision=SupervisionPolicy(failure_threshold=2),
-            supervision_overrides={
-                "Sensor": SupervisionPolicy(backoff_base_seconds=7.0)
-            },
-            stale=StalePolicy("last_known", max_age_seconds=60.0),
-            sweep=SweepConfig(mode="threaded", workers=4),
-            batch=BatchConfig(enabled=True, min_column=16),
-            tuning=TuningConfig(
-                enabled=True,
-                interval_seconds=120.0,
-                knobs=("sweep.workers",),
-            ),
-        )
-        rebuilt = RuntimeConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-        assert isinstance(rebuilt.supervision, SupervisionPolicy)
-        assert isinstance(
-            rebuilt.supervision_overrides["Sensor"], SupervisionPolicy
-        )
-        assert isinstance(rebuilt.stale, StalePolicy)
-        assert isinstance(rebuilt.tuning, TuningConfig)
-        assert rebuilt.tuning.knobs == ("sweep.workers",)
-
-    def test_runtime_objects_are_omitted_and_overridable(self):
-        clock = SimulationClock()
-        config = RuntimeConfig(clock=clock)
-        encoded = config.to_dict()
-        assert "clock" not in encoded
-        assert "metrics" not in encoded
-        assert "mapreduce_executor" not in encoded
-        rebuilt = RuntimeConfig.from_dict(encoded, clock=clock)
-        assert rebuilt.clock is clock
-
-    def test_network_hops_round_trip(self):
-        config = RuntimeConfig(
-            network=NetworkConfig(
-                hops={
-                    "access": HopProfile(latency=1.0, loss=0.1),
-                    "wan": HopProfile(latency=4.0),
-                }
-            )
-        )
-        rebuilt = RuntimeConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-        hops = dict(rebuilt.network.hops)
-        assert hops["access"] == HopProfile(latency=1.0, loss=0.1)
-
-    def test_placement_tier_round_trip(self):
-        config = PlacementConfig(
-            enabled=True,
-            default_tier=Tier.EDGE,
-            edge_nodes=(EdgeNode(node_id="e0", values=("x",)),),
-        )
-        rebuilt = PlacementConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-        assert rebuilt.default_tier is Tier.EDGE
-
-    def test_unknown_keys_are_a_type_error(self):
-        with pytest.raises(TypeError, match="wibble"):
-            RuntimeConfig.from_dict({"wibble": 1})
-        with pytest.raises(TypeError, match="wobble"):
-            SweepConfig.from_dict({"wobble": "threaded"})
 
 
 class TestValidatedReplace:
@@ -152,8 +44,6 @@ class TestValidatedReplace:
         base = RuntimeConfig()
         with pytest.raises(TypeError, match="SweepConfig"):
             base.replace(sweep="threaded")
-        with pytest.raises(TypeError, match="TuningConfig"):
-            base.replace(tuning=True)
         with pytest.raises(ValueError, match="error_policy"):
             base.replace(error_policy="pray")
 
@@ -167,22 +57,6 @@ class TestValidatedReplace:
         assert base.sweep.workers == 4
 
 
-class TestEncodeConfigValue:
-    def test_atoms_pass_through(self):
-        assert encode_config_value(3) == 3
-        assert encode_config_value("x") == "x"
-        assert encode_config_value(None) is None
-
-    def test_dataclasses_and_enums_encode_structurally(self):
-        assert encode_config_value(Tier.EDGE) == Tier.EDGE.value
-        encoded = encode_config_value(HopProfile(latency=2.0))
-        assert encoded["latency"] == 2.0
-
-    def test_runtime_objects_are_rejected(self):
-        with pytest.raises(TypeError, match="not encodable"):
-            encode_config_value(SimulationClock())
-
-
 class TestIdempotentPostInit:
     @pytest.mark.parametrize("config_type", SECTION_TYPES)
     def test_validate_is_idempotent(self, config_type):
@@ -190,24 +64,3 @@ class TestIdempotentPostInit:
         config.validate()
         config.validate()
         assert config == config_type()
-
-    def test_tuning_knobs_survive_revalidation(self):
-        # TuningConfig.__post_init__ coerces knobs to a tuple; running
-        # it again on an already-coerced instance must be a no-op.
-        config = TuningConfig(knobs=["sweep.workers"])
-        assert config.knobs == ("sweep.workers",)
-        config.validate()
-        assert config.knobs == ("sweep.workers",)
-
-
-def test_section_fields_have_decoders_where_needed():
-    """Every nested-config field of RuntimeConfig decodes from plain
-    dicts — from_dict(to_dict()) must rebuild rich types, not dicts."""
-    config = RuntimeConfig()
-    rebuilt = RuntimeConfig.from_dict(config.to_dict())
-    for f in dataclasses.fields(RuntimeConfig):
-        if f.name in RuntimeConfig._runtime_fields:
-            continue
-        original = getattr(config, f.name)
-        restored = getattr(rebuilt, f.name)
-        assert type(restored) is type(original), f.name

@@ -6,7 +6,10 @@ MapReduce engine and telemetry sit below the runtime in turn: importing
 one of them must not execute an import of anything above.
 
 Inside the runtime, ``Application`` is used through its public surface:
-no module but ``runtime/app.py`` itself reads an ``app._private``."""
+no module but ``runtime/app.py`` itself reads an ``app._private``.  The
+tuning controller is a client of that surface, built by its owner: no
+runtime module imports ``runtime/tuning.py``, so an application can
+neither build a controller nor register a ``tuning_*`` series."""
 
 import ast
 import pkgutil
@@ -104,6 +107,19 @@ def test_runtime_imports_nothing_above_it(path):
         assert not within(module, FORBIDDEN), (
             f"runtime/{path.relative_to(RUNTIME)} imports {module}"
         )
+
+
+def test_no_runtime_module_imports_the_tuning_controller():
+    importers = [
+        f"runtime/{path.relative_to(RUNTIME)} imports {module}"
+        for path in SOURCES
+        if path != RUNTIME / "tuning.py"
+        for module in imported_modules(
+            ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        )
+        if within(module, ("repro.runtime.tuning",))
+    ]
+    assert importers == []
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ from repro.faults.policy import SupervisionPolicy
 from repro.runtime.app import Application
 from repro.runtime.cache import CacheConfig
 from repro.runtime.clock import SimulationClock
+from repro.runtime.component import Context
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.device import CallableDriver
 from repro.runtime.plan import BatchConfig
 from repro.runtime.shard import ShardConfig
 from repro.runtime.sweep import SweepConfig
@@ -16,19 +18,14 @@ from repro.runtime.tuning import (
     UP,
     Knob,
     KnobRegistry,
-    TuningConfig,
     TuningController,
 )
+from repro.sema.analyzer import analyze
 
 
 def make_app(**config_kwargs):
     config_kwargs.setdefault("clock", SimulationClock())
-    return Application(
-        __import__("repro.sema.analyzer", fromlist=["analyze"]).analyze(
-            DESIGN
-        ),
-        RuntimeConfig(**config_kwargs),
-    )
+    return Application(analyze(DESIGN), RuntimeConfig(**config_kwargs))
 
 
 DESIGN = """\
@@ -38,6 +35,17 @@ device Sensor {
 
 context Echo as Float {
     when provided reading from Sensor
+    always publish;
+}
+"""
+
+PERIODIC_DESIGN = """\
+device Sensor {
+    source reading as Float;
+}
+
+context Sweep as Float {
+    when periodic reading from Sensor <1 min>
     always publish;
 }
 """
@@ -69,17 +77,28 @@ class ScriptedObjective:
         controller.tick()
 
 
-def make_controller(app, knob=None, **overrides):
+def make_controller(app, knob=None):
     registry = KnobRegistry([knob or workers_knob()])
-    overrides.setdefault("warmup_intervals", 1)
-    config = TuningConfig(
-        enabled=True, objective="custom", epsilon=0.0, **overrides
-    )
-    controller = TuningController(app, config, registry=registry)
     objective = ScriptedObjective()
-    controller.set_objective(objective)
+    controller = TuningController(
+        app,
+        knobs=registry.names(),
+        objective=objective,
+        interval_seconds=60.0,
+        registry=registry,
+    )
     controller.tick()  # priming tick: establishes the cumulative anchor
     return controller, objective
+
+
+class Echo(Context):
+    def on_reading_from_sensor(self, event, discover):
+        return event.value
+
+
+class Sweep(Context):
+    def on_periodic_reading(self, readings, discover):
+        return float(len(readings))
 
 
 class TestKnobArithmetic:
@@ -181,6 +200,17 @@ class TestKnobRegistry:
         assert "supervision.backoff_base_seconds" in full
         assert len(full) == 6
 
+        # Regression: per-type overrides supervise devices without a
+        # default ``supervision`` section, so there is no record for
+        # the two supervision knobs to read or replace.
+        overrides_only = RuntimeConfig(
+            supervision_overrides={"Sensor": SupervisionPolicy()}
+        )
+        assert overrides_only.supervised()
+        catalog = KnobRegistry.for_config(overrides_only)
+        assert catalog.names() == ("sweep.workers", "sweep.batch_size")
+        catalog.describe(overrides_only)  # every row reads its value
+
     def test_describe_carries_ranges_and_values(self):
         registry = KnobRegistry.for_config(RuntimeConfig())
         rows = registry.describe(RuntimeConfig())
@@ -195,44 +225,128 @@ class TestControllerLifecycle:
         with pytest.raises(TuningError, match="unknown knob"):
             TuningController(
                 app,
-                TuningConfig(enabled=True, knobs=("no.such.knob",)),
+                knobs=("no.such.knob",),
+                objective=ScriptedObjective(),
+                interval_seconds=60.0,
             )
 
-    def test_custom_objective_required_before_start(self):
-        app = make_app()
-        controller = TuningController(
-            app,
-            TuningConfig(enabled=True, objective="custom"),
-            registry=KnobRegistry([workers_knob()]),
-        )
-        with pytest.raises(TuningError, match="set_objective"):
-            controller.start()
-
-    def test_enabled_config_wires_and_ticks(self):
-        from repro.runtime.component import Context
-
-        class Echo(Context):
-            def on_reading_from_sensor(self, event, discover):
-                return event.value
-
+    def test_knob_on_absent_section_fails_at_wiring_time(self):
+        # Regression: the supervision knobs of a registry built by hand
+        # (or, before the catalog fix, by ``for_config``) used to raise
+        # AttributeError from the first proposal or gauge scrape.
         app = make_app(
-            tuning=TuningConfig(
-                enabled=True,
-                interval_seconds=10.0,
-                objective="gather_errors",
-            )
+            supervision_overrides={"Sensor": SupervisionPolicy()}
         )
-        assert app.tuner is not None
+        registry = KnobRegistry(
+            [
+                Knob(
+                    name="supervision.failure_threshold",
+                    section="supervision",
+                    attribute="failure_threshold",
+                    minimum=1,
+                    maximum=10,
+                )
+            ]
+        )
+        with pytest.raises(TuningError, match="not enabled"):
+            TuningController(
+                app,
+                knobs=registry.names(),
+                objective=ScriptedObjective(),
+                interval_seconds=60.0,
+                registry=registry,
+            )
+        # The standard catalog does not offer them on such a config.
+        with pytest.raises(TuningError, match="unknown knob"):
+            TuningController(
+                app,
+                knobs=("supervision.failure_threshold",),
+                objective=ScriptedObjective(),
+                interval_seconds=60.0,
+            )
+
+    def test_empty_knobs_is_a_tuning_error(self):
+        with pytest.raises(TuningError, match="at least one knob"):
+            TuningController(
+                make_app(),
+                knobs=(),
+                objective=ScriptedObjective(),
+                interval_seconds=60.0,
+            )
+
+    def test_start_before_app_start_is_a_tuning_error(self):
+        app = make_app()
         app.implement("Echo", Echo())
+        controller, __ = make_controller(app)
+        with pytest.raises(TuningError, match="start the application"):
+            controller.start()
         app.start()
-        app.advance(30.0)
-        assert app.metrics.value("tuning_ticks_total") == 3
+        controller.start()
+        controller.stop()
         app.stop()
 
-    def test_disabled_config_creates_no_controller(self):
+    def test_started_controller_ticks_on_the_clock(self):
         app = make_app()
-        assert app.tuner is None
-        assert app.knobs.names() == ("sweep.workers", "sweep.batch_size")
+        app.implement("Echo", Echo())
+        app.start()
+        controller = TuningController(
+            app,
+            knobs=("sweep.workers",),
+            objective=lambda: app.metrics.value("app_gather_errors_total"),
+            interval_seconds=10.0,
+        )
+        controller.start()
+        app.advance(30.0)
+        assert app.metrics.value("tuning_ticks_total") == 3
+        controller.stop()
+        app.stop()
+
+    def test_equal_periods_tick_after_each_sweep(self):
+        # Scheduled after the gather job, the tick at each shared
+        # timestamp runs after that timestamp's sweep.
+        app = Application(
+            analyze(PERIODIC_DESIGN), RuntimeConfig(clock=SimulationClock())
+        )
+        app.implement("Sweep", Sweep())
+        app.create_device(
+            "Sensor", "s-1", CallableDriver(sources={"reading": lambda: 1.0})
+        )
+        app.start()
+        sweeps_seen = []
+
+        def objective():
+            sweeps_seen.append(app.metrics.value("sweep_total"))
+            return 0.0
+
+        controller = TuningController(
+            app,
+            knobs=("sweep.workers",),
+            objective=objective,
+            interval_seconds=60.0,
+        )
+        controller.start()
+        app.advance(300.0)
+        assert sweeps_seen == [1, 2, 3, 4, 5]
+        assert app.metrics.value("tuning_ticks_total") == 5
+        assert app.metrics.value("sweep_total") == 5
+        controller.stop()
+        app.stop()
+
+    def test_stop_is_idempotent_and_cancels_the_clock_job(self):
+        app = make_app()
+        app.implement("Echo", Echo())
+        app.start()
+        controller, __ = make_controller(app)
+        controller.start()
+        controller.start()  # a second start schedules nothing more
+        app.advance(60.0)
+        ticks = controller.stats()["ticks"]
+        assert ticks == 2  # the priming tick plus one scheduled tick
+        controller.stop()
+        controller.stop()
+        app.advance(600.0)
+        assert controller.stats()["ticks"] == ticks
+        app.stop()
 
 
 class TestControllerPolicy:
@@ -294,7 +408,7 @@ class TestControllerPolicy:
             "sweep.workers:down": 2
         }
 
-    def test_zero_epsilon_is_deterministic(self):
+    def test_policy_is_deterministic(self):
         def run():
             app = make_app(sweep=SweepConfig(workers=3))
             controller, objective = make_controller(app)
@@ -313,15 +427,7 @@ class TestControllerPolicy:
 
     def test_metrics_track_the_loop(self):
         app = make_app(sweep=SweepConfig(workers=2))
-        registry = KnobRegistry([workers_knob()])
-        config = TuningConfig(
-            enabled=True, objective="custom", warmup_intervals=1
-        )
-        controller = TuningController(app, config, registry=registry)
-        controller.attach_metrics(app.metrics)
-        objective = ScriptedObjective()
-        controller.set_objective(objective)
-        controller.tick()
+        controller, objective = make_controller(app)
         for level in (10.0, 10.0, 100.0, 200.0):
             objective.feed(controller, level)
         metrics = app.metrics
@@ -362,18 +468,6 @@ class TestApplyConfig:
                 app.config.replace(shard=ShardConfig(enabled=True))
             )
 
-    def test_tuning_section_is_structural(self):
-        # The controller is built at construction; a live swap used to
-        # be accepted and silently ignored (config said enabled, tuner
-        # stayed None).
-        app = make_app()
-        with pytest.raises(TuningError, match="'tuning' is structural"):
-            app.apply_config(
-                app.config.replace(tuning=TuningConfig(enabled=True))
-            )
-        assert app.config.tuning.enabled is False
-        assert app.tuner is None
-
     def test_cache_cannot_toggle_live(self):
         app = make_app()
         with pytest.raises(TuningError, match="cache"):
@@ -411,8 +505,6 @@ class TestApplyConfig:
         app = make_app(
             supervision=SupervisionPolicy(failure_threshold=5)
         )
-        from repro.runtime.device import CallableDriver
-
         app.create_device(
             "Sensor", "s-1", CallableDriver(sources={"reading": lambda: 1.0})
         )

@@ -37,13 +37,11 @@ class TestExports:
             "ShardConfig",
             "PlacementConfig",
             "NetworkConfig",
-            "TuningConfig",
         ):
             assert name in api.__all__, name
 
     def test_tuning_surface_is_exported(self):
         for name in (
-            "TuningConfig",
             "TuningController",
             "Knob",
             "KnobRegistry",
