@@ -63,6 +63,7 @@ from repro.mapreduce.partition import group_pairs, hash_partition, partition_ite
 
 Pairs = List[Tuple[Hashable, Any]]
 _tag = itemgetter(0)
+_second = itemgetter(1)
 
 
 def _run_map_chunk(
@@ -110,12 +111,9 @@ def first_positions(
     keyed: Iterable[Tuple[Hashable, int]]
 ) -> Dict[Hashable, int]:
     """The lowest position of each group key among ``(key, position)``
-    pairs in any order."""
-    firsts: Dict[Hashable, int] = {}
-    for key, position in keyed:
-        if key not in firsts or position < firsts[key]:
-            firsts[key] = position
-    return firsts
+    pairs in any order: by falling position, the last pair a key keeps
+    is its lowest."""
+    return dict(sorted(keyed, key=_second, reverse=True))
 
 
 def rank_groups(keyed: Iterable[Tuple[Hashable, int]]) -> Dict[Hashable, int]:
@@ -137,19 +135,22 @@ def map_partition(
     ``rows`` are ``(position, group key, value)`` readings, ``ranks``
     the sweep-wide :func:`rank_groups` order; mapping in ``(rank,
     position)`` order reproduces the slice of the single-process input
-    sequence this partition owns.  Every reading maps through its own
-    collector so its emissions can be tagged; a combined partial keeps
-    the lowest tag it folded.  Returns ``(tagged pairs, raw map
-    emission count)``.
+    sequence this partition owns.  Each reading's emissions are the
+    collector's growth over its ``map`` call, which is what tags them;
+    a combined partial keeps the lowest tag it folded.  Returns
+    ``(tagged pairs, raw map emission count)``.
     """
     pairs: Tagged = []
-    for position, key, value in sorted(
-        rows, key=lambda row: (ranks[row[1]], row[0])
+    rows = list(rows)
+    collector = MapCollector()
+    emitted = collector.pairs
+    # Decorated with its group's rank, a row sorts without a key call.
+    for rank, (position, key, value) in sorted(
+        zip(map(ranks.__getitem__, map(_second, rows)), rows)
     ):
-        collector = MapCollector()
+        first = len(emitted)
         job.map(key, value, collector)
-        rank = ranks[key]
-        for emission, (out_key, out_value) in enumerate(collector.pairs):
+        for emission, (out_key, out_value) in enumerate(emitted[first:]):
             pairs.append(((rank, position, emission), out_key, out_value))
     mapped = len(pairs)
     combine = job_combiner(job)

@@ -46,7 +46,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from itertools import compress, count, repeat
+from operator import attrgetter, ge, itemgetter, methodcaller, ne, not_, sub
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.configbase import ConfigBase
 from repro.telemetry.instrument import Instrumented, MetricSpec
@@ -71,6 +73,13 @@ CACHE_AGE_BUCKETS = (
 )
 
 _CacheKey = Tuple[str, str]
+
+# What a column operation reads for a key with no entry: a stamp no TTL
+# reaches and a shard no real shard equals.
+_NO_SHARD = object()
+_ABSENT = (None, float("-inf"), _NO_SHARD)
+_value_of, _stamp_of, _shard_of = map(itemgetter, range(3))
+_attributes_of = attrgetter("attributes")
 
 
 @dataclass(frozen=True)
@@ -315,7 +324,7 @@ class ReadCache(Instrumented):
                 flight.error = exc
                 flight.event.set()
             raise
-        self._store(key, value, instance)
+        self._store_column((instance,), (key[0],), source, (value,))
         if flight is not None:
             flight.value = value
             with self._lock:
@@ -335,52 +344,82 @@ class ReadCache(Instrumented):
                 return None
             return entry[0], age
 
-    def lookup(self, entity_id: str, source: str):
-        """A *counting* peek: like :meth:`peek`, but a fresh entry is
-        recorded as a hit (with its age observed) exactly as
-        :meth:`get_or_read` would record it.
+    def lookup_column(self, entity_ids, source: str, miss: Any) -> List[Any]:
+        """A *counting* peek over a column of entities: the fresh
+        cached value of ``source`` per entity, ``miss`` where there is
+        none.  Every fresh entry is recorded as a hit (with its age
+        observed, in column order) exactly as :meth:`get_or_read` would
+        record it — under one lock hold, with no step per entity.
 
         The columnar gather path uses this to pull cache-fresh entities
         out of a batch cohort before the batch read — those reads are
         served by the cache, so they must count as cache hits.
         """
+        ttl = self.config.ttl_seconds
         with self._lock:
-            entry = self._entries.get((entity_id, source))
-            if entry is None:
-                return None
-            age = self.clock.now() - entry[1]
-            if age > self.config.ttl_seconds:
-                return None
-            self._hits += 1
-            if self._m_age is not None:
-                self._m_age.observe(age)
-            return entry[0], age
+            now = self.clock.now()
+            keys = zip(entity_ids, repeat(source))
+            entries = list(map(self._entries.get, keys, repeat(_ABSENT)))
+            ages = list(map(sub, repeat(now), map(_stamp_of, entries)))
+            fresh = list(map(ge, repeat(ttl), ages))
+            hits = sum(fresh)
+            self._hits += hits
+            if hits and self._m_age is not None:
+                self._m_age.observe_column(list(compress(ages, fresh)))
+        if not hits:
+            return [miss] * len(entries)
+        values = list(map(_value_of, entries))
+        for row in compress(count(), map(not_, fresh)):
+            values[row] = miss
+        return values
 
-    def store(self, instance, source: str, value: Any) -> None:
+    def lookup(self, entity_id: str, source: str):
+        """One row of :meth:`lookup_column`: the fresh value wrapped as
+        ``(value,)``, else ``None``."""
+        (value,) = self.lookup_column((entity_id,), source, _ABSENT)
+        return None if value is _ABSENT else (value,)
+
+    def store_column(self, instances, entity_ids, source: str, values) -> None:
         """Populate the cache from a read that bypassed
-        :meth:`get_or_read` — one slot of a driver-level batch column.
+        :meth:`get_or_read` — a driver-level batch column, given as the
+        aligned ``instances``, ``entity_ids`` and ``values`` columns.
 
-        Counts as a miss (the driver was genuinely consulted), so
-        hit/miss arithmetic stays comparable between scalar and batch
-        runs.
+        Every row counts as a miss (the driver was genuinely
+        consulted), so hit/miss arithmetic stays comparable between
+        scalar and batch runs.
         """
         with self._lock:
-            self._misses += 1
-        self._store((instance.entity_id, source), value, instance)
+            self._misses += len(values)
+        self._store_column(instances, entity_ids, source, values)
 
-    def _store(self, key: _CacheKey, value: Any, instance) -> None:
-        shard = None
+    def store(self, instance, source: str, value: Any) -> None:
+        """One row of :meth:`store_column`."""
+        self.store_column((instance,), (instance.entity_id,), source, (value,))
+
+    def _store_column(self, instances, entity_ids, source, values) -> None:
         attr = self.config.shard_attribute
-        if attr is not None:
-            shard = instance.attributes.get(attr)
+        if attr is None:
+            shards = [None] * len(values)
+        else:
+            shards = list(
+                map(methodcaller("get", attr), map(_attributes_of, instances))
+            )
+        keys = list(zip(entity_ids, repeat(source)))
         with self._lock:
-            old = self._entries.get(key)
-            if old is not None and old[2] is not None and old[2] != shard:
-                self._discard_from_shard(key, old[2])
-            self._entries[key] = (value, self.clock.now(), shard)
-            self._by_entity.setdefault(key[0], set()).add(key)
-            if shard is not None:
-                self._by_shard.setdefault((key[1], shard), set()).add(key)
+            entries = self._entries
+            now = self.clock.now()
+            was = list(map(_shard_of, map(entries.get, keys, repeat(_ABSENT))))
+            entries.update(zip(keys, zip(values, repeat(now), shards)))
+            # The entity and shard indexes move only for rows that are
+            # new or whose shard attribute changed.
+            for key, old, shard in compress(
+                zip(keys, was, shards), map(ne, was, shards)
+            ):
+                if old is not _NO_SHARD and old is not None:
+                    self._discard_from_shard(key, old)
+                self._by_entity.setdefault(key[0], set()).add(key)
+                if shard is not None:
+                    self._by_shard.setdefault((key[1], shard), set()).add(key)
 
     # -- invalidation --------------------------------------------------------
 

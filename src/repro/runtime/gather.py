@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import compress, count, repeat
+from operator import attrgetter, is_
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import DeliveryError
 from repro.faults.policy import HEALTHY
@@ -48,6 +49,8 @@ _PENDING = object()
 _DEMOTED = object()
 
 _reads_counter_of = attrgetter("_m_reads")
+_entity_id_of = attrgetter("entity_id")
+_failed_flag = attrgetter("failed")
 
 
 def _read_column(source, sampler, instances) -> List[Any]:
@@ -212,7 +215,7 @@ class Gatherer(Instrumented):
     # -- the columnar column reader -------------------------------------
 
     def plan(self, device_type: str, source: str, instances):
-        """The memoized ``(groups, scalar)`` cohort plan for one column
+        """The memoized ``(groups, scalar, ids)`` cohort plan for one column
         of the current cut of ``device_type`` (compiling on miss).
 
         ``groups`` holds one ``(positions, entity_ids)`` pair per
@@ -220,8 +223,10 @@ class Gatherer(Instrumented):
         indexes into the column and, aligned with them, the entity-id
         column ``read_batch`` is handed when the cohort reads whole;
         ``scalar`` is the positions whose driver declines batching
-        (``batch_key`` is ``None``).  Planning once spares every sweep
-        the ``batch_key`` calls, cohort formation and id-column builds.
+        (``batch_key`` is ``None``).  A third member is the entity-id
+        column of ``instances`` itself, which is what the read cache
+        is asked by.  Planning once spares every sweep the
+        ``batch_key`` calls, cohort formation and id-column builds.
 
         A plan lives in the memo of the sweep cut whose column it was
         compiled for (:meth:`~repro.runtime.sweep.SweepEngine.
@@ -236,7 +241,8 @@ class Gatherer(Instrumented):
         if plan is not None:
             self._plan_hits += 1
             return plan
-        cohorts: Dict[int, Tuple[list, list]] = {}
+        entity_ids = list(map(_entity_id_of, instances))
+        cohorts: Dict[int, List[int]] = {}
         scalar = []
         for position, instance in enumerate(instances):
             batch_key = instance.driver.batch_key(source)
@@ -245,10 +251,16 @@ class Gatherer(Instrumented):
                 continue
             cohort = cohorts.get(id(batch_key))
             if cohort is None:
-                cohort = cohorts[id(batch_key)] = ([], [])
-            cohort[0].append(position)
-            cohort[1].append(instance.entity_id)
-        plan = plans[key] = (tuple(cohorts.values()), tuple(scalar))
+                cohort = cohorts[id(batch_key)] = []
+            cohort.append(position)
+        groups = tuple(
+            # A cohort that spans the column reads the column's own ids.
+            (positions, entity_ids)
+            if len(positions) == len(instances)
+            else (positions, list(map(entity_ids.__getitem__, positions)))
+            for positions in cohorts.values()
+        )
+        plan = plans[key] = (groups, tuple(scalar), entity_ids)
         self._plan_compiles += 1
         return plan
 
@@ -265,36 +277,55 @@ class Gatherer(Instrumented):
         behave exactly as in an unbatched sweep.  A cohort whose batch
         read fails (or returns a mis-shaped column) demotes whole.
 
-        In the common case — the eligibility loop settles nothing and
-        one cohort spans the shard — no per-reading container is built.
+        In the common case — reliable reads, no failed flag, no
+        supervising config — nothing below takes a step per entity:
+        the cache answers for the column at once and a cohort that
+        spans the shard hands its value column back as the result.
         """
         results: List[Any] = [_PENDING] * len(instances)
         demoted: List[int] = []
-        cache = self.cache
         # Static partition — (shard, batch_key) cohorts and the
         # no-batch-driver positions — comes from the memoized plan;
         # only the per-sweep eligibility below stays dynamic.
-        groups, unbatched = self.plan(device, source, instances)
-        for position, instance in enumerate(instances):
-            if sampler is not None and not sampler():
-                results[position] = _DROPPED
-                continue
-            supervisor = instance.supervisor
-            if instance.failed or (
-                supervisor is not None and supervisor.health != HEALTHY
-            ):
-                # Degraded/quarantined entities keep their breaker
-                # probes and half-open recovery; a batch read would
-                # bypass both.
-                results[position] = _DEMOTED
-                demoted.append(position)
-                continue
-            if cache is not None:
-                hit = cache.lookup(instance.entity_id, source)
-                if hit is not None:
-                    results[position] = hit[0]
+        groups, unbatched, entity_ids = self.plan(device, source, instances)
+        # Can anything settle here?  (Supervisors are attached only
+        # under a supervising config; asking every instance for its own
+        # would be one more pass over the fleet's memory.)
+        if (
+            sampler is not None
+            or self.config.supervised()
+            or any(map(_failed_flag, instances))
+        ):
+            for position, instance in enumerate(instances):
+                if sampler is not None and not sampler():
+                    results[position] = _DROPPED
+                    continue
+                supervisor = instance.supervisor
+                if instance.failed or (
+                    supervisor is not None and supervisor.health != HEALTHY
+                ):
+                    # Degraded/quarantined entities keep their breaker
+                    # probes and half-open recovery; a batch read would
+                    # bypass both.
+                    results[position] = _DEMOTED
+                    demoted.append(position)
+        cache = self.cache
+        if cache is not None:
+            # Whoever is still pending may be cache-fresh.
+            if results.count(_PENDING) == len(results):
+                results = cache.lookup_column(entity_ids, source, _PENDING)
+            else:
+                asked = list(
+                    compress(count(), map(is_, results, repeat(_PENDING)))
+                )
+                found = cache.lookup_column(
+                    list(map(entity_ids.__getitem__, asked)), source, _PENDING
+                )
+                for position, value in zip(asked, found):
+                    results[position] = value
+        pending = results.count(_PENDING)
         # Nothing settled above: the cohorts read as they were planned.
-        whole = results.count(_PENDING) == len(results)
+        whole = pending == len(results)
         scalar = [
             position
             for position in unbatched
@@ -302,14 +333,14 @@ class Gatherer(Instrumented):
         ]
         scalar.extend(demoted)
         min_column = self.config.batch.min_column
-        for positions, entity_ids in groups:
+        for positions, cohort_ids in groups if pending else ():
             if not whole:
                 positions = [
                     position
                     for position in positions
                     if results[position] is _PENDING
                 ]
-                entity_ids = [instances[p].entity_id for p in positions]
+                cohort_ids = [entity_ids[p] for p in positions]
             if len(positions) < min_column:
                 scalar.extend(positions)
                 continue
@@ -319,7 +350,7 @@ class Gatherer(Instrumented):
             column = self._read_batch_cohort(
                 source,
                 instances if spans else [instances[p] for p in positions],
-                entity_ids,
+                cohort_ids,
             )
             if column is None:
                 scalar.extend(positions)
@@ -366,14 +397,17 @@ class Gatherer(Instrumented):
         values = coerce_column(
             instances[0].info.source(source).dia_type, values
         )
-        # Instances of a type share their read counter.
-        for counter, reads in Counter(
-            map(_reads_counter_of, instances)
-        ).items():
+        # Instances of a type share their read counter: one tally for
+        # the cohort then, one per counter otherwise.
+        counters = set(map(_reads_counter_of, instances))
+        if len(counters) == 1:
+            tally = {counters.pop(): len(instances)}
+        else:
+            tally = Counter(map(_reads_counter_of, instances))
+        for counter, reads in tally.items():
             if counter is not None:
                 counter.inc(reads)
-        cache = self.cache
-        if cache is not None or self.config.supervised():
+        if self.config.supervised():
             for instance, value in zip(instances, values):
                 supervisor = instance.supervisor
                 if supervisor is not None:
@@ -381,8 +415,8 @@ class Gatherer(Instrumented):
                     # breaker's success accounting truthful, exactly as
                     # a scalar read.
                     supervisor.record_success(source, value)
-                if cache is not None:
-                    cache.store(instance, source, value)
+        if self.cache is not None:
+            self.cache.store_column(instances, entity_ids, source, values)
         return values
 
     def _fold_read_outcomes(self, instances, outcomes, source):

@@ -28,6 +28,7 @@ order-sensitive analyses) must stay buffered.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import BindingError
@@ -37,6 +38,7 @@ from repro.runtime.plan import missing
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 Fold = Callable[[Hashable, Any, Any], Any]
+_attributes_of = attrgetter("attributes")
 
 
 def no_group_attribute(instance, attribute: str) -> BindingError:
@@ -55,6 +57,16 @@ def group_key(instance, attribute: str) -> Hashable:
         return instance.attributes[attribute]
     except KeyError:
         raise no_group_attribute(instance, attribute) from None
+
+
+def group_key_column(instances, attribute: str) -> List[Hashable]:
+    """Every instance's ``grouped by`` key, as one column."""
+    try:
+        return list(map(itemgetter(attribute), map(_attributes_of, instances)))
+    except KeyError:
+        for instance in instances:
+            group_key(instance, attribute)  # names the entity without it
+        raise
 
 
 def group_readings(

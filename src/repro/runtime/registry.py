@@ -11,6 +11,7 @@ applications.
 
 from __future__ import annotations
 
+from itertools import count
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -23,6 +24,7 @@ Listener = Callable[[str, DeviceInstance], None]
 HealthLookup = Callable[[str], str]
 
 _failed_flag = attrgetter("failed")
+_info_of = attrgetter("info")
 
 
 class EntityRegistry(Instrumented):
@@ -295,7 +297,7 @@ class EntityRegistry(Instrumented):
         attribute: Optional[str] = None,
         include_failed: bool = False,
         include_quarantined: bool = False,
-    ) -> List[Tuple[str, List[Tuple[int, DeviceInstance]]]]:
+    ) -> List[Tuple[str, List[int], List[DeviceInstance]]]:
         """Instances of ``device_type`` partitioned into deterministic
         shards for sweep fan-out.
 
@@ -305,14 +307,14 @@ class EntityRegistry(Instrumented):
         shard).  Only shards with at least one member exist, and shard
         order is the registration order of each shard's first instance.
 
-        Each member is a ``(position, instance)`` pair where
-        ``position`` is the instance's index in the registration-ordered
-        ``instances_of`` result — shards may interleave in registration
-        order, and the positions are what lets the
-        :class:`~repro.runtime.sweep.SweepEngine` (and the sharded
-        runtime's coordinator) merge per-shard results back into the
-        exact registry iteration order.  Instances keep registration
-        order within their shard.
+        Each shard is ``(key, positions, instances)``: two aligned
+        columns, where a ``position`` is the member's index in the
+        registration-ordered ``instances_of`` result — shards may
+        interleave in registration order, and the positions are what
+        lets the :class:`~repro.runtime.sweep.SweepEngine` (and the
+        sharded runtime's coordinator) merge per-shard results back
+        into the exact registry iteration order.  Instances keep
+        registration order within their shard.
         """
         # Partition memo: at fleet scale re-deriving the shard lists
         # every sweep dominates the sweep's own bookkeeping, yet the
@@ -327,34 +329,82 @@ class EntityRegistry(Instrumented):
             include_failed,
             include_quarantined,
         )
-        memoizable = self._shards_memoizable(
+        if not self._shards_memoizable(
             device_type, include_failed, include_quarantined
-        )
-        if memoizable:
-            memo = self._shard_memo.get(memo_key)
-            if memo is not None and memo[0] == self._version:
-                # Still one discovery lookup served, just not recomputed.
-                self._lookups += 1
-                return memo[1]
-        instances = self.instances_of(
-            device_type,
-            include_failed=include_failed,
-            include_quarantined=include_quarantined,
-        )
-        grouped: Dict[str, List[Tuple[int, DeviceInstance]]] = {}
+        ):
+            return self._scan_shards(
+                self.instances_of(
+                    device_type,
+                    include_failed=include_failed,
+                    include_quarantined=include_quarantined,
+                ),
+                attribute,
+            )
+        memo = self._shard_memo.get(memo_key)
+        if memo is None or memo[0] != self._version:
+            # Nothing filters members: the partition is the
+            # (type, attribute) index, when that holds every member.
+            members = self._by_type.get(device_type, [])
+            result = self._index_shards(device_type, attribute, members)
+            if result is None:
+                result = self._scan_shards(members, attribute)
+            memo = self._shard_memo[memo_key] = (self._version, result)
+        # One discovery lookup served, whoever computed it.
+        self._lookups += 1
+        return memo[1]
+
+    @staticmethod
+    def _scan_shards(instances, attribute: Optional[str]):
+        """Partition a registration-ordered instance column by reading
+        every member's attribute record."""
+        grouped: Dict[str, Tuple[List[int], List[DeviceInstance]]] = {}
         for position, instance in enumerate(instances):
             name = attribute
             if name is None:
-                declared = instance.info.attributes
-                name = next(iter(declared)) if declared else None
+                name = next(iter(instance.info.attributes), None)
             value = (
                 instance.attributes.get(name, "") if name is not None else ""
             )
-            grouped.setdefault(str(value), []).append((position, instance))
-        result = list(grouped.items())
-        if memoizable:
-            self._shard_memo[memo_key] = (self._version, result)
-        return result
+            shard = grouped.get(str(value))
+            if shard is None:
+                shard = grouped[str(value)] = ([], [])
+            shard[0].append(position)
+            shard[1].append(instance)
+        return [(key, *columns) for key, columns in grouped.items()]
+
+    def _index_shards(self, device_type: str, attribute, members):
+        """The partition of the unfiltered ``members`` column as the
+        ``(type, attribute)`` index already holds it — each bucket is a
+        shard in registration order — or ``None`` when the index cannot
+        stand in for the scan: it misses members (unhashable values, an
+        attribute only a subtype declares), members disagree on their
+        first declared attribute, or two values could share one ``str``
+        shard key (only same-typed ``str`` / ``int`` values cannot)."""
+        if not members:
+            return None
+        if attribute is None:
+            infos = list(map(_info_of, members))
+            firsts = {
+                next(iter(info.attributes), None)
+                for info in dict(zip(map(id, infos), infos)).values()
+            }
+            if len(firsts) != 1:
+                return None
+            (attribute,) = firsts
+        values = self._by_attribute.get((device_type, attribute), {})
+        if sum(map(len, values.values())) != len(members):
+            return None
+        if set(map(type, values)) not in ({str}, {int}):
+            return None
+        self._index_hits += 1
+        position_of = dict(zip(members, count()))
+        shards = [
+            (str(value), list(map(position_of.__getitem__, bucket)), bucket[:])
+            for value, bucket in values.items()
+            if bucket
+        ]
+        shards.sort(key=lambda shard: shard[1][0])  # first position
+        return shards
 
     def _shards_memoizable(
         self,

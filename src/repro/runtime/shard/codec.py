@@ -19,6 +19,9 @@ spawning a process:
 from __future__ import annotations
 
 import pickle
+from collections import deque
+from itertools import accumulate, compress, count, islice, repeat
+from operator import gt, is_, is_not, ne, or_, sub
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 # ----------------------------------------------------------------------
@@ -58,24 +61,12 @@ def _pack_positions(positions: List[int]) -> List[int]:
     absolute positions cost 5."""
     if not positions:
         return positions
-    packed = [positions[0]]
-    prev = positions[0]
-    for position in positions[1:]:
-        packed.append(position - prev)
-        prev = position
-    return packed
+    return [positions[0], *map(sub, islice(positions, 1, None), positions)]
 
 
 def _unpack_positions(packed: List[int]) -> List[int]:
     """Inverse of :func:`_pack_positions`."""
-    if not packed:
-        return packed
-    positions = [packed[0]]
-    prev = packed[0]
-    for gap in packed[1:]:
-        prev += gap
-        positions.append(prev)
-    return positions
+    return list(accumulate(packed))
 
 
 def _encode_group_keys(keys: List[Any]) -> Tuple[Any, ...]:
@@ -86,28 +77,20 @@ def _encode_group_keys(keys: List[Any]) -> Tuple[Any, ...]:
     key string pickled once plus one byte per row.  Columns with more
     than 256 distinct (or unhashable) keys fall back to the plain list
     ``("k", keys)``."""
-    table: List[Any] = []
-    index_of: Dict[Any, int] = {}
-    indexes = bytearray()
     try:
-        for key in keys:
-            index = index_of.get(key)
-            if index is None:
-                index = index_of[key] = len(table)
-                if index > 255:
-                    return ("k", keys)
-                table.append(key)
-            indexes.append(index)
+        table = list(dict.fromkeys(keys))
     except TypeError:
         return ("k", keys)
-    return ("t", table, bytes(indexes))
+    if len(table) > 256:
+        return ("k", keys)
+    index_of = dict(zip(table, count()))
+    return ("t", table, bytes(map(index_of.__getitem__, keys)))
 
 
 def _decode_group_keys(block: Tuple[Any, ...]) -> List[Any]:
     """Inverse of :func:`_encode_group_keys`."""
     if block[0] == "t":
-        table = block[1]
-        return [table[index] for index in block[2]]
+        return list(map(block[1].__getitem__, block[2]))
     return block[1]
 
 
@@ -116,9 +99,13 @@ def _decode_group_keys(block: Tuple[Any, ...]) -> List[Any]:
 # ----------------------------------------------------------------------
 
 
+_UNSEEN = object()
+
+
 class _DeltaEncoder:
     """Worker-side delta state of one gather: the registry version the
-    epoch started at plus the last value shipped per global position.
+    epoch started at plus the position and value columns of the last
+    sweep — what the coordinator's mirror holds for this shard.
 
     Blocks (all optional, all columnar, positions always gap-encoded
     via :func:`_pack_positions`):
@@ -144,76 +131,80 @@ class _DeltaEncoder:
       the mirror before applying the blocks.
     """
 
-    __slots__ = ("flat", "version", "known")
+    __slots__ = ("version", "positions", "values", "kinds")
 
-    def __init__(self, flat: bool):
-        self.flat = flat
+    def __init__(self):
         self.version: Any = None
-        self.known: Dict[int, Any] = {}
+        self.positions: Sequence[int] = ()
+        self.values: Sequence[Any] = ()
+        self.kinds: set = set()  # the types in ``values``
 
     def encode(
         self,
         version: int,
         positions: Sequence[int],
-        subjects: Sequence[Any],
         values: Sequence[Any],
-        ident_of: Callable[[Any], Any],
+        ident_columns: Callable[[List[int]], Sequence[Any]],
     ) -> Dict[str, Any]:
         """One sweep's blocks.
 
-        The sweep's readings come as three aligned columns: ascending
-        global ``positions``, the ``subjects`` read and their
-        ``values``.  ``ident_of(subject)`` — the group key, or the
-        ``(type, entity id, attributes)`` triple of a flat gather — is
-        asked only for rows that register, so a steady-state sweep
-        never touches identity.  A registry ``version`` other than the
-        epoch's starts a new epoch.
+        The sweep's readings come as two aligned columns the encoder
+        keeps until the next sweep (do not mutate them): ascending
+        global ``positions`` and their ``values``.
+        ``ident_columns(rows)`` — the identity columns, as they go on
+        the wire, of the rows at those indexes: the key block of a
+        grouped gather, the type-name, entity-id and attribute columns
+        of a flat one — is asked only for rows that register, so a
+        steady-state sweep never touches identity.  A registry
+        ``version`` other than the epoch's starts a new epoch.
+
+        Nothing here takes a step per reading: a sweep over the very
+        ``positions`` list of the last one compares the two value
+        columns; any other looks the last values up by position.
         """
         blocks: Dict[str, Any] = {}
         if self.version != version:
             self.version = version
-            self.known = {}
+            self.positions = self.values = ()
+            self.kinds = set()
             blocks["reset"] = True
-        known = self.known
-        reg_pos: List[int] = []
-        reg_ident: List[Any] = []
-        reg_val: List[Any] = []
-        changed_pos: List[int] = []
-        changed_val: List[Any] = []
-        quiescent = 0
-        for position, subject, value in zip(positions, subjects, values):
-            if position not in known:
-                reg_pos.append(position)
-                reg_ident.append(ident_of(subject))
-                reg_val.append(value)
-                known[position] = value
-            else:
-                prev = known[position]
-                if type(prev) is type(value) and prev == value:
-                    quiescent += 1
-                else:
-                    changed_pos.append(position)
-                    changed_val.append(value)
-                    known[position] = value
-        if len(known) != len(values):
-            present = set(positions)
-            retract = sorted(p for p in known if p not in present)
-            for position in retract:
-                del known[position]
-            blocks["retract"] = _pack_positions(retract)
-        if reg_pos:
-            if self.flat:
-                ident_columns = [list(column) for column in zip(*reg_ident)]
-            else:
-                ident_columns = [_encode_group_keys(reg_ident)]
-            blocks["register"] = (
-                _pack_positions(reg_pos),
-                *ident_columns,
-                reg_val,
+        fresh = None
+        if positions is self.positions:
+            was = self.values
+        else:
+            known = dict(zip(self.positions, self.values))
+            was = list(map(known.get, positions, repeat(_UNSEEN)))
+            fresh = list(map(is_, was, repeat(_UNSEEN)))
+            retract = sorted(known.keys() - set(positions))
+            if retract:
+                blocks["retract"] = _pack_positions(retract)
+        # Unseen rows differ from any value, so they count as moved.
+        moved = list(map(ne, was, values))
+        kinds = set(map(type, values))
+        if len(kinds) > 1 or kinds != self.kinds:
+            # Equal across types (1, 1.0, True) is still a change.
+            retyped = map(is_not, map(type, was), map(type, values))
+            moved = list(map(or_, moved, retyped))
+        changed = moved
+        if fresh is not None:
+            rows = list(compress(count(), fresh))
+            if rows:
+                blocks["register"] = (
+                    _pack_positions(list(map(positions.__getitem__, rows))),
+                    *ident_columns(rows),
+                    list(map(values.__getitem__, rows)),
+                )
+                changed = map(gt, moved, fresh)
+        rows = list(compress(count(), changed))
+        if rows:
+            blocks["changed"] = (
+                _pack_positions(list(map(positions.__getitem__, rows))),
+                list(map(values.__getitem__, rows)),
             )
-        if changed_pos:
-            blocks["changed"] = (_pack_positions(changed_pos), changed_val)
-        blocks["quiescent"] = quiescent
+        blocks["quiescent"] = len(values) - sum(moved)
+        self.kinds = kinds
+        self.positions = positions
+        self.values = values
         return blocks
 
 
@@ -260,7 +251,9 @@ class _Mirror:
         self.shard_positions: List[set] = [set() for __ in range(shards)]
         self.order: List[int] = []
         self.groups: Dict[Any, List[Any]] = {}
-        self.slots: Dict[int, Tuple[List[Any], int]] = {}
+        # position -> offset in its group's column; built by the first
+        # value change an order sees (:meth:`_write_through`).
+        self.slots: Dict[int, int] = {}
         self.dirty = False
 
     def _drop(self, positions) -> None:
@@ -275,9 +268,10 @@ class _Mirror:
         changed + retracted) and rows that didn't."""
         delta_rows = 0
         mine = self.shard_positions[shard]
-        if reply.get("reset") and mine:
-            self._drop(mine)
-            mine.clear()
+        stale: set = set()
+        if reply.get("reset"):
+            stale, mine = mine, set()
+            self.shard_positions[shard] = mine
         register = reply.get("register")
         if register:
             packed, *ident_columns, column = register
@@ -291,6 +285,10 @@ class _Mirror:
             self.values.update(zip(positions, column))
             delta_rows += len(positions)
             self.dirty = True
+        # Of a reset slice, only what did not register again goes.
+        stale -= mine
+        if stale:
+            self._drop(stale)
         retract = reply.get("retract")
         if retract:
             retract = _unpack_positions(retract)
@@ -302,34 +300,36 @@ class _Mirror:
             packed, column = changed
             positions = _unpack_positions(packed)
             delta_rows += len(positions)
-            values = self.values
-            if self.flat or self.dirty:
-                values.update(zip(positions, column))
-            else:
-                slots = self.slots
-                for position, value in zip(positions, column):
-                    values[position] = value
-                    group_column, offset = slots[position]
-                    group_column[offset] = value
+            self.values.update(zip(positions, column))
+            if not (self.flat or self.dirty):
+                self._write_through(positions, column)
         return delta_rows, reply.get("quiescent", 0)
+
+    def _write_through(self, positions, column) -> None:
+        """Carry value changes into the group columns of a clean order."""
+        slots = self.slots
+        ident = self.ident
+        groups = self.groups
+        if not slots:
+            members: Dict[Any, List[int]] = {key: [] for key in groups}
+            keys = map(ident.__getitem__, self.order)
+            _extend_each(keys, members, self.order)
+            for group in members.values():
+                slots.update(zip(group, count()))
+        for position, value in zip(positions, column):
+            groups[ident[position]][slots[position]] = value
 
     def _rebuild(self) -> None:
         self.order = sorted(self.ident)
         self.dirty = False
         if self.flat:
             return
-        keys = self.ident
-        values = self.values
-        groups: Dict[Any, List[Any]] = {}
-        slots: Dict[int, Tuple[List[Any], int]] = {}
-        for position in self.order:
-            column = groups.get(keys[position])
-            if column is None:
-                column = groups[keys[position]] = []
-            slots[position] = (column, len(column))
-            column.append(values[position])
-        self.groups = groups
-        self.slots = slots
+        keys = list(map(self.ident.__getitem__, self.order))
+        self.groups = {key: [] for key in dict.fromkeys(keys)}
+        self.slots = {}
+        _extend_each(
+            keys, self.groups, map(self.values.__getitem__, self.order)
+        )
 
     def payload(self) -> Dict[Any, List[Any]]:
         """The full grouped payload — fresh per-group lists (so a
@@ -345,6 +345,15 @@ class _Mirror:
         what a flat gather delivers."""
         if self.dirty:
             self._rebuild()
-        ident = self.ident
-        values = self.values
-        return [(ident[position], values[position]) for position in self.order]
+        return list(
+            zip(
+                map(self.ident.__getitem__, self.order),
+                map(self.values.__getitem__, self.order),
+            )
+        )
+
+
+def _extend_each(keys, columns: Dict[Any, List[Any]], items) -> None:
+    """Append each of ``items`` to the column of its key — a group-by
+    with no step per row (``list.append`` mapped over two columns)."""
+    deque(map(list.append, map(columns.__getitem__, keys), items), maxlen=0)

@@ -151,19 +151,24 @@ class ShardRouter(Instrumented):
 
     def broadcast(self, op: str, args: Tuple[Any, ...] = ()) -> List[Any]:
         """The same command to every shard; replies in shard order,
-        a failed shard's exception in place of its reply.  Every reply
-        is read before the caller raises any of them: one left in its
+        a failed shard's exception in place of its reply.  Every shard
+        is sent to, and every reply of a shard that was sent to is
+        read, before the caller raises any of them: one left in its
         pipe would answer that shard's *next* command, and every one
         after it would be one command late."""
         self._commands += len(self._workers)
-        for shard in range(len(self._workers)):
-            self._send_to(shard, op, args)
         replies: List[Any] = []
         for shard in range(len(self._workers)):
             try:
-                replies.append(self._receive(shard))
+                replies.append(self._send_to(shard, op, args))
             except Exception as exc:  # noqa: BLE001 - raised by _command
                 replies.append(exc)
+        for shard, failure in enumerate(replies):
+            if failure is None:  # sent: its reply is owed
+                try:
+                    replies[shard] = self._receive(shard)
+                except Exception as exc:  # noqa: BLE001 - as above
+                    replies[shard] = exc
         return replies
 
     def shutdown(self) -> None:

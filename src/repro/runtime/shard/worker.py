@@ -12,18 +12,24 @@ bind/unbind, stats — until ``stop`` or a closed pipe.
 from __future__ import annotations
 
 import functools
+from operator import attrgetter
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import ShardError
 from repro.mapreduce.engine import first_positions, map_partition
 from repro.runtime.clock import SimulationClock
-from repro.runtime.grouping import group_key
+from repro.runtime.grouping import group_key_column
 from repro.runtime.shard import ShardBootstrap, ShardContext
 from repro.runtime.shard.codec import (
     _DeltaEncoder,
+    _encode_group_keys,
     _wire_recv,
     _wire_send,
 )
+
+_entity_id_of = attrgetter("entity_id")
+_type_name_of = attrgetter("info.name")
+_attributes_of = attrgetter("attributes")
 
 
 class _ShardWorker:
@@ -47,25 +53,30 @@ class _ShardWorker:
                 shard=ctx.index,
             )
         self.clock: SimulationClock = self.app.clock
-        # entity id -> global registration position, derived from the
-        # full-fleet enumeration so every shard agrees on merge order.
+        # Owned entity id -> global registration position, derived
+        # from the full-fleet enumeration so every shard agrees on
+        # merge order.
         self._gpos = {
             entity_id: position
             for position, entity_id in enumerate(bootstrap.fleet())
+            if ctx.owns(entity_id)
         }
         self._events: List[Tuple[Any, ...]] = []
         # Poll results parked between the poll and map rounds of a
-        # MapReduce gather: (context, interaction) -> keyed readings.
-        self._pending: Dict[Tuple[str, int], List[Tuple[Any, ...]]] = {}
+        # MapReduce gather: (context, interaction) -> the readings as
+        # a one-shot ``zip(positions, keys, values)``.
+        self._pending: Dict[Tuple[str, int], Any] = {}
         # Delta encoder per (context, interaction).  A registry
         # version bump (bind/unbind) resets its epoch — the worker
         # re-registers everything.
         self._encoders: Dict[Tuple[str, int], _DeltaEncoder] = {}
-        # (context, interaction) -> (instances, their global
-        # positions) of the gather's last poll.  The sweep hands back
-        # the same instance column until the membership moves or a
-        # reading is lost, so a steady-state poll never probes ``_gpos``.
-        self._positions: Dict[Tuple[str, int], Tuple[list, list]] = {}
+        # device type -> (instances, their global positions, group-key
+        # column per ``grouped by`` attribute, first positions per
+        # attribute) of the last poll over that type.  The sweep hands
+        # every context the same instance column until the membership
+        # moves or a reading is lost, so a steady-state poll never
+        # probes ``_gpos`` or an attribute record.
+        self._columns: Dict[str, Tuple[list, list, dict, dict]] = {}
         # Re-attach every instance's publish hook to the recorder so
         # pushes surface in command replies instead of dead-ending in
         # the worker's subscriber-less bus.  Recording happens at the
@@ -121,49 +132,51 @@ class _ShardWorker:
             decl, interaction
         )
         reply: Dict[str, Any] = {"dropped": dropped, "failed": failed}
-        seen, positions = self._positions.get((name, index), (None, None))
-        if seen is not instances:
-            gpos = self._gpos
-            positions = [gpos[instance.entity_id] for instance in instances]
-            self._positions[(name, index)] = (instances, positions)
-        group = interaction.group
-        if group is not None and group.uses_mapreduce:
-            keyed = [
-                (position, group_key(instance, group.attribute), value)
-                for position, instance, value in zip(
-                    positions, instances, values
-                )
-            ]
-            self._pending[(name, index)] = keyed
-            reply["kind"] = "mapreduce"
-            reply["keys"] = first_positions(
-                (key, position) for position, key, __ in keyed
+        memo = self._columns.get(interaction.device)
+        if memo is None or memo[0] is not instances:
+            positions = list(
+                map(self._gpos.__getitem__, map(_entity_id_of, instances))
             )
+            memo = self._columns[interaction.device] = (
+                instances,
+                positions,
+                {},
+                {},
+            )
+        __, positions, key_columns, firsts = memo
+        group = interaction.group
+        if group is not None:
+            keys = key_columns.get(group.attribute)
+            if keys is None:
+                keys = key_columns[group.attribute] = group_key_column(
+                    instances, group.attribute
+                )
+        if group is not None and group.uses_mapreduce:
+            if group.attribute not in firsts:
+                firsts[group.attribute] = first_positions(zip(keys, positions))
+            self._pending[(name, index)] = zip(positions, keys, values)
+            reply["kind"] = "mapreduce"
+            reply["keys"] = firsts[group.attribute]
             return reply
         if group is None:
             reply["kind"] = "flat"
-            ident_of = _flat_ident
+            ident_columns = functools.partial(_flat_columns, instances)
         else:
             reply["kind"] = "grouped"
-            ident_of = functools.partial(group_key, attribute=group.attribute)
+            ident_columns = functools.partial(_key_block, keys)
         encoder = self._encoders.get((name, index))
         if encoder is None:
-            encoder = _DeltaEncoder(flat=group is None)
-            self._encoders[(name, index)] = encoder
+            encoder = self._encoders[(name, index)] = _DeltaEncoder()
         try:
             reply.update(
                 encoder.encode(
-                    app.registry.version,
-                    positions,
-                    instances,
-                    values,
-                    ident_of,
+                    app.registry.version, positions, values, ident_columns
                 )
             )
         except Exception:
-            # A half-applied epoch (e.g. a BindingError halfway through
-            # key extraction) must not leave ghost "already shipped"
-            # values: drop the state so the next poll re-registers.
+            # A half-applied epoch must not leave ghost "already
+            # shipped" values: drop the state so the next poll
+            # re-registers.
             del self._encoders[(name, index)]
             raise
         return reply
@@ -292,14 +305,21 @@ class _ShardWorker:
         conn.close()
 
 
-def _flat_ident(instance) -> Tuple[str, str, Dict[str, Any]]:
-    """What a flat gather registers per reading: enough for the
-    coordinator to stand a routed proxy in for the instance."""
+def _flat_columns(instances, rows) -> Tuple[list, list, list]:
+    """What a flat gather registers for the readings at ``rows``: the
+    type-name, entity-id and attribute columns — enough for the
+    coordinator to stand a routed proxy in for each instance."""
+    chosen = list(map(instances.__getitem__, rows))
     return (
-        instance.info.name,
-        instance.entity_id,
-        dict(instance.attributes),
+        list(map(_type_name_of, chosen)),
+        list(map(_entity_id_of, chosen)),
+        list(map(dict, map(_attributes_of, chosen))),
     )
+
+
+def _key_block(keys, rows) -> Tuple[Tuple[Any, ...]]:
+    """What a grouped gather registers for the readings at ``rows``."""
+    return (_encode_group_keys(list(map(keys.__getitem__, rows))),)
 
 
 def _send_error(conn, exc: Exception, shard: int) -> None:

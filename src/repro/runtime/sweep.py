@@ -51,7 +51,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.clock import SimulationClock
@@ -79,16 +79,14 @@ SWEEP_DURATION_BUCKETS = (
     5.0,
 )
 
-_position = itemgetter(0)
-
-
 class _SweepCut:
     """One device type's sweep, compiled from a registry partition: the
-    registry-ordered ``instances`` column every sweep returns, and per
-    task a ``(positions, instances)`` pair of columns — ``positions``
-    the registry position of each task member.  ``memo`` holds what a
-    column reader derives from these columns (cohort plans), so it
-    cannot outlive them.
+    registry-ordered ``instances`` column every sweep returns, the
+    instance column of each task, and ``order`` — per registry
+    position, the index of that member in the tasks' concatenation,
+    which is how several tasks' value columns merge back.  ``memo``
+    holds what a column reader derives from these columns (cohort
+    plans), so it cannot outlive them.
 
     Valid while the registry hands back the very ``partition`` object
     it was compiled from — its memo lasts until a bind, an unbind or a
@@ -96,25 +94,32 @@ class _SweepCut:
     ``(columnar, threaded, batch_size)``.
     """
 
-    __slots__ = ("partition", "shape", "instances", "tasks", "memo")
+    __slots__ = ("partition", "shape", "instances", "tasks", "order", "memo")
 
     def __init__(self, partition, shape):
         self.partition = partition
         self.shape = shape
         self.memo: Dict[Any, Any] = {}
-        pairs = (pair for __, members in partition for pair in members)
-        ordered = sorted(pairs, key=_position)
-        self.instances = [instance for __, instance in ordered]
+        shards = [members for __, __, members in partition]
+        positions = list(
+            chain.from_iterable(positions for __, positions, __ in partition)
+        )
+        # Shards may interleave in registration order: an argsort of
+        # the shard-by-shard positions puts them back.
+        self.order = sorted(range(len(positions)), key=positions.__getitem__)
+        self.instances = list(
+            map(list(chain.from_iterable(shards)).__getitem__, self.order)
+        )
         columnar, threaded, size = shape
         if columnar:
             # One task per shard: the batch read spans the shard, so
             # finer-grained tasks would just split the column.
-            slices = [members for __, members in partition]
+            self.tasks = shards
         elif threaded:
             # batch_size slices; batches never span shards.
-            slices = [
+            self.tasks = [
                 members[offset : offset + size]
-                for __, members in partition
+                for members in shards
                 for offset in range(0, len(members), size)
             ]
         else:
@@ -122,14 +127,7 @@ class _SweepCut:
             # registration order, so the whole type is one task in
             # position order — every stateful side effect (network-drop
             # RNG draws, breaker probes) keeps its historical sequence.
-            slices = [ordered]
-        self.tasks = [
-            (
-                [position for position, __ in members],
-                [instance for __, instance in members],
-            )
-            for members in slices
-        ]
+            self.tasks = [self.instances]
 
 
 @dataclass(frozen=True)
@@ -375,7 +373,7 @@ class SweepEngine(Instrumented):
             attribute=self.config.shard_attribute,
             include_quarantined=True,
         )
-        for shard_key, members in shards:
+        for shard_key, members, __ in shards:
             self._count_shard(shard_key, len(members))
         threaded = self.mode_for_clock() == "threaded"
         # The modes differ only in how the sweep is cut into tasks and
@@ -387,7 +385,7 @@ class SweepEngine(Instrumented):
         self._reads += len(cut.instances)
         if columnar:
             self._columnar_sweeps += 1
-        columns = [instances for __, instances in cut.tasks]
+        columns = cut.tasks
         if threaded:
             self._threaded_sweeps += 1
             columns = self._fan_out(columns, read_column)
@@ -399,10 +397,8 @@ class SweepEngine(Instrumented):
         if len(columns) == 1:
             (results,) = columns
         else:
-            results = [None] * len(cut.instances)
-            for (positions, __), column in zip(cut.tasks, columns):
-                for position, value in zip(positions, column):
-                    results[position] = value
+            merged = list(chain.from_iterable(columns))
+            results = list(map(merged.__getitem__, cut.order))
         if self._m_duration is not None:
             self._m_duration.observe(time.perf_counter() - started)
         return cut.instances, results

@@ -1,0 +1,236 @@
+"""Scale-independence of a columnar worker poll, as a count.
+
+Between the driver's ``read_batch`` and the reply that gets pickled, a
+columnar poll takes no Python-level step per entity: the sweep cut, the
+cohort read, the read cache, the group keys, the delta encoder are
+column operations.  ``sys.setprofile`` counts Python calls over an
+in-process :class:`_ShardWorker` at N and 4N entities, and the counts
+must be the same number — whatever the fleet size, the runtime runs the
+same frames.  Only code the application owns may scale: the driver's
+``batch_key`` (asked once per entity when a cohort plan compiles) and
+the ``map`` callback (one call per reading, and whatever it calls).
+"""
+
+import gc
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.api import (
+    Application,
+    BatchConfig,
+    CacheConfig,
+    Context,
+    DeviceDriver,
+    RuntimeConfig,
+    ShardBootstrap,
+    ShardContext,
+    analyze,
+)
+from repro.mapreduce.engine import rank_groups
+from repro.runtime.shard.worker import _ShardWorker
+
+DESIGN = """\
+device Probe {
+    attribute zone as ZoneEnum;
+    source level as Integer;
+}
+enumeration ZoneEnum { Z0, Z1, Z2 }
+
+context Levels as Integer {
+    when periodic level from Probe <1 min>
+    grouped by zone
+    always publish;
+}
+
+context Load as Integer {
+    when periodic level from Probe <1 min>
+    grouped by zone
+    with map as Integer reduce as Integer
+    always publish;
+}
+"""
+ZONES = ("Z0", "Z1", "Z2")
+PERIOD = 60.0
+
+
+class Field:
+    """What every probe of one process reads from (the cohort key)."""
+
+
+class ColumnDriver(DeviceDriver):
+    """A batch-capable driver whose column read is itself a column
+    operation, so nothing the driver does hides in the count."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def read(self, source):
+        return 1
+
+    def read_batch(self, entity_ids, source):
+        return [1] * len(entity_ids)
+
+    def batch_key(self, source):
+        return self.field
+
+
+class LevelsImpl(Context):
+    def on_periodic_level(self, by_zone, discover):
+        return sum(map(sum, by_zone.values()))
+
+
+class LoadImpl(Context):
+    def map(self, zone, level, collector):
+        collector.emit_map(zone, level)
+
+    def reduce(self, zone, values, collector):
+        collector.emit_reduce(zone, sum(values))
+
+    def on_periodic_level(self, by_zone, discover):
+        return sum(by_zone.values())
+
+
+class ProbeBootstrap(ShardBootstrap):
+    def __init__(self, count):
+        self.count = count
+        self.field = Field()
+
+    def fleet(self):
+        return [f"probe-{index:05d}" for index in range(self.count)]
+
+    def build(self, ctx):
+        app = Application(
+            analyze(DESIGN),
+            RuntimeConfig(
+                batch=BatchConfig(enabled=True),
+                cache=CacheConfig(enabled=True, ttl_seconds=1.0),
+            ),
+        )
+        app.implement("Levels", LevelsImpl())
+        app.implement("Load", LoadImpl())
+        for position, entity_id in enumerate(self.fleet()):
+            if ctx.owns(entity_id):
+                self.bind_entity(app, entity_id, position)
+        return app
+
+    def bind_entity(self, app, entity_id, position):
+        app.create_device(
+            "Probe",
+            entity_id,
+            ColumnDriver(self.field),
+            zone=ZONES[position % len(ZONES)],
+        )
+
+
+MAP_CODE = LoadImpl.map.__code__
+BATCH_KEY_CODE = ColumnDriver.batch_key.__code__
+
+
+def python_calls(run):
+    """Python-level calls made by ``run()``, by who owns them: the
+    driver's ``batch_key``, the ``map`` callback (with everything it
+    calls), or the runtime."""
+    calls = Counter()
+    inside_map = 0
+
+    def profiler(frame, event, arg):
+        nonlocal inside_map
+        code = frame.f_code
+        if event == "call":
+            if inside_map or code is MAP_CODE:
+                calls["map"] += 1
+            elif code is BATCH_KEY_CODE:
+                calls["batch_key"] += 1
+            else:
+                calls["runtime"] += 1
+            inside_map += code is MAP_CODE
+        elif event == "return":
+            inside_map -= code is MAP_CODE
+
+    # A collection would run whatever ``gc.callbacks`` other suites
+    # installed, inside the counted region.
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls
+
+
+class Fleet:
+    """An in-process worker over ``count`` probes, driven the way the
+    coordinator drives it: per period one grouped poll (a cache miss:
+    the cohorts read and store) and one MapReduce poll over the same
+    source (cache hits) with its map round."""
+
+    def __init__(self, count):
+        self.count = count
+        self.bootstrap = ProbeBootstrap(count)
+        self.worker = _ShardWorker(
+            self.bootstrap, ShardContext(shards=1, index=0)
+        )
+        self.now = 0.0
+        self.replies = []
+
+    def period(self):
+        worker = self.worker
+        self.now += PERIOD
+        worker.clock.run_until(self.now)
+        levels = worker._cmd_poll("Levels", 0)
+        load = worker._cmd_poll("Load", 0)
+        ranks = rank_groups(load["keys"].items())
+        mapped = worker._cmd_map("Load", 0, ranks)
+        self.replies.append((levels, load, mapped))
+
+    def churn(self):
+        """One unbind and one bind: the registry version moves twice,
+        so partition, cut, cohort plans and delta epoch start over."""
+        self.worker._cmd_unbind("probe-00001")
+        self.worker._cmd_bind(f"probe-{self.count:05d}", self.count)
+
+
+@pytest.fixture(scope="module")
+def fleets():
+    built = [Fleet(300), Fleet(1200)]
+    for fleet in built:
+        fleet.period()  # registers everything, compiles every memo
+        fleet.period()
+    return built
+
+
+def test_a_steady_state_period_runs_the_same_frames_at_any_size(fleets):
+    small, large = (python_calls(fleet.period) for fleet in fleets)
+    for fleet in fleets:
+        levels, load, mapped = fleet.replies[-1]
+        # the period did the work it is counted for
+        assert levels["quiescent"] == fleet.count and "register" not in levels
+        assert load["kind"] == "mapreduce" and len(load["keys"]) == 3
+        assert mapped["mapped"] == fleet.count
+        stats = fleet.worker.app.stats
+        assert stats["read_cache"]["hits"] == stats["read_cache"]["misses"]
+        assert stats["sweep"]["batch_demoted"] == 0
+    assert small["batch_key"] == large["batch_key"] == 0
+    assert small["runtime"] == large["runtime"]
+    # one map call and one emit per reading: the application's own
+    assert small["map"] == 2 * 300 and large["map"] == 2 * 1200
+
+
+def test_a_membership_change_costs_frames_only_in_application_code(fleets):
+    for fleet in fleets:
+        fleet.churn()
+    small, large = (python_calls(fleet.period) for fleet in fleets)
+    for fleet in fleets:
+        levels, load, mapped = fleet.replies[-1]
+        assert levels["reset"] is True
+        assert len(levels["register"][-1]) == fleet.count
+        assert mapped["mapped"] == fleet.count
+    # every entity is asked its cohort key once, when the plans compile
+    assert small["batch_key"] == 300 and large["batch_key"] == 1200
+    assert small["map"] == 2 * 300 and large["map"] == 2 * 1200
+    assert small["runtime"] == large["runtime"]

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from repro.errors import BindingError
 from repro.runtime.device import CallableDriver, DeviceInstance
-from repro.runtime.grouping import WindowAccumulator, group_readings
+from repro.runtime.grouping import (
+    WindowAccumulator,
+    group_key_column,
+    group_readings,
+)
 from repro.sema.analyzer import analyze
 
 DESIGN = """\
@@ -61,6 +65,20 @@ class TestGroupReadings:
         )
         with pytest.raises(BindingError, match="no attribute"):
             group_readings([(plain, 0.0)], "parkingLot")
+
+    def test_key_column_is_the_keys_and_names_the_entity_without_one(
+        self, design
+    ):
+        fleet = [sensor(design, "s1", "B16"), sensor(design, "s2", "A22")]
+        assert group_key_column(fleet, "parkingLot") == ["B16", "A22"]
+        assert group_key_column([], "parkingLot") == []
+        plain = DeviceInstance(
+            design.devices["Plain"],
+            "p1",
+            CallableDriver(sources={"x": lambda: 0.0}),
+        )
+        with pytest.raises(BindingError, match="'p1' has no attribute"):
+            group_key_column([*fleet, plain], "parkingLot")
 
 
 class TestWindowAccumulator:

@@ -9,6 +9,7 @@ driver read per pull — is pinned explicitly.
 """
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.runtime.component import Context
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import CallableDriver
 from repro.sema.analyzer import analyze
+from repro.telemetry.registry import MetricsRegistry
 
 DESIGN = """\
 device Sensor {
@@ -470,3 +472,156 @@ class TestMetrics:
         )
         assert stats["entries"] == 1
         assert "generation" in stats
+
+
+def reference_lookup(cache, entity_id, source):
+    """One counting lookup, a row at a time — what the column
+    operation must add up to."""
+    with cache._lock:
+        entry = cache._entries.get((entity_id, source))
+        if entry is None:
+            return None
+        age = cache.clock.now() - entry[1]
+        if age > cache.config.ttl_seconds:
+            return None
+        cache._hits += 1
+        if cache._m_age is not None:
+            cache._m_age.observe(age)
+        return (entry[0],)
+
+
+def reference_store(cache, instance, source, value):
+    """One batch-column slot stored, a row at a time."""
+    key = (instance.entity_id, source)
+    shard = None
+    attr = cache.config.shard_attribute
+    if attr is not None:
+        shard = instance.attributes.get(attr)
+    with cache._lock:
+        cache._misses += 1
+        old = cache._entries.get(key)
+        if old is not None and old[2] is not None and old[2] != shard:
+            cache._discard_from_shard(key, old[2])
+        cache._entries[key] = (value, cache.clock.now(), shard)
+        cache._by_entity.setdefault(key[0], set()).add(key)
+        if shard is not None:
+            cache._by_shard.setdefault((key[1], shard), set()).add(key)
+
+
+ENTITIES = 6
+SOURCES = ("level", "battery")
+rows = st.lists(
+    st.integers(min_value=0, max_value=ENTITIES - 1), unique=True
+)
+steps = st.one_of(
+    st.tuples(
+        st.just("store"),
+        rows,
+        st.sampled_from(SOURCES),
+        st.sampled_from([0, 1.5, None, float("nan")]),
+    ),
+    st.tuples(st.just("lookup"), rows, st.sampled_from(SOURCES)),
+    st.tuples(st.just("tick"), st.sampled_from([0.0, 0.4, 0.7, 5.0])),
+    st.tuples(
+        st.just("invalidate"),
+        st.integers(min_value=0, max_value=ENTITIES - 1),
+        st.sampled_from(SOURCES + (None,)),
+    ),
+    st.tuples(
+        st.just("move"),
+        st.integers(min_value=0, max_value=ENTITIES - 1),
+        st.sampled_from(["NORTH", "SOUTH", None]),
+    ),
+    st.tuples(st.just("drop_shard"), st.sampled_from(SOURCES)),
+)
+
+
+class TestColumnOperationsAreTheirRows:
+    """``lookup_column`` / ``store_column`` leave a cache in exactly
+    the state the same rows leave it in one at a time — through the
+    one-row methods and through the row-loop reference above."""
+
+    MISS = object()
+
+    @staticmethod
+    def observable(cache):
+        age = cache._m_age
+        return (
+            repr(cache._entries),  # repr: NaN values must agree too
+            cache._by_entity,
+            cache._by_shard,
+            cache.generation,
+            cache.stats()["hits"],
+            cache.stats()["misses"],
+            cache.stats()["invalidations"],
+            age.bucket_counts(),
+            age.count,
+            age.sum,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(steps, max_size=14), st.booleans())
+    def test_twin_caches_stay_equal(self, script, sharded):
+        config = CacheConfig(
+            enabled=True,
+            ttl_seconds=1.0,
+            shard_attribute="zone" if sharded else None,
+        )
+        fleet = [
+            SimpleNamespace(
+                entity_id=f"s-{index}",
+                attributes={"zone": ("NORTH", "SOUTH")[index % 2]},
+            )
+            for index in range(ENTITIES)
+        ]
+        clock = SimulationClock()
+        column, scalar, reference = (
+            ReadCache(clock, config, metrics=MetricsRegistry())
+            for __ in range(3)
+        )
+        for step in script:
+            kind = step[0]
+            if kind == "store":
+                __, where, source, value = step
+                instances = [fleet[row] for row in where]
+                ids = [instance.entity_id for instance in instances]
+                values = [value] * len(where)
+                column.store_column(instances, ids, source, values)
+                for instance in instances:
+                    scalar.store(instance, source, value)
+                    reference_store(reference, instance, source, value)
+            elif kind == "lookup":
+                __, where, source = step
+                ids = [fleet[row].entity_id for row in where]
+                found = column.lookup_column(ids, source, self.MISS)
+                wrapped = [
+                    None if value is self.MISS else (value,)
+                    for value in found
+                ]
+                for rows in (
+                    [scalar.lookup(entity_id, source) for entity_id in ids],
+                    [
+                        reference_lookup(reference, entity_id, source)
+                        for entity_id in ids
+                    ],
+                ):
+                    assert repr(wrapped) == repr(rows)
+            elif kind == "tick":
+                clock.advance(step[1])
+            elif kind == "invalidate":
+                for cache in (column, scalar, reference):
+                    cache.invalidate(f"s-{step[1]}", step[2])
+            elif kind == "move":
+                # The shard attribute value an entity is next stored
+                # under (a rebind under the same id).
+                fleet[step[1]].attributes = (
+                    {} if step[2] is None else {"zone": step[2]}
+                )
+            else:
+                for cache in (column, scalar, reference):
+                    cache.invalidate_shard(step[1], "NORTH")
+            assert (
+                self.observable(column)
+                == self.observable(scalar)
+                == self.observable(reference)
+            )

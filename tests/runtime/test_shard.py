@@ -864,6 +864,32 @@ class TestRouterFailures:
             runtime.stop()
 
 
+    def test_failed_send_leaves_no_reply_behind(self):
+        """When the send to one shard of a broadcast fails, the shards
+        already sent to still owe a reply: it is read before the
+        failure raises, so the surviving shard's next command gets its
+        own answer."""
+        runtime = self._running_runtime(workers=2)
+        router = runtime.router
+        try:
+            router._workers[1][1].close()  # shard 1's pipe end is gone
+            with pytest.raises(ShardError) as excinfo:
+                runtime.advance(PERIOD)  # the poll broadcast
+            assert excinfo.value.shard == 1
+            survivor = TestCommandEnvelope.first_per_shard(runtime)[0]
+            assert runtime.query(survivor, "presence") in (True, False)
+            assert runtime.act(survivor, "tag", label="ok") == (
+                f"{survivor}:ok"
+            )
+            assert router.stats()["errors"] == 1
+        finally:
+            runtime.stop()
+        assert not any(
+            p.name.startswith("repro-shard-")
+            for p in multiprocessing.active_children()
+        )
+
+
 @pytest.mark.skipif(os.name != "posix", reason="fork start method")
 class TestShardScalingShape:
     """What the scaling claim stands on, as structure: each worker owns

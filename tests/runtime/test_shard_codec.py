@@ -9,6 +9,7 @@ so a format bug shows up here rather than as a diverging sharded run.
 import pickle
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +112,75 @@ def zone_of(subject):
     return subject.attributes["zone"]
 
 
+def ident_columns_of(subjects, flat):
+    """The ``ident_columns(rows)`` callable a worker hands the encoder:
+    the identity columns of the given rows, as they go on the wire."""
+
+    def ident_columns(rows):
+        chosen = [subjects[row] for row in rows]
+        if flat:
+            return [list(c) for c in zip(*map(flat_ident, chosen))]
+        return [_encode_group_keys([zone_of(s) for s in chosen])]
+
+    return ident_columns
+
+
+class RowLoopEncoder:
+    """The delta encoder as one loop over the readings — the reference
+    the column encoder must agree with block for block."""
+
+    def __init__(self, flat):
+        self.flat = flat
+        self.version = None
+        self.known = {}
+
+    def encode(self, version, positions, subjects, values):
+        ident_of = flat_ident if self.flat else zone_of
+        blocks = {}
+        if self.version != version:
+            self.version = version
+            self.known = {}
+            blocks["reset"] = True
+        known = self.known
+        reg_pos, reg_ident, reg_val = [], [], []
+        changed_pos, changed_val = [], []
+        quiescent = 0
+        for position, subject, value in zip(positions, subjects, values):
+            if position not in known:
+                reg_pos.append(position)
+                reg_ident.append(ident_of(subject))
+                reg_val.append(value)
+                known[position] = value
+            else:
+                prev = known[position]
+                if type(prev) is type(value) and prev == value:
+                    quiescent += 1
+                else:
+                    changed_pos.append(position)
+                    changed_val.append(value)
+                    known[position] = value
+        if len(known) != len(values):
+            present = set(positions)
+            retract = sorted(p for p in known if p not in present)
+            for position in retract:
+                del known[position]
+            blocks["retract"] = _pack_positions(retract)
+        if reg_pos:
+            if self.flat:
+                ident_columns = [list(column) for column in zip(*reg_ident)]
+            else:
+                ident_columns = [_encode_group_keys(reg_ident)]
+            blocks["register"] = (
+                _pack_positions(reg_pos),
+                *ident_columns,
+                reg_val,
+            )
+        if changed_pos:
+            blocks["changed"] = (_pack_positions(changed_pos), changed_val)
+        blocks["quiescent"] = quiescent
+        return blocks
+
+
 @st.composite
 def scripts(draw):
     shards = draw(st.integers(min_value=1, max_value=3))
@@ -136,11 +206,17 @@ class TestEncoderToMirror:
     @given(scripts(), st.booleans())
     def test_mirrors_track_the_surviving_readings(self, script, flat):
         """One mirror class serves both gather shapes; ``flat`` only
-        picks the identity the encoder registers and the read method."""
+        picks the identity the encoder registers and the read method.
+        Every sweep is also encoded by the row-loop reference, and the
+        blocks must be the same blocks."""
         shards, fleet, sweeps = script
         owner = [shard_index(f"e-{p:03d}", shards) for p in range(fleet)]
         versions = [0] * shards
-        encoders = [_DeltaEncoder(flat=flat) for __ in range(shards)]
+        encoders = [_DeltaEncoder() for __ in range(shards)]
+        references = [RowLoopEncoder(flat) for __ in range(shards)]
+        # The worker hands the encoder the very positions list of its
+        # last poll while the membership holds; so does this test.
+        last_positions = [None] * shards
         mirror = _Mirror(shards, flat=flat)
         ident_of = flat_ident if flat else zone_of
         for present, values, bumps in sweeps:
@@ -157,11 +233,23 @@ class TestEncoderToMirror:
                 positions, subjects, column = (
                     [row[field] for row in mine] for field in range(3)
                 )
-                blocks = over_the_wire(
-                    encoders[shard].encode(
-                        versions[shard], positions, subjects, column, ident_of
-                    )
+                if positions == last_positions[shard]:
+                    positions = last_positions[shard]
+                last_positions[shard] = positions
+                encoded = encoders[shard].encode(
+                    versions[shard],
+                    positions,
+                    column,
+                    ident_columns_of(subjects, flat),
                 )
+                expected = references[shard].encode(
+                    versions[shard], positions, subjects, column
+                )
+                # repr: NaN != NaN, and 1 / 1.0 / True must not pass
+                # for one another.
+                assert repr(encoded) == repr(expected)
+                assert list(encoded) == list(expected)  # block order
+                blocks = over_the_wire(encoded)
                 delta_rows, quiescent = mirror.apply(shard, blocks)
                 register = blocks.get("register")
                 shipped = len(register[-1]) if register else 0
@@ -184,24 +272,100 @@ class TestEncoderToMirror:
                 )
                 assert repr(mirror.payload()) == repr(expected)
 
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_each_encoder_path_matches_the_row_loop(self, flat):
+        """Fresh epoch, same-positions comparison, a type-only change,
+        NaN, a lost row, its return, and a new epoch — by name, so a
+        shrunk hypothesis corpus cannot lose them."""
+        nan = float("nan")
+        positions = [3, 5, 8, 9]
+        fewer = [3, 8, 9]
+        sweeps = [
+            (1, positions, [0, 1, nan, "x"]),  # fresh epoch
+            (1, positions, [0, 1, nan, "x"]),  # same list: NaN re-ships
+            (1, positions, [0, True, nan, "x"]),  # 1 -> True: type only
+            (1, positions, [0.0, True, 2, "x"]),  # 0 -> 0.0, NaN -> 2
+            (1, fewer, [0.0, 2, "y"]),  # position 5 lost
+            (1, fewer, [0.0, 2, "y"]),  # steady on the shorter list
+            (1, positions, [0.0, 7, 3, "y"]),  # position 5 is back
+            (2, positions, [0.0, 7, 3, "y"]),  # new epoch, same values
+        ]
+        encoder = _DeltaEncoder()
+        reference = RowLoopEncoder(flat)
+        seen = []
+        for version, where, values in sweeps:
+            subjects = [entity(position, version) for position in where]
+            encoded = encoder.encode(
+                version, where, values, ident_columns_of(subjects, flat)
+            )
+            assert repr(encoded) == repr(
+                reference.encode(version, where, subjects, values)
+            )
+            seen.append(sorted(encoded))
+        assert seen == [
+            ["quiescent", "register", "reset"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent", "retract"],
+            ["quiescent"],
+            ["changed", "quiescent", "register"],
+            ["quiescent", "register", "reset"],
+        ]
+
     def test_steady_state_ships_one_integer(self):
-        encoder = _DeltaEncoder(flat=False)
+        encoder = _DeltaEncoder()
         subjects = [entity(p, 0) for p in range(50)]
+        ident_columns = ident_columns_of(subjects, flat=False)
         positions = list(range(50))
-        first = encoder.encode(1, positions, subjects, [0] * 50, zone_of)
+        first = encoder.encode(1, positions, [0] * 50, ident_columns)
         assert first["reset"] is True
         assert len(first["register"][-1]) == 50
-        second = encoder.encode(1, positions, subjects, [0] * 50, zone_of)
+        second = encoder.encode(1, positions, [0] * 50, ident_columns)
         assert second == {"quiescent": 50}
+        # An equal copy of the positions column is a steady state too.
+        third = encoder.encode(1, list(positions), [0] * 50, ident_columns)
+        assert third == {"quiescent": 50}
 
     def test_payload_is_a_fresh_copy(self):
-        encoder = _DeltaEncoder(flat=False)
+        encoder = _DeltaEncoder()
         mirror = _Mirror(1, flat=False)
         subjects = [entity(0, 0), entity(1, 0)]
         mirror.apply(
-            0, encoder.encode(1, [0, 1], subjects, [5, 6], zone_of)
+            0,
+            encoder.encode(
+                1, [0, 1], [5, 6], ident_columns_of(subjects, flat=False)
+            ),
         )
         payload = mirror.payload()
         for column in payload.values():
             column.clear()
         assert sum(len(c) for c in mirror.payload().values()) == 2
+
+    def test_a_reset_slice_keeps_only_what_registers_again(self):
+        """A shard's reset clears its slice of the mirror — and nothing
+        of the other shard's."""
+        mirror = _Mirror(2, flat=False)
+        block = lambda keys: _encode_group_keys(keys)  # noqa: E731
+        mirror.apply(
+            0,
+            {
+                "reset": True,
+                "register": (_pack_positions([0, 2, 4]), block("ABA"), [1, 2, 3]),
+            },
+        )
+        mirror.apply(
+            1, {"reset": True, "register": ([1], block("B"), [9])}
+        )
+        assert mirror.payload() == {"A": [1, 3], "B": [9, 2]}
+        mirror.apply(
+            0,
+            {
+                "reset": True,
+                "register": (_pack_positions([2, 6]), block("AB"), [7, 8]),
+            },
+        )
+        assert mirror.payload() == {"B": [9, 8], "A": [7]}
+        assert mirror.shard_positions == [{2, 6}, {1}]
+        mirror.apply(0, {"reset": True})
+        assert mirror.payload() == {"B": [9]}

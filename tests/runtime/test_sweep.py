@@ -214,18 +214,18 @@ class TestDeterministicMerge:
     def test_iter_shards_positions_reconstruct_registry_order(self):
         app, __, __ = build_app()
         shards = app.registry.iter_shards("PresenceSensor")
-        assert sorted(key for key, __ in shards) == sorted(LOTS)
+        assert sorted(key for key, __, __ in shards) == sorted(LOTS)
+        # Per shard, two aligned columns: positions and instances.
         flattened = sorted(
             (pos, inst.entity_id)
-            for __, members in shards
-            for pos, inst in members
+            for __, positions, members in shards
+            for pos, inst in zip(positions, members, strict=True)
         )
         assert [entity for __, entity in flattened] == [
             f"s-{i}" for i in range(6)
         ]
         # Within a shard, members keep registration order.
-        for __, members in shards:
-            positions = [pos for pos, __ in members]
+        for __, positions, __ in shards:
             assert positions == sorted(positions)
 
     def test_shard_attribute_override_and_attribute_less_types(self):
@@ -233,7 +233,7 @@ class TestDeterministicMerge:
         shards = app.registry.iter_shards(
             "PresenceSensor", attribute="parkingLot"
         )
-        assert {key for key, __ in shards} == set(LOTS)
+        assert {key for key, __, __ in shards} == set(LOTS)
 
 
 class TestOneSweepLoop:

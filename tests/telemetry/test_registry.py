@@ -76,6 +76,20 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(buckets=())
 
+    def test_observe_column_is_observe_in_order(self):
+        """Same buckets, same count and the very same float sum — the
+        column adds left to right, as successive observes do."""
+        values = [0.1, 0.7, 1.0, 0.1, 3.3, 1e-9, 5.0, 0.1, 7.25]
+        column, loop = Histogram(buckets=(1.0, 5.0)), Histogram((1.0, 5.0))
+        for histogram in (column, loop):
+            histogram.observe(0.3)
+        column.observe_column(values)
+        column.observe_column([])
+        for value in values:
+            loop.observe(value)
+        assert column.bucket_counts() == loop.bucket_counts()
+        assert (column.count, column.sum) == (loop.count, loop.sum)
+
 
 class TestCallbacks:
     def test_callback_reads_at_collection_time(self):
