@@ -88,7 +88,8 @@ class FoldCollector(_PairCollector):
 
 
 class MapReduce:
-    """Interface implemented by contexts that declare ``with map ... reduce ...``.
+    """Interface implemented by contexts that declare ``with map ...
+    reduce ...``.
 
     The default phases implement the *identity* job: map re-emits each
     reading under its group key and reduce re-emits the value list, so a

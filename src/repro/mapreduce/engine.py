@@ -38,13 +38,16 @@ and friends).
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from itertools import repeat
 from operator import itemgetter
 from typing import (
     Any,
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Sequence,
@@ -59,10 +62,14 @@ from repro.mapreduce.api import (
     job_combiner,
 )
 from repro.telemetry.instrument import Instrumented, MetricSpec
-from repro.mapreduce.partition import group_pairs, hash_partition, partition_items
+from repro.mapreduce.partition import (
+    group_pairs,
+    hash_partition,
+    partition_items,
+)
 
 Pairs = List[Tuple[Hashable, Any]]
-_tag = itemgetter(0)
+_first = itemgetter(0)
 _second = itemgetter(1)
 
 
@@ -108,50 +115,100 @@ Tagged = List[Tuple[Tuple[int, int, int], Hashable, Any]]
 
 
 def first_positions(
-    keyed: Iterable[Tuple[Hashable, int]]
+    keys: Sequence[Hashable], positions: Sequence[int]
 ) -> Dict[Hashable, int]:
-    """The lowest position of each group key among ``(key, position)``
-    pairs in any order: by falling position, the last pair a key keeps
-    is its lowest."""
-    return dict(sorted(keyed, key=_second, reverse=True))
+    """The lowest position of each group key over aligned ``keys`` and
+    ``positions`` columns in any order: by falling position, the last
+    position a key keeps is its lowest."""
+    order = sorted(
+        range(len(positions)), key=positions.__getitem__, reverse=True
+    )
+    return dict(
+        zip(map(keys.__getitem__, order), map(positions.__getitem__, order))
+    )
 
 
 def rank_groups(keyed: Iterable[Tuple[Hashable, int]]) -> Dict[Hashable, int]:
     """Each group key's rank by the position of its first surviving
     reading — the order ``group_readings`` meets the keys in when it
     sees the whole sweep."""
-    firsts = first_positions(keyed)
+    pairs = list(keyed)
+    firsts = first_positions(
+        list(map(_first, pairs)), list(map(_second, pairs))
+    )
     ordered = sorted(firsts, key=firsts.__getitem__)
     return {key: rank for rank, key in enumerate(ordered)}
 
 
+class _RowCollector(MapCollector):
+    """The map collector of one partition: it knows the row being mapped
+    and tags each emission ``(rank, position, emission)`` as it is
+    emitted, from the partition's ``ranks`` and ``positions`` columns."""
+
+    __slots__ = ("row", "_ranks", "_positions", "_last", "_emission")
+
+    def __init__(self, ranks: Sequence[int], positions: Sequence[int]):
+        super().__init__()
+        self.row = -1
+        self._ranks = ranks
+        self._positions = positions
+        self._last = -1
+        self._emission = 0
+
+    def over(self, rows: Iterable[int]) -> Iterator["_RowCollector"]:
+        """Itself once per row of ``rows``, its ``row`` set as it is
+        handed out — by ``setattr`` from C, with no Python frame per
+        row."""
+        moved = map(setattr, repeat(self), repeat("row"), rows)
+        return map(_first, zip(repeat(self), moved))
+
+    def emit_map(self, key: Hashable, value: Any) -> None:
+        row = self.row
+        if row == self._last:
+            self._emission += 1
+        else:
+            self._last, self._emission = row, 0
+        tag = (self._ranks[row], self._positions[row], self._emission)
+        self._pairs.append((tag, key, value))
+
+    emit = emit_map
+
+
 def map_partition(
     job: MapReduce,
-    rows: Iterable[Tuple[int, Hashable, Any]],
+    positions: Sequence[int],
+    keys: Sequence[Hashable],
+    values: Sequence[Any],
     ranks: Mapping[Hashable, int],
 ) -> Tuple[Tagged, int]:
     """Map (and map-side combine) one partition of a sweep.
 
-    ``rows`` are ``(position, group key, value)`` readings, ``ranks``
-    the sweep-wide :func:`rank_groups` order; mapping in ``(rank,
-    position)`` order reproduces the slice of the single-process input
-    sequence this partition owns.  Each reading's emissions are the
-    collector's growth over its ``map`` call, which is what tags them;
-    a combined partial keeps the lowest tag it folded.  Returns
-    ``(tagged pairs, raw map emission count)``.
+    The readings are three aligned columns — global positions, group
+    keys, values — in any order; ``ranks`` is the sweep-wide
+    :func:`rank_groups` order, and mapping in ``(rank, position)`` order
+    reproduces the slice of the single-process input sequence this
+    partition owns.  Per reading only the job's ``map`` runs: a
+    :class:`_RowCollector` tags the emissions.  A combined partial
+    keeps the lowest tag it folded.  Returns ``(tagged pairs, raw map
+    emission count)``.
     """
-    pairs: Tagged = []
-    rows = list(rows)
-    collector = MapCollector()
-    emitted = collector.pairs
-    # Decorated with its group's rank, a row sorts without a key call.
-    for rank, (position, key, value) in sorted(
-        zip(map(ranks.__getitem__, map(_second, rows)), rows)
-    ):
-        first = len(emitted)
-        job.map(key, value, collector)
-        for emission, (out_key, out_value) in enumerate(emitted[first:]):
-            pairs.append(((rank, position, emission), out_key, out_value))
+    ranked = list(map(ranks.__getitem__, keys))
+    # Two stable sorts — by position, then by rank — put the rows in
+    # (rank, position) order (the first is linear on a column already
+    # in position order).
+    order = sorted(range(len(ranked)), key=positions.__getitem__)
+    order.sort(key=ranked.__getitem__)
+    collector = _RowCollector(ranked, positions)
+    deque(
+        map(
+            job.map,
+            map(keys.__getitem__, order),
+            map(values.__getitem__, order),
+            collector.over(order),
+        ),
+        maxlen=0,
+    )
+    pairs: Tagged = collector.pairs
     mapped = len(pairs)
     combine = job_combiner(job)
     if combine is not None and pairs:
@@ -171,7 +228,7 @@ def map_partition(
 def sequence_partials(tagged: Tagged) -> Pairs:
     """Every partition's partials in single-process emission order,
     tags stripped: what :meth:`MapReduceEngine.merge_partials` takes."""
-    return [(key, value) for __, key, value in sorted(tagged, key=_tag)]
+    return [(key, value) for __, key, value in sorted(tagged, key=_first)]
 
 
 def _stats(mapped: int, shuffled: int, reduced: int, combine_used: bool):
@@ -196,7 +253,9 @@ class SerialExecutor:
         intermediate, emitted = _run_map_chunk(job, inputs)
         result = dict(_run_reduce_bucket(job, intermediate))
         self.last_stats = _stats(
-            emitted, len(intermediate), len(result),
+            emitted,
+            len(intermediate),
+            len(result),
             job_combiner(job) is not None,
         )
         return result

@@ -42,14 +42,19 @@ def hash_partition(
     """
     if partitions <= 0:
         raise ValueError("partitions must be >= 1")
-    buckets: List[List[Tuple[Hashable, Any]]] = [[] for __ in range(partitions)]
+    buckets: List[List[Tuple[Hashable, Any]]] = [
+        [] for __ in range(partitions)
+    ]
     for key, value in pairs:
         buckets[stable_hash(key) % partitions].append((key, value))
     return buckets
 
 
-def partition_items(items: Sequence[Any], chunks: int) -> List[Sequence[Any]]:
-    """Split a work list into at most ``chunks`` contiguous, balanced slices."""
+def partition_items(
+    items: Sequence[Any], chunks: int
+) -> List[Sequence[Any]]:
+    """Split a work list into at most ``chunks`` contiguous, balanced
+    slices."""
     if chunks <= 0:
         raise ValueError("chunks must be >= 1")
     total = len(items)

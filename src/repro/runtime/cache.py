@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import attrgetter, ge, itemgetter, methodcaller, ne, not_, sub
+from operator import attrgetter, ge, methodcaller, ne, not_, sub
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.configbase import ConfigBase
@@ -72,14 +72,12 @@ CACHE_AGE_BUCKETS = (
     300.0,
 )
 
-_CacheKey = Tuple[str, str]
-
-# What a column operation reads for a key with no entry: a stamp no TTL
-# reaches and a shard no real shard equals.
-_NO_SHARD = object()
-_ABSENT = (None, float("-inf"), _NO_SHARD)
-_value_of, _stamp_of, _shard_of = map(itemgetter, range(3))
+# The stamp a column lookup reads for an entity with no entry: no TTL
+# reaches it.
+_NEVER = float("-inf")
+_MISS = object()
 _attributes_of = attrgetter("attributes")
+_values_of = attrgetter("values")
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,19 @@ class _Flight:
         self.error: Optional[BaseException] = None
 
 
+class _Table:
+    """One source's entries, keyed by entity id: value, stamp and — only
+    under a ``shard_attribute`` — the shard (if any) stored under.
+    Expired entries stay until overwritten or invalidated."""
+
+    __slots__ = ("values", "stamps", "shards")
+
+    def __init__(self):
+        self.values: Dict[str, Any] = {}
+        self.stamps: Dict[str, float] = {}
+        self.shards: Dict[str, Any] = {}
+
+
 class ReadCache(Instrumented):
     """Freshness-aware, single-flight memo of device source reads.
 
@@ -157,6 +168,8 @@ class ReadCache(Instrumented):
 
     All public methods are thread-safe; the underlying read runs
     outside the lock so slow drivers never serialize unrelated keys.
+    A read that an invalidation overtakes stores nothing: whatever it
+    returned may predate what the invalidation announced.
     """
 
     metric_specs = (
@@ -205,13 +218,11 @@ class ReadCache(Instrumented):
         self.clock = clock
         self.config = config if config is not None else CacheConfig()
         self._lock = threading.Lock()
-        # key -> (value, stamp, shard); expired entries stay in place
-        # until overwritten or invalidated (freshness is checked on
-        # every hit, so staleness can never be served).
-        self._entries: Dict[_CacheKey, Tuple[Any, float, Any]] = {}
-        self._by_entity: Dict[str, Set[_CacheKey]] = {}
-        self._by_shard: Dict[Tuple[str, Any], Set[_CacheKey]] = {}
-        self._flights: Dict[_CacheKey, _Flight] = {}
+        # source -> its entries; an invalidation walks these few tables.
+        self._tables: Dict[str, _Table] = {}
+        # (source, shard) -> entity ids cached under that shard.
+        self._by_shard: Dict[Tuple[str, Any], Set[str]] = {}
+        self._flights: Dict[Tuple[str, str], _Flight] = {}
         self._generation = 0
         self._hits = 0
         self._misses = 0
@@ -236,7 +247,7 @@ class ReadCache(Instrumented):
         )
 
     def entry_count(self) -> int:
-        return len(self._entries)
+        return sum(map(len, map(_values_of, self._tables.values())))
 
     # -- live retuning -------------------------------------------------------
 
@@ -258,7 +269,7 @@ class ReadCache(Instrumented):
 
     def _extra_stats(self) -> Dict[str, Any]:
         return {
-            "entries": len(self._entries),
+            "entries": self.entry_count(),
             "generation": self._generation,
             "ttl_seconds": self.config.ttl_seconds,
             "coalesce": self.config.coalesce,
@@ -270,7 +281,9 @@ class ReadCache(Instrumented):
 
         Consumers memoizing values *derived from* cached reads (the
         application's context memoization) record the generation at
-        compute time and treat any later invalidation as expiry."""
+        compute time and treat any later invalidation as expiry; a
+        reader bypassing :meth:`get_or_read` records it before its read
+        and hands it to :meth:`store_column`."""
         return self._generation
 
     # -- the fast path -------------------------------------------------------
@@ -286,18 +299,16 @@ class ReadCache(Instrumented):
         neither probes nor heals a degraded entity.
         """
         key = (instance.entity_id, source)
-        ttl = self.config.ttl_seconds
         flight: Optional[_Flight] = None
         wait_for: Optional[_Flight] = None
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                age = self.clock.now() - entry[1]
-                if age <= ttl:
-                    self._hits += 1
-                    if self._m_age is not None:
-                        self._m_age.observe(age)
-                    return entry[0]
+            fresh = self._fresh(*key)
+            if fresh is not None:
+                self._hits += 1
+                if self._m_age is not None:
+                    self._m_age.observe(fresh[1])
+                return fresh[0]
+            since = self._generation
             if self.config.coalesce:
                 wait_for = self._flights.get(key)
                 if wait_for is None:
@@ -324,7 +335,7 @@ class ReadCache(Instrumented):
                 flight.error = exc
                 flight.event.set()
             raise
-        self._store_column((instance,), (key[0],), source, (value,))
+        self._store_column((instance,), (key[0],), source, (value,), since)
         if flight is not None:
             flight.value = value
             with self._lock:
@@ -336,13 +347,7 @@ class ReadCache(Instrumented):
         """The fresh cached value as ``(value, age)``, else ``None``
         (wrapped so a cached ``None`` reading is distinguishable)."""
         with self._lock:
-            entry = self._entries.get((entity_id, source))
-            if entry is None:
-                return None
-            age = self.clock.now() - entry[1]
-            if age > self.config.ttl_seconds:
-                return None
-            return entry[0], age
+            return self._fresh(entity_id, source)
 
     def lookup_column(self, entity_ids, source: str, miss: Any) -> List[Any]:
         """A *counting* peek over a column of entities: the fresh
@@ -357,32 +362,43 @@ class ReadCache(Instrumented):
         """
         ttl = self.config.ttl_seconds
         with self._lock:
+            table = self._tables.get(source)
+            if table is None:
+                return [miss] * len(entity_ids)
             now = self.clock.now()
-            keys = zip(entity_ids, repeat(source))
-            entries = list(map(self._entries.get, keys, repeat(_ABSENT)))
-            ages = list(map(sub, repeat(now), map(_stamp_of, entries)))
+            stamps = map(table.stamps.get, entity_ids, repeat(_NEVER))
+            ages = list(map(sub, repeat(now), stamps))
             fresh = list(map(ge, repeat(ttl), ages))
-            hits = sum(fresh)
+            hits = fresh.count(True)
+            if not hits:
+                return [miss] * len(entity_ids)
             self._hits += hits
-            if hits and self._m_age is not None:
-                self._m_age.observe_column(list(compress(ages, fresh)))
-        if not hits:
-            return [miss] * len(entries)
-        values = list(map(_value_of, entries))
-        for row in compress(count(), map(not_, fresh)):
-            values[row] = miss
+            everyone = hits == len(fresh)
+            if self._m_age is not None:
+                self._m_age.observe_column(
+                    ages if everyone else list(compress(ages, fresh))
+                )
+            values = list(map(table.values.get, entity_ids))
+        if not everyone:
+            for row in compress(count(), map(not_, fresh)):
+                values[row] = miss
         return values
 
     def lookup(self, entity_id: str, source: str):
         """One row of :meth:`lookup_column`: the fresh value wrapped as
         ``(value,)``, else ``None``."""
-        (value,) = self.lookup_column((entity_id,), source, _ABSENT)
-        return None if value is _ABSENT else (value,)
+        (value,) = self.lookup_column((entity_id,), source, _MISS)
+        return None if value is _MISS else (value,)
 
-    def store_column(self, instances, entity_ids, source: str, values) -> None:
+    def store_column(
+        self, instances, entity_ids, source: str, values, since=None
+    ) -> None:
         """Populate the cache from a read that bypassed
         :meth:`get_or_read` — a driver-level batch column, given as the
         aligned ``instances``, ``entity_ids`` and ``values`` columns.
+        ``since`` is the :attr:`generation` read before the read began
+        (``None``: just now); if an invalidation came in between, the
+        column is not stored.
 
         Every row counts as a miss (the driver was genuinely
         consulted), so hit/miss arithmetic stays comparable between
@@ -390,36 +406,41 @@ class ReadCache(Instrumented):
         """
         with self._lock:
             self._misses += len(values)
-        self._store_column(instances, entity_ids, source, values)
+        self._store_column(instances, entity_ids, source, values, since)
 
-    def store(self, instance, source: str, value: Any) -> None:
-        """One row of :meth:`store_column`."""
-        self.store_column((instance,), (instance.entity_id,), source, (value,))
-
-    def _store_column(self, instances, entity_ids, source, values) -> None:
+    def _store_column(self, instances, entity_ids, source, values, since):
         attr = self.config.shard_attribute
-        if attr is None:
-            shards = [None] * len(values)
-        else:
+        shards = None
+        if attr is not None:
             shards = list(
                 map(methodcaller("get", attr), map(_attributes_of, instances))
             )
-        keys = list(zip(entity_ids, repeat(source)))
         with self._lock:
-            entries = self._entries
-            now = self.clock.now()
-            was = list(map(_shard_of, map(entries.get, keys, repeat(_ABSENT))))
-            entries.update(zip(keys, zip(values, repeat(now), shards)))
-            # The entity and shard indexes move only for rows that are
-            # new or whose shard attribute changed.
-            for key, old, shard in compress(
-                zip(keys, was, shards), map(ne, was, shards)
+            if since is not None and since != self._generation:
+                return
+            table = self._tables.get(source)
+            if table is None:
+                table = self._tables[source] = _Table()
+            table.values.update(zip(entity_ids, values))
+            table.stamps.update(zip(entity_ids, repeat(self.clock.now())))
+            if shards is None:
+                if not table.shards:
+                    return
+                shards = [None] * len(entity_ids)  # the attribute went
+            # The shard index moves only for rows whose shard changed.
+            was = list(map(table.shards.get, entity_ids))
+            for entity_id, old, shard in compress(
+                zip(entity_ids, was, shards), map(ne, was, shards)
             ):
-                if old is not _NO_SHARD and old is not None:
-                    self._discard_from_shard(key, old)
-                self._by_entity.setdefault(key[0], set()).add(key)
-                if shard is not None:
-                    self._by_shard.setdefault((key[1], shard), set()).add(key)
+                if old is not None:
+                    self._unshard(source, old, entity_id)
+                if shard is None:
+                    del table.shards[entity_id]
+                else:
+                    table.shards[entity_id] = shard
+                    self._by_shard.setdefault((source, shard), set()).add(
+                        entity_id
+                    )
 
     # -- invalidation --------------------------------------------------------
 
@@ -433,14 +454,13 @@ class ReadCache(Instrumented):
         """
         with self._lock:
             self._generation += 1
-            keys = self._by_entity.get(entity_id)
-            if not keys:
-                return 0
             doomed = [
-                key for key in keys if source is None or key[1] == source
+                (name, table)
+                for name, table in self._tables.items()
+                if source in (None, name) and entity_id in table.stamps
             ]
-            for key in doomed:
-                self._remove(key)
+            for name, table in doomed:
+                self._drop(name, table, entity_id)
             self._invalidations += len(doomed)
             return len(doomed)
 
@@ -448,14 +468,15 @@ class ReadCache(Instrumented):
         """Drop every cached entry of ``source`` in one attribute shard."""
         with self._lock:
             self._generation += 1
-            keys = self._by_shard.get((source, shard))
-            if not keys:
+            doomed = self._by_shard.get((source, shard))
+            if not doomed:
                 return 0
-            doomed = list(keys)
-            for key in doomed:
-                self._remove(key)
-            self._invalidations += len(doomed)
-            return len(doomed)
+            table = self._tables[source]
+            removed = len(doomed)
+            for entity_id in list(doomed):
+                self._drop(source, table, entity_id)
+            self._invalidations += removed
+            return removed
 
     def on_publish(self, instance, source: str) -> int:
         """Invalidate after an event-driven publish from ``instance``.
@@ -499,9 +520,8 @@ class ReadCache(Instrumented):
     def clear(self) -> int:
         """Drop every entry (counts as one generation bump)."""
         with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-            self._by_entity.clear()
+            removed = self.entry_count()
+            self._tables.clear()
             self._by_shard.clear()
             self._generation += 1
             self._invalidations += removed
@@ -509,29 +529,35 @@ class ReadCache(Instrumented):
 
     # -- internals -----------------------------------------------------------
 
-    def _remove(self, key: _CacheKey) -> None:
-        entry = self._entries.pop(key, None)
-        entity_keys = self._by_entity.get(key[0])
-        if entity_keys is not None:
-            entity_keys.discard(key)
-            if not entity_keys:
-                del self._by_entity[key[0]]
-        if entry is not None and entry[2] is not None:
-            self._discard_from_shard(key, entry[2])
+    def _fresh(self, entity_id: str, source: str):
+        """``(value, age)`` of a fresh entry, else ``None`` (under the
+        lock)."""
+        table = self._tables.get(source)
+        if table is None or entity_id not in table.stamps:
+            return None
+        age = self.clock.now() - table.stamps[entity_id]
+        if age > self.config.ttl_seconds:
+            return None
+        return table.values[entity_id], age
 
-    def _discard_from_shard(self, key: _CacheKey, shard: Any) -> None:
-        shard_keys = self._by_shard.get((key[1], shard))
-        if shard_keys is not None:
-            shard_keys.discard(key)
-            if not shard_keys:
-                del self._by_shard[(key[1], shard)]
+    def _drop(self, source: str, table: _Table, entity_id: str) -> None:
+        del table.values[entity_id], table.stamps[entity_id]
+        shard = table.shards.pop(entity_id, None)
+        if shard is not None:
+            self._unshard(source, shard, entity_id)
+
+    def _unshard(self, source: str, shard: Any, entity_id: str) -> None:
+        members = self._by_shard[(source, shard)]
+        members.discard(entity_id)
+        if not members:
+            del self._by_shard[(source, shard)]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.entry_count()
 
     def __repr__(self) -> str:
         return (
-            f"<ReadCache entries={len(self._entries)} "
+            f"<ReadCache entries={self.entry_count()} "
             f"ttl={self.config.ttl_seconds}s hits={self._hits} "
             f"misses={self._misses}>"
         )

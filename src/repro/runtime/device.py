@@ -103,6 +103,10 @@ class DeviceDriver:
         typically the shared substrate behind the per-instance drivers.
         ``None`` (the default for drivers that do not override
         :meth:`read_batch`) opts the instance out of batching entirely.
+
+        The key is asked once per bound instance and source, and holds
+        until :meth:`DeviceInstance.swap_driver` replaces the driver:
+        membership changes carry it over instead of asking again.
         """
         if type(self).read_batch is not DeviceDriver.read_batch:
             return self
@@ -154,6 +158,10 @@ class DeviceInstance:
     as well as network, computing and storage capabilities" (Section I);
     here that is the ``entity_id``, the attribute record, and the driver.
     """
+
+    #: Driver swaps in this process: what voids cohort plans (a swap is
+    #: rare, and an instance does not know which sweeps read it).
+    driver_swaps = 0
 
     def __init__(
         self,
@@ -269,11 +277,13 @@ class DeviceInstance:
 
     def swap_driver(self, driver: DeviceDriver) -> DeviceDriver:
         """Put ``driver`` behind the instance — through here, never by
-        assignment: the plan depends on its class.  Returns the one it
+        assignment: the plan depends on its class, cohort plans on its
+        ``batch_key`` (:attr:`driver_swaps`).  Returns the one it
         replaces."""
         previous, self.driver = self.driver, driver
         driver.instance = self
         self.plan = None
+        DeviceInstance.driver_swaps += 1
         return previous
 
     def bind_plan(self) -> "_Plan":

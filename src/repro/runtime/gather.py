@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from itertools import compress, count, repeat
-from operator import attrgetter, is_
-from typing import Any, Callable, Dict, List, Optional
+from operator import attrgetter, is_, not_
+from typing import Any, Callable, List, Optional
 
 from repro.errors import DeliveryError
 from repro.faults.policy import HEALTHY
@@ -74,6 +74,19 @@ def _read_column(source, sampler, instances) -> List[Any]:
         except DeliveryError as exc:
             outcomes.append(_Lost(exc))
     return outcomes
+
+
+def _batch_keys(source, instances, predecessor) -> List[Any]:
+    """The ``batch_key`` column of ``instances``, asking only those the
+    ``predecessor`` column's plan did not hold in one whole cohort."""
+    column, plans = predecessor or ((), {})
+    plan = plans.get((source, id(column)))
+    carried = None if plan is None else plan[3]
+    seen = () if carried is None else set(column)
+    keys = [carried] * len(instances)
+    for row in compress(count(), map(not_, map(seen.__contains__, instances))):
+        keys[row] = instances[row].driver.batch_key(source)
+    return keys
 
 
 _LOSS_SPECS = (
@@ -215,17 +228,18 @@ class Gatherer(Instrumented):
     # -- the columnar column reader -------------------------------------
 
     def plan(self, device_type: str, source: str, instances):
-        """The memoized ``(groups, scalar, ids)`` cohort plan for one column
-        of the current cut of ``device_type`` (compiling on miss).
+        """The memoized ``(groups, scalar, ids, key)`` cohort plan for one
+        column of the current cut of ``device_type`` (compiling on miss).
 
         ``groups`` holds one ``(positions, entity_ids)`` pair per
         ``batch_key`` cohort, in first-appearance order: the members'
         indexes into the column and, aligned with them, the entity-id
         column ``read_batch`` is handed when the cohort reads whole;
         ``scalar`` is the positions whose driver declines batching
-        (``batch_key`` is ``None``).  A third member is the entity-id
-        column of ``instances`` itself, which is what the read cache
-        is asked by.  Planning once spares every sweep the
+        (``batch_key`` is ``None``).  ``ids`` is the entity-id column of
+        ``instances`` itself, which is what the read cache is asked by,
+        and ``key`` the batch key when one cohort is the whole column
+        (else ``None``).  Planning once spares every sweep the
         ``batch_key`` calls, cohort formation and id-column builds.
 
         A plan lives in the memo of the sweep cut whose column it was
@@ -234,33 +248,36 @@ class Gatherer(Instrumented):
         its columns alive and is replaced whenever the registry hands
         out another partition — a bind, an unbind, or a ``failed`` flag
         filtering members without a version bump — so a plan is never
-        replayed over a column it was not compiled for."""
-        plans = self.sweeper.cut_memo(device_type)
-        key = (source, id(instances))
-        plan = plans.get(key)
+        replayed over a column it was not compiled for.  A recompile
+        asks ``batch_key`` only of members new to the column (a key
+        holds until ``swap_driver``, which voids the predecessor)."""
+        plans, predecessor = self.sweeper.cut_memo(device_type, instances)
+        memo_key = (source, id(instances))
+        plan = plans.get(memo_key)
         if plan is not None:
             self._plan_hits += 1
             return plan
         entity_ids = list(map(_entity_id_of, instances))
-        cohorts: Dict[int, List[int]] = {}
-        scalar = []
-        for position, instance in enumerate(instances):
-            batch_key = instance.driver.batch_key(source)
-            if batch_key is None:
-                scalar.append(position)
-                continue
-            cohort = cohorts.get(id(batch_key))
-            if cohort is None:
-                cohort = cohorts[id(batch_key)] = []
-            cohort.append(position)
-        groups = tuple(
-            # A cohort that spans the column reads the column's own ids.
-            (positions, entity_ids)
-            if len(positions) == len(instances)
-            else (positions, list(map(entity_ids.__getitem__, positions)))
-            for positions in cohorts.values()
-        )
-        plan = plans[key] = (groups, tuple(scalar), entity_ids)
+        keys = _batch_keys(source, instances, predecessor)
+        key = keys[0] if keys else None
+        if key is not None and all(map(is_, keys, repeat(key))):
+            # One cohort spans the column: it reads the column's own ids.
+            groups, scalar = ((range(len(keys)), entity_ids),), ()
+        else:
+            key, cohorts, scalar = None, {}, []
+            for position, batch_key in enumerate(keys):
+                if batch_key is None:
+                    scalar.append(position)
+                    continue
+                cohort = cohorts.get(id(batch_key))
+                if cohort is None:
+                    cohort = cohorts[id(batch_key)] = []
+                cohort.append(position)
+            groups = tuple(
+                (positions, list(map(entity_ids.__getitem__, positions)))
+                for positions in cohorts.values()
+            )
+        plan = plans[memo_key] = (groups, tuple(scalar), entity_ids, key)
         self._plan_compiles += 1
         return plan
 
@@ -287,7 +304,9 @@ class Gatherer(Instrumented):
         # Static partition — (shard, batch_key) cohorts and the
         # no-batch-driver positions — comes from the memoized plan;
         # only the per-sweep eligibility below stays dynamic.
-        groups, unbatched, entity_ids = self.plan(device, source, instances)
+        groups, unbatched, entity_ids, __ = self.plan(
+            device, source, instances
+        )
         # Can anything settle here?  (Supervisors are attached only
         # under a supervising config; asking every instance for its own
         # would be one more pass over the fleet's memory.)
@@ -379,6 +398,8 @@ class Gatherer(Instrumented):
         scalar path (driver declined, read failed, or the column does
         not align with the cohort).
         """
+        cache = self.cache
+        since = None if cache is None else cache.generation
         try:
             column = instances[0].driver.read_batch(entity_ids, source)
         except DeliveryError:
@@ -415,8 +436,8 @@ class Gatherer(Instrumented):
                     # breaker's success accounting truthful, exactly as
                     # a scalar read.
                     supervisor.record_success(source, value)
-        if self.cache is not None:
-            self.cache.store_column(instances, entity_ids, source, values)
+        if cache is not None:
+            cache.store_column(instances, entity_ids, source, values, since)
         return values
 
     def _fold_read_outcomes(self, instances, outcomes, source):

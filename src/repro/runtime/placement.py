@@ -494,7 +494,7 @@ class PlacementExecutor(Instrumented):
         tagged = []
         mapped = 0
         for node in sorted(nodes):
-            pairs, emitted = map_partition(job, nodes[node], ranks)
+            pairs, emitted = map_partition(job, *zip(*nodes[node]), ranks)
             mapped += emitted
             tagged.extend(self.deliver_partials(pairs))
         return engine.merge_partials(job, sequence_partials(tagged), mapped)

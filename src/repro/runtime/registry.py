@@ -11,6 +11,7 @@ applications.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import count
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -25,6 +26,17 @@ HealthLookup = Callable[[str], str]
 
 _failed_flag = attrgetter("failed")
 _info_of = attrgetter("info")
+_registration_of = attrgetter("_registration")
+
+
+def _splice(members: List[DeviceInstance], instance: DeviceInstance) -> None:
+    """Delete ``instance`` from a registration-ordered list (a bisect)."""
+    at = bisect_left(members, instance._registration, key=_registration_of)
+    if at == len(members) or members[at] is not instance:
+        raise BindingError(
+            f"entity '{instance.entity_id}' is bound to another registry"
+        )
+    del members[at]
 
 
 class EntityRegistry(Instrumented):
@@ -136,7 +148,8 @@ class EntityRegistry(Instrumented):
                 except TypeError:
                     pass  # unhashable: not indexed, see _bucket
         self._registrations += 1
-        # Registration order, comparable without walking a type bucket.
+        # Registration order, comparable without walking a type bucket
+        # (and what unregister bisects every list above on).
         instance._registration = self._registrations
         self._version += 1
         for listener in list(self._listeners):
@@ -149,11 +162,11 @@ class EntityRegistry(Instrumented):
         except KeyError:
             raise BindingError(f"no entity with id '{entity_id}'") from None
         for type_name in (instance.info.name, *instance.info.ancestors):
-            self._by_type[type_name].remove(instance)
+            _splice(self._by_type[type_name], instance)
             for attribute, value in instance.attributes.items():
                 bucket = self._bucket(type_name, attribute, value)
                 if bucket is not None:
-                    bucket.remove(instance)
+                    _splice(bucket, instance)
         self._unregistrations += 1
         self._version += 1
         for listener in list(self._listeners):

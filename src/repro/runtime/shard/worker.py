@@ -64,7 +64,7 @@ class _ShardWorker:
         self._events: List[Tuple[Any, ...]] = []
         # Poll results parked between the poll and map rounds of a
         # MapReduce gather: (context, interaction) -> the readings as
-        # a one-shot ``zip(positions, keys, values)``.
+        # the aligned ``(positions, keys, values)`` columns.
         self._pending: Dict[Tuple[str, int], Any] = {}
         # Delta encoder per (context, interaction).  A registry
         # version bump (bind/unbind) resets its epoch — the worker
@@ -153,8 +153,8 @@ class _ShardWorker:
                 )
         if group is not None and group.uses_mapreduce:
             if group.attribute not in firsts:
-                firsts[group.attribute] = first_positions(zip(keys, positions))
-            self._pending[(name, index)] = zip(positions, keys, values)
+                firsts[group.attribute] = first_positions(keys, positions)
+            self._pending[(name, index)] = (positions, keys, values)
             reply["kind"] = "mapreduce"
             reply["keys"] = firsts[group.attribute]
             return reply
@@ -194,7 +194,7 @@ class _ShardWorker:
         """
         pairs, mapped = map_partition(
             self.app.implementation(name),
-            self._pending.pop((name, index)),
+            *self._pending.pop((name, index)),
             ranks,
         )
         return {"data": pairs, "mapped": mapped}

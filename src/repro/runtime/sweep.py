@@ -91,14 +91,15 @@ class _SweepCut:
     Valid while the registry hands back the very ``partition`` object
     it was compiled from — its memo lasts until a bind, an unbind or a
     ``failed`` flag moves the membership — under the same ``shape``,
-    ``(columnar, threaded, batch_size)``.
+    ``(columnar, threaded, batch_size, driver swaps)``.  Until its first
+    sweep is done it keeps the cut it ``replaced`` when only the
+    membership moved (see :meth:`SweepEngine.cut_memo`).
     """
 
-    __slots__ = ("partition", "shape", "instances", "tasks", "order", "memo")
-
-    def __init__(self, partition, shape):
+    def __init__(self, partition, shape, replaced):
         self.partition = partition
         self.shape = shape
+        self.replaced = replaced
         self.memo: Dict[Any, Any] = {}
         shards = [members for __, __, members in partition]
         positions = list(
@@ -110,7 +111,7 @@ class _SweepCut:
         self.instances = list(
             map(list(chain.from_iterable(shards)).__getitem__, self.order)
         )
-        columnar, threaded, size = shape
+        columnar, threaded, size, __ = shape
         if columnar:
             # One task per shard: the batch read spans the shard, so
             # finer-grained tasks would just split the column.
@@ -377,11 +378,15 @@ class SweepEngine(Instrumented):
             self._count_shard(shard_key, len(members))
         threaded = self.mode_for_clock() == "threaded"
         # The modes differ only in how the sweep is cut into tasks and
-        # where the tasks run.
-        shape = (columnar, threaded, self.config.batch_size)
+        # where the tasks run; a driver swap voids what the cut's memo
+        # derived from what drivers said.
+        swaps = DeviceInstance.driver_swaps
+        shape = (columnar, threaded, self.config.batch_size, swaps)
         cut = self._cuts.get(device_type)
         if cut is None or cut.partition is not shards or cut.shape != shape:
-            cut = self._cuts[device_type] = _SweepCut(shards, shape)
+            if cut is not None and cut.shape != shape:
+                cut = None  # nothing carries over
+            cut = self._cuts[device_type] = _SweepCut(shards, shape, cut)
         self._reads += len(cut.instances)
         if columnar:
             self._columnar_sweeps += 1
@@ -392,6 +397,7 @@ class SweepEngine(Instrumented):
         else:
             self._serial_sweeps += 1
             columns = [read_column(instances) for instances in columns]
+        cut.replaced = None  # carried over, or not needed
         # Merge by registry position, whichever task finished first; a
         # lone task is the registry order already.
         if len(columns) == 1:
@@ -403,12 +409,20 @@ class SweepEngine(Instrumented):
             self._m_duration.observe(time.perf_counter() - started)
         return cut.instances, results
 
-    def cut_memo(self, device_type: str) -> Dict[Any, Any]:
+    def cut_memo(self, device_type: str, column):
         """Scratch space living exactly as long as the current cut of
         ``device_type`` — for state derived from the instance columns
         a column reader is handed (keyed by ``id(column)``: the cut
-        keeps them alive)."""
-        return self._cuts[device_type].memo
+        keeps them alive) — and, during the cut's first sweep, the
+        replaced cut's column over the same shard as ``column`` with
+        that cut's memo (else ``None``): what may carry over."""
+        cut, replaced = self._cuts[device_type], None
+        if cut.replaced is not None:
+            old = {key: shard for key, __, shard in cut.replaced.partition}
+            for key, __, shard in cut.partition:
+                if shard is column:
+                    replaced = old.get(key), cut.replaced.memo
+        return cut.memo, replaced
 
     def _fan_out(self, tasks, read_column):
         """Read every task's instance column on the pool; returns the

@@ -31,10 +31,9 @@ registry dict.
 
 from __future__ import annotations
 
-import collections
 from bisect import bisect_left
 from functools import reduce
-from itertools import repeat
+from itertools import groupby
 from operator import add
 from typing import (
     Any,
@@ -145,12 +144,12 @@ class Histogram:
         self._count += 1
 
     def observe_column(self, values: Sequence[float]) -> None:
-        """:meth:`observe` every one of ``values``, in order, as three
-        column operations (the sum adds left to right, exactly as
-        successive ``observe`` calls would)."""
-        slots = map(bisect_left, repeat(self.bounds), values)
-        for slot, observed in collections.Counter(slots).items():
-            self._counts[slot] += observed
+        """:meth:`observe` every one of ``values``, in order: one bucket
+        search per run of equal values (a column of cache hits stored
+        together is one run), and the sum adds left to right, exactly
+        as successive ``observe`` calls would."""
+        for value, run in groupby(values):
+            self._counts[bisect_left(self.bounds, value)] += len(list(run))
         self._sum = reduce(add, values, self._sum)
         self._count += len(values)
 

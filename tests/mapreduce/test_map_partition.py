@@ -70,12 +70,13 @@ def partitioned(job, partitions, readings):
     )
     tagged, mapped = [], 0
     for partition in range(partitions):
-        rows = [
+        owned = [
             (position, key, value)
             for position, (key, value, owner) in enumerate(readings)
             if owner == partition
         ]
-        pairs, emitted = map_partition(job, rows, ranks)
+        columns = [[row[column] for row in owned] for column in range(3)]
+        pairs, emitted = map_partition(job, *columns, ranks)
         tagged.extend(pairs)
         mapped += emitted
     engine = MapReduceEngine()
@@ -111,7 +112,7 @@ class TestMapPartition:
         rows = [(5, "B", 2), (0, "A", 1), (3, "B", 1), (4, "A", 2)]
         ranks = rank_groups((key, position) for position, key, __ in rows)
         assert ranks == {"A": 0, "B": 1}
-        pairs, mapped = map_partition(Trail(), rows, ranks)
+        pairs, mapped = map_partition(Trail(), *zip(*rows), ranks)
         assert mapped == len(pairs) == 8
         assert [tag for tag, __, ___ in pairs] == sorted(
             tag for tag, __, ___ in pairs
@@ -121,8 +122,9 @@ class TestMapPartition:
         ]
 
     def test_first_positions_merges_shard_minima(self):
-        shard_a = first_positions([("A", 4), ("B", 2), ("A", 6)])
-        shard_b = first_positions([("A", 1), ("C", 3)])
+        shard_a = first_positions(["A", "B", "A"], [4, 2, 6])
+        shard_b = first_positions(["A", "C"], [1, 3])
         assert shard_a == {"A": 4, "B": 2}
+        assert list(shard_a) == ["A", "B"]  # the order the wire ships
         merged = rank_groups([*shard_a.items(), *shard_b.items()])
         assert merged == {"A": 0, "B": 1, "C": 2}

@@ -6,9 +6,10 @@ cohort read, the read cache, the group keys, the delta encoder are
 column operations.  ``sys.setprofile`` counts Python calls over an
 in-process :class:`_ShardWorker` at N and 4N entities, and the counts
 must be the same number — whatever the fleet size, the runtime runs the
-same frames.  Only code the application owns may scale: the driver's
-``batch_key`` (asked once per entity when a cohort plan compiles) and
-the ``map`` callback (one call per reading, and whatever it calls).
+same frames.  Only code the application owns may scale: the ``map``
+callback (one call per reading, and whatever it calls).  The driver's
+``batch_key`` is asked once per bound entity: a membership change asks
+only the entities it bound.
 """
 
 import gc
@@ -230,7 +231,8 @@ def test_a_membership_change_costs_frames_only_in_application_code(fleets):
         assert levels["reset"] is True
         assert len(levels["register"][-1]) == fleet.count
         assert mapped["mapped"] == fleet.count
-    # every entity is asked its cohort key once, when the plans compile
-    assert small["batch_key"] == 300 and large["batch_key"] == 1200
+    # the plans recompile, but only the newly bound entity is asked its
+    # cohort key: everyone else's carries over from the replaced cut
+    assert small["batch_key"] == large["batch_key"] == 1
     assert small["map"] == 2 * 300 and large["map"] == 2 * 1200
     assert small["runtime"] == large["runtime"]

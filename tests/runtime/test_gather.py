@@ -10,7 +10,7 @@ from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.faults.supervisor import SupervisionManager
 from repro.runtime.clock import SimulationClock
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.device import DeviceDriver, DeviceInstance
+from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
 from repro.runtime.gather import Gatherer
 from repro.runtime.placement import NetworkConfig
 from repro.runtime.plan import BatchConfig
@@ -167,3 +167,26 @@ def test_a_mis_shaped_batch_column_demotes_its_cohort_whole():
     assert (dropped, failed) == (0, 0)
     # One cohort plan for the one column of the cut, replayed since.
     assert (gatherer._plan_compiles, gatherer._plan_hits) == (1, 1)
+
+
+def test_a_swapped_driver_leaves_its_batch_cohort():
+    """The cohort plan grouped every sensor behind the bank; a driver
+    swapped in later is read, not the bank — also when the same sweep
+    recompiles its plans for a membership change."""
+    gatherer, bank = build(RuntimeConfig(batch=BatchConfig(enabled=True)))
+    registry = gatherer.sweeper.registry
+    assert gatherer.sweep(DECL, INTERACTION)[1] == [0.0, 1.0, 2.0, 3.0]
+    registry.get("s-3").swap_driver(
+        CallableDriver(sources={"reading": lambda: 77.0})
+    )
+    assert gatherer.sweep(DECL, INTERACTION)[1] == [0.0, 1.0, 2.0, 77.0]
+    registry.get("s-1").swap_driver(
+        CallableDriver(sources={"reading": lambda: 55.0})
+    )
+    bank.readings["s-4"] = 4.0
+    registry.register(
+        DeviceInstance(DESIGN.devices["Sensor"], "s-4", BankDriver(bank), {})
+    )
+    instances, values, __, ___ = gatherer.sweep(DECL, INTERACTION)
+    assert ids(instances) == [*FLEET, "s-4"]
+    assert values == [0.0, 55.0, 2.0, 77.0, 4.0]

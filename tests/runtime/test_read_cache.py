@@ -12,19 +12,19 @@ import threading
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ContextNotQueryableError
 from repro.errors import DeliveryError
 from repro.runtime.app import Application
-from repro.runtime.cache import CacheConfig, ReadCache
+from repro.runtime.cache import CACHE_AGE_BUCKETS, CacheConfig, ReadCache
 from repro.runtime.clock import SimulationClock
 from repro.runtime.component import Context
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import CallableDriver
 from repro.sema.analyzer import analyze
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import Histogram, MetricsRegistry
 
 DESIGN = """\
 device Sensor {
@@ -334,6 +334,33 @@ class TestInvalidation:
         assert app.read_cache.clear() == len(sources)
         assert len(app.read_cache) == 0
 
+    def test_an_invalidation_during_a_read_is_not_undone(self):
+        cache = ReadCache(SimulationClock(), ON)
+        instance = SimpleNamespace(entity_id="e1", attributes={})
+
+        def read():
+            cache.invalidate("e1")  # e.g. an actuation while in flight
+            return 5.0
+
+        assert cache.get_or_read(instance, "s", read) == 5.0
+        assert cache.peek("e1", "s") is None
+        assert cache.get_or_read(instance, "s", lambda: 6.0) == 6.0
+        assert cache.peek("e1", "s") == (6.0, 0.0)
+        # A batch column read before the invalidation is not stored
+        # either; its rows still count as driver reads.
+        fleet = [
+            SimpleNamespace(entity_id=f"e{index}", attributes={})
+            for index in range(3)
+        ]
+        ids = [instance.entity_id for instance in fleet]
+        since = cache.generation
+        cache.invalidate("e1")
+        cache.store_column(fleet, ids, "s", [1.0, 2.0, 3.0], since)
+        assert [cache.peek(entity_id, "s") for entity_id in ids] == [None] * 3
+        assert cache.stats()["misses"] == 2 + 3
+        cache.store_column(fleet, ids, "s", [1.0, 2.0, 3.0], cache.generation)
+        assert cache.peek("e2", "s") == (3.0, 0.0)
+
 
 class TestContextMemoization:
     def test_query_context_memoized_within_ttl(self):
@@ -474,38 +501,63 @@ class TestMetrics:
         assert "generation" in stats
 
 
-def reference_lookup(cache, entity_id, source):
-    """One counting lookup, a row at a time — what the column
-    operation must add up to."""
-    with cache._lock:
-        entry = cache._entries.get((entity_id, source))
+class ReferenceCache:
+    """The cache one row at a time, as a dict of ``(entity_id, source)
+    -> (value, stamp, shard)`` tuples — what the column operations must
+    add up to."""
+
+    def __init__(self, clock, config):
+        self.clock = clock
+        self.config = config
+        self.entries = {}
+        self.generation = self.hits = self.misses = self.invalidations = 0
+        self.age = Histogram(CACHE_AGE_BUCKETS)
+
+    def peek(self, entity_id, source):
+        entry = self.entries.get((entity_id, source))
         if entry is None:
             return None
-        age = cache.clock.now() - entry[1]
-        if age > cache.config.ttl_seconds:
+        age = self.clock.now() - entry[1]
+        return None if age > self.config.ttl_seconds else (entry[0], age)
+
+    def lookup(self, entity_id, source):
+        fresh = self.peek(entity_id, source)
+        if fresh is None:
             return None
-        cache._hits += 1
-        if cache._m_age is not None:
-            cache._m_age.observe(age)
-        return (entry[0],)
+        self.hits += 1
+        self.age.observe(fresh[1])
+        return (fresh[0],)
 
+    def store(self, instance, source, value):
+        attr = self.config.shard_attribute
+        shard = None if attr is None else instance.attributes.get(attr)
+        self.misses += 1
+        key = (instance.entity_id, source)
+        self.entries[key] = (value, self.clock.now(), shard)
 
-def reference_store(cache, instance, source, value):
-    """One batch-column slot stored, a row at a time."""
-    key = (instance.entity_id, source)
-    shard = None
-    attr = cache.config.shard_attribute
-    if attr is not None:
-        shard = instance.attributes.get(attr)
-    with cache._lock:
-        cache._misses += 1
-        old = cache._entries.get(key)
-        if old is not None and old[2] is not None and old[2] != shard:
-            cache._discard_from_shard(key, old[2])
-        cache._entries[key] = (value, cache.clock.now(), shard)
-        cache._by_entity.setdefault(key[0], set()).add(key)
-        if shard is not None:
-            cache._by_shard.setdefault((key[1], shard), set()).add(key)
+    def _drop(self, doomed):
+        self.generation += 1
+        for key in doomed:
+            del self.entries[key]
+        self.invalidations += len(doomed)
+
+    def invalidate(self, entity_id, source=None):
+        self._drop(
+            [
+                key
+                for key in self.entries
+                if key[0] == entity_id and source in (None, key[1])
+            ]
+        )
+
+    def invalidate_shard(self, source, shard):
+        self._drop(
+            [
+                key
+                for key, entry in self.entries.items()
+                if key[1] == source and entry[2] == shard
+            ]
+        )
 
 
 ENTITIES = 6
@@ -521,7 +573,7 @@ steps = st.one_of(
         st.sampled_from([0, 1.5, None, float("nan")]),
     ),
     st.tuples(st.just("lookup"), rows, st.sampled_from(SOURCES)),
-    st.tuples(st.just("tick"), st.sampled_from([0.0, 0.4, 0.7, 5.0])),
+    st.tuples(st.just("tick"), st.sampled_from([0.0, 0.4, 0.7, 1.0, 5.0])),
     st.tuples(
         st.just("invalidate"),
         st.integers(min_value=0, max_value=ENTITIES - 1),
@@ -538,22 +590,35 @@ steps = st.one_of(
 
 class TestColumnOperationsAreTheirRows:
     """``lookup_column`` / ``store_column`` leave a cache in exactly
-    the state the same rows leave it in one at a time — through the
-    one-row methods and through the row-loop reference above."""
+    the state the same rows leave it in one at a time — one row per
+    call, and in the dict-of-tuples reference above — as far as
+    anything outside the cache can tell: every value and age it would
+    serve, its counters, generation and entry count, and the age
+    histogram."""
 
     MISS = object()
 
     @staticmethod
-    def observable(cache):
-        age = cache._m_age
+    def observable(cache, age):
+        stats = (
+            (cache.hits, cache.misses, cache.invalidations, len(cache.entries))
+            if isinstance(cache, ReferenceCache)
+            else (
+                cache.stats()["hits"],
+                cache.stats()["misses"],
+                cache.stats()["invalidations"],
+                cache.entry_count(),
+            )
+        )
+        served = [
+            cache.peek(f"s-{index}", source)
+            for index in range(ENTITIES)
+            for source in SOURCES
+        ]
         return (
-            repr(cache._entries),  # repr: NaN values must agree too
-            cache._by_entity,
-            cache._by_shard,
+            repr(served),  # repr: NaN values must agree too
             cache.generation,
-            cache.stats()["hits"],
-            cache.stats()["misses"],
-            cache.stats()["invalidations"],
+            stats,
             age.bucket_counts(),
             age.count,
             age.sum,
@@ -561,6 +626,25 @@ class TestColumnOperationsAreTheirRows:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(steps, max_size=14), st.booleans())
+    # An age of exactly the TTL is still fresh.
+    @example(
+        [
+            ("store", [0], "level", 1.5),
+            ("tick", 1.0),
+            ("lookup", [0], "level"),
+        ],
+        False,
+    )
+    # A rebind under another shard leaves the old shard's index.
+    @example(
+        [
+            ("store", [0], "level", 1.5),
+            ("move", 0, "SOUTH"),
+            ("store", [0], "level", 1.5),
+            ("drop_shard", "level"),
+        ],
+        True,
+    )
     def test_twin_caches_stay_equal(self, script, sharded):
         config = CacheConfig(
             enabled=True,
@@ -575,10 +659,15 @@ class TestColumnOperationsAreTheirRows:
             for index in range(ENTITIES)
         ]
         clock = SimulationClock()
-        column, scalar, reference = (
-            ReadCache(clock, config, metrics=MetricsRegistry())
-            for __ in range(3)
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        column, scalar = (
+            ReadCache(clock, config, metrics=metrics) for metrics in registries
         )
+        reference = ReferenceCache(clock, config)
+        ages = [
+            metrics.histogram("read_cache_age_seconds")
+            for metrics in registries
+        ] + [reference.age]
         for step in script:
             kind = step[0]
             if kind == "store":
@@ -588,8 +677,10 @@ class TestColumnOperationsAreTheirRows:
                 values = [value] * len(where)
                 column.store_column(instances, ids, source, values)
                 for instance in instances:
-                    scalar.store(instance, source, value)
-                    reference_store(reference, instance, source, value)
+                    scalar.store_column(
+                        (instance,), (instance.entity_id,), source, (value,)
+                    )
+                    reference.store(instance, source, value)
             elif kind == "lookup":
                 __, where, source = step
                 ids = [fleet[row].entity_id for row in where]
@@ -600,10 +691,7 @@ class TestColumnOperationsAreTheirRows:
                 ]
                 for rows in (
                     [scalar.lookup(entity_id, source) for entity_id in ids],
-                    [
-                        reference_lookup(reference, entity_id, source)
-                        for entity_id in ids
-                    ],
+                    [reference.lookup(entity_id, source) for entity_id in ids],
                 ):
                     assert repr(wrapped) == repr(rows)
             elif kind == "tick":
@@ -620,8 +708,8 @@ class TestColumnOperationsAreTheirRows:
             else:
                 for cache in (column, scalar, reference):
                     cache.invalidate_shard(step[1], "NORTH")
-            assert (
-                self.observable(column)
-                == self.observable(scalar)
-                == self.observable(reference)
-            )
+            observed = [
+                self.observable(cache, age)
+                for cache, age in zip((column, scalar, reference), ages)
+            ]
+            assert observed[0] == observed[1] == observed[2]

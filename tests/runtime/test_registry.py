@@ -205,6 +205,12 @@ def scan_partition(registry, device_type, attribute, include_quarantined):
     instances = registry.instances_of(
         device_type, include_quarantined=include_quarantined
     )
+    return partition_of(instances, attribute)
+
+
+def partition_of(instances, attribute):
+    """The sweep partition of a registration-ordered column, one member
+    at a time."""
     grouped = {}
     for position, instance in enumerate(instances):
         name = attribute
@@ -348,3 +354,105 @@ device Tagged extends Node {
             ("B16", [0, 1, 4], ["s-0", "s-2", "s-5"]),
             ("A22", [2, 3], ["s-3", "s-4"]),
         ]
+
+
+class TestChurnMatchesAListReference:
+    """Register, unregister, and register again under a freed id — the
+    same instance or a new one — over subtypes and unhashable
+    attributes: the type lists, the attribute buckets, ``instances_of``
+    and the ``iter_shards`` partition stay what one registration-ordered
+    list of the live instances says they are."""
+
+    DESIGN = TestIndexServedPartition.DESIGN
+    TYPES = TestIndexServedPartition.TYPES
+    ATTRIBUTES = TestIndexServedPartition.ATTRIBUTES
+
+    steps = st.one_of(
+        st.tuples(
+            st.just("meter"),
+            st.sampled_from(["A", "B"]),
+            st.sampled_from([0, 1]),
+        ),
+        st.tuples(st.just("tagged"), st.sampled_from(["A", "C"])),
+        st.tuples(st.just("unbind"), st.integers(0, 30)),
+        st.tuples(st.just("again"), st.integers(0, 30)),
+        st.tuples(st.just("replace"), st.integers(0, 30)),
+    )
+
+    @staticmethod
+    def buckets(live):
+        expected = {}
+        for instance in live:
+            for type_name in (instance.info.name, *instance.info.ancestors):
+                for attribute, value in instance.attributes.items():
+                    values = expected.setdefault((type_name, attribute), {})
+                    try:
+                        values.setdefault(value, []).append(instance)
+                    except TypeError:
+                        pass  # unhashable: not indexed
+        return {key: values for key, values in expected.items() if values}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(steps, max_size=16))
+    def test_lists_match_the_reference(self, script):
+        design = analyze(self.DESIGN)
+        registry = EntityRegistry()
+        live, gone = [], []
+
+        def make(type_name, entity_id, attributes):
+            return DeviceInstance(
+                design.devices[type_name],
+                entity_id,
+                CallableDriver(sources={"x": lambda: 1.0}),
+                attributes,
+            )
+
+        for index, step in enumerate(script):
+            kind = step[0]
+            if kind == "meter":
+                instance = make(
+                    "Meter", f"n-{index}", {"lot": step[1], "floor": step[2]}
+                )
+            elif kind == "tagged":
+                instance = make(
+                    "Tagged", f"n-{index}", {"tags": ["t"], "lot": step[1]}
+                )
+            elif kind == "unbind" and live:
+                instance = live.pop(step[1] % len(live))
+                assert registry.unregister(instance.entity_id) is instance
+                gone.append(instance)
+                instance = None
+            elif kind == "again" and gone:
+                instance = gone.pop(step[1] % len(gone))
+            elif kind == "replace" and gone:
+                old = gone.pop(step[1] % len(gone))
+                instance = make(
+                    old.info.name, old.entity_id, dict(old.attributes)
+                )
+            else:
+                instance = None
+            if instance is not None:
+                registry.register(instance)
+                live.append(instance)
+            for device_type in self.TYPES:
+                members = [
+                    instance
+                    for instance in live
+                    if instance.info.is_subtype_of(device_type)
+                ]
+                assert registry._by_type.get(device_type, []) == members
+                assert registry.instances_of(device_type) == members
+                for attribute in self.ATTRIBUTES:
+                    shards = registry.iter_shards(
+                        device_type, attribute=attribute
+                    )
+                    assert TestIndexServedPartition.columns(
+                        shards
+                    ) == partition_of(members, attribute)
+            indexed = {
+                key: {value: found for value, found in values.items() if found}
+                for key, values in registry._by_attribute.items()
+            }
+            assert {
+                key: values for key, values in indexed.items() if values
+            } == self.buckets(live)

@@ -78,8 +78,10 @@ class TestHistogram:
 
     def test_observe_column_is_observe_in_order(self):
         """Same buckets, same count and the very same float sum — the
-        column adds left to right, as successive observes do."""
+        column adds left to right, as successive observes do, runs of
+        equal values included."""
         values = [0.1, 0.7, 1.0, 0.1, 3.3, 1e-9, 5.0, 0.1, 7.25]
+        values += [0.1] * 5 + [1.0] * 3 + [-0.0, 0.0, 0.0] + [0.3] * 7
         column, loop = Histogram(buckets=(1.0, 5.0)), Histogram((1.0, 5.0))
         for histogram in (column, loop):
             histogram.observe(0.3)
