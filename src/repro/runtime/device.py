@@ -162,6 +162,10 @@ class DeviceInstance:
     #: Driver swaps in this process: what voids cohort plans (a swap is
     #: rare, and an instance does not know which sweeps read it).
     driver_swaps = 0
+    #: :meth:`fail` / :meth:`recover` calls in this process: what tells
+    #: a sweep that a ``failed`` flag moved after the registry filtered
+    #: its members.
+    failed_flips = 0
 
     def __init__(
         self,
@@ -459,11 +463,15 @@ class DeviceInstance:
     # -- failure injection ----------------------------------------------------
 
     def fail(self) -> None:
-        """Mark the device as failed (Section VI: device-failure dimension)."""
+        """Mark the device as failed (Section VI: device-failure
+        dimension).  A flag that may move while a sweep runs moves
+        through here or :meth:`recover` (:attr:`failed_flips`)."""
         self.failed = True
+        DeviceInstance.failed_flips += 1
 
     def recover(self) -> None:
         self.failed = False
+        DeviceInstance.failed_flips += 1
 
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in self.attributes.items())

@@ -22,8 +22,10 @@ from typing import Any, Callable, List, Optional
 
 from repro.errors import DeliveryError
 from repro.faults.policy import HEALTHY
+from repro.runtime.device import DeviceInstance
 from repro.telemetry.instrument import Instrumented, MetricSpec
 from repro.typesys.values import coerce_column
+
 
 class _Lost:
     """The outcome of a read that produced no value — something no
@@ -87,6 +89,14 @@ def _batch_keys(source, instances, predecessor) -> List[Any]:
     for row in compress(count(), map(not_, map(seen.__contains__, instances))):
         keys[row] = instances[row].driver.batch_key(source)
     return keys
+
+
+def _tally(instances) -> List[Any]:
+    """A cohort's ``(read counter, reads)`` pairs: instances of a type
+    share their counter, so there is one pair per type."""
+    tally = Counter(map(_reads_counter_of, instances))
+    tally.pop(None, None)  # no metrics attached
+    return list(tally.items())
 
 
 _LOSS_SPECS = (
@@ -191,15 +201,24 @@ class Gatherer(Instrumented):
         source = interaction.source
         device = interaction.device
         sampler = self._read_sampler(decl, interaction)
+        spanned: List[List[Any]] = []  # columns straight from read_batch
         instances, outcomes = self.sweeper.sweep(
             device,
             functools.partial(
-                self._gather_read_column, device, source, sampler
+                self._gather_read_column,
+                device,
+                source,
+                sampler,
+                DeviceInstance.failed_flips,
+                spanned,
             )
             if self.columnar
             else functools.partial(_read_column, source, sampler),
             columnar=self.columnar,
         )
+        if sum(map(len, spanned)) == len(outcomes):
+            # coerce_column proved every task's column: nothing was lost.
+            return instances, outcomes, 0, 0
         return self._fold_read_outcomes(instances, outcomes, source)
 
     def _read_sampler(self, decl, interaction) -> Optional[Callable[[], bool]]:
@@ -231,16 +250,18 @@ class Gatherer(Instrumented):
         """The memoized ``(groups, scalar, ids, key)`` cohort plan for one
         column of the current cut of ``device_type`` (compiling on miss).
 
-        ``groups`` holds one ``(positions, entity_ids)`` pair per
-        ``batch_key`` cohort, in first-appearance order: the members'
-        indexes into the column and, aligned with them, the entity-id
-        column ``read_batch`` is handed when the cohort reads whole;
-        ``scalar`` is the positions whose driver declines batching
-        (``batch_key`` is ``None``).  ``ids`` is the entity-id column of
-        ``instances`` itself, which is what the read cache is asked by,
-        and ``key`` the batch key when one cohort is the whole column
-        (else ``None``).  Planning once spares every sweep the
-        ``batch_key`` calls, cohort formation and id-column builds.
+        ``groups`` holds one ``(positions, entity_ids, tally)`` triple
+        per ``batch_key`` cohort, in first-appearance order: the
+        members' indexes into the column, aligned with them the
+        entity-id column ``read_batch`` is handed when the cohort reads
+        whole, and the ``(read counter, reads)`` pairs such a read
+        bumps; ``scalar`` is the positions whose driver declines
+        batching (``batch_key`` is ``None``).  ``ids`` is the entity-id
+        column of ``instances`` itself, which is what the read cache is
+        asked by, and ``key`` the batch key when one cohort is the whole
+        column (else ``None``).  Planning once spares every sweep the
+        ``batch_key`` calls, cohort formation, id-column builds and the
+        pass over the members' read counters.
 
         A plan lives in the memo of the sweep cut whose column it was
         compiled for (:meth:`~repro.runtime.sweep.SweepEngine.
@@ -262,7 +283,8 @@ class Gatherer(Instrumented):
         key = keys[0] if keys else None
         if key is not None and all(map(is_, keys, repeat(key))):
             # One cohort spans the column: it reads the column's own ids.
-            groups, scalar = ((range(len(keys)), entity_ids),), ()
+            groups = ((range(len(keys)), entity_ids, _tally(instances)),)
+            scalar = ()
         else:
             key, cohorts, scalar = None, {}, []
             for position, batch_key in enumerate(keys):
@@ -274,14 +296,20 @@ class Gatherer(Instrumented):
                     cohort = cohorts[id(batch_key)] = []
                 cohort.append(position)
             groups = tuple(
-                (positions, list(map(entity_ids.__getitem__, positions)))
+                (
+                    positions,
+                    list(map(entity_ids.__getitem__, positions)),
+                    _tally(map(instances.__getitem__, positions)),
+                )
                 for positions in cohorts.values()
             )
         plan = plans[memo_key] = (groups, tuple(scalar), entity_ids, key)
         self._plan_compiles += 1
         return plan
 
-    def _gather_read_column(self, device, source, sampler, instances):
+    def _gather_read_column(
+        self, device, source, sampler, flips, spanned, instances
+    ):
         """Columnar shard read: cohorts, batch reads, scalar demotion.
 
         Produces the same outcome column the scalar path would, one
@@ -297,7 +325,8 @@ class Gatherer(Instrumented):
         In the common case — reliable reads, no failed flag, no
         supervising config — nothing below takes a step per entity:
         the cache answers for the column at once and a cohort that
-        spans the shard hands its value column back as the result.
+        spans the shard hands its value column back as the result (and
+        appends it to ``spanned``).
         """
         results: List[Any] = [_PENDING] * len(instances)
         demoted: List[int] = []
@@ -308,12 +337,16 @@ class Gatherer(Instrumented):
             device, source, instances
         )
         # Can anything settle here?  (Supervisors are attached only
-        # under a supervising config; asking every instance for its own
-        # would be one more pass over the fleet's memory.)
+        # under a supervising config, and the registry left out whoever
+        # was failed when the sweep took ``flips``: asking every
+        # instance would be one more pass over the fleet's memory.)
         if (
             sampler is not None
             or self.config.supervised()
-            or any(map(_failed_flag, instances))
+            or (
+                DeviceInstance.failed_flips != flips
+                and any(map(_failed_flag, instances))
+            )
         ):
             for position, instance in enumerate(instances):
                 if sampler is not None and not sampler():
@@ -352,7 +385,7 @@ class Gatherer(Instrumented):
         ]
         scalar.extend(demoted)
         min_column = self.config.batch.min_column
-        for positions, cohort_ids in groups if pending else ():
+        for positions, cohort_ids, tally in groups if pending else ():
             if not whole:
                 positions = [
                     position
@@ -360,6 +393,7 @@ class Gatherer(Instrumented):
                     if results[position] is _PENDING
                 ]
                 cohort_ids = [entity_ids[p] for p in positions]
+                tally = None
             if len(positions) < min_column:
                 scalar.extend(positions)
                 continue
@@ -370,10 +404,12 @@ class Gatherer(Instrumented):
                 source,
                 instances if spans else [instances[p] for p in positions],
                 cohort_ids,
+                tally,
             )
             if column is None:
                 scalar.extend(positions)
             elif spans:
+                spanned.append(column)
                 return column
             else:
                 for position, value in zip(positions, column):
@@ -389,9 +425,10 @@ class Gatherer(Instrumented):
         return results
 
     def _read_batch_cohort(
-        self, source, instances, entity_ids
+        self, source, instances, entity_ids, tally
     ) -> Optional[List[Any]]:
-        """One driver-level batch read over a cohort.
+        """One driver-level batch read over a cohort, bumping the read
+        counters by the planned ``tally`` (``None``: count the members).
 
         Returns the cohort's coerced value column, aligned with
         ``instances``; ``None`` when the cohort must be demoted to the
@@ -418,16 +455,10 @@ class Gatherer(Instrumented):
         values = coerce_column(
             instances[0].info.source(source).dia_type, values
         )
-        # Instances of a type share their read counter: one tally for
-        # the cohort then, one per counter otherwise.
-        counters = set(map(_reads_counter_of, instances))
-        if len(counters) == 1:
-            tally = {counters.pop(): len(instances)}
-        else:
-            tally = Counter(map(_reads_counter_of, instances))
-        for counter, reads in tally.items():
-            if counter is not None:
-                counter.inc(reads)
+        if tally is None:
+            tally = _tally(instances)
+        for counter, reads in tally:
+            counter.inc(reads)
         if self.config.supervised():
             for instance, value in zip(instances, values):
                 supervisor = instance.supervisor

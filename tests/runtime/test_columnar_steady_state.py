@@ -30,6 +30,7 @@ from repro.api import (
     analyze,
 )
 from repro.mapreduce.engine import rank_groups
+from repro.runtime.device import DeviceInstance
 from repro.runtime.shard.worker import _ShardWorker
 
 DESIGN = """\
@@ -170,9 +171,9 @@ class Fleet:
     the cohorts read and store) and one MapReduce poll over the same
     source (cache hits) with its map round."""
 
-    def __init__(self, count):
+    def __init__(self, count, bootstrap=ProbeBootstrap):
         self.count = count
-        self.bootstrap = ProbeBootstrap(count)
+        self.bootstrap = bootstrap(count)
         self.worker = _ShardWorker(
             self.bootstrap, ShardContext(shards=1, index=0)
         )
@@ -236,3 +237,62 @@ def test_a_membership_change_costs_frames_only_in_application_code(fleets):
     assert small["batch_key"] == large["batch_key"] == 1
     assert small["map"] == 2 * 300 and large["map"] == 2 * 1200
     assert small["runtime"] == large["runtime"]
+
+
+class CountedProbe(DeviceInstance):
+    """A probe counting, class-wide, how often ``failed`` and
+    ``_m_reads`` are loaded — the passes over the fleet's memory no
+    frame count sees."""
+
+    loads = Counter()
+
+    @property
+    def failed(self):
+        CountedProbe.loads["failed"] += 1
+        return self._failed
+
+    @failed.setter
+    def failed(self, value):
+        self._failed = value
+
+    @property
+    def _m_reads(self):
+        CountedProbe.loads["_m_reads"] += 1
+        return self._reads
+
+    @_m_reads.setter
+    def _m_reads(self, value):
+        self._reads = value
+
+
+class CountedBootstrap(ProbeBootstrap):
+    def bind_entity(self, app, entity_id, position):
+        probe = CountedProbe(
+            app.design.devices["Probe"],
+            entity_id,
+            ColumnDriver(self.field),
+            {"zone": ZONES[position % len(ZONES)]},
+        )
+        app.bind_device(probe)
+
+
+def test_a_steady_state_poll_loads_per_entity_state_once():
+    """The registry's failed-flag scan is the one pass over the members
+    a steady-state columnar poll makes: the read counters are bumped by
+    the cohort plan's tally, and the gather trusts the registry's
+    filter while no flag moved."""
+    fleet = Fleet(300, bootstrap=CountedBootstrap)
+    fleet.period()
+    fleet.period()
+    worker = fleet.worker
+    worker.clock.run_until(fleet.now + PERIOD)
+    stats = worker.app.sweeper.stats
+    cache = worker.app.read_cache.stats
+    # a cohort read per zone, then the same column from the cache
+    for name, batch_reads, hits in (("Levels", 3, 0), ("Load", 0, 300)):
+        before = stats()["batch_reads"], cache()["hits"]
+        CountedProbe.loads.clear()
+        worker._cmd_poll(name, 0)
+        assert CountedProbe.loads == {"failed": fleet.count}
+        moved = stats()["batch_reads"] - before[0], cache()["hits"] - before[1]
+        assert moved == (batch_reads, hits)

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import DeliveryError
 from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.faults.supervisor import SupervisionManager
+from repro.runtime.cache import CacheConfig, ReadCache
 from repro.runtime.clock import SimulationClock
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
@@ -17,6 +18,7 @@ from repro.runtime.plan import BatchConfig
 from repro.runtime.registry import EntityRegistry
 from repro.runtime.sweep import SweepEngine
 from repro.sema.analyzer import analyze
+from repro.telemetry import MetricsRegistry
 
 DESIGN = analyze(
     """\
@@ -38,7 +40,8 @@ FLEET = ("s-0", "s-1", "s-2", "s-3")
 class Bank:
     """What every :class:`BankDriver` of one fleet reads from (and
     shares as its batch cohort): entity id -> reading, ``dark`` ids
-    fail, and ``short`` makes batch reads come back one value short."""
+    fail, ``short`` makes batch reads come back one value short, and
+    reading an entity of ``trips`` fails the instance it maps to."""
 
     def __init__(self):
         self.readings = {
@@ -48,6 +51,12 @@ class Bank:
         self.dark = set()
         self.short = False
         self.batch_calls = 0
+        self.trips = {}
+
+    def trip(self, entity_id):
+        victim = self.trips.pop(entity_id, None)
+        if victim is not None:
+            victim.fail()
 
 
 class BankDriver(DeviceDriver):
@@ -56,6 +65,7 @@ class BankDriver(DeviceDriver):
 
     def read(self, source):
         entity_id = self.instance.entity_id
+        self.bank.trip(entity_id)
         if entity_id in self.bank.dark:
             raise DeliveryError(f"{entity_id} is dark")
         return self.bank.readings[entity_id]
@@ -65,6 +75,8 @@ class BankDriver(DeviceDriver):
 
     def read_batch(self, entity_ids, source):
         self.bank.batch_calls += 1
+        for entity_id in entity_ids:
+            self.bank.trip(entity_id)
         column = [self.bank.readings[entity_id] for entity_id in entity_ids]
         return column[:-1] if self.bank.short else column
 
@@ -190,3 +202,143 @@ def test_a_swapped_driver_leaves_its_batch_cohort():
     instances, values, __, ___ = gatherer.sweep(DECL, INTERACTION)
     assert ids(instances) == [*FLEET, "s-4"]
     assert values == [0.0, 55.0, 2.0, 77.0, 4.0]
+
+
+ZONED = analyze(
+    """\
+device Probe {
+    attribute zone as String;
+    source reading as Float;
+}
+device FastProbe extends Probe { }
+
+context Levels as Float {
+    when periodic reading from Probe <1 min>
+    always publish;
+}
+"""
+)
+ZONED_DECL = ZONED.contexts["Levels"].decl
+(ZONED_INTERACTION,) = ZONED_DECL.interactions
+
+
+class Zoned:
+    """A gatherer over probes sharded by zone — one sweep task per
+    zone, in the order each zone was first bound — read from one bank,
+    with read counters and, if asked, a read cache with a 30 s TTL."""
+
+    def __init__(self, columnar, cache=False):
+        config = RuntimeConfig(batch=BatchConfig(enabled=columnar))
+        self.clock = SimulationClock()
+        self.registry = EntityRegistry()
+        self.metrics = MetricsRegistry()
+        self.cache = (
+            ReadCache(self.clock, CacheConfig(enabled=True, ttl_seconds=30))
+            if cache
+            else None
+        )
+        self.bank = Bank()
+        self.gatherer = Gatherer(
+            SweepEngine(self.registry, self.clock, config.sweep),
+            config,
+            cache=self.cache,
+        )
+
+    def bind(self, entity_id, zone, device="Probe"):
+        self.bank.readings[entity_id] = float(len(self.bank.readings))
+        instance = DeviceInstance(
+            ZONED.devices[device],
+            entity_id,
+            BankDriver(self.bank),
+            {"zone": zone},
+        )
+        self.registry.register(instance)
+        instance.attach_metrics(self.metrics)
+        if self.cache is not None:
+            instance.attach_cache(self.cache)
+        return instance
+
+    def sweep(self):
+        return self.gatherer.sweep(ZONED_DECL, ZONED_INTERACTION)
+
+    def reads(self):
+        return self.metrics.snapshot()["device_reads_total"]
+
+
+def readings(swept):
+    """A sweep's result with entity ids for instances."""
+    instances, values, dropped, failed = swept
+    return ids(instances), values, dropped, failed
+
+
+def twins(cache=False):
+    """The same zoned fleet on the columnar and on the scalar path:
+    p-0 … p-5, alternately in zones Z0 and Z1."""
+    pair = Zoned(True, cache), Zoned(False, cache)
+    for twin in pair:
+        for index in range(6):
+            twin.bind(f"p-{index}", ("Z0", "Z1")[index % 2])
+    return pair
+
+
+def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
+    """Reading p-0 (zone Z0, the first task) fails p-3 (zone Z1, a
+    later task): p-3 leaves Z1's batch read for a scalar read that
+    fails, exactly as the scalar sweep reads it after p-0 — whereas a
+    flag set directly between sweeps is the registry's to filter."""
+    columnar, scalar = twins()
+    for twin in (columnar, scalar):
+        twin.bank.trips["p-0"] = twin.registry.get("p-3")
+    swept = readings(columnar.sweep())
+    assert swept == readings(scalar.sweep())
+    assert swept == (
+        ["p-0", "p-1", "p-2", "p-4", "p-5"],
+        [4.0, 5.0, 6.0, 8.0, 9.0],
+        0,
+        1,
+    )
+    assert columnar.gatherer.read_failed == 1
+    stats = columnar.gatherer.sweeper.stats()
+    assert (stats["batch_reads"], stats["batch_demoted"]) == (2, 1)
+    for twin in (columnar, scalar):
+        twin.registry.get("p-3").recover()
+        twin.registry.get("p-1").failed = True
+    swept = readings(columnar.sweep())
+    assert swept == readings(scalar.sweep())
+    assert swept[0] == ["p-0", "p-2", "p-3", "p-4", "p-5"]
+    assert swept[2:] == (0, 0)
+    assert columnar.gatherer.sweeper.stats()["batch_demoted"] == 1
+
+
+def test_read_counters_tally_as_on_the_scalar_path():
+    """``device_reads_total{device_type}`` after every step of a script
+    that moves what the cohort plans hold — and a thinned cohort, and a
+    cohort of two device types — equals the scalar sweep's."""
+    columnar, scalar = twins(cache=True)
+
+    def step(act):
+        batch_reads = columnar.gatherer.sweeper.stats()["batch_reads"]
+        for twin in (columnar, scalar):
+            twin.clock.advance(60.0)  # every cached reading is stale
+            act(twin)
+            twin.sweep()
+        assert columnar.reads() == scalar.reads()
+        # each zone's cohort was batch-read
+        stats = columnar.gatherer.sweeper.stats()
+        assert stats["batch_reads"] == batch_reads + 2
+
+    step(lambda twin: None)
+    step(lambda twin: (twin.bind("p-6", "Z0"), twin.bind("p-7", "Z1")))
+    step(lambda twin: twin.registry.unregister("p-1").detach())
+    step(
+        lambda twin: twin.registry.get("p-6").swap_driver(
+            CallableDriver(sources={"reading": lambda: 66.0})
+        )
+    )
+    # p-0 cache-fresh: Z0's cohort reads as p-2 and p-4
+    hits = columnar.cache.stats()["hits"]
+    step(lambda twin: twin.registry.get("p-0").read("reading"))
+    assert columnar.cache.stats()["hits"] == hits + 1
+    step(lambda twin: twin.bind("p-8", "Z1", device="FastProbe"))
+    assert len(columnar.reads()) == 2
+    assert all(columnar.reads().values())
