@@ -167,7 +167,7 @@ def run_config(min_column, failure_threshold, adaptive=False):
     clock = SimulationClock()
     config = RuntimeConfig(
         clock=clock,
-        batch=BatchConfig(enabled=True, min_column=min_column),
+        batch=BatchConfig(min_column=min_column),
         supervision=SupervisionPolicy(
             max_retries=0,
             failure_threshold=failure_threshold,

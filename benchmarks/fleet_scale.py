@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 
 from repro.api import (
     Application,
-    BatchConfig,
     Context,
     RuntimeConfig,
     ShardBootstrap,
@@ -73,8 +72,7 @@ class FleetScaleBootstrap(ShardBootstrap):
                 return sum(sum(levels) for levels in by_zone.values())
 
         config = RuntimeConfig(
-            shard=self.shard if self.shard is not None else ShardConfig(),
-            batch=BatchConfig(enabled=True),
+            shard=self.shard if self.shard is not None else ShardConfig()
         )
         app = Application(analyze(_FLEET_SCALE_DESIGN), config)
         app.implement("ZoneLevels", ZoneLevelsImpl())

@@ -37,9 +37,10 @@ The surface, by concern:
 * **Query-driven caching** — :class:`ReadCache` (usually reached via
   ``CacheConfig`` on the runtime config) and the typed
   :class:`ContextNotQueryableError`;
-* **Batch hot path** — :class:`BatchConfig` (columnar driver reads and
-  precompiled delivery plans, usually reached via ``batch=`` on the
-  runtime config) and :class:`DeliveryPlanner`;
+* **Batch hot path** — columnar reads are taken wherever a driver
+  implements :meth:`DeviceDriver.read_batch`, and every publish goes
+  through a precompiled :class:`DeliveryPlanner` table;
+  :class:`BatchConfig` holds the one setting (``min_column``);
 * **Process sharding** — :class:`ShardConfig` (usually reached via
   ``shard=`` on the runtime config), :class:`ShardContext`,
   :class:`ShardBootstrap`, :class:`ShardedRuntime`,

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DeviceUnavailableError
-from repro.runtime.device import DeviceDriver
+from repro.runtime.device import DeviceDriver, batches
 
 __all__ = [
+    "ChaosBatchDriver",
     "ChaosDriver",
     "ChaosInjector",
     "FaultEvent",
@@ -76,9 +77,7 @@ class FaultEvent:
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         if self.device_type is None and self.entity_ids is None:
-            raise ValueError(
-                "a fault must target a device_type or entity_ids"
-            )
+            raise ValueError("a fault must target a device_type or entity_ids")
         if self.kind == FLAP and self.flap_period <= 0:
             raise ValueError("flap_period must be > 0")
 
@@ -191,16 +190,17 @@ class ChaosDriver(DeviceDriver):
     of the most recent read; :meth:`DeviceInstance.read` adds it to the
     measured elapsed time before the timeout check, so scripted latency
     interacts with ``expect timeout`` declarations without any real
-    sleeping.
+    sleeping.  It reads one entity at a time, like the driver it wraps
+    unless that one reads columns (:class:`ChaosBatchDriver`).
     """
 
-    def __init__(self, inner: DeviceDriver, injector: "ChaosInjector",
-                 entity_id: str):
+    def __init__(
+        self, inner: DeviceDriver, injector: "ChaosInjector", entity_id: str
+    ):
         self.inner = inner
         self.injector = injector
         self.entity_id = entity_id
         self.last_injected_latency = 0.0
-        self.last_injected_batch_latency = 0.0
 
     def _check(self) -> None:
         self.last_injected_latency = 0.0
@@ -230,15 +230,18 @@ class ChaosDriver(DeviceDriver):
     def push(self, source: str, value: Any, index: Any = None) -> None:
         self.inner.push(source, value, index=index)
 
-    # -- columnar batch path ---------------------------------------------------
+
+class ChaosBatchDriver(ChaosDriver):
+    """A :class:`ChaosDriver` around a driver that reads columns: the
+    wrapper keeps that capability, and its batch reads see the faults
+    instead of silently bypassing them."""
+
+    last_injected_batch_latency = 0.0
 
     def batch_key(self, source: str):
-        """Delegate cohort identity to the wrapped driver.
-
-        Chaos-wrapped instances whose inner drivers share a substrate
-        keep sharing it, so batching survives injection — and the batch
-        path sees the faults instead of silently bypassing them.
-        """
+        """Delegate cohort identity to the wrapped driver: chaos-wrapped
+        instances whose inner drivers share a substrate keep sharing
+        it, so batching survives injection."""
         return self.inner.batch_key(source)
 
     def read_batch(self, entity_ids, source: str):
@@ -331,10 +334,13 @@ class ChaosInjector:
         registry = self.application.registry
         for entity_id in self._targets:
             instance = registry.get(entity_id)
-            wrapper = ChaosDriver(instance.driver, self, entity_id)
+            driver = instance.driver
+            # The wrapper claims the capability only where the wrapped
+            # driver has it.
+            wrap = ChaosBatchDriver if batches(driver) else ChaosDriver
             self._wrapped[entity_id] = (
                 instance,
-                instance.swap_driver(wrapper),
+                instance.swap_driver(wrap(driver, self, entity_id)),
             )
         return self
 

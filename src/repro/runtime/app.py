@@ -64,13 +64,9 @@ from repro.faults.supervisor import SupervisionManager
 from repro.runtime.device import DeviceDriver, DeviceInstance
 from repro.runtime.discovery import Discover
 from repro.runtime.gather import Gatherer
-from repro.runtime.grouping import (
-    WindowAccumulator,
-    group_readings,
-    group_readings_planned,
-)
+from repro.runtime.grouping import WindowAccumulator, group_readings
 from repro.runtime.placement import PlacementExecutor
-from repro.runtime.plan import DeliveryPlanner, source_topics
+from repro.runtime.plan import DeliveryPlanner
 from repro.runtime.proxies import make_proxy
 from repro.runtime.qos import QoSMonitor
 from repro.runtime.registry import EntityRegistry
@@ -123,9 +119,7 @@ class Application:
         # numbers.  Pass a shared registry to aggregate several
         # applications into one scrape.
         self.metrics: MetricsRegistry = (
-            config.metrics
-            if config.metrics is not None
-            else MetricsRegistry()
+            config.metrics if config.metrics is not None else MetricsRegistry()
         )
         self.bus = EventBus(metrics=self.metrics)
         self.registry = EntityRegistry(metrics=self.metrics)
@@ -162,23 +156,9 @@ class Application:
             if config.cache.enabled
             else None
         )
-        # Batch hot path (repro.runtime.plan): precompiled
-        # publish/grouping dispatch here, columnar driver reads in the
-        # gatherer below.  The planner is ``None`` by default — with
-        # ``BatchConfig(enabled=False)`` the scalar read path and the
-        # per-publish topic walk below stay byte-identical.
-        self.planner: Optional[DeliveryPlanner] = (
-            DeliveryPlanner(
-                design, self.bus, self.registry, metrics=self.metrics
-            )
-            if config.batch.enabled
-            else None
-        )
-        # (device type, source) -> ``source_topics``: a pure function of
-        # the immutable analyzed design, so the memo never needs
-        # invalidating; it serves the plans-off publish path (plans
-        # flatten further, down to the subscriber list).
-        self._topic_memo: Dict[Any, tuple] = {}
+        # Every device publish goes out through a precompiled dispatch
+        # table (repro.runtime.plan).
+        self.planner = DeliveryPlanner(design, self.bus, metrics=self.metrics)
         self._memoize_contexts = (
             self.read_cache is not None and config.cache.memoize_contexts
         )
@@ -276,10 +256,6 @@ class Application:
         self.registry.register(instance)
         instance.attach(self.on_device_publish)
         instance.attach_metrics(self.metrics)
-        # Memoize the publish topic walk for every source of this type
-        # now, so the first publish is as cheap as the thousandth.
-        for source in instance.info.sources:
-            self._topics_for(instance.info, source)
         supervisor = self.supervision.supervise(instance)
         if supervisor is not None:
             instance.attach_supervisor(supervisor)
@@ -419,7 +395,7 @@ class Application:
 
         Live sections: ``sweep`` (mode/workers/batch size/shard
         attribute), ``cache`` (TTLs, coalescing, invalidation scope —
-        but not ``enabled``), ``batch`` (``min_column`` only),
+        but not ``enabled``), ``batch`` (``min_column``),
         ``supervision`` policies and overrides (retuned across every
         live breaker), ``stale`` and ``error_policy``.  Changing any
         structural field raises :class:`~repro.errors.TuningError`.
@@ -439,15 +415,8 @@ class Application:
             raise TuningError(
                 "the read cache cannot be enabled or disabled live"
             )
-        if old.batch.enabled != config.batch.enabled:
-            raise TuningError(
-                "only batch.min_column may change on a running "
-                "application"
-            )
         if old.supervised() != config.supervised():
-            raise TuningError(
-                "supervision cannot be enabled or disabled live"
-            )
+            raise TuningError("supervision cannot be enabled or disabled live")
         self.config = config
         self.error_policy = config.error_policy
         self.sweeper.reconfigure(config.sweep)
@@ -487,18 +456,12 @@ class Application:
                 if self.read_cache is not None
                 else None
             ),
-            "plan": (
-                self.planner.stats() if self.planner is not None else None
-            ),
+            "plan": self.planner.stats(),
             "placement": (
-                self.placement.stats()
-                if self.placement is not None
-                else None
+                self.placement.stats() if self.placement is not None else None
             ),
             "network": (
-                self.network.stats()
-                if self.network is not None
-                else None
+                self.network.stats() if self.network is not None else None
             ),
             "context_cache_hits": dict(self._context_cache_hits),
             "context_activations": dict(self._context_activations),
@@ -760,7 +723,7 @@ class Application:
 
     def on_device_publish(self, instance, source, value, index) -> None:
         """Deliver one device publish: network model, cache
-        invalidation, then plan dispatch or the topic walk.
+        invalidation, then plan dispatch.
 
         ``instance`` is a bound :class:`DeviceInstance` — or, on a shard
         coordinator replaying a worker's recorded publish, its stand-in
@@ -788,31 +751,11 @@ class Application:
             index=index,
             timestamp=self.clock.now(),
         )
-        # One publish goes out under ``source_topics``.  With delivery
-        # plans compiled, the whole walk *and* the per-topic subscriber
-        # resolution collapse into one flat dispatch table; without
-        # them, the memoized topic tuple still spares the per-publish
-        # ancestor re-walk.
-        planner = self.planner
-        if planner is not None:
-            plan = planner.source_plan(instance.info.name, source)
-            self.bus.dispatch_compiled(
-                plan.targets, len(plan.topics), event
-            )
-            return
-        for topic in self._topics_for(instance.info, source):
-            self.bus.publish(topic, event)
-
-    def _topics_for(self, info, source: str) -> tuple:
-        """The ``(type, source)`` publish topics, memoized per device
-        type (the walk is fixed by the immutable analyzed design)."""
-        key = (info.name, source)
-        topics = self._topic_memo.get(key)
-        if topics is None:
-            topics = self._topic_memo[key] = source_topics(
-                self.design, info.name, source
-            )
-        return topics
+        # One publish goes out under ``source_topics``: the ancestor
+        # walk and the per-topic subscriber resolution collapse into
+        # one flat dispatch table.
+        plan = self.planner.source_plan(instance.info.name, source)
+        self.bus.dispatch_compiled(plan.targets, len(plan.topics), event)
 
     def on_component_error(
         self, listener: Callable[[str, Exception], None]
@@ -871,9 +814,7 @@ class Application:
         self._controller_activations[name] = (
             self._controller_activations.get(name, 0) + 1
         )
-        self._run_component(
-            name, lambda: handler(event.value, self.discover)
-        )
+        self._run_component(name, lambda: handler(event.value, self.discover))
 
     def _gather(
         self, name, interaction, implementation, handler, accumulator
@@ -940,16 +881,7 @@ class Application:
                 GatherReading(make_proxy(instance), value)
                 for instance, value in zip(instances, values)
             ]
-        if self.planner is not None:
-            grouped = group_readings_planned(
-                zip(instances, values),
-                self.planner.membership(
-                    interaction.device, group.attribute
-                ),
-                group.attribute,
-            )
-        else:
-            grouped = group_readings(zip(instances, values), group.attribute)
+        grouped = group_readings(zip(instances, values), group.attribute)
         if group.uses_mapreduce:
             return self.mapreduce.run(implementation, grouped)
         return grouped

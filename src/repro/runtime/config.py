@@ -89,11 +89,10 @@ class RuntimeConfig(ConfigBase):
       single-flight coalescing, actuation/publish invalidation and
       context memoization); disabled by default, which keeps the read
       path byte-identical to the uncached runtime.
-    * ``batch`` — :class:`~repro.runtime.plan.BatchConfig` governing
-      the sweep/publish hot path (driver-level columnar batch reads and
-      precompiled delivery plans); disabled by default, which keeps the
-      scalar read path and per-publish topic resolution byte-identical
-      to the unbatched runtime.
+    * ``batch`` — :class:`~repro.runtime.plan.BatchConfig` tuning the
+      columnar read path (driver-level batch reads), which a sweep
+      takes when the swept drivers implement ``read_batch`` — the
+      drivers decide, not the config.
     * ``shard`` — :class:`~repro.runtime.shard.ShardConfig` governing
       the process-sharded runtime (hash-partitioned fleet, one worker
       process per shard, cross-shard event routing over the delta

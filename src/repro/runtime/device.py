@@ -88,10 +88,11 @@ class DeviceDriver:
         :meth:`read` per device.
 
         The default returns :data:`NotImplemented` — "this driver only
-        reads one entity at a time" — which keeps every existing driver
-        on the scalar path.  Returning :data:`NotImplemented`, ``None``
-        or a mis-sized column at runtime demotes the cohort to scalar
-        reads with full per-entity supervision accounting.
+        reads one entity at a time" — and a driver class that does not
+        override it never meets the columnar path (:func:`batches`).
+        Returning :data:`NotImplemented`, ``None`` or a mis-sized column
+        at runtime demotes the cohort to scalar reads with full
+        per-entity supervision accounting.
         """
         return NotImplemented
 
@@ -108,15 +109,20 @@ class DeviceDriver:
         until :meth:`DeviceInstance.swap_driver` replaces the driver:
         membership changes carry it over instead of asking again.
         """
-        if type(self).read_batch is not DeviceDriver.read_batch:
-            return self
-        return None
+        return self if batches(self) else None
 
     def push(self, source: str, value: Any, index: Any = None) -> None:
         """Event-driven delivery: publish a reading through the instance."""
         if self.instance is None:
             raise DeliveryError("driver is not bound to a device instance")
         self.instance.publish(source, value, index=index)
+
+
+def batches(driver: DeviceDriver) -> bool:
+    """Can ``driver`` read a column?  Its class overrides
+    :meth:`DeviceDriver.read_batch` — the one fact that decides whether
+    a sweep forms batch cohorts at all."""
+    return type(driver).read_batch is not DeviceDriver.read_batch
 
 
 class CallableDriver(DeviceDriver):

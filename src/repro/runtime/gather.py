@@ -138,8 +138,10 @@ class Gatherer(Instrumented):
     """One application's (or one shard worker's) gather read path,
     over that application's own network model, placement executor, read
     cache and supervision manager — ``None`` for whatever its config
-    leaves off.  ``config.batch.enabled`` (columnar reads) is fixed at
-    construction."""
+    leaves off.  Whether a sweep reads columns is the swept drivers'
+    to say (:meth:`~repro.runtime.sweep.SweepEngine.sweep`)."""
+
+    metric_specs = _LOSS_SPECS + _COHORT_SPECS
 
     def __init__(
         self,
@@ -156,16 +158,11 @@ class Gatherer(Instrumented):
         self.placement = placement
         self.cache = cache
         self.supervision = supervision
-        self.columnar = config.batch.enabled
         self.config = config
         self.network_dropped = 0
         self.read_failed = 0
         self._plan_compiles = 0
         self._plan_hits = 0
-        # The cohort-plan series exist only where plans do.
-        self.metric_specs = (
-            _LOSS_SPECS + _COHORT_SPECS if self.columnar else _LOSS_SPECS
-        )
         if metrics is not None:
             self.attach_metrics(metrics)
 
@@ -204,6 +201,7 @@ class Gatherer(Instrumented):
         spanned: List[List[Any]] = []  # columns straight from read_batch
         instances, outcomes = self.sweeper.sweep(
             device,
+            functools.partial(_read_column, source, sampler),
             functools.partial(
                 self._gather_read_column,
                 device,
@@ -211,10 +209,7 @@ class Gatherer(Instrumented):
                 sampler,
                 DeviceInstance.failed_flips,
                 spanned,
-            )
-            if self.columnar
-            else functools.partial(_read_column, source, sampler),
-            columnar=self.columnar,
+            ),
         )
         if sum(map(len, spanned)) == len(outcomes):
             # coerce_column proved every task's column: nothing was lost.
@@ -379,9 +374,7 @@ class Gatherer(Instrumented):
         # Nothing settled above: the cohorts read as they were planned.
         whole = pending == len(results)
         scalar = [
-            position
-            for position in unbatched
-            if results[position] is _PENDING
+            position for position in unbatched if results[position] is _PENDING
         ]
         scalar.extend(demoted)
         min_column = self.config.batch.min_column

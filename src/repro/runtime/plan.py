@@ -1,35 +1,27 @@
 """Precompiled delivery plans and the batch hot-path configuration.
 
-Two costs dominate event delivery once a fleet grows past a few hundred
-devices:
-
-* every published source event re-walks the publisher's ancestor chain
-  (``(type_name, source)`` topics) and re-resolves each topic's
-  subscriber snapshot through the bus — work whose *result* is fixed by
-  the analyzed design and the current subscription set;
-* every periodic gather re-derives the grouping membership
-  (entity → ``grouped by`` attribute value) by reading each instance's
-  attribute record, although membership only changes on bind/unbind.
-
-This module compiles both into flat dispatch tables, the ahead-of-time
-move of the DiaSpec compiler line: the declared design already fixes
-who receives what, so the runtime can resolve it once and replay it.
+Every published source event would otherwise re-walk the publisher's
+ancestor chain (``(type_name, source)`` topics) and re-resolve each
+topic's subscriber snapshot through the bus — work whose *result* is
+fixed by the analyzed design and the current subscription set.  This
+module compiles it into a flat dispatch table, the ahead-of-time move
+of the DiaSpec compiler line: the declared design already fixes who
+receives what, so the runtime can resolve it once and replay it.
 
 :class:`DeliveryPlanner` caches one :class:`SourcePlan` per
 ``(device_type, source)`` — the topic tuple of the ancestor walk plus
 the flattened subscriber list across those topics, in exact publish
-order — and one membership table per ``(device_type, attribute)``.
-Staleness is detected by two monotonic counters instead of listeners:
-the bus bumps its ``epoch`` on every subscribe/unsubscribe and the
-registry bumps its ``version`` on every bind/unbind, so a plan is valid
-iff both counters still match the values captured at compile time (the
-same generation-counter discipline the read cache uses for context
-memoization).  A hit is a dict lookup plus two integer compares.
+order.  Staleness is detected by a monotonic counter instead of
+listeners: the bus bumps its ``epoch`` on every subscribe/unsubscribe,
+so a plan is valid iff the counter still matches the value captured at
+compile time (the same generation-counter discipline the read cache
+uses for context memoization).  Bindings do not enter into it: who
+receives a publish depends on the design and the subscriptions only.
+A hit is a dict lookup plus one integer compare.
 
-Plans are wired through :class:`BatchConfig` on
-:class:`~repro.runtime.config.RuntimeConfig` and are **off by
-default**: with ``BatchConfig(enabled=False)`` the application keeps
-the per-publish resolution path byte-identical to previous releases.
+Every application publishes through plans; :class:`BatchConfig` holds
+the one setting of the columnar read path, whose use the drivers decide
+(:func:`~repro.runtime.device.batches`).
 """
 
 from __future__ import annotations
@@ -54,25 +46,21 @@ BATCH_COLUMN_BUCKETS = (2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384)
 
 @dataclass(frozen=True)
 class BatchConfig(ConfigBase):
-    """The sweep/publish hot path: columnar reads + compiled dispatch.
+    """The columnar read path of periodic sweeps.
 
-    * ``enabled`` — master switch; ``False`` (default) keeps both the
-      per-device scalar read path and the per-publish topic resolution
-      byte-identical to the unbatched runtime.  ``True`` turns on
-      both parts of the hot path together:
+    A swept device type whose drivers implement
+    :meth:`~repro.runtime.device.DeviceDriver.read_batch` is read with
+    one driver-level batch read per (shard, source) cohort instead of
+    one Python read per device; entities that cannot batch (no driver
+    support, degraded/quarantined health, failed flag) are demoted to
+    the scalar path with full supervision accounting.  Types without
+    such a driver never form a cohort.
 
-      - one driver-level
-        :meth:`~repro.runtime.device.DeviceDriver.read_batch` per
-        (shard, source) cohort during periodic sweeps instead of one
-        Python read per device; entities that cannot batch (no driver
-        support, degraded/quarantined health, failed flag) are demoted
-        to the scalar path with full supervision accounting;
-      - the publish→subscription fan-out precompiled into
-        :class:`SourcePlan` dispatch tables and gather grouping
-        membership into per-type tables (see :class:`DeliveryPlanner`).
     * ``min_column`` — smallest cohort worth a batch read; smaller
       cohorts take the scalar path (a column of one would only add
       overhead).
+    * ``enabled`` — selects nothing: the drivers decide.  It is kept so
+      configurations that still pass it keep building.
     """
 
     enabled: bool = False
@@ -101,27 +89,18 @@ class SourcePlan:
 
     ``topics`` is the memoized ancestor-walk topic tuple; ``targets``
     the flattened tuple of bus subscriptions across those topics in
-    publish order.  ``epoch``/``version`` are the bus and registry
-    counters captured at compile time — the plan is valid while both
-    still match.
+    publish order.  ``epoch`` is the bus counter captured at compile
+    time — the plan is valid while it still matches.
     """
 
-    __slots__ = (
-        "device_type",
-        "source",
-        "topics",
-        "targets",
-        "epoch",
-        "version",
-    )
+    __slots__ = ("device_type", "source", "topics", "targets", "epoch")
 
-    def __init__(self, device_type, source, topics, targets, epoch, version):
+    def __init__(self, device_type, source, topics, targets, epoch):
         self.device_type = device_type
         self.source = source
         self.topics = topics
         self.targets = targets
         self.epoch = epoch
-        self.version = version
 
     def __repr__(self) -> str:
         return (
@@ -131,12 +110,12 @@ class SourcePlan:
 
 
 class DeliveryPlanner(Instrumented):
-    """Flat dispatch tables for the publish and grouping hot paths.
+    """Flat dispatch tables for the publish hot path.
 
     One planner serves a whole application.  Compilation is lazy — the
     first publish of a ``(device_type, source)`` pays the ancestor walk
     exactly once — and every subsequent publish is a plan hit until a
-    subscription or binding change bumps the respective counter.
+    subscription change bumps the bus epoch.
     """
 
     metric_specs = (
@@ -144,38 +123,32 @@ class DeliveryPlanner(Instrumented):
             "plan_compiles_total",
             "_compiles",
             stats_key="compiles",
-            help="Dispatch plans and grouping tables compiled.",
+            help="Dispatch plans compiled.",
         ),
         MetricSpec(
             "plan_invalidations_total",
             "_invalidations",
             stats_key="invalidations",
-            help="Cached plans discarded after subscription or binding "
-            "churn.",
+            help="Cached plans discarded after subscription churn.",
         ),
         MetricSpec(
             "plan_hits_total",
             "_hits",
             stats_key="hits",
-            help="Publishes and gathers served from a compiled plan.",
+            help="Publishes served from a compiled plan.",
         ),
         MetricSpec(
             "plan_entries",
             "entry_count",
             kind="gauge",
-            help="Dispatch plans and grouping tables currently compiled.",
+            help="Dispatch plans currently compiled.",
         ),
     )
 
-    def __init__(self, design, bus, registry, metrics=None):
+    def __init__(self, design, bus, metrics=None):
         self.design = design
         self.bus = bus
-        self.registry = registry
         self._plans: Dict[Tuple[str, str], SourcePlan] = {}
-        # (device_type, attribute) -> (registry version, entity -> key)
-        self._memberships: Dict[
-            Tuple[str, str], Tuple[int, Dict[str, Any]]
-        ] = {}
         self._compiles = 0
         self._invalidations = 0
         self._hits = 0
@@ -183,25 +156,17 @@ class DeliveryPlanner(Instrumented):
             self.attach_metrics(metrics)
 
     def entry_count(self) -> int:
-        return len(self._plans) + len(self._memberships)
+        return len(self._plans)
 
     def _extra_stats(self) -> Dict[str, Any]:
-        return {
-            "plans": len(self._plans),
-            "memberships": len(self._memberships),
-        }
-
-    # -- publish dispatch ----------------------------------------------------
+        return {"plans": len(self._plans)}
 
     def source_plan(self, device_type: str, source: str) -> SourcePlan:
         """The compiled dispatch for one publish (compiling on miss)."""
         key = (device_type, source)
         plan = self._plans.get(key)
         if plan is not None:
-            if (
-                plan.epoch == self.bus.epoch
-                and plan.version == self.registry.version
-            ):
+            if plan.epoch == self.bus.epoch:
                 self._hits += 1
                 return plan
             self._invalidations += 1
@@ -215,67 +180,28 @@ class DeliveryPlanner(Instrumented):
             for topic in topics
             for subscription in self.bus.snapshot(topic)
         )
-        plan = SourcePlan(
-            device_type,
-            source,
-            topics,
-            targets,
-            self.bus.epoch,
-            self.registry.version,
-        )
+        plan = SourcePlan(device_type, source, topics, targets, self.bus.epoch)
         self._plans[key] = plan
         self._compiles += 1
         return plan
 
-    # -- grouping membership -------------------------------------------------
-
-    def membership(self, device_type: str, attribute: str) -> Dict[str, Any]:
-        """Entity → ``grouped by`` attribute value for a device type.
-
-        Compiled over every registered instance of the type (health and
-        the ``failed`` flag deliberately ignored — membership is a pure
-        function of the binding, so it stays valid across outages) and
-        re-derived only when the registry version moves.
-        """
-        key = (device_type, attribute)
-        memo = self._memberships.get(key)
-        version = self.registry.version
-        if memo is not None:
-            if memo[0] == version:
-                self._hits += 1
-                return memo[1]
-            self._invalidations += 1
-        mapping = {
-            instance.entity_id: instance.attributes.get(attribute, _MISSING)
-            for instance in self.registry.instances_of(
-                device_type,
-                include_failed=True,
-                include_quarantined=True,
-            )
-        }
-        self._memberships[key] = (version, mapping)
-        self._compiles += 1
-        return mapping
-
     def clear(self) -> None:
-        """Drop every compiled table (counts each as an invalidation)."""
-        self._invalidations += len(self._plans) + len(self._memberships)
+        """Drop every compiled plan (counts each as an invalidation)."""
+        self._invalidations += len(self._plans)
         self._plans.clear()
-        self._memberships.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"<DeliveryPlanner plans={len(self._plans)} "
-            f"memberships={len(self._memberships)} hits={self._hits}>"
-        )
+        return f"<DeliveryPlanner plans={len(self._plans)} hits={self._hits}>"
 
 
-# Sentinel marking an entity without the grouping attribute; the gather
-# path turns it into the same BindingError the uncompiled path raises.
+# Sentinel marking an entity without the grouping attribute in a
+# membership table; group_readings_planned turns it into the same
+# BindingError group_readings raises.
 _MISSING = object()
 
 
 def missing() -> object:
-    """The sentinel :meth:`DeliveryPlanner.membership` stores for
+    """The sentinel a membership table handed to
+    :func:`~repro.runtime.grouping.group_readings_planned` stores for
     entities lacking the grouping attribute."""
     return _MISSING

@@ -112,9 +112,9 @@ class EntityRegistry(Instrumented):
     def version(self) -> int:
         """Monotonic binding-change counter (bumped on every register
         and unregister).  Consumers caching values derived from the
-        bound population — the delivery planner's grouping membership
-        tables — capture the version at compile time and treat any
-        later binding change as expiry."""
+        bound population — a shard worker's delta state — capture the
+        version at compile time and treat any later binding change as
+        expiry."""
         return self._version
 
     def attach_health(self, lookup: HealthLookup) -> None:
@@ -271,8 +271,7 @@ class EntityRegistry(Instrumented):
             if remaining:
                 attributes = instance.attributes
                 if not all(
-                    attributes.get(name) == value
-                    for name, value in remaining
+                    attributes.get(name) == value for name, value in remaining
                 ):
                     continue
             results.append(instance)

@@ -26,13 +26,13 @@ indistinguishable from the serial loop:
   ``mode='threaded'`` is honoured even under simulation (the
   equivalence tests do exactly that).
 
-All of it is one loop: a sweep is cut into tasks (the whole type in
-registration order, one per shard for columnar reads, ``batch_size``
-slices for threaded scalar ones), every task's instance column goes to
-the same column reader — inline or on the pool — and the value columns
-merge by registry position once.  The cut is compiled once per registry
-partition (:class:`_SweepCut`), so a steady-state sweep builds one
-result list, not a container per reading.
+All of it is one loop: a sweep is cut into tasks (one per shard when a
+member's driver reads columns, else the whole type in registration
+order, or ``batch_size`` slices when threaded), every task's instance
+column goes to the same column reader — inline or on the pool — and the
+value columns merge by registry position once.  The cut is compiled
+once per registry partition (:class:`_SweepCut`), so a steady-state
+sweep builds one result list, not a container per reading.
 
 Supervised reads, breaker gating and stale-policy substitution live in
 the column reader — :class:`~repro.runtime.gather.Gatherer` owns them.
@@ -52,11 +52,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.clock import SimulationClock
 from repro.runtime.configbase import ConfigBase
-from repro.runtime.device import DeviceInstance
+from repro.runtime.device import DeviceInstance, batches
 from repro.runtime.plan import BATCH_COLUMN_BUCKETS
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
@@ -79,21 +80,26 @@ SWEEP_DURATION_BUCKETS = (
     5.0,
 )
 
+_driver_of = attrgetter("driver")
+
+
 class _SweepCut:
     """One device type's sweep, compiled from a registry partition: the
     registry-ordered ``instances`` column every sweep returns, the
     instance column of each task, and ``order`` — per registry
     position, the index of that member in the tasks' concatenation,
-    which is how several tasks' value columns merge back.  ``memo``
-    holds what a column reader derives from these columns (cohort
-    plans), so it cannot outlive them.
+    which is how several tasks' value columns merge back.  ``batched``
+    says whether any member's driver reads columns
+    (:func:`~repro.runtime.device.batches`); ``memo`` holds what a
+    column reader derives from these columns (cohort plans), so it
+    cannot outlive them.
 
     Valid while the registry hands back the very ``partition`` object
     it was compiled from — its memo lasts until a bind, an unbind or a
     ``failed`` flag moves the membership — under the same ``shape``,
-    ``(columnar, threaded, batch_size, driver swaps)``.  Until its first
-    sweep is done it keeps the cut it ``replaced`` when only the
-    membership moved (see :meth:`SweepEngine.cut_memo`).
+    ``(threaded, batch_size, driver swaps)``.  Until its first sweep is
+    done it keeps the cut it ``replaced`` when only the membership
+    moved (see :meth:`SweepEngine.cut_memo`).
     """
 
     def __init__(self, partition, shape, replaced):
@@ -111,8 +117,11 @@ class _SweepCut:
         self.instances = list(
             map(list(chain.from_iterable(shards)).__getitem__, self.order)
         )
-        columnar, threaded, size, __ = shape
-        if columnar:
+        # A fleet answers at its first member; a type whose drivers all
+        # read one at a time pays one pass per membership change.
+        self.batched = any(map(batches, map(_driver_of, self.instances)))
+        threaded, size, __ = shape
+        if self.batched:
             # One task per shard: the batch read spans the shard, so
             # finer-grained tasks would just split the column.
             self.tasks = shards
@@ -346,9 +355,11 @@ class SweepEngine(Instrumented):
         self,
         device_type: str,
         read_column: Callable[[Sequence[DeviceInstance]], List[Any]],
-        columnar: bool = False,
+        read_batched: Optional[
+            Callable[[Sequence[DeviceInstance]], List[Any]]
+        ] = None,
     ) -> Tuple[List[DeviceInstance], List[Any]]:
-        """Run ``read_column`` over every bound instance of
+        """Run a column reader over every bound instance of
         ``device_type`` (quarantined too): it is handed each task's
         instance column and returns a result column aligned with it.
 
@@ -357,15 +368,17 @@ class SweepEngine(Instrumented):
         downstream grouping and windowing see the same stream either
         way.  ``instances`` belongs to the engine's memoized cut and is
         the same list sweep after sweep while the registry membership
-        holds: treat it as immutable.  Exceptions raised by
-        ``read_column`` propagate (callers wanting per-read containment
-        catch inside the callable, as the gatherer's readers do).
+        holds: treat it as immutable.  Exceptions raised by the reader
+        propagate (callers wanting per-read containment catch inside
+        the callable, as the gatherer's readers do).
 
-        ``columnar`` (the batch-read path) makes each shard one task,
-        so one pool task per shard replaces one per ``batch_size``
-        reads; the caller owns cohort formation, eligibility and scalar
-        demotion inside ``read_column`` — the engine only owns fan-out
-        and the ordered merge, exactly as on the scalar path.
+        The members' drivers pick the reader: when one of them reads
+        columns (:func:`~repro.runtime.device.batches`) each shard is
+        one task, so one pool task per shard replaces one per
+        ``batch_size`` reads, and ``read_batched`` (default
+        ``read_column``) reads it — the caller owns cohort formation,
+        eligibility and scalar demotion there; the engine only owns
+        fan-out and the ordered merge, whichever reader runs.
         """
         started = time.perf_counter()
         self._sweeps += 1
@@ -378,18 +391,20 @@ class SweepEngine(Instrumented):
             self._count_shard(shard_key, len(members))
         threaded = self.mode_for_clock() == "threaded"
         # The modes differ only in how the sweep is cut into tasks and
-        # where the tasks run; a driver swap voids what the cut's memo
-        # derived from what drivers said.
+        # where the tasks run; a driver swap voids what the cut derived
+        # from what drivers said.
         swaps = DeviceInstance.driver_swaps
-        shape = (columnar, threaded, self.config.batch_size, swaps)
+        shape = (threaded, self.config.batch_size, swaps)
         cut = self._cuts.get(device_type)
         if cut is None or cut.partition is not shards or cut.shape != shape:
             if cut is not None and cut.shape != shape:
                 cut = None  # nothing carries over
             cut = self._cuts[device_type] = _SweepCut(shards, shape, cut)
         self._reads += len(cut.instances)
-        if columnar:
+        if cut.batched:
             self._columnar_sweeps += 1
+            if read_batched is not None:
+                read_column = read_batched
         columns = cut.tasks
         if threaded:
             self._threaded_sweeps += 1

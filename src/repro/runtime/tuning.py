@@ -251,7 +251,8 @@ class KnobRegistry:
     def for_config(cls, config: Any) -> "KnobRegistry":
         """The standard catalog, filtered to the subsystems a config
         actually enables (a knob on a disabled subsystem would burn
-        trial intervals changing nothing)."""
+        trial intervals changing nothing); the sweep and batch knobs
+        are always listed, as no config turns those paths off."""
         registry = cls()
         registry.register(
             Knob(
@@ -277,19 +278,18 @@ class KnobRegistry:
                 signal="sweep_batches_total",
             )
         )
-        if config.batch.enabled:
-            registry.register(
-                Knob(
-                    name="batch.min_column",
-                    section="batch",
-                    attribute="min_column",
-                    minimum=2,
-                    maximum=4096,
-                    step=8,
-                    scale="geometric",
-                    signal="sweep_batch_demoted_total",
-                )
+        registry.register(
+            Knob(
+                name="batch.min_column",
+                section="batch",
+                attribute="min_column",
+                minimum=2,
+                maximum=4096,
+                step=8,
+                scale="geometric",
+                signal="sweep_batch_demoted_total",
             )
+        )
         if config.cache.enabled:
             registry.register(
                 Knob(

@@ -82,7 +82,6 @@ class SimulatedFleetBootstrap(ShardBootstrap):
     seed: int = 0
     service_time: float = 0.0
     shard: Optional[ShardConfig] = None
-    batch: bool = False
     cache: bool = False
 
     def fleet(self) -> Sequence[str]:
@@ -92,7 +91,6 @@ class SimulatedFleetBootstrap(ShardBootstrap):
         from repro.api import Application, RuntimeConfig, analyze
         from repro.runtime.cache import CacheConfig
         from repro.runtime.component import Context
-        from repro.runtime.plan import BatchConfig
         from repro.simulation.sensors import GatewaySubstrate
 
         class ZoneLoadImpl(Context, _ZoneLoadJob):
@@ -101,7 +99,6 @@ class SimulatedFleetBootstrap(ShardBootstrap):
 
         config = RuntimeConfig(
             shard=self.shard if self.shard is not None else ShardConfig(),
-            batch=BatchConfig(enabled=self.batch),
             cache=CacheConfig(enabled=self.cache),
         )
         app = Application(analyze(_FLEET_DESIGN), config)

@@ -231,13 +231,10 @@ class TestParkingViaGeneratedFramework:
         from repro.api import BatchConfig, RuntimeConfig
 
         framework = mod.ParkingManagementFramework()
-        assert framework.application.planner is None  # off by default
+        assert framework.application.config.batch.min_column == 2
         batched = mod.ParkingManagementFramework(
-            config=RuntimeConfig(
-                batch=BatchConfig(enabled=True, min_column=4)
-            )
+            config=RuntimeConfig(batch=BatchConfig(min_column=4))
         )
-        assert batched.application.planner is not None
         assert batched.application.config.batch.min_column == 4
 
     def test_shard_config_flows_through(self, parking_module):

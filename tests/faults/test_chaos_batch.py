@@ -7,16 +7,17 @@ These tests pin the repaired contract: an inactive plan stays invisible
 to batching, a latency fault is *absorbed* by the cohort (the
 masked-straggler pathology the tuning benchmark trades against), and an
 outage on any member fails the one batch RPC and demotes the cohort to
-scalar reads with full per-entity supervision accounting.
+scalar reads with full per-entity supervision accounting.  The wrapper
+claims the batch capability only where the wrapped driver has it.
 """
 
-from repro.faults.chaos import ChaosInjector, FaultPlan
+from repro.faults.chaos import ChaosBatchDriver, ChaosInjector, FaultPlan
 from repro.faults.policy import SupervisionPolicy
 from repro.runtime.app import Application
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.component import Context
 from repro.runtime.clock import SimulationClock
-from repro.runtime.plan import BatchConfig
+from repro.runtime.device import CallableDriver, batches
 from repro.sema.analyzer import analyze
 from repro.simulation.sensors import FleetSubstrate
 
@@ -46,7 +47,6 @@ def build_app(sensors=6, supervised=True):
     clock = SimulationClock()
     config = RuntimeConfig(
         clock=clock,
-        batch=BatchConfig(enabled=True, min_column=2),
         supervision=SupervisionPolicy(
             max_retries=0, failure_threshold=3, jitter=0.0
         )
@@ -73,27 +73,43 @@ class TestChaosBatchKey:
             "PresenceSensor", start=10_000_000.0, duration=60.0
         )
         ChaosInjector(app, plan).attach()
+        assert type(app.registry.get("s-0").driver) is ChaosBatchDriver
         app.advance(180.0)
         assert count.sizes == [6, 6, 6]
         assert app.metrics.value("sweep_batch_reads_total") == 3
         assert app.metrics.value("sweep_batch_demoted_total") == 0
 
     def test_unbatchable_inner_driver_stays_scalar(self):
-        from repro.runtime.device import CallableDriver
-
-        driver = CallableDriver(sources={"presence": lambda: True})
         app = Application(
             analyze(DESIGN),
             RuntimeConfig(clock=SimulationClock()),
         )
-        app.implement("Count", CountImpl())
-        instance = app.create_device("PresenceSensor", "s-0", driver)
+        count = app.implement("Count", CountImpl())
+        instances = [
+            app.create_device(
+                "PresenceSensor",
+                f"s-{index}",
+                CallableDriver(sources={"presence": lambda: True}),
+            )
+            for index in range(3)
+        ]
+        app.start()
         plan = FaultPlan(seed=1).outage(
             "PresenceSensor", start=10_000_000.0, duration=60.0
         )
         ChaosInjector(app, plan).attach()
-        # Delegation preserves the inner driver's opt-out.
-        assert instance.driver.batch_key("presence") is None
+        # The wrapper keeps the inner driver's opt-out...
+        for instance in instances:
+            assert not batches(instance.driver)
+            assert instance.driver.batch_key("presence") is None
+        # ...so the wrapped type keeps the reference cut: one task in
+        # registration order, no cohort plan, no demotion.
+        app.advance(120.0)
+        assert count.sizes == [3, 3]
+        stats = app.sweeper.stats()
+        assert (stats["sweeps"], stats["columnar_sweeps"]) == (2, 0)
+        assert stats["batch_demoted"] == 0
+        assert app.metrics.value("cohort_plan_compiles_total") == 0
 
 
 class TestLatencyIsAbsorbed:

@@ -1,11 +1,13 @@
 """Columnar batch reads: equivalence, demotion, metrics, cache interplay.
 
-The load-bearing invariant is that ``BatchConfig(enabled=True)`` changes
-*how fast* sweeps read, never *what* they deliver: for any fleet size,
-cohort threshold and sweep mode, the grouped payloads and window
-closures are identical to the scalar run — the hypothesis property here
-holds the whole gather pipeline to it.  A second family of tests pins
-the demotion contract: entities that cannot batch (failed, quarantined,
+A sweep reads columns when the swept drivers implement ``read_batch``.
+The load-bearing invariant is that this capability changes *how fast*
+sweeps read, never *what* they deliver: for any fleet size, cohort
+threshold and sweep mode, the grouped payloads and window closures are
+identical to those of the same drivers with the capability taken away
+(:class:`ScalarSubstrateDriver`) — the hypothesis property here holds
+the whole gather pipeline to it.  A second family of tests pins the
+demotion contract: entities that cannot batch (failed, quarantined,
 unsupported drivers, undersized cohorts) fall back to the scalar path
 with full supervision accounting, without poisoning the columns of
 their healthy neighbours.
@@ -21,6 +23,7 @@ from repro.api import (
     CacheConfig,
     CallableDriver,
     Context,
+    DeviceDriver,
     RuntimeConfig,
     SupervisionPolicy,
     SweepConfig,
@@ -83,12 +86,21 @@ class WindowedImpl(Context):
         return sum(len(v) for v in window_by_lot.values())
 
 
-def build_app(batch=None, sensors=6, seed=7, **config_kwargs):
+class ScalarSubstrateDriver(SubstrateDriver):
+    """The same driver without the capability: one read at a time."""
+
+    read_batch = DeviceDriver.read_batch
+
+
+def build_app(
+    batch=None, sensors=6, seed=7, driver=SubstrateDriver, **config_kwargs
+):
     """A grouped + windowed periodic app over one shared substrate.
 
     Sensors register round-robin across lots so shards interleave in
-    registration order, and every driver shares one
-    :class:`FleetSubstrate` — the batch-eligible shape.
+    registration order, and every ``driver`` shares one
+    :class:`FleetSubstrate` — the batch-eligible shape when the driver
+    class reads columns.
     """
     config = RuntimeConfig(
         batch=batch if batch is not None else BatchConfig(),
@@ -104,7 +116,7 @@ def build_app(batch=None, sensors=6, seed=7, **config_kwargs):
         app.create_device(
             "PresenceSensor",
             f"s-{index}",
-            substrate.driver("presence"),
+            driver(substrate, sources=("presence",)),
             parkingLot=LOTS[index % len(LOTS)],
         )
     app.start()
@@ -113,9 +125,25 @@ def build_app(batch=None, sensors=6, seed=7, **config_kwargs):
 
 class TestBatchConfig:
     def test_defaults_are_off(self):
+        """``enabled`` stays, off, only so configs passing it build."""
         config = BatchConfig()
         assert config.enabled is False
         assert config.min_column == 2
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_enabled_selects_nothing(self, enabled):
+        """The drivers decide which path a sweep takes, whatever the
+        flag says."""
+        for driver, columnar in (
+            (SubstrateDriver, True),
+            (ScalarSubstrateDriver, False),
+        ):
+            app, __, __, substrate = build_app(
+                batch=BatchConfig(enabled=enabled), driver=driver
+            )
+            app.advance(PERIOD)
+            assert (substrate.batch_reads > 0) is columnar
+            assert (substrate.scalar_reads > 0) is not columnar
 
     def test_min_column_validated(self):
         with pytest.raises(ValueError):
@@ -131,7 +159,7 @@ class TestBatchConfig:
 
 
 class TestBatchEquivalence:
-    """batch on == batch off, payload for payload."""
+    """A batching driver == its scalar twin, payload for payload."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -145,12 +173,12 @@ class TestBatchEquivalence:
     ):
         sweep = SweepConfig(mode=mode, workers=3)
         baseline, base_free, base_windowed, __ = build_app(
-            batch=BatchConfig(enabled=False),
+            driver=ScalarSubstrateDriver,
             sensors=sensors,
             sweep=sweep,
         )
         batched, batch_free, batch_windowed, __ = build_app(
-            batch=BatchConfig(enabled=True, min_column=min_column),
+            batch=BatchConfig(min_column=min_column),
             sensors=sensors,
             sweep=sweep,
         )
@@ -160,9 +188,7 @@ class TestBatchEquivalence:
         assert batch_windowed.windows == base_windowed.windows
 
     def test_batch_reads_actually_happen(self):
-        app, free, __, substrate = build_app(
-            batch=BatchConfig(enabled=True), sensors=9
-        )
+        app, free, __, substrate = build_app(sensors=9)
         app.advance(PERIOD)
         stats = app.sweeper.stats()
         assert stats["columnar_sweeps"] >= 1
@@ -173,8 +199,10 @@ class TestBatchEquivalence:
         assert free.deliveries
 
     def test_disabled_batch_never_touches_read_batch(self):
+        """A driver class without ``read_batch`` is never asked for a
+        column, and its type never takes the columnar path."""
         app, __, __, substrate = build_app(
-            batch=BatchConfig(enabled=False), sensors=6
+            driver=ScalarSubstrateDriver, sensors=6
         )
         app.advance(PERIOD)
         assert substrate.batch_reads == 0
@@ -187,23 +215,21 @@ class TestBatchEquivalence:
         the ratio grows with the fleet."""
         sensors, sweeps = 900, 2  # FreeCount + Windowed, each period
         round_trips = {}
-        for enabled in (False, True):
-            app, __, __, substrate = build_app(
-                batch=BatchConfig(enabled=enabled), sensors=sensors
-            )
+        for driver in (ScalarSubstrateDriver, SubstrateDriver):
+            app, __, __, substrate = build_app(driver=driver, sensors=sensors)
             app.advance(PERIOD)
-            round_trips[enabled] = (
+            round_trips[driver] = (
                 substrate.scalar_reads,
                 substrate.batch_reads,
             )
-        assert round_trips[False] == (sweeps * sensors, 0)
-        assert round_trips[True] == (0, sweeps * len(LOTS))
+        assert round_trips[ScalarSubstrateDriver] == (sweeps * sensors, 0)
+        assert round_trips[SubstrateDriver] == (0, sweeps * len(LOTS))
 
 
 class TestDemotion:
     def test_small_cohorts_demote_to_scalar(self):
         app, free, __, substrate = build_app(
-            batch=BatchConfig(enabled=True, min_column=10), sensors=6
+            batch=BatchConfig(min_column=10), sensors=6
         )
         app.advance(PERIOD)
         # Shards of 2 sensors never reach min_column=10: all scalar.
@@ -212,32 +238,50 @@ class TestDemotion:
         assert free.deliveries
 
     def test_driver_without_batch_support_demotes(self):
-        config = RuntimeConfig(batch=BatchConfig(enabled=True))
-        app = Application(analyze(DESIGN), config)
-        free = app.implement("FreeCount", FreeCountImpl())
-        app.implement("Windowed", WindowedImpl())
-        for index in range(4):
-            app.create_device(
-                "PresenceSensor",
-                f"s-{index}",
-                CallableDriver(sources={"presence": lambda: True}),
-                parkingLot=LOTS[index % len(LOTS)],
-            )
-        app.start()
-        app.advance(PERIOD)
-        stats = app.sweeper.stats()
-        assert stats["batch_reads"] == 0
-        assert stats["batch_demoted"] > 0
-        assert free.deliveries and free.deliveries[0] == {}
+        """Beside batching drivers, one without the capability demotes
+        out of the columnar sweep; a type with none of them never forms
+        a cohort, so nothing demotes."""
+        stats = {}
+        for mixed in (False, True):
+            app = Application(analyze(DESIGN), RuntimeConfig())
+            free = app.implement("FreeCount", FreeCountImpl())
+            app.implement("Windowed", WindowedImpl())
+            for index in range(4):
+                app.create_device(
+                    "PresenceSensor",
+                    f"s-{index}",
+                    CallableDriver(sources={"presence": lambda: True}),
+                    parkingLot=LOTS[index % len(LOTS)],
+                )
+            if mixed:
+                occupied = FleetSubstrate(
+                    app.clock, models={"presence": lambda draw: True}
+                )
+                for index in range(4, 6):
+                    app.create_device(
+                        "PresenceSensor",
+                        f"s-{index}",
+                        occupied.driver("presence"),
+                        parkingLot="A22",
+                    )
+            app.start()
+            app.advance(PERIOD)
+            stats[mixed] = app.sweeper.stats()
+            assert free.deliveries and free.deliveries[0] == {}
+        assert stats[False]["columnar_sweeps"] == 0
+        assert stats[False]["batch_reads"] == 0
+        assert stats[False]["batch_demoted"] == 0
+        # Two sweeps a period, each one batch read and four demotions.
+        assert stats[True]["columnar_sweeps"] == 2
+        assert stats[True]["batch_reads"] == 2
+        assert stats[True]["batch_demoted"] == 8
 
     def test_failed_device_demotes_without_poisoning_column(self):
         kwargs = dict(sensors=6, stale=None)
         baseline, base_free, __, __ = build_app(
-            batch=BatchConfig(enabled=False), **kwargs
+            driver=ScalarSubstrateDriver, **kwargs
         )
-        batched, batch_free, __, __ = build_app(
-            batch=BatchConfig(enabled=True), **kwargs
-        )
+        batched, batch_free, __, __ = build_app(**kwargs)
         for app in (baseline, batched):
             app.registry.get("s-0").fail()
         baseline.advance(PERIOD)
@@ -264,8 +308,7 @@ class TestDemotion:
                 batch_calls.append((self, list(entity_ids)))
                 return super().read_column(source, entity_ids)
 
-        config = RuntimeConfig(batch=BatchConfig(enabled=True))
-        app = Application(analyze(DESIGN), config)
+        app = Application(analyze(DESIGN), RuntimeConfig())
         free = app.implement("FreeCount", FreeCountImpl())
         app.implement("Windowed", WindowedImpl())
         gateways = [
@@ -316,11 +359,9 @@ class TestDemotion:
         )
         kwargs = dict(sensors=6, supervision=policy)
         baseline, base_free, __, __ = build_app(
-            batch=BatchConfig(enabled=False), **kwargs
+            driver=ScalarSubstrateDriver, **kwargs
         )
-        batched, batch_free, __, batch_substrate = build_app(
-            batch=BatchConfig(enabled=True), **kwargs
-        )
+        batched, batch_free, __, batch_substrate = build_app(**kwargs)
         for app in (baseline, batched):
             supervisor = app.registry.get("s-0").supervisor
             supervisor.record_failure()
@@ -339,7 +380,6 @@ class TestDemotion:
 class TestCacheInterplay:
     def test_fresh_cache_entries_skip_the_batch(self):
         app, free, __, substrate = build_app(
-            batch=BatchConfig(enabled=True),
             sensors=6,
             cache=CacheConfig(enabled=True, ttl_seconds=3600.0),
         )
@@ -356,7 +396,6 @@ class TestCacheInterplay:
 
     def test_batch_columns_populate_the_cache(self):
         app, __, __, substrate = build_app(
-            batch=BatchConfig(enabled=True),
             sensors=6,
             cache=CacheConfig(enabled=True, ttl_seconds=3600.0),
         )

@@ -20,7 +20,6 @@ import pytest
 
 from repro.api import (
     Application,
-    BatchConfig,
     CacheConfig,
     Context,
     DeviceDriver,
@@ -105,10 +104,7 @@ class ProbeBootstrap(ShardBootstrap):
     def build(self, ctx):
         app = Application(
             analyze(DESIGN),
-            RuntimeConfig(
-                batch=BatchConfig(enabled=True),
-                cache=CacheConfig(enabled=True, ttl_seconds=1.0),
-            ),
+            RuntimeConfig(cache=CacheConfig(enabled=True, ttl_seconds=1.0)),
         )
         app.implement("Levels", LevelsImpl())
         app.implement("Load", LoadImpl())

@@ -14,7 +14,6 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
 from repro.runtime.gather import Gatherer
 from repro.runtime.placement import NetworkConfig
-from repro.runtime.plan import BatchConfig
 from repro.runtime.registry import EntityRegistry
 from repro.runtime.sweep import SweepEngine
 from repro.sema.analyzer import analyze
@@ -81,7 +80,13 @@ class BankDriver(DeviceDriver):
         return column[:-1] if self.bank.short else column
 
 
-def build(config=RuntimeConfig()):
+class ScalarBankDriver(BankDriver):
+    """The same driver without the capability: one read at a time."""
+
+    read_batch = DeviceDriver.read_batch
+
+
+def build(config=RuntimeConfig(), driver=ScalarBankDriver):
     """A gatherer over a four-sensor fleet, wired by hand."""
     clock = SimulationClock()
     registry = EntityRegistry()
@@ -89,7 +94,7 @@ def build(config=RuntimeConfig()):
     bank = Bank()
     for entity_id in FLEET:
         instance = DeviceInstance(
-            DESIGN.devices["Sensor"], entity_id, BankDriver(bank), {}
+            DESIGN.devices["Sensor"], entity_id, driver(bank), {}
         )
         registry.register(instance)
         supervisor = supervision.supervise(instance)
@@ -163,7 +168,7 @@ def test_a_failed_read_follows_the_stale_policy(mode, entities, readings):
 
 
 def test_a_mis_shaped_batch_column_demotes_its_cohort_whole():
-    gatherer, bank = build(RuntimeConfig(batch=BatchConfig(enabled=True)))
+    gatherer, bank = build(driver=BankDriver)
     sweeper = gatherer.sweeper
     clean = gatherer.sweep(DECL, INTERACTION)
     assert clean[1] == [0.0, 1.0, 2.0, 3.0]
@@ -185,7 +190,7 @@ def test_a_swapped_driver_leaves_its_batch_cohort():
     """The cohort plan grouped every sensor behind the bank; a driver
     swapped in later is read, not the bank — also when the same sweep
     recompiles its plans for a membership change."""
-    gatherer, bank = build(RuntimeConfig(batch=BatchConfig(enabled=True)))
+    gatherer, bank = build(driver=BankDriver)
     registry = gatherer.sweeper.registry
     assert gatherer.sweep(DECL, INTERACTION)[1] == [0.0, 1.0, 2.0, 3.0]
     registry.get("s-3").swap_driver(
@@ -227,8 +232,9 @@ class Zoned:
     zone, in the order each zone was first bound — read from one bank,
     with read counters and, if asked, a read cache with a 30 s TTL."""
 
-    def __init__(self, columnar, cache=False):
-        config = RuntimeConfig(batch=BatchConfig(enabled=columnar))
+    def __init__(self, driver, cache=False):
+        config = RuntimeConfig()
+        self.driver = driver
         self.clock = SimulationClock()
         self.registry = EntityRegistry()
         self.metrics = MetricsRegistry()
@@ -249,7 +255,7 @@ class Zoned:
         instance = DeviceInstance(
             ZONED.devices[device],
             entity_id,
-            BankDriver(self.bank),
+            self.driver(self.bank),
             {"zone": zone},
         )
         self.registry.register(instance)
@@ -272,9 +278,9 @@ def readings(swept):
 
 
 def twins(cache=False):
-    """The same zoned fleet on the columnar and on the scalar path:
-    p-0 … p-5, alternately in zones Z0 and Z1."""
-    pair = Zoned(True, cache), Zoned(False, cache)
+    """The same zoned fleet read by a batching driver and by its scalar
+    twin: p-0 … p-5, alternately in zones Z0 and Z1."""
+    pair = Zoned(BankDriver, cache), Zoned(ScalarBankDriver, cache)
     for twin in pair:
         for index in range(6):
             twin.bind(f"p-{index}", ("Z0", "Z1")[index % 2])

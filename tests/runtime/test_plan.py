@@ -1,18 +1,19 @@
-"""Precompiled delivery plans: dispatch identity, invalidation, memos.
+"""Precompiled delivery plans: dispatch identity, invalidation.
 
-Plans must be an invisible optimization: with the batch path on, the
-exact same subscribers receive the exact same events (including the
-taxonomy rule — subtype publishes reaching supertype subscriptions) and
-the bus counters advance identically; a subscription or binding change
-must expire the affected plans via the epoch/version counters, never
-serve a stale dispatch table.
+Plans must be an invisible optimization: every publish goes through
+one, and the exact same subscribers receive the exact same events as
+a per-topic walk of ``source_topics`` would deliver (including the
+taxonomy rule — subtype publishes reaching supertype subscriptions),
+with the bus counters advancing identically; a subscription change
+must expire the affected plans via the bus epoch, never serve a stale
+dispatch table — and a binding change, which cannot change who
+receives a publish, must not expire them.
 """
 
 import pytest
 
 from repro.api import (
     Application,
-    BatchConfig,
     CallableDriver,
     Context,
     Controller,
@@ -20,8 +21,9 @@ from repro.api import (
     analyze,
 )
 from repro.errors import BindingError
+from repro.runtime.component import SourceEvent
 from repro.runtime.grouping import group_readings, group_readings_planned
-from repro.runtime.plan import DeliveryPlanner, missing
+from repro.runtime.plan import DeliveryPlanner, missing, source_topics
 from repro.runtime.proxies import ProxySet, make_proxy
 
 DESIGN = """\
@@ -65,11 +67,8 @@ class AlarmImpl(Controller):
         self.values.append(value)
 
 
-def build_app(batch=None, fancy=True):
-    config = RuntimeConfig(
-        batch=batch if batch is not None else BatchConfig()
-    )
-    app = Application(analyze(DESIGN), config)
+def build_app(fancy=True):
+    app = Application(analyze(DESIGN), RuntimeConfig())
     watcher = app.implement("Watcher", WatcherImpl())
     app.implement("Alarm", AlarmImpl())
     device_type = "FancyMotionSensor" if fancy else "MotionSensor"
@@ -83,25 +82,34 @@ def build_app(batch=None, fancy=True):
     return app, watcher, instance
 
 
+def walk_publish(app, instance, source, value):
+    """What a publish delivers without a plan: one bus publish per
+    topic of the ancestor walk."""
+    event = SourceEvent(
+        device=make_proxy(instance),
+        source=source,
+        value=value,
+        index=None,
+        timestamp=app.clock.now(),
+    )
+    for topic in source_topics(app.design, instance.info.name, source):
+        app.bus.publish(topic, event)
+
+
 class TestCompiledDispatch:
     def test_subtype_publish_reaches_supertype_subscription(self):
-        app, watcher, instance = build_app(
-            batch=BatchConfig(enabled=True), fancy=True
-        )
+        app, watcher, instance = build_app(fancy=True)
         instance.publish("presence", True)
         assert watcher.events == [("m-1", True)]
 
     def test_plans_on_equals_plans_off(self):
-        plain_app, plain_watcher, plain_instance = build_app(
-            batch=BatchConfig(enabled=False)
-        )
-        plan_app, plan_watcher, plan_instance = build_app(
-            batch=BatchConfig(enabled=True)
-        )
-        for instance in (plain_instance, plan_instance):
-            instance.publish("presence", True)
-            instance.publish("presence", False)
+        plain_app, plain_watcher, plain_instance = build_app()
+        plan_app, plan_watcher, plan_instance = build_app()
+        for value in (True, False):
+            walk_publish(plain_app, plain_instance, "presence", value)
+            plan_instance.publish("presence", value)
         assert plan_watcher.events == plain_watcher.events
+        assert plain_app.planner.stats()["compiles"] == 0
         # Bus accounting stays truthful through the compiled path: the
         # same number of per-topic publishes and deliveries.
         assert (
@@ -114,7 +122,7 @@ class TestCompiledDispatch:
         )
 
     def test_compile_once_then_hits(self):
-        app, __, instance = build_app(batch=BatchConfig(enabled=True))
+        app, __, instance = build_app()
         for __unused in range(200):
             instance.publish("presence", True)
         stats = app.planner.stats()
@@ -123,7 +131,7 @@ class TestCompiledDispatch:
         assert stats["invalidations"] == 0
 
     def test_subscription_change_invalidates(self):
-        app, watcher, instance = build_app(batch=BatchConfig(enabled=True))
+        app, watcher, instance = build_app()
         instance.publish("presence", True)
         seen = []
         app.bus.subscribe(
@@ -137,10 +145,10 @@ class TestCompiledDispatch:
         assert len(watcher.events) == 2
         assert app.planner.stats()["invalidations"] >= 1
 
-    def test_binding_change_invalidates(self):
-        app, watcher, instance = build_app(batch=BatchConfig(enabled=True))
+    def test_binding_change_keeps_the_plan(self):
+        app, watcher, instance = build_app()
         instance.publish("presence", True)
-        before = app.planner.stats()["invalidations"]
+        plan = app.planner.source_plan("FancyMotionSensor", "presence")
         other = app.create_device(
             "MotionSensor",
             "m-2",
@@ -149,53 +157,54 @@ class TestCompiledDispatch:
         )
         other.publish("presence", False)
         assert watcher.events[-1] == ("m-2", False)
-        # The original plan (compiled before the bind) expires on the
-        # registry version bump the next time its key publishes.
+        # The plan compiled before the bind is still the one a publish
+        # of its key replays, and it delivers as before.
+        hits = app.planner.stats()["hits"]
         instance.publish("presence", True)
-        assert app.planner.stats()["invalidations"] >= before + 1
-        assert watcher.events[-1] == ("m-1", True)
+        assert app.planner.stats()["hits"] == hits + 1
+        assert app.planner.stats()["invalidations"] == 0
+        assert app.planner.source_plan("FancyMotionSensor", "presence") is plan
+        assert watcher.events == [
+            ("m-1", True),
+            ("m-2", False),
+            ("m-1", True),
+        ]
 
     def test_unsubscribed_callback_stops_firing(self):
-        app, watcher, instance = build_app(batch=BatchConfig(enabled=True))
+        app, watcher, instance = build_app()
         instance.publish("presence", True)
         app.stop()
         instance.publish("presence", False)
         assert watcher.events == [("m-1", True)]
 
-    def test_disabled_plans_leave_planner_unset(self):
-        app, __, __unused = build_app(batch=BatchConfig(enabled=False))
-        assert app.planner is None
+    def test_every_application_has_a_planner(self):
+        app, __, __unused = build_app()
+        assert isinstance(app.planner, DeliveryPlanner)
+        assert app.stats["plan"] == app.planner.stats()
 
 
 class TestTopicMemo:
-    def test_memo_primed_at_bind(self):
-        app, __, __unused = build_app(batch=BatchConfig(enabled=False))
-        assert ("FancyMotionSensor", "presence") in app._topic_memo
-        topics = app._topic_memo[("FancyMotionSensor", "presence")]
-        assert topics == (
-            ("source", "FancyMotionSensor", "presence"),
-            ("source", "MotionSensor", "presence"),
-        )
-
     def test_subtype_only_source_does_not_walk_to_ancestor(self):
-        app, __, __unused = build_app(batch=BatchConfig(enabled=False))
-        topics = app._topics_for(
-            app.design.devices["FancyMotionSensor"], "battery"
-        )
-        assert topics == (("source", "FancyMotionSensor", "battery"),)
+        app, __, __unused = build_app()
+        plan = app.planner.source_plan("FancyMotionSensor", "battery")
+        assert plan.topics == (("source", "FancyMotionSensor", "battery"),)
 
 
 class TestMembership:
+    """``group_readings_planned`` over a hand-built membership table."""
+
     def test_membership_matches_group_readings(self):
-        app, __, __unused = build_app(batch=BatchConfig(enabled=True))
+        app, __, __unused = build_app()
         app.create_device(
             "MotionSensor",
             "m-2",
             CallableDriver(sources={"presence": lambda: False}),
             zone="yard",
         )
-        planner = app.planner
-        membership = planner.membership("MotionSensor", "zone")
+        membership = {
+            instance.entity_id: instance.attributes["zone"]
+            for instance in app.registry.instances_of("MotionSensor")
+        }
         readings = [
             (instance, idx)
             for idx, instance in enumerate(app.registry)
@@ -205,34 +214,17 @@ class TestMembership:
             readings, membership, "zone"
         ) == group_readings(readings, "zone")
 
-    def test_membership_recompiles_on_bind(self):
-        app, __, __unused = build_app(batch=BatchConfig(enabled=True))
-        planner = app.planner
-        first = planner.membership("MotionSensor", "zone")
-        assert set(first) == {"m-1"}
-        assert planner.membership("MotionSensor", "zone") is first
-        app.create_device(
-            "MotionSensor",
-            "m-2",
-            CallableDriver(sources={"presence": lambda: False}),
-            zone="yard",
-        )
-        second = planner.membership("MotionSensor", "zone")
-        assert set(second) == {"m-1", "m-2"}
-
     def test_missing_attribute_raises_binding_error(self):
-        app, __, instance = build_app(batch=BatchConfig(enabled=True))
-        membership = app.planner.membership("MotionSensor", "nonsense")
-        assert membership["m-1"] is missing()
+        app, __, instance = build_app()
         with pytest.raises(BindingError):
             group_readings_planned(
-                [(instance, 1.0)], membership, "nonsense"
+                [(instance, 1.0)], {"m-1": missing()}, "nonsense"
             )
 
     def test_clear_counts_invalidations(self):
-        app, __, instance = build_app(batch=BatchConfig(enabled=True))
+        app, __, instance = build_app()
         instance.publish("presence", True)
-        app.planner.membership("MotionSensor", "zone")
+        app.planner.source_plan("FancyMotionSensor", "battery")
         entries = app.planner.entry_count()
         assert entries >= 2
         app.planner.clear()
@@ -258,7 +250,7 @@ class TestProxyCache:
         assert getattr(instance, "_cached_proxy", None) is None
 
     def test_delivered_events_reuse_one_proxy(self):
-        app, watcher, instance = build_app(batch=BatchConfig(enabled=True))
+        app, watcher, instance = build_app()
         proxy = make_proxy(instance)
         instance.publish("presence", True)
         assert watcher.events and make_proxy(instance) is proxy
@@ -266,7 +258,7 @@ class TestProxyCache:
 
 class TestPlannerStandalone:
     def test_repr_and_stats_shape(self):
-        app, __, instance = build_app(batch=BatchConfig(enabled=True))
+        app, __, instance = build_app()
         instance.publish("presence", True)
         planner = app.planner
         assert "DeliveryPlanner" in repr(planner)
@@ -274,8 +266,8 @@ class TestPlannerStandalone:
         assert {"compiles", "hits", "invalidations", "plans"} <= set(stats)
 
     def test_planner_without_metrics(self):
-        app, __, __unused = build_app(batch=BatchConfig(enabled=False))
-        planner = DeliveryPlanner(app.design, app.bus, app.registry)
+        app, __, __unused = build_app()
+        planner = DeliveryPlanner(app.design, app.bus)
         plan = planner.source_plan("FancyMotionSensor", "presence")
         assert plan.topics == (
             ("source", "FancyMotionSensor", "presence"),

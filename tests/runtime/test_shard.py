@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.api import (
     Application,
-    BatchConfig,
     CacheConfig,
     Context,
     RuntimeConfig,
@@ -34,6 +33,7 @@ from repro.api import (
     analyze,
 )
 from repro.errors import BindingError, DeliveryError
+from repro.runtime.device import DeviceDriver
 from repro.mapreduce.partition import shard_index
 from repro.simulation.sensors import FleetSubstrate, SubstrateDriver
 
@@ -122,6 +122,12 @@ class TaggingDriver(SubstrateDriver):
         return f"{self.instance.entity_id}:{label}"
 
 
+class ScalarTaggingDriver(TaggingDriver):
+    """The same driver without the capability: one read at a time."""
+
+    read_batch = DeviceDriver.read_batch
+
+
 # Per-process substrate, keyed by the application it serves, so
 # ``bind_entity`` can build drivers inside an already-built worker.
 _SUBSTRATES = weakref.WeakKeyDictionary()
@@ -135,12 +141,19 @@ class PresenceBootstrap(ShardBootstrap):
     parameter grid simple.
     """
 
-    def __init__(self, sensors=9, seed=7, shard=None, batch=None, cache=None):
+    def __init__(
+        self,
+        sensors=9,
+        seed=7,
+        shard=None,
+        cache=None,
+        driver=ScalarTaggingDriver,
+    ):
         self.sensors = sensors
         self.seed = seed
         self.shard = shard
-        self.batch = batch
         self.cache = cache
+        self.driver = driver
 
     def fleet(self):
         return [f"s-{index:03d}" for index in range(self.sensors)]
@@ -148,7 +161,6 @@ class PresenceBootstrap(ShardBootstrap):
     def build(self, ctx):
         config = RuntimeConfig(
             shard=self.shard if self.shard is not None else ShardConfig(),
-            batch=self.batch if self.batch is not None else BatchConfig(),
             cache=self.cache if self.cache is not None else CacheConfig(),
         )
         app = Application(analyze(DESIGN), config)
@@ -165,7 +177,7 @@ class PresenceBootstrap(ShardBootstrap):
                 app.create_device(
                     "ShardPresence",
                     entity_id,
-                    TaggingDriver(substrate, sources=("presence",)),
+                    self.driver(substrate, sources=("presence",)),
                     parkingLot=LOTS[position % len(LOTS)],
                 )
         _SUBSTRATES[app] = substrate
@@ -176,7 +188,7 @@ class PresenceBootstrap(ShardBootstrap):
         app.create_device(
             "ShardPresence",
             entity_id,
-            TaggingDriver(substrate, sources=("presence",)),
+            self.driver(substrate, sources=("presence",)),
             parkingLot=LOTS[position % len(LOTS)],
         )
 
@@ -274,8 +286,8 @@ class TestEquivalence:
                 sensors=sensors,
                 seed=seed,
                 shard=shard,
-                batch=BatchConfig(enabled=batch, min_column=2),
                 cache=CacheConfig(enabled=cache),
+                driver=TaggingDriver if batch else ScalarTaggingDriver,
             )
 
         publishes = [(f"s-{sensors // 2:03d}", True)]
@@ -902,7 +914,6 @@ class TestShardScalingShape:
             runtime = ShardedRuntime(
                 SimulatedFleetBootstrap(
                     count=400,
-                    batch=True,
                     shard=ShardConfig(enabled=workers > 1, workers=workers),
                 )
             )
@@ -946,9 +957,7 @@ class TestPollAllocation:
         from repro.runtime.shard.worker import _ShardWorker
 
         worker = _ShardWorker(
-            PresenceBootstrap(
-                sensors=sensors, batch=BatchConfig(enabled=True)
-            ),
+            PresenceBootstrap(sensors=sensors, driver=TaggingDriver),
             ShardContext(shards=1, index=0),
         )
         first = worker._cmd_poll("Windowed", 0)

@@ -236,13 +236,21 @@ class TestDeterministicMerge:
         assert {key for key, __, __ in shards} == set(LOTS)
 
 
+class ColumnDriver(CallableDriver):
+    """A :class:`CallableDriver` with the batch capability (its class
+    overrides ``read_batch``), which is what makes a sweep columnar."""
+
+    def read_batch(self, entity_ids, source):
+        return NotImplemented
+
+
 class TestOneSweepLoop:
     """Serial/threaded x scalar/columnar are one loop over differently
     cut task lists; what each cut promises is pinned here."""
 
     SENSORS = 7  # round-robin over three lots: shards of 3, 2 and 2
 
-    def build(self, mode, batch_size=2):
+    def build(self, mode, batch_size=2, driver=CallableDriver):
         app = Application(
             analyze(DESIGN),
             RuntimeConfig(
@@ -255,7 +263,7 @@ class TestOneSweepLoop:
             app.create_device(
                 "PresenceSensor",
                 entity_id,
-                CallableDriver(
+                driver(
                     sources={
                         "presence": lambda e=entity_id: (
                             driver_reads.append(e) or True
@@ -269,7 +277,9 @@ class TestOneSweepLoop:
     @pytest.mark.parametrize("mode", ["serial", "threaded"])
     @pytest.mark.parametrize("columnar", [False, True])
     def test_results_come_back_in_registry_order(self, mode, columnar):
-        app, driver_reads = self.build(mode)
+        app, driver_reads = self.build(
+            mode, driver=ColumnDriver if columnar else CallableDriver
+        )
         columns = []
         lock = threading.Lock()
 
@@ -283,8 +293,8 @@ class TestOneSweepLoop:
 
         instances, results = app.sweeper.sweep(
             "PresenceSensor",
-            read_column if columnar else column_of(read_one),
-            columnar=columnar,
+            column_of(read_one),
+            read_column,
         )
         expected = [f"s-{i}" for i in range(self.SENSORS)]
         # Two columns, aligned, both in registry order.
@@ -320,13 +330,14 @@ class TestOneSweepLoop:
         same list comes back while the registry partition holds, and a
         bind, an unbind and a flipped ``failed`` flag each recompile
         it."""
-        app, __ = self.build(mode)
+        app, __ = self.build(
+            mode, driver=ColumnDriver if columnar else CallableDriver
+        )
 
         def ids():
             instances, results = app.sweeper.sweep(
                 "PresenceSensor",
                 lambda column: [i.entity_id for i in column],
-                columnar=columnar,
             )
             assert results == [i.entity_id for i in instances]
             return instances
@@ -361,6 +372,29 @@ class TestOneSweepLoop:
         assert len(recovered) == self.SENSORS
         assert ids() is recovered
         app.sweeper.close()
+
+    def test_the_drivers_decide_the_cut(self):
+        """One batch-capable member makes the type's sweep columnar —
+        one task per shard — and a driver swap re-decides it."""
+        app, __ = self.build("serial")
+        columns = []
+
+        def read_column(instances):
+            columns.append([i.entity_id for i in instances])
+            return [True] * len(instances)
+
+        def sweep():
+            del columns[:]
+            app.sweeper.sweep("PresenceSensor", read_column)
+            return len(columns), app.sweeper.stats()["columnar_sweeps"]
+
+        assert sweep() == (1, 0)  # the reference cut
+        scalar = app.registry.get("s-4").swap_driver(
+            ColumnDriver(sources={"presence": lambda: True})
+        )
+        assert sweep() == (3, 1)
+        app.registry.get("s-4").swap_driver(scalar)
+        assert sweep() == (1, 1)
 
     def test_serial_scalar_reads_in_registration_order(self):
         """Shards interleave in registration order; the reference loop

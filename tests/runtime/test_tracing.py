@@ -1,9 +1,13 @@
 """The execution tracer."""
 
+import functools
+
 import pytest
 
-from repro.api import BatchConfig, RuntimeConfig
 from repro.apps.cooker import build_cooker_app
+from repro.runtime.component import SourceEvent
+from repro.runtime.plan import source_topics
+from repro.runtime.proxies import make_proxy
 from repro.runtime.tracing import TraceEntry, Tracer
 
 
@@ -59,17 +63,32 @@ class TestRecording:
         assert run(False) == run(True)
 
     def test_trace_is_the_same_with_delivery_plans_compiled(self):
-        """Batch mode delivers through compiled plans, not topic
-        publishes; the timeline is the same entry for entry."""
+        """Device publishes go out through compiled plans; the timeline
+        is the one the same publishes record as per-topic publishes of
+        the ancestor walk, entry for entry."""
 
-        def run(batch):
-            app = build_cooker_app(
-                threshold_seconds=3,
-                config=RuntimeConfig(batch=BatchConfig(enabled=batch)),
+        def walk(application, instance, source, value, index):
+            event = SourceEvent(
+                device=make_proxy(instance),
+                source=source,
+                value=value,
+                index=index,
+                timestamp=application.clock.now(),
             )
-            tracer = Tracer(app.application).attach()
+            design, device_type = application.design, instance.info.name
+            for topic in source_topics(design, device_type, source):
+                application.bus.publish(topic, event)
+
+        def run(plans):
+            app = build_cooker_app(threshold_seconds=3)
+            application = app.application
+            tracer = Tracer(application).attach()
+            if not plans:
+                for instance in application.registry:
+                    instance.attach(functools.partial(walk, application))
             app.environment.set_cooker(True)
             app.advance(5)
+            assert (application.planner.stats()["compiles"] > 0) is plans
             return tracer.entries
 
         plain = run(False)

@@ -184,12 +184,12 @@ class TestKnobRegistry:
         assert config.sweep.workers == SweepConfig().workers
 
     def test_catalog_follows_enabled_subsystems(self):
+        always = ("sweep.workers", "sweep.batch_size", "batch.min_column")
         base = KnobRegistry.for_config(RuntimeConfig())
-        assert base.names() == ("sweep.workers", "sweep.batch_size")
+        assert base.names() == always
 
         full = KnobRegistry.for_config(
             RuntimeConfig(
-                batch=BatchConfig(enabled=True),
                 cache=CacheConfig(enabled=True),
                 supervision=SupervisionPolicy(),
             )
@@ -208,7 +208,7 @@ class TestKnobRegistry:
         )
         assert overrides_only.supervised()
         catalog = KnobRegistry.for_config(overrides_only)
-        assert catalog.names() == ("sweep.workers", "sweep.batch_size")
+        assert catalog.names() == always
         catalog.describe(overrides_only)  # every row reads its value
 
     def test_describe_carries_ranges_and_values(self):
@@ -476,17 +476,13 @@ class TestApplyConfig:
             )
 
     def test_batch_only_tunes_min_column_live(self):
-        app = make_app(batch=BatchConfig(enabled=True, min_column=4))
+        app = make_app(batch=BatchConfig(min_column=4))
         app.apply_config(
             app.config.replace(
                 batch=app.config.batch.replace(min_column=64)
             )
         )
         assert app.config.batch.min_column == 64
-        with pytest.raises(TuningError, match="min_column"):
-            app.apply_config(
-                app.config.replace(batch=BatchConfig(enabled=False))
-            )
 
     def test_supervision_cannot_toggle_but_retunes(self):
         app = make_app(
