@@ -159,9 +159,6 @@ class Application:
         # Every device publish goes out through a precompiled dispatch
         # table (repro.runtime.plan).
         self.planner = DeliveryPlanner(design, self.bus, metrics=self.metrics)
-        self._memoize_contexts = (
-            self.read_cache is not None and config.cache.memoize_contexts
-        )
         self._context_cache_hits: Dict[str, int] = {}
         # query_context memo: name -> (checked value, stamp, generation)
         self._query_memo: Dict[str, Any] = {}
@@ -393,9 +390,8 @@ class Application:
         running gather can never observe a torn config: every sweep
         executes wholly under the config that was live when it began.
 
-        Live sections: ``sweep`` (mode/workers/batch size/shard
-        attribute), ``cache`` (TTLs, coalescing, invalidation scope —
-        but not ``enabled``), ``batch`` (``min_column``),
+        Live sections: ``sweep`` (mode/workers/batch size), ``cache``
+        (``ttl_seconds`` — but not ``enabled``), ``batch`` (``min_column``),
         ``supervision`` policies and overrides (retuned across every
         live breaker), ``stale`` and ``error_policy``.  Changing any
         structural field raises :class:`~repro.errors.TuningError`.
@@ -423,9 +419,6 @@ class Application:
         self.gatherer.reconfigure(config)
         if self.read_cache is not None:
             self.read_cache.reconfigure(config.cache)
-        self._memoize_contexts = (
-            self.read_cache is not None and config.cache.memoize_contexts
-        )
         self.supervision.reconfigure(
             config.supervision, config.supervision_overrides
         )
@@ -487,10 +480,10 @@ class Application:
     def query_context(self, context_name: str) -> Any:
         """Query-driven pull of a ``when required`` context (checked).
 
-        With the read cache enabled and ``memoize_contexts`` on, the
-        checked result is reused within the cache's ``context_ttl`` —
-        and implicitly expired by any cache invalidation (actuations,
-        publishes), via the cache's ``generation`` counter.
+        With the read cache enabled, the checked result is reused
+        within the cache's ``ttl_seconds`` — and implicitly expired by
+        any cache invalidation (actuations, publishes), via the cache's
+        ``generation`` counter.
         """
         info = self.design.contexts.get(context_name)
         if info is None:
@@ -500,21 +493,21 @@ class Application:
                 f"context '{context_name}' does not declare 'when required'",
                 context=context_name,
             )
-        if self._memoize_contexts:
+        if self.read_cache is not None:
             memo = self._query_memo.get(context_name)
             if memo is not None:
                 value, stamp, generation = memo
                 if (
                     generation == self.read_cache.generation
                     and self.clock.now() - stamp
-                    <= self.config.cache.context_ttl
+                    <= self.config.cache.ttl_seconds
                 ):
                     self._count_context_cache_hit(context_name)
                     return value
         implementation = self.implementation(context_name)
         value = implementation.when_required(self.discover)
         checked = check_value(info.result_type, value)
-        if self._memoize_contexts:
+        if self.read_cache is not None:
             self._query_memo[context_name] = (
                 checked,
                 self.clock.now(),
@@ -741,9 +734,8 @@ class Application:
 
     def _deliver_source_event(self, instance, source, value, index) -> None:
         if self.read_cache is not None:
-            # The push supersedes cached reads of this source (and,
-            # with a shard attribute configured, of its whole shard).
-            self.read_cache.on_publish(instance, source)
+            # The push supersedes the publisher's cached read.
+            self.read_cache.invalidate(instance.entity_id, source)
         event = SourceEvent(
             device=make_proxy(instance),
             source=source,
@@ -831,7 +823,7 @@ class Application:
             payload = accumulator.add(payload)
             if payload is None:
                 return
-        if self._memoize_contexts:
+        if self.read_cache is not None:
             # Context memoization: when the merged payload is
             # content-identical to the previous delivery, recompute and
             # republish would be byte-identical too — skip both and

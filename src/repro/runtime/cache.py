@@ -25,11 +25,10 @@ replays stay deterministic.  Three mechanisms keep cached values honest:
 * **Invalidation hooks** — an actuation on a device drops every cached
   source of that device (the physical state its sources report may
   have changed); an event-driven publish drops the publisher's entry
-  for that source and, when ``shard_attribute`` is configured, every
-  cached entry of the same source in the publisher's attribute shard.
-  Every invalidation bumps a monotonically increasing ``generation``
-  that the application's context memoization checks, so actuations
-  implicitly expire memoized context results too.
+  for that source (the push supersedes it).  Every invalidation bumps
+  a monotonically increasing ``generation`` that the application's
+  context memoization checks, so actuations implicitly expire memoized
+  context results too.
 
 The cache is **off by default**: ``CacheConfig(enabled=False)`` leaves
 ``Application.read_cache`` as ``None`` and the device read path
@@ -47,8 +46,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import attrgetter, ge, methodcaller, ne, not_, sub
-from typing import Any, Dict, List, Optional, Set, Tuple
+from operator import attrgetter, ge, not_, sub
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.configbase import ConfigBase
 from repro.telemetry.instrument import Instrumented, MetricSpec
@@ -76,7 +75,6 @@ CACHE_AGE_BUCKETS = (
 # reaches it.
 _NEVER = float("-inf")
 _MISS = object()
-_attributes_of = attrgetter("attributes")
 _values_of = attrgetter("values")
 
 
@@ -89,49 +87,21 @@ class CacheConfig(ConfigBase):
     * ``ttl_seconds`` — freshness window for device reads, in
       application-clock seconds.  ``0`` caches only within a single
       simulated instant (still enough to collapse a burst of queries
-      issued at one timestamp).
-    * ``coalesce`` — single-flight concurrent misses on the same key
-      through one underlying driver read.
-    * ``invalidate_on_publish`` — an event-driven publish drops the
-      publisher's cached entry for that source (the push supersedes
-      it).
-    * ``shard_attribute`` — attribute name defining invalidation
-      shards; a publish then also drops same-source entries of every
-      cached device whose attribute value matches the publisher's
-      (e.g. one presence push invalidates the whole ``parkingLot``).
-      ``None`` (default) keeps invalidation per-entity.
-    * ``memoize_contexts`` — layer the context memoization pass on
-      top: ``query_context`` results are reused within
-      ``context_ttl_seconds`` (until any invalidation), and periodic
-      gathers whose merged payload hash is unchanged skip the
-      recompute-and-republish entirely.
-    * ``context_ttl_seconds`` — freshness window for memoized context
-      queries; ``None`` (default) reuses ``ttl_seconds``.
+      issued at one timestamp).  Memoized context results share the
+      window: ``query_context`` results are reused within it (until
+      any invalidation), and periodic gathers whose merged payload
+      hash is unchanged skip the recompute-and-republish entirely.
+
+    Concurrent misses on one key always share one driver read, and a
+    publish always drops the publisher's entry for that source.
     """
 
     enabled: bool = False
     ttl_seconds: float = 1.0
-    coalesce: bool = True
-    invalidate_on_publish: bool = True
-    shard_attribute: Optional[str] = None
-    memoize_contexts: bool = True
-    context_ttl_seconds: Optional[float] = None
 
     def __post_init__(self):
         if self.ttl_seconds < 0:
             raise ValueError("ttl_seconds must be >= 0")
-        if (
-            self.context_ttl_seconds is not None
-            and self.context_ttl_seconds < 0
-        ):
-            raise ValueError("context_ttl_seconds must be >= 0 or None")
-
-    @property
-    def context_ttl(self) -> float:
-        """Effective freshness window for memoized context results."""
-        if self.context_ttl_seconds is not None:
-            return self.context_ttl_seconds
-        return self.ttl_seconds
 
 
 class _Flight:
@@ -146,16 +116,14 @@ class _Flight:
 
 
 class _Table:
-    """One source's entries, keyed by entity id: value, stamp and — only
-    under a ``shard_attribute`` — the shard (if any) stored under.
+    """One source's entries, keyed by entity id: value and stamp.
     Expired entries stay until overwritten or invalidated."""
 
-    __slots__ = ("values", "stamps", "shards")
+    __slots__ = ("values", "stamps")
 
     def __init__(self):
         self.values: Dict[str, Any] = {}
         self.stamps: Dict[str, float] = {}
-        self.shards: Dict[str, Any] = {}
 
 
 class ReadCache(Instrumented):
@@ -220,8 +188,6 @@ class ReadCache(Instrumented):
         self._lock = threading.Lock()
         # source -> its entries; an invalidation walks these few tables.
         self._tables: Dict[str, _Table] = {}
-        # (source, shard) -> entity ids cached under that shard.
-        self._by_shard: Dict[Tuple[str, Any], Set[str]] = {}
         self._flights: Dict[Tuple[str, str], _Flight] = {}
         self._generation = 0
         self._hits = 0
@@ -254,12 +220,11 @@ class ReadCache(Instrumented):
     def reconfigure(self, config: CacheConfig) -> None:
         """Swap the cache section live.
 
-        TTLs, coalescing and invalidation scope are read per call, so
-        swapping the record is the whole job — existing entries keep
-        their stamps and are re-judged against the new TTL on their
-        next hit.  The cache cannot be disabled live (its existence is
-        structural wiring); ``Application.apply_config`` enforces that
-        before calling here.
+        The TTL is read per call, so swapping the record is the whole
+        job — existing entries keep their stamps and are re-judged
+        against the new TTL on their next hit.  The cache cannot be
+        disabled live (its existence is structural wiring);
+        ``Application.apply_config`` enforces that before calling here.
         """
         if not config.enabled:
             raise ValueError(
@@ -272,7 +237,6 @@ class ReadCache(Instrumented):
             "entries": self.entry_count(),
             "generation": self._generation,
             "ttl_seconds": self.config.ttl_seconds,
-            "coalesce": self.config.coalesce,
         }
 
     @property
@@ -299,8 +263,6 @@ class ReadCache(Instrumented):
         neither probes nor heals a degraded entity.
         """
         key = (instance.entity_id, source)
-        flight: Optional[_Flight] = None
-        wait_for: Optional[_Flight] = None
         with self._lock:
             fresh = self._fresh(*key)
             if fresh is not None:
@@ -309,16 +271,12 @@ class ReadCache(Instrumented):
                     self._m_age.observe(fresh[1])
                 return fresh[0]
             since = self._generation
-            if self.config.coalesce:
-                wait_for = self._flights.get(key)
-                if wait_for is None:
-                    flight = _Flight()
-                    self._flights[key] = flight
-                    self._misses += 1
-                else:
-                    self._coalesced += 1
-            else:
+            wait_for = self._flights.get(key)
+            if wait_for is None:
+                flight = self._flights[key] = _Flight()
                 self._misses += 1
+            else:
+                self._coalesced += 1
         if wait_for is not None:
             wait_for.event.wait()
             if wait_for.error is not None:
@@ -329,18 +287,16 @@ class ReadCache(Instrumented):
         except BaseException as exc:
             # Failed reads cache nothing; followers see the same error
             # (one physical failure, one breaker tick, N callers told).
-            if flight is not None:
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.error = exc
-                flight.event.set()
-            raise
-        self._store_column((instance,), (key[0],), source, (value,), since)
-        if flight is not None:
-            flight.value = value
             with self._lock:
                 self._flights.pop(key, None)
+            flight.error = exc
             flight.event.set()
+            raise
+        self._store_column((key[0],), source, (value,), since)
+        flight.value = value
+        with self._lock:
+            self._flights.pop(key, None)
+        flight.event.set()
         return value
 
     def peek(self, entity_id: str, source: str):
@@ -391,11 +347,11 @@ class ReadCache(Instrumented):
         return None if value is _MISS else (value,)
 
     def store_column(
-        self, instances, entity_ids, source: str, values, since=None
+        self, entity_ids, source: str, values, since=None
     ) -> None:
         """Populate the cache from a read that bypassed
         :meth:`get_or_read` — a driver-level batch column, given as the
-        aligned ``instances``, ``entity_ids`` and ``values`` columns.
+        aligned ``entity_ids`` and ``values`` columns.
         ``since`` is the :attr:`generation` read before the read began
         (``None``: just now); if an invalidation came in between, the
         column is not stored.
@@ -406,15 +362,9 @@ class ReadCache(Instrumented):
         """
         with self._lock:
             self._misses += len(values)
-        self._store_column(instances, entity_ids, source, values, since)
+        self._store_column(entity_ids, source, values, since)
 
-    def _store_column(self, instances, entity_ids, source, values, since):
-        attr = self.config.shard_attribute
-        shards = None
-        if attr is not None:
-            shards = list(
-                map(methodcaller("get", attr), map(_attributes_of, instances))
-            )
+    def _store_column(self, entity_ids, source, values, since):
         with self._lock:
             if since is not None and since != self._generation:
                 return
@@ -423,24 +373,6 @@ class ReadCache(Instrumented):
                 table = self._tables[source] = _Table()
             table.values.update(zip(entity_ids, values))
             table.stamps.update(zip(entity_ids, repeat(self.clock.now())))
-            if shards is None:
-                if not table.shards:
-                    return
-                shards = [None] * len(entity_ids)  # the attribute went
-            # The shard index moves only for rows whose shard changed.
-            was = list(map(table.shards.get, entity_ids))
-            for entity_id, old, shard in compress(
-                zip(entity_ids, was, shards), map(ne, was, shards)
-            ):
-                if old is not None:
-                    self._unshard(source, old, entity_id)
-                if shard is None:
-                    del table.shards[entity_id]
-                else:
-                    table.shards[entity_id] = shard
-                    self._by_shard.setdefault((source, shard), set()).add(
-                        entity_id
-                    )
 
     # -- invalidation --------------------------------------------------------
 
@@ -448,81 +380,28 @@ class ReadCache(Instrumented):
         """Drop the entity's cached sources (or just ``source``).
 
         Called by :meth:`DeviceInstance.act` after any actuation that
-        reached the driver, and on unbind.  Bumps the generation even
-        when nothing was cached: the actuation changed the world, so
-        derived memoizations must expire regardless.
+        reached the driver, on unbind, and with ``source`` after an
+        event-driven publish (the push supersedes the cached read).
+        Bumps the generation even when nothing was cached: the world
+        changed, so derived memoizations must expire regardless.
         """
         with self._lock:
             self._generation += 1
             doomed = [
-                (name, table)
+                table
                 for name, table in self._tables.items()
                 if source in (None, name) and entity_id in table.stamps
             ]
-            for name, table in doomed:
-                self._drop(name, table, entity_id)
+            for table in doomed:
+                del table.values[entity_id], table.stamps[entity_id]
             self._invalidations += len(doomed)
             return len(doomed)
-
-    def invalidate_shard(self, source: str, shard: Any) -> int:
-        """Drop every cached entry of ``source`` in one attribute shard."""
-        with self._lock:
-            self._generation += 1
-            doomed = self._by_shard.get((source, shard))
-            if not doomed:
-                return 0
-            table = self._tables[source]
-            removed = len(doomed)
-            for entity_id in list(doomed):
-                self._drop(source, table, entity_id)
-            self._invalidations += removed
-            return removed
-
-    def on_publish(self, instance, source: str) -> int:
-        """Invalidate after an event-driven publish from ``instance``.
-
-        The push supersedes whatever was cached for the publisher; with
-        a ``shard_attribute`` configured the publish also invalidates
-        the publisher's whole attribute shard (one sensor announcing a
-        change is evidence the shard's state moved).
-        """
-        if not self.config.invalidate_on_publish:
-            return 0
-        removed = self.invalidate(instance.entity_id, source)
-        attr = self.config.shard_attribute
-        if attr is not None:
-            shard = instance.attributes.get(attr)
-            if shard is not None:
-                removed += self.invalidate_shard(source, shard)
-        return removed
-
-    def apply_invalidations(self, items) -> int:
-        """Apply a batch of routed invalidation records.
-
-        The process-sharded runtime piggybacks coordinator-side
-        invalidation decisions on the next worker command instead of a
-        dedicated round-trip; each record is either ``("entity",
-        entity_id, source_or_None)`` or ``("cohort", source,
-        shard_value)`` (the ``shard_attribute`` cohort drop a publish
-        triggers).  Returns the number of entries removed.
-        """
-        removed = 0
-        for record in items:
-            kind = record[0]
-            if kind == "entity":
-                removed += self.invalidate(record[1], record[2])
-            elif kind == "cohort":
-                removed += self.invalidate_shard(record[1], record[2])
-            else:
-                raise ValueError(f"unknown invalidation record kind: {kind!r}")
-        return removed
 
     def clear(self) -> int:
         """Drop every entry (counts as one generation bump)."""
         with self._lock:
             removed = self.entry_count()
             self._tables.clear()
-            self._by_shard.clear()
             self._generation += 1
             self._invalidations += removed
             return removed
@@ -539,18 +418,6 @@ class ReadCache(Instrumented):
         if age > self.config.ttl_seconds:
             return None
         return table.values[entity_id], age
-
-    def _drop(self, source: str, table: _Table, entity_id: str) -> None:
-        del table.values[entity_id], table.stamps[entity_id]
-        shard = table.shards.pop(entity_id, None)
-        if shard is not None:
-            self._unshard(source, shard, entity_id)
-
-    def _unshard(self, source: str, shard: Any, entity_id: str) -> None:
-        members = self._by_shard[(source, shard)]
-        members.discard(entity_id)
-        if not members:
-            del self._by_shard[(source, shard)]
 
     def __len__(self) -> int:
         return self.entry_count()

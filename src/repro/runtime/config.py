@@ -125,9 +125,7 @@ class RuntimeConfig(ConfigBase):
 
     def __post_init__(self):
         if self.error_policy not in ERROR_POLICIES:
-            raise ValueError(
-                f"error_policy must be one of {ERROR_POLICIES}"
-            )
+            raise ValueError(f"error_policy must be one of {ERROR_POLICIES}")
         if self.network is not None and not isinstance(
             self.network, NetworkConfig
         ):
@@ -149,22 +147,9 @@ class RuntimeConfig(ConfigBase):
         ):
             raise TypeError("supervision must be a SupervisionPolicy or None")
 
-    def replace(self, **changes: Any) -> "RuntimeConfig":
-        """A copy with ``changes`` applied and **fully re-validated**.
-
-        Inherited :meth:`ConfigBase.replace` semantics: the copy goes
-        back through ``__post_init__`` and :meth:`validate`, so a
-        replace can never assemble a field combination construction
-        would reject (e.g. a non-config network object, or — one level
-        down — a flat-latency × hops ``NetworkConfig``).
-        """
-        return super().replace(**changes)
-
     def supervised(self) -> bool:
         """Is any device type supervised under this configuration?"""
-        return self.supervision is not None or bool(
-            self.supervision_overrides
-        )
+        return self.supervision is not None or bool(self.supervision_overrides)
 
     @property
     def stale_policy(self) -> StalePolicy:
@@ -176,9 +161,7 @@ class RuntimeConfig(ConfigBase):
         summary: Dict[str, Any] = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if value is None or isinstance(
-                value, (str, int, float, bool)
-            ):
+            if value is None or isinstance(value, (str, int, float, bool)):
                 summary[f.name] = value
             elif isinstance(
                 value, (ConfigBase, SupervisionPolicy, StalePolicy)

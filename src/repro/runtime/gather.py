@@ -23,6 +23,7 @@ from typing import Any, Callable, List, Optional
 from repro.errors import DeliveryError
 from repro.faults.policy import HEALTHY
 from repro.runtime.device import DeviceInstance
+from repro.runtime.placement import ACCESS_HOP
 from repro.telemetry.instrument import Instrumented, MetricSpec
 from repro.typesys.values import coerce_column
 
@@ -233,10 +234,9 @@ class Gatherer(Instrumented):
             and placement.topology is not None
             and placement.splits(decl, interaction)
         ):
-            access = placement.config.access_hop
-            if access not in network.hop_names:
+            if ACCESS_HOP not in network.hop_names:
                 return None
-            return functools.partial(network.sample_read_ok, (access,))
+            return functools.partial(network.sample_read_ok, (ACCESS_HOP,))
         return network.sample_read_ok
 
     # -- the columnar column reader -------------------------------------
@@ -461,7 +461,7 @@ class Gatherer(Instrumented):
                     # a scalar read.
                     supervisor.record_success(source, value)
         if cache is not None:
-            cache.store_column(instances, entity_ids, source, values, since)
+            cache.store_column(entity_ids, source, values, since)
         return values
 
     def _fold_read_outcomes(self, instances, outcomes, source):

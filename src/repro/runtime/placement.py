@@ -65,9 +65,9 @@ __all__ = [
     "payload_nbytes",
 ]
 
-# Conventional hop names of the two-level continuum.  A topology may
-# declare any hops; these are the defaults the placement policy routes
-# reads (access) and partials (wan) over.
+# Hop names of the two-level continuum.  A topology may declare any
+# hops; these are the two the placement tier routes reads (access) and
+# partials (wan) over.
 ACCESS_HOP = "access"
 WAN_HOP = "wan"
 
@@ -162,9 +162,7 @@ class NetworkConfig(ConfigBase):
 
     def __post_init__(self):
         hops = self.hops
-        items = tuple(
-            hops.items() if isinstance(hops, Mapping) else hops
-        )
+        items = tuple(hops.items() if isinstance(hops, Mapping) else hops)
         for item in items:
             if len(item) != 2 or not isinstance(item[0], str):
                 raise TypeError(
@@ -220,25 +218,20 @@ class PlacementConfig(ConfigBase):
       node; ``None`` falls back to the interaction's ``grouped by``
       attribute (the natural edge boundary of the paper's parking
       fleet).
-    * ``default_tier`` — placement for contexts without an ``at edge`` /
-      ``at cloud`` annotation in the design.
-    * ``access_hop`` / ``wan_hop`` — topology hop names for the
-      device→edge and edge→cloud links.
     * ``edge_nodes`` — explicit :class:`EdgeNode` declarations; empty
       means one implicit node per distinct attribute value.
+
+    A context runs at the edge only when the design annotates it
+    ``at edge``; every other context runs in the cloud.  Reads cross
+    the topology's ``access`` hop and partials its ``wan`` hop
+    (:data:`ACCESS_HOP` / :data:`WAN_HOP`).
     """
 
     enabled: bool = False
     edge_attribute: Optional[str] = None
-    default_tier: Tier = Tier.CLOUD
-    access_hop: str = ACCESS_HOP
-    wan_hop: str = WAN_HOP
     edge_nodes: Tuple[EdgeNode, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "default_tier", Tier.parse(self.default_tier)
-        )
         nodes = tuple(self.edge_nodes)
         seen_ids: set = set()
         seen_values: set = set()
@@ -333,12 +326,10 @@ class PlacementExecutor(Instrumented):
             network if isinstance(network, TopologyModel) else None
         )
         self._has_access = (
-            self.topology is not None
-            and config.access_hop in self.topology.hop_names
+            self.topology is not None and ACCESS_HOP in self.topology.hop_names
         )
         self._has_wan = (
-            self.topology is not None
-            and config.wan_hop in self.topology.hop_names
+            self.topology is not None and WAN_HOP in self.topology.hop_names
         )
         self._owner: Dict[Any, str] = {
             value: node.node_id
@@ -406,7 +397,7 @@ class PlacementExecutor(Instrumented):
         annotation = getattr(decl, "placement", None)
         if annotation:
             return Tier.parse(annotation)
-        return self.config.default_tier
+        return Tier.CLOUD
 
     def splits(self, decl, interaction) -> bool:
         """Whether this periodic interaction runs the edge split."""
@@ -431,12 +422,12 @@ class PlacementExecutor(Instrumented):
 
     def _account_access(self, nbytes: int) -> None:
         if self._has_access:
-            self.topology.account((self.config.access_hop,), nbytes)
+            self.topology.account((ACCESS_HOP,), nbytes)
 
     def _send_wan(self, nbytes: int) -> bool:
         self._wan_bytes += nbytes
         if self._has_wan:
-            return self.topology.send(self.config.wan_hop, nbytes)
+            return self.topology.send(WAN_HOP, nbytes)
         return True
 
     def note_edge_sweep(self, node_count: int) -> None:

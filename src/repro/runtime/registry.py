@@ -306,18 +306,16 @@ class EntityRegistry(Instrumented):
         self,
         device_type: str,
         *,
-        attribute: Optional[str] = None,
         include_failed: bool = False,
         include_quarantined: bool = False,
     ) -> List[Tuple[str, List[int], List[DeviceInstance]]]:
         """Instances of ``device_type`` partitioned into deterministic
         shards for sweep fan-out.
 
-        Shards are keyed by the value of one registry-indexed attribute
-        (``attribute``, or the device type's first declared attribute
-        when ``None``; attribute-less types collapse to one ``""``
-        shard).  Only shards with at least one member exist, and shard
-        order is the registration order of each shard's first instance.
+        Shards are keyed by the value of each member's first declared
+        attribute (attribute-less types collapse to one ``""`` shard).
+        Only shards with at least one member exist, and shard order is
+        the registration order of each shard's first instance.
 
         Each shard is ``(key, positions, instances)``: two aligned
         columns, where a ``position`` is the member's index in the
@@ -335,12 +333,7 @@ class EntityRegistry(Instrumented):
         # can filter members out.  In that case one version compare
         # plus a flag scan replaces the whole rebuild; callers must
         # treat the returned partition as immutable.
-        memo_key = (
-            device_type,
-            attribute,
-            include_failed,
-            include_quarantined,
-        )
+        memo_key = (device_type, include_failed, include_quarantined)
         if not self._shards_memoizable(
             device_type, include_failed, include_quarantined
         ):
@@ -349,31 +342,28 @@ class EntityRegistry(Instrumented):
                     device_type,
                     include_failed=include_failed,
                     include_quarantined=include_quarantined,
-                ),
-                attribute,
+                )
             )
         memo = self._shard_memo.get(memo_key)
         if memo is None or memo[0] != self._version:
             # Nothing filters members: the partition is the
             # (type, attribute) index, when that holds every member.
             members = self._by_type.get(device_type, [])
-            result = self._index_shards(device_type, attribute, members)
+            result = self._index_shards(device_type, members)
             if result is None:
-                result = self._scan_shards(members, attribute)
+                result = self._scan_shards(members)
             memo = self._shard_memo[memo_key] = (self._version, result)
         # One discovery lookup served, whoever computed it.
         self._lookups += 1
         return memo[1]
 
     @staticmethod
-    def _scan_shards(instances, attribute: Optional[str]):
+    def _scan_shards(instances):
         """Partition a registration-ordered instance column by reading
         every member's attribute record."""
         grouped: Dict[str, Tuple[List[int], List[DeviceInstance]]] = {}
         for position, instance in enumerate(instances):
-            name = attribute
-            if name is None:
-                name = next(iter(instance.info.attributes), None)
+            name = next(iter(instance.info.attributes), None)
             value = (
                 instance.attributes.get(name, "") if name is not None else ""
             )
@@ -384,7 +374,7 @@ class EntityRegistry(Instrumented):
             shard[1].append(instance)
         return [(key, *columns) for key, columns in grouped.items()]
 
-    def _index_shards(self, device_type: str, attribute, members):
+    def _index_shards(self, device_type: str, members):
         """The partition of the unfiltered ``members`` column as the
         ``(type, attribute)`` index already holds it — each bucket is a
         shard in registration order — or ``None`` when the index cannot
@@ -394,15 +384,14 @@ class EntityRegistry(Instrumented):
         shard key (only same-typed ``str`` / ``int`` values cannot)."""
         if not members:
             return None
-        if attribute is None:
-            infos = list(map(_info_of, members))
-            firsts = {
-                next(iter(info.attributes), None)
-                for info in dict(zip(map(id, infos), infos)).values()
-            }
-            if len(firsts) != 1:
-                return None
-            (attribute,) = firsts
+        infos = list(map(_info_of, members))
+        firsts = {
+            next(iter(info.attributes), None)
+            for info in dict(zip(map(id, infos), infos)).values()
+        }
+        if len(firsts) != 1:
+            return None
+        (attribute,) = firsts
         values = self._by_attribute.get((device_type, attribute), {})
         if sum(map(len, values.values())) != len(members):
             return None

@@ -100,8 +100,8 @@ class ShardConfig(ConfigBase):
     :mod:`repro.runtime.shard.codec` — and, with the cache section
     enabled, every worker keeps its shard-local
     :class:`~repro.runtime.cache.ReadCache`, fed by the worker's own
-    clock replica and kept honest by coordinator-routed invalidations
-    piggybacked on the next command.
+    clock replica.  An entity lives on one worker, so that worker's
+    own actuations and publishes are all that invalidate its entries.
     """
 
     enabled: bool = False

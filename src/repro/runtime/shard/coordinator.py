@@ -82,39 +82,17 @@ class ShardRouter(Instrumented):
         self._publishes = 0
         self._errors = 0
         self._wire_bytes = 0
-        # Per-shard invalidation queues, drained onto the next command
-        # that reaches each shard (see _ShardWorker.serve).
-        self._invalidations: List[List[Tuple[Any, ...]]] = []
 
     def __len__(self) -> int:
         return len(self._workers)
 
     def attach(self, workers: List[Tuple[Any, Any]]) -> None:
         self._workers = list(workers)
-        self._invalidations = [[] for __ in workers]
-
-    def queue_invalidation(
-        self, item: Tuple[Any, ...], skip: Optional[int] = None
-    ) -> None:
-        """Queue a cache invalidation for every shard (minus ``skip``,
-        normally the origin shard that already invalidated locally).
-        The queue rides piggyback on each shard's next command."""
-        for shard, queue in enumerate(self._invalidations):
-            if shard != skip:
-                queue.append(item)
-
-    def _take_invalidations(self, shard: int) -> Tuple[Tuple[Any, ...], ...]:
-        queue = self._invalidations[shard]
-        if not queue:
-            return ()
-        self._invalidations[shard] = []
-        return tuple(queue)
 
     def _send_to(self, shard: int, op: str, args: Tuple[Any, ...]) -> None:
         __, conn = self._workers[shard]
-        message = (op, args, self._take_invalidations(shard))
         try:
-            self._wire_bytes += _wire_send(conn, message)
+            self._wire_bytes += _wire_send(conn, (op, args))
         except OSError:
             self._errors += 1
             raise ShardError(
@@ -172,11 +150,9 @@ class ShardRouter(Instrumented):
         return replies
 
     def shutdown(self) -> None:
-        for shard, (__, conn) in enumerate(self._workers):
+        for __, conn in self._workers:
             try:
-                self._wire_bytes += _wire_send(
-                    conn, ("stop", (), self._take_invalidations(shard))
-                )
+                self._wire_bytes += _wire_send(conn, ("stop", ()))
             except OSError:
                 pass
         for process, conn in self._workers:
@@ -194,7 +170,6 @@ class ShardRouter(Instrumented):
                 process.terminate()
                 process.join(timeout=10)
         self._workers = []
-        self._invalidations = []
 
 
 class _RemoteInstance:
@@ -517,27 +492,8 @@ class ShardedRuntime(Instrumented):
         invalidation, delivery plans), with a routed stand-in in place
         of the local instance."""
         app = self.app
-        cache = app.read_cache
-        shard_attribute = None
-        if cache is not None and cache.config.invalidate_on_publish:
-            shard_attribute = cache.config.shard_attribute
         for type_name, entity_id, attributes, source, value, index in events:
             self.router._events_routed += 1
-            if shard_attribute is not None:
-                # The publish supersedes every same-source entry in the
-                # publisher's attribute cohort — in single-process mode
-                # one on_publish call covers the whole fleet, but here
-                # the other shards' local caches only learn through the
-                # router.  Queue the cohort drop for every shard except
-                # the origin (which already invalidated locally); it
-                # piggybacks on each shard's next command, always
-                # before its next read.
-                shard_value = attributes.get(shard_attribute)
-                if shard_value is not None:
-                    self.router.queue_invalidation(
-                        ("cohort", source, shard_value),
-                        skip=self._owning_shard(entity_id),
-                    )
             app.on_device_publish(
                 self._remote(type_name, entity_id, attributes),
                 source,

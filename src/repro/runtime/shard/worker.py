@@ -90,9 +90,9 @@ class _ShardWorker:
     def _record_publish(self, instance, source, value, index) -> None:
         if self.app.read_cache is not None:
             # Keep the worker-local cache semantics of
-            # ``_deliver_source_event``: the push supersedes cached
-            # reads of this source.
-            self.app.read_cache.on_publish(instance, source)
+            # ``_deliver_source_event``: the push supersedes the
+            # publisher's cached read.
+            self.app.read_cache.invalidate(instance.entity_id, source)
         self._events.append(
             (
                 instance.info.name,
@@ -256,13 +256,8 @@ class _ShardWorker:
         """The command loop and the worker half of the command
         envelope: recv, sync, dispatch, drain, reply, until ``stop``.
 
-        Every message is ``(op, args, invalidations)``.  The router
-        queues cache invalidations (cross-shard cohort drops, unbind
-        cleanups) and piggybacks them on whatever command reaches this
-        shard next instead of paying a round trip; they apply *before*
-        the command dispatches, so a poll or read can never serve a
-        cache entry the coordinator has superseded.  Clocked commands lead
-        their ``args`` with the coordinator's time: the worker clock
+        Every message is ``(op, args)``.  Clocked commands lead their
+        ``args`` with the coordinator's time: the worker clock
         runs up to it here, once, and the handler gets the rest.  Every
         reply carries the device publishes recorded since the last one
         (``events``), which the coordinator replays
@@ -288,9 +283,7 @@ class _ShardWorker:
                 message, __ = _wire_recv(conn)
             except EOFError:
                 break
-            op, args, invalidations = message
-            if invalidations and self.app.read_cache is not None:
-                self.app.read_cache.apply_invalidations(invalidations)
+            op, args = message
             try:
                 if op not in self._UNCLOCKED:
                     self.clock.run_until(args[0])

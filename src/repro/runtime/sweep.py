@@ -152,15 +152,14 @@ class SweepConfig(ConfigBase):
     * ``batch_size`` — reads per pool task.  Batches never span shards,
       so a shard with fewer reads than ``batch_size`` still gets its
       own task(s).
-    * ``shard_attribute`` — attribute to shard by; ``None`` picks the
-      device type's first declared attribute (deterministic), falling
-      back to a single shard for attribute-less types.
+
+    A sweep shards by the device type's first declared attribute
+    (deterministic); attribute-less types sweep as a single shard.
     """
 
     mode: str = "auto"
     workers: int = 8
     batch_size: int = 16
-    shard_attribute: Optional[str] = None
 
     def __post_init__(self):
         if self.mode not in SWEEP_MODES:
@@ -383,9 +382,7 @@ class SweepEngine(Instrumented):
         started = time.perf_counter()
         self._sweeps += 1
         shards = self.registry.iter_shards(
-            device_type,
-            attribute=self.config.shard_attribute,
-            include_quarantined=True,
+            device_type, include_quarantined=True
         )
         for shard_key, members, __ in shards:
             self._count_shard(shard_key, len(members))

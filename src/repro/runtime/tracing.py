@@ -37,7 +37,6 @@ class Tracer:
         self._patched_instances: List[Any] = []
         self._attached = False
         self._original_dispatch = None
-        self._last_source_event = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -54,7 +53,6 @@ class Tracer:
         self._attached = True
         app = self.application
         self._original_dispatch = app.bus.dispatch_compiled
-        self._last_source_event = None
 
         def traced_dispatch(targets, topic_count, payload):
             self._on_dispatch(payload)
@@ -80,15 +78,11 @@ class Tracer:
 
     def _on_dispatch(self, payload) -> None:
         if isinstance(payload, SourceEvent):
-            # Without a delivery plan the same event is dispatched once
-            # per ancestor device type; record it only once.
-            if payload is not self._last_source_event:
-                self._last_source_event = payload
-                self._on_source(payload)
+            self._on_source(payload)
         elif isinstance(payload, ContextEvent):
             self._on_context(payload)
 
-    # -- hooks -----------------------------------------------------------------
+    # -- hooks ---------------------------------------------------------------
 
     def _on_registry_change(self, kind, instance) -> None:
         if kind == "register" and self._attached:
@@ -140,20 +134,20 @@ class Tracer:
             return
         self.entries.append(entry)
 
-    # -- queries ------------------------------------------------------------------
+    # -- queries -------------------------------------------------------------
 
     def of_kind(self, kind: str) -> List[TraceEntry]:
         return [entry for entry in self.entries if entry.kind == kind]
 
     def between(self, start: float, end: float) -> List[TraceEntry]:
         return [
-            entry
-            for entry in self.entries
-            if start <= entry.timestamp < end
+            entry for entry in self.entries if start <= entry.timestamp < end
         ]
 
     def find(
-        self, kind: Optional[str] = None, subject: Optional[str] = None,
+        self,
+        kind: Optional[str] = None,
+        subject: Optional[str] = None,
         predicate: Optional[Callable[[TraceEntry], bool]] = None,
     ) -> List[TraceEntry]:
         results = self.entries

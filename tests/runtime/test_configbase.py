@@ -64,3 +64,27 @@ class TestIdempotentPostInit:
         config.validate()
         config.validate()
         assert config == config_type()
+
+
+class TestRemovedSettings:
+    """A setting with one value in use is a constant, not a field:
+    passing one of these names is a construction error, not a silently
+    ignored keyword."""
+
+    @pytest.mark.parametrize(
+        "config_type, name, value",
+        [
+            (SweepConfig, "shard_attribute", "zone"),
+            (CacheConfig, "coalesce", False),
+            (CacheConfig, "invalidate_on_publish", False),
+            (CacheConfig, "shard_attribute", "zone"),
+            (CacheConfig, "memoize_contexts", False),
+            (CacheConfig, "context_ttl_seconds", 1.0),
+            (PlacementConfig, "default_tier", "edge"),
+            (PlacementConfig, "access_hop", "lan"),
+            (PlacementConfig, "wan_hop", "backhaul"),
+        ],
+    )
+    def test_a_removed_setting_is_rejected(self, config_type, name, value):
+        with pytest.raises(TypeError, match=name):
+            config_type(**{name: value})

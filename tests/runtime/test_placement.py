@@ -151,12 +151,10 @@ class TestPlacementConfig:
     def test_defaults_are_off(self):
         config = PlacementConfig()
         assert config.enabled is False
-        assert config.default_tier is Tier.CLOUD
-        assert config.access_hop == "access"
-        assert config.wan_hop == "wan"
-
-    def test_default_tier_coerces_names(self):
-        assert PlacementConfig(default_tier="edge").default_tier is Tier.EDGE
+        # Only the design's ``at edge`` annotation moves a context.
+        executor = PlacementExecutor(config)
+        unannotated = types.SimpleNamespace(placement=None)
+        assert executor.tier_for(unannotated) is Tier.CLOUD
 
     def test_duplicate_node_ids_rejected(self):
         with pytest.raises(PlacementError, match="duplicate"):

@@ -1,7 +1,7 @@
 """The query-driven read fast path: ReadCache + context memoization.
 
 Covers the cache record itself (TTL freshness on the application
-clock, single-flight coalescing, invalidation indexes, generation) and
+clock, single-flight coalescing, invalidation, generation) and
 its wiring through the application (bind/unbind, actuation and publish
 invalidation, gather memoization, ``query_context`` memo, metrics and
 stats surfaces).  The off-by-default guarantee — no cache object, one
@@ -105,17 +105,10 @@ class TestCacheConfig:
     def test_defaults_are_disabled(self):
         config = CacheConfig()
         assert not config.enabled
-        assert config.context_ttl == config.ttl_seconds
-
-    def test_context_ttl_override(self):
-        config = CacheConfig(ttl_seconds=5.0, context_ttl_seconds=1.0)
-        assert config.context_ttl == 1.0
 
     def test_negative_ttl_rejected(self):
         with pytest.raises(ValueError):
             CacheConfig(ttl_seconds=-1.0)
-        with pytest.raises(ValueError):
-            CacheConfig(context_ttl_seconds=-0.5)
 
     def test_runtime_config_validates_type(self):
         with pytest.raises(TypeError):
@@ -179,7 +172,6 @@ class TestSingleFlight:
 
         class FakeInstance:
             entity_id = "s-0"
-            attributes = {}
 
         def slow_read():
             calls.append(1)
@@ -214,7 +206,6 @@ class TestSingleFlight:
 
         class FakeInstance:
             entity_id = "s-0"
-            attributes = {}
 
         def failing_read():
             gate.wait(timeout=5.0)
@@ -238,24 +229,6 @@ class TestSingleFlight:
             thread.join(timeout=5.0)
         assert len(errors) == 3
         assert len(cache) == 0  # the failure was not cached
-
-    def test_coalesce_off_counts_every_miss(self):
-        clock = SimulationClock()
-        cache = ReadCache(
-            clock, CacheConfig(enabled=True, ttl_seconds=0.0, coalesce=False)
-        )
-
-        class FakeInstance:
-            entity_id = "s-0"
-            attributes = {}
-
-        clock.advance(1.0)
-        cache.get_or_read(FakeInstance(), "reading", lambda: 1.0)
-        clock.advance(1.0)
-        cache.get_or_read(FakeInstance(), "reading", lambda: 2.0)
-        stats = cache.stats()
-        assert stats["misses"] == 2
-        assert stats["coalesced"] == 0
 
 
 class TestInvalidation:
@@ -284,36 +257,6 @@ class TestInvalidation:
         proxy.reading()
         assert sources["s-0"].calls == 2
 
-    def test_publish_invalidation_can_be_disabled(self):
-        app, __, sources, __sweep = build(
-            CacheConfig(
-                enabled=True, ttl_seconds=10.0, invalidate_on_publish=False
-            )
-        )
-        proxy = app.discover.device("s-0")
-        proxy.reading()
-        app.registry.get("s-0").publish("reading", 9.0)
-        proxy.reading()
-        assert sources["s-0"].calls == 1
-
-    def test_shard_invalidation_drops_the_cohort(self):
-        app, __, sources, __sweep = build(
-            CacheConfig(
-                enabled=True, ttl_seconds=10.0, shard_attribute="zone"
-            ),
-            sensors=4,
-        )
-        for entity_id in sources:
-            app.discover.device(entity_id).reading()
-        # s-0 and s-2 share zone NORTH; a publish from s-0 drops both.
-        app.registry.get("s-0").publish("reading", 9.0)
-        for entity_id in sources:
-            app.discover.device(entity_id).reading()
-        assert sources["s-0"].calls == 2
-        assert sources["s-2"].calls == 2
-        assert sources["s-1"].calls == 1
-        assert sources["s-3"].calls == 1
-
     def test_unbind_invalidates(self):
         app, __, sources, __sweep = build(ON)
         app.discover.device("s-0").reading()
@@ -336,7 +279,7 @@ class TestInvalidation:
 
     def test_an_invalidation_during_a_read_is_not_undone(self):
         cache = ReadCache(SimulationClock(), ON)
-        instance = SimpleNamespace(entity_id="e1", attributes={})
+        instance = SimpleNamespace(entity_id="e1")
 
         def read():
             cache.invalidate("e1")  # e.g. an actuation while in flight
@@ -348,17 +291,13 @@ class TestInvalidation:
         assert cache.peek("e1", "s") == (6.0, 0.0)
         # A batch column read before the invalidation is not stored
         # either; its rows still count as driver reads.
-        fleet = [
-            SimpleNamespace(entity_id=f"e{index}", attributes={})
-            for index in range(3)
-        ]
-        ids = [instance.entity_id for instance in fleet]
+        ids = [f"e{index}" for index in range(3)]
         since = cache.generation
         cache.invalidate("e1")
-        cache.store_column(fleet, ids, "s", [1.0, 2.0, 3.0], since)
+        cache.store_column(ids, "s", [1.0, 2.0, 3.0], since)
         assert [cache.peek(entity_id, "s") for entity_id in ids] == [None] * 3
         assert cache.stats()["misses"] == 2 + 3
-        cache.store_column(fleet, ids, "s", [1.0, 2.0, 3.0], cache.generation)
+        cache.store_column(ids, "s", [1.0, 2.0, 3.0], cache.generation)
         assert cache.peek("e2", "s") == (3.0, 0.0)
 
 
@@ -370,7 +309,7 @@ class TestContextMemoization:
         assert first == again
         assert sources["s-0"].calls == 1
         assert app.stats["context_cache_hits"]["Snapshot"] == 1
-        clock.advance(ON.context_ttl + 0.1)
+        clock.advance(ON.ttl_seconds + 0.1)
         app.query_context("Snapshot")
         assert sources["s-0"].calls == 2
 
@@ -400,17 +339,6 @@ class TestContextMemoization:
         app.discover.device("s-0").nudge()  # invalidate the read cache
         clock.advance(60.0)
         assert sweep.activations == 2
-
-    def test_memoization_can_be_disabled(self):
-        app, clock, __, sweep = build(
-            CacheConfig(
-                enabled=True, ttl_seconds=10.0, memoize_contexts=False
-            )
-        )
-        clock.advance(60.0)
-        clock.advance(60.0)
-        assert sweep.activations == 2
-        assert app.stats["context_cache_hits"] == {}
 
 
 class TestTypedQueryError:
@@ -503,8 +431,8 @@ class TestMetrics:
 
 class ReferenceCache:
     """The cache one row at a time, as a dict of ``(entity_id, source)
-    -> (value, stamp, shard)`` tuples — what the column operations must
-    add up to."""
+    -> (value, stamp)`` pairs — what the column operations must add up
+    to."""
 
     def __init__(self, clock, config):
         self.clock = clock
@@ -528,36 +456,20 @@ class ReferenceCache:
         self.age.observe(fresh[1])
         return (fresh[0],)
 
-    def store(self, instance, source, value):
-        attr = self.config.shard_attribute
-        shard = None if attr is None else instance.attributes.get(attr)
+    def store(self, entity_id, source, value):
         self.misses += 1
-        key = (instance.entity_id, source)
-        self.entries[key] = (value, self.clock.now(), shard)
+        self.entries[(entity_id, source)] = (value, self.clock.now())
 
-    def _drop(self, doomed):
+    def invalidate(self, entity_id, source=None):
         self.generation += 1
+        doomed = [
+            key
+            for key in self.entries
+            if key[0] == entity_id and source in (None, key[1])
+        ]
         for key in doomed:
             del self.entries[key]
         self.invalidations += len(doomed)
-
-    def invalidate(self, entity_id, source=None):
-        self._drop(
-            [
-                key
-                for key in self.entries
-                if key[0] == entity_id and source in (None, key[1])
-            ]
-        )
-
-    def invalidate_shard(self, source, shard):
-        self._drop(
-            [
-                key
-                for key, entry in self.entries.items()
-                if key[1] == source and entry[2] == shard
-            ]
-        )
 
 
 ENTITIES = 6
@@ -579,12 +491,6 @@ steps = st.one_of(
         st.integers(min_value=0, max_value=ENTITIES - 1),
         st.sampled_from(SOURCES + (None,)),
     ),
-    st.tuples(
-        st.just("move"),
-        st.integers(min_value=0, max_value=ENTITIES - 1),
-        st.sampled_from(["NORTH", "SOUTH", None]),
-    ),
-    st.tuples(st.just("drop_shard"), st.sampled_from(SOURCES)),
 )
 
 
@@ -625,39 +531,18 @@ class TestColumnOperationsAreTheirRows:
         )
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(steps, max_size=14), st.booleans())
+    @given(st.lists(steps, max_size=14))
     # An age of exactly the TTL is still fresh.
     @example(
         [
             ("store", [0], "level", 1.5),
             ("tick", 1.0),
             ("lookup", [0], "level"),
-        ],
-        False,
-    )
-    # A rebind under another shard leaves the old shard's index.
-    @example(
-        [
-            ("store", [0], "level", 1.5),
-            ("move", 0, "SOUTH"),
-            ("store", [0], "level", 1.5),
-            ("drop_shard", "level"),
-        ],
-        True,
-    )
-    def test_twin_caches_stay_equal(self, script, sharded):
-        config = CacheConfig(
-            enabled=True,
-            ttl_seconds=1.0,
-            shard_attribute="zone" if sharded else None,
-        )
-        fleet = [
-            SimpleNamespace(
-                entity_id=f"s-{index}",
-                attributes={"zone": ("NORTH", "SOUTH")[index % 2]},
-            )
-            for index in range(ENTITIES)
         ]
+    )
+    def test_twin_caches_stay_equal(self, script):
+        config = CacheConfig(enabled=True, ttl_seconds=1.0)
+        fleet = [f"s-{index}" for index in range(ENTITIES)]
         clock = SimulationClock()
         registries = [MetricsRegistry(), MetricsRegistry()]
         column, scalar = (
@@ -672,18 +557,14 @@ class TestColumnOperationsAreTheirRows:
             kind = step[0]
             if kind == "store":
                 __, where, source, value = step
-                instances = [fleet[row] for row in where]
-                ids = [instance.entity_id for instance in instances]
-                values = [value] * len(where)
-                column.store_column(instances, ids, source, values)
-                for instance in instances:
-                    scalar.store_column(
-                        (instance,), (instance.entity_id,), source, (value,)
-                    )
-                    reference.store(instance, source, value)
+                ids = [fleet[row] for row in where]
+                column.store_column(ids, source, [value] * len(where))
+                for entity_id in ids:
+                    scalar.store_column((entity_id,), source, (value,))
+                    reference.store(entity_id, source, value)
             elif kind == "lookup":
                 __, where, source = step
-                ids = [fleet[row].entity_id for row in where]
+                ids = [fleet[row] for row in where]
                 found = column.lookup_column(ids, source, self.MISS)
                 wrapped = [
                     None if value is self.MISS else (value,)
@@ -696,18 +577,9 @@ class TestColumnOperationsAreTheirRows:
                     assert repr(wrapped) == repr(rows)
             elif kind == "tick":
                 clock.advance(step[1])
-            elif kind == "invalidate":
-                for cache in (column, scalar, reference):
-                    cache.invalidate(f"s-{step[1]}", step[2])
-            elif kind == "move":
-                # The shard attribute value an entity is next stored
-                # under (a rebind under the same id).
-                fleet[step[1]].attributes = (
-                    {} if step[2] is None else {"zone": step[2]}
-                )
             else:
                 for cache in (column, scalar, reference):
-                    cache.invalidate_shard(step[1], "NORTH")
+                    cache.invalidate(fleet[step[1]], step[2])
             observed = [
                 self.observable(cache, age)
                 for cache, age in zip((column, scalar, reference), ages)

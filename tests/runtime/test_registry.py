@@ -198,25 +198,23 @@ class TestListeners:
         remove()  # second removal is a no-op
 
 
-def scan_partition(registry, device_type, attribute, include_quarantined):
+def scan_partition(registry, device_type, include_quarantined):
     """The sweep partition derived one member at a time from the
     filtered ``instances_of`` column — what an index-served partition
     must equal."""
     instances = registry.instances_of(
         device_type, include_quarantined=include_quarantined
     )
-    return partition_of(instances, attribute)
+    return partition_of(instances)
 
 
-def partition_of(instances, attribute):
+def partition_of(instances):
     """The sweep partition of a registration-ordered column, one member
     at a time."""
     grouped = {}
     for position, instance in enumerate(instances):
-        name = attribute
-        if name is None:
-            declared = instance.info.attributes
-            name = next(iter(declared)) if declared else None
+        declared = instance.info.attributes
+        name = next(iter(declared)) if declared else None
         value = instance.attributes.get(name, "") if name is not None else ""
         positions, members = grouped.setdefault(str(value), ([], []))
         positions.append(position)
@@ -240,9 +238,9 @@ device Tagged extends Node {
     attribute tags as String[];
     attribute lot as String;
 }
+device Level extends Node { attribute floor as Integer; }
 """
-    TYPES = ("Node", "Meter", "Tagged")
-    ATTRIBUTES = (None, "lot", "floor", "tags")
+    TYPES = ("Node", "Meter", "Tagged", "Level")
 
     steps = st.one_of(
         st.tuples(
@@ -251,6 +249,7 @@ device Tagged extends Node {
             st.sampled_from([0, 1]),
         ),
         st.tuples(st.just("tagged"), st.sampled_from(["A", "C"])),
+        st.tuples(st.just("level"), st.sampled_from([0, 1])),
         st.tuples(st.just("retyped"), st.sampled_from([0, 1])),
         st.tuples(st.just("unbind"), st.integers(0, 30)),
         st.tuples(st.just("fail"), st.integers(0, 30)),
@@ -298,6 +297,8 @@ device Tagged extends Node {
                 registry.register(
                     bind("Tagged", {"tags": ["t"], "lot": step[1]})
                 )
+            elif kind == "level":
+                registry.register(bind("Level", {"floor": step[1]}))
             elif kind == "retyped":
                 # A lot whose ``str`` the string "1" shares.
                 instance = bind("Meter", {"lot": "1", "floor": step[1]})
@@ -313,22 +314,17 @@ device Tagged extends Node {
                 elif kind == "quarantine":
                     quarantined ^= {instance.entity_id}
             for device_type in self.TYPES:
-                for attribute in self.ATTRIBUTES:
-                    for everyone in (True, False):
-                        served = registry.iter_shards(
-                            device_type,
-                            attribute=attribute,
-                            include_quarantined=everyone,
-                        )
-                        assert self.columns(served) == scan_partition(
-                            registry, device_type, attribute, everyone
-                        )
-                        again = registry.iter_shards(
-                            device_type,
-                            attribute=attribute,
-                            include_quarantined=everyone,
-                        )
-                        assert self.columns(again) == self.columns(served)
+                for everyone in (True, False):
+                    served = registry.iter_shards(
+                        device_type, include_quarantined=everyone
+                    )
+                    assert self.columns(served) == scan_partition(
+                        registry, device_type, everyone
+                    )
+                    again = registry.iter_shards(
+                        device_type, include_quarantined=everyone
+                    )
+                    assert self.columns(again) == self.columns(served)
 
     def test_a_plain_fleet_is_served_by_the_index(self, design):
         registry = EntityRegistry()
@@ -365,7 +361,6 @@ class TestChurnMatchesAListReference:
 
     DESIGN = TestIndexServedPartition.DESIGN
     TYPES = TestIndexServedPartition.TYPES
-    ATTRIBUTES = TestIndexServedPartition.ATTRIBUTES
 
     steps = st.one_of(
         st.tuples(
@@ -442,13 +437,10 @@ class TestChurnMatchesAListReference:
                 ]
                 assert registry._by_type.get(device_type, []) == members
                 assert registry.instances_of(device_type) == members
-                for attribute in self.ATTRIBUTES:
-                    shards = registry.iter_shards(
-                        device_type, attribute=attribute
-                    )
-                    assert TestIndexServedPartition.columns(
-                        shards
-                    ) == partition_of(members, attribute)
+                shards = registry.iter_shards(device_type)
+                assert TestIndexServedPartition.columns(
+                    shards
+                ) == partition_of(members)
             indexed = {
                 key: {value: found for value, found in values.items() if found}
                 for key, values in registry._by_attribute.items()

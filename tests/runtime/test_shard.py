@@ -684,50 +684,6 @@ class TestCommandEnvelope:
         return [firsts[shard] for shard in sorted(firsts)]
 
 
-class TestCacheInvalidation:
-    """Cross-shard cohort invalidations piggyback on the next command
-    reaching each worker's local cache."""
-
-    def test_publish_invalidates_remote_cohorts(self):
-        workers = 3
-        runtime = ShardedRuntime(
-            PresenceBootstrap(
-                sensors=9,
-                shard=ShardConfig(enabled=True, workers=workers),
-                cache=CacheConfig(
-                    enabled=True,
-                    ttl_seconds=1e9,
-                    shard_attribute="parkingLot",
-                ),
-            )
-        )
-        runtime.start()
-        try:
-            runtime.advance(PERIOD)  # sweeps fill every worker cache
-            fleet = [f"s-{index:03d}" for index in range(9)]
-            pairs = [
-                (a, b)
-                for pa, a in enumerate(fleet)
-                for pb, b in enumerate(fleet)
-                if pa != pb
-                and LOTS[pa % len(LOTS)] == LOTS[pb % len(LOTS)]
-                and shard_index(a, workers) != shard_index(b, workers)
-            ]
-            assert pairs, "no same-lot pair straddles two shards"
-            publisher, remote = pairs[0]
-            before = runtime.worker_stats()
-            runtime.publish(publisher, "presence", True)
-            runtime.query(remote, "presence")  # carries the cohort drop
-            after = runtime.worker_stats()
-            target = shard_index(remote, workers)
-            assert (
-                after[target]["cache"]["invalidations"]
-                > before[target]["cache"]["invalidations"]
-            )
-        finally:
-            runtime.stop()
-
-
 class DarkOnceDriver(TaggingDriver):
     """Fails its first read, then answers like its neighbours."""
 

@@ -26,6 +26,7 @@ from repro.api import (
     analyze,
 )
 from repro.errors import DeliveryError, DeviceUnavailableError
+from repro.runtime.device import DeviceInstance
 from repro.runtime.registry import EntityRegistry
 from repro.runtime.placement import NetworkConfig
 from repro.telemetry import MetricsRegistry
@@ -229,11 +230,24 @@ class TestDeterministicMerge:
             assert positions == sorted(positions)
 
     def test_shard_attribute_override_and_attribute_less_types(self):
+        # The first declared attribute keys the shards; nothing else can.
         app, __, __ = build_app()
-        shards = app.registry.iter_shards(
-            "PresenceSensor", attribute="parkingLot"
-        )
+        shards = app.registry.iter_shards("PresenceSensor")
         assert {key for key, __, __ in shards} == set(LOTS)
+        # A type without attributes sweeps as one "" shard.
+        bare = analyze("device Bare { source x as Float; }").devices["Bare"]
+        registry = EntityRegistry()
+        for index in range(3):
+            registry.register(
+                DeviceInstance(
+                    bare,
+                    f"b-{index}",
+                    CallableDriver(sources={"x": lambda: 1.0}),
+                    {},
+                )
+            )
+        ((key, positions, __),) = registry.iter_shards("Bare")
+        assert (key, positions) == ("", [0, 1, 2])
 
 
 class ColumnDriver(CallableDriver):
