@@ -231,7 +231,7 @@ class SupervisionManager(Instrumented):
 
     def policy_for(self, info) -> Optional[SupervisionPolicy]:
         """Resolve the policy for a device type (nearest ancestor wins)."""
-        for type_name in (info.name, *info.ancestors):
+        for type_name in info.lineage:
             policy = self.overrides.get(type_name)
             if policy is not None:
                 return policy

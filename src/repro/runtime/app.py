@@ -192,6 +192,8 @@ class Application:
             metrics=self.metrics,
         )
         self.discover = Discover(design, self.registry, self.query_context)
+        # One bound method every instance's publishes go through.
+        self._publish_hook = self.on_device_publish
         self.started = False
         self._implementations: Dict[str, Component] = {}
         self._jobs: List[Any] = []
@@ -251,7 +253,7 @@ class Application:
                 "design"
             )
         self.registry.register(instance)
-        instance.attach(self.on_device_publish)
+        instance.attach(self._publish_hook)
         instance.attach_metrics(self.metrics)
         supervisor = self.supervision.supervise(instance)
         if supervisor is not None:

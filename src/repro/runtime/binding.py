@@ -84,12 +84,17 @@ class Deployment:
         return self._bind_stage(BindingTime.RUNTIME)
 
     def _bind_stage(self, when: BindingTime) -> int:
+        """Bind the stage in order; an instance leaves it as it binds,
+        so a bind that raises leaves the rest staged for a retry."""
         staged = self._staged[when]
-        for instance in staged:
-            self.application.bind_device(instance)
-        count = len(staged)
-        staged.clear()
-        return count
+        bound = 0
+        try:
+            for instance in staged:
+                self.application.bind_device(instance)
+                bound += 1
+        finally:
+            del staged[:bound]
+        return bound
 
     @property
     def phase(self) -> BindingTime:

@@ -372,12 +372,17 @@ def apply_descriptor(
 ) -> Deployment:
     """Stage every descriptor entity into a :class:`Deployment`.
 
-    Device types, attribute names/values and driver names are validated
-    against the design and the catalog before anything binds, so a bad
-    descriptor fails atomically.
+    Device types, attribute names/values, driver names and entity ids
+    are validated against the design, the catalog and the bound
+    registry before anything binds, so a bad descriptor fails
+    atomically.
     """
     instances = []
     for record in descriptor.entities:
+        if record.entity_id in application.registry:
+            raise BindingError(
+                f"entity id '{record.entity_id}' is already registered"
+            )
         if record.device_type not in application.design.devices:
             raise BindingError(
                 f"entity '{record.entity_id}': device type "

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import time
+import weakref
 from operator import methodcaller
 from typing import Any, Callable, Dict, Optional
 
@@ -181,27 +182,23 @@ class DeviceInstance:
         attributes: Optional[Dict[str, Any]] = None,
     ):
         attributes = dict(attributes or {})
-        declared = set(info.attributes)
-        supplied = set(attributes)
-        missing = declared - supplied
-        extra = supplied - declared
-        if missing:
-            raise BindingError(
-                f"device '{entity_id}' of type {info.name}: attribute(s) "
-                f"{sorted(missing)} must be set at registration"
-            )
-        if extra:
+        types = info.attribute_types
+        if attributes.keys() != types.keys():
+            missing = types.keys() - attributes.keys()
+            if missing:
+                raise BindingError(
+                    f"device '{entity_id}' of type {info.name}: attribute(s) "
+                    f"{sorted(missing)} must be set at registration"
+                )
             raise BindingError(
                 f"device '{entity_id}' of type {info.name}: unknown "
-                f"attribute(s) {sorted(extra)}"
+                f"attribute(s) {sorted(attributes.keys() - types.keys())}"
             )
         for name, value in attributes.items():
             # Store the canonicalized value (e.g. dicts become immutable
             # StructureValue records) so attribute records are hashable
             # and indexable.
-            attributes[name] = check_value(
-                info.attributes[name].dia_type, value
-            )
+            attributes[name] = check_value(types[name], value)
 
         self.info = info
         self.entity_id = entity_id
@@ -220,28 +217,21 @@ class DeviceInstance:
     def attach_metrics(self, metrics) -> None:
         """Export read/retry/timeout counters (labelled by device type)
         through a telemetry registry.  Instances of the same type share
-        the counters, so fleet-wide retry pressure reads as one series."""
-        device_type = self.info.name
-        self._m_reads = metrics.counter(
-            "device_reads_total",
-            help="Query-driven/periodic reads attempted per device type.",
-            device_type=device_type,
-        )
-        self._m_retries = metrics.counter(
-            "device_read_retries_total",
-            help="Re-attempts after a failed or timed-out read.",
-            device_type=device_type,
-        )
-        self._m_timeouts = metrics.counter(
-            "device_read_timeouts_total",
-            help="Read attempts that exceeded their declared timeout.",
-            device_type=device_type,
-        )
-        self._m_failures = metrics.counter(
-            "device_read_failures_total",
-            help="Reads that failed after exhausting their retry budget.",
-            device_type=device_type,
-        )
+        the counters, so fleet-wide retry pressure reads as one series:
+        they are resolved once per (metrics registry, declaration) and
+        assigned as one row."""
+        rows = self.info.__dict__.get("_counter_rows")
+        if rows is None:  # weak: a design must not keep registries alive
+            rows = self.info._counter_rows = weakref.WeakKeyDictionary()
+        row = rows.get(metrics)
+        if row is None:
+            row = rows[metrics] = _counter_row(metrics, self.info.name)
+        (
+            self._m_reads,
+            self._m_retries,
+            self._m_timeouts,
+            self._m_failures,
+        ) = row
 
     def attach_supervisor(self, supervisor) -> None:
         """Put the instance under a :class:`DeviceSupervisor`'s care.
@@ -482,6 +472,31 @@ class DeviceInstance:
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in self.attributes.items())
         return f"<{self.info.name} {self.entity_id} {attrs}>"
+
+
+def _counter_row(metrics, device_type: str) -> tuple:
+    """The four read counters of ``device_type`` in ``metrics``."""
+    return tuple(
+        metrics.counter(name, help=text, device_type=device_type)
+        for name, text in (
+            (
+                "device_reads_total",
+                "Query-driven/periodic reads attempted per device type.",
+            ),
+            (
+                "device_read_retries_total",
+                "Re-attempts after a failed or timed-out read.",
+            ),
+            (
+                "device_read_timeouts_total",
+                "Read attempts that exceeded their declared timeout.",
+            ),
+            (
+                "device_read_failures_total",
+                "Reads that failed after exhausting their retry budget.",
+            ),
+        )
+    )
 
 
 class _Plan(dict):

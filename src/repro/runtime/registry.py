@@ -137,7 +137,7 @@ class EntityRegistry(Instrumented):
                 f"entity id '{instance.entity_id}' is already registered"
             )
         self._by_id[instance.entity_id] = instance
-        for type_name in (instance.info.name, *instance.info.ancestors):
+        for type_name in instance.info.lineage:
             self._by_type.setdefault(type_name, []).append(instance)
             for attribute, value in instance.attributes.items():
                 values = self._by_attribute.setdefault(
@@ -152,8 +152,9 @@ class EntityRegistry(Instrumented):
         # (and what unregister bisects every list above on).
         instance._registration = self._registrations
         self._version += 1
-        for listener in list(self._listeners):
-            listener("register", instance)
+        if self._listeners:
+            for listener in list(self._listeners):
+                listener("register", instance)
         return instance
 
     def unregister(self, entity_id: str) -> DeviceInstance:
@@ -161,7 +162,7 @@ class EntityRegistry(Instrumented):
             instance = self._by_id.pop(entity_id)
         except KeyError:
             raise BindingError(f"no entity with id '{entity_id}'") from None
-        for type_name in (instance.info.name, *instance.info.ancestors):
+        for type_name in instance.info.lineage:
             _splice(self._by_type[type_name], instance)
             for attribute, value in instance.attributes.items():
                 bucket = self._bucket(type_name, attribute, value)
@@ -444,6 +445,9 @@ class EntityRegistry(Instrumented):
 
     def __len__(self) -> int:
         return len(self._by_id)
+
+    def __contains__(self, entity_id: str) -> bool:
+        return entity_id in self._by_id
 
     def __iter__(self):
         return iter(self._by_id.values())

@@ -53,13 +53,14 @@ class _ShardWorker:
                 shard=ctx.index,
             )
         self.clock: SimulationClock = self.app.clock
-        # Owned entity id -> global registration position, derived
+        # Bound entity id -> global registration position, derived
         # from the full-fleet enumeration so every shard agrees on
-        # merge order.
+        # merge order; the build bound what this shard owns.
+        bound = set(map(_entity_id_of, self.app.registry))
         self._gpos = {
             entity_id: position
             for position, entity_id in enumerate(bootstrap.fleet())
-            if ctx.owns(entity_id)
+            if entity_id in bound
         }
         self._events: List[Tuple[Any, ...]] = []
         # Poll results parked between the poll and map rounds of a
@@ -82,8 +83,9 @@ class _ShardWorker:
         # the worker's subscriber-less bus.  Recording happens at the
         # instance (one record per publish), not at the bus (which
         # would double-count ancestor-topic deliveries).
+        self._recorder = self._record_publish
         for instance in self.app.registry:
-            instance.attach(self._record_publish)
+            instance.attach(self._recorder)
 
     # -- event recording ------------------------------------------------
 
@@ -223,8 +225,7 @@ class _ShardWorker:
         static fleet required.
         """
         self.bootstrap.bind_entity(self.app, entity_id, position)
-        instance = self.app.registry.get(entity_id)
-        instance.attach(self._record_publish)
+        self.app.registry.get(entity_id).attach(self._recorder)
         self._gpos[entity_id] = position
         return {"bound": len(self.app.registry)}
 

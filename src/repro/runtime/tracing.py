@@ -13,7 +13,7 @@ it is observation-only (no behavioural change) and can be detached.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.runtime.component import ContextEvent, SourceEvent
 from repro.telemetry.chrometrace import TraceEntry
@@ -34,7 +34,8 @@ class Tracer:
         self.capacity = capacity
         self.entries: List[TraceEntry] = []
         self.dropped = 0
-        self._patched_instances: List[Any] = []
+        # entity id -> an instance whose ``act`` this tracer patched
+        self._patched_instances: Dict[str, Any] = {}
         self._attached = False
         self._original_dispatch = None
 
@@ -70,8 +71,10 @@ class Tracer:
         if not self._attached:
             return
         self.application.bus.dispatch_compiled = self._original_dispatch
-        for instance, original in self._patched_instances:
-            instance.act = original
+        for instance in self._patched_instances.values():
+            # Deleted, not assigned back: a bound method in the
+            # instance's own dict would hold it in a cycle.
+            del instance.act
         self._patched_instances.clear()
         self._registry_remover()
         self._attached = False
@@ -85,8 +88,10 @@ class Tracer:
     # -- hooks ---------------------------------------------------------------
 
     def _on_registry_change(self, kind, instance) -> None:
-        if kind == "register" and self._attached:
+        if kind == "register":
             self._patch_instance(instance)
+        else:
+            del self._patched_instances.pop(instance.entity_id).act
 
     def _patch_instance(self, instance) -> None:
         original = instance.act
@@ -104,7 +109,7 @@ class Tracer:
             return original(action, **params)
 
         instance.act = traced_act
-        self._patched_instances.append((instance, original))
+        self._patched_instances[instance.entity_id] = instance
 
     def _on_source(self, event: SourceEvent) -> None:
         self._record(

@@ -9,6 +9,7 @@ objects to every typed position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.errors import UnknownNameError
@@ -99,6 +100,18 @@ class DeviceInfo:
 
     def is_subtype_of(self, other: str) -> bool:
         return self.name == other or other in self.ancestors
+
+    @cached_property
+    def lineage(self) -> Tuple[str, ...]:
+        """The type's own name, then its ancestors nearest-first: every
+        type an instance of it is discovered as."""
+        return (self.name, *self.ancestors)
+
+    @cached_property
+    def attribute_types(self) -> Dict[str, DiaType]:
+        """``attribute -> declared type``, built once: the table every
+        bind checks its attribute record against."""
+        return {name: info.dia_type for name, info in self.attributes.items()}
 
 
 @dataclass

@@ -106,3 +106,21 @@ class TestStagingPhases:
         deployment.launch()
         deployment.bind_runtime()
         assert deployment.staged_count(BindingTime.RUNTIME) == 0
+
+    def test_a_failed_stage_keeps_only_what_did_not_bind(self, setup):
+        """Each instance leaves the stage as it binds: a collision on
+        the second of three leaves two staged, and deploy() binds both
+        once the conflict is gone."""
+        design, app, deployment = setup
+        app.bind_device(make_sensor(design, "d2"))
+        for entity_id in ("d1", "d2", "d3"):
+            deployment.stage(
+                make_sensor(design, entity_id), BindingTime.DEPLOYMENT
+            )
+        with pytest.raises(BindingError, match="already registered"):
+            deployment.deploy()
+        assert deployment.staged_count(BindingTime.DEPLOYMENT) == 2
+        app.unbind_device("d2")
+        assert deployment.deploy() == 2
+        assert app.registry.entity_ids() == ["d1", "d2", "d3"]
+        assert deployment.staged_count(BindingTime.DEPLOYMENT) == 0

@@ -169,6 +169,26 @@ class TestApplyDescriptor:
         with pytest.raises(BindingError, match="ghost"):
             apply_descriptor(app, load_descriptor(bad), catalog)
 
+    def test_an_already_bound_id_fails_atomically(self, app, catalog):
+        app.create_device(
+            "Sensor", "taken", CallableDriver(), zone="NORTH"
+        )
+        bad = {
+            "entities": [
+                {"type": "Sensor", "id": "c1",
+                 "attributes": {"zone": "NORTH"},
+                 "driver": "constant", "config": {"value": 1.0},
+                 "binding": "configuration"},
+                {"type": "Sensor", "id": "taken",
+                 "attributes": {"zone": "SOUTH"},
+                 "driver": "constant", "config": {"value": 2.0},
+                 "binding": "configuration"},
+            ]
+        }
+        with pytest.raises(BindingError, match="'taken' is already"):
+            apply_descriptor(app, load_descriptor(bad), catalog)
+        assert app.registry.entity_ids() == ["taken"]
+
     def test_attribute_validation_applies(self, app, catalog):
         bad = {
             "entities": [

@@ -1,5 +1,6 @@
 """Device instances, drivers and the three delivery modes."""
 
+import operator
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ from repro.errors import (
 )
 from repro.faults.policy import SupervisionPolicy
 from repro.faults.supervisor import SupervisionManager
+from repro.runtime.app import Application
 from repro.runtime.cache import CacheConfig, ReadCache
 from repro.runtime.clock import SimulationClock
 from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
@@ -633,3 +635,122 @@ class TestActPlan:
         with pytest.raises(ActuationError, match="jammed"):
             twin.instance.act("setRate", newRate=3)
         assert twin.instance.supervisor.breaker._failures == 1
+
+
+def bind_sensors(app, count):
+    return [
+        app.create_device(
+            "PresenceSensor",
+            f"s{index}",
+            CallableDriver(sources={"presence": lambda: True}),
+            parkingLot="A22",
+        )
+        for index in range(count)
+    ]
+
+
+def counter_row(instance):
+    return (
+        instance._m_reads,
+        instance._m_retries,
+        instance._m_timeouts,
+        instance._m_failures,
+    )
+
+
+def reads_counted(app):
+    return app.metrics.value(
+        "device_reads_total", device_type="PresenceSensor"
+    )
+
+
+class TestBindRow:
+    """What a declaration fixes is resolved once per declaration (and
+    metrics registry), not once per bind."""
+
+    def test_a_thousand_binds_resolve_the_counters_once(
+        self, design, monkeypatch
+    ):
+        app = Application(design)
+        asked = []
+        counter = MetricsRegistry.counter
+
+        def counting(registry, name, *args, **labels):
+            asked.append(name)
+            return counter(registry, name, *args, **labels)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", counting)
+        instances = bind_sensors(app, 1000)
+        assert sorted(asked) == sorted(READ_COUNTERS)
+        rows = {tuple(map(id, counter_row(i))) for i in instances}
+        assert len(rows) == 1
+        instances[0].read("presence")
+        instances[-1].read("presence")
+        assert reads_counted(app) == 2
+
+    def test_a_second_application_keeps_its_own_counters(self, design):
+        first, second = Application(design), Application(design)
+        (one,) = bind_sensors(first, 1)
+        (two,) = bind_sensors(second, 1)
+        assert not set(map(id, counter_row(one))) & set(
+            map(id, counter_row(two))
+        )
+        two.read("presence")
+        assert (reads_counted(first), reads_counted(second)) == (0, 1)
+
+    def test_detach_then_rebind_restores_the_counters(self, design):
+        app = Application(design)
+        (instance,) = bind_sensors(app, 1)
+        row = counter_row(instance)
+        app.unbind_device("s0")
+        assert counter_row(instance) == (None, None, None, None)
+        app.bind_device(instance)
+        assert all(map(operator.is_, counter_row(instance), row))
+        instance.read("presence")
+        assert reads_counted(app) == 1
+
+    @pytest.mark.parametrize(
+        "attributes, error, text",
+        [
+            (
+                {},
+                BindingError,
+                "device 's1' of type PresenceSensor: attribute(s) "
+                "['parkingLot'] must be set at registration",
+            ),
+            (
+                {"floor": 2},
+                BindingError,
+                "device 's1' of type PresenceSensor: attribute(s) "
+                "['parkingLot'] must be set at registration",
+            ),
+            (
+                {"parkingLot": "A22", "floor": 2},
+                BindingError,
+                "device 's1' of type PresenceSensor: unknown "
+                "attribute(s) ['floor']",
+            ),
+            (
+                {"parkingLot": "Z99"},
+                ValueConformanceError,
+                "'Z99' is not a member of enumeration LotEnum",
+            ),
+        ],
+    )
+    def test_a_bad_record_raises_the_same_text_on_both_paths(
+        self, design, attributes, error, text
+    ):
+        app = Application(design)
+        with pytest.raises(error) as direct:
+            DeviceInstance(
+                design.devices["PresenceSensor"],
+                "s1",
+                CallableDriver(),
+                attributes,
+            )
+        with pytest.raises(error) as created:
+            app.create_device(
+                "PresenceSensor", "s1", CallableDriver(), **attributes
+            )
+        assert str(direct.value) == str(created.value) == text
+        assert len(app.registry) == 0

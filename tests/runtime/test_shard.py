@@ -948,3 +948,48 @@ class TestPollAllocation:
         # is allocated per reading.  (With four short-lived tuples per
         # reading this read 8 collections at 2 000 devices, 32 at 8 000.)
         assert large[0] <= small[0] <= 1
+
+
+class TestWorkerBoot:
+    """A worker's global positions come from one pass over ``fleet()``,
+    filtered by what its build bound."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_positions_are_the_owned_fleet_positions(self, shards):
+        from repro.runtime.shard.worker import _ShardWorker
+
+        bootstrap = PresenceBootstrap(sensors=30)
+        seen = {}
+        for index in range(shards):
+            ctx = ShardContext(shards=shards, index=index)
+            worker = _ShardWorker(bootstrap, ctx)
+            assert worker._gpos == {
+                entity_id: position
+                for position, entity_id in enumerate(bootstrap.fleet())
+                if ctx.owns(entity_id)
+            }
+            seen.update(worker._gpos)
+        assert sorted(seen.values()) == list(range(30))
+
+    def test_a_rebind_keeps_its_assigned_position(self):
+        from repro.runtime.shard.worker import _ShardWorker
+
+        worker = _ShardWorker(
+            PresenceBootstrap(sensors=6), ShardContext(shards=1, index=0)
+        )
+        worker._cmd_unbind("s-002")
+        assert "s-002" not in worker._gpos
+        worker._cmd_bind("s-002", 9)
+        worker._cmd_bind("s-042", 7)
+        assert worker._gpos == {
+            "s-000": 0,
+            "s-001": 1,
+            "s-003": 3,
+            "s-004": 4,
+            "s-005": 5,
+            "s-002": 9,
+            "s-042": 7,
+        }
+        worker._cmd_poll("Windowed", 0)
+        __, positions, __, __ = worker._columns["ShardPresence"]
+        assert positions == [0, 1, 3, 4, 5, 9, 7]

@@ -158,6 +158,22 @@ class TestLifecycle:
         instance = app.application.registry.get("tv-living-room")
         tracer.detach()
         assert instance.act.__name__ != "traced_act"
+        # Deleted, not assigned: a bound method in the instance's own
+        # dict would hold the instance in a cycle.
+        assert "act" not in instance.__dict__
+
+    def test_an_unbound_instance_is_released_and_traced_again_on_rebind(
+        self, traced_app
+    ):
+        app, tracer = traced_app
+        application = app.application
+        instance = application.unbind_device("tv-living-room")
+        assert "act" not in instance.__dict__
+        application.bind_device(instance)
+        instance.act("askQuestion", question="again?", questionId="q9")
+        assert tracer.of_kind("action")[-1].detail == "askQuestion"
+        tracer.detach()
+        assert "act" not in instance.__dict__
 
     def test_double_attach_rejected(self, traced_app):
         __, tracer = traced_app
