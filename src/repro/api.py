@@ -46,9 +46,9 @@ The surface, by concern:
   :class:`ShardBootstrap`, :class:`ShardedRuntime`,
   :class:`SimulatedFleetBootstrap`, and the typed :class:`ShardError`;
 * **Network & placement** — :class:`NetworkConfig` (the frozen network
-  section of the runtime config), the models it builds
-  (:class:`NetworkConditions`, :class:`TopologyModel`,
-  :class:`HopProfile`), and the edge/cloud continuum
+  section of the runtime config), the topology it builds
+  (:class:`TopologyModel` of :class:`HopProfile` hops; a single link
+  is one hop), and the edge/cloud continuum
   (:class:`PlacementConfig`, :class:`Tier`, :class:`EdgeNode`,
   :class:`EntityPlacement`, and the typed :class:`PlacementError`);
 * **Observability** — :class:`MetricsRegistry`, :class:`Tracer`;
@@ -122,11 +122,7 @@ from repro.runtime.tuning import (
     TuningController,
 )
 from repro.simulation.fleet import SimulatedFleetBootstrap
-from repro.simulation.network import (
-    HopProfile,
-    NetworkConditions,
-    TopologyModel,
-)
+from repro.simulation.network import HopProfile, TopologyModel
 from repro.sema.analyzer import AnalyzedSpec, analyze
 from repro.telemetry import MetricsRegistry
 
@@ -158,7 +154,6 @@ __all__ = [
     "KnobRegistry",
     "MapReduce",
     "MetricsRegistry",
-    "NetworkConditions",
     "NetworkConfig",
     "PlacementConfig",
     "PlacementError",

@@ -103,8 +103,8 @@ class Application:
         self.config = config
         self.design = design
         self.name = config.name
-        # A NetworkConfig builds a fresh stateful model per application
-        # (single hop or fog topology), or nothing when inert.
+        # A NetworkConfig builds a fresh stateful topology per
+        # application, or nothing when it declares no hops.
         self.network = (
             config.network.build() if config.network is not None else None
         )

@@ -65,8 +65,8 @@ class RuntimeConfig(ConfigBase):
     * ``mapreduce_executor`` — executor for ``with map ... reduce ...``
       contexts (serial when ``None``).
     * ``network`` — a frozen :class:`NetworkConfig` describing the
-      simulated delivery conditions (single hop or multi-hop fog
-      topology); the application builds a fresh stateful model from it.
+      simulated network as a chain of hops (one hop for a single link);
+      the application builds a fresh stateful topology from it.
     * ``error_policy`` — ``'raise'`` propagates component failures,
       ``'isolate'`` contains them (see ``Application._run_component``).
     * ``metrics`` — shared telemetry registry (own registry when

@@ -221,19 +221,15 @@ class Gatherer(Instrumented):
         """Zero-arg survival sampler for this gather's polled reads.
 
         ``None`` when reads are reliable (no network, or loss not
-        applied to reads).  Under a topology, an edge-placed gather
-        samples only the device→edge access hop — its raw readings
-        never touch the WAN — while cloud-placed gathers sample the
-        whole path.  Zero-loss hops draw no randomness either way."""
+        applied to reads).  An edge-placed gather samples only the
+        device→edge access hop — its raw readings never touch the WAN —
+        while cloud-placed gathers sample the whole path.  Zero-loss
+        hops draw no randomness either way."""
         network = self.network
         if network is None or not self.config.network.apply_to_reads:
             return None
         placement = self.placement
-        if (
-            placement is not None
-            and placement.topology is not None
-            and placement.splits(decl, interaction)
-        ):
+        if placement is not None and placement.splits(decl, interaction):
             if ACCESS_HOP not in network.hop_names:
                 return None
             return functools.partial(network.sample_read_ok, (ACCESS_HOP,))

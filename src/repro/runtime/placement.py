@@ -1,21 +1,18 @@
 """Edge/cloud placement tier: the fog continuum.
 
 The paper's large-scale story (Section VI) assumes sensor readings cross
-a wide-area network before they are aggregated; until this module the
-runtime ran every map/combine/reduce at the coordinator and modeled the
-network as one flat hop.  The placement tier lets a deployment put the
-map and map-side combine of a ``grouped by … with map … reduce …``
-context *at the edge* — one :class:`EdgeNode` per shard-attribute value
-(a parking lot, a building, a cell) — so only per-group partial
-aggregates transit the simulated edge→cloud WAN hop while raw readings
-stop at the access network:
+a wide-area network before they are aggregated.  The placement tier
+lets a deployment put the map and map-side combine of a ``grouped by …
+with map … reduce …`` context *at the edge* — one :class:`EdgeNode` per
+shard-attribute value (a parking lot, a building, a cell) — so only
+per-group partial aggregates transit the simulated edge→cloud WAN hop
+while raw readings stop at the access network:
 
 * :class:`Tier` — the continuum: ``DEVICE`` / ``EDGE`` / ``CLOUD``.
 * :class:`EdgeNode` — one edge execution site and the shard-attribute
   values it owns.
 * :class:`NetworkConfig` — frozen description of the simulated network;
-  builds a single-hop :class:`~repro.simulation.network.NetworkConditions`
-  or a multi-hop :class:`~repro.simulation.network.TopologyModel` per
+  builds a :class:`~repro.simulation.network.TopologyModel` per
   application.
 * :class:`PlacementConfig` — frozen placement policy on
   :class:`~repro.runtime.config.RuntimeConfig`, off by default like
@@ -38,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import PlacementError
 from repro.mapreduce.engine import (
@@ -48,11 +45,7 @@ from repro.mapreduce.engine import (
 )
 from repro.runtime.configbase import ConfigBase
 from repro.runtime.grouping import group_key
-from repro.simulation.network import (
-    HopProfile,
-    NetworkConditions,
-    TopologyModel,
-)
+from repro.simulation.network import TopologyModel, hop_items
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 __all__ = [
@@ -140,71 +133,32 @@ class EntityPlacement:
 
 @dataclass(frozen=True)
 class NetworkConfig(ConfigBase):
-    """Frozen description of the simulated network.
-
-    The flat form (``latency``/``jitter``/``loss``) describes the
-    classic single-hop model; ``hops`` describes a multi-hop fog
-    topology instead (conventionally ``access`` + ``wan``).  The two
-    forms are mutually exclusive.  ``apply_to_reads`` extends loss to
-    polled gather reads.
+    """Frozen description of the simulated network: a chain of named
+    hops (conventionally ``access`` + ``wan``).  A single link is one
+    hop, ``NetworkConfig(hops={"link": HopProfile(latency=…)})``.
+    ``apply_to_reads`` extends loss to polled gather reads.
 
     The config is immutable deployment data; :meth:`build` constructs a
     fresh stateful model (RNG streams, counters) per application, so
     two apps never share delivery state by accident.
     """
 
-    latency: float = 0.0
-    jitter: float = 0.0
-    loss: float = 0.0
     seed: int = 0
     apply_to_reads: bool = False
     hops: Any = ()
 
     def __post_init__(self):
-        hops = self.hops
-        items = tuple(hops.items() if isinstance(hops, Mapping) else hops)
-        for item in items:
-            if len(item) != 2 or not isinstance(item[0], str):
-                raise TypeError(
-                    "hops must map hop names to HopProfile records"
-                )
-            if not isinstance(item[1], HopProfile):
-                raise TypeError(
-                    f"hop '{item[0]}' must be a HopProfile, got "
-                    f"{type(item[1]).__name__}"
-                )
-        object.__setattr__(self, "hops", items)
-        if items and (self.latency or self.jitter or self.loss):
-            raise ValueError(
-                "pass either flat latency/jitter/loss or hops, not both"
-            )
-        if not items:
-            # Reuse the single-hop validation (ranges, jitter bound).
-            NetworkConditions(self.latency, self.jitter, self.loss)
-
-    @property
-    def enabled(self) -> bool:
-        """Whether :meth:`build` attaches a model at all."""
-        return bool(
-            self.hops
-            or self.latency
-            or self.jitter
-            or self.loss
-            or self.apply_to_reads
-        )
+        object.__setattr__(self, "hops", hop_items(self.hops))
 
     def hop_names(self) -> Tuple[str, ...]:
         return tuple(name for name, __ in self.hops)
 
-    def build(self):
-        """A fresh stateful network model, or ``None`` when inert."""
-        if self.hops:
-            return TopologyModel(self.hops, seed=self.seed)
-        if not self.enabled:
+    def build(self) -> Optional[TopologyModel]:
+        """A fresh stateful topology, or ``None`` when there are no
+        hops."""
+        if not self.hops:
             return None
-        return NetworkConditions(
-            self.latency, self.jitter, self.loss, seed=self.seed
-        )
+        return TopologyModel(self.hops, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -315,16 +269,11 @@ class PlacementExecutor(Instrumented):
     def __init__(
         self,
         config: PlacementConfig,
-        network: Any = None,
+        network: Optional[TopologyModel] = None,
         metrics=None,
     ):
         self.config = config
-        # Only a topology has addressable hops; the flat single-hop
-        # model keeps its legacy role (event delivery + read loss) and
-        # the placement layer accounts bytes model-free.
-        self.topology: Optional[TopologyModel] = (
-            network if isinstance(network, TopologyModel) else None
-        )
+        self.topology = network
         self._has_access = (
             self.topology is not None and ACCESS_HOP in self.topology.hop_names
         )

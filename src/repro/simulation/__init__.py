@@ -4,9 +4,9 @@ The paper's applications run on real homes, parking lots, and aircraft;
 this package provides their synthetic equivalents (per the reproduction's
 substitution rule): stochastic environments advanced by the simulation
 clock, device drivers that sense/actuate those environments, workload
-trace generators, a network-conditions model (latency / jitter / loss),
-and failure injection for the dependability dimension the paper sketches
-in its conclusion.
+trace generators, a network model (``repro.simulation.network``: named
+hops with latency / jitter / loss), and failure injection for the
+dependability dimension the paper sketches in its conclusion.
 """
 
 from repro.simulation.environment import (
@@ -16,7 +16,6 @@ from repro.simulation.environment import (
     ParkingLotEnvironment,
 )
 from repro.simulation.faults import FaultInjector
-from repro.simulation.network import NetworkConditions
 from repro.simulation.sensors import (
     ClockDeviceDriver,
     EnvironmentDriver,
@@ -36,7 +35,6 @@ __all__ = [
     "FaultInjector",
     "FlightEnvironment",
     "HomeEnvironment",
-    "NetworkConditions",
     "ParkingLotEnvironment",
     "ThresholdPushDriver",
     "bernoulli_field",

@@ -1,25 +1,22 @@
-"""Network models for simulated delivery: single hop and multi-hop.
+"""The network model for simulated delivery: a chain of named hops.
 
 Wide-area IoT networks (Sigfox, LoRa — Section I) deliver sensor
-messages with latency, jitter and loss.  Two models inject those effects
-between a device's event push and the application's bus:
+messages with latency, jitter and loss.  :class:`TopologyModel` injects
+those effects between a device's event push and the application's bus:
+a chain of named hops (conventionally ``access`` for device→edge and
+``wan`` for edge→cloud), each a frozen :class:`HopProfile` with its own
+latency / jitter / loss / bandwidth and its own deterministic RNG
+stream, with per-hop delivery and byte accounting.  A single link is a
+one-hop topology.  The placement tier (``repro.runtime.placement``)
+samples reads against the access hop and ships MapReduce partials
+across the WAN hop, so "bytes over WAN" becomes a measurable quantity
+instead of a modeling gap.
 
-* :class:`NetworkConditions` — the original single-hop model: every
-  message pays ``latency ± jitter`` seconds and is dropped with
-  probability ``loss``.
-* :class:`TopologyModel` — the fog-continuum generalization: a chain of
-  named hops (conventionally ``access`` for device→edge and ``wan`` for
-  edge→cloud), each a frozen :class:`HopProfile` with its own latency /
-  jitter / loss / bandwidth and its own deterministic RNG stream, with
-  per-hop delivery and byte accounting.  The placement tier
-  (``repro.runtime.placement``) samples reads against the access hop and
-  ships MapReduce partials across the WAN hop, so "bytes over WAN"
-  becomes a measurable quantity instead of a modeling gap.
-
-Both models follow the :class:`~repro.telemetry.instrument.Instrumented`
-protocol — attach them to a :class:`~repro.telemetry.MetricsRegistry`
-and ``delivered``/``dropped`` (and the topology's per-hop series) appear
-in ``app.metrics`` and the Prometheus exporter like every other layer.
+The model follows the :class:`~repro.telemetry.instrument.Instrumented`
+protocol — attach it to a :class:`~repro.telemetry.MetricsRegistry` and
+``delivered``/``dropped`` (messages end to end) and the per-hop series
+appear in ``app.metrics`` and the Prometheus exporter like every other
+layer.
 
 Determinism contract: a hop with zero loss draws **no** random numbers
 when sampling delivery, and a hop with zero jitter draws none when
@@ -38,7 +35,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 from repro.runtime.clock import Clock
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
-__all__ = ["HopProfile", "NetworkConditions", "TopologyModel"]
+__all__ = ["HopProfile", "TopologyModel", "hop_items"]
 
 # Buckets for modeled per-hop transit time: LAN microseconds up to
 # congested-WAN seconds.
@@ -54,81 +51,6 @@ HOP_LATENCY_BUCKETS = (
     1.0,
     5.0,
 )
-
-
-def _validate_link(latency: float, jitter: float, loss: float) -> None:
-    if latency < 0 or jitter < 0:
-        raise ValueError("latency and jitter must be >= 0")
-    if not 0.0 <= loss < 1.0:
-        raise ValueError("loss must be within [0, 1)")
-    if jitter > latency:
-        raise ValueError("jitter cannot exceed latency")
-
-
-class NetworkConditions(Instrumented):
-    """Single-hop latency / jitter / loss injection, deterministic
-    under a seed."""
-
-    metric_specs = (
-        MetricSpec(
-            "network_delivered_total",
-            "delivered",
-            stats_key="delivered",
-            resettable=True,
-            help="Messages the network model delivered.",
-        ),
-        MetricSpec(
-            "network_dropped_total",
-            "dropped",
-            stats_key="dropped",
-            resettable=True,
-            help="Messages the network model dropped.",
-        ),
-    )
-
-    def __init__(
-        self,
-        latency: float = 0.0,
-        jitter: float = 0.0,
-        loss: float = 0.0,
-        seed: int = 0,
-    ):
-        _validate_link(latency, jitter, loss)
-        self.latency = latency
-        self.jitter = jitter
-        self.loss = loss
-        self._rng = random.Random(seed)
-        self.delivered = 0
-        self.dropped = 0
-
-    def transmit(self, clock: Clock, deliver: Callable[[], None]) -> bool:
-        """Route one message: schedule ``deliver`` after the sampled delay,
-        or drop it.  Returns True when the message will be delivered."""
-        if self.loss and self._rng.random() < self.loss:
-            self.dropped += 1
-            return False
-        self.delivered += 1
-        delay = self.sample_delay()
-        if delay <= 0:
-            deliver()
-        else:
-            clock.schedule(delay, deliver)
-        return True
-
-    def sample_delay(self) -> float:
-        if self.jitter:
-            return self.latency + self._rng.uniform(-self.jitter, self.jitter)
-        return self.latency
-
-    def sample_read_ok(self) -> bool:
-        """Whether a polled read survives the network."""
-        if not self.loss:
-            return True
-        return self._rng.random() >= self.loss
-
-    def _extra_stats(self):
-        total = self.delivered + self.dropped
-        return {"loss_rate": self.dropped / total if total else 0.0}
 
 
 @dataclass(frozen=True)
@@ -147,7 +69,12 @@ class HopProfile:
     bandwidth: Optional[float] = None
 
     def __post_init__(self):
-        _validate_link(self.latency, self.jitter, self.loss)
+        if self.latency < 0 or self.jitter < 0:
+            raise ValueError("latency and jitter must be >= 0")
+        if not 0.0 <= self.loss < 1.0:
+            raise ValueError("loss must be within [0, 1)")
+        if self.jitter > self.latency:
+            raise ValueError("jitter cannot exceed latency")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0 (or None for unbounded)")
 
@@ -156,6 +83,31 @@ class HopProfile:
         if self.bandwidth is None or not nbytes:
             return self.latency
         return self.latency + nbytes / self.bandwidth
+
+
+# A topology's hops: ``{name: HopProfile}`` or ``(name, HopProfile)``
+# pairs, in path order.
+Hops = Union[Mapping[str, HopProfile], Iterable[Tuple[str, HopProfile]]]
+
+
+def hop_items(hops: Hops) -> Tuple[Tuple[str, HopProfile], ...]:
+    """``hops`` as a tuple of ``(name, profile)`` pairs, checked: names
+    are unique strings, profiles are :class:`HopProfile` records."""
+    items = tuple(hops.items() if isinstance(hops, Mapping) else hops)
+    seen = set()
+    for item in items:
+        if len(item) != 2 or not isinstance(item[0], str):
+            raise TypeError("hops must map hop names to HopProfile records")
+        name, profile = item
+        if not isinstance(profile, HopProfile):
+            raise TypeError(
+                f"hop '{name}' must be a HopProfile, got "
+                f"{type(profile).__name__}"
+            )
+        if name in seen:
+            raise ValueError(f"duplicate hop '{name}'")
+        seen.add(name)
+    return items
 
 
 class _HopState:
@@ -168,7 +120,9 @@ class _HopState:
         self.profile = profile
         # One independent, deterministic stream per hop: hop order in a
         # path never perturbs another hop's draws.
-        self.rng = random.Random(seed * 2654435761 + zlib.crc32(name.encode("utf-8")))
+        self.rng = random.Random(
+            seed * 2654435761 + zlib.crc32(name.encode("utf-8"))
+        )
         self.delivered = 0
         self.dropped = 0
         self.nbytes = 0
@@ -187,9 +141,10 @@ class _HopState:
 
 
 class TopologyModel(Instrumented):
-    """Multi-hop network: named links, per-hop loss, delay and bytes.
+    """The network: named links, per-hop loss, delay and bytes.
 
-    ``hops`` is an ordered mapping ``{name: HopProfile}``; the default
+    ``hops`` is an ordered mapping ``{name: HopProfile}`` (one entry
+    for a single link) or ``(name, HopProfile)`` pairs; the default
     message path is every hop in declaration order (device → … → cloud).
     Pass ``path=('wan',)`` (any subsequence of hop names) to route a
     message over part of the continuum — the placement tier samples
@@ -202,7 +157,7 @@ class TopologyModel(Instrumented):
             "network_delivered_total",
             "delivered",
             stats_key="delivered",
-            help="Messages delivered across the full topology.",
+            help="Messages delivered end to end over their path.",
         ),
         MetricSpec(
             "network_dropped_total",
@@ -218,28 +173,16 @@ class TopologyModel(Instrumented):
         ),
     )
 
-    def __init__(
-        self,
-        hops: Union[
-            Mapping[str, HopProfile], Iterable[Tuple[str, HopProfile]]
-        ],
-        seed: int = 0,
-    ):
-        items = list(
-            hops.items() if isinstance(hops, Mapping) else hops
-        )
+    def __init__(self, hops: Hops, seed: int = 0):
+        items = hop_items(hops)
         if not items:
             raise ValueError("a TopologyModel needs at least one hop")
-        self._hops: Dict[str, _HopState] = {}
-        for name, profile in items:
-            if name in self._hops:
-                raise ValueError(f"duplicate hop '{name}'")
-            if not isinstance(profile, HopProfile):
-                raise TypeError(
-                    f"hop '{name}' must be a HopProfile, got "
-                    f"{type(profile).__name__}"
-                )
-            self._hops[name] = _HopState(name, profile, seed)
+        self._hops: Dict[str, _HopState] = {
+            name: _HopState(name, profile, seed) for name, profile in items
+        }
+        # Messages that crossed their whole path; a drop consumes the
+        # message, so the per-hop drops already sum to messages.
+        self.delivered = 0
         self._m_latency = None
 
     # -- structure ------------------------------------------------------
@@ -247,9 +190,6 @@ class TopologyModel(Instrumented):
     @property
     def hop_names(self) -> Tuple[str, ...]:
         return tuple(self._hops)
-
-    def profile(self, name: str) -> HopProfile:
-        return self._state(name).profile
 
     def _state(self, name: str) -> _HopState:
         try:
@@ -266,10 +206,6 @@ class TopologyModel(Instrumented):
         return tuple(self._state(name) for name in path)
 
     # -- aggregate counters (metric sources) ----------------------------
-
-    @property
-    def delivered(self) -> int:
-        return sum(hop.delivered for hop in self._hops.values())
 
     @property
     def dropped(self) -> int:
@@ -305,15 +241,14 @@ class TopologyModel(Instrumented):
             hop_delay = hop.sample_delay(nbytes)
             self._observe_latency(hop.name, hop_delay)
             delay += hop_delay
+        self.delivered += 1
         if delay <= 0:
             deliver()
         else:
             clock.schedule(delay, deliver)
         return True
 
-    def send(
-        self, hop_name: str, nbytes: int = 0
-    ) -> bool:
+    def send(self, hop_name: str, nbytes: int = 0) -> bool:
         """One message over one hop, without scheduling: sample loss,
         account bytes, observe the modeled transit time.  The gather
         path uses this for polled reads and shipped partials, where
@@ -324,6 +259,7 @@ class TopologyModel(Instrumented):
             hop.dropped += 1
             return False
         hop.delivered += 1
+        self.delivered += 1
         self._observe_latency(hop.name, hop.profile.transit_time(nbytes))
         return True
 
@@ -349,6 +285,7 @@ class TopologyModel(Instrumented):
                 hop.dropped += 1
                 return False
             hop.delivered += 1
+        self.delivered += 1
         return True
 
     def transit_time(
@@ -356,7 +293,7 @@ class TopologyModel(Instrumented):
     ) -> float:
         """Deterministic modeled end-to-end time for ``nbytes`` over
         ``path`` — latency plus serialization delay per hop, no jitter,
-        no RNG.  Benchmarks use this to model p99 uplink latency."""
+        no RNG."""
         return sum(
             hop.profile.transit_time(nbytes) for hop in self._path(path)
         )

@@ -80,14 +80,13 @@ class TestCookerOverLossyNetwork:
         from repro.runtime.config import RuntimeConfig
         from repro.runtime.placement import NetworkConfig
         from repro.simulation.environment import HomeEnvironment
+        from repro.simulation.network import HopProfile
         from repro.simulation.sensors import ClockDeviceDriver
 
         clock = SimulationClock()
+        link = NetworkConfig(hops={"link": HopProfile(latency=2.0)}, seed=1)
         app = Application(
-            get_design(),
-            RuntimeConfig(
-                clock=clock, network=NetworkConfig(latency=2.0, seed=1)
-            ),
+            get_design(), RuntimeConfig(clock=clock, network=link)
         )
         app.implement("Alert", AlertContext(threshold_seconds=10))
         app.implement("Notify", NotifyController())
@@ -112,11 +111,13 @@ class TestCookerOverLossyNetwork:
     def test_periodic_gathering_immune_to_event_loss(self):
         from repro.runtime.config import RuntimeConfig
         from repro.runtime.placement import NetworkConfig
+        from repro.simulation.network import HopProfile
 
+        link = NetworkConfig(hops={"link": HopProfile(loss=0.9)}, seed=2)
         app = build_parking_app(
             capacities={"A22": 10},
             seed=26,
-            config=RuntimeConfig(network=NetworkConfig(loss=0.9, seed=2)),
+            config=RuntimeConfig(network=link),
         )
         app.advance(600)
         assert app.entrance_panels["A22"].history  # polling, not events

@@ -31,14 +31,16 @@ class TestProtocolAdoption:
 class TestValidatedReplace:
     def test_replace_reruns_full_validation(self):
         # Regression: ``dataclasses.replace`` alone would assemble a
-        # flat-latency x hops NetworkConfig that construction rejects.
-        flat = NetworkConfig(latency=2.0)
+        # duplicate-hop NetworkConfig that construction rejects.
+        link = NetworkConfig(hops={"wan": HopProfile(latency=2.0)})
+        twice = (
+            ("wan", HopProfile(latency=2.0)),
+            ("wan", HopProfile(latency=1.0)),
+        )
         with pytest.raises(ValueError):
-            NetworkConfig(
-                latency=2.0, hops={"wan": HopProfile(latency=1.0)}
-            )
+            NetworkConfig(hops=twice)
         with pytest.raises(ValueError):
-            flat.replace(hops={"wan": HopProfile(latency=1.0)})
+            link.replace(hops=twice)
 
     def test_runtime_config_replace_revalidates_sections(self):
         base = RuntimeConfig()
@@ -83,6 +85,9 @@ class TestRemovedSettings:
             (PlacementConfig, "default_tier", "edge"),
             (PlacementConfig, "access_hop", "lan"),
             (PlacementConfig, "wan_hop", "backhaul"),
+            (NetworkConfig, "latency", 1.0),
+            (NetworkConfig, "jitter", 1.0),
+            (NetworkConfig, "loss", 0.1),
         ],
     )
     def test_a_removed_setting_is_rejected(self, config_type, name, value):

@@ -17,6 +17,7 @@ from repro.runtime.placement import NetworkConfig
 from repro.runtime.registry import EntityRegistry
 from repro.runtime.sweep import SweepEngine
 from repro.sema.analyzer import analyze
+from repro.simulation.network import HopProfile
 from repro.telemetry import MetricsRegistry
 
 DESIGN = analyze(
@@ -126,7 +127,9 @@ def test_a_clean_sweep_returns_the_engine_columns():
 
 
 def test_reads_the_network_drops_leave_the_columns():
-    network = NetworkConfig(loss=0.5, seed=11, apply_to_reads=True)
+    network = NetworkConfig(
+        hops={"link": HopProfile(loss=0.5)}, seed=11, apply_to_reads=True
+    )
     gatherer, __ = build(RuntimeConfig(network=network))
     twin = network.build()  # same seed, same draws
     survivors = [

@@ -9,11 +9,8 @@ from repro.runtime.component import Context
 from repro.runtime.device import CallableDriver
 from repro.runtime.placement import NetworkConfig
 from repro.sema.analyzer import analyze
-from repro.simulation.network import (
-    HopProfile,
-    NetworkConditions,
-    TopologyModel,
-)
+from repro.simulation.network import HopProfile, TopologyModel
+from repro.telemetry import MetricsRegistry
 
 DESIGN = """\
 device Sensor { source reading as Float; }
@@ -48,6 +45,15 @@ class SweepImpl(Context):
         return len(readings)
 
 
+def single_link(seed=0, apply_to_reads=False, **profile):
+    """A network of one link: a one-hop topology."""
+    return NetworkConfig(
+        hops={"link": HopProfile(**profile)},
+        seed=seed,
+        apply_to_reads=apply_to_reads,
+    )
+
+
 def build(network=None):
     config = (
         RuntimeConfig()
@@ -67,39 +73,41 @@ def build(network=None):
 
 
 class TestNetworkConditionsModel:
+    """The conditions one link imposes, modeled as a one-hop topology."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            NetworkConditions(latency=-1)
+            HopProfile(latency=-1)
         with pytest.raises(ValueError):
-            NetworkConditions(loss=1.0)
+            HopProfile(loss=1.0)
         with pytest.raises(ValueError):
-            NetworkConditions(latency=1.0, jitter=2.0)
+            HopProfile(latency=1.0, jitter=2.0)
 
     def test_zero_loss_never_drops(self):
-        network = NetworkConditions(loss=0.0)
+        network = single_link(loss=0.0).build()
         assert all(network.sample_read_ok() for __ in range(100))
 
     def test_stats(self):
-        network = NetworkConditions(loss=0.5, seed=1)
+        network = single_link(loss=0.5, seed=1).build()
         clock = SimulationClock()
         for __ in range(200):
             network.transmit(clock, lambda: None)
         stats = network.stats()
         assert stats["delivered"] + stats["dropped"] == 200
-        assert 0.3 < stats["loss_rate"] < 0.7
+        assert 0.3 < stats["dropped"] / 200 < 0.7
 
 
 class TestNetworkConfig:
-    def test_flat_config_builds_conditions(self):
-        config = NetworkConfig(latency=2.0, jitter=0.5, loss=0.1, seed=4)
+    def test_single_link_builds_one_hop_topology(self):
+        config = single_link(latency=2.0, jitter=0.5, loss=0.1, seed=4)
         model = config.build()
-        assert isinstance(model, NetworkConditions)
-        assert model.latency == 2.0
-        assert model.loss == 0.1
+        assert isinstance(model, TopologyModel)
+        assert model.hop_names == ("link",)
+        assert model.transit_time() == 2.0
 
     def test_empty_config_builds_nothing(self):
         assert NetworkConfig().build() is None
-        assert not NetworkConfig().enabled
+        assert NetworkConfig(apply_to_reads=True).build() is None
 
     def test_hops_build_topology(self):
         config = NetworkConfig(
@@ -109,13 +117,13 @@ class TestNetworkConfig:
         assert isinstance(model, TopologyModel)
         assert model.hop_names == ("access", "wan")
 
-    def test_hops_exclude_flat_parameters(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(latency=1.0, hops={"wan": HopProfile()})
-
-    def test_flat_parameters_validated_eagerly(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(loss=1.5)
+    def test_duplicate_hop_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="duplicate hop 'a'"):
+            NetworkConfig(
+                hops=[("a", HopProfile()), ("a", HopProfile(loss=0.5))]
+            )
+        with pytest.raises(TypeError, match="HopProfile"):
+            NetworkConfig(hops={"a": 0.5})
 
 
 class TestTopologyModel:
@@ -128,7 +136,27 @@ class TestTopologyModel:
         topology.transmit(clock, lambda: delivered.append(clock.now()))
         clock.advance(5.0)
         assert delivered == [5.0]
-        assert topology.delivered == 2  # one per hop
+        assert topology.delivered == 1  # one message, end to end
+        hops = topology.stats()["hops"]
+        assert hops["access"]["delivered"] == 1
+        assert hops["wan"]["delivered"] == 1
+
+    def test_delivered_counts_messages_not_hops(self):
+        topology = TopologyModel(
+            {"access": HopProfile(), "wan": HopProfile()}
+        )
+        metrics = MetricsRegistry()
+        topology.attach_metrics(metrics)
+        clock = SimulationClock()
+        for __ in range(3):
+            topology.transmit(clock, lambda: None)
+        assert topology.stats()["delivered"] == 3
+        assert topology.send("wan") and topology.sample_read_ok()
+        assert metrics.value("network_delivered_total") == 5
+        assert metrics.value("network_hop_delivered_total", hop="wan") == 5
+        assert (
+            metrics.value("network_hop_delivered_total", hop="access") == 4
+        )
 
     def test_bandwidth_extends_transit_time(self):
         topology = TopologyModel(
@@ -161,14 +189,14 @@ class TestTopologyModel:
 
 class TestEventDeliveryThroughNetwork:
     def test_latency_delays_event(self):
-        app, sensor, sink, __ = build(NetworkConfig(latency=5.0))
+        app, sensor, sink, __ = build(single_link(latency=5.0))
         sensor.publish("reading", 3.0)
         assert sink.received == []  # still in flight
         app.advance(5.0)
         assert sink.received == [(5.0, 3.0)]
 
     def test_loss_drops_events(self):
-        app, sensor, sink, __ = build(NetworkConfig(loss=0.5, seed=3))
+        app, sensor, sink, __ = build(single_link(loss=0.5, seed=3))
         for __ in range(100):
             sensor.publish("reading", 1.0)
         app.advance(1.0)
@@ -176,8 +204,13 @@ class TestEventDeliveryThroughNetwork:
         assert app.network.dropped + len(sink.received) == 100
 
     def test_jitter_stays_within_bounds(self):
-        network = NetworkConfig(latency=10.0, jitter=2.0, seed=9).build()
-        delays = [network.sample_delay() for __ in range(200)]
+        network = single_link(latency=10.0, jitter=2.0, seed=9).build()
+        clock = SimulationClock()
+        delays = []  # every message leaves at t=0
+        for __ in range(200):
+            network.transmit(clock, lambda: delays.append(clock.now()))
+        clock.advance(12.0)
+        assert len(delays) == 200
         assert all(8.0 <= d <= 12.0 for d in delays)
 
     def test_no_network_is_synchronous(self):
@@ -203,7 +236,7 @@ class TestEventDeliveryThroughNetwork:
 class TestPolledReadsThroughNetwork:
     def test_lossy_reads_shrink_sweeps(self):
         app, __, __, sweep = build(
-            NetworkConfig(loss=0.9, seed=5, apply_to_reads=True)
+            single_link(loss=0.9, seed=5, apply_to_reads=True)
         )
         app.advance(60 * 50)
         assert len(sweep.sizes) == 50
@@ -211,7 +244,7 @@ class TestPolledReadsThroughNetwork:
         assert app.stats["gather_errors"] > 0
 
     def test_reads_unaffected_by_default(self):
-        app, __, __, sweep = build(NetworkConfig(loss=0.9, seed=5))
+        app, __, __, sweep = build(single_link(loss=0.9, seed=5))
         app.advance(60 * 10)
         assert sweep.sizes == [1] * 10
 
@@ -226,4 +259,4 @@ class TestLegacyNetworkKwargs:
 
     def test_model_instance_on_config_is_a_type_error(self):
         with pytest.raises(TypeError, match="NetworkConfig"):
-            RuntimeConfig(network=NetworkConditions(latency=5.0))
+            RuntimeConfig(network=single_link(latency=5.0).build())

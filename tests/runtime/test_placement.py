@@ -300,9 +300,11 @@ class TestEdgeSplit:
         assert free.deliveries  # still delivered
 
     def test_flat_network_still_accounts_bytes(self):
+        # One link, neither an access nor a WAN hop: bytes are
+        # accounted model-free.
         app, free = build_app(
             placement=PlacementConfig(enabled=True),
-            network=NetworkConfig(latency=0.0),
+            network=NetworkConfig(hops={"link": HopProfile()}),
         )
         app.advance(PERIOD)
         assert free.deliveries

@@ -29,6 +29,7 @@ from repro.errors import DeliveryError, DeviceUnavailableError
 from repro.runtime.device import DeviceInstance
 from repro.runtime.registry import EntityRegistry
 from repro.runtime.placement import NetworkConfig
+from repro.simulation.network import HopProfile
 from repro.telemetry import MetricsRegistry
 
 DESIGN = """\
@@ -492,7 +493,11 @@ class TestGatherErrorSplit:
 
     def test_network_drops_count_separately(self):
         app, free, __ = build_app(
-            network=NetworkConfig(loss=0.999, seed=1, apply_to_reads=True),
+            network=NetworkConfig(
+                hops={"link": HopProfile(loss=0.999)},
+                seed=1,
+                apply_to_reads=True,
+            ),
         )
         app.advance(600)
         assert app.stats["gather_network_dropped"] > 0
