@@ -13,6 +13,8 @@ from repro.apps.parking.devices import (
     MessengerDriver,
     PresenceSensorDriver,
     deploy_sensors,
+    seat_of,
+    sensor_id,
 )
 from repro.apps.parking.logic import default_implementations
 from repro.api import (
@@ -178,7 +180,7 @@ def parking_descriptor(
     entities: List[Dict[str, Any]] = [
         {
             "type": "PresenceSensor",
-            "id": f"sensor-{lot}-{space:04d}",
+            "id": sensor_id(lot, space),
             "driver": "presence",
             "attributes": {"parkingLot": lot},
             "config": {"lot": lot, "space": space},
@@ -302,8 +304,8 @@ class ShardedParkingBootstrap(ShardBootstrap):
         the driver rebuilds from the id against the process-local
         environment (the lot must be a declared one)."""
         environment = _ENVIRONMENTS[app]
-        lot, space = entity_id[len("sensor-") :].rsplit("-", 1)
-        driver = PresenceSensorDriver(environment, lot, int(space))
+        lot, space = seat_of(entity_id)
+        driver = PresenceSensorDriver(environment, lot, space)
         app.create_device("PresenceSensor", entity_id, driver, parkingLot=lot)
 
 

@@ -9,6 +9,7 @@ panels by their ``location`` attribute.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List
 
 from repro.api import Context, Controller, MapReduce
@@ -143,7 +144,9 @@ class ParkingEntrancePanelController(Controller):
     """Refreshes each lot's entrance panel (Figure 11)."""
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def format_status(count: int) -> str:
+        # One string per count, however long a panel's history grows.
         return f"FREE: {count}" if count > 0 else "FULL"
 
     def on_parking_availability(self, availabilities, discover) -> None:

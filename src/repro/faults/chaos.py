@@ -213,11 +213,7 @@ class ChaosDriver(DeviceDriver):
                 self.injector.injected_latency_reads += 1
             else:  # outage / flap-down
                 self.injector.injected_failures += 1
-                raise DeviceUnavailableError(
-                    f"chaos {event.kind}: '{self.entity_id}' is down "
-                    f"({event.start:g}s-{event.end:g}s)",
-                    entity_id=self.entity_id,
-                )
+                raise _down(event, self.entity_id)
 
     def read(self, source: str) -> Any:
         self._check()
@@ -233,50 +229,63 @@ class ChaosDriver(DeviceDriver):
 
 class ChaosBatchDriver(ChaosDriver):
     """A :class:`ChaosDriver` around a driver that reads columns: the
-    wrapper keeps that capability, and its batch reads see the faults
-    instead of silently bypassing them."""
-
-    last_injected_batch_latency = 0.0
+    wrapper keeps that capability, and its batch reads see each
+    member's faults exactly as that member's scalar read would."""
 
     def batch_key(self, source: str):
         """Delegate cohort identity to the wrapped driver: chaos-wrapped
         instances whose inner drivers share a substrate keep sharing
-        it, so batching survives injection."""
+        it, so batching survives injection (the wrapper's class keeps
+        them out of the unwrapped drivers' cohort)."""
         return self.inner.batch_key(source)
 
     def read_batch(self, entity_ids, source: str):
-        """Batch read with the cohort's combined fault schedule applied.
+        """The wrapped driver's column with each member's fault
+        schedule applied, member by member, as :meth:`read` applies it.
 
-        Outage/flap-down on *any* member fails the whole batch (one RPC,
-        one failure), demoting the cohort to scalar reads where
-        per-entity supervision takes over.  Latency faults are absorbed:
-        the batch inherits the **worst** member's injected delay
-        (``last_injected_batch_latency``) but is not subject to the
-        per-entity read timeout — a single scripted straggler slows the
-        entire cohort without tripping any breaker.  That masked-
-        straggler pathology is exactly what ``batch.min_column`` tuning
-        trades off against per-read dispatch overhead.
+        An outage or flap-down puts the
+        :class:`~repro.errors.DeviceUnavailableError` its scalar read
+        would raise in that member's place — the gather settles the
+        member as a scalar read that failed its first attempt — and the
+        rest of the column is delivered.  Latency counts as it does for
+        a scalar read; a batch read times nothing, so it delays no
+        member.  A column the wrapped driver declines, or mis-sizes,
+        goes back as it is, with nothing counted: the cohort then reads
+        one member at a time, through :meth:`read`.
         """
-        self.last_injected_batch_latency = 0.0
-        now = self.injector.clock.now()
-        injected = 0.0
-        for member in entity_ids:
-            for event in self.injector.events_for(member):
+        column = self.inner.read_batch(entity_ids, source)
+        if column is NotImplemented or column is None:
+            return column
+        try:
+            values = list(column)
+        except TypeError:
+            return column
+        if len(values) != len(entity_ids):
+            return column
+        injector = self.injector
+        now = injector.clock.now()
+        for row, member in enumerate(entity_ids):
+            for event in injector.events_for(member):
                 if not event.active_at(now):
                     continue
                 if event.kind == LATENCY:
-                    injected = max(injected, event.latency_seconds)
-                else:  # outage / flap-down
-                    self.injector.injected_failures += 1
-                    raise DeviceUnavailableError(
-                        f"chaos {event.kind}: '{member}' is down "
-                        f"({event.start:g}s-{event.end:g}s)",
-                        entity_id=member,
-                    )
-        if injected:
-            self.injector.injected_latency_reads += 1
-        self.last_injected_batch_latency = injected
-        return self.inner.read_batch(entity_ids, source)
+                    injector.injected_latency_reads += 1
+                    continue
+                # outage / flap-down
+                injector.injected_failures += 1
+                values[row] = _down(event, member)
+                break
+        return values
+
+
+def _down(event: FaultEvent, entity_id: str) -> DeviceUnavailableError:
+    """What a read of ``entity_id`` fails with while ``event`` (an
+    outage or a flap's down half) is active."""
+    return DeviceUnavailableError(
+        f"chaos {event.kind}: '{entity_id}' is down "
+        f"({event.start:g}s-{event.end:g}s)",
+        entity_id=entity_id,
+    )
 
 
 class ChaosInjector:

@@ -81,28 +81,39 @@ class DeviceDriver:
         """Columnar batch read: one column of values for many entities.
 
         Drivers backed by a shared substrate (a vectorized simulation
-        model, a fleet gateway that answers one RPC for a whole shard)
+        model, a fleet gateway that answers one RPC for a whole fleet)
         override this to return a sequence of raw values **aligned
         with** ``entity_ids`` (read it, never mutate it: the runtime
-        reuses the column across sweeps).  The sweep engine then issues
-        one batch read per (shard, source) cohort instead of one Python
-        :meth:`read` per device.
+        reuses the column across sweeps).  A serial sweep then issues
+        one batch read per cohort — the members whose drivers are of
+        one class and share a :meth:`batch_key` — instead of one Python
+        :meth:`read` per device, and it may hand the column to any
+        member's driver.
+
+        A batch read answers per member: a
+        :class:`~repro.errors.DeliveryError` in place of a value says
+        that member's read failed.  It counts as the member's first
+        read attempt, and the member goes on as a scalar read that
+        failed it would — the rest of its retry budget, then breaker,
+        failure counter and stale policy — while the rest of the column
+        is delivered.
 
         The default returns :data:`NotImplemented` — "this driver only
         reads one entity at a time" — and a driver class that does not
         override it never meets the columnar path (:func:`batches`).
-        Returning :data:`NotImplemented`, ``None`` or a mis-sized column
-        at runtime demotes the cohort to scalar reads with full
-        per-entity supervision accounting.
+        Raising, or returning :data:`NotImplemented`, ``None`` or a
+        mis-sized column at runtime demotes the whole cohort to scalar
+        reads with full per-entity supervision accounting.
         """
         return NotImplemented
 
     def batch_key(self, source: str):
         """Cohort identity for columnar reads.
 
-        Instances whose drivers return the *same object* (identity
-        comparison) may be coalesced into one :meth:`read_batch` call —
-        typically the shared substrate behind the per-instance drivers.
+        Instances whose drivers are of one class and return the *same
+        object* (identity comparison) may be coalesced into one
+        :meth:`read_batch` call — typically the shared substrate behind
+        the per-instance drivers.
         ``None`` (the default for drivers that do not override
         :meth:`read_batch`) opts the instance out of batching entirely.
 
@@ -324,11 +335,17 @@ class DeviceInstance:
             plan = self.bind_plan()
         return plan[source](self)
 
-    def _read_general(self, source: str) -> Any:
-        """A read with everything that may apply to one."""
+    def _read_general(
+        self, source: str, failed: Optional[DeliveryError] = None
+    ) -> Any:
+        """A read with everything that may apply to one.  Given the
+        ``failed`` error of a first attempt a batch read made — gated
+        and counted there — it goes on as :meth:`read` goes on after a
+        failed first attempt: the rest of the retry budget, then the
+        failure counter and the breaker."""
         cache = self._cache
         if cache is None:
-            return self._read_fresh(source)
+            return self._read_fresh(source, failed)
         if self.failed:
             # A hard-failed device must not be masked by cached
             # freshness; the failure check stays authoritative.
@@ -337,11 +354,14 @@ class DeviceInstance:
                 entity_id=self.entity_id,
             )
         return cache.get_or_read(
-            self, source, functools.partial(self._read_fresh, source)
+            self, source, functools.partial(self._read_fresh, source, failed)
         )
 
-    def _read_fresh(self, source: str) -> Any:
-        """The uncached supervised read (the historical ``read`` body)."""
+    def _read_fresh(
+        self, source: str, failed: Optional[DeliveryError] = None
+    ) -> Any:
+        """The uncached supervised read (the historical ``read`` body;
+        ``failed``: see :meth:`_read_general`)."""
         if self.failed:
             raise DeviceUnavailableError(
                 f"device '{self.entity_id}' has failed and cannot be read",
@@ -350,7 +370,7 @@ class DeviceInstance:
         source_info = self.info.source(source)
         supervisor = self.supervisor
         if supervisor is not None:
-            if not supervisor.allow():
+            if failed is None and not supervisor.allow():
                 raise CircuitOpenError(
                     f"circuit breaker open for '{self.entity_id}'; read "
                     f"of '{source}' refused",
@@ -361,10 +381,10 @@ class DeviceInstance:
         else:
             attempts = 1 + source_info.retries
             timeout = source_info.timeout_seconds
-        last_error: Optional[DeliveryError] = None
-        if self._m_reads is not None:
+        last_error = failed
+        if failed is None and self._m_reads is not None:
             self._m_reads.inc()
-        for attempt in range(attempts):
+        for attempt in range(failed is not None, attempts):
             if attempt and self._m_retries is not None:
                 self._m_retries.inc()
             # A read is timed only when a timeout is in force: nothing

@@ -79,17 +79,47 @@ def _read_column(source, sampler, instances) -> List[Any]:
     return outcomes
 
 
-def _batch_keys(source, instances, predecessor) -> List[Any]:
-    """The ``batch_key`` column of ``instances``, asking only those the
-    ``predecessor`` column's plan did not hold in one whole cohort."""
+def _settle(source, instances, results, positions) -> None:
+    """Read ``positions`` of ``instances`` one at a time, in order,
+    into ``results``: a member whose batch read answered a
+    :class:`DeliveryError` goes on from its second attempt (the general
+    read body, given that error), any other reads through its plan."""
+    for position in sorted(positions):
+        instance = instances[position]
+        first = results[position]
+        try:
+            if isinstance(first, DeliveryError):
+                results[position] = instance._read_general(source, first)
+                continue
+            plan = instance.plan
+            if plan is None:
+                plan = instance.bind_plan()
+            results[position] = plan[source](instance)
+        except DeliveryError as exc:
+            results[position] = _Lost(exc)
+
+
+def _cohort_keys(source, instances, predecessor):
+    """The cohort identity of each of ``instances`` as two columns —
+    its driver's class and ``batch_key`` — asking only those the
+    ``predecessor`` column's plan did not hold in one whole cohort.
+    Each member asked also resolves its read plan here, once, as its
+    first scalar read would: a member that settles one at a time
+    (demoted, or failed in its batch read) finds it bound."""
     column, plans = predecessor or ((), {})
     plan = plans.get((source, id(column)))
     carried = None if plan is None else plan[3]
     seen = () if carried is None else set(column)
-    keys = [carried] * len(instances)
+    cls, key = carried or (None, None)
+    classes = [cls] * len(instances)
+    keys = [key] * len(instances)
     for row in compress(count(), map(not_, map(seen.__contains__, instances))):
-        keys[row] = instances[row].driver.batch_key(source)
-    return keys
+        instance = instances[row]
+        if instance.plan is None:
+            instance.bind_plan()
+        classes[row] = type(instance.driver)
+        keys[row] = instance.driver.batch_key(source)
+    return classes, keys
 
 
 def _tally(instances) -> List[Any]:
@@ -238,21 +268,28 @@ class Gatherer(Instrumented):
     # -- the columnar column reader -------------------------------------
 
     def plan(self, device_type: str, source: str, instances):
-        """The memoized ``(groups, scalar, ids, key)`` cohort plan for one
-        column of the current cut of ``device_type`` (compiling on miss).
+        """The memoized ``(groups, scalar, ids, cohort, dia_type)``
+        cohort plan for one column of the current cut of
+        ``device_type`` (compiling on miss).
 
-        ``groups`` holds one ``(positions, entity_ids, tally)`` triple
-        per ``batch_key`` cohort, in first-appearance order: the
+        ``groups`` holds one ``(positions, entity_ids, tally, driver)``
+        row per cohort — members whose drivers are of one class and
+        share one ``batch_key`` object — in first-appearance order: the
         members' indexes into the column, aligned with them the
         entity-id column ``read_batch`` is handed when the cohort reads
-        whole, and the ``(read counter, reads)`` pairs such a read
-        bumps; ``scalar`` is the positions whose driver declines
+        whole, the ``(read counter, reads)`` pairs such a read bumps,
+        and the member driver that reads it (a driver class and a key
+        answer for every member, so a wrapped driver is its own
+        cohort).  ``scalar`` is the positions whose driver declines
         batching (``batch_key`` is ``None``).  ``ids`` is the entity-id
         column of ``instances`` itself, which is what the read cache is
-        asked by, and ``key`` the batch key when one cohort is the whole
-        column (else ``None``).  Planning once spares every sweep the
-        ``batch_key`` calls, cohort formation, id-column builds and the
-        pass over the members' read counters.
+        asked by, ``cohort`` the ``(driver class, batch_key)`` pair
+        when one cohort is the whole column (else ``None``), and
+        ``dia_type`` the declared type of ``source``,
+        which types the whole column (a subtype cannot redeclare an
+        inherited source).  Planning once spares every sweep the
+        ``batch_key`` calls, cohort formation, id-column builds, the
+        pass over the members' read counters and the source lookup.
 
         A plan lives in the memo of the sweep cut whose column it was
         compiled for (:meth:`~repro.runtime.sweep.SweepEngine.
@@ -270,61 +307,84 @@ class Gatherer(Instrumented):
             self._plan_hits += 1
             return plan
         entity_ids = list(map(_entity_id_of, instances))
-        keys = _batch_keys(source, instances, predecessor)
-        key = keys[0] if keys else None
-        if key is not None and all(map(is_, keys, repeat(key))):
+        classes, keys = _cohort_keys(source, instances, predecessor)
+        cls, key = classes[0], keys[0]
+        if (
+            key is not None
+            and all(map(is_, keys, repeat(key)))
+            and all(map(is_, classes, repeat(cls)))
+        ):
             # One cohort spans the column: it reads the column's own ids.
-            groups = ((range(len(keys)), entity_ids, _tally(instances)),)
+            cohort = cls, key
+            groups = (
+                (
+                    range(len(keys)),
+                    entity_ids,
+                    _tally(instances),
+                    instances[0].driver,
+                ),
+            )
             scalar = ()
         else:
-            key, cohorts, scalar = None, {}, []
-            for position, batch_key in enumerate(keys):
-                if batch_key is None:
+            cohort, cohorts, scalar = None, {}, []
+            for position, cls, key in zip(count(), classes, keys):
+                if key is None:
                     scalar.append(position)
                     continue
-                cohort = cohorts.get(id(batch_key))
-                if cohort is None:
-                    cohort = cohorts[id(batch_key)] = []
-                cohort.append(position)
+                members = cohorts.get((cls, id(key)))
+                if members is None:
+                    members = cohorts[cls, id(key)] = []
+                members.append(position)
             groups = tuple(
                 (
                     positions,
                     list(map(entity_ids.__getitem__, positions)),
                     _tally(map(instances.__getitem__, positions)),
+                    instances[positions[0]].driver,
                 )
                 for positions in cohorts.values()
             )
-        plan = plans[memo_key] = (groups, tuple(scalar), entity_ids, key)
+        dia_type = instances[0].info.source(source).dia_type
+        plan = (groups, tuple(scalar), entity_ids, cohort, dia_type)
+        plans[memo_key] = plan
         self._plan_compiles += 1
         return plan
 
     def _gather_read_column(
         self, device, source, sampler, flips, spanned, instances
     ):
-        """Columnar shard read: cohorts, batch reads, scalar demotion.
+        """Columnar read of one task's column: cohorts, batch reads,
+        scalar demotion.
 
         Produces the same outcome column the scalar path would, one
         entry per instance in order.  Eligible entities — healthy, not
-        failed, not cache-fresh, with a driver that shares a
-        :meth:`~repro.runtime.device.DeviceDriver.batch_key` cohort of
-        at least ``min_column`` — are read in one ``read_batch`` call
-        per cohort; everything else **demotes to the scalar path**,
-        where per-entity retries, breaker accounting and stale handling
-        behave exactly as in an unbatched sweep.  A cohort whose batch
-        read fails (or returns a mis-shaped column) demotes whole.
+        failed, not cache-fresh, in a cohort of at least
+        ``min_column`` — are read in one ``read_batch`` call per
+        cohort; everything else **demotes to the scalar path**, where
+        per-entity retries, breaker accounting and stale handling
+        behave exactly as in an unbatched sweep.  A batch read answers
+        per member: a member whose column entry is a
+        :class:`DeliveryError` goes on as a scalar read that failed its
+        first attempt would.  A cohort whose read fails as a whole
+        (the driver raises, declines or mis-shapes the column) demotes
+        whole, and so does one during which a ``failed`` flag moved
+        (:attr:`~repro.runtime.device.DeviceInstance.failed_flips`):
+        its read is void, and the scalar reads see the flag where the
+        scalar sweep would.  Demoted and failed members settle in
+        column order.
 
         In the common case — reliable reads, no failed flag, no
         supervising config — nothing below takes a step per entity:
         the cache answers for the column at once and a cohort that
-        spans the shard hands its value column back as the result (and
-        appends it to ``spanned``).
+        spans the column hands its value column back as the result
+        (and appends it to ``spanned``).
         """
         results: List[Any] = [_PENDING] * len(instances)
         demoted: List[int] = []
-        # Static partition — (shard, batch_key) cohorts and the
-        # no-batch-driver positions — comes from the memoized plan;
-        # only the per-sweep eligibility below stays dynamic.
-        groups, unbatched, entity_ids, __ = self.plan(
+        # Static partition — the cohorts and the no-batch-driver
+        # positions — comes from the memoized plan; only the per-sweep
+        # eligibility below stays dynamic.
+        groups, unbatched, entity_ids, __, dia_type = self.plan(
             device, source, instances
         )
         # Can anything settle here?  (Supervisors are attached only
@@ -373,8 +433,10 @@ class Gatherer(Instrumented):
             position for position in unbatched if results[position] is _PENDING
         ]
         scalar.extend(demoted)
+        failed: List[int] = []
         min_column = self.config.batch.min_column
-        for positions, cohort_ids, tally in groups if pending else ():
+        flips = DeviceInstance.failed_flips
+        for positions, cohort_ids, tally, driver in groups if pending else ():
             if not whole:
                 positions = [
                     position
@@ -386,51 +448,63 @@ class Gatherer(Instrumented):
             if len(positions) < min_column:
                 scalar.extend(positions)
                 continue
-            # A cohort that spans the shard reads its columns as they
-            # are, and its value column is the shard's result.
+            # A cohort that spans the column reads its columns as they
+            # are, and its value column is the task's result.
             spans = len(positions) == len(instances)
-            column = self._read_batch_cohort(
+            read = self._read_batch_cohort(
+                driver,
                 source,
+                dia_type,
                 instances if spans else [instances[p] for p in positions],
                 cohort_ids,
                 tally,
+                flips,
             )
-            if column is None:
+            if read is None:
                 scalar.extend(positions)
-            elif spans:
+                continue
+            column, errors = read
+            if spans and not errors:
                 spanned.append(column)
                 return column
-            else:
-                for position, value in zip(positions, column):
-                    results[position] = value
+            for position, value in zip(positions, column):
+                results[position] = value
+            failed.extend(map(positions.__getitem__, errors))
         if scalar:
             self.sweeper.note_batch_demoted(len(scalar))
-            scalar.sort()
-            outcomes = _read_column(
-                source, None, [instances[position] for position in scalar]
-            )
-            for position, outcome in zip(scalar, outcomes):
-                results[position] = outcome
+        if scalar or failed:
+            _settle(source, instances, results, scalar + failed)
         return results
 
     def _read_batch_cohort(
-        self, source, instances, entity_ids, tally
-    ) -> Optional[List[Any]]:
+        self, driver, source, dia_type, instances, entity_ids, tally, flips
+    ):
         """One driver-level batch read over a cohort, bumping the read
         counters by the planned ``tally`` (``None``: count the members).
 
-        Returns the cohort's coerced value column, aligned with
-        ``instances``; ``None`` when the cohort must be demoted to the
-        scalar path (driver declined, read failed, or the column does
-        not align with the cohort).
+        Returns ``(values, failed)``: the cohort's coerced value column,
+        aligned with ``instances``, and the rows where it holds the
+        :class:`DeliveryError` the driver answered for that member
+        instead — its first attempt, counted.  ``None`` when the cohort
+        must be demoted to the scalar path: the driver declined or
+        raised, the column does not align with the cohort, or
+        ``failed_flips`` is not ``flips`` (a ``failed`` flag moved
+        before or while it read, so the read is void and counts
+        nothing).
         """
+        if DeviceInstance.failed_flips != flips:
+            return None
         cache = self.cache
         since = None if cache is None else cache.generation
         try:
-            column = instances[0].driver.read_batch(entity_ids, source)
+            column = driver.read_batch(entity_ids, source)
         except DeliveryError:
             return None
-        if column is NotImplemented or column is None:
+        if (
+            column is NotImplemented
+            or column is None
+            or DeviceInstance.failed_flips != flips
+        ):
             return None
         try:
             values = list(column)
@@ -439,26 +513,35 @@ class Gatherer(Instrumented):
         if len(values) != len(instances):
             return None
         self.sweeper.note_batch_read(len(values))
-        # A subtype cannot redeclare an inherited source, so one
-        # declaration types the whole column.
-        values = coerce_column(
-            instances[0].info.source(source).dia_type, values
-        )
+        # A clean column comes back as it is: only one that is not (a
+        # member's error, a value to convert) is looked through.
+        coerced = coerce_column(dia_type, values)
+        errors = ()
+        if coerced is not values:
+            errors = list(map(isinstance, coerced, repeat(DeliveryError)))
+        failed = list(compress(count(), errors))
         if tally is None:
             tally = _tally(instances)
         for counter, reads in tally:
             counter.inc(reads)
         if self.config.supervised():
-            for instance, value in zip(instances, values):
+            for instance, value in zip(instances, coerced):
                 supervisor = instance.supervisor
-                if supervisor is not None:
-                    # Keeps last-known stale values fresh and the
-                    # breaker's success accounting truthful, exactly as
-                    # a scalar read.
-                    supervisor.record_success(source, value)
+                if supervisor is None or isinstance(value, DeliveryError):
+                    continue
+                # Keeps last-known stale values fresh and the breaker's
+                # success accounting truthful, exactly as a scalar read.
+                supervisor.record_success(source, value)
         if cache is not None:
-            cache.store_column(entity_ids, source, values, since)
-        return values
+            stored_ids, stored = entity_ids, coerced
+            if failed:
+                # A failed member stores nothing here; its own read
+                # goes on through the cache (one miss either way).
+                clean = list(map(not_, errors))
+                stored_ids = list(compress(entity_ids, clean))
+                stored = list(compress(coerced, clean))
+            cache.store_column(stored_ids, source, stored, since)
+        return coerced, failed
 
     def _fold_read_outcomes(self, instances, outcomes, source):
         """Fold a sweep's outcome column into ``(instances, values,

@@ -13,11 +13,13 @@ indistinguishable from the serial loop:
   finished first, so grouping, MapReduce and window payloads are
   byte-identical across modes — the property test in
   ``tests/runtime/test_sweep.py`` holds this invariant.
-* **Per-shard batching.**  Instances are grouped into shards keyed by
-  the registry's indexed attributes (a parking fleet shards by
-  ``parkingLot``) and each shard is split into batches of
-  ``batch_size`` reads; one pool task polls one batch, amortizing
-  submission overhead over many reads.
+* **Per-shard pool tasks.**  Instances are grouped into shards keyed
+  by the registry's indexed attributes (a parking fleet shards by
+  ``parkingLot``); a threaded sweep splits each shard into batches of
+  ``batch_size`` reads (or, when a member's driver reads columns, hands
+  each shard to one task), amortizing submission overhead over many
+  reads.  A serial sweep is one task in registration order whatever
+  the drivers, so a column reader sees the whole type at once.
 * **Serial fallback under simulation.**  ``mode='auto'`` (the default)
   selects the serial loop whenever the application runs on a
   :class:`~repro.runtime.clock.SimulationClock`, so traces, tests and
@@ -26,13 +28,14 @@ indistinguishable from the serial loop:
   ``mode='threaded'`` is honoured even under simulation (the
   equivalence tests do exactly that).
 
-All of it is one loop: a sweep is cut into tasks (one per shard when a
-member's driver reads columns, else the whole type in registration
-order, or ``batch_size`` slices when threaded), every task's instance
-column goes to the same column reader — inline or on the pool — and the
-value columns merge by registry position once.  The cut is compiled
-once per registry partition (:class:`_SweepCut`), so a steady-state
-sweep builds one result list, not a container per reading.
+All of it is one loop: a sweep is cut into tasks (serial: the whole
+type in registration order; threaded: one per shard when a member's
+driver reads columns, else ``batch_size`` slices), every task's
+instance column goes to the same column reader — inline or on the
+pool — and the value columns merge by registry position once.  The
+cut is compiled once per registry partition (:class:`_SweepCut`), so a
+steady-state sweep builds one result list, not a container per
+reading.
 
 Supervised reads, breaker gating and stale-policy substitution live in
 the column reader — :class:`~repro.runtime.gather.Gatherer` owns them.
@@ -88,11 +91,13 @@ class _SweepCut:
     registry-ordered ``instances`` column every sweep returns, the
     instance column of each task, and ``order`` — per registry
     position, the index of that member in the tasks' concatenation,
-    which is how several tasks' value columns merge back.  ``batched``
-    says whether any member's driver reads columns
-    (:func:`~repro.runtime.device.batches`); ``memo`` holds what a
-    column reader derives from these columns (cohort plans), so it
-    cannot outlive them.
+    which is how several tasks' value columns merge back.  A serial
+    cut is one task, ``instances`` itself, so a column reader forms
+    its cohorts over the whole type; a threaded cut is one task per
+    shard when ``batched`` — any member's driver reads columns
+    (:func:`~repro.runtime.device.batches`) — else ``batch_size``
+    slices of the shards.  ``memo`` holds what a column reader derives
+    from the task columns (cohort plans), so it cannot outlive them.
 
     Valid while the registry hands back the very ``partition`` object
     it was compiled from — its memo lasts until a bind, an unbind or a
@@ -121,23 +126,24 @@ class _SweepCut:
         # read one at a time pays one pass per membership change.
         self.batched = any(map(batches, map(_driver_of, self.instances)))
         threaded, size, __ = shape
-        if self.batched:
-            # One task per shard: the batch read spans the shard, so
-            # finer-grained tasks would just split the column.
+        if not threaded:
+            # The reference order.  Shards may interleave in
+            # registration order, so the whole type is one task in
+            # position order — every stateful side effect (network-drop
+            # RNG draws, breaker probes) keeps its historical sequence,
+            # and one batch read per cohort spans the shards.
+            self.tasks = [self.instances]
+        elif self.batched:
+            # One pool task per shard: finer-grained tasks would just
+            # split the cohorts' columns.
             self.tasks = shards
-        elif threaded:
+        else:
             # batch_size slices; batches never span shards.
             self.tasks = [
                 members[offset : offset + size]
                 for members in shards
                 for offset in range(0, len(members), size)
             ]
-        else:
-            # The reference order.  Shards may interleave in
-            # registration order, so the whole type is one task in
-            # position order — every stateful side effect (network-drop
-            # RNG draws, breaker probes) keeps its historical sequence.
-            self.tasks = [self.instances]
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,7 @@ class SweepEngine(Instrumented):
             stats_key="batch_demoted",
             help="Reads demoted from a batch column to the scalar path "
             "(no driver support, unhealthy entity, cohort too small, or "
-            "a failed batch read).",
+            "a batch read that failed whole or was void).",
         ),
     )
 
@@ -372,12 +378,12 @@ class SweepEngine(Instrumented):
         the callable, as the gatherer's readers do).
 
         The members' drivers pick the reader: when one of them reads
-        columns (:func:`~repro.runtime.device.batches`) each shard is
-        one task, so one pool task per shard replaces one per
-        ``batch_size`` reads, and ``read_batched`` (default
-        ``read_column``) reads it — the caller owns cohort formation,
-        eligibility and scalar demotion there; the engine only owns
-        fan-out and the ordered merge, whichever reader runs.
+        columns (:func:`~repro.runtime.device.batches`)
+        ``read_batched`` (default ``read_column``) reads every task —
+        the whole type when serial, one shard per pool task when
+        threaded — and the caller owns cohort formation, eligibility
+        and scalar demotion there; the engine only owns fan-out and the
+        ordered merge, whichever reader runs.
         """
         started = time.perf_counter()
         self._sweeps += 1
@@ -426,15 +432,20 @@ class SweepEngine(Instrumented):
         ``device_type`` — for state derived from the instance columns
         a column reader is handed (keyed by ``id(column)``: the cut
         keeps them alive) — and, during the cut's first sweep, the
-        replaced cut's column over the same shard as ``column`` with
-        that cut's memo (else ``None``): what may carry over."""
-        cut, replaced = self._cuts[device_type], None
-        if cut.replaced is not None:
-            old = {key: shard for key, __, shard in cut.replaced.partition}
-            for key, __, shard in cut.partition:
-                if shard is column:
-                    replaced = old.get(key), cut.replaced.memo
-        return cut.memo, replaced
+        replaced cut's column in the place of ``column`` (its whole
+        type, or the same shard) with that cut's memo (else ``None``):
+        what may carry over."""
+        cut = self._cuts[device_type]
+        old = cut.replaced
+        if old is None:
+            return cut.memo, None
+        if column is cut.instances:
+            return cut.memo, (old.instances, old.memo)
+        shards = {key: shard for key, __, shard in old.partition}
+        for key, __, shard in cut.partition:
+            if shard is column:
+                return cut.memo, (shards.get(key), old.memo)
+        return cut.memo, None
 
     def _fan_out(self, tasks, read_column):
         """Read every task's instance column on the pool; returns the

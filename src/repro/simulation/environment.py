@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.clock import Clock
 from repro.simulation.traces import daily_demand
@@ -102,6 +103,18 @@ class ParkingLotEnvironment(Environment):
 
     def is_occupied(self, lot: str, space: int) -> bool:
         return self._occupied[lot][space]
+
+    def occupied_runs(
+        self, runs: Sequence[Tuple[str, int, int]]
+    ) -> List[bool]:
+        """:meth:`is_occupied` over ``(lot, start, stop)`` runs of
+        spaces, concatenated in order: one slice per run."""
+        occupied = self._occupied
+        return list(
+            chain.from_iterable(
+                occupied[lot][start:stop] for lot, start, stop in runs
+            )
+        )
 
     def occupancy(self, lot: str) -> float:
         spaces = self._occupied[lot]

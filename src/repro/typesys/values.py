@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping
 
-from repro.errors import ValueConformanceError
+from repro.errors import DeliveryError, ValueConformanceError
 from repro.typesys.core import (
     ArrayType,
     DiaType,
@@ -171,12 +171,18 @@ def coerce_column(dia_type: DiaType, values: List[Any]) -> List[Any]:
     column is returned **as is** (the same list — callers must own it).
     Anything else runs :func:`coerce_value` per value, so results and
     :class:`ValueConformanceError` messages are those of the scalar
-    path.
+    path — except a :class:`DeliveryError`, which a batch read answers
+    for a member it could not read: it stays in place, in a new list.
     """
     exact = exact_class(dia_type)
     if exact is not None and set(map(type, values)) <= {exact}:
         return values
-    return [coerce_value(dia_type, value) for value in values]
+    return [
+        value
+        if isinstance(value, DeliveryError)
+        else coerce_value(dia_type, value)
+        for value in values
+    ]
 
 
 def _check_primitive(dia_type: PrimitiveType, value: Any) -> None:

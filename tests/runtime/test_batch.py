@@ -211,8 +211,9 @@ class TestBatchEquivalence:
 
     def test_one_round_trip_per_cohort_not_per_device(self):
         """What batching buys at scale: a sweep costs the gateway one
-        round trip per lot cohort, not one per sensor — O(cohorts), so
-        the ratio grows with the fleet."""
+        round trip per cohort (every sensor shares the substrate), not
+        one per sensor — O(cohorts), so the ratio grows with the
+        fleet."""
         sensors, sweeps = 900, 2  # FreeCount + Windowed, each period
         round_trips = {}
         for driver in (ScalarSubstrateDriver, SubstrateDriver):
@@ -223,7 +224,7 @@ class TestBatchEquivalence:
                 substrate.batch_reads,
             )
         assert round_trips[ScalarSubstrateDriver] == (sweeps * sensors, 0)
-        assert round_trips[SubstrateDriver] == (0, sweeps * len(LOTS))
+        assert round_trips[SubstrateDriver] == (0, sweeps)
 
 
 class TestDemotion:
@@ -287,11 +288,10 @@ class TestDemotion:
         baseline.advance(PERIOD)
         batched.advance(PERIOD)
         # The failed entity drops out of both runs the same way (the
-        # registry hides hard-failed instances from sweeps), and its
-        # shard-mate — now a cohort of one — demotes to scalar without
-        # touching the other shards' columns.
+        # registry hides hard-failed instances from sweeps), and the
+        # other five still read as one column: nothing demotes.
         assert batch_free.deliveries == base_free.deliveries
-        assert batched.sweeper.stats()["batch_demoted"] >= 1
+        assert batched.sweeper.stats()["batch_demoted"] == 0
         assert batched.stats["gather_read_failed"] == 0
 
     def test_a_cohort_plan_never_outlives_the_membership_it_was_cut_for(

@@ -284,8 +284,8 @@ def test_a_steady_state_poll_loads_per_entity_state_once():
     worker.clock.run_until(fleet.now + PERIOD)
     stats = worker.app.sweeper.stats
     cache = worker.app.read_cache.stats
-    # a cohort read per zone, then the same column from the cache
-    for name, batch_reads, hits in (("Levels", 3, 0), ("Load", 0, 300)):
+    # one cohort read, then the same column from the cache
+    for name, batch_reads, hits in (("Levels", 1, 0), ("Load", 0, 300)):
         before = stats()["batch_reads"], cache()["hits"]
         CountedProbe.loads.clear()
         worker._cmd_poll(name, 0)

@@ -231,9 +231,9 @@ ZONED_DECL = ZONED.contexts["Levels"].decl
 
 
 class Zoned:
-    """A gatherer over probes sharded by zone — one sweep task per
-    zone, in the order each zone was first bound — read from one bank,
-    with read counters and, if asked, a read cache with a 30 s TTL."""
+    """A gatherer over probes sharded by zone — a serial sweep reads
+    them in one task, in registration order — read from one bank, with
+    read counters and, if asked, a read cache with a 30 s TTL."""
 
     def __init__(self, driver, cache=False):
         config = RuntimeConfig()
@@ -291,9 +291,9 @@ def twins(cache=False):
 
 
 def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
-    """Reading p-0 (zone Z0, the first task) fails p-3 (zone Z1, a
-    later task): p-3 leaves Z1's batch read for a scalar read that
-    fails, exactly as the scalar sweep reads it after p-0 — whereas a
+    """Reading p-0 fails p-3: the batch read during which that flag
+    moved is void, and the column reads one by one, where p-3's read
+    fails exactly as the scalar sweep reads it after p-0 — whereas a
     flag set directly between sweeps is the registry's to filter."""
     columnar, scalar = twins()
     for twin in (columnar, scalar):
@@ -308,7 +308,7 @@ def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
     )
     assert columnar.gatherer.read_failed == 1
     stats = columnar.gatherer.sweeper.stats()
-    assert (stats["batch_reads"], stats["batch_demoted"]) == (2, 1)
+    assert (stats["batch_reads"], stats["batch_demoted"]) == (0, 6)
     for twin in (columnar, scalar):
         twin.registry.get("p-3").recover()
         twin.registry.get("p-1").failed = True
@@ -316,7 +316,7 @@ def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
     assert swept == readings(scalar.sweep())
     assert swept[0] == ["p-0", "p-2", "p-3", "p-4", "p-5"]
     assert swept[2:] == (0, 0)
-    assert columnar.gatherer.sweeper.stats()["batch_demoted"] == 1
+    assert columnar.gatherer.sweeper.stats()["batch_demoted"] == 6
 
 
 def test_read_counters_tally_as_on_the_scalar_path():
@@ -332,9 +332,9 @@ def test_read_counters_tally_as_on_the_scalar_path():
             act(twin)
             twin.sweep()
         assert columnar.reads() == scalar.reads()
-        # each zone's cohort was batch-read
+        # the column's cohort was batch-read
         stats = columnar.gatherer.sweeper.stats()
-        assert stats["batch_reads"] == batch_reads + 2
+        assert stats["batch_reads"] == batch_reads + 1
 
     step(lambda twin: None)
     step(lambda twin: (twin.bind("p-6", "Z0"), twin.bind("p-7", "Z1")))
@@ -344,7 +344,7 @@ def test_read_counters_tally_as_on_the_scalar_path():
             CallableDriver(sources={"reading": lambda: 66.0})
         )
     )
-    # p-0 cache-fresh: Z0's cohort reads as p-2 and p-4
+    # p-0 cache-fresh: the cohort reads without it
     hits = columnar.cache.stats()["hits"]
     step(lambda twin: twin.registry.get("p-0").read("reading"))
     assert columnar.cache.stats()["hits"] == hits + 1

@@ -894,7 +894,7 @@ class TestShardScalingShape:
             assert 75 <= worker["bound_entities"] <= 125  # about a quarter
             sweep = worker["sweep"]
             assert sweep["reads"] == worker["bound_entities"]
-            assert sweep["batch_reads"] == 4  # one column per zone
+            assert sweep["batch_reads"] == 1  # one column per worker
             assert sweep["batch_demoted"] == 0
 
 
@@ -937,7 +937,7 @@ class TestPollAllocation:
             if not was_enabled:
                 gc.disable()
         assert reply["quiescent"] == sensors
-        assert worker.app.sweeper.stats()["batch_reads"] == 3 * len(LOTS)
+        assert worker.app.sweeper.stats()["batch_reads"] == 3
         return runs
 
     def test_collections_do_not_grow_with_the_fleet(self):

@@ -320,7 +320,7 @@ class TestOneSweepLoop:
         assert stats["reads"] == self.SENSORS
         assert stats[f"{mode}_sweeps"] == 1
         assert stats["columnar_sweeps"] == (1 if columnar else 0)
-        if columnar:
+        if columnar and mode == "threaded":
             # One read_column call per attribute shard, each shard's
             # members in registration order.
             assert sorted(columns) == [
@@ -328,6 +328,9 @@ class TestOneSweepLoop:
                 ["s-1", "s-4"],
                 ["s-2", "s-5"],
             ]
+        elif columnar:
+            # Serial: one read_column call over the whole type.
+            assert columns == [expected]
         if mode == "threaded":
             # Columnar: one pool task per shard.  Scalar: batch_size
             # slices that never span shards — ceil(3/2) + 1 + 1.
@@ -390,7 +393,8 @@ class TestOneSweepLoop:
 
     def test_the_drivers_decide_the_cut(self):
         """One batch-capable member makes the type's sweep columnar —
-        one task per shard — and a driver swap re-decides it."""
+        still one serial task, now read by the batch reader — and a
+        driver swap re-decides it."""
         app, __ = self.build("serial")
         columns = []
 
@@ -407,7 +411,7 @@ class TestOneSweepLoop:
         scalar = app.registry.get("s-4").swap_driver(
             ColumnDriver(sources={"presence": lambda: True})
         )
-        assert sweep() == (3, 1)
+        assert sweep() == (1, 1)
         app.registry.get("s-4").swap_driver(scalar)
         assert sweep() == (1, 1)
 
