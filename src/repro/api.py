@@ -5,7 +5,7 @@ an application, example, or generated framework needs is re-exported
 here, and these names follow deprecation policy (one release of
 ``DeprecationWarning`` before any breaking change)::
 
-    from repro.api import Application, RuntimeConfig, SweepConfig, analyze
+    from repro.api import Application, RuntimeConfig, analyze
 
     design = analyze(DESIGN_SOURCE)
     app = Application(design, RuntimeConfig(error_policy="isolate"))
@@ -20,8 +20,7 @@ The surface, by concern:
 
 * **Design analysis** — :func:`analyze`, :class:`AnalyzedSpec`;
 * **Assembly & configuration** — :class:`Application`,
-  :class:`RuntimeConfig`, :class:`SweepConfig`, :class:`CacheConfig`,
-  :class:`BatchConfig`;
+  :class:`RuntimeConfig`, :class:`CacheConfig`, :class:`BatchConfig`;
 * **Time** — :class:`Clock`, :class:`SimulationClock`,
   :class:`WallClock`;
 * **Components** — :class:`Context`, :class:`Controller`,
@@ -114,7 +113,7 @@ from repro.runtime.shard import (
     ShardContext,
     ShardedRuntime,
 )
-from repro.runtime.sweep import SweepConfig, SweepEngine
+from repro.runtime.sweep import SweepEngine
 from repro.runtime.tracing import Tracer
 from repro.runtime.tuning import (
     Knob,
@@ -172,7 +171,6 @@ __all__ = [
     "SourceEvent",
     "StalePolicy",
     "SupervisionPolicy",
-    "SweepConfig",
     "SweepEngine",
     "ThreadExecutor",
     "Tier",

@@ -36,7 +36,7 @@ from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
 from repro.runtime.discovery import Discover
 from repro.runtime.proxies import DeviceProxy, ProxySet
 from repro.runtime.registry import EntityRegistry
-from repro.runtime.sweep import SweepConfig, SweepEngine
+from repro.runtime.sweep import SweepEngine
 
 __all__ = [
     "Application",
@@ -65,7 +65,6 @@ __all__ = [
     "ScheduledJob",
     "SimulationClock",
     "SourceEvent",
-    "SweepConfig",
     "SweepEngine",
     "WallClock",
 ]

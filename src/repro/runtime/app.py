@@ -65,7 +65,7 @@ from repro.runtime.device import DeviceDriver, DeviceInstance
 from repro.runtime.discovery import Discover
 from repro.runtime.gather import Gatherer
 from repro.runtime.grouping import WindowAccumulator, group_readings
-from repro.runtime.placement import PlacementExecutor
+from repro.runtime.placement import PlacementExecutor, Tier
 from repro.runtime.plan import DeliveryPlanner
 from repro.runtime.proxies import make_proxy
 from repro.runtime.qos import QoSMonitor
@@ -141,12 +141,9 @@ class Application:
         )
         self.supervision.attach_metrics(self.metrics)
         self.registry.attach_health(self.supervision.health_of)
-        # Sweep execution: periodic gathers fan device reads out through
-        # the engine (bounded thread pool under a wall clock, serial
-        # loop under simulation — see repro.runtime.sweep).
-        self.sweeper = SweepEngine(
-            self.registry, self.clock, config.sweep, metrics=self.metrics
-        )
+        # Sweep execution: periodic gathers read each device type as
+        # one registry-ordered column (repro.runtime.sweep).
+        self.sweeper = SweepEngine(self.registry, metrics=self.metrics)
         # Query-driven fast path: one freshness-aware read cache shared
         # by sweeps, proxy reads and query_context pulls.  ``None`` when
         # disabled — the device read path is then byte-identical to the
@@ -171,13 +168,16 @@ class Application:
         self._gather_delegate: Optional[Callable[[str, Any, Any], Any]] = None
         # Placement tier (repro.runtime.placement): edge-local
         # map+combine for grouped MapReduce gathers plus WAN byte
-        # accounting.  ``None`` keeps every gather cloud-only and
-        # byte-identical to the placement-less runtime.
+        # accounting, built exactly when the design places a context
+        # ``at edge``.  ``None`` keeps every gather cloud-only.
         self.placement: Optional[PlacementExecutor] = (
             PlacementExecutor(
                 config.placement, self.network, metrics=self.metrics
             )
-            if config.placement.enabled
+            if any(
+                info.decl.placement == Tier.EDGE.value
+                for info in design.contexts.values()
+            )
             else None
         )
         # The read path of every periodic gather (repro.runtime.gather);
@@ -291,11 +291,11 @@ class Application:
         """Pin an entity to an edge node (descriptor ``placement:``).
 
         Explicit assignments win over attribute-based node ownership;
-        requires the placement tier to be enabled."""
+        requires a placement tier, i.e. a context declared ``at edge``."""
         if self.placement is None:
             raise PlacementError(
-                "placement tier is disabled; enable it with "
-                "RuntimeConfig(placement=PlacementConfig(enabled=True))",
+                "no context of this design is declared 'at edge', so "
+                f"there is no edge node to pin '{entity_id}' to",
                 entity_id=entity_id,
                 node=node_id,
             )
@@ -355,7 +355,6 @@ class Application:
         self._subscriptions.clear()
         for implementation in self._implementations.values():
             implementation.on_stop()
-        self.sweeper.close()
         self.started = False
 
     def advance(self, seconds: float) -> int:
@@ -373,7 +372,6 @@ class Application:
     # handed to ``apply_config``.
     _LIVE_FIELDS = frozenset(
         {
-            "sweep",
             "cache",
             "batch",
             "supervision",
@@ -392,11 +390,11 @@ class Application:
         running gather can never observe a torn config: every sweep
         executes wholly under the config that was live when it began.
 
-        Live sections: ``sweep`` (mode/workers/batch size), ``cache``
-        (``ttl_seconds`` — but not ``enabled``), ``batch`` (``min_column``),
-        ``supervision`` policies and overrides (retuned across every
-        live breaker), ``stale`` and ``error_policy``.  Changing any
-        structural field raises :class:`~repro.errors.TuningError`.
+        Live sections: ``cache`` (``ttl_seconds`` — but not
+        ``enabled``), ``batch`` (``min_column``), ``supervision``
+        policies and overrides (retuned across every live breaker),
+        ``stale`` and ``error_policy``.  Changing any structural field
+        raises :class:`~repro.errors.TuningError`.
         """
         old = self.config
         for f in dataclasses.fields(RuntimeConfig):
@@ -417,7 +415,6 @@ class Application:
             raise TuningError("supervision cannot be enabled or disabled live")
         self.config = config
         self.error_policy = config.error_policy
-        self.sweeper.reconfigure(config.sweep)
         self.gatherer.reconfigure(config)
         if self.read_cache is not None:
             self.read_cache.reconfigure(config.cache)

@@ -2,7 +2,7 @@
 
 The paper's "delivering data" activity names three WSN delivery models
 (Section III); periodic sweeps got their fast path in the streaming and
-concurrent-sweep work, but the **query-driven** model still paid one
+columnar-read work, but the **query-driven** model still paid one
 driver round-trip per read: every ``query_context`` pull, every
 on-demand proxy read, every sweep re-polled the device even when the
 same source had been read milliseconds earlier by another context.
@@ -18,10 +18,14 @@ replays stay deterministic.  Three mechanisms keep cached values honest:
 
 * **Freshness TTL** — a hit is served only while the entry is at most
   ``ttl_seconds`` old; after that the next read goes to the driver.
-* **Single-flight coalescing** — when concurrent callers (threaded
-  sweep workers, parallel query pulls) miss on the same key, exactly
-  one performs the underlying driver read; the rest block on its result
-  (or its exception) instead of issuing duplicate reads.
+* **Single-flight coalescing** — when concurrent callers miss on the
+  same key, exactly one performs the underlying driver read; the rest
+  block on its result (or its exception) instead of issuing duplicate
+  reads.  Sweeps run in one loop, but a
+  :class:`~repro.runtime.clock.WallClock` runs every scheduled job —
+  each periodic gather, each controller tick — on its own
+  ``threading.Timer`` thread, so two jobs due together read side by
+  side: that is why the cache keeps its lock.
 * **Invalidation hooks** — an actuation on a device drops every cached
   source of that device (the physical state its sources report may
   have changed); an event-driven publish drops the publisher's entry

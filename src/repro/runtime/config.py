@@ -2,7 +2,7 @@
 
 :class:`RuntimeConfig` gathers every runtime choice (clock, executor,
 network model, error policy, metrics, the supervision/stale policies of
-:mod:`repro.faults`, and the sweep/cache/batch/shard/placement sections)
+:mod:`repro.faults`, and the cache/batch/shard/placement sections)
 into a single validated dataclass::
 
     from repro.runtime.config import RuntimeConfig
@@ -33,7 +33,6 @@ from repro.runtime.configbase import ConfigBase
 from repro.runtime.placement import NetworkConfig, PlacementConfig
 from repro.runtime.plan import BatchConfig
 from repro.runtime.shard import ShardConfig
-from repro.runtime.sweep import SweepConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
     from repro.runtime.clock import Clock
@@ -47,7 +46,6 @@ __all__ = [
     "PlacementConfig",
     "RuntimeConfig",
     "ShardConfig",
-    "SweepConfig",
 ]
 
 ERROR_POLICIES = ("raise", "isolate")
@@ -80,10 +78,6 @@ class RuntimeConfig(ConfigBase):
       backoff jitter.
     * ``stale`` — degraded-delivery policy for periodic gathers when a
       supervised source is dark; ``None`` means ``StalePolicy('skip')``.
-    * ``sweep`` — :class:`~repro.runtime.sweep.SweepConfig` governing
-      how periodic gather sweeps execute (serial loop vs. bounded
-      thread-pool fan-out); the default ``mode='auto'`` keeps
-      simulation-clock runs serial and deterministic.
     * ``cache`` — :class:`~repro.runtime.cache.CacheConfig` governing
       the query-driven read fast path (freshness-aware read cache,
       single-flight coalescing, actuation/publish invalidation and
@@ -99,10 +93,14 @@ class RuntimeConfig(ConfigBase):
       block wire protocol); disabled by default, which keeps the runtime
       single-process and byte-identical to the unsharded code path.
     * ``placement`` — :class:`~repro.runtime.placement.PlacementConfig`
-      governing the edge/cloud placement tier (edge-local map+combine
-      for grouped MapReduce gathers, WAN byte accounting); disabled by
-      default, which keeps every gather cloud-only and byte-identical
-      to the placement-less runtime.
+      locating the edge nodes of the placement tier (edge-local
+      map+combine for grouped MapReduce gathers, WAN byte accounting).
+      The design decides whether there is a tier: an application builds
+      one exactly when some context is declared ``at edge``.
+
+    A periodic sweep is one registry-ordered loop in the process
+    (:class:`~repro.runtime.sweep.SweepEngine`); nothing here selects
+    another shape.
     """
 
     clock: Optional["Clock"] = None
@@ -117,7 +115,6 @@ class RuntimeConfig(ConfigBase):
     )
     supervision_seed: int = 0
     stale: Optional[StalePolicy] = None
-    sweep: SweepConfig = SweepConfig()
     cache: CacheConfig = CacheConfig()
     batch: BatchConfig = BatchConfig()
     shard: ShardConfig = ShardConfig()
@@ -132,8 +129,6 @@ class RuntimeConfig(ConfigBase):
             raise TypeError("network must be a NetworkConfig or None")
         if not isinstance(self.placement, PlacementConfig):
             raise TypeError("placement must be a PlacementConfig")
-        if not isinstance(self.sweep, SweepConfig):
-            raise TypeError("sweep must be a SweepConfig")
         if not isinstance(self.cache, CacheConfig):
             raise TypeError("cache must be a CacheConfig")
         if not isinstance(self.batch, BatchConfig):

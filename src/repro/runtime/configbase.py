@@ -1,8 +1,8 @@
 """Shared protocol of the frozen configuration family.
 
 Every section of :class:`~repro.runtime.config.RuntimeConfig`
-(``SweepConfig``, ``CacheConfig``, ``BatchConfig``, ``ShardConfig``,
-``PlacementConfig``, ``NetworkConfig``) and the config record itself
+(``CacheConfig``, ``BatchConfig``, ``ShardConfig``, ``PlacementConfig``,
+``NetworkConfig``) and the config record itself
 are frozen dataclasses.  Whoever re-tunes a running application — a
 caller of ``Application.apply_config``, a tuning controller — derives
 the neighbouring config from the running one through one uniform

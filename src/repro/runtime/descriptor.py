@@ -141,9 +141,10 @@ class TopologySection:
         return NetworkConfig(**settings)
 
     def placement_config(self, **overrides: Any) -> PlacementConfig:
-        """Build an enabled :class:`PlacementConfig` for this site."""
+        """Build the :class:`PlacementConfig` locating this site's edge
+        nodes (the tier itself exists when the design places a context
+        ``at edge``)."""
         settings: Dict[str, Any] = {
-            "enabled": True,
             "edge_nodes": self.edge_nodes,
             "edge_attribute": self.edge_attribute,
         }
@@ -375,7 +376,9 @@ def apply_descriptor(
     Device types, attribute names/values, driver names and entity ids
     are validated against the design, the catalog and the bound
     registry before anything binds, so a bad descriptor fails
-    atomically.
+    atomically.  Per-entity edge-node pins apply when the application
+    has a placement tier (a context declared ``at edge``); otherwise
+    there is no node to pin to and they are skipped.
     """
     instances = []
     for record in descriptor.entities:

@@ -309,7 +309,8 @@ class DeviceInstance:
         if plan is None:
             plan = _Plan(_compile_reader, self.info, *key)
             plan.actors = _Plan(_compile_actor, self.info, key[0])
-            # Threaded sweeps bind concurrently: the first one in wins.
+            # Wall-clock timer threads may bind concurrently: the first
+            # one in wins.
             plan = plans.setdefault(key, plan)
         self.plan = plan
         return plan

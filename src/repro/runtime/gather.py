@@ -33,8 +33,8 @@ class _Lost:
     DiaSpec value can be, so a successful read's outcome is simply its
     coerced value.  ``error`` is the :class:`DeliveryError` of a failed
     read, ``None`` for a read the network model dropped.  Outcomes are
-    produced inside a sweep and folded back on the sweep-driving thread
-    (worker threads never touch the loss counters)."""
+    produced inside a sweep and folded into the loss counters once,
+    after it."""
 
     __slots__ = ("error",)
 
@@ -44,7 +44,7 @@ class _Lost:
 
 _DROPPED = _Lost()
 
-# Column placeholders of one columnar shard read: a position not yet
+# Column placeholders of one columnar sweep read: a position not yet
 # settled, and one demoted out of its batch cohort for this sweep
 # (failed flag, degraded health); the scalar fallback loop overwrites
 # the latter with the real outcome.
@@ -57,13 +57,11 @@ _failed_flag = attrgetter("failed")
 
 
 def _read_column(source, sampler, instances) -> List[Any]:
-    """Poll one task's instance column (possibly on a pool thread), in
-    order: per instance the sampler's draw, then its read plan.
+    """Poll a sweep's instance column in order: per instance the
+    sampler's draw, then its read plan.
 
     Returns the outcomes — each a value or a :class:`_Lost` — instead
-    of mutating counters, so the sweep engine can run tasks
-    concurrently and the caller folds outcomes deterministically in
-    registry order."""
+    of mutating counters; the caller folds them in registry order."""
     outcomes: List[Any] = []
     for instance in instances:
         if sampler is not None and not sampler():
@@ -107,7 +105,7 @@ def _cohort_keys(source, instances, predecessor):
     first scalar read would: a member that settles one at a time
     (demoted, or failed in its batch read) finds it bound."""
     column, plans = predecessor or ((), {})
-    plan = plans.get((source, id(column)))
+    plan = plans.get(source)
     carried = None if plan is None else plan[3]
     seen = () if carried is None else set(column)
     cls, key = carried or (None, None)
@@ -229,7 +227,7 @@ class Gatherer(Instrumented):
         source = interaction.source
         device = interaction.device
         sampler = self._read_sampler(decl, interaction)
-        spanned: List[List[Any]] = []  # columns straight from read_batch
+        spanned: List[List[Any]] = []  # a column straight from read_batch
         instances, outcomes = self.sweeper.sweep(
             device,
             functools.partial(_read_column, source, sampler),
@@ -242,8 +240,8 @@ class Gatherer(Instrumented):
                 spanned,
             ),
         )
-        if sum(map(len, spanned)) == len(outcomes):
-            # coerce_column proved every task's column: nothing was lost.
+        if spanned:
+            # coerce_column proved the whole column: nothing was lost.
             return instances, outcomes, 0, 0
         return self._fold_read_outcomes(instances, outcomes, source)
 
@@ -293,16 +291,15 @@ class Gatherer(Instrumented):
 
         A plan lives in the memo of the sweep cut whose column it was
         compiled for (:meth:`~repro.runtime.sweep.SweepEngine.
-        cut_memo`), keyed by ``(source, id(column))``: the cut keeps
-        its columns alive and is replaced whenever the registry hands
-        out another partition — a bind, an unbind, or a ``failed`` flag
-        filtering members without a version bump — so a plan is never
-        replayed over a column it was not compiled for.  A recompile
+        cut_memo`), keyed by ``source``: the cut holds one column and
+        is replaced whenever the registry hands out another partition
+        — a bind, an unbind, or a ``failed`` flag filtering members
+        without a version bump — so a plan is never replayed over a
+        column it was not compiled for.  A recompile
         asks ``batch_key`` only of members new to the column (a key
         holds until ``swap_driver``, which voids the predecessor)."""
-        plans, predecessor = self.sweeper.cut_memo(device_type, instances)
-        memo_key = (source, id(instances))
-        plan = plans.get(memo_key)
+        plans, predecessor = self.sweeper.cut_memo(device_type)
+        plan = plans.get(source)
         if plan is not None:
             self._plan_hits += 1
             return plan
@@ -346,14 +343,14 @@ class Gatherer(Instrumented):
             )
         dia_type = instances[0].info.source(source).dia_type
         plan = (groups, tuple(scalar), entity_ids, cohort, dia_type)
-        plans[memo_key] = plan
+        plans[source] = plan
         self._plan_compiles += 1
         return plan
 
     def _gather_read_column(
         self, device, source, sampler, flips, spanned, instances
     ):
-        """Columnar read of one task's column: cohorts, batch reads,
+        """Columnar read of a sweep's column: cohorts, batch reads,
         scalar demotion.
 
         Produces the same outcome column the scalar path would, one
@@ -449,7 +446,7 @@ class Gatherer(Instrumented):
                 scalar.extend(positions)
                 continue
             # A cohort that spans the column reads its columns as they
-            # are, and its value column is the task's result.
+            # are, and its value column is the sweep's result.
             spans = len(positions) == len(instances)
             read = self._read_batch_cohort(
                 driver,
@@ -547,10 +544,10 @@ class Gatherer(Instrumented):
         """Fold a sweep's outcome column into ``(instances, values,
         dropped, failed)``: the columns of the readings that survived
         and the reads lost, counted (:meth:`note_losses`) and put
-        through the stale policy — always on the sweep-driving thread.
-        When a supervised read failed, the policy decides whether the
-        entity drops out of this sweep (``skip``), serves its last
-        known value (``last_known``), or fails the sweep (``fail``).
+        through the stale policy.  When a supervised read failed, the
+        policy decides whether the entity drops out of this sweep
+        (``skip``), serves its last known value (``last_known``), or
+        fails the sweep (``fail``).
         When nothing was lost (one scan tells) the columns come back as
         they are."""
         if _Lost not in set(map(type, outcomes)):

@@ -14,9 +14,11 @@ while raw readings stop at the access network:
 * :class:`NetworkConfig` — frozen description of the simulated network;
   builds a :class:`~repro.simulation.network.TopologyModel` per
   application.
-* :class:`PlacementConfig` — frozen placement policy on
-  :class:`~repro.runtime.config.RuntimeConfig`, off by default like
-  ``SweepConfig``/``CacheConfig``/``BatchConfig``/``ShardConfig``.
+* :class:`PlacementConfig` — the frozen deployment settings of the
+  tier on :class:`~repro.runtime.config.RuntimeConfig` (which attribute
+  names an entity's edge node, which nodes exist).  Whether there is a
+  tier is a fact of the design: an application builds one exactly when
+  some context is declared ``at edge``.
 * :class:`PlacementExecutor` — the runtime half: partitions a sweep's
   readings across edge nodes, runs map + combine per node with the
   sharded runtime's ``(rank, gpos, emission)`` tag discipline, ships the
@@ -163,11 +165,8 @@ class NetworkConfig(ConfigBase):
 
 @dataclass(frozen=True)
 class PlacementConfig(ConfigBase):
-    """Where grouped MapReduce gathers execute on the continuum.
+    """Where the edge nodes of the placement tier are.
 
-    * ``enabled`` — master switch; ``False`` (default) keeps every
-      gather cloud-only and byte-identical to the placement-less
-      runtime.
     * ``edge_attribute`` — entity attribute naming each entity's edge
       node; ``None`` falls back to the interaction's ``grouped by``
       attribute (the natural edge boundary of the paper's parking
@@ -176,12 +175,12 @@ class PlacementConfig(ConfigBase):
       means one implicit node per distinct attribute value.
 
     A context runs at the edge only when the design annotates it
-    ``at edge``; every other context runs in the cloud.  Reads cross
+    ``at edge``, and an application builds its tier exactly when some
+    context is; every other context runs in the cloud.  Reads cross
     the topology's ``access`` hop and partials its ``wan`` hop
     (:data:`ACCESS_HOP` / :data:`WAN_HOP`).
     """
 
-    enabled: bool = False
     edge_attribute: Optional[str] = None
     edge_nodes: Tuple[EdgeNode, ...] = ()
 

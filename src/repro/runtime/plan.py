@@ -50,7 +50,7 @@ class BatchConfig(ConfigBase):
 
     A swept device type whose drivers implement
     :meth:`~repro.runtime.device.DeviceDriver.read_batch` is read with
-    one driver-level batch read per (shard, source) cohort instead of
+    one driver-level batch read per (cohort, source) instead of
     one Python read per device; entities that cannot batch (no driver
     support, degraded/quarantined health, failed flag) are demoted to
     the scalar path with full supervision accounting.  Types without

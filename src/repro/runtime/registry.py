@@ -204,10 +204,10 @@ class EntityRegistry(Instrumented):
 
         **Iteration-order guarantee.**  Results are always returned in
         *registration order* (the order instances were bound), whatever
-        index bucket served the lookup — this is the deterministic
-        order the :class:`~repro.runtime.sweep.SweepEngine` merges
-        threaded sweep results back into, so it is part of the public
-        contract, not an implementation accident.
+        index bucket served the lookup — this is the order the
+        :class:`~repro.runtime.sweep.SweepEngine` reads a sweep in, so
+        it is part of the public contract, not an implementation
+        accident.
 
         The filter arguments (``include_failed``, ``health``,
         ``include_quarantined``) are keyword-only.
@@ -311,7 +311,7 @@ class EntityRegistry(Instrumented):
         include_quarantined: bool = False,
     ) -> List[Tuple[str, List[int], List[DeviceInstance]]]:
         """Instances of ``device_type`` partitioned into deterministic
-        shards for sweep fan-out.
+        shards (per-shard sweep read counts, the sweep's memo key).
 
         Shards are keyed by the value of each member's first declared
         attribute (attribute-less types collapse to one ``""`` shard).
@@ -322,10 +322,9 @@ class EntityRegistry(Instrumented):
         columns, where a ``position`` is the member's index in the
         registration-ordered ``instances_of`` result — shards may
         interleave in registration order, and the positions are what
-        lets the :class:`~repro.runtime.sweep.SweepEngine` (and the
-        sharded runtime's coordinator) merge per-shard results back
-        into the exact registry iteration order.  Instances keep
-        registration order within their shard.
+        lets the :class:`~repro.runtime.sweep.SweepEngine` put the
+        shards back into the exact registry iteration order.  Instances
+        keep registration order within their shard.
         """
         # Partition memo: at fleet scale re-deriving the shard lists
         # every sweep dominates the sweep's own bookkeeping, yet the

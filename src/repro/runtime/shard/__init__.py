@@ -2,8 +2,8 @@
 event router.
 
 The single-process runtime tops out at one interpreter: the
-:class:`~repro.runtime.sweep.SweepEngine` overlaps device I/O on
-threads, but the GIL caps compute and the registry/bus are single-copy.
+:class:`~repro.runtime.sweep.SweepEngine` reads a fleet in one loop,
+and the registry/bus are single-copy.
 This module takes the paper's small-to-large continuum literally — the
 same orchestration design runs over a fleet partitioned into per-process
 shards:
@@ -18,8 +18,7 @@ shards:
   controllers, windows, periodic jobs) and no devices.  Periodic
   gathers fan out to the workers, which sweep, fold outcomes and run
   map-side combines locally; the coordinator merges replies back into
-  exact registry order — the same ``(position, value)`` merge
-  discipline the sweep engine uses for threads;
+  exact registry order by ``(position, value)``;
 * a :class:`ShardRouter` forwards cross-shard traffic: publishes raised
   inside a worker are recorded at the device instance and replayed into
   the coordinator's bus, and coordinator-side reads/actions are routed

@@ -295,7 +295,6 @@ class _ShardWorker:
                 _send_error(conn, exc, self.ctx.index)
             else:
                 _wire_send(conn, ("ok", reply))
-        self.app.sweeper.close()
         conn.close()
 
 

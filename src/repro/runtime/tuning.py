@@ -1,14 +1,14 @@
 """Self-tuning orchestration: closing the telemetry → config loop.
 
 The paper's large-scale story assumes operators hand-pick deployment
-parameters; the runtime grew every knob that matters (sweep workers,
-columnar ``min_column``, cache TTLs, breaker thresholds) plus the
-telemetry to measure each one.  This module automates that operator,
-as a *client* of the runtime: nothing else in ``repro.runtime`` imports
-it, and an application never knows a controller is watching it.
+parameters; the runtime grew every knob that matters (columnar
+``min_column``, cache TTLs, breaker thresholds) plus the telemetry to
+measure each one.  This module automates that operator, as a *client*
+of the runtime: nothing else in ``repro.runtime`` imports it, and an
+application never knows a controller is watching it.
 
 * :class:`Knob` / :class:`KnobRegistry` — the named tunables
-  (``sweep.workers``, ``batch.min_column``, ``cache.ttl_seconds``,
+  (``batch.min_column``, ``cache.ttl_seconds``,
   ``supervision.failure_threshold`` …), each with a safe range, a step
   rule and the metric signal that moves it.  A knob never mutates a
   config: it derives a *replaced and re-validated* copy through the
@@ -251,33 +251,9 @@ class KnobRegistry:
     def for_config(cls, config: Any) -> "KnobRegistry":
         """The standard catalog, filtered to the subsystems a config
         actually enables (a knob on a disabled subsystem would burn
-        trial intervals changing nothing); the sweep and batch knobs
-        are always listed, as no config turns those paths off."""
+        trial intervals changing nothing); the batch knob is always
+        listed, as no config turns that path off."""
         registry = cls()
-        registry.register(
-            Knob(
-                name="sweep.workers",
-                section="sweep",
-                attribute="workers",
-                minimum=1,
-                maximum=64,
-                step=2,
-                scale="geometric",
-                signal="sweep_duration_seconds",
-            )
-        )
-        registry.register(
-            Knob(
-                name="sweep.batch_size",
-                section="sweep",
-                attribute="batch_size",
-                minimum=1,
-                maximum=1024,
-                step=2,
-                scale="geometric",
-                signal="sweep_batches_total",
-            )
-        )
         registry.register(
             Knob(
                 name="batch.min_column",

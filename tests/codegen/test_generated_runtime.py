@@ -274,12 +274,7 @@ class TestPlacementThroughGeneratedFramework:
         assert decl.placement == "edge"
 
     def test_generated_app_accepts_placement_kwargs(self):
-        from repro.api import (
-            HopProfile,
-            NetworkConfig,
-            PlacementConfig,
-            RuntimeConfig,
-        )
+        from repro.api import HopProfile, NetworkConfig, RuntimeConfig
 
         mod = compile_design(EDGE_DESIGN, "EdgeCells")
 
@@ -299,7 +294,6 @@ class TestPlacementThroughGeneratedFramework:
                 network=NetworkConfig(
                     hops={"access": HopProfile(), "wan": HopProfile()}
                 ),
-                placement=PlacementConfig(enabled=True),
             )
         )
         framework.implement_cell_count(CellCount())

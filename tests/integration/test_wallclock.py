@@ -6,6 +6,7 @@ dispatch, actuation) with threading.Timer-driven scheduling.  Timings
 are kept loose to stay robust on slow CI machines.
 """
 
+import threading
 import time
 
 from repro.runtime.app import Application
@@ -47,8 +48,14 @@ def test_periodic_pipeline_under_wall_clock():
     app.implement("Sweep", SweepImpl())
     app.implement("K", KImpl())
     honks = []
+    read_threads = []
+
+    def reading():
+        read_threads.append(threading.current_thread().name)
+        return 2.0
+
     app.create_device(
-        "Sensor", "s1", CallableDriver(sources={"reading": lambda: 2.0})
+        "Sensor", "s1", CallableDriver(sources={"reading": reading})
     )
     app.create_device(
         "Horn", "h1",
@@ -62,6 +69,10 @@ def test_periodic_pipeline_under_wall_clock():
     clock.shutdown()
     assert len(honks) >= 3
     assert all(level == 2 for level in honks)
+    # A sweep reads on the thread its job fired on: there is no sweep
+    # pool to hand the reads to.
+    assert read_threads
+    assert not [name for name in read_threads if name.startswith("sweep")]
     resting = len(honks)
     time.sleep(0.1)
     assert len(honks) == resting  # stop() really cancelled the schedule

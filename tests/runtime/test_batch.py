@@ -3,7 +3,7 @@
 A sweep reads columns when the swept drivers implement ``read_batch``.
 The load-bearing invariant is that this capability changes *how fast*
 sweeps read, never *what* they deliver: for any fleet size, cohort
-threshold and sweep mode, the grouped payloads and window closures are
+threshold and period count, the grouped payloads and window closures are
 identical to those of the same drivers with the capability taken away
 (:class:`ScalarSubstrateDriver`) — the hypothesis property here holds
 the whole gather pipeline to it.  A second family of tests pins the
@@ -26,7 +26,6 @@ from repro.api import (
     DeviceDriver,
     RuntimeConfig,
     SupervisionPolicy,
-    SweepConfig,
     analyze,
 )
 from repro.faults.policy import QUARANTINED
@@ -165,22 +164,18 @@ class TestBatchEquivalence:
     @given(
         sensors=st.integers(min_value=1, max_value=12),
         min_column=st.integers(min_value=1, max_value=4),
-        mode=st.sampled_from(["serial", "threaded"]),
         periods=st.integers(min_value=1, max_value=4),
     )
     def test_payloads_and_windows_identical(
-        self, sensors, min_column, mode, periods
+        self, sensors, min_column, periods
     ):
-        sweep = SweepConfig(mode=mode, workers=3)
         baseline, base_free, base_windowed, __ = build_app(
             driver=ScalarSubstrateDriver,
             sensors=sensors,
-            sweep=sweep,
         )
         batched, batch_free, batch_windowed, __ = build_app(
             batch=BatchConfig(min_column=min_column),
             sensors=sensors,
-            sweep=sweep,
         )
         baseline.advance(PERIOD * periods)
         batched.advance(PERIOD * periods)

@@ -8,11 +8,9 @@ from repro.runtime.configbase import ConfigBase
 from repro.runtime.placement import NetworkConfig, PlacementConfig
 from repro.runtime.plan import BatchConfig
 from repro.runtime.shard import ShardConfig
-from repro.runtime.sweep import SweepConfig
 from repro.simulation.network import HopProfile
 
 SECTION_TYPES = (
-    SweepConfig,
     CacheConfig,
     BatchConfig,
     ShardConfig,
@@ -44,19 +42,17 @@ class TestValidatedReplace:
 
     def test_runtime_config_replace_revalidates_sections(self):
         base = RuntimeConfig()
-        with pytest.raises(TypeError, match="SweepConfig"):
-            base.replace(sweep="threaded")
+        with pytest.raises(TypeError, match="CacheConfig"):
+            base.replace(cache="on")
         with pytest.raises(ValueError, match="error_policy"):
             base.replace(error_policy="pray")
 
     def test_replace_keeps_untouched_fields(self):
-        base = RuntimeConfig(sweep=SweepConfig(mode="threaded", workers=4))
-        bumped = base.replace(
-            sweep=base.sweep.replace(workers=8)
-        )
-        assert bumped.sweep.workers == 8
-        assert bumped.sweep.mode == "threaded"
-        assert base.sweep.workers == 4
+        base = RuntimeConfig(cache=CacheConfig(enabled=True, ttl_seconds=4))
+        bumped = base.replace(cache=base.cache.replace(ttl_seconds=8))
+        assert bumped.cache.ttl_seconds == 8
+        assert bumped.cache.enabled
+        assert base.cache.ttl_seconds == 4
 
 
 class TestIdempotentPostInit:
@@ -76,12 +72,13 @@ class TestRemovedSettings:
     @pytest.mark.parametrize(
         "config_type, name, value",
         [
-            (SweepConfig, "shard_attribute", "zone"),
+            (RuntimeConfig, "sweep", None),
             (CacheConfig, "coalesce", False),
             (CacheConfig, "invalidate_on_publish", False),
             (CacheConfig, "shard_attribute", "zone"),
             (CacheConfig, "memoize_contexts", False),
             (CacheConfig, "context_ttl_seconds", 1.0),
+            (PlacementConfig, "enabled", True),
             (PlacementConfig, "default_tier", "edge"),
             (PlacementConfig, "access_hop", "lan"),
             (PlacementConfig, "wan_hop", "backhaul"),

@@ -42,9 +42,32 @@ DESCRIPTOR = {
 }
 
 
+# The same design with one context placed at the edge, which is what
+# gives an application a placement tier to pin entities in.
+EDGE_DESIGN = DESIGN + """\
+context ZoneSum as Integer at edge {
+    when periodic reading from Sensor <1 min>
+    grouped by zone
+    with map as Float reduce as Float
+    always publish;
+}
+"""
+
+
 class SweepImpl(Context):
     def on_periodic_reading(self, readings, discover):
         return len(readings)
+
+
+class ZoneSumImpl(Context):
+    def map(self, zone, reading, collector):
+        collector.emit_map(zone, reading)
+
+    def reduce(self, zone, values, collector):
+        collector.emit_reduce(zone, sum(values))
+
+    def on_periodic_reading(self, by_zone, discover):
+        return len(by_zone)
 
 
 @pytest.fixture
@@ -249,7 +272,6 @@ class TestTopologySection:
         assert network.seed == 7
         assert network.hop_names() == ("access", "wan")
         placement = descriptor.placement_config()
-        assert placement.enabled
         assert placement.edge_attribute == "zone"
         assert len(placement.edge_nodes) == 2
 
@@ -299,14 +321,13 @@ class TestTopologySection:
         from repro.runtime.config import RuntimeConfig
 
         descriptor = load_descriptor(TOPOLOGY_DESCRIPTOR)
-        application = Application(
-            analyze(DESIGN),
-            RuntimeConfig(
-                network=descriptor.network_config(),
-                placement=descriptor.placement_config(),
-            ),
+        config = RuntimeConfig(
+            network=descriptor.network_config(),
+            placement=descriptor.placement_config(),
         )
+        application = Application(analyze(EDGE_DESIGN), config)
         application.implement("Sweep", SweepImpl())
+        application.implement("ZoneSum", ZoneSumImpl())
         deployment = apply_descriptor(application, descriptor, catalog)
         deployment.deploy()
         deployment.launch()
@@ -316,6 +337,13 @@ class TestTopologySection:
         assert (
             application.placement.node_for(instance, "zone") == "cab-north"
         )
+        # A design with no ``at edge`` context has no tier: the pins
+        # are skipped and the entities still bind.
+        cloud = Application(analyze(DESIGN), config)
+        cloud.implement("Sweep", SweepImpl())
+        apply_descriptor(cloud, descriptor, catalog).deploy()
+        assert cloud.placement is None
+        assert "s1" in cloud.registry
 
 
 class TestShardSection:

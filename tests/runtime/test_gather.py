@@ -102,7 +102,7 @@ def build(config=RuntimeConfig(), driver=ScalarBankDriver):
         if supervisor is not None:
             instance.attach_supervisor(supervisor)
     gatherer = Gatherer(
-        SweepEngine(registry, clock, config.sweep),
+        SweepEngine(registry),
         config,
         network=(
             config.network.build() if config.network is not None else None
@@ -248,7 +248,7 @@ class Zoned:
         )
         self.bank = Bank()
         self.gatherer = Gatherer(
-            SweepEngine(self.registry, self.clock, config.sweep),
+            SweepEngine(self.registry),
             config,
             cache=self.cache,
         )

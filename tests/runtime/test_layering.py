@@ -9,7 +9,10 @@ Inside the runtime, ``Application`` is used through its public surface:
 no module but ``runtime/app.py`` itself reads an ``app._private``.  The
 tuning controller is a client of that surface, built by its owner: no
 runtime module imports ``runtime/tuning.py``, so an application can
-neither build a controller nor register a ``tuning_*`` series."""
+neither build a controller nor register a ``tuning_*`` series.  A sweep
+is one loop in its process: no runtime module imports
+``concurrent.futures`` (the MapReduce executors live in
+``repro.mapreduce``)."""
 
 import ast
 import pkgutil
@@ -118,6 +121,18 @@ def test_no_runtime_module_imports_the_tuning_controller():
             ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         )
         if within(module, ("repro.runtime.tuning",))
+    ]
+    assert importers == []
+
+
+def test_no_runtime_module_imports_an_executor_pool():
+    importers = [
+        f"runtime/{path.relative_to(RUNTIME)} imports {module}"
+        for path in SOURCES
+        for module in imported_modules(
+            ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        )
+        if within(module, ("concurrent.futures",))
     ]
     assert importers == []
 

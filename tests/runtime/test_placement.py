@@ -1,12 +1,12 @@
 """Edge/cloud placement tier: configs, node assignment, the edge split.
 
-The load-bearing invariant mirrors the sweep/batch/cache/shard suites:
-``PlacementConfig(enabled=True)`` changes *where* a grouped MapReduce
+The load-bearing invariant mirrors the batch/cache/shard suites: a
+context declared ``at edge`` changes *where* a grouped MapReduce
 gather runs (map + map-side combine at the edge nodes) and *what
 crosses the WAN* (per-group partials instead of raw readings), never
 what the context receives — at zero loss the deliveries are
-byte-identical to the cloud-only path for any fleet size, edge-node
-count, sweep mode and shard setting.
+byte-identical to the same design without ``at edge`` for any fleet
+size, edge-node count and shard setting.
 """
 
 import types
@@ -28,7 +28,6 @@ from repro.api import (
     ShardBootstrap,
     ShardConfig,
     ShardedRuntime,
-    SweepConfig,
     Tier,
     analyze,
 )
@@ -49,6 +48,9 @@ context FreeCount as Integer at edge {
     always publish;
 }
 """
+
+# The cloud-only baseline: the same design with its context unplaced.
+PLAIN = DESIGN.replace(" at edge", "")
 
 LOTS = ("A22", "B16", "D6", "E9")
 PERIOD = 600.0
@@ -102,15 +104,14 @@ def build_app(
     network=None,
     sensors=8,
     seed=11,
-    sweep=None,
     implementation=FreeCountImpl,
+    design=DESIGN,
 ):
     config = RuntimeConfig(
-        sweep=sweep if sweep is not None else SweepConfig(),
         network=network if network is not None else NetworkConfig(),
         placement=placement if placement is not None else PlacementConfig(),
     )
-    app = Application(analyze(DESIGN), config)
+    app = Application(analyze(design), config)
     free = app.implement("FreeCount", implementation())
     substrate = FleetSubstrate(
         app.clock,
@@ -148,9 +149,10 @@ class TestEdgeNode:
 
 
 class TestPlacementConfig:
-    def test_defaults_are_off(self):
+    def test_defaults_declare_no_edge_nodes(self):
         config = PlacementConfig()
-        assert config.enabled is False
+        assert config.edge_attribute is None
+        assert config.edge_nodes == ()
         # Only the design's ``at edge`` annotation moves a context.
         executor = PlacementExecutor(config)
         unannotated = types.SimpleNamespace(placement=None)
@@ -167,8 +169,8 @@ class TestPlacementConfig:
             )
 
     def test_runtime_config_field(self):
-        config = RuntimeConfig(placement=PlacementConfig(enabled=True))
-        assert config.placement.enabled
+        config = RuntimeConfig(placement=PlacementConfig(edge_attribute="x"))
+        assert config.placement.edge_attribute == "x"
         with pytest.raises(TypeError):
             RuntimeConfig(placement="edge")
         assert "PlacementConfig" in RuntimeConfig().describe()["placement"]
@@ -180,7 +182,7 @@ def entity(entity_id, **attributes):
 
 class TestNodeResolution:
     def test_implicit_node_per_attribute_value(self):
-        executor = PlacementExecutor(PlacementConfig(enabled=True))
+        executor = PlacementExecutor(PlacementConfig())
         assert executor.node_for(entity("s1", parkingLot="A22"), "parkingLot")
         assert (
             executor.node_for(entity("s1", parkingLot="A22"), "parkingLot")
@@ -189,9 +191,7 @@ class TestNodeResolution:
 
     def test_declared_node_owns_values(self):
         executor = PlacementExecutor(
-            PlacementConfig(
-                enabled=True, edge_nodes=(EdgeNode("cab-1", ("A22", "B16")),)
-            )
+            PlacementConfig(edge_nodes=(EdgeNode("cab-1", ("A22", "B16")),))
         )
         assert (
             executor.node_for(entity("s1", parkingLot="B16"), "parkingLot")
@@ -201,7 +201,6 @@ class TestNodeResolution:
     def test_explicit_assignment_wins(self):
         executor = PlacementExecutor(
             PlacementConfig(
-                enabled=True,
                 edge_nodes=(EdgeNode("cab-1", ("A22",)), EdgeNode("cab-2")),
             )
         )
@@ -212,43 +211,40 @@ class TestNodeResolution:
         )
 
     def test_missing_attribute_raises(self):
-        executor = PlacementExecutor(PlacementConfig(enabled=True))
+        executor = PlacementExecutor(PlacementConfig())
         with pytest.raises(PlacementError, match="no attribute"):
             executor.node_for(entity("s1"), "parkingLot")
 
     def test_unowned_value_raises_when_nodes_declared(self):
         executor = PlacementExecutor(
-            PlacementConfig(enabled=True, edge_nodes=(EdgeNode("n", ("A",)),))
+            PlacementConfig(edge_nodes=(EdgeNode("n", ("A",)),))
         )
         with pytest.raises(PlacementError, match="no declared edge node"):
             executor.node_for(entity("s1", parkingLot="Z"), "parkingLot")
 
     def test_assign_unknown_node_raises(self):
         executor = PlacementExecutor(
-            PlacementConfig(enabled=True, edge_nodes=(EdgeNode("n1"),))
+            PlacementConfig(edge_nodes=(EdgeNode("n1"),))
         )
         with pytest.raises(PlacementError, match="unknown edge node"):
             executor.assign("s1", "ghost")
 
     def test_custom_edge_attribute_overrides_grouping(self):
-        executor = PlacementExecutor(
-            PlacementConfig(enabled=True, edge_attribute="cell")
-        )
+        executor = PlacementExecutor(PlacementConfig(edge_attribute="cell"))
         probe = entity("s1", parkingLot="A22", cell="north")
         assert executor.node_for(probe, "parkingLot") == "north"
 
-    def test_app_assign_requires_enabled_placement(self):
-        app, __ = build_app()
-        with pytest.raises(PlacementError, match="disabled"):
+    def test_app_assign_requires_an_edge_context(self):
+        app, __ = build_app(design=PLAIN)
+        assert app.placement is None
+        with pytest.raises(PlacementError, match="'at edge'"):
             app.assign_edge_node("s-000", "n1")
 
 
 class TestEdgeSplit:
     def test_edge_deliveries_match_cloud_only(self):
-        cloud_app, cloud = build_app()
-        edge_app, edge = build_app(
-            placement=PlacementConfig(enabled=True), network=TOPOLOGY
-        )
+        cloud_app, cloud = build_app(design=PLAIN)
+        edge_app, edge = build_app(network=TOPOLOGY)
         cloud_app.advance(4 * PERIOD)
         edge_app.advance(4 * PERIOD)
         assert edge.deliveries == cloud.deliveries
@@ -258,13 +254,8 @@ class TestEdgeSplit:
         assert stats["raw_readings"] == 0
         assert stats["edge_nodes"] == len(LOTS)
 
-    def test_unannotated_context_defaults_to_cloud(self):
-        plain = DESIGN.replace(" at edge", "")
-        config = RuntimeConfig(
-            network=TOPOLOGY,
-            placement=PlacementConfig(enabled=True),
-        )
-        app = Application(analyze(plain), config)
+    def test_an_edge_context_builds_the_tier_under_the_default_config(self):
+        app = Application(analyze(DESIGN), RuntimeConfig())
         free = app.implement("FreeCount", FreeCountImpl())
         app.create_device(
             "EdgePresence",
@@ -274,16 +265,37 @@ class TestEdgeSplit:
         )
         app.start()
         app.advance(PERIOD)
-        stats = app.stats["placement"]
-        assert stats["edge_sweeps"] == 0
-        assert stats["raw_readings"] == 1
-        assert stats["wan_bytes"] == payload_nbytes(False)
+        assert app.stats["placement"]["edge_sweeps"] > 0
         assert free.deliveries == [{"A22": 1}]
+
+    def test_unannotated_context_defaults_to_cloud(self):
+        # Beside the edge-placed FreeCount, an unplaced twin.
+        mixed = DESIGN + PLAIN[PLAIN.index("context") :].replace(
+            "FreeCount", "CloudCount"
+        )
+        app = Application(analyze(mixed), RuntimeConfig(network=TOPOLOGY))
+        edge = app.implement("FreeCount", FreeCountImpl())
+        cloud = app.implement("CloudCount", FreeCountImpl())
+        app.create_device(
+            "EdgePresence",
+            "s-000",
+            CallableDriver(sources={"presence": lambda: False}),
+            parkingLot="A22",
+        )
+        app.start()
+        app.advance(PERIOD)
+        stats = app.stats["placement"]
+        assert stats["edge_sweeps"] == 1
+        assert stats["raw_readings"] == 1
+        assert stats["partials_sent"] == 1
+        assert stats["wan_bytes"] == payload_nbytes(False) + payload_nbytes(
+            ("A22", True)
+        )
+        assert cloud.deliveries == edge.deliveries == [{"A22": 1}]
 
     def test_partials_cut_wan_bytes_with_combiner(self):
         sensors = 64
         app, free = build_app(
-            placement=PlacementConfig(enabled=True),
             network=TOPOLOGY,
             sensors=sensors,
             implementation=CombiningFreeCountImpl,
@@ -303,7 +315,6 @@ class TestEdgeSplit:
         # One link, neither an access nor a WAN hop: bytes are
         # accounted model-free.
         app, free = build_app(
-            placement=PlacementConfig(enabled=True),
             network=NetworkConfig(hops={"link": HopProfile()}),
         )
         app.advance(PERIOD)
@@ -311,9 +322,7 @@ class TestEdgeSplit:
         assert app.stats["placement"]["wan_bytes"] > 0
 
     def test_placement_metrics_registered(self):
-        app, __ = build_app(
-            placement=PlacementConfig(enabled=True), network=TOPOLOGY
-        )
+        app, __ = build_app(network=TOPOLOGY)
         app.advance(PERIOD)
         assert app.metrics.value("placement_edge_sweeps_total") == 1
         assert app.metrics.value("placement_bytes_wan_total") > 0
@@ -327,7 +336,6 @@ class TestEdgeSplit:
     def test_explicit_nodes_group_lots(self):
         app, free = build_app(
             placement=PlacementConfig(
-                enabled=True,
                 edge_nodes=(
                     EdgeNode("north", ("A22", "B16")),
                     EdgeNode("south", ("D6", "E9")),
@@ -351,7 +359,6 @@ class TestWanLoss:
             seed=5,
         )
         app, free = build_app(
-            placement=PlacementConfig(enabled=True),
             network=lossy,
             sensors=16,
         )
@@ -365,38 +372,27 @@ class TestWanLoss:
         assert len(free.deliveries) == 10
 
     def test_zero_loss_wan_drops_nothing(self):
-        app, __ = build_app(
-            placement=PlacementConfig(enabled=True), network=TOPOLOGY
-        )
+        app, __ = build_app(network=TOPOLOGY)
         app.advance(4 * PERIOD)
         assert app.stats["placement"]["partials_dropped"] == 0
 
 
 # ---------------------------------------------------------------------------
-# Property: placement-on == placement-off, byte for byte
+# Property: ``at edge`` == unplaced, byte for byte
 # ---------------------------------------------------------------------------
 
 
 class PlacementBootstrap(ShardBootstrap):
-    def __init__(self, sensors, seed, shard=None, placement=None):
+    def __init__(self, sensors, seed, shard):
         self.sensors = sensors
         self.seed = seed
         self.shard = shard
-        self.placement = placement
 
     def fleet(self):
         return [f"s-{index:03d}" for index in range(self.sensors)]
 
     def build(self, ctx):
-        config = RuntimeConfig(
-            shard=self.shard if self.shard is not None else ShardConfig(),
-            network=TOPOLOGY,
-            placement=(
-                self.placement
-                if self.placement is not None
-                else PlacementConfig()
-            ),
-        )
+        config = RuntimeConfig(shard=self.shard, network=TOPOLOGY)
         app = Application(analyze(DESIGN), config)
         app.implement("FreeCount", FreeCountImpl())
         substrate = FleetSubstrate(
@@ -415,12 +411,9 @@ class PlacementBootstrap(ShardBootstrap):
         return app
 
 
-def run_sharded(sensors, seed, placement, periods=3):
+def run_sharded(sensors, seed, periods=3):
     bootstrap = PlacementBootstrap(
-        sensors,
-        seed,
-        shard=ShardConfig(enabled=True, workers=2),
-        placement=placement,
+        sensors, seed, shard=ShardConfig(enabled=True, workers=2)
     )
     runtime = ShardedRuntime(bootstrap)
     runtime.start()
@@ -451,23 +444,16 @@ class TestByteIdentity:
         sensors=st.integers(min_value=1, max_value=24),
         seed=st.integers(min_value=0, max_value=2**16),
         nodes=st.integers(min_value=0, max_value=3),
-        threaded=st.booleans(),
     )
-    def test_edge_split_matches_cloud_only(
-        self, sensors, seed, nodes, threaded
-    ):
-        sweep = SweepConfig(mode="threaded" if threaded else "serial")
+    def test_edge_split_matches_cloud_only(self, sensors, seed, nodes):
         baseline_app, baseline = build_app(
-            sensors=sensors, seed=seed, sweep=sweep
+            sensors=sensors, seed=seed, design=PLAIN
         )
         edge_app, edge = build_app(
-            placement=PlacementConfig(
-                enabled=True, edge_nodes=edge_nodes_for(nodes)
-            ),
+            placement=PlacementConfig(edge_nodes=edge_nodes_for(nodes)),
             network=TOPOLOGY,
             sensors=sensors,
             seed=seed,
-            sweep=sweep,
         )
         periods = 3
         baseline_app.advance(periods * PERIOD)
@@ -484,13 +470,10 @@ class TestByteIdentity:
     )
     def test_sharded_edge_split_matches_local(self, sensors, seed):
         local_app, local = build_app(
-            placement=PlacementConfig(enabled=True),
             network=TOPOLOGY,
             sensors=sensors,
             seed=seed,
         )
         local_app.advance(3 * PERIOD)
-        sharded = run_sharded(
-            sensors, seed, PlacementConfig(enabled=True)
-        )
+        sharded = run_sharded(sensors, seed)
         assert sharded == local.deliveries

@@ -1,28 +1,19 @@
-"""Sweep engine: mode selection, deterministic merge, equivalence.
+"""Sweep engine: one registry-ordered loop, its compiled cut, metrics.
 
-The load-bearing invariant is that a threaded sweep is observationally
-identical to the serial loop — same grouped payloads, same window
-closures — for any worker count and batch size; the hypothesis property
-here holds the SweepEngine to it.
+A sweep reads a device type as one column in registration order, so
+every stateful side effect keeps its sequence; what the cut promises
+and how the gather path counts what a sweep lost are pinned here.
 """
 
-import threading
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import (
     Application,
     CallableDriver,
     Context,
     RuntimeConfig,
-    SimulationClock,
     StalePolicy,
     SupervisionPolicy,
-    SweepConfig,
-    SweepEngine,
-    WallClock,
     analyze,
 )
 from repro.errors import DeliveryError, DeviceUnavailableError
@@ -90,18 +81,14 @@ class WindowedImpl(Context):
         return sum(len(v) for v in window_by_lot.values())
 
 
-def build_app(sweep=None, sensors=6, **config_kwargs):
+def build_app(sensors=6, **config_kwargs):
     """A grouped + windowed periodic app over an interleaved fleet.
 
     Sensors are registered round-robin across lots so shards interleave
     in registration order — the case where a naive shard-concatenation
-    merge would reorder the payload.
+    would reorder the payload.
     """
-    config = RuntimeConfig(
-        sweep=sweep if sweep is not None else SweepConfig(),
-        **config_kwargs,
-    )
-    app = Application(analyze(DESIGN), config)
+    app = Application(analyze(DESIGN), RuntimeConfig(**config_kwargs))
     free = app.implement("FreeCount", FreeCountImpl())
     windowed = app.implement("Windowed", WindowedImpl())
     for index in range(sensors):
@@ -116,103 +103,7 @@ def build_app(sweep=None, sensors=6, **config_kwargs):
     return app, free, windowed
 
 
-class TestSweepConfig:
-    def test_defaults(self):
-        config = SweepConfig()
-        assert config.mode == "auto"
-        assert config.workers == 8
-        assert config.batch_size == 16
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"mode": "fibrous"},
-            {"workers": 0},
-            {"batch_size": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SweepConfig(**kwargs)
-
-    def test_runtime_config_rejects_non_sweep_config(self):
-        with pytest.raises(TypeError):
-            RuntimeConfig(sweep="threaded")
-
-    def test_runtime_config_carries_sweep(self):
-        config = RuntimeConfig(sweep=SweepConfig(mode="serial"))
-        assert config.sweep.mode == "serial"
-        assert "SweepConfig" in config.describe()["sweep"]
-
-
-class TestModeSelection:
-    def test_auto_forces_serial_under_simulation_clock(self):
-        engine = SweepEngine(EntityRegistry(), SimulationClock())
-        assert engine.mode_for_clock() == "serial"
-
-    def test_auto_selects_threaded_under_wall_clock(self):
-        clock = WallClock()
-        engine = SweepEngine(EntityRegistry(), clock)
-        assert engine.mode_for_clock() == "threaded"
-        clock.shutdown()
-
-    def test_explicit_modes_override_the_clock(self):
-        registry, clock = EntityRegistry(), SimulationClock()
-        assert (
-            SweepEngine(
-                registry, clock, SweepConfig(mode="threaded")
-            ).mode_for_clock()
-            == "threaded"
-        )
-        wall = WallClock()
-        assert (
-            SweepEngine(
-                registry, wall, SweepConfig(mode="serial")
-            ).mode_for_clock()
-            == "serial"
-        )
-        wall.shutdown()
-
-    def test_simulation_app_sweeps_serially(self):
-        """An app on a SimulationClock with the default (auto) config
-        never touches the thread pool: replay stays deterministic."""
-        app, free, __ = build_app()
-        app.advance(3600)
-        stats = app.sweeper.stats()
-        assert stats["sweeps"] > 0
-        assert stats["threaded_sweeps"] == 0
-        assert stats["serial_sweeps"] == stats["sweeps"]
-        assert free.deliveries  # the sweeps actually delivered
-
-    def test_forced_threaded_app_uses_the_pool(self):
-        app, free, __ = build_app(sweep=SweepConfig(mode="threaded"))
-        app.advance(1800)
-        stats = app.sweeper.stats()
-        assert stats["threaded_sweeps"] == stats["sweeps"] > 0
-        assert free.deliveries
-        app.stop()  # shuts the pool down
-
-
 class TestDeterministicMerge:
-    def test_threaded_results_in_registry_order(self):
-        app, __, __ = build_app(sweep=SweepConfig(mode="threaded"))
-        seen = []
-        lock = threading.Lock()
-
-        def read_one(instance):
-            with lock:
-                seen.append(instance.entity_id)
-            return instance.entity_id
-
-        instances, results = app.sweeper.sweep(
-            "PresenceSensor", column_of(read_one)
-        )
-        merged = [instance.entity_id for instance in instances]
-        assert merged == [f"s-{i}" for i in range(6)]
-        assert results == merged  # aligned with the instance column
-        assert sorted(seen) == sorted(merged)
-        app.stop()
-
     def test_iter_shards_positions_reconstruct_registry_order(self):
         app, __, __ = build_app()
         shards = app.registry.iter_shards("PresenceSensor")
@@ -260,18 +151,13 @@ class ColumnDriver(CallableDriver):
 
 
 class TestOneSweepLoop:
-    """Serial/threaded x scalar/columnar are one loop over differently
-    cut task lists; what each cut promises is pinned here."""
+    """Scalar and columnar sweeps are one loop over one registry-ordered
+    cut; what the cut promises is pinned here."""
 
     SENSORS = 7  # round-robin over three lots: shards of 3, 2 and 2
 
-    def build(self, mode, batch_size=2, driver=CallableDriver):
-        app = Application(
-            analyze(DESIGN),
-            RuntimeConfig(
-                sweep=SweepConfig(mode=mode, workers=3, batch_size=batch_size)
-            ),
-        )
+    def build(self, driver=CallableDriver):
+        app = Application(analyze(DESIGN))
         driver_reads = []
         for index in range(self.SENSORS):
             entity_id = f"s-{index}"
@@ -289,21 +175,18 @@ class TestOneSweepLoop:
             )
         return app, driver_reads
 
-    @pytest.mark.parametrize("mode", ["serial", "threaded"])
     @pytest.mark.parametrize("columnar", [False, True])
-    def test_results_come_back_in_registry_order(self, mode, columnar):
+    def test_results_come_back_in_registry_order(self, columnar):
         app, driver_reads = self.build(
-            mode, driver=ColumnDriver if columnar else CallableDriver
+            driver=ColumnDriver if columnar else CallableDriver
         )
         columns = []
-        lock = threading.Lock()
 
         def read_one(instance):
             return (instance.entity_id, instance.read("presence"))
 
         def read_column(instances):
-            with lock:
-                columns.append([i.entity_id for i in instances])
+            columns.append([i.entity_id for i in instances])
             return [read_one(instance) for instance in instances]
 
         instances, results = app.sweeper.sweep(
@@ -315,41 +198,22 @@ class TestOneSweepLoop:
         # Two columns, aligned, both in registry order.
         assert [instance.entity_id for instance in instances] == expected
         assert results == [(entity_id, True) for entity_id in expected]
-        assert sorted(driver_reads) == expected
+        assert driver_reads == expected
         stats = app.sweeper.stats()
+        assert stats["sweeps"] == 1
         assert stats["reads"] == self.SENSORS
-        assert stats[f"{mode}_sweeps"] == 1
         assert stats["columnar_sweeps"] == (1 if columnar else 0)
-        if columnar and mode == "threaded":
-            # One read_column call per attribute shard, each shard's
-            # members in registration order.
-            assert sorted(columns) == [
-                ["s-0", "s-3", "s-6"],
-                ["s-1", "s-4"],
-                ["s-2", "s-5"],
-            ]
-        elif columnar:
-            # Serial: one read_column call over the whole type.
-            assert columns == [expected]
-        if mode == "threaded":
-            # Columnar: one pool task per shard.  Scalar: batch_size
-            # slices that never span shards — ceil(3/2) + 1 + 1.
-            assert stats["batches"] == (3 if columnar else 4)
-        else:
-            assert stats["batches"] == 0
-        app.sweeper.close()
+        # One read_column call over the whole type, across the shards.
+        assert columns == ([expected] if columnar else [])
 
-    @pytest.mark.parametrize("mode", ["serial", "threaded"])
     @pytest.mark.parametrize("columnar", [False, True])
-    def test_the_cut_is_reused_until_the_membership_moves(
-        self, mode, columnar
-    ):
+    def test_the_cut_is_reused_until_the_membership_moves(self, columnar):
         """The instance column belongs to the memoized cut: the very
         same list comes back while the registry partition holds, and a
         bind, an unbind and a flipped ``failed`` flag each recompile
         it."""
         app, __ = self.build(
-            mode, driver=ColumnDriver if columnar else CallableDriver
+            driver=ColumnDriver if columnar else CallableDriver
         )
 
         def ids():
@@ -389,13 +253,12 @@ class TestOneSweepLoop:
         recovered = ids()
         assert len(recovered) == self.SENSORS
         assert ids() is recovered
-        app.sweeper.close()
 
     def test_the_drivers_decide_the_cut(self):
         """One batch-capable member makes the type's sweep columnar —
         still one serial task, now read by the batch reader — and a
         driver swap re-decides it."""
-        app, __ = self.build("serial")
+        app, __ = self.build()
         columns = []
 
         def read_column(instances):
@@ -419,58 +282,12 @@ class TestOneSweepLoop:
         """Shards interleave in registration order; the reference loop
         must still poll s-0, s-1, s-2, ... so sampler RNG draws and
         breaker probes keep their sequence."""
-        app, driver_reads = self.build("serial")
+        app, driver_reads = self.build()
         app.sweeper.sweep(
             "PresenceSensor",
             column_of(lambda instance: instance.read("presence")),
         )
         assert driver_reads == [f"s-{i}" for i in range(self.SENSORS)]
-
-    def test_an_error_in_one_task_surfaces_after_the_rest_ran(self):
-        app, __ = self.build("threaded", batch_size=1)
-        ran = []
-        lock = threading.Lock()
-
-        def read_one(instance):
-            with lock:
-                ran.append(instance.entity_id)
-            if instance.entity_id == "s-3":
-                raise DeliveryError("boom")
-            return True
-
-        with pytest.raises(DeliveryError, match="boom"):
-            app.sweeper.sweep("PresenceSensor", column_of(read_one))
-        assert len(ran) == self.SENSORS  # every future was drained
-        app.sweeper.close()
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    workers=st.integers(min_value=1, max_value=12),
-    batch_size=st.integers(min_value=1, max_value=24),
-    sensors=st.integers(min_value=1, max_value=17),
-)
-def test_serial_and_threaded_sweeps_are_equivalent(
-    workers, batch_size, sensors
-):
-    """Grouped payloads and window closures are identical between the
-    serial loop and the thread-pool fan-out for any worker count and
-    batch size — the merge-order guarantee, end to end."""
-    serial_app, serial_free, serial_windowed = build_app(
-        sweep=SweepConfig(mode="serial"), sensors=sensors
-    )
-    threaded_app, threaded_free, threaded_windowed = build_app(
-        sweep=SweepConfig(
-            mode="threaded", workers=workers, batch_size=batch_size
-        ),
-        sensors=sensors,
-    )
-    serial_app.advance(3600)
-    threaded_app.advance(3600)
-    assert serial_free.deliveries == threaded_free.deliveries
-    assert serial_windowed.windows == threaded_windowed.windows
-    assert serial_free.deliveries  # six sweeps happened
-    threaded_app.stop()
 
 
 class TestGatherErrorSplit:
@@ -528,14 +345,14 @@ def _raise():
 
 
 class TestSweepMetrics:
-    def test_engine_exports_histogram_gauge_and_shard_counters(self):
+    def test_engine_exports_histograms_and_shard_counters(self):
         metrics = MetricsRegistry()
         app, __, __ = build_app(metrics=metrics)
         app.advance(600)
         assert metrics.get("sweep_duration_seconds").kind == "histogram"
         duration = metrics.get("sweep_duration_seconds").samples()[0][1]
         assert duration.count == app.sweeper.stats()["sweeps"]
-        assert metrics.value("sweep_in_flight_batches") == 0
+        assert metrics.get("sweep_batch_column_size").kind == "histogram"
         per_shard = {
             dict(labels)["shard"]: instrument.value
             for labels, instrument in metrics.get(

@@ -12,7 +12,6 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import CallableDriver
 from repro.runtime.plan import BatchConfig
 from repro.runtime.shard import ShardConfig
-from repro.runtime.sweep import SweepConfig
 from repro.runtime.tuning import (
     DOWN,
     UP,
@@ -51,11 +50,11 @@ context Sweep as Float {
 """
 
 
-def workers_knob(minimum=1, maximum=4):
+def min_column_knob(minimum=1, maximum=4):
     return Knob(
-        name="sweep.workers",
-        section="sweep",
-        attribute="workers",
+        name="batch.min_column",
+        section="batch",
+        attribute="min_column",
         minimum=minimum,
         maximum=maximum,
         step=1,
@@ -78,7 +77,7 @@ class ScriptedObjective:
 
 
 def make_controller(app, knob=None):
-    registry = KnobRegistry([knob or workers_knob()])
+    registry = KnobRegistry([knob or min_column_knob()])
     objective = ScriptedObjective()
     controller = TuningController(
         app,
@@ -103,13 +102,13 @@ class Sweep(Context):
 
 class TestKnobArithmetic:
     def test_clamp_bounds_and_integer_domain(self):
-        knob = workers_knob(minimum=1, maximum=8)
+        knob = min_column_knob(minimum=1, maximum=8)
         assert knob.clamp(0) == 1
         assert knob.clamp(100) == 8
         assert knob.clamp(3.4) == 3
 
     def test_linear_steps(self):
-        knob = workers_knob(minimum=1, maximum=4)
+        knob = min_column_knob(minimum=1, maximum=4)
         assert knob.step_toward(2, UP) == 3
         assert knob.step_toward(2, DOWN) == 1
         assert knob.step_toward(4, UP) == 4  # clamped no-op
@@ -132,26 +131,26 @@ class TestKnobArithmetic:
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError, match="direction"):
-            workers_knob().step_toward(2, "sideways")
+            min_column_knob().step_toward(2, "sideways")
 
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="geometric step"):
             Knob(
-                name="x", section="sweep", attribute="workers",
+                name="x", section="batch", attribute="min_column",
                 minimum=1, maximum=4, step=1, scale="geometric",
             )
         with pytest.raises(ValueError, match="exceeds"):
             Knob(
-                name="x", section="sweep", attribute="workers",
+                name="x", section="batch", attribute="min_column",
                 minimum=9, maximum=4,
             )
 
     def test_apply_derives_a_revalidated_copy(self):
         config = RuntimeConfig()
-        knob = workers_knob(minimum=1, maximum=64)
+        knob = min_column_knob(minimum=1, maximum=64)
         bumped = knob.apply(config, 99)  # clamped into range
-        assert bumped.sweep.workers == 64
-        assert config.sweep.workers == SweepConfig().workers
+        assert bumped.batch.min_column == 64
+        assert config.batch.min_column == BatchConfig().min_column
 
     def test_apply_on_missing_section_is_a_tuning_error(self):
         knob = Knob(
@@ -167,24 +166,24 @@ class TestKnobArithmetic:
 
 class TestKnobRegistry:
     def test_duplicate_registration_rejected(self):
-        registry = KnobRegistry([workers_knob()])
+        registry = KnobRegistry([min_column_knob()])
         with pytest.raises(TuningError, match="already registered"):
-            registry.register(workers_knob())
+            registry.register(min_column_knob())
 
     def test_unknown_name_lists_known_knobs(self):
-        registry = KnobRegistry([workers_knob()])
-        with pytest.raises(TuningError, match="sweep.workers"):
+        registry = KnobRegistry([min_column_knob()])
+        with pytest.raises(TuningError, match="batch.min_column"):
             registry.get("cache.ttl_seconds")
 
     def test_with_value_leaves_original_untouched(self):
-        registry = KnobRegistry([workers_knob(maximum=64)])
+        registry = KnobRegistry([min_column_knob(maximum=64)])
         config = RuntimeConfig()
-        bumped = registry.with_value(config, "sweep.workers", 4)
-        assert bumped.sweep.workers == 4
-        assert config.sweep.workers == SweepConfig().workers
+        bumped = registry.with_value(config, "batch.min_column", 4)
+        assert bumped.batch.min_column == 4
+        assert config.batch.min_column == BatchConfig().min_column
 
     def test_catalog_follows_enabled_subsystems(self):
-        always = ("sweep.workers", "sweep.batch_size", "batch.min_column")
+        always = ("batch.min_column",)
         base = KnobRegistry.for_config(RuntimeConfig())
         assert base.names() == always
 
@@ -198,7 +197,7 @@ class TestKnobRegistry:
         assert "cache.ttl_seconds" in full
         assert "supervision.failure_threshold" in full
         assert "supervision.backoff_base_seconds" in full
-        assert len(full) == 6
+        assert len(full) == 4
 
         # Regression: per-type overrides supervise devices without a
         # default ``supervision`` section, so there is no record for
@@ -215,8 +214,10 @@ class TestKnobRegistry:
         registry = KnobRegistry.for_config(RuntimeConfig())
         rows = registry.describe(RuntimeConfig())
         by_name = {row["name"]: row for row in rows}
-        assert by_name["sweep.workers"]["value"] == SweepConfig().workers
-        assert by_name["sweep.workers"]["minimum"] == 1
+        assert by_name["batch.min_column"]["value"] == (
+            BatchConfig().min_column
+        )
+        assert by_name["batch.min_column"]["minimum"] == 2
 
 
 class TestControllerLifecycle:
@@ -291,7 +292,7 @@ class TestControllerLifecycle:
         app.start()
         controller = TuningController(
             app,
-            knobs=("sweep.workers",),
+            knobs=("batch.min_column",),
             objective=lambda: app.metrics.value("app_gather_errors_total"),
             interval_seconds=10.0,
         )
@@ -320,7 +321,7 @@ class TestControllerLifecycle:
 
         controller = TuningController(
             app,
-            knobs=("sweep.workers",),
+            knobs=("batch.min_column",),
             objective=objective,
             interval_seconds=60.0,
         )
@@ -367,7 +368,7 @@ class TestControllerPolicy:
         assert controller.stats()["adjustments"] == {}
 
     def test_drift_opens_search_and_proposes(self):
-        app = make_app(sweep=SweepConfig(workers=2))
+        app = make_app(batch=BatchConfig(min_column=2))
         controller, objective = make_controller(app)
         for level in (10.0, 10.0):
             objective.feed(controller, level)
@@ -375,47 +376,47 @@ class TestControllerPolicy:
         assert controller.phase == "searching"
         assert controller.stats()["drifts"] == 1
         # Greedy over untried moves picks the first candidate: DOWN.
-        assert app.config.sweep.workers == 1
+        assert app.config.batch.min_column == 1
 
     def test_regression_rolls_back_and_cools_down(self):
-        app = make_app(sweep=SweepConfig(workers=2))
+        app = make_app(batch=BatchConfig(min_column=2))
         controller, objective = make_controller(app)
         for level in (10.0, 10.0, 100.0):
             objective.feed(controller, level)
-        assert app.config.sweep.workers == 1
+        assert app.config.batch.min_column == 1
         objective.feed(controller, 200.0)  # regression beyond 5%
-        assert app.config.sweep.workers == 2  # rolled back
+        assert app.config.batch.min_column == 2  # rolled back
         assert controller.stats()["rollbacks"] == 1
         # The knob cools down; with only one knob nothing is proposable
         # on the next tick, so the search closes.
         objective.feed(controller, 100.0)
         assert controller.phase == "settled"
-        assert app.config.sweep.workers == 2
+        assert app.config.batch.min_column == 2
 
     def test_improvement_keeps_momentum_to_the_bound(self):
-        app = make_app(sweep=SweepConfig(workers=3))
+        app = make_app(batch=BatchConfig(min_column=3))
         controller, objective = make_controller(app)
         for level in (10.0, 10.0):
             objective.feed(controller, level)
-        objective.feed(controller, 100.0)  # drift -> try workers 3->2
-        assert app.config.sweep.workers == 2
+        objective.feed(controller, 100.0)  # drift -> try min_column 3->2
+        assert app.config.batch.min_column == 2
         objective.feed(controller, 80.0)  # improvement -> momentum 2->1
-        assert app.config.sweep.workers == 1
+        assert app.config.batch.min_column == 1
         objective.feed(controller, 60.0)  # at the bound: search closes
         assert controller.phase == "settled"
-        assert app.config.sweep.workers == 1
+        assert app.config.batch.min_column == 1
         assert controller.stats()["adjustments"] == {
-            "sweep.workers:down": 2
+            "batch.min_column:down": 2
         }
 
     def test_policy_is_deterministic(self):
         def run():
-            app = make_app(sweep=SweepConfig(workers=3))
+            app = make_app(batch=BatchConfig(min_column=3))
             controller, objective = make_controller(app)
             for level in (10.0, 10.0, 100.0, 80.0, 120.0, 90.0, 90.0):
                 objective.feed(controller, level)
             return (
-                app.config.sweep.workers,
+                app.config.batch.min_column,
                 controller.stats()["adjustments"],
                 [
                     (row["knob"], row["event"], row["value"])
@@ -426,7 +427,7 @@ class TestControllerPolicy:
         assert run() == run()
 
     def test_metrics_track_the_loop(self):
-        app = make_app(sweep=SweepConfig(workers=2))
+        app = make_app(batch=BatchConfig(min_column=2))
         controller, objective = make_controller(app)
         for level in (10.0, 10.0, 100.0, 200.0):
             objective.feed(controller, level)
@@ -437,13 +438,14 @@ class TestControllerPolicy:
         assert (
             metrics.value(
                 "tuning_adjustments_total",
-                knob="sweep.workers",
+                knob="batch.min_column",
                 direction="down",
             )
             == 1
         )
         assert (
-            metrics.value("tuning_knob_value", knob="sweep.workers") == 2.0
+            metrics.value("tuning_knob_value", knob="batch.min_column")
+            == 2.0
         )
 
 
@@ -451,13 +453,13 @@ class TestApplyConfig:
     def test_live_sections_swap_atomically(self):
         app = make_app()
         swapped = app.config.replace(
-            sweep=app.config.sweep.replace(workers=32),
+            batch=app.config.batch.replace(min_column=32),
             error_policy="isolate",
         )
         app.apply_config(swapped)
-        assert app.config.sweep.workers == 32
+        assert app.config.batch.min_column == 32
         assert app.error_policy == "isolate"
-        assert app.sweeper.config.workers == 32
+        assert app.gatherer.config.batch.min_column == 32
 
     def test_structural_fields_cannot_change(self):
         app = make_app()

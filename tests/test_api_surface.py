@@ -31,7 +31,6 @@ class TestExports:
         for name in (
             "ConfigBase",
             "RuntimeConfig",
-            "SweepConfig",
             "CacheConfig",
             "BatchConfig",
             "ShardConfig",
