@@ -292,8 +292,8 @@ class Gatherer(Instrumented):
         A plan lives in the memo of the sweep cut whose column it was
         compiled for (:meth:`~repro.runtime.sweep.SweepEngine.
         cut_memo`), keyed by ``source``: the cut holds one column and
-        is replaced whenever the registry hands out another partition
-        — a bind, an unbind, or a ``failed`` flag filtering members
+        is replaced whenever the registry hands out another column —
+        a bind, an unbind, or a ``failed`` flag filtering members
         without a version bump — so a plan is never replayed over a
         column it was not compiled for.  A recompile
         asks ``batch_key`` only of members new to the column (a key

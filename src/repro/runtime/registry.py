@@ -12,7 +12,6 @@ applications.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import count
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -25,7 +24,6 @@ Listener = Callable[[str, DeviceInstance], None]
 HealthLookup = Callable[[str], str]
 
 _failed_flag = attrgetter("failed")
-_info_of = attrgetter("info")
 _registration_of = attrgetter("_registration")
 
 
@@ -100,11 +98,10 @@ class EntityRegistry(Instrumented):
         self._registrations = 0
         self._unregistrations = 0
         self._version = 0
-        # iter_shards memo: argument tuple -> (version, partition).
-        # Only consulted/populated when per-instance state (failed
-        # flags, health views) cannot filter the partition — see
+        # sweep_column memo: device type -> (version, column); only
+        # consulted while no failed flag filters the column, see
         # _shards_memoizable.
-        self._shard_memo: Dict[Tuple[Any, ...], Tuple[int, Any]] = {}
+        self._sweep_memo: Dict[str, Tuple[int, List[DeviceInstance]]] = {}
         if metrics is not None:
             self.attach_metrics(metrics)
 
@@ -303,134 +300,40 @@ class EntityRegistry(Instrumented):
                     break
         return [value for __, value in sorted(firsts)]
 
-    def iter_shards(
-        self,
-        device_type: str,
-        *,
-        include_failed: bool = False,
-        include_quarantined: bool = False,
-    ) -> List[Tuple[str, List[int], List[DeviceInstance]]]:
-        """Instances of ``device_type`` partitioned into deterministic
-        shards (per-shard sweep read counts, the sweep's memo key).
+    def sweep_column(self, device_type: str) -> List[DeviceInstance]:
+        """The column a sweep of ``device_type`` reads: every bound
+        instance of the type (quarantined too) that is not ``failed``,
+        in registration order — ``instances_of(device_type,
+        include_quarantined=True)``.
 
-        Shards are keyed by the value of each member's first declared
-        attribute (attribute-less types collapse to one ``""`` shard).
-        Only shards with at least one member exist, and shard order is
-        the registration order of each shard's first instance.
-
-        Each shard is ``(key, positions, instances)``: two aligned
-        columns, where a ``position`` is the member's index in the
-        registration-ordered ``instances_of`` result — shards may
-        interleave in registration order, and the positions are what
-        lets the :class:`~repro.runtime.sweep.SweepEngine` put the
-        shards back into the exact registry iteration order.  Instances
-        keep registration order within their shard.
+        While no member is failed it is a copy of the type list, taken
+        once per registry version: the same list object comes back
+        until a bind or an unbind, so its identity is what a
+        :class:`~repro.runtime.sweep.SweepEngine` cut checks.  Callers
+        must treat it as immutable.  Otherwise the filtered column is
+        scanned afresh, unmemoized.
         """
-        # Partition memo: at fleet scale re-deriving the shard lists
-        # every sweep dominates the sweep's own bookkeeping, yet the
-        # partition is a pure function of the registry contents
-        # whenever no per-instance state (failed flags, health views)
-        # can filter members out.  In that case one version compare
-        # plus a flag scan replaces the whole rebuild; callers must
-        # treat the returned partition as immutable.
-        memo_key = (device_type, include_failed, include_quarantined)
-        if not self._shards_memoizable(
-            device_type, include_failed, include_quarantined
-        ):
-            return self._scan_shards(
-                self.instances_of(
-                    device_type,
-                    include_failed=include_failed,
-                    include_quarantined=include_quarantined,
-                )
-            )
-        memo = self._shard_memo.get(memo_key)
+        if not self._shards_memoizable(device_type):
+            return self.instances_of(device_type, include_quarantined=True)
+        memo = self._sweep_memo.get(device_type)
         if memo is None or memo[0] != self._version:
-            # Nothing filters members: the partition is the
-            # (type, attribute) index, when that holds every member.
-            members = self._by_type.get(device_type, [])
-            result = self._index_shards(device_type, members)
-            if result is None:
-                result = self._scan_shards(members)
-            memo = self._shard_memo[memo_key] = (self._version, result)
+            column = self._by_type.get(device_type, [])[:]
+            memo = self._sweep_memo[device_type] = (self._version, column)
         # One discovery lookup served, whoever computed it.
         self._lookups += 1
         return memo[1]
 
-    @staticmethod
-    def _scan_shards(instances):
-        """Partition a registration-ordered instance column by reading
-        every member's attribute record."""
-        grouped: Dict[str, Tuple[List[int], List[DeviceInstance]]] = {}
-        for position, instance in enumerate(instances):
-            name = next(iter(instance.info.attributes), None)
-            value = (
-                instance.attributes.get(name, "") if name is not None else ""
-            )
-            shard = grouped.get(str(value))
-            if shard is None:
-                shard = grouped[str(value)] = ([], [])
-            shard[0].append(position)
-            shard[1].append(instance)
-        return [(key, *columns) for key, columns in grouped.items()]
+    def _shards_memoizable(self, device_type: str) -> bool:
+        """Is the sweep column of ``device_type`` a pure function of the
+        registry version right now?
 
-    def _index_shards(self, device_type: str, members):
-        """The partition of the unfiltered ``members`` column as the
-        ``(type, attribute)`` index already holds it — each bucket is a
-        shard in registration order — or ``None`` when the index cannot
-        stand in for the scan: it misses members (unhashable values, an
-        attribute only a subtype declares), members disagree on their
-        first declared attribute, or two values could share one ``str``
-        shard key (only same-typed ``str`` / ``int`` values cannot)."""
-        if not members:
-            return None
-        infos = list(map(_info_of, members))
-        firsts = {
-            next(iter(info.attributes), None)
-            for info in dict(zip(map(id, infos), infos)).values()
-        }
-        if len(firsts) != 1:
-            return None
-        (attribute,) = firsts
-        values = self._by_attribute.get((device_type, attribute), {})
-        if sum(map(len, values.values())) != len(members):
-            return None
-        if set(map(type, values)) not in ({str}, {int}):
-            return None
-        self._index_hits += 1
-        position_of = dict(zip(members, count()))
-        shards = [
-            (str(value), list(map(position_of.__getitem__, bucket)), bucket[:])
-            for value, bucket in values.items()
-            if bucket
-        ]
-        shards.sort(key=lambda shard: shard[1][0])  # first position
-        return shards
-
-    def _shards_memoizable(
-        self,
-        device_type: str,
-        include_failed: bool,
-        include_quarantined: bool,
-    ) -> bool:
-        """Is the iter_shards partition a pure function of the registry
-        version right now?
-
-        Not when a health view is attached and quarantined instances
-        would be excluded, and not when any instance of the type
-        carries a failed flag that ``include_failed=False`` would
-        filter (the flag flips without a version bump).  The flag scan
-        is one attribute load per instance, with no Python frame per
-        instance — two orders of magnitude cheaper than rebuilding the
-        partition.
+        Not while any instance of the type carries a ``failed`` flag
+        (the flag flips without a version bump, and the column leaves
+        the member out).  The flag scan is one attribute load per
+        instance with no Python frame per instance.  Health needs no
+        check: a sweep reads the quarantined too.
         """
-        if self._health_lookup is not None and not include_quarantined:
-            return False
-        if not include_failed and any(
-            map(_failed_flag, self._by_type.get(device_type, ()))
-        ):
-            return False
-        return True
+        return not any(map(_failed_flag, self._by_type.get(device_type, ())))
 
     def add_listener(self, listener: Listener) -> Callable[[], None]:
         """Subscribe to register/unregister events; returns a remover."""

@@ -144,7 +144,7 @@ class _DeltaEncoder:
         version: int,
         positions: Sequence[int],
         values: Sequence[Any],
-        ident_columns: Callable[[List[int]], Sequence[Any]],
+        ident_columns: Callable[[Sequence[int]], Sequence[Any]],
     ) -> Dict[str, Any]:
         """One sweep's blocks.
 
@@ -158,7 +158,9 @@ class _DeltaEncoder:
         steady-state sweep never touches identity.  A registry
         ``version`` other than the epoch's starts a new epoch.
 
-        Nothing here takes a step per reading: a sweep over the very
+        Nothing here takes a step per reading: a sweep after one that
+        shipped nothing this epoch (a new epoch, or every row lost)
+        registers its whole columns; a sweep over the very
         ``positions`` list of the last one compares the two value
         columns; any other looks the last values up by position.
         """
@@ -168,6 +170,20 @@ class _DeltaEncoder:
             self.positions = self.values = ()
             self.kinds = set()
             blocks["reset"] = True
+        if not self.positions:
+            # Nothing shipped this epoch: every row registers, and
+            # there is nothing to compare or retract.
+            if values:
+                blocks["register"] = (
+                    _pack_positions(list(positions)),
+                    *ident_columns(range(len(values))),
+                    list(values),
+                )
+            blocks["quiescent"] = 0
+            self.kinds = set(map(type, values))
+            self.positions = positions
+            self.values = values
+            return blocks
         fresh = None
         if positions is self.positions:
             was = self.values

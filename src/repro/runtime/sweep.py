@@ -15,10 +15,11 @@ blocking driver overlaps its own I/O through
 * **One column reader.**  The whole column goes to the scalar reader,
   or — when a member's driver reads columns
   (:func:`~repro.runtime.device.batches`) — to the batch reader, which
-  forms one cohort per driver class and ``batch_key`` across the shards.
-* **A compiled cut.**  The column is compiled once per registry
-  partition (:class:`_SweepCut`), so a steady-state sweep builds no
-  container per reading.
+  forms one cohort per driver class and ``batch_key`` over the column.
+* **A compiled cut.**  The column is the registry's own copy of the
+  type list (:meth:`~repro.runtime.registry.EntityRegistry.sweep_column`),
+  compiled once per membership (:class:`_SweepCut`), so a steady-state
+  sweep builds no container per reading.
 
 Supervised reads, breaker gating and stale-policy substitution live in
 the column reader — :class:`~repro.runtime.gather.Gatherer` owns them.
@@ -26,15 +27,13 @@ the column reader — :class:`~repro.runtime.gather.Gatherer` owns them.
 Observability follows the :class:`~repro.telemetry.instrument.Instrumented`
 protocol: cumulative sweep/read counters are pull-time callbacks, and
 ``attach_metrics`` additionally creates a sweep wall-time histogram
-(``sweep_duration_seconds``), a batch column-size histogram
-(``sweep_batch_column_size``) and per-shard read counters
-(``sweep_shard_reads_total{shard=...}``).
+(``sweep_duration_seconds``) and a batch column-size histogram
+(``sweep_batch_column_size``).
 """
 
 from __future__ import annotations
 
 import time
-from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,39 +62,29 @@ _driver_of = attrgetter("driver")
 
 
 class _SweepCut:
-    """One device type's sweep, compiled from a registry partition: the
-    registry-ordered ``instances`` column every sweep reads and
-    returns, and whether ``batched`` — any member's driver reads
+    """One device type's sweep, compiled from the registry's sweep
+    column: the registry-ordered ``instances`` column every sweep reads
+    and returns, and whether ``batched`` — any member's driver reads
     columns (:func:`~repro.runtime.device.batches`).  ``memo`` holds
     what a column reader derives from that column (cohort plans), so it
     cannot outlive it.
 
-    Valid while the registry hands back the very ``partition`` object
-    it was compiled from — its memo lasts until a bind, an unbind or a
-    ``failed`` flag moves the membership — and no driver was swapped
-    since (``swaps``).  Until its first sweep is done it keeps the cut
-    it ``replaced`` when only the membership moved (see
-    :meth:`SweepEngine.cut_memo`).
+    Valid while the registry hands back the very ``instances`` list it
+    was compiled from (:meth:`EntityRegistry.sweep_column`: one copy
+    per membership, until a bind, an unbind or a ``failed`` flag moves
+    it) and no driver was swapped since (``swaps``).  Until its first
+    sweep is done it keeps the cut it ``replaced`` when only the
+    membership moved (see :meth:`SweepEngine.cut_memo`).
     """
 
-    def __init__(self, partition, swaps, replaced):
-        self.partition = partition
+    def __init__(self, instances, swaps, replaced):
+        self.instances = instances
         self.swaps = swaps
         self.replaced = replaced
         self.memo: Dict[Any, Any] = {}
-        members = list(
-            chain.from_iterable(members for __, __, members in partition)
-        )
-        positions = list(
-            chain.from_iterable(positions for __, positions, __ in partition)
-        )
-        # Shards may interleave in registration order: an argsort of
-        # the shard-by-shard positions puts them back.
-        order = sorted(range(len(positions)), key=positions.__getitem__)
-        self.instances = list(map(members.__getitem__, order))
         # A fleet answers at its first member; a type whose drivers all
         # read one at a time pays one pass per membership change.
-        self.batched = any(map(batches, map(_driver_of, self.instances)))
+        self.batched = any(map(batches, map(_driver_of, instances)))
 
 
 class SweepEngine(Instrumented):
@@ -148,9 +137,7 @@ class SweepEngine(Instrumented):
         self._columnar_sweeps = 0
         self._batch_reads = 0
         self._batch_demoted = 0
-        self._shard_reads: Dict[str, int] = {}
         self._cuts: Dict[str, _SweepCut] = {}
-        self._metrics = None
         self._m_duration = None
         self._m_column_size = None
         if metrics is not None:
@@ -162,7 +149,6 @@ class SweepEngine(Instrumented):
         """Counters via the Instrumented protocol, plus the push-style
         sweep wall-time and batch column-size histograms."""
         super().attach_metrics(metrics, **labels)
-        self._metrics = metrics
         self._m_duration = metrics.histogram(
             "sweep_duration_seconds",
             help="Wall time of one gather sweep (poll + merge).",
@@ -175,8 +161,6 @@ class SweepEngine(Instrumented):
             buckets=BATCH_COLUMN_BUCKETS,
             **labels,
         )
-        for shard in self._shard_reads:
-            self._register_shard_metric(shard)
 
     def note_batch_read(self, size: int) -> None:
         """Record one driver-level batch read of ``size`` entities.
@@ -192,24 +176,6 @@ class SweepEngine(Instrumented):
         """Record ``count`` reads that fell off a batch column onto the
         scalar path."""
         self._batch_demoted += count
-
-    def _register_shard_metric(self, shard: str) -> None:
-        self._metrics.callback(
-            "sweep_shard_reads_total",
-            lambda shard=shard: self._shard_reads.get(shard, 0),
-            help="Reads executed per shard (registry-indexed attribute "
-            "value).",
-            shard=shard,
-        )
-
-    def _count_shard(self, shard: str, reads: int) -> None:
-        if shard not in self._shard_reads and self._metrics is not None:
-            self._shard_reads[shard] = 0
-            self._register_shard_metric(shard)
-        self._shard_reads[shard] = self._shard_reads.get(shard, 0) + reads
-
-    def _extra_stats(self) -> Dict[str, Any]:
-        return {"shard_reads": dict(self._shard_reads)}
 
     # -- execution -----------------------------------------------------------
 
@@ -241,19 +207,15 @@ class SweepEngine(Instrumented):
         """
         started = time.perf_counter()
         self._sweeps += 1
-        shards = self.registry.iter_shards(
-            device_type, include_quarantined=True
-        )
-        for shard_key, members, __ in shards:
-            self._count_shard(shard_key, len(members))
+        column = self.registry.sweep_column(device_type)
         # A driver swap voids what the cut derived from what drivers
         # said.
         swaps = DeviceInstance.driver_swaps
         cut = self._cuts.get(device_type)
-        if cut is None or cut.partition is not shards or cut.swaps != swaps:
+        if cut is None or cut.instances is not column or cut.swaps != swaps:
             if cut is not None and cut.swaps != swaps:
                 cut = None  # nothing carries over
-            cut = self._cuts[device_type] = _SweepCut(shards, swaps, cut)
+            cut = self._cuts[device_type] = _SweepCut(column, swaps, cut)
         self._reads += len(cut.instances)
         if cut.batched:
             self._columnar_sweeps += 1

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BindingError
-from repro.faults.policy import HEALTHY, QUARANTINED
 from repro.runtime.device import CallableDriver, DeviceInstance
 from repro.runtime.registry import EntityRegistry
 from repro.sema.analyzer import analyze
@@ -198,35 +197,13 @@ class TestListeners:
         remove()  # second removal is a no-op
 
 
-def scan_partition(registry, device_type, include_quarantined):
-    """The sweep partition derived one member at a time from the
-    filtered ``instances_of`` column — what an index-served partition
-    must equal."""
-    instances = registry.instances_of(
-        device_type, include_quarantined=include_quarantined
-    )
-    return partition_of(instances)
-
-
-def partition_of(instances):
-    """The sweep partition of a registration-ordered column, one member
-    at a time."""
-    grouped = {}
-    for position, instance in enumerate(instances):
-        declared = instance.info.attributes
-        name = next(iter(declared)) if declared else None
-        value = instance.attributes.get(name, "") if name is not None else ""
-        positions, members = grouped.setdefault(str(value), ([], []))
-        positions.append(position)
-        members.append(instance.entity_id)
-    return [(key, *columns) for key, columns in grouped.items()]
-
-
-class TestIndexServedPartition:
-    """``iter_shards`` answers from the ``(type, attribute)`` index
-    when the index holds the whole partition, and scans otherwise —
-    either way it is the scan's partition: shard keys and order, member
-    order, positions, the first-declared-attribute rule."""
+class TestChurnMatchesAListReference:
+    """Register, unregister, and register again under a freed id — the
+    same instance or a new one — over subtypes and unhashable
+    attributes, with members failing and recovering: the type lists,
+    the attribute buckets, ``instances_of`` and the sweep column stay
+    what one registration-ordered list of the live instances says they
+    are."""
 
     DESIGN = """\
 device Node { source x as Float; }
@@ -245,126 +222,6 @@ device Level extends Node { attribute floor as Integer; }
     steps = st.one_of(
         st.tuples(
             st.just("meter"),
-            st.sampled_from(["A", "B", "1"]),
-            st.sampled_from([0, 1]),
-        ),
-        st.tuples(st.just("tagged"), st.sampled_from(["A", "C"])),
-        st.tuples(st.just("level"), st.sampled_from([0, 1])),
-        st.tuples(st.just("retyped"), st.sampled_from([0, 1])),
-        st.tuples(st.just("unbind"), st.integers(0, 30)),
-        st.tuples(st.just("fail"), st.integers(0, 30)),
-        st.tuples(st.just("quarantine"), st.integers(0, 30)),
-    )
-
-    @staticmethod
-    def columns(partition):
-        return [
-            (key, positions, [member.entity_id for member in members])
-            for key, positions, members in partition
-        ]
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(steps, max_size=12), st.booleans())
-    def test_index_partition_equals_scan_partition(self, script, health):
-        design = analyze(self.DESIGN)
-        registry = EntityRegistry()
-        quarantined = set()
-        if health:
-            registry.attach_health(
-                lambda entity_id: QUARANTINED
-                if entity_id in quarantined
-                else HEALTHY
-            )
-        bound = []
-
-        def bind(type_name, attributes):
-            instance = DeviceInstance(
-                design.devices[type_name],
-                f"n-{len(bound)}",
-                CallableDriver(sources={"x": lambda: 1.0}),
-                attributes,
-            )
-            bound.append(instance)
-            return instance
-
-        for step in script:
-            kind = step[0]
-            if kind == "meter":
-                registry.register(
-                    bind("Meter", {"lot": step[1], "floor": step[2]})
-                )
-            elif kind == "tagged":
-                registry.register(
-                    bind("Tagged", {"tags": ["t"], "lot": step[1]})
-                )
-            elif kind == "level":
-                registry.register(bind("Level", {"floor": step[1]}))
-            elif kind == "retyped":
-                # A lot whose ``str`` the string "1" shares.
-                instance = bind("Meter", {"lot": "1", "floor": step[1]})
-                instance.attributes["lot"] = 1
-                registry.register(instance)
-            elif bound:
-                instance = bound[step[1] % len(bound)]
-                live = instance.entity_id in registry._by_id
-                if kind == "unbind" and live:
-                    registry.unregister(instance.entity_id)
-                elif kind == "fail":
-                    instance.failed = not instance.failed
-                elif kind == "quarantine":
-                    quarantined ^= {instance.entity_id}
-            for device_type in self.TYPES:
-                for everyone in (True, False):
-                    served = registry.iter_shards(
-                        device_type, include_quarantined=everyone
-                    )
-                    assert self.columns(served) == scan_partition(
-                        registry, device_type, everyone
-                    )
-                    again = registry.iter_shards(
-                        device_type, include_quarantined=everyone
-                    )
-                    assert self.columns(again) == self.columns(served)
-
-    def test_a_plain_fleet_is_served_by_the_index(self, design):
-        registry = EntityRegistry()
-        for index, lot in enumerate(["B16", "A22", "B16", "A22", "A22"]):
-            registry.register(sensor(design, f"s-{index}", lot))
-        before = registry.stats()["index_hits"]
-        shards = registry.iter_shards("PresenceSensor")
-        assert registry.stats()["index_hits"] == before + 1
-        assert self.columns(shards) == [
-            ("B16", [0, 2], ["s-0", "s-2"]),
-            ("A22", [1, 3, 4], ["s-1", "s-3", "s-4"]),
-        ]
-        # The partition is a snapshot: binding does not reach into it.
-        registry.register(sensor(design, "s-5", "B16"))
-        assert self.columns(shards)[0] == ("B16", [0, 2], ["s-0", "s-2"])
-        # A failed member takes the scan (the index cannot filter);
-        # positions count the members that are left.
-        registry.get("s-1").failed = True
-        before = registry.stats()["index_hits"]
-        shards = registry.iter_shards("PresenceSensor")
-        assert registry.stats()["index_hits"] == before
-        assert self.columns(shards) == [
-            ("B16", [0, 1, 4], ["s-0", "s-2", "s-5"]),
-            ("A22", [2, 3], ["s-3", "s-4"]),
-        ]
-
-
-class TestChurnMatchesAListReference:
-    """Register, unregister, and register again under a freed id — the
-    same instance or a new one — over subtypes and unhashable
-    attributes: the type lists, the attribute buckets, ``instances_of``
-    and the ``iter_shards`` partition stay what one registration-ordered
-    list of the live instances says they are."""
-
-    DESIGN = TestIndexServedPartition.DESIGN
-    TYPES = TestIndexServedPartition.TYPES
-
-    steps = st.one_of(
-        st.tuples(
-            st.just("meter"),
             st.sampled_from(["A", "B"]),
             st.sampled_from([0, 1]),
         ),
@@ -372,6 +229,8 @@ class TestChurnMatchesAListReference:
         st.tuples(st.just("unbind"), st.integers(0, 30)),
         st.tuples(st.just("again"), st.integers(0, 30)),
         st.tuples(st.just("replace"), st.integers(0, 30)),
+        st.tuples(st.just("fail"), st.integers(0, 30)),
+        st.tuples(st.just("recover"), st.integers(0, 30)),
     )
 
     @staticmethod
@@ -424,6 +283,12 @@ class TestChurnMatchesAListReference:
                 instance = make(
                     old.info.name, old.entity_id, dict(old.attributes)
                 )
+            elif kind == "fail" and live:
+                live[step[1] % len(live)].fail()
+                instance = None
+            elif kind == "recover" and live:
+                live[step[1] % len(live)].recover()
+                instance = None
             else:
                 instance = None
             if instance is not None:
@@ -436,11 +301,9 @@ class TestChurnMatchesAListReference:
                     if instance.info.is_subtype_of(device_type)
                 ]
                 assert registry._by_type.get(device_type, []) == members
-                assert registry.instances_of(device_type) == members
-                shards = registry.iter_shards(device_type)
-                assert TestIndexServedPartition.columns(
-                    shards
-                ) == partition_of(members)
+                swept = [member for member in members if not member.failed]
+                assert registry.instances_of(device_type) == swept
+                assert registry.sweep_column(device_type) == swept
             indexed = {
                 key: {value: found for value, found in values.items() if found}
                 for key, values in registry._by_attribute.items()

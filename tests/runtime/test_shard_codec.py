@@ -275,7 +275,9 @@ class TestEncoderToMirror:
     @pytest.mark.parametrize("flat", [False, True])
     def test_each_encoder_path_matches_the_row_loop(self, flat):
         """Fresh epoch, same-positions comparison, a type-only change,
-        NaN, a lost row, its return, and a new epoch — by name, so a
+        NaN, a lost row, its return, a new epoch, a sweep that lost
+        every reading and their return (the epoch has shipped nothing,
+        so every row registers, without a reset) — by name, so a
         shrunk hypothesis corpus cannot lose them."""
         nan = float("nan")
         positions = [3, 5, 8, 9]
@@ -289,6 +291,8 @@ class TestEncoderToMirror:
             (1, fewer, [0.0, 2, "y"]),  # steady on the shorter list
             (1, positions, [0.0, 7, 3, "y"]),  # position 5 is back
             (2, positions, [0.0, 7, 3, "y"]),  # new epoch, same values
+            (2, [], []),  # every reading lost, same epoch
+            (2, positions, [0.0, 7, 3, "y"]),  # back: register, no reset
         ]
         encoder = _DeltaEncoder()
         reference = RowLoopEncoder(flat)
@@ -298,8 +302,11 @@ class TestEncoderToMirror:
             encoded = encoder.encode(
                 version, where, values, ident_columns_of(subjects, flat)
             )
-            assert repr(encoded) == repr(
-                reference.encode(version, where, subjects, values)
+            expected = reference.encode(version, where, subjects, values)
+            assert repr(encoded) == repr(expected)
+            # The same blocks are the same bytes on the wire.
+            assert pickle.dumps(encoded, pickle.HIGHEST_PROTOCOL) == (
+                pickle.dumps(expected, pickle.HIGHEST_PROTOCOL)
             )
             seen.append(sorted(encoded))
         assert seen == [
@@ -311,6 +318,8 @@ class TestEncoderToMirror:
             ["quiescent"],
             ["changed", "quiescent", "register"],
             ["quiescent", "register", "reset"],
+            ["quiescent", "retract"],
+            ["quiescent", "register"],
         ]
 
     def test_steady_state_ships_one_integer(self):

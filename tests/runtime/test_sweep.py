@@ -1,24 +1,30 @@
 """Sweep engine: one registry-ordered loop, its compiled cut, metrics.
 
 A sweep reads a device type as one column in registration order, so
-every stateful side effect keeps its sequence; what the cut promises
-and how the gather path counts what a sweep lost are pinned here.
+every stateful side effect keeps its sequence; what the cut promises,
+that it follows every membership change, and how the gather path
+counts what a sweep lost are pinned here.
 """
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     Application,
     CallableDriver,
     Context,
+    DeviceDriver,
     RuntimeConfig,
+    SimulationClock,
     StalePolicy,
     SupervisionPolicy,
     analyze,
 )
 from repro.errors import DeliveryError, DeviceUnavailableError
-from repro.runtime.device import DeviceInstance
-from repro.runtime.registry import EntityRegistry
+from repro.runtime.device import batches
 from repro.runtime.placement import NetworkConfig
 from repro.simulation.network import HopProfile
 from repro.telemetry import MetricsRegistry
@@ -101,45 +107,6 @@ def build_app(sensors=6, **config_kwargs):
         )
     app.start()
     return app, free, windowed
-
-
-class TestDeterministicMerge:
-    def test_iter_shards_positions_reconstruct_registry_order(self):
-        app, __, __ = build_app()
-        shards = app.registry.iter_shards("PresenceSensor")
-        assert sorted(key for key, __, __ in shards) == sorted(LOTS)
-        # Per shard, two aligned columns: positions and instances.
-        flattened = sorted(
-            (pos, inst.entity_id)
-            for __, positions, members in shards
-            for pos, inst in zip(positions, members, strict=True)
-        )
-        assert [entity for __, entity in flattened] == [
-            f"s-{i}" for i in range(6)
-        ]
-        # Within a shard, members keep registration order.
-        for __, positions, __ in shards:
-            assert positions == sorted(positions)
-
-    def test_shard_attribute_override_and_attribute_less_types(self):
-        # The first declared attribute keys the shards; nothing else can.
-        app, __, __ = build_app()
-        shards = app.registry.iter_shards("PresenceSensor")
-        assert {key for key, __, __ in shards} == set(LOTS)
-        # A type without attributes sweeps as one "" shard.
-        bare = analyze("device Bare { source x as Float; }").devices["Bare"]
-        registry = EntityRegistry()
-        for index in range(3):
-            registry.register(
-                DeviceInstance(
-                    bare,
-                    f"b-{index}",
-                    CallableDriver(sources={"x": lambda: 1.0}),
-                    {},
-                )
-            )
-        ((key, positions, __),) = registry.iter_shards("Bare")
-        assert (key, positions) == ("", [0, 1, 2])
 
 
 class ColumnDriver(CallableDriver):
@@ -290,6 +257,194 @@ class TestOneSweepLoop:
         assert driver_reads == [f"s-{i}" for i in range(self.SENSORS)]
 
 
+CHURN = analyze(
+    """\
+device Meter {
+    attribute parkingLot as LotEnum;
+    source level as Integer;
+}
+enumeration LotEnum { A22, B16, D6 }
+
+context Levels as Integer {
+    when periodic level from Meter <10 min>
+    grouped by parkingLot
+    always publish;
+}
+
+context Windowed as Integer {
+    when periodic level from Meter <10 min>
+    grouped by parkingLot every <20 min>
+    always publish;
+}
+"""
+)
+
+
+class Fleet:
+    """What the meters of one application read: a pure function of
+    (entity id, now) on that application's clock."""
+
+    def __init__(self, clock):
+        self.clock = clock
+
+    def level(self, entity_id):
+        stamp = f"{entity_id}@{self.clock.now()}"
+        return zlib.crc32(stamp.encode()) % 100
+
+
+class ScalarMeter(DeviceDriver):
+    """Reads one entity at a time, 100 above what a batch meter reads:
+    a member read through the wrong driver shows in the payload."""
+
+    def __init__(self, fleet):
+        self.fleet = fleet
+
+    def read(self, source):
+        return 100 + self.fleet.level(self.instance.entity_id)
+
+
+class BatchMeter(ScalarMeter):
+    """Reads columns; all batch meters of a fleet are one cohort."""
+
+    def read(self, source):
+        return self.fleet.level(self.instance.entity_id)
+
+    def batch_key(self, source):
+        return self.fleet
+
+    def read_batch(self, entity_ids, source):
+        return [self.fleet.level(entity_id) for entity_id in entity_ids]
+
+
+class Recorder(Context):
+    def __init__(self):
+        super().__init__()
+        self.deliveries = []
+
+    def on_periodic_level(self, by_lot, discover):
+        # Items, not a dict: the group order is part of the payload.
+        self.deliveries.append(
+            [(lot, list(values)) for lot, values in by_lot.items()]
+        )
+        return sum(len(values) for values in by_lot.values())
+
+
+class TestChurnMatchesAFreshApplication:
+    """Random scripts of binds and unbinds (under freed ids too),
+    ``fail()`` / ``recover()``, a ``failed`` flag set by assignment and
+    ``swap_driver`` over a fleet that mixes a batching and a scalar
+    driver.  After every step the memoized sweep column, cut and cohort
+    plans must deliver what an application built from scratch with the
+    live membership, in the same registration order, delivers — and the
+    registry's sweep column is the very same list until something
+    moves it."""
+
+    POOL = 6
+    PERIOD = 600
+
+    steps = st.one_of(
+        st.tuples(
+            st.just("bind"),
+            st.integers(0, POOL - 1),
+            st.sampled_from(LOTS),
+            st.booleans(),
+        ),
+        st.tuples(
+            st.sampled_from(["unbind", "fail", "recover", "assign", "swap"]),
+            st.integers(0, 30),
+        ),
+    )
+
+    @staticmethod
+    def meter(fleet, batching):
+        return (BatchMeter if batching else ScalarMeter)(fleet)
+
+    def build(self, members, start):
+        """An application over ``members`` — ``(entity id, lot,
+        batching)`` in registration order — whose clock starts at
+        ``start``."""
+        app = Application(CHURN, RuntimeConfig(clock=SimulationClock(start)))
+        levels = app.implement("Levels", Recorder())
+        windowed = app.implement("Windowed", Recorder())
+        fleet = Fleet(app.clock)
+        for entity_id, lot, batching in members:
+            app.create_device(
+                "Meter", entity_id, self.meter(fleet, batching), parkingLot=lot
+            )
+        app.start()
+        return app, fleet, levels, windowed
+
+    def apply(self, app, fleet, live, step):
+        """Run one step on ``app``; returns whether it moved the swept
+        membership."""
+        if step[0] == "bind":
+            __, index, lot, batching = step
+            entity_id = f"m-{index}"
+            if entity_id in app.registry:
+                return False
+            meter = self.meter(fleet, batching)
+            live.append(
+                app.create_device("Meter", entity_id, meter, parkingLot=lot)
+            )
+            return True
+        if not live:
+            return False
+        kind, index = step
+        instance = live[index % len(live)]
+        was = instance.failed
+        if kind == "unbind":
+            app.unbind_device(instance.entity_id)
+            live.remove(instance)
+            return True
+        if kind == "fail":
+            instance.fail()
+        elif kind == "recover":
+            instance.recover()
+        elif kind == "assign":
+            instance.failed = True
+        else:
+            batching = not batches(instance.driver)
+            instance.swap_driver(self.meter(fleet, batching))
+        return instance.failed != was
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(steps, min_size=1, max_size=10))
+    def test_every_step_delivers_what_a_fresh_application_does(self, script):
+        app, fleet, levels, windowed = self.build([], 0.0)
+        registry = app.registry
+        live = []  # what is bound, in registration order
+        for step in script:
+            before = registry.sweep_column("Meter")
+            moved = self.apply(app, fleet, live, step)
+            column = registry.sweep_column("Meter")
+            swept = [instance for instance in live if not instance.failed]
+            assert column == swept
+            # A failed member is filtered on every call, unmemoized.
+            flagged = len(swept) != len(live)
+            assert (column is before) == (not (moved or flagged))
+            assert (registry.sweep_column("Meter") is column) == (
+                not flagged
+            )
+            # Two sweeps, one window, all under this step's membership.
+            start = app.clock.now()
+            app.advance(2 * self.PERIOD)
+            fresh, __, fresh_levels, fresh_windowed = self.build(
+                [
+                    (
+                        instance.entity_id,
+                        instance.attributes["parkingLot"],
+                        batches(instance.driver),
+                    )
+                    for instance in swept
+                ],
+                start,
+            )
+            fresh.advance(2 * self.PERIOD)
+            assert len(fresh_levels.deliveries) == 2
+            assert levels.deliveries[-2:] == fresh_levels.deliveries
+            assert windowed.deliveries[-1:] == fresh_windowed.deliveries
+
+
 class TestGatherErrorSplit:
     def test_read_failures_count_separately(self):
         app, free, __ = build_app(
@@ -345,7 +500,7 @@ def _raise():
 
 
 class TestSweepMetrics:
-    def test_engine_exports_histograms_and_shard_counters(self):
+    def test_engine_exports_histograms(self):
         metrics = MetricsRegistry()
         app, __, __ = build_app(metrics=metrics)
         app.advance(600)
@@ -353,14 +508,6 @@ class TestSweepMetrics:
         duration = metrics.get("sweep_duration_seconds").samples()[0][1]
         assert duration.count == app.sweeper.stats()["sweeps"]
         assert metrics.get("sweep_batch_column_size").kind == "histogram"
-        per_shard = {
-            dict(labels)["shard"]: instrument.value
-            for labels, instrument in metrics.get(
-                "sweep_shard_reads_total"
-            ).samples()
-        }
-        assert set(per_shard) == set(LOTS)
-        assert sum(per_shard.values()) == app.sweeper.stats()["reads"]
 
 
 class TestInstancesOfKeywordShim:
