@@ -34,6 +34,14 @@ replays stay deterministic.  Three mechanisms keep cached values honest:
   context memoization checks, so actuations implicitly expire memoized
   context results too.
 
+A periodic gather asks and tells the cache a whole column at a time
+(:meth:`ReadCache.lookup_column`, :meth:`ReadCache.store_column`), and
+two column answers take no step per entity: a table whose newest entry
+is past the TTL misses every row, and ids equal to those the table
+last stored — asked again by a second context over the same source,
+before anything was dropped — are served that store's values.  Either
+counts hits and ages exactly as the rows one at a time would.
+
 The cache is **off by default**: ``CacheConfig(enabled=False)`` leaves
 ``Application.read_cache`` as ``None`` and the device read path
 byte-identical to the uncached runtime.
@@ -121,13 +129,22 @@ class _Flight:
 
 class _Table:
     """One source's entries, keyed by entity id: value and stamp.
-    Expired entries stay until overwritten or invalidated."""
+    Expired entries stay until overwritten or invalidated.
 
-    __slots__ = ("values", "stamps")
+    Two facts let a column lookup answer without a probe per entity:
+    ``newest``, the stamp of its last store — the newest it holds, as
+    the clock never runs backwards — and ``column``, the ``(ids,
+    values)`` that store wrote, ``None`` once an invalidation dropped
+    an entry since: while it is set, those ids hold those values,
+    stamped ``newest``."""
+
+    __slots__ = ("values", "stamps", "newest", "column")
 
     def __init__(self):
         self.values: Dict[str, Any] = {}
         self.stamps: Dict[str, float] = {}
+        self.newest = _NEVER
+        self.column: Optional[Tuple[List[str], List[Any]]] = None
 
 
 class ReadCache(Instrumented):
@@ -318,7 +335,9 @@ class ReadCache(Instrumented):
 
         The columnar gather path uses this to pull cache-fresh entities
         out of a batch cohort before the batch read — those reads are
-        served by the cache, so they must count as cache hits.
+        served by the cache, so they must count as cache hits.  A table
+        past its TTL, or the ids it last stored, answer with no probe
+        per entity (see :class:`_Table`).
         """
         ttl = self.config.ttl_seconds
         with self._lock:
@@ -326,6 +345,15 @@ class ReadCache(Instrumented):
             if table is None:
                 return [miss] * len(entity_ids)
             now = self.clock.now()
+            age = now - table.newest
+            if age > ttl:
+                return [miss] * len(entity_ids)
+            column = table.column
+            if column is not None and entity_ids == column[0]:
+                self._hits += len(entity_ids)
+                if self._m_age is not None:
+                    self._m_age.observe_column([age] * len(entity_ids))
+                return column[1][:]
             stamps = map(table.stamps.get, entity_ids, repeat(_NEVER))
             ages = list(map(sub, repeat(now), stamps))
             fresh = list(map(ge, repeat(ttl), ages))
@@ -355,7 +383,8 @@ class ReadCache(Instrumented):
     ) -> None:
         """Populate the cache from a read that bypassed
         :meth:`get_or_read` — a driver-level batch column, given as the
-        aligned ``entity_ids`` and ``values`` columns.
+        aligned ``entity_ids`` and ``values`` columns (each entity
+        once).
         ``since`` is the :attr:`generation` read before the read began
         (``None``: just now); if an invalidation came in between, the
         column is not stored.
@@ -375,8 +404,11 @@ class ReadCache(Instrumented):
             table = self._tables.get(source)
             if table is None:
                 table = self._tables[source] = _Table()
+            now = self.clock.now()
             table.values.update(zip(entity_ids, values))
-            table.stamps.update(zip(entity_ids, repeat(self.clock.now())))
+            table.stamps.update(zip(entity_ids, repeat(now)))
+            table.newest = now
+            table.column = list(entity_ids), list(values)
 
     # -- invalidation --------------------------------------------------------
 
@@ -398,6 +430,7 @@ class ReadCache(Instrumented):
             ]
             for table in doomed:
                 del table.values[entity_id], table.stamps[entity_id]
+                table.column = None
             self._invalidations += len(doomed)
             return len(doomed)
 

@@ -24,6 +24,7 @@ from repro.errors import DeliveryError
 from repro.faults.policy import HEALTHY
 from repro.runtime.device import DeviceInstance
 from repro.runtime.placement import ACCESS_HOP
+from repro.runtime.registry import splice_column
 from repro.telemetry.instrument import Instrumented, MetricSpec
 from repro.typesys.values import coerce_column
 
@@ -97,26 +98,19 @@ def _settle(source, instances, results, positions) -> None:
             results[position] = _Lost(exc)
 
 
-def _cohort_keys(source, instances, predecessor):
+def _cohort_keys(source, instances):
     """The cohort identity of each of ``instances`` as two columns —
-    its driver's class and ``batch_key`` — asking only those the
-    ``predecessor`` column's plan did not hold in one whole cohort.
-    Each member asked also resolves its read plan here, once, as its
-    first scalar read would: a member that settles one at a time
-    (demoted, or failed in its batch read) finds it bound."""
-    column, plans = predecessor or ((), {})
-    plan = plans.get(source)
-    carried = None if plan is None else plan[3]
-    seen = () if carried is None else set(column)
-    cls, key = carried or (None, None)
-    classes = [cls] * len(instances)
-    keys = [key] * len(instances)
-    for row in compress(count(), map(not_, map(seen.__contains__, instances))):
-        instance = instances[row]
+    its driver's class and ``batch_key``.  Each member asked also
+    resolves its read plan here, once, as its first scalar read would:
+    a member that settles one at a time (demoted, or failed in its
+    batch read) finds it bound."""
+    classes = []
+    keys = []
+    for instance in instances:
         if instance.plan is None:
             instance.bind_plan()
-        classes[row] = type(instance.driver)
-        keys[row] = instance.driver.batch_key(source)
+        classes.append(type(instance.driver))
+        keys.append(instance.driver.batch_key(source))
     return classes, keys
 
 
@@ -295,16 +289,23 @@ class Gatherer(Instrumented):
         is replaced whenever the registry hands out another column —
         a bind, an unbind, or a ``failed`` flag filtering members
         without a version bump — so a plan is never replayed over a
-        column it was not compiled for.  A recompile
-        asks ``batch_key`` only of members new to the column (a key
-        holds until ``swap_driver``, which voids the predecessor)."""
+        column it was not compiled for.  After a bind or an unbind, a
+        whole-column cohort is patched (:meth:`_patch`, still a
+        compile): only members new to the column are asked
+        ``batch_key`` (a key holds until ``swap_driver``, which voids
+        the predecessor).  Otherwise every member is asked."""
         plans, predecessor = self.sweeper.cut_memo(device_type)
         plan = plans.get(source)
         if plan is not None:
             self._plan_hits += 1
             return plan
+        self._plan_compiles += 1
+        plan = self._patch(device_type, source, instances, predecessor)
+        if plan is not None:
+            plans[source] = plan
+            return plan
         entity_ids = list(map(_entity_id_of, instances))
-        classes, keys = _cohort_keys(source, instances, predecessor)
+        classes, keys = _cohort_keys(source, instances)
         cls, key = classes[0], keys[0]
         if (
             key is not None
@@ -344,8 +345,55 @@ class Gatherer(Instrumented):
         dia_type = instances[0].info.source(source).dia_type
         plan = (groups, tuple(scalar), entity_ids, cohort, dia_type)
         plans[source] = plan
-        self._plan_compiles += 1
         return plan
+
+    def _patch(self, device_type, source, instances, predecessor):
+        """The replaced cut's plan for ``source`` carried over to
+        ``instances`` by the registry's column edit
+        (:meth:`~repro.runtime.registry.EntityRegistry.sweep_edit`),
+        else ``None``: when that plan was one whole-column cohort and
+        every member bound since answers its driver class and
+        ``batch_key``, the column is that cohort still.  Only the
+        members bound since are asked, and its id column and tally are
+        spliced rather than rebuilt."""
+        if predecessor is None:
+            return None
+        column, plans = predecessor
+        plan = plans.get(source)
+        if plan is None or plan[3] is None:
+            return None
+        edit = self.sweeper.registry.sweep_edit(device_type, column)
+        if edit is None:
+            return None
+        removed, start = edit
+        appended = instances[start:]
+        cls, key = plan[3]
+        classes, keys = _cohort_keys(source, appended)
+        if not (
+            all(map(is_, keys, repeat(key)))
+            and all(map(is_, classes, repeat(cls)))
+        ):
+            return None
+        entity_ids = splice_column(
+            plan[2], removed, list(map(_entity_id_of, appended))
+        )
+        tally = plan[0][0][2]
+        # The old column bumped one counter for all: the new one does if
+        # everyone bound since shares it.
+        if (
+            len(tally) == 1
+            and tally[0][1] == len(column)
+            and all(
+                map(is_, map(_reads_counter_of, appended), repeat(tally[0][0]))
+            )
+        ):
+            tally = [(tally[0][0], len(instances))]
+        else:
+            tally = _tally(instances)
+        groups = (
+            (range(len(instances)), entity_ids, tally, instances[0].driver),
+        )
+        return groups, (), entity_ids, plan[3], plan[4]
 
     def _gather_read_column(
         self, device, source, sampler, flips, spanned, instances

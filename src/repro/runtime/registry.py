@@ -37,6 +37,44 @@ def _splice(members: List[DeviceInstance], instance: DeviceInstance) -> None:
     del members[at]
 
 
+def splice_column(column: list, removed_rows, appended) -> list:
+    """``column`` without the rows ``removed_rows`` (ascending), then
+    ``appended``: a sweep column edit
+    (:meth:`EntityRegistry.sweep_edit`) applied to any column aligned
+    with the old sweep column, in list slices."""
+    spliced = []
+    start = 0
+    for row in removed_rows:
+        spliced += column[start:row]
+        start = row + 1
+    spliced += column[start:]
+    spliced += appended
+    return spliced
+
+
+def _removed_rows(column, departures) -> List[int]:
+    """The rows of a registration-ordered sweep ``column`` that the
+    ``(instance, ordinal at departure)`` pairs unregistered since it
+    was copied, ascending.  A member registered again since holds a new
+    ordinal, so then each member is bisected by the ordinal its first
+    departure carried."""
+    key = _registration_of
+    if any(instance._registration != at for instance, at in departures):
+        first = {id(instance): at for instance, at in reversed(departures)}
+
+        def key(member):
+            return first.get(id(member), member._registration)
+
+    rows = []
+    for instance, ordinal in departures:
+        at = bisect_left(column, ordinal, key=key)
+        # Not found: it was bound after the copy.
+        if at < len(column) and column[at] is instance:
+            rows.append(at)
+    rows.sort()
+    return rows
+
+
 class EntityRegistry(Instrumented):
     """Mutable index of bound :class:`DeviceInstance` objects.
 
@@ -99,9 +137,14 @@ class EntityRegistry(Instrumented):
         self._unregistrations = 0
         self._version = 0
         # sweep_column memo: device type -> (version, column); only
-        # consulted while no failed flag filters the column, see
-        # _shards_memoizable.
+        # kept while no failed flag filters the column, see
+        # _sweep_memoizable.  Per memoized type, the members unregistered
+        # since its column was copied, with their ordinals then, and how
+        # the column was derived from the one before: (previous column,
+        # removed rows, tail start), see sweep_edit.
         self._sweep_memo: Dict[str, Tuple[int, List[DeviceInstance]]] = {}
+        self._departures: Dict[str, List[Tuple[DeviceInstance, int]]] = {}
+        self._sweep_edits: Dict[str, Tuple[list, List[int], int]] = {}
         if metrics is not None:
             self.attach_metrics(metrics)
 
@@ -161,6 +204,13 @@ class EntityRegistry(Instrumented):
             raise BindingError(f"no entity with id '{entity_id}'") from None
         for type_name in instance.info.lineage:
             _splice(self._by_type[type_name], instance)
+            departures = self._departures.get(type_name)
+            if departures is not None:
+                departures.append((instance, instance._registration))
+                if len(departures) > len(self._sweep_memo[type_name][1]):
+                    # More left than the copy held: an unswept type
+                    # must not keep what left it.
+                    self._forget_sweep(type_name)
             for attribute, value in instance.attributes.items():
                 bucket = self._bucket(type_name, attribute, value)
                 if bucket is not None:
@@ -311,19 +361,52 @@ class EntityRegistry(Instrumented):
         until a bind or an unbind, so its identity is what a
         :class:`~repro.runtime.sweep.SweepEngine` cut checks.  Callers
         must treat it as immutable.  Otherwise the filtered column is
-        scanned afresh, unmemoized.
+        scanned afresh, unmemoized, and the memo is dropped.
         """
-        if not self._shards_memoizable(device_type):
+        if not self._sweep_memoizable(device_type):
+            self._forget_sweep(device_type)
             return self.instances_of(device_type, include_quarantined=True)
         memo = self._sweep_memo.get(device_type)
         if memo is None or memo[0] != self._version:
             column = self._by_type.get(device_type, [])[:]
+            if memo is not None:
+                old = memo[1]
+                removed = _removed_rows(old, self._departures[device_type])
+                self._sweep_edits[device_type] = (
+                    old,
+                    removed,
+                    len(old) - len(removed),
+                )
+            self._departures[device_type] = []
             memo = self._sweep_memo[device_type] = (self._version, column)
         # One discovery lookup served, whoever computed it.
         self._lookups += 1
         return memo[1]
 
-    def _shards_memoizable(self, device_type: str) -> bool:
+    def sweep_edit(
+        self, device_type: str, old_column: List[DeviceInstance]
+    ) -> Optional[Tuple[List[int], int]]:
+        """How the current sweep column of ``device_type`` was derived
+        from ``old_column``, as ``(removed_rows, tail_start)``: drop the
+        ascending ``removed_rows`` of ``old_column``, and what follows
+        is the current column from ``tail_start`` on (registration
+        order is append-only, so whatever was bound since is a tail) —
+        :func:`splice_column`.  ``None`` unless the current column is
+        the memoized copy taken right after ``old_column`` (the very
+        list): not across a column a ``failed`` flag filtered, nor
+        across a copy the caller did not see."""
+        edit = self._sweep_edits.get(device_type)
+        if edit is None or edit[0] is not old_column:
+            return None
+        return edit[1], edit[2]
+
+    def _forget_sweep(self, device_type: str) -> None:
+        """Drop the sweep memo of ``device_type`` and what edits it."""
+        self._sweep_memo.pop(device_type, None)
+        self._departures.pop(device_type, None)
+        self._sweep_edits.pop(device_type, None)
+
+    def _sweep_memoizable(self, device_type: str) -> bool:
         """Is the sweep column of ``device_type`` a pure function of the
         registry version right now?
 

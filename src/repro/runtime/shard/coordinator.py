@@ -442,9 +442,10 @@ class ShardedRuntime(Instrumented):
 
         The bind routes to the owning worker incrementally — no static
         fleet, no restart: the worker's registry version bump resets
-        its delta epoch and cohort plans, and the entity joins the next
-        sweep at the end of global registration order (exactly where a
-        single-process late ``bind_device`` would put it).  Requires a
+        its delta epoch (its cohort plans and column memo are patched),
+        and the entity joins the next sweep at the end of global
+        registration order (exactly where a single-process late
+        ``bind_device`` would put it).  Requires a
         bootstrap that implements
         :meth:`ShardBootstrap.bind_entity`.
         """

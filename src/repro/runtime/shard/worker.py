@@ -19,6 +19,7 @@ from repro.errors import ShardError
 from repro.mapreduce.engine import first_positions, map_partition
 from repro.runtime.clock import SimulationClock
 from repro.runtime.grouping import group_key_column
+from repro.runtime.registry import splice_column
 from repro.runtime.shard import ShardBootstrap, ShardContext
 from repro.runtime.shard.codec import (
     _DeltaEncoder,
@@ -76,7 +77,8 @@ class _ShardWorker:
         # attribute) of the last poll over that type.  The sweep hands
         # every context the same instance column until the membership
         # moves or a reading is lost, so a steady-state poll never
-        # probes ``_gpos`` or an attribute record.
+        # probes ``_gpos`` or an attribute record; a bind or an unbind
+        # patches the entry (see _derive_columns).
         self._columns: Dict[str, Tuple[list, list, dict, dict]] = {}
         # Re-attach every instance's publish hook to the recorder so
         # pushes surface in command replies instead of dead-ending in
@@ -136,14 +138,12 @@ class _ShardWorker:
         reply: Dict[str, Any] = {"dropped": dropped, "failed": failed}
         memo = self._columns.get(interaction.device)
         if memo is None or memo[0] is not instances:
-            positions = list(
-                map(self._gpos.__getitem__, map(_entity_id_of, instances))
-            )
-            memo = self._columns[interaction.device] = (
-                instances,
-                positions,
-                {},
-                {},
+            edit = None
+            if memo is not None and not (dropped or failed):
+                # Nothing lost: ``instances`` is the registry's column.
+                edit = app.registry.sweep_edit(interaction.device, memo[0])
+            memo = self._columns[interaction.device] = self._derive_columns(
+                instances, memo, edit
             )
         __, positions, key_columns, firsts = memo
         group = interaction.group
@@ -183,6 +183,41 @@ class _ShardWorker:
             raise
         return reply
 
+    def _derive_columns(self, instances, memo, edit):
+        """The ``_columns`` entry of ``instances``: derived afresh, or
+        — given the registry's column ``edit`` from ``memo``'s column —
+        spliced from ``memo``.  First positions carry over plus what
+        was bound since; an attribute is recomputed only when a removed
+        row held its key's first position."""
+        if edit is None:
+            positions = list(
+                map(self._gpos.__getitem__, map(_entity_id_of, instances))
+            )
+            return instances, positions, {}, {}
+        removed, start = edit
+        __, old_positions, old_keys, old_firsts = memo
+        appended = instances[start:]
+        added = list(map(self._gpos.__getitem__, map(_entity_id_of, appended)))
+        positions = splice_column(old_positions, removed, added)
+        key_columns = {}
+        firsts = {}
+        for attribute, keys in old_keys.items():
+            added_keys = group_key_column(appended, attribute)
+            key_columns[attribute] = splice_column(keys, removed, added_keys)
+            first = old_firsts.get(attribute)
+            if first is None:
+                continue
+            if any(first[keys[row]] == old_positions[row] for row in removed):
+                firsts[attribute] = first_positions(
+                    key_columns[attribute], positions
+                )
+                continue
+            first = firsts[attribute] = dict(first)
+            for key, position in zip(added_keys, added):
+                if first.get(key, position) >= position:
+                    first[key] = position
+        return instances, positions, key_columns, firsts
+
     def _cmd_map(
         self, name: str, index: int, ranks: Dict[Any, int]
     ) -> Dict[str, Any]:
@@ -220,9 +255,10 @@ class _ShardWorker:
         The bootstrap constructs the device (it knows the drivers); the
         worker wires the publish recorder and records the
         coordinator-assigned global position.  The registry version
-        bump this causes invalidates the worker's cohort plans and
-        resets its delta epochs, so the next poll re-registers — no
-        static fleet required.
+        bump this causes hands the next sweep a new column: the cohort
+        plans and the column memo are patched by the registry's column
+        edit, and the delta epochs reset, so the next poll
+        re-registers — no static fleet required.
         """
         self.bootstrap.bind_entity(self.app, entity_id, position)
         self.app.registry.get(entity_id).attach(self._recorder)

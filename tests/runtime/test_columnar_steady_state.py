@@ -188,7 +188,8 @@ class Fleet:
 
     def churn(self):
         """One unbind and one bind: the registry version moves twice,
-        so partition, cut, cohort plans and delta epoch start over."""
+        so the cut and the delta epoch start over, and the cohort plans
+        and the worker's column memo are patched."""
         self.worker._cmd_unbind("probe-00001")
         self.worker._cmd_bind(f"probe-{self.count:05d}", self.count)
 
@@ -228,8 +229,8 @@ def test_a_membership_change_costs_frames_only_in_application_code(fleets):
         assert levels["reset"] is True
         assert len(levels["register"][-1]) == fleet.count
         assert mapped["mapped"] == fleet.count
-    # the plans recompile, but only the newly bound entity is asked its
-    # cohort key: everyone else's carries over from the replaced cut
+    # the plans are patched: only the newly bound entity is asked its
+    # cohort key, everyone else's carries over from the replaced cut
     assert small["batch_key"] == large["batch_key"] == 1
     assert small["map"] == 2 * 300 and large["map"] == 2 * 1200
     assert small["runtime"] == large["runtime"]
@@ -292,3 +293,23 @@ def test_a_steady_state_poll_loads_per_entity_state_once():
         assert CountedProbe.loads == {"failed": fleet.count}
         moved = stats()["batch_reads"] - before[0], cache()["hits"] - before[1]
         assert moved == (batch_reads, hits)
+
+
+def test_a_churn_period_loads_read_counters_only_of_what_it_bound():
+    """After an unbind and a bind the cohort plan is patched: its tally
+    asks the read counter of the one entity bound, and each poll still
+    loads ``failed`` once per member (the registry's scan)."""
+    fleet = Fleet(300, bootstrap=CountedBootstrap)
+    fleet.period()
+    fleet.period()
+    CountedProbe.loads.clear()
+    fleet.churn()
+    assert CountedProbe.loads == {}
+    worker = fleet.worker
+    worker.clock.run_until(fleet.now + PERIOD)
+    for name, read_counters in (("Levels", 1), ("Load", 0)):
+        CountedProbe.loads.clear()
+        worker._cmd_poll(name, 0)
+        assert CountedProbe.loads == Counter(
+            failed=fleet.count, _m_reads=read_counters
+        )

@@ -253,7 +253,7 @@ class Zoned:
             cache=self.cache,
         )
 
-    def bind(self, entity_id, zone, device="Probe"):
+    def bind(self, entity_id, zone, device="Probe", counted=True):
         self.bank.readings[entity_id] = float(len(self.bank.readings))
         instance = DeviceInstance(
             ZONED.devices[device],
@@ -262,7 +262,8 @@ class Zoned:
             {"zone": zone},
         )
         self.registry.register(instance)
-        instance.attach_metrics(self.metrics)
+        if counted:
+            instance.attach_metrics(self.metrics)
         if self.cache is not None:
             instance.attach_cache(self.cache)
         return instance
@@ -321,8 +322,9 @@ def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
 
 def test_read_counters_tally_as_on_the_scalar_path():
     """``device_reads_total{device_type}`` after every step of a script
-    that moves what the cohort plans hold — and a thinned cohort, and a
-    cohort of two device types — equals the scalar sweep's."""
+    that moves what the cohort plans hold — a member without read
+    counters among them, a thinned cohort, and a cohort of two device
+    types — equals the scalar sweep's."""
     columnar, scalar = twins(cache=True)
 
     def step(act):
@@ -339,6 +341,8 @@ def test_read_counters_tally_as_on_the_scalar_path():
     step(lambda twin: None)
     step(lambda twin: (twin.bind("p-6", "Z0"), twin.bind("p-7", "Z1")))
     step(lambda twin: twin.registry.unregister("p-1").detach())
+    step(lambda twin: twin.bind("p-9", "Z0", counted=False))
+    step(lambda twin: twin.bind("p-10", "Z1"))
     step(
         lambda twin: twin.registry.get("p-6").swap_driver(
             CallableDriver(sources={"reading": lambda: 66.0})

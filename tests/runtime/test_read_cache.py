@@ -460,6 +460,21 @@ class ReferenceCache:
         self.misses += 1
         self.entries[(entity_id, source)] = (value, self.clock.now())
 
+    def get_or_read(self, entity_id, source, value):
+        found = self.lookup(entity_id, source)
+        if found is not None:
+            return found[0]
+        self.store(entity_id, source, value)
+        return value
+
+    def clear(self):
+        self.generation += 1
+        self.invalidations += len(self.entries)
+        self.entries.clear()
+
+    def reconfigure(self, config):
+        self.config = config
+
     def invalidate(self, entity_id, source=None):
         self.generation += 1
         doomed = [
@@ -477,20 +492,34 @@ SOURCES = ("level", "battery")
 rows = st.lists(
     st.integers(min_value=0, max_value=ENTITIES - 1), unique=True
 )
+VALUES = [0, 1.5, None, float("nan")]
+# The last element of a store or lookup step: whether it is handed the
+# very ids list an earlier step with the same rows was, or an equal one.
 steps = st.one_of(
     st.tuples(
         st.just("store"),
         rows,
         st.sampled_from(SOURCES),
-        st.sampled_from([0, 1.5, None, float("nan")]),
+        st.sampled_from(VALUES),
+        st.booleans(),
     ),
-    st.tuples(st.just("lookup"), rows, st.sampled_from(SOURCES)),
+    st.tuples(
+        st.just("lookup"), rows, st.sampled_from(SOURCES), st.booleans()
+    ),
     st.tuples(st.just("tick"), st.sampled_from([0.0, 0.4, 0.7, 1.0, 5.0])),
     st.tuples(
         st.just("invalidate"),
         st.integers(min_value=0, max_value=ENTITIES - 1),
         st.sampled_from(SOURCES + (None,)),
     ),
+    st.tuples(
+        st.just("get"),
+        st.integers(min_value=0, max_value=ENTITIES - 1),
+        st.sampled_from(SOURCES),
+        st.sampled_from(VALUES),
+    ),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("ttl"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
 )
 
 
@@ -500,7 +529,10 @@ class TestColumnOperationsAreTheirRows:
     call, and in the dict-of-tuples reference above — as far as
     anything outside the cache can tell: every value and age it would
     serve, its counters, generation and entry count, and the age
-    histogram."""
+    histogram.  Interleaved with ``get_or_read``, ``clear`` and a live
+    TTL change, and with ids lists handed over again (the very list or
+    an equal one), which is when a column lookup may answer from the
+    column the table last stored."""
 
     MISS = object()
 
@@ -535,14 +567,28 @@ class TestColumnOperationsAreTheirRows:
     # An age of exactly the TTL is still fresh.
     @example(
         [
-            ("store", [0], "level", 1.5),
+            ("store", [0], "level", 1.5, True),
             ("tick", 1.0),
-            ("lookup", [0], "level"),
+            ("lookup", [0], "level", True),
+        ]
+    )
+    # The column stored last, less an entry dropped since.
+    @example(
+        [
+            ("store", [0, 1], "level", 1.5, True),
+            ("invalidate", 1, None),
+            ("lookup", [0, 1], "level", True),
         ]
     )
     def test_twin_caches_stay_equal(self, script):
         config = CacheConfig(enabled=True, ttl_seconds=1.0)
         fleet = [f"s-{index}" for index in range(ENTITIES)]
+        held = {}  # rows -> the ids list steps over them reuse
+
+        def ids_of(where, same):
+            ids = [fleet[row] for row in where]
+            return held.setdefault(tuple(where), ids) if same else ids
+
         clock = SimulationClock()
         registries = [MetricsRegistry(), MetricsRegistry()]
         column, scalar = (
@@ -556,15 +602,15 @@ class TestColumnOperationsAreTheirRows:
         for step in script:
             kind = step[0]
             if kind == "store":
-                __, where, source, value = step
-                ids = [fleet[row] for row in where]
+                __, where, source, value, same = step
+                ids = ids_of(where, same)
                 column.store_column(ids, source, [value] * len(where))
                 for entity_id in ids:
                     scalar.store_column((entity_id,), source, (value,))
                     reference.store(entity_id, source, value)
             elif kind == "lookup":
-                __, where, source = step
-                ids = [fleet[row] for row in where]
+                __, where, source, same = step
+                ids = ids_of(where, same)
                 found = column.lookup_column(ids, source, self.MISS)
                 wrapped = [
                     None if value is self.MISS else (value,)
@@ -577,6 +623,24 @@ class TestColumnOperationsAreTheirRows:
                     assert repr(wrapped) == repr(rows)
             elif kind == "tick":
                 clock.advance(step[1])
+            elif kind == "get":
+                __, row, source, value = step
+                device = SimpleNamespace(entity_id=fleet[row])
+                got = [
+                    cache.get_or_read(device, source, lambda: value)
+                    for cache in (column, scalar)
+                ]
+                got.append(
+                    reference.get_or_read(device.entity_id, source, value)
+                )
+                assert len(set(map(repr, got))) == 1
+            elif kind == "clear":
+                for cache in (column, scalar, reference):
+                    cache.clear()
+            elif kind == "ttl":
+                config = CacheConfig(enabled=True, ttl_seconds=step[1])
+                for cache in (column, scalar, reference):
+                    cache.reconfigure(config)
             else:
                 for cache in (column, scalar, reference):
                     cache.invalidate(fleet[step[1]], step[2])

@@ -1,12 +1,12 @@
 """Entity registry: registration, type/attribute queries, listeners."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BindingError
 from repro.runtime.device import CallableDriver, DeviceInstance
-from repro.runtime.registry import EntityRegistry
+from repro.runtime.registry import EntityRegistry, splice_column
 from repro.sema.analyzer import analyze
 
 DESIGN = """\
@@ -203,7 +203,10 @@ class TestChurnMatchesAListReference:
     attributes, with members failing and recovering: the type lists,
     the attribute buckets, ``instances_of`` and the sweep column stay
     what one registration-ordered list of the live instances says they
-    are."""
+    are.  And ``sweep_edit`` applied to the previous sweep column gives
+    the new one — also when an instance left and came back between the
+    two copies (``bounce``: its ordinal moved, so the edit must bisect
+    by the one it departed with)."""
 
     DESIGN = """\
 device Node { source x as Float; }
@@ -231,6 +234,7 @@ device Level extends Node { attribute floor as Integer; }
         st.tuples(st.just("replace"), st.integers(0, 30)),
         st.tuples(st.just("fail"), st.integers(0, 30)),
         st.tuples(st.just("recover"), st.integers(0, 30)),
+        st.tuples(st.just("bounce"), st.integers(0, 30), st.integers(0, 30)),
     )
 
     @staticmethod
@@ -248,6 +252,16 @@ device Level extends Node { attribute floor as Integer; }
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(steps, max_size=16))
+    # The second bounced member sits past the first, re-registered one:
+    # bisected by current ordinals, it would not be found.
+    @example(
+        [
+            ("meter", "A", 0),
+            ("meter", "A", 0),
+            ("meter", "A", 0),
+            ("bounce", 1, 1),
+        ]
+    )
     def test_lists_match_the_reference(self, script):
         design = analyze(self.DESIGN)
         registry = EntityRegistry()
@@ -261,8 +275,10 @@ device Level extends Node { attribute floor as Integer; }
                 attributes,
             )
 
+        columns = {}  # device type -> (its last sweep column, memoized)
         for index, step in enumerate(script):
             kind = step[0]
+            departed = []
             if kind == "meter":
                 instance = make(
                     "Meter", f"n-{index}", {"lot": step[1], "floor": step[2]}
@@ -275,7 +291,18 @@ device Level extends Node { attribute floor as Integer; }
                 instance = live.pop(step[1] % len(live))
                 assert registry.unregister(instance.entity_id) is instance
                 gone.append(instance)
+                departed.append(instance)
                 instance = None
+            elif kind == "bounce" and live:
+                # Out, another one out, and the first back in.
+                instance = live.pop(step[1] % len(live))
+                registry.unregister(instance.entity_id)
+                departed.append(instance)
+                if live:
+                    other = live.pop(step[2] % len(live))
+                    registry.unregister(other.entity_id)
+                    gone.append(other)
+                    departed.append(other)
             elif kind == "again" and gone:
                 instance = gone.pop(step[1] % len(gone))
             elif kind == "replace" and gone:
@@ -303,7 +330,31 @@ device Level extends Node { attribute floor as Integer; }
                 assert registry._by_type.get(device_type, []) == members
                 swept = [member for member in members if not member.failed]
                 assert registry.instances_of(device_type) == swept
-                assert registry.sweep_column(device_type) == swept
+                column = registry.sweep_column(device_type)
+                assert column == swept
+                memoized = swept == members
+                previous, was_memoized = columns.get(device_type, (None, 0))
+                columns[device_type] = column, memoized
+                edit = registry.sweep_edit(device_type, previous)
+                if edit is not None:
+                    removed, start = edit
+                    assert removed == sorted(set(removed))
+                    assert start == len(previous) - len(removed)
+                    assert (
+                        splice_column(previous, removed, column[start:])
+                        == column
+                    )
+                else:
+                    left = sum(
+                        instance.info.is_subtype_of(device_type)
+                        for instance in departed
+                    )
+                    assert not (
+                        was_memoized
+                        and memoized
+                        and column is not previous
+                        and left <= len(previous)
+                    )
             indexed = {
                 key: {value: found for value, found in values.items() if found}
                 for key, values in registry._by_attribute.items()

@@ -15,7 +15,7 @@ import signal
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -993,3 +993,139 @@ class TestWorkerBoot:
         worker._cmd_poll("Windowed", 0)
         __, positions, __, __ = worker._columns["ShardPresence"]
         assert positions == [0, 1, 3, 4, 5, 9, 7]
+
+
+class DarkDriver(TaggingDriver):
+    """Answers a :class:`DeliveryError` for the entities in ``dark``,
+    read one at a time or in its slot of a column."""
+
+    dark = set()
+
+    def read(self, source):
+        if self.instance.entity_id in self.dark:
+            raise DeliveryError("sensor is dark")
+        return super().read(source)
+
+    def read_batch(self, entity_ids, source):
+        column = super().read_batch(entity_ids, source)
+        return [
+            DeliveryError("sensor is dark") if entity_id in self.dark else v
+            for entity_id, v in zip(entity_ids, column)
+        ]
+
+
+class TestChurnMatchesAFreshWorker:
+    """Periods of binds (any free global position, ids freed before
+    too), unbinds, ``fail()`` and ``recover()`` between the polls of
+    an in-process worker with the read cache on, some periods with
+    members whose reads fail (``dark``: the sweep loses them).  After
+    every period the worker's column memo — patched across binds and
+    unbinds by the registry's column edit — equals one derived from
+    scratch, and its poll replies, the grouped ones folded through a
+    ``_Mirror``, deliver what a worker built afresh with the same
+    membership, registration order and positions delivers."""
+
+    ops = st.one_of(
+        st.tuples(st.just("bind"), st.integers(0, 20)),
+        st.tuples(
+            st.sampled_from(["unbind", "fail", "recover", "dark"]),
+            st.integers(0, 30),
+        ),
+    )
+
+    @staticmethod
+    def worker(sensors):
+        from repro.runtime.shard.worker import _ShardWorker
+
+        return _ShardWorker(
+            PresenceBootstrap(
+                sensors=sensors,
+                cache=CacheConfig(enabled=True),
+                driver=DarkDriver,
+            ),
+            ShardContext(shards=1, index=0),
+        )
+
+    @staticmethod
+    def period(worker, now, mirror):
+        """One coordinator period: the grouped poll, then the MapReduce
+        poll over the same source (cache hits) and its map round."""
+        from repro.mapreduce.engine import rank_groups
+
+        worker.clock.run_until(now)
+        mirror.apply(0, worker._cmd_poll("Windowed", 0))
+        keys = worker._cmd_poll("FreeCount", 0)["keys"]
+        mapped = worker._cmd_map("FreeCount", 0, rank_groups(keys.items()))
+        return mirror.payload(), keys, mapped
+
+    @staticmethod
+    def derived_afresh(worker):
+        """The worker's column memo, derived from its instance column
+        as a first poll would."""
+        from repro.mapreduce.engine import first_positions
+        from repro.runtime.grouping import group_key_column
+
+        instances, __, keys, firsts = worker._columns["ShardPresence"]
+        positions = [
+            worker._gpos[instance.entity_id] for instance in instances
+        ]
+        keys = {
+            attribute: group_key_column(instances, attribute)
+            for attribute in keys
+        }
+        firsts = {
+            attribute: first_positions(keys[attribute], positions)
+            for attribute in firsts
+        }
+        return instances, positions, keys, firsts
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(ops, max_size=4), min_size=1, max_size=6))
+    # A lossy sweep's column is not the registry's: nothing to patch.
+    @example([[], [("unbind", 0), ("dark", 2)]])
+    def test_every_period_delivers_what_a_fresh_worker_does(self, script):
+        from repro.runtime.shard.codec import _Mirror
+
+        worker = self.worker(6)
+        mirror = _Mirror(1, flat=False)
+        # (entity id, global position) in registration order
+        live = [(f"s-{index:03d}", index) for index in range(6)]
+        now = 0.0
+        for ops in script:
+            for op in ops:
+                if op[0] == "bind":
+                    # s-NNN binds at position NNN: a free id, a free
+                    # position.
+                    entity_id = f"s-{op[1]:03d}"
+                    if entity_id not in worker.app.registry:
+                        worker._cmd_bind(entity_id, op[1])
+                        live.append((entity_id, op[1]))
+                    continue
+                if not live:
+                    continue
+                entity_id = live[op[1] % len(live)][0]
+                if op[0] == "unbind":
+                    worker._cmd_unbind(entity_id)
+                    del live[op[1] % len(live)]
+                elif op[0] == "fail":
+                    worker.app.registry.get(entity_id).fail()
+                elif op[0] == "recover":
+                    worker.app.registry.get(entity_id).recover()
+                else:
+                    DarkDriver.dark.add(entity_id)
+            now += PERIOD
+            try:
+                delivered = self.period(worker, now, mirror)
+                assert worker._columns[
+                    "ShardPresence"
+                ] == self.derived_afresh(worker)
+                fresh = self.worker(0)
+                for entity_id, position in live:
+                    fresh._cmd_bind(entity_id, position)
+                    if worker.app.registry.get(entity_id).failed:
+                        fresh.app.registry.get(entity_id).fail()
+                assert delivered == self.period(
+                    fresh, now, _Mirror(1, False)
+                )
+            finally:
+                DarkDriver.dark.clear()

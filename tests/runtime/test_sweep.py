@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.api import (
     Application,
+    CacheConfig,
     CallableDriver,
     Context,
     DeviceDriver,
@@ -276,6 +277,13 @@ context Windowed as Integer {
     grouped by parkingLot every <20 min>
     always publish;
 }
+
+context Busiest as Integer {
+    when periodic level from Meter <10 min>
+    grouped by parkingLot
+    with map as Integer reduce as Integer
+    always publish;
+}
 """
 )
 
@@ -329,13 +337,31 @@ class Recorder(Context):
         return sum(len(values) for values in by_lot.values())
 
 
+class Busiest(Context):
+    def __init__(self):
+        super().__init__()
+        self.deliveries = []
+
+    def map(self, lot, level, collector):
+        collector.emit_map(lot, level)
+
+    def reduce(self, lot, levels, collector):
+        collector.emit_reduce(lot, max(levels))
+
+    def on_periodic_level(self, by_lot, discover):
+        self.deliveries.append(list(by_lot.items()))
+        return max(by_lot.values(), default=0)
+
+
 class TestChurnMatchesAFreshApplication:
     """Random scripts of binds and unbinds (under freed ids too),
     ``fail()`` / ``recover()``, a ``failed`` flag set by assignment and
     ``swap_driver`` over a fleet that mixes a batching and a scalar
-    driver.  After every step the memoized sweep column, cut and cohort
-    plans must deliver what an application built from scratch with the
-    live membership, in the same registration order, delivers — and the
+    driver, with the read cache off and on.  After every step the
+    memoized sweep column, cut, cohort plans and (with the cache) the
+    column answers the second and third contexts over the source get
+    must deliver what an application built from scratch with the live
+    membership, in the same registration order, delivers — and the
     registry's sweep column is the very same list until something
     moves it."""
 
@@ -359,20 +385,29 @@ class TestChurnMatchesAFreshApplication:
     def meter(fleet, batching):
         return (BatchMeter if batching else ScalarMeter)(fleet)
 
-    def build(self, members, start):
+    def build(self, members, start, cache):
         """An application over ``members`` — ``(entity id, lot,
         batching)`` in registration order — whose clock starts at
-        ``start``."""
-        app = Application(CHURN, RuntimeConfig(clock=SimulationClock(start)))
-        levels = app.implement("Levels", Recorder())
-        windowed = app.implement("Windowed", Recorder())
+        ``start``; returns it, its fleet and its three recorders."""
+        app = Application(
+            CHURN,
+            RuntimeConfig(
+                clock=SimulationClock(start),
+                cache=CacheConfig(enabled=cache),
+            ),
+        )
+        recorders = [
+            app.implement("Levels", Recorder()),
+            app.implement("Windowed", Recorder()),
+            app.implement("Busiest", Busiest()),
+        ]
         fleet = Fleet(app.clock)
         for entity_id, lot, batching in members:
             app.create_device(
                 "Meter", entity_id, self.meter(fleet, batching), parkingLot=lot
             )
         app.start()
-        return app, fleet, levels, windowed
+        return app, fleet, recorders
 
     def apply(self, app, fleet, live, step):
         """Run one step on ``app``; returns whether it moved the swept
@@ -410,7 +445,15 @@ class TestChurnMatchesAFreshApplication:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(steps, min_size=1, max_size=10))
     def test_every_step_delivers_what_a_fresh_application_does(self, script):
-        app, fleet, levels, windowed = self.build([], 0.0)
+        self.check(script, cache=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(steps, min_size=1, max_size=10))
+    def test_every_step_delivers_it_with_the_read_cache_too(self, script):
+        self.check(script, cache=True)
+
+    def check(self, script, cache):
+        app, fleet, recorders = self.build([], 0.0, cache)
         registry = app.registry
         live = []  # what is bound, in registration order
         for step in script:
@@ -427,8 +470,10 @@ class TestChurnMatchesAFreshApplication:
             )
             # Two sweeps, one window, all under this step's membership.
             start = app.clock.now()
+            marks = [len(recorder.deliveries) for recorder in recorders]
+            digests = dict(app._gather_digests)
             app.advance(2 * self.PERIOD)
-            fresh, __, fresh_levels, fresh_windowed = self.build(
+            fresh, __, fresh_recorders = self.build(
                 [
                     (
                         instance.entity_id,
@@ -438,11 +483,20 @@ class TestChurnMatchesAFreshApplication:
                     for instance in swept
                 ],
                 start,
+                cache,
             )
+            # With the cache on, a gather whose payload repeats its last
+            # delivery is skipped: both applications start from one memo.
+            fresh._gather_digests.update(digests)
             fresh.advance(2 * self.PERIOD)
-            assert len(fresh_levels.deliveries) == 2
-            assert levels.deliveries[-2:] == fresh_levels.deliveries
-            assert windowed.deliveries[-1:] == fresh_windowed.deliveries
+            assert cache or len(fresh_recorders[0].deliveries) == 2
+            for recorder, mark, fresh_recorder in zip(
+                recorders, marks, fresh_recorders
+            ):
+                assert recorder.deliveries[mark:] == fresh_recorder.deliveries
+            if cache:
+                # Levels' sweep read the column, the others' were hits.
+                assert fresh.read_cache.stats()["hits"] == 4 * len(swept)
 
 
 class TestGatherErrorSplit:
