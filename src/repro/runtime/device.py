@@ -180,9 +180,9 @@ class DeviceInstance:
     #: Driver swaps in this process: what voids cohort plans (a swap is
     #: rare, and an instance does not know which sweeps read it).
     driver_swaps = 0
-    #: :meth:`fail` / :meth:`recover` calls in this process: what tells
-    #: a sweep that a ``failed`` flag moved after the registry filtered
-    #: its members.
+    #: Writes of a ``failed`` flag in this process (:attr:`failed`):
+    #: what tells a sweep that a flag moved after the registry filtered
+    #: its members, and the registry that its last flag scan still holds.
     failed_flips = 0
 
     def __init__(
@@ -214,7 +214,7 @@ class DeviceInstance:
         self.info = info
         self.entity_id = entity_id
         self.attributes = attributes
-        self.failed = False
+        self._failed = False
         self.driver = driver
         driver.instance = self
         self.detach()
@@ -347,7 +347,7 @@ class DeviceInstance:
         cache = self._cache
         if cache is None:
             return self._read_fresh(source, failed)
-        if self.failed:
+        if self._failed:
             # A hard-failed device must not be masked by cached
             # freshness; the failure check stays authoritative.
             raise DeviceUnavailableError(
@@ -363,7 +363,7 @@ class DeviceInstance:
     ) -> Any:
         """The uncached supervised read (the historical ``read`` body;
         ``failed``: see :meth:`_read_general`)."""
-        if self.failed:
+        if self._failed:
             raise DeviceUnavailableError(
                 f"device '{self.entity_id}' has failed and cannot be read",
                 entity_id=self.entity_id,
@@ -427,7 +427,7 @@ class DeviceInstance:
 
     def publish(self, source: str, value: Any, index: Any = None) -> None:
         """Event-driven push from the driver into the application."""
-        if self.failed:
+        if self._failed:
             return
         source_info = self.info.source(source)
         value = coerce_value(source_info.dia_type, value)
@@ -438,7 +438,7 @@ class DeviceInstance:
 
     def act(self, action: str, **params: Any) -> Any:
         """Issue an action, validating parameters against the declaration."""
-        if self.failed:
+        if self._failed:
             raise ActuationError(
                 f"device '{self.entity_id}' has failed and cannot act"
             )
@@ -479,16 +479,27 @@ class DeviceInstance:
 
     # -- failure injection ----------------------------------------------------
 
+    @property
+    def failed(self) -> bool:
+        """Is the device hard-failed?  Every write, by :meth:`fail`,
+        :meth:`recover` or assignment, counts in :attr:`failed_flips`,
+        so a flag that moves while a sweep runs, or between two sweeps
+        of one registry version, is seen.  The runtime's own per-member
+        reads load ``_failed``: the property costs a frame a member."""
+        return self._failed
+
+    @failed.setter
+    def failed(self, value: bool) -> None:
+        self._failed = value
+        DeviceInstance.failed_flips += 1
+
     def fail(self) -> None:
         """Mark the device as failed (Section VI: device-failure
-        dimension).  A flag that may move while a sweep runs moves
-        through here or :meth:`recover` (:attr:`failed_flips`)."""
+        dimension)."""
         self.failed = True
-        DeviceInstance.failed_flips += 1
 
     def recover(self) -> None:
         self.failed = False
-        DeviceInstance.failed_flips += 1
 
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in self.attributes.items())
@@ -555,7 +566,7 @@ def _compile_reader(info, driver_class, enveloped, source):
 
     def read(instance: DeviceInstance) -> Any:
         # _read_fresh, for the one attempt nobody times or supervises.
-        if instance.failed:
+        if instance._failed:
             return instance._read_fresh(source)  # raises
         if instance._m_reads is not None:
             instance._m_reads.inc()

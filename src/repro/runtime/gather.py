@@ -54,7 +54,7 @@ _DEMOTED = object()
 
 _reads_counter_of = attrgetter("_m_reads")
 _entity_id_of = attrgetter("entity_id")
-_failed_flag = attrgetter("failed")
+_failed_flag = attrgetter("_failed")
 
 
 def _read_column(source, sampler, instances) -> List[Any]:
@@ -449,7 +449,7 @@ class Gatherer(Instrumented):
                     results[position] = _DROPPED
                     continue
                 supervisor = instance.supervisor
-                if instance.failed or (
+                if instance._failed or (
                     supervisor is not None and supervisor.health != HEALTHY
                 ):
                     # Degraded/quarantined entities keep their breaker

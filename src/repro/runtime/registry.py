@@ -23,7 +23,7 @@ from repro.telemetry.instrument import Instrumented, MetricSpec
 Listener = Callable[[str, DeviceInstance], None]
 HealthLookup = Callable[[str], str]
 
-_failed_flag = attrgetter("failed")
+_failed_flag = attrgetter("_failed")
 _registration_of = attrgetter("_registration")
 
 
@@ -145,6 +145,9 @@ class EntityRegistry(Instrumented):
         self._sweep_memo: Dict[str, Tuple[int, List[DeviceInstance]]] = {}
         self._departures: Dict[str, List[Tuple[DeviceInstance, int]]] = {}
         self._sweep_edits: Dict[str, Tuple[list, List[int], int]] = {}
+        # device type -> (version, failed_flips) its last flag scan
+        # found no failed member at.
+        self._unfailed: Dict[str, Tuple[int, int]] = {}
         if metrics is not None:
             self.attach_metrics(metrics)
 
@@ -304,7 +307,7 @@ class EntityRegistry(Instrumented):
         )
         results = []
         for instance in candidates:
-            if instance.failed and not include_failed:
+            if instance._failed and not include_failed:
                 continue
             if check_health:
                 state = lookup(instance.entity_id)
@@ -343,7 +346,7 @@ class EntityRegistry(Instrumented):
         firsts = []
         for value, bucket in values.items():
             for instance in bucket:
-                if not instance.failed and (
+                if not instance._failed and (
                     self.health_of(instance.entity_id) != QUARANTINED
                 ):
                     firsts.append((instance._registration, value))
@@ -413,10 +416,20 @@ class EntityRegistry(Instrumented):
         Not while any instance of the type carries a ``failed`` flag
         (the flag flips without a version bump, and the column leaves
         the member out).  The flag scan is one attribute load per
-        instance with no Python frame per instance.  Health needs no
-        check: a sweep reads the quarantined too.
+        instance with no Python frame per instance, and it runs once
+        per registry version and
+        :attr:`~repro.runtime.device.DeviceInstance.failed_flips`: a
+        scan that found no failed member holds until a bind, an unbind
+        or a flag write.  Health needs no check: a sweep reads the
+        quarantined too.
         """
-        return not any(map(_failed_flag, self._by_type.get(device_type, ())))
+        stamp = (self._version, DeviceInstance.failed_flips)
+        if self._unfailed.get(device_type) == stamp:
+            return True
+        if any(map(_failed_flag, self._by_type.get(device_type, ()))):
+            return False
+        self._unfailed[device_type] = stamp
+        return True
 
     def add_listener(self, listener: Listener) -> Callable[[], None]:
         """Subscribe to register/unregister events; returns a remover."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pickle
 from collections import deque
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import gt, is_, is_not, ne, or_, sub
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -195,13 +195,14 @@ class _DeltaEncoder:
             if retract:
                 blocks["retract"] = _pack_positions(retract)
         # Unseen rows differ from any value, so they count as moved.
-        moved = list(map(ne, was, values))
+        moved = map(ne, was, values)
         kinds = set(map(type, values))
         if len(kinds) > 1 or kinds != self.kinds:
             # Equal across types (1, 1.0, True) is still a change.
             retyped = map(is_not, map(type, was), map(type, values))
-            moved = list(map(or_, moved, retyped))
+            moved = map(or_, moved, retyped)
         changed = moved
+        registered = 0
         if fresh is not None:
             rows = list(compress(count(), fresh))
             if rows:
@@ -211,13 +212,14 @@ class _DeltaEncoder:
                     list(map(values.__getitem__, rows)),
                 )
                 changed = map(gt, moved, fresh)
+                registered = len(rows)
         rows = list(compress(count(), changed))
         if rows:
             blocks["changed"] = (
                 _pack_positions(list(map(positions.__getitem__, rows))),
                 list(map(values.__getitem__, rows)),
             )
-        blocks["quiescent"] = len(values) - sum(moved)
+        blocks["quiescent"] = len(values) - len(rows) - registered
         self.kinds = kinds
         self.positions = positions
         self.values = values
@@ -242,11 +244,19 @@ class _Mirror:
     ``flat`` one.  Registration churn (register/retract/reset) dirties
     the cached position order; a quiescent sweep reuses it.
 
+    Each reply is folded in as it arrives, once (the coordinator hands
+    :meth:`apply` to :meth:`~repro.runtime.shard.coordinator.
+    ShardRouter.broadcast` as its per-reply hook): every shard slice
+    then holds what that shard's encoder shipped, whether or not
+    another shard's poll failed, and a shard's fold overlaps the
+    slower shards' polls.
+
     Two reads: :meth:`payload` for grouped gathers, :meth:`rows` for
     flat ones.  The grouped payload is maintained **incrementally**:
-    value changes write through position slots into prebuilt per-group
-    columns, and the sort-and-regroup rebuild runs only when the order
-    is dirty — steady-state merge cost is O(changed), not O(fleet).
+    the groups are spans of one ``cells`` column, a value change
+    writes through its position's slot in it (one probe per changed
+    row), and the sort-and-regroup rebuild runs only when the order is
+    dirty — steady-state merge cost is O(changed), not O(fleet).
     """
 
     __slots__ = (
@@ -255,7 +265,8 @@ class _Mirror:
         "values",
         "shard_positions",
         "order",
-        "groups",
+        "cells",
+        "spans",
         "slots",
         "dirty",
     )
@@ -266,9 +277,12 @@ class _Mirror:
         self.values: Dict[int, Any] = {}
         self.shard_positions: List[set] = [set() for __ in range(shards)]
         self.order: List[int] = []
-        self.groups: Dict[Any, List[Any]] = {}
-        # position -> offset in its group's column; built by the first
-        # value change an order sees (:meth:`_write_through`).
+        # The grouped values, group after group, and each group's
+        # ``(start, stop)`` span of them, in payload key order.
+        self.cells: List[Any] = []
+        self.spans: Dict[Any, Tuple[int, int]] = {}
+        # position -> its cell; built by the first value change an
+        # order sees (:meth:`_write_through`).
         self.slots: Dict[int, int] = {}
         self.dirty = False
 
@@ -322,18 +336,15 @@ class _Mirror:
         return delta_rows, reply.get("quiescent", 0)
 
     def _write_through(self, positions, column) -> None:
-        """Carry value changes into the group columns of a clean order."""
+        """Carry value changes into the cells of a clean order."""
         slots = self.slots
-        ident = self.ident
-        groups = self.groups
         if not slots:
-            members: Dict[Any, List[int]] = {key: [] for key in groups}
-            keys = map(ident.__getitem__, self.order)
+            members: Dict[Any, List[int]] = {key: [] for key in self.spans}
+            keys = map(self.ident.__getitem__, self.order)
             _extend_each(keys, members, self.order)
-            for group in members.values():
-                slots.update(zip(group, count()))
-        for position, value in zip(positions, column):
-            groups[ident[position]][slots[position]] = value
+            slots.update(zip(chain.from_iterable(members.values()), count()))
+        cells = map(slots.__getitem__, positions)
+        deque(map(self.cells.__setitem__, cells, column), maxlen=0)
 
     def _rebuild(self) -> None:
         self.order = sorted(self.ident)
@@ -341,11 +352,12 @@ class _Mirror:
         if self.flat:
             return
         keys = list(map(self.ident.__getitem__, self.order))
-        self.groups = {key: [] for key in dict.fromkeys(keys)}
+        groups: Dict[Any, List[Any]] = {key: [] for key in dict.fromkeys(keys)}
+        _extend_each(keys, groups, map(self.values.__getitem__, self.order))
+        self.cells = list(chain.from_iterable(groups.values()))
+        stops = list(accumulate(map(len, groups.values()), initial=0))
+        self.spans = dict(zip(groups, zip(stops, islice(stops, 1, None))))
         self.slots = {}
-        _extend_each(
-            keys, self.groups, map(self.values.__getitem__, self.order)
-        )
 
     def payload(self) -> Dict[Any, List[Any]]:
         """The full grouped payload — fresh per-group lists (so a
@@ -354,7 +366,10 @@ class _Mirror:
         ``group_readings`` builds it."""
         if self.dirty:
             self._rebuild()
-        return {key: list(column) for key, column in self.groups.items()}
+        cells = self.cells
+        return {
+            key: cells[start:stop] for key, (start, stop) in self.spans.items()
+        }
 
     def rows(self) -> List[Tuple[Any, Any]]:
         """``(identity, value)`` per reading in registration order —

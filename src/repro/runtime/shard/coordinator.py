@@ -12,8 +12,10 @@ path, and routes reads, actions and (re)binds to the owning shard.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.errors import ShardError
 from repro.mapreduce.engine import rank_groups, sequence_partials
@@ -36,8 +38,9 @@ class ShardRouter(Instrumented):
     Owns the worker pipes.  ``broadcast`` sends to every worker before
     receiving any reply, which is where the parallelism comes from —
     all shards sweep (and sleep on their modeled device I/O)
-    concurrently while the coordinator waits.  Replies always arrive in
-    shard order, so merge inputs are deterministic.
+    concurrently while the coordinator waits.  Replies come back in
+    shard order whichever shard answered first, so merge inputs are
+    deterministic.
     """
 
     metric_specs = (
@@ -127,13 +130,23 @@ class ShardRouter(Instrumented):
         self._send_to(shard, op, args)
         return self._receive(shard)
 
-    def broadcast(self, op: str, args: Tuple[Any, ...] = ()) -> List[Any]:
+    def broadcast(
+        self,
+        op: str,
+        args: Tuple[Any, ...] = (),
+        on_reply: Optional[Callable[[int, Any], None]] = None,
+    ) -> List[Any]:
         """The same command to every shard; replies in shard order,
         a failed shard's exception in place of its reply.  Every shard
         is sent to, and every reply of a shard that was sent to is
         read, before the caller raises any of them: one left in its
         pipe would answer that shard's *next* command, and every one
-        after it would be one command late."""
+        after it would be one command late.
+
+        Replies are read as they arrive, whichever shard answers
+        first, and ``on_reply(shard, reply)`` runs on each as it is
+        read, while the slower shards are still working; if it raises,
+        that exception is the shard's reply."""
         self._commands += len(self._workers)
         replies: List[Any] = []
         for shard in range(len(self._workers)):
@@ -141,10 +154,18 @@ class ShardRouter(Instrumented):
                 replies.append(self._send_to(shard, op, args))
             except Exception as exc:  # noqa: BLE001 - raised by _command
                 replies.append(exc)
-        for shard, failure in enumerate(replies):
-            if failure is None:  # sent: its reply is owed
+        owed = {
+            self._workers[shard][1]: shard
+            for shard, failure in enumerate(replies)
+            if failure is None  # sent: its reply is owed
+        }
+        while owed:
+            for conn in wait(list(owed)):
+                shard = owed.pop(conn)
                 try:
                     replies[shard] = self._receive(shard)
+                    if on_reply is not None:
+                        on_reply(shard, replies[shard])
                 except Exception as exc:  # noqa: BLE001 - as above
                     replies[shard] = exc
         return replies
@@ -373,6 +394,7 @@ class ShardedRuntime(Instrumented):
         op: str,
         args: Tuple[Any, ...] = (),
         entity_id: Optional[str] = None,
+        on_reply: Optional[Callable[[int, Any], None]] = None,
     ) -> List[Dict[str, Any]]:
         """The coordinator half of the command envelope.
 
@@ -382,18 +404,32 @@ class ShardedRuntime(Instrumented):
         publishes into the reply (:meth:`_ShardWorker.serve`); they
         replay into the coordinator bus here, once, before the caller
         sees the replies (in shard order); the first failure of a
-        broadcast raises after the other shards' events replayed."""
+        broadcast raises after the other shards' events replayed.  A
+        broadcast hands each reply to ``on_reply`` as it arrives
+        (:meth:`ShardRouter.broadcast`); a reply whose ``on_reply``
+        raises still replays its events, and the exception then fails
+        the command as that shard's."""
+        folds: Dict[int, Exception] = {}
+
+        def fold(shard: int, reply: Dict[str, Any]) -> None:
+            try:
+                on_reply(shard, reply)
+            except Exception as exc:  # noqa: BLE001 - raised below
+                folds[shard] = exc
+
         if entity_id is None:
-            replies = self.router.broadcast(op, args)
+            hook = None if on_reply is None else fold
+            replies = self.router.broadcast(op, args, hook)
         else:
             shard = self._owning_shard(entity_id)
             replies = [self.router.send(shard, op, args)]
         for reply in replies:
             if not isinstance(reply, Exception):
                 self._replay_events(reply["events"])
-        for reply in replies:
-            if isinstance(reply, Exception):
-                raise reply
+        for shard, reply in enumerate(replies):
+            failure = folds.get(shard, reply)
+            if isinstance(failure, Exception):
+                raise failure
         return replies
 
     def publish(
@@ -511,21 +547,25 @@ class ShardedRuntime(Instrumented):
         delegate: every worker sweeps its shard concurrently, and the
         replies merge back into the exact single-process payload —
         sorted by global registration position for flat and grouped
-        gathers, re-sequenced map emissions with a coordinator-side
-        final reduce for MapReduce gathers.
+        gathers (each reply folds into the gather's mirror as it
+        arrives, :meth:`_fold`), re-sequenced map emissions with a
+        coordinator-side final reduce for MapReduce gathers.
         """
         app = self.app
         index = self._interactions[id(interaction)]
         self._sweeps += 1
-        polls = self._command("poll", (app.clock.now(), name, index))
+        polls = self._command(
+            "poll",
+            (app.clock.now(), name, index),
+            on_reply=functools.partial(self._fold, (name, index)),
+        )
         app.gatherer.note_losses(
             sum(reply["dropped"] for reply in polls),
             sum(reply["failed"] for reply in polls),
         )
-        kind = polls[0]["kind"]
         placement = app.placement
-        if kind != "mapreduce":
-            return self._merge_delta(kind, name, index, polls, placement)
+        if polls[0]["kind"] != "mapreduce":
+            return self._delivered(self._mirrors[name, index], placement)
         # MapReduce: rank groups by their first surviving reading
         # across the whole fleet, then let each worker map+combine its
         # slice in that global order.
@@ -547,21 +587,25 @@ class ShardedRuntime(Instrumented):
         self._merge_pairs += len(pairs)
         return app.mapreduce.merge_partials(implementation, pairs, mapped)
 
-    def _merge_delta(
-        self, kind: str, name: str, index: int, polls, placement
-    ) -> Any:
-        """Fold delta replies into the per-gather mirror and rebuild
-        the exact single-process payload from registration order."""
-        key = (name, index)
+    def _fold(self, key: Tuple[str, int], shard: int, reply) -> None:
+        """Fold one shard's poll reply into the gather's mirror as it
+        arrives (a MapReduce poll has none: its values stay in the
+        worker until the map round)."""
+        kind = reply["kind"]
+        if kind == "mapreduce":
+            return
         mirror = self._mirrors.get(key)
         if mirror is None:
             mirror = self._mirrors[key] = _Mirror(
                 len(self.router), flat=kind == "flat"
             )
-        for shard, reply in enumerate(polls):
-            delta_rows, quiescent = mirror.apply(shard, reply)
-            self._delta_rows += delta_rows
-            self._quiescent_rows += quiescent
+        delta_rows, quiescent = mirror.apply(shard, reply)
+        self._delta_rows += delta_rows
+        self._quiescent_rows += quiescent
+
+    def _delivered(self, mirror: _Mirror, placement) -> Any:
+        """The exact single-process payload of a folded mirror, in
+        registration order."""
         if not mirror.flat:
             if placement is not None:
                 placement.account_cloud(mirror.rows())

@@ -237,20 +237,20 @@ def test_a_membership_change_costs_frames_only_in_application_code(fleets):
 
 
 class CountedProbe(DeviceInstance):
-    """A probe counting, class-wide, how often ``failed`` and
-    ``_m_reads`` are loaded — the passes over the fleet's memory no
-    frame count sees."""
+    """A probe counting, class-wide, how often ``_failed`` (the flag
+    behind ``failed``) and ``_m_reads`` are loaded — the passes over
+    the fleet's memory no frame count sees."""
 
     loads = Counter()
 
     @property
-    def failed(self):
-        CountedProbe.loads["failed"] += 1
-        return self._failed
+    def _failed(self):
+        CountedProbe.loads["_failed"] += 1
+        return self._flag
 
-    @failed.setter
-    def failed(self, value):
-        self._failed = value
+    @_failed.setter
+    def _failed(self, value):
+        self._flag = value
 
     @property
     def _m_reads(self):
@@ -274,9 +274,10 @@ class CountedBootstrap(ProbeBootstrap):
 
 
 def test_a_steady_state_poll_loads_per_entity_state_once():
-    """The registry's failed-flag scan is the one pass over the members
-    a steady-state columnar poll makes: the read counters are bumped by
-    the cohort plan's tally, and the gather trusts the registry's
+    """A steady-state columnar poll makes no pass over the members'
+    state: the registry's failed-flag scan of this registry version
+    still holds while no flag was written, the read counters are bumped
+    by the cohort plan's tally, and the gather trusts the registry's
     filter while no flag moved."""
     fleet = Fleet(300, bootstrap=CountedBootstrap)
     fleet.period()
@@ -290,15 +291,16 @@ def test_a_steady_state_poll_loads_per_entity_state_once():
         before = stats()["batch_reads"], cache()["hits"]
         CountedProbe.loads.clear()
         worker._cmd_poll(name, 0)
-        assert CountedProbe.loads == {"failed": fleet.count}
+        assert CountedProbe.loads == {}
         moved = stats()["batch_reads"] - before[0], cache()["hits"] - before[1]
         assert moved == (batch_reads, hits)
 
 
 def test_a_churn_period_loads_read_counters_only_of_what_it_bound():
     """After an unbind and a bind the cohort plan is patched: its tally
-    asks the read counter of the one entity bound, and each poll still
-    loads ``failed`` once per member (the registry's scan)."""
+    asks the read counter of the one entity bound.  The registry's
+    failed-flag scan runs once for the new registry version: the first
+    poll loads ``_failed`` once per member, the second not at all."""
     fleet = Fleet(300, bootstrap=CountedBootstrap)
     fleet.period()
     fleet.period()
@@ -307,9 +309,12 @@ def test_a_churn_period_loads_read_counters_only_of_what_it_bound():
     assert CountedProbe.loads == {}
     worker = fleet.worker
     worker.clock.run_until(fleet.now + PERIOD)
-    for name, read_counters in (("Levels", 1), ("Load", 0)):
+    for name, flags, read_counters in (
+        ("Levels", fleet.count, 1),
+        ("Load", 0, 0),
+    ):
         CountedProbe.loads.clear()
         worker._cmd_poll(name, 0)
         assert CountedProbe.loads == Counter(
-            failed=fleet.count, _m_reads=read_counters
+            _failed=flags, _m_reads=read_counters
         )

@@ -3,6 +3,8 @@ runtime config are all it needs — no ``Application``, no bus, no
 components.  That it can be built this way is what lets the
 single-process gather and the shard worker's poll be the same call."""
 
+import functools
+
 import pytest
 
 from repro.errors import DeliveryError
@@ -41,7 +43,8 @@ class Bank:
     """What every :class:`BankDriver` of one fleet reads from (and
     shares as its batch cohort): entity id -> reading, ``dark`` ids
     fail, ``short`` makes batch reads come back one value short, and
-    reading an entity of ``trips`` fails the instance it maps to."""
+    reading an entity of ``trips`` runs what it maps to (a peer's
+    ``fail``, say)."""
 
     def __init__(self):
         self.readings = {
@@ -54,9 +57,9 @@ class Bank:
         self.trips = {}
 
     def trip(self, entity_id):
-        victim = self.trips.pop(entity_id, None)
-        if victim is not None:
-            victim.fail()
+        trip = self.trips.pop(entity_id, None)
+        if trip is not None:
+            trip()
 
 
 class BankDriver(DeviceDriver):
@@ -298,7 +301,7 @@ def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
     flag set directly between sweeps is the registry's to filter."""
     columnar, scalar = twins()
     for twin in (columnar, scalar):
-        twin.bank.trips["p-0"] = twin.registry.get("p-3")
+        twin.bank.trips["p-0"] = twin.registry.get("p-3").fail
     swept = readings(columnar.sweep())
     assert swept == readings(scalar.sweep())
     assert swept == (
@@ -318,6 +321,35 @@ def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
     assert swept[0] == ["p-0", "p-2", "p-3", "p-4", "p-5"]
     assert swept[2:] == (0, 0)
     assert columnar.gatherer.sweeper.stats()["batch_demoted"] == 6
+
+
+def test_a_peer_failed_mid_sweep_by_assignment_demotes_as_by_fail():
+    """A ``failed`` flag assigned while a batch read runs is a flip
+    like ``fail()``: the read is void, and the sweep, its counters and
+    the demotions come out as when the read called ``fail()``."""
+
+    def assign(instance):
+        instance.failed = True
+
+    outcomes = []
+    for trip in (DeviceInstance.fail, assign):
+        columnar, scalar = twins()
+        for twin in (columnar, scalar):
+            victim = twin.registry.get("p-3")
+            twin.bank.trips["p-0"] = functools.partial(trip, victim)
+        swept = readings(columnar.sweep())
+        assert swept == readings(scalar.sweep())
+        stats = columnar.gatherer.sweeper.stats()
+        outcomes.append(
+            (
+                swept,
+                columnar.gatherer.read_failed,
+                stats["batch_reads"],
+                stats["batch_demoted"],
+            )
+        )
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][1:] == (1, 0, 6)
 
 
 def test_read_counters_tally_as_on_the_scalar_path():

@@ -123,6 +123,25 @@ class TestTypeQueries:
             == 1
         )
 
+    def test_a_flag_assigned_between_sweeps_leaves_the_sweep_column(
+        self, design, registry
+    ):
+        """``failed = True`` moves no registry version, yet the next
+        sweep column leaves the member out, and ``failed = False``
+        brings it back — also after the column of that version was
+        memoized."""
+        first = registry.register(sensor(design, "s1", "A22"))
+        second = registry.register(sensor(design, "s2", "B16"))
+        column = registry.sweep_column("PresenceSensor")
+        assert column == [first, second]
+        assert registry.sweep_column("PresenceSensor") is column
+        version = registry.version
+        second.failed = True
+        assert registry.version == version
+        assert registry.sweep_column("PresenceSensor") == [first]
+        second.failed = False
+        assert registry.sweep_column("PresenceSensor") == [first, second]
+
     def test_unregister_removes_from_supertype_index(self, design, registry):
         registry.register(panel(design, "p1", "A22"))
         registry.unregister("p1")

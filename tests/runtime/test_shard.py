@@ -12,6 +12,7 @@ actions on remote entities behave exactly as local ones.
 import multiprocessing
 import os
 import signal
+import threading
 import weakref
 
 import pytest
@@ -34,6 +35,8 @@ from repro.api import (
 )
 from repro.errors import BindingError, DeliveryError
 from repro.runtime.device import DeviceDriver
+from repro.runtime.shard.codec import _wire_send
+from repro.runtime.shard.coordinator import ShardRouter
 from repro.mapreduce.partition import shard_index
 from repro.simulation.sensors import FleetSubstrate, SubstrateDriver
 
@@ -676,6 +679,26 @@ class TestCommandEnvelope:
         finally:
             runtime.stop()
 
+    def test_a_fold_that_raises_still_replays_its_reply(self, monkeypatch):
+        """A poll reply whose mirror fold raises carries events the
+        worker already drained: they replay before the fold's failure
+        raises, as every other shard's do."""
+        runtime, events = self.running()
+        try:
+            runtime.advance(800.0)  # sweep at 600, sync to 800
+
+            def broken(runtime, key, shard, reply):
+                raise RuntimeError(f"fold of shard {shard} exploded")
+
+            monkeypatch.setattr(ShardedRuntime, "_fold", broken)
+            with pytest.raises(RuntimeError, match="fold of shard 0"):
+                runtime.advance(400.0)  # the 1200 poll syncs past 900
+            assert sorted(entity for entity, __, __ in events) == sorted(
+                self.first_per_shard(runtime)
+            )
+        finally:
+            runtime.stop()
+
     @staticmethod
     def first_per_shard(runtime):
         firsts = {}
@@ -707,6 +730,44 @@ class DarkSweepBootstrap(PresenceBootstrap):
         if ctx.index == 0:
             next(iter(app.registry)).swap_driver(
                 DarkOnceDriver(_SUBSTRATES[app], sources=("presence",))
+            )
+        return app
+
+
+class DarkLaterDriver(ScalarTaggingDriver):
+    """Answers like its neighbours except for its ``dark_read``-th
+    read, which fails."""
+
+    dark_read = 4  # the second sweep's Windowed poll
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = 0
+
+    def read(self, source):
+        self.reads += 1
+        if self.reads == self.dark_read:
+            raise DeliveryError("sensor is dark")
+        return super().read(source)
+
+
+class DarkLaterBootstrap(PresenceBootstrap):
+    """``StalePolicy("fail")`` and the first sensor shard 0 of two
+    owns behind a :class:`DarkLaterDriver`, in whichever process binds
+    it: the second sweep's grouped poll fails there, after every shard
+    registered its rows."""
+
+    def build(self, ctx):
+        app = super().build(ctx)
+        app.apply_config(app.config.replace(stale=StalePolicy("fail")))
+        dark = next(
+            entity_id
+            for entity_id in self.fleet()
+            if shard_index(entity_id, 2) == 0
+        )
+        if dark in app.registry:
+            app.registry.get(dark).swap_driver(
+                DarkLaterDriver(_SUBSTRATES[app], sources=("presence",))
             )
         return app
 
@@ -832,6 +893,42 @@ class TestRouterFailures:
             runtime.stop()
 
 
+    def test_a_failed_poll_keeps_the_other_shards_mirror_in_step(self):
+        """A grouped poll that fails on shard 0 still folds shard 1's
+        reply into the coordinator's mirror: shard 1's encoder moved on
+        to that sweep, so a dropped reply would leave every row that
+        changed in it stale for good.  Every payload after the failure
+        is the single-process run's."""
+
+        def run(shard):
+            runtime = ShardedRuntime(
+                DarkLaterBootstrap(sensors=12, seed=11, shard=shard)
+            )
+            published = []
+            runtime.app.bus.subscribe(
+                ("context", "Windowed"),
+                lambda event: published.append(
+                    (event.value, event.timestamp)
+                ),
+            )
+            runtime.start()
+            try:
+                runtime.advance(PERIOD)
+                with pytest.raises(DeliveryError, match="sensor is dark"):
+                    runtime.advance(PERIOD)
+                free = runtime.app.implementation("FreeCount")
+                assert len(free.deliveries) == 2  # it was Windowed's poll
+                runtime.advance(9 * PERIOD)
+                windowed = runtime.app.implementation("Windowed")
+                return windowed.windows, published
+            finally:
+                runtime.stop()
+
+        single = run(ShardConfig(enabled=False))
+        sharded = run(ShardConfig(enabled=True, workers=2))
+        assert len(single[0]) == 3
+        assert sharded == single
+
     def test_failed_send_leaves_no_reply_behind(self):
         """When the send to one shard of a broadcast fails, the shards
         already sent to still owe a reply: it is read before the
@@ -856,6 +953,45 @@ class TestRouterFailures:
             p.name.startswith("repro-shard-")
             for p in multiprocessing.active_children()
         )
+
+
+class TestBroadcastOrder:
+    """``ShardRouter.broadcast`` reads replies as the workers answer:
+    a reply that is in hands its shard to ``on_reply`` while a slower
+    shard still owes one, and the replies still come back in shard
+    order."""
+
+    def test_the_first_reply_in_is_folded_first(self):
+        router = ShardRouter()
+        pipes = [multiprocessing.Pipe() for __ in range(2)]
+        router.attach([(None, ours) for ours, __ in pipes])
+        theirs = [worker for __, worker in pipes]
+
+        def answer(shard):
+            _wire_send(theirs[shard], ("ok", {"shard": shard}))
+
+        # Shard 1 has answered; shard 0 answers only once shard 1's
+        # reply was handed on (or, if it never is, after a while).
+        answer(1)
+        late = threading.Timer(5.0, answer, (0,))
+        late.start()
+        seen = []
+
+        def on_reply(shard, reply):
+            seen.append(shard)
+            if shard == 1:
+                late.cancel()
+                answer(0)
+
+        try:
+            replies = router.broadcast("stats", (), on_reply)
+        finally:
+            late.cancel()
+            for ours, worker in pipes:
+                ours.close()
+                worker.close()
+        assert seen == [1, 0]
+        assert replies == [{"shard": 0}, {"shard": 1}]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="fork start method")

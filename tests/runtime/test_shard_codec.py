@@ -277,7 +277,10 @@ class TestEncoderToMirror:
         """Fresh epoch, same-positions comparison, a type-only change,
         NaN, a lost row, its return, a new epoch, a sweep that lost
         every reading and their return (the epoch has shipped nothing,
-        so every row registers, without a reset) — by name, so a
+        so every row registers, without a reset), then same-positions
+        sweeps over one-type columns (the one compare pass), equal
+        values retyped between them (1 -> 1.0 -> True) and mixed-type
+        columns with the same type set on both sides — by name, so a
         shrunk hypothesis corpus cannot lose them."""
         nan = float("nan")
         positions = [3, 5, 8, 9]
@@ -293,6 +296,14 @@ class TestEncoderToMirror:
             (2, positions, [0.0, 7, 3, "y"]),  # new epoch, same values
             (2, [], []),  # every reading lost, same epoch
             (2, positions, [0.0, 7, 3, "y"]),  # back: register, no reset
+            (3, positions, [1, 2, 3, 4]),  # new epoch, one type
+            (3, positions, [1, 2, 5, 4]),  # int on both sides
+            (3, positions, [1.0, 2.0, 5.0, 4.0]),  # equal, all retyped
+            (3, positions, [1.0, 2.0, 6.0, 4.0]),  # float on both sides
+            (3, positions, [True, 2.0, 6.0, 4.0]),  # 1.0 -> True: mixed
+            (3, positions, [1.0, True, 6.0, 4.0]),  # mixed, same kinds
+            (3, positions, [True, True, True, True]),  # one type again
+            (3, positions, [1, 1, 1, 1]),  # equal, all retyped
         ]
         encoder = _DeltaEncoder()
         reference = RowLoopEncoder(flat)
@@ -320,6 +331,14 @@ class TestEncoderToMirror:
             ["quiescent", "register", "reset"],
             ["quiescent", "retract"],
             ["quiescent", "register"],
+            ["quiescent", "register", "reset"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
+            ["changed", "quiescent"],
         ]
 
     def test_steady_state_ships_one_integer(self):
