@@ -6,21 +6,23 @@ data (``{group_key: [readings]}``) and returns the reduced results
 
 * :class:`SerialExecutor` — single-threaded reference implementation; the
   baseline of the scaling benchmarks.
-* :class:`ThreadExecutor` — map chunks and reduce partitions fan out to a
-  thread pool.  Python threads do not speed up pure-Python byte-code, but
-  they parallelize readings whose processing releases the GIL and they
+* :class:`ThreadExecutor` — contiguous slices of the map input and
+  contiguous runs of the intermediate keys fan out to a thread pool.
+  Python threads do not speed up pure-Python byte-code, but they
+  parallelize readings whose processing releases the GIL and they
   exercise the same partitioned dataflow as a distributed backend.
 * :class:`ProcessExecutor` — fan-out to worker processes; requires the job
   and data to be picklable.  This stands in for the cluster backend of the
   DiaSwarm work the paper builds on.
 
-Results are identical across executors for deterministic jobs — the
+Results are identical across executors for deterministic jobs, key
+order included (a pool's slices concatenate back in serial order) — the
 framework interface "prevents the specificities of a target MapReduce
 implementation to percolate to the application logic" (Section V.B).
 
 When the job provides the optional ``combine`` hook, every executor runs
-it per map chunk *before* partitioning, so only one partial aggregate per
-(chunk, key) crosses the shuffle boundary.  Each run records shuffle
+it per map slice *before* the shuffle, so only one partial aggregate per
+(slice, key) crosses the shuffle boundary.  Each run records shuffle
 volume in ``executor.last_stats`` / ``engine.last_stats``, with key
 names aligned with the bus's ``published``/``delivered`` convention
 (past-participle verb per phase)::
@@ -38,18 +40,21 @@ and friends).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from itertools import repeat
-from operator import itemgetter
+from contextlib import nullcontext
+from types import SimpleNamespace
+from itertools import chain, repeat
+from operator import itemgetter, sub
 from typing import (
     Any,
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -62,167 +67,123 @@ from repro.mapreduce.api import (
     job_combiner,
 )
 from repro.telemetry.instrument import Instrumented, MetricSpec
-from repro.mapreduce.partition import (
-    group_pairs,
-    hash_partition,
-    partition_items,
-)
+from repro.mapreduce.partition import group_pairs, partition_items
 
 Pairs = List[Tuple[Hashable, Any]]
 _first = itemgetter(0)
 _second = itemgetter(1)
+# The serial executor's "pool": ``map`` on the calling thread.
+_INLINE = SimpleNamespace(map=map)
 
 
-def _run_map_chunk(
-    job: MapReduce, chunk: Sequence[Tuple[Hashable, Any]]
-) -> Tuple[Pairs, int]:
-    """Map one chunk; returns (pairs to shuffle, raw map emission count).
-
-    With a combiner, the raw emissions are folded to one partial per key
-    here — inside the map task, before any pair crosses an executor
-    boundary — which is what makes this the *map-side* combine.
-    """
-    collector = MapCollector()
-    for key, value in chunk:
-        job.map(key, value, collector)
-    pairs = collector.pairs
-    emitted = len(pairs)
-    combine = job_combiner(job)
-    if combine is not None and pairs:
-        combined = CombineCollector()
-        for key, values in group_pairs(pairs).items():
-            combine(key, values, combined)
-        pairs = combined.pairs
-    return pairs, emitted
-
-
-def _run_reduce_bucket(job: MapReduce, bucket: Pairs) -> Pairs:
+def _reduce(job: MapReduce, grouped: Iterable[Tuple[Hashable, Any]]) -> Pairs:
+    """Reduce ``(key, values)`` items, in the order given."""
     collector = ReduceCollector()
-    for key, values in group_pairs(bucket).items():
+    for key, values in grouped:
         job.reduce(key, values, collector)
     return collector.pairs
 
 
-# Partitioned map side (edge nodes, shard workers).  When one sweep's
-# readings are mapped in several places, every emission carries a
-# ``(rank, position, emission)`` tag: the rank of its group among the
-# sweep's groups, the global position of its reading, its index among
-# that reading's emissions.  Tags compare across partitions, so sorting
-# the partials by tag reproduces the single-process emission sequence.
-# Only the functions below know the tag format.
+# The map side.  One function maps every partition of a sweep: the
+# whole sweep in one process, a contiguous slice of it in a pool, an
+# edge node's or a shard worker's rows.  A partition whose output is
+# merged with other partitions' by tag carries a ``(rank, position,
+# emission)`` tag per pair: the rank of its row's group among the
+# sweep's groups, the row's position in the sweep, and the index of
+# the emission among its row's emissions (a combined partial takes
+# the tag of the first emission it folded).  Tags compare across
+# partitions, so sorting the partials by tag reproduces the
+# single-process emission sequence.  Only the functions below know the
+# tag format.
 
 Tagged = List[Tuple[Tuple[int, int, int], Hashable, Any]]
 
 
-def first_positions(
-    keys: Sequence[Hashable], positions: Sequence[int]
-) -> Dict[Hashable, int]:
-    """The lowest position of each group key over aligned ``keys`` and
-    ``positions`` columns in any order: by falling position, the last
-    position a key keeps is its lowest."""
-    order = sorted(
-        range(len(positions)), key=positions.__getitem__, reverse=True
-    )
-    return dict(
-        zip(map(keys.__getitem__, order), map(positions.__getitem__, order))
-    )
-
-
 def rank_groups(keyed: Iterable[Tuple[Hashable, int]]) -> Dict[Hashable, int]:
     """Each group key's rank by the position of its first surviving
-    reading — the order ``group_readings`` meets the keys in when it
-    sees the whole sweep."""
-    pairs = list(keyed)
-    firsts = first_positions(
-        list(map(_first, pairs)), list(map(_second, pairs))
-    )
+    reading — the order the single-process grouping meets the keys in
+    when it sees the whole sweep — from ``(key, first position)``
+    pairs, a key possibly repeated (one pair per partition)."""
+    firsts: Dict[Hashable, int] = {}
+    for key, position in keyed:
+        if firsts.get(key, position) >= position:
+            firsts[key] = position
     ordered = sorted(firsts, key=firsts.__getitem__)
     return {key: rank for rank, key in enumerate(ordered)}
 
 
-class _RowCollector(MapCollector):
-    """The map collector of one partition: it knows the row being mapped
-    and tags each emission ``(rank, position, emission)`` as it is
-    emitted, from the partition's ``ranks`` and ``positions`` columns."""
-
-    __slots__ = ("row", "_ranks", "_positions", "_last", "_emission")
-
-    def __init__(self, ranks: Sequence[int], positions: Sequence[int]):
-        super().__init__()
-        self.row = -1
-        self._ranks = ranks
-        self._positions = positions
-        self._last = -1
-        self._emission = 0
-
-    def over(self, rows: Iterable[int]) -> Iterator["_RowCollector"]:
-        """Itself once per row of ``rows``, its ``row`` set as it is
-        handed out — by ``setattr`` from C, with no Python frame per
-        row."""
-        moved = map(setattr, repeat(self), repeat("row"), rows)
-        return map(_first, zip(repeat(self), moved))
-
-    def emit_map(self, key: Hashable, value: Any) -> None:
-        row = self.row
-        if row == self._last:
-            self._emission += 1
-        else:
-            self._last, self._emission = row, 0
-        tag = (self._ranks[row], self._positions[row], self._emission)
-        self._pairs.append((tag, key, value))
-
-    emit = emit_map
-
-
 def map_partition(
     job: MapReduce,
-    positions: Sequence[int],
     keys: Sequence[Hashable],
     values: Sequence[Any],
-    ranks: Mapping[Hashable, int],
-) -> Tuple[Tagged, int]:
-    """Map (and map-side combine) one partition of a sweep.
+    order: Sequence[int],
+    ranks: Optional[Mapping[Hashable, int]] = None,
+    positions: Optional[Sequence[int]] = None,
+) -> Tuple[Any, int]:
+    """Map (and map-side combine) one partition of a sweep: the rows
+    ``order`` of its aligned ``keys`` (each row's group key) and
+    ``values`` columns, in that order.
 
-    The readings are three aligned columns — global positions, group
-    keys, values — in any order; ``ranks`` is the sweep-wide
-    :func:`rank_groups` order, and mapping in ``(rank, position)`` order
-    reproduces the slice of the single-process input sequence this
-    partition owns.  Per reading only the job's ``map`` runs: a
-    :class:`_RowCollector` tags the emissions.  A combined partial
-    keeps the lowest tag it folded.  Returns ``(tagged pairs, raw map
-    emission count)``.
+    Returns ``(pairs, mapped)``: the pairs to shuffle — the combined
+    partials, or every emission of a job without a combiner — and the
+    raw map emission count.  Per reading only the job's ``map`` runs,
+    called through C-level ``map`` with one plain collector; the
+    combine runs once per intermediate key.
+
+    A partition merged with others by tag (an edge node, a shard
+    worker) is mapped in ``(group rank, position)`` order and passes
+    the sweep-wide ``ranks`` of the group keys and each row's
+    ``positions`` in the sweep: every pair then comes as ``(tag, key,
+    value)``.  Nothing is tagged per emission while the job maps: each
+    row's first emission is noted as the row is handed out, and the
+    tags are built from those notes afterwards.
     """
-    ranked = list(map(ranks.__getitem__, keys))
-    # Two stable sorts — by position, then by rank — put the rows in
-    # (rank, position) order (the first is linear on a column already
-    # in position order).
-    order = sorted(range(len(ranked)), key=positions.__getitem__)
-    order.sort(key=ranked.__getitem__)
-    collector = _RowCollector(ranked, positions)
-    deque(
-        map(
-            job.map,
-            map(keys.__getitem__, order),
-            map(values.__getitem__, order),
-            collector.over(order),
-        ),
-        maxlen=0,
-    )
-    pairs: Tagged = collector.pairs
-    mapped = len(pairs)
+    collector = MapCollector()
+    emitted = collector.pairs
+    collectors = repeat(collector)
+    starts: List[int] = []  # per row of ``order``, the emissions before it
+    if ranks is not None:
+        noted = map(starts.append, map(len, repeat(emitted)))
+        collectors = map(_first, zip(collectors, noted))
+    if type(order) is range and order.step == 1:
+        # Rows in column order map straight off the columns.
+        rows = slice(order.start, order.stop)
+        inputs = keys[rows], values[rows]
+    else:
+        inputs = map(keys.__getitem__, order), map(values.__getitem__, order)
+    deque(map(job.map, *inputs, collectors), maxlen=0)
+    mapped = len(emitted)
+    pairs: Any = emitted
+    origins: Sequence[int] = range(mapped)  # each pair's first emission
     combine = job_combiner(job)
-    if combine is not None and pairs:
-        grouped: Dict[Hashable, List[Tuple[Any, Any]]] = {}
-        for tag, out_key, out_value in pairs:
-            grouped.setdefault(out_key, []).append((tag, out_value))
-        pairs = []
-        for out_key, tagged in grouped.items():
-            combined = CombineCollector()
-            combine(out_key, [value for __, value in tagged], combined)
-            first = min(tag for tag, __ in tagged)
-            for pair_key, pair_value in combined.pairs:
-                pairs.append((first, pair_key, pair_value))
-    return pairs, mapped
+    if combine is not None and emitted:
+        combined = CombineCollector()
+        grouped = group_pairs(emitted)
+        ends = []  # per intermediate key, the partials emitted so far
+        for out_key, out_values in grouped.items():
+            combine(out_key, out_values, combined)
+            ends.append(len(combined.pairs))
+        pairs = combined.pairs
+        if ranks is not None:
+            # A partial takes the first emission of the key it folded.
+            out_keys = map(_first, reversed(emitted))
+            first = dict(zip(out_keys, reversed(origins)))
+            counts = map(sub, ends, chain((0,), ends))
+            firsts = map(first.__getitem__, grouped)
+            origins = list(chain.from_iterable(map(repeat, firsts, counts)))
+    if ranks is None:
+        return pairs, mapped
+    # A pair's row is the last one whose first emission is not after
+    # the pair's first emission.
+    after = map(bisect_right, repeat(starts), origins)
+    at = list(map(sub, after, repeat(1)))
+    rows = list(map(order.__getitem__, at))
+    tags = zip(
+        map(ranks.__getitem__, map(keys.__getitem__, rows)),
+        map(positions.__getitem__, rows),
+        map(sub, origins, map(starts.__getitem__, at)),
+    )
+    return list(zip(tags, map(_first, pairs), map(_second, pairs))), mapped
 
 
 def sequence_partials(tagged: Tagged) -> Pairs:
@@ -246,23 +207,59 @@ class SerialExecutor:
     workers = 1
     last_stats: Dict[str, Any] = _stats(0, 0, 0, False)
 
+    def _pool(self):
+        return nullcontext(_INLINE)
+
+    def map_side(self, job, keys, values, order) -> Tuple[Pairs, int]:
+        """Map and map-side combine the rows ``order`` of aligned group
+        key and value columns, in that order: ``(pairs to shuffle, raw
+        map emission count)``."""
+        with self._pool() as pool:
+            return self._map_side(pool, job, keys, values, order)
+
+    def _map_side(self, pool, job, keys, values, order):
+        # Contiguous slices of one order concatenate in emission order.
+        slices = partition_items(order, self.workers)
+        if len(slices) > 1:
+            # Each task maps its own slice of the columns: a process
+            # pool pickles every reading once.
+            keys = [list(map(keys.__getitem__, rows)) for rows in slices]
+            values = [list(map(values.__getitem__, rows)) for rows in slices]
+            slices = list(map(range, map(len, keys)))
+        else:
+            keys, values = [keys] * len(slices), [values] * len(slices)
+        results = list(
+            pool.map(
+                map_partition, repeat(job, len(slices)), keys, values, slices
+            )
+        )
+        pairs = list(chain.from_iterable(map(_first, results)))
+        return pairs, sum(map(_second, results))
+
     def run(self, job: MapReduce, grouped: Mapping[Hashable, Sequence[Any]]):
-        inputs = [
-            (key, value) for key, values in grouped.items() for value in values
-        ]
-        intermediate, emitted = _run_map_chunk(job, inputs)
-        result = dict(_run_reduce_bucket(job, intermediate))
+        counts = map(len, grouped.values())
+        keys = list(chain.from_iterable(map(repeat, grouped, counts)))
+        values = list(chain.from_iterable(grouped.values()))
+        with self._pool() as pool:
+            pairs, mapped = self._map_side(
+                pool, job, keys, values, range(len(keys))
+            )
+            # Contiguous runs of the intermediate keys, in key order.
+            items = list(group_pairs(pairs).items())
+            runs = partition_items(items, self.workers)
+            reduced = list(pool.map(_reduce, repeat(job, len(runs)), runs))
+        result = dict(chain.from_iterable(reduced))
         self.last_stats = _stats(
-            emitted,
-            len(intermediate),
-            len(result),
-            job_combiner(job) is not None,
+            mapped, len(pairs), len(result), job_combiner(job) is not None
         )
         return result
 
 
-class _PooledExecutor:
-    """Shared fan-out logic for thread and process pools."""
+class _PooledExecutor(SerialExecutor):
+    """Shared fan-out logic for thread and process pools: the map side
+    runs over contiguous slices of the row order, the reduce side over
+    contiguous runs of the intermediate keys, so both concatenate back
+    in serial order."""
 
     def __init__(self, workers: int = 4):
         if workers < 1:
@@ -272,42 +269,6 @@ class _PooledExecutor:
 
     def _pool(self):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def run(self, job: MapReduce, grouped: Mapping[Hashable, Sequence[Any]]):
-        combined = job_combiner(job) is not None
-        inputs = [
-            (key, value) for key, values in grouped.items() for value in values
-        ]
-        chunks = partition_items(inputs, self.workers)
-        if not chunks:
-            self.last_stats = _stats(0, 0, 0, combined)
-            return {}
-        with self._pool() as pool:
-            map_results = list(
-                pool.map(_run_map_chunk, [job] * len(chunks), chunks)
-            )
-            intermediate: Pairs = [
-                pair for chunk_pairs, __ in map_results for pair in chunk_pairs
-            ]
-            emitted = sum(count for __, count in map_results)
-            buckets = [
-                bucket
-                for bucket in hash_partition(intermediate, self.workers)
-                if bucket
-            ]
-            if not buckets:
-                self.last_stats = _stats(emitted, 0, 0, combined)
-                return {}
-            reduce_results = list(
-                pool.map(_run_reduce_bucket, [job] * len(buckets), buckets)
-            )
-        merged: Dict[Hashable, Any] = {}
-        for pairs in reduce_results:
-            merged.update(pairs)
-        self.last_stats = _stats(
-            emitted, len(intermediate), len(merged), combined
-        )
-        return merged
 
 
 class ThreadExecutor(_PooledExecutor):
@@ -388,20 +349,36 @@ class MapReduceEngine(Instrumented):
         self._shuffled += stats["shuffled"]
         self._reduced += stats["reduced"]
 
+    def run_columns(
+        self,
+        job: MapReduce,
+        keys: Sequence[Hashable],
+        values: Sequence[Any],
+        order: Sequence[int],
+    ) -> Dict[Hashable, Any]:
+        """Run ``job`` over one sweep's aligned group-key and value
+        columns: the executor maps the rows ``order`` — the sweep's
+        ``(group rank, position)`` order, in which :meth:`run` over the
+        grouped readings would meet them — and :meth:`merge_partials`
+        reduces what it shuffles.  The result equals :meth:`run`'s,
+        key order included, with no grouped mapping built."""
+        pairs, mapped = self.executor.map_side(job, keys, values, order)
+        return self.merge_partials(job, pairs, mapped)
+
     def merge_partials(
         self, job: MapReduce, pairs: Pairs, mapped: int
     ) -> Dict[Hashable, Any]:
-        """Reduce pre-shuffled partials produced elsewhere (shard workers).
+        """Reduce partials the map side produced, in emission order.
 
-        The sharded runtime runs Map and the map-side combine inside each
-        worker process and ships only the partial pairs to the
-        coordinator; this is the coordinator-side final reduce over those
-        partials.  ``mapped`` is the raw map emission count across
-        workers, so the engine's cumulative counters (and
-        ``last_stats``) stay truthful about shuffle volume even though
-        the executor never saw the run.
+        Every gather reduces here: the in-process one after
+        :meth:`run_columns`, an edge split or a shard coordinator after
+        re-sequencing the tagged partials of its partitions
+        (:func:`sequence_partials`).  ``mapped`` is the raw map emission
+        count across partitions, so the engine's cumulative counters
+        (and ``last_stats``) stay truthful about shuffle volume even
+        though the executor never saw the run.
         """
-        result = dict(_run_reduce_bucket(job, pairs))
+        result = dict(_reduce(job, group_pairs(pairs).items()))
         stats = _stats(
             mapped, len(pairs), len(result), job_combiner(job) is not None
         )

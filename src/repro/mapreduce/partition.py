@@ -1,15 +1,20 @@
 """Partitioning helpers for the MapReduce engine.
 
-Partitioning is what lets the phases run in parallel: map tasks are split
-into chunks of input groups, and intermediate keys are hash-partitioned
-across reduce workers, as in the original MapReduce design.  A stable
+Partitioning is what lets the phases run in parallel: the pooled
+executors split the map input into contiguous slices and the grouped
+intermediate keys into contiguous runs (:func:`partition_items`), so
+the partitions concatenate back in serial order.  :func:`hash_partition`
+is the original MapReduce design's key-hash split; a stable
 string-based hash keeps partition assignment reproducible across Python
-processes (the built-in ``hash`` is randomized for strings).
+processes (the built-in ``hash`` is randomized for strings), which is
+also how entities are routed to runtime shards (:func:`shard_index`).
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import deque
+from operator import itemgetter
 from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 
@@ -71,11 +76,19 @@ def partition_items(
     return slices
 
 
+def extend_each(keys, columns: Dict[Any, List[Any]], items) -> None:
+    """Append each of ``items`` to the column of its key — a group-by
+    with no step per row (``list.append`` mapped over two columns)."""
+    deque(map(list.append, map(columns.__getitem__, keys), items), maxlen=0)
+
+
 def group_pairs(
     pairs: Sequence[Tuple[Hashable, Any]]
 ) -> Dict[Hashable, List[Any]]:
     """Group intermediate pairs by key, preserving emission order."""
-    grouped: Dict[Hashable, List[Any]] = {}
-    for key, value in pairs:
-        grouped.setdefault(key, []).append(value)
+    keys = list(map(itemgetter(0), pairs))
+    grouped: Dict[Hashable, List[Any]] = {
+        key: [] for key in dict.fromkeys(keys)
+    }
+    extend_each(keys, grouped, map(itemgetter(1), pairs))
     return grouped

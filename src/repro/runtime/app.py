@@ -849,13 +849,15 @@ class Application:
         sweeps its own registry shard — while windowing, payload
         memoization and delivery stay with the caller."""
         decl = self.design.contexts[name].decl
-        instances, values, __, __ = self.gatherer.sweep(decl, interaction)
+        gatherer = self.gatherer
+        instances, values, dropped, failed = gatherer.sweep(decl, interaction)
         group = interaction.group
+        if group is not None:
+            columns = gatherer.key_columns.of(
+                interaction.device, instances, dropped or failed
+            )
         placement = self.placement
         if placement is not None:
-            # The placement tier works on (instance, value) pairs; they
-            # are built only here, at its boundary.
-            readings = list(zip(instances, values))
             if placement.splits(decl, interaction):
                 # Edge split: map + map-side combine run per edge node,
                 # only per-group partials transit the WAN hop, and the
@@ -863,19 +865,24 @@ class Application:
                 return placement.run_edge(
                     self.mapreduce,
                     implementation,
-                    readings,
+                    instances,
+                    values,
+                    columns,
                     group.attribute,
                 )
-            placement.account_cloud(readings)
+            placement.account_cloud(zip(instances, values))
         if group is None:
             return [
                 GatherReading(make_proxy(instance), value)
                 for instance, value in zip(instances, values)
             ]
-        grouped = group_readings(zip(instances, values), group.attribute)
+        keys = columns.keys(group.attribute)
+        table, order = columns.groups(group.attribute)
         if group.uses_mapreduce:
-            return self.mapreduce.run(implementation, grouped)
-        return grouped
+            return self.mapreduce.run_columns(
+                implementation, keys, values, order
+            )
+        return group_readings(keys, table, values)
 
     def _publish_context(self, name: str, discipline: Publish, result) -> None:
         if isinstance(result, PublishableWrapper):

@@ -8,8 +8,10 @@ plans, batch reads, scalar demotion), and the fold of the outcome
 column — loss counting and the stale policy.  The design fixes *what* a
 periodic interaction delivers; how the runtime polls for it is decided
 here, so the single-process gather and the shard worker's poll are the
-same call, :meth:`Gatherer.sweep`.  Grouping, MapReduce, windows and
-delivery stay with the application; a gatherer runs without one.
+same call, :meth:`Gatherer.sweep`, and both group what it returns
+through the gatherer's one memo of key columns
+(:class:`~repro.runtime.grouping.KeyColumnMemo`).  MapReduce, windows
+and delivery stay with the application; a gatherer runs without one.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Any, Callable, List, Optional
 from repro.errors import DeliveryError
 from repro.faults.policy import HEALTHY
 from repro.runtime.device import DeviceInstance
+from repro.runtime.grouping import KeyColumnMemo
 from repro.runtime.placement import ACCESS_HOP
 from repro.runtime.registry import splice_column
 from repro.telemetry.instrument import Instrumented, MetricSpec
@@ -182,6 +185,8 @@ class Gatherer(Instrumented):
         self.cache = cache
         self.supervision = supervision
         self.config = config
+        # The group keys of the last sweep column of each type.
+        self.key_columns = KeyColumnMemo(sweeper.registry)
         self.network_dropped = 0
         self.read_failed = 0
         self._plan_compiles = 0

@@ -4,7 +4,8 @@ Implements the two data-shaping constructs of Figure 8:
 
 * ``grouped by <attribute>`` — "requires these statuses to be split into
   (or grouped by) parking lots": readings gathered in one periodic sweep
-  are partitioned by a device attribute (:func:`group_readings`);
+  are partitioned by a device attribute (:func:`group_readings`), whose
+  column of keys a :class:`KeyColumnMemo` keeps per sweep column;
 * ``every <24 hr>`` — the ``AverageOccupancy`` context gathers every
   10 minutes but publishes once per 24-hour window; the
   :class:`WindowAccumulator` buffers successive grouped deliveries and
@@ -28,17 +29,22 @@ order-sensitive analyses) must stay buffered.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from itertools import chain, islice
+from operator import attrgetter, itemgetter, lt
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import BindingError
 from repro.mapreduce.api import FoldCollector, job_combiner
+from repro.mapreduce.partition import extend_each
 from repro.runtime.device import DeviceInstance
 from repro.runtime.plan import missing
+from repro.runtime.registry import splice_column
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 Fold = Callable[[Hashable, Any, Any], Any]
 _attributes_of = attrgetter("attributes")
+_entity_id_of = attrgetter("entity_id")
+_first = itemgetter(0)
 
 
 def no_group_attribute(instance, attribute: str) -> BindingError:
@@ -51,42 +57,121 @@ def no_group_attribute(instance, attribute: str) -> BindingError:
     )
 
 
-def group_key(instance, attribute: str) -> Hashable:
-    """One instance's ``grouped by`` key."""
-    try:
-        return instance.attributes[attribute]
-    except KeyError:
-        raise no_group_attribute(instance, attribute) from None
-
-
 def group_key_column(instances, attribute: str) -> List[Hashable]:
     """Every instance's ``grouped by`` key, as one column."""
     try:
         return list(map(itemgetter(attribute), map(_attributes_of, instances)))
     except KeyError:
         for instance in instances:
-            group_key(instance, attribute)  # names the entity without it
+            if attribute not in instance.attributes:
+                raise no_group_attribute(instance, attribute) from None
         raise
 
 
-def group_readings(
-    readings: Iterable[Tuple[DeviceInstance, Any]], attribute: str
-) -> Dict[Hashable, List[Any]]:
-    """Partition ``(instance, value)`` readings by an instance attribute.
-
-    ``readings`` is consumed once, so the gather path passes its two
-    columns as ``zip(instances, values)`` and no pair outlives its loop
-    step.  Group keys appear in first-encounter order, which follows
-    registration order — keeping periodic deliveries deterministic.
-    """
-    grouped: Dict[Hashable, List[Any]] = {}
-    for instance, value in readings:
-        try:
-            key = instance.attributes[attribute]
-        except KeyError:
-            raise no_group_attribute(instance, attribute) from None
-        grouped.setdefault(key, []).append(value)
+def group_readings(keys, table, values) -> Dict[Hashable, List[Any]]:
+    """Partition a sweep's ``values`` by the aligned ``keys`` column
+    (:meth:`KeyColumns.keys`), in the key order of the group ``table``
+    (:meth:`KeyColumns.groups`): first encounter in registration order,
+    which keeps periodic deliveries deterministic."""
+    grouped: Dict[Hashable, List[Any]] = {key: [] for key in table}
+    extend_each(keys, grouped, values)
     return grouped
+
+
+class KeyColumns:
+    """What grouping needs of one sweep ``column``: the ``positions``
+    of its rows (global registration positions in a shard worker, the
+    row indexes in a process) and, per ``grouped by`` attribute, derived
+    on first use, the key column and the group table with the row order.
+    Shared by every gather over the column: do not mutate."""
+
+    __slots__ = ("column", "positions", "_keys", "_groups")
+
+    def __init__(self, column, positions, keys):
+        self.column = column
+        self.positions = positions
+        self._keys: Dict[str, List[Hashable]] = keys
+        self._groups: Dict[str, Tuple[Dict[Hashable, List[int]], list]] = {}
+
+    def keys(self, attribute: str) -> List[Hashable]:
+        """Each row's ``grouped by`` key (:func:`group_key_column`)."""
+        if attribute not in self._keys:
+            self._keys[attribute] = group_key_column(self.column, attribute)
+        return self._keys[attribute]
+
+    def groups(self, attribute: str):
+        """``(table, order)``: each group key's rows by position, keys
+        in the order of their first position, and those rows one group
+        after the other — the ``(group rank, position)`` order a
+        MapReduce job maps the sweep in."""
+        groups = self._groups.get(attribute)
+        if groups is None:
+            keys = ranked = self.keys(attribute)
+            rows = range(len(keys))
+            positions = self.positions
+            if type(positions) is not range and not all(
+                map(lt, positions, islice(positions, 1, None))
+            ):
+                # A worker bound someone at a freed, lower position.
+                rows = sorted(rows, key=positions.__getitem__)
+                ranked = list(map(keys.__getitem__, rows))
+            table = {key: [] for key in dict.fromkeys(ranked)}
+            extend_each(ranked, table, rows)
+            order = list(chain.from_iterable(table.values()))
+            if order == list(range(len(order))):
+                order = range(len(order))  # the groups are contiguous
+            groups = self._groups[attribute] = table, order
+        return groups
+
+    def firsts(self, attribute: str) -> Dict[Hashable, int]:
+        """Each group key's first position, in table order."""
+        table = self.groups(attribute)[0]
+        rows = map(_first, table.values())
+        return dict(zip(table, map(self.positions.__getitem__, rows)))
+
+
+class KeyColumnMemo:
+    """The :class:`KeyColumns` of the last sweep column of each device
+    type, owned by a :class:`~repro.runtime.gather.Gatherer`.
+
+    ``positions`` maps entity ids to global positions in a shard
+    worker (``None`` in a process).  A sweep hands every gather over a
+    type the same column until the membership moves; a bind or an
+    unbind patches the memo by the registry's column edit
+    (:meth:`~repro.runtime.registry.EntityRegistry.sweep_edit`), asking
+    only the members bound since, and a column that is not the
+    registry's (a reading was lost) is derived afresh."""
+
+    def __init__(self, registry):
+        self.registry = registry
+        self.positions: Optional[Dict[str, int]] = None
+        self._memo: Dict[str, KeyColumns] = {}
+
+    def of(self, device_type: str, instances, lost: bool) -> KeyColumns:
+        """The key columns of a sweep of ``device_type`` that returned
+        ``instances`` and ``lost`` readings (dropped or failed)."""
+        memo = self._memo.get(device_type)
+        if memo is not None and memo.column is instances:
+            return memo
+        edit = None
+        if memo is not None and not lost:
+            edit = self.registry.sweep_edit(device_type, memo.column)
+        removed, start = edit or ((), 0)
+        appended = instances[start:] if start else instances
+        positions = range(len(instances))
+        if self.positions is not None:
+            ids = map(_entity_id_of, appended)
+            positions = list(map(self.positions.__getitem__, ids))
+            if edit is not None:
+                positions = splice_column(memo.positions, removed, positions)
+        keys = {
+            attribute: splice_column(
+                column, removed, group_key_column(appended, attribute)
+            )
+            for attribute, column in (memo._keys if edit else {}).items()
+        }
+        memo = self._memo[device_type] = KeyColumns(instances, positions, keys)
+        return memo
 
 
 def group_readings_planned(

@@ -21,7 +21,7 @@ while raw readings stop at the access network:
   some context is declared ``at edge``.
 * :class:`PlacementExecutor` — the runtime half: partitions a sweep's
   readings across edge nodes, runs map + combine per node with the
-  sharded runtime's ``(rank, gpos, emission)`` tag discipline, ships the
+  sharded runtime's ``(rank, position, emission)`` tags, ships the
   surviving partials over the WAN hop with byte accounting, and hands
   them to :meth:`MapReduceEngine.merge_partials` for the cloud-side
   final reduce.
@@ -37,16 +37,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import count
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PlacementError
-from repro.mapreduce.engine import (
-    map_partition,
-    rank_groups,
-    sequence_partials,
-)
+from repro.mapreduce.engine import map_partition, sequence_partials
+from repro.mapreduce.partition import extend_each
 from repro.runtime.configbase import ConfigBase
-from repro.runtime.grouping import group_key
 from repro.simulation.network import TopologyModel, hop_items
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
@@ -358,7 +355,7 @@ class PlacementExecutor(Instrumented):
 
     # -- WAN accounting --------------------------------------------------
 
-    def account_cloud(self, readings: List[Tuple[Any, Any]]) -> None:
+    def account_cloud(self, readings: Iterable[Tuple[Any, Any]]) -> None:
         """Account a cloud-placed gather: raw readings cross the WAN."""
         topology = self.topology
         for __, value in readings:
@@ -401,39 +398,38 @@ class PlacementExecutor(Instrumented):
 
     # -- the edge split --------------------------------------------------
 
-    def run_edge(
-        self,
-        engine,
-        job,
-        readings: List[Tuple[Any, Any]],
-        group_attribute: str,
-    ):
-        """Edge-placed MapReduce over one sweep's readings.
+    def run_edge(self, engine, job, instances, values, columns, attribute):
+        """Edge-placed MapReduce over one sweep's aligned ``instances``
+        and ``values`` columns, grouped by ``attribute`` through their
+        :class:`~repro.runtime.grouping.KeyColumns`.
 
         Reproduces the sharded runtime's discipline with edge nodes in
-        place of shards: groups are ranked by their first reading
-        across the whole sweep, each node runs
-        :func:`~repro.mapreduce.engine.map_partition` over its slice,
-        and the partials that survive the WAN merge through the
-        engine's coordinator-side final reduce.
+        place of shards: each node maps its rows in the sweep's
+        ``(group rank, position)`` order through
+        :func:`~repro.mapreduce.engine.map_partition`, tagged, and the
+        partials that survive the WAN merge through the engine's
+        coordinator-side final reduce.  The node is asked per entity
+        (:meth:`assign` moves one without a membership change).
         """
         self._edge_sweeps += 1
-        nodes: Dict[str, List[Tuple[int, Any, Any]]] = {}
-        for position, (instance, value) in enumerate(readings):
+        keys = columns.keys(attribute)
+        nodes = []
+        for instance, value in zip(instances, values):
             self._account_access(payload_nbytes(value))
-            key = group_key(instance, group_attribute)
-            node = self.node_for(instance, group_attribute)
-            nodes.setdefault(node, []).append((position, key, value))
-        self._last_nodes = len(nodes)
-        ranks = rank_groups(
-            (key, position)
-            for rows in nodes.values()
-            for position, key, __ in rows
-        )
+            nodes.append(self.node_for(instance, attribute))
+        table, order = columns.groups(attribute)
+        rows: Dict[str, List[int]] = {
+            node: [] for node in dict.fromkeys(nodes)
+        }
+        extend_each(map(nodes.__getitem__, order), rows, order)
+        self._last_nodes = len(rows)
+        ranks = dict(zip(table, count()))
         tagged = []
         mapped = 0
-        for node in sorted(nodes):
-            pairs, emitted = map_partition(job, *zip(*nodes[node]), ranks)
+        for node in sorted(rows):
+            pairs, emitted = map_partition(
+                job, keys, values, rows[node], ranks, columns.positions
+            )
             mapped += emitted
             tagged.extend(self.deliver_partials(pairs))
         return engine.merge_partials(job, sequence_partials(tagged), mapped)

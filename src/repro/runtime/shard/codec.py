@@ -24,6 +24,8 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import gt, is_, is_not, ne, or_, sub
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from repro.mapreduce.partition import extend_each
+
 # ----------------------------------------------------------------------
 # Transport
 # ----------------------------------------------------------------------
@@ -341,7 +343,7 @@ class _Mirror:
         if not slots:
             members: Dict[Any, List[int]] = {key: [] for key in self.spans}
             keys = map(self.ident.__getitem__, self.order)
-            _extend_each(keys, members, self.order)
+            extend_each(keys, members, self.order)
             slots.update(zip(chain.from_iterable(members.values()), count()))
         cells = map(slots.__getitem__, positions)
         deque(map(self.cells.__setitem__, cells, column), maxlen=0)
@@ -353,7 +355,7 @@ class _Mirror:
             return
         keys = list(map(self.ident.__getitem__, self.order))
         groups: Dict[Any, List[Any]] = {key: [] for key in dict.fromkeys(keys)}
-        _extend_each(keys, groups, map(self.values.__getitem__, self.order))
+        extend_each(keys, groups, map(self.values.__getitem__, self.order))
         self.cells = list(chain.from_iterable(groups.values()))
         stops = list(accumulate(map(len, groups.values()), initial=0))
         self.spans = dict(zip(groups, zip(stops, islice(stops, 1, None))))
@@ -362,8 +364,9 @@ class _Mirror:
     def payload(self) -> Dict[Any, List[Any]]:
         """The full grouped payload — fresh per-group lists (so a
         context implementation mutating its payload cannot corrupt the
-        mirror), in first-occurrence-by-position key order, exactly as
-        ``group_readings`` builds it."""
+        mirror), in first-occurrence-by-position key order: what an
+        in-process application's ``group_readings`` builds from the
+        group table of its key-column memo."""
         if self.dirty:
             self._rebuild()
         cells = self.cells
@@ -382,9 +385,3 @@ class _Mirror:
                 map(self.values.__getitem__, self.order),
             )
         )
-
-
-def _extend_each(keys, columns: Dict[Any, List[Any]], items) -> None:
-    """Append each of ``items`` to the column of its key — a group-by
-    with no step per row (``list.append`` mapped over two columns)."""
-    deque(map(list.append, map(columns.__getitem__, keys), items), maxlen=0)

@@ -12,14 +12,13 @@ bind/unbind, stats — until ``stop`` or a closed pipe.
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from operator import attrgetter
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import ShardError
-from repro.mapreduce.engine import first_positions, map_partition
+from repro.mapreduce.engine import map_partition
 from repro.runtime.clock import SimulationClock
-from repro.runtime.grouping import group_key_column
-from repro.runtime.registry import splice_column
 from repro.runtime.shard import ShardBootstrap, ShardContext
 from repro.runtime.shard.codec import (
     _DeltaEncoder,
@@ -65,21 +64,15 @@ class _ShardWorker:
         }
         self._events: List[Tuple[Any, ...]] = []
         # Poll results parked between the poll and map rounds of a
-        # MapReduce gather: (context, interaction) -> the readings as
-        # the aligned ``(positions, keys, values)`` columns.
+        # MapReduce gather: (context, interaction) -> the readings'
+        # key columns, the ``grouped by`` attribute and the values.
         self._pending: Dict[Tuple[str, int], Any] = {}
         # Delta encoder per (context, interaction).  A registry
         # version bump (bind/unbind) resets its epoch — the worker
         # re-registers everything.
         self._encoders: Dict[Tuple[str, int], _DeltaEncoder] = {}
-        # device type -> (instances, their global positions, group-key
-        # column per ``grouped by`` attribute, first positions per
-        # attribute) of the last poll over that type.  The sweep hands
-        # every context the same instance column until the membership
-        # moves or a reading is lost, so a steady-state poll never
-        # probes ``_gpos`` or an attribute record; a bind or an unbind
-        # patches the entry (see _derive_columns).
-        self._columns: Dict[str, Tuple[list, list, dict, dict]] = {}
+        # The column memo numbers rows by global position.
+        self.app.gatherer.key_columns.positions = self._gpos
         # Re-attach every instance's publish hook to the recorder so
         # pushes surface in command replies instead of dead-ending in
         # the worker's subscriber-less bus.  Recording happens at the
@@ -123,11 +116,12 @@ class _ShardWorker:
 
         Runs the same :meth:`~repro.runtime.gather.Gatherer.sweep` the
         single-process gather runs (sampler, sweep engine, outcome
-        fold), then extracts group keys.  Values stay in this process for
-        MapReduce gathers — only ``{group: min gpos}`` crosses the pipe
-        until the map round.  Flat and grouped gathers reply with the
-        delta blocks of :class:`~repro.runtime.shard.codec.
-        _DeltaEncoder`.
+        fold), then takes positions and group keys from the gatherer's
+        key-column memo, as the single-process gather does.  Values
+        stay in this process for MapReduce gathers — only ``{group:
+        min gpos}`` crosses the pipe until the map round.  Flat and
+        grouped gathers reply with the delta blocks of
+        :class:`~repro.runtime.shard.codec._DeltaEncoder`.
         """
         app = self.app
         decl = app.design.contexts[name].decl
@@ -136,43 +130,33 @@ class _ShardWorker:
             decl, interaction
         )
         reply: Dict[str, Any] = {"dropped": dropped, "failed": failed}
-        memo = self._columns.get(interaction.device)
-        if memo is None or memo[0] is not instances:
-            edit = None
-            if memo is not None and not (dropped or failed):
-                # Nothing lost: ``instances`` is the registry's column.
-                edit = app.registry.sweep_edit(interaction.device, memo[0])
-            memo = self._columns[interaction.device] = self._derive_columns(
-                instances, memo, edit
-            )
-        __, positions, key_columns, firsts = memo
+        columns = app.gatherer.key_columns.of(
+            interaction.device, instances, dropped or failed
+        )
         group = interaction.group
-        if group is not None:
-            keys = key_columns.get(group.attribute)
-            if keys is None:
-                keys = key_columns[group.attribute] = group_key_column(
-                    instances, group.attribute
-                )
         if group is not None and group.uses_mapreduce:
-            if group.attribute not in firsts:
-                firsts[group.attribute] = first_positions(keys, positions)
-            self._pending[(name, index)] = (positions, keys, values)
+            self._pending[(name, index)] = (columns, group.attribute, values)
             reply["kind"] = "mapreduce"
-            reply["keys"] = firsts[group.attribute]
+            reply["keys"] = columns.firsts(group.attribute)
             return reply
         if group is None:
             reply["kind"] = "flat"
             ident_columns = functools.partial(_flat_columns, instances)
         else:
             reply["kind"] = "grouped"
-            ident_columns = functools.partial(_key_block, keys)
+            ident_columns = functools.partial(
+                _key_block, columns.keys(group.attribute)
+            )
         encoder = self._encoders.get((name, index))
         if encoder is None:
             encoder = self._encoders[(name, index)] = _DeltaEncoder()
         try:
             reply.update(
                 encoder.encode(
-                    app.registry.version, positions, values, ident_columns
+                    app.registry.version,
+                    columns.positions,
+                    values,
+                    ident_columns,
                 )
             )
         except Exception:
@@ -183,56 +167,30 @@ class _ShardWorker:
             raise
         return reply
 
-    def _derive_columns(self, instances, memo, edit):
-        """The ``_columns`` entry of ``instances``: derived afresh, or
-        — given the registry's column ``edit`` from ``memo``'s column —
-        spliced from ``memo``.  First positions carry over plus what
-        was bound since; an attribute is recomputed only when a removed
-        row held its key's first position."""
-        if edit is None:
-            positions = list(
-                map(self._gpos.__getitem__, map(_entity_id_of, instances))
-            )
-            return instances, positions, {}, {}
-        removed, start = edit
-        __, old_positions, old_keys, old_firsts = memo
-        appended = instances[start:]
-        added = list(map(self._gpos.__getitem__, map(_entity_id_of, appended)))
-        positions = splice_column(old_positions, removed, added)
-        key_columns = {}
-        firsts = {}
-        for attribute, keys in old_keys.items():
-            added_keys = group_key_column(appended, attribute)
-            key_columns[attribute] = splice_column(keys, removed, added_keys)
-            first = old_firsts.get(attribute)
-            if first is None:
-                continue
-            if any(first[keys[row]] == old_positions[row] for row in removed):
-                firsts[attribute] = first_positions(
-                    key_columns[attribute], positions
-                )
-                continue
-            first = firsts[attribute] = dict(first)
-            for key, position in zip(added_keys, added):
-                if first.get(key, position) >= position:
-                    first[key] = position
-        return instances, positions, key_columns, firsts
-
     def _cmd_map(
         self, name: str, index: int, ranks: Dict[Any, int]
     ) -> Dict[str, Any]:
         """Map (and map-side combine) the parked poll readings.
 
         ``ranks`` is the coordinator's global group order — the rank of
-        each group's first *surviving* reading across all shards — which
-        is what makes this shard's
-        :func:`~repro.mapreduce.engine.map_partition` tags globally
+        each group's first *surviving* reading across all shards — so
+        this shard maps its groups in that order, each group's rows by
+        position, and the
+        :func:`~repro.mapreduce.engine.map_partition` tags are globally
         comparable.
         """
+        columns, attribute, values = self._pending.pop((name, index))
+        table, order = columns.groups(attribute)
+        ranked = sorted(table, key=ranks.__getitem__)
+        if ranked != list(table):
+            order = list(chain.from_iterable(map(table.__getitem__, ranked)))
         pairs, mapped = map_partition(
             self.app.implementation(name),
-            *self._pending.pop((name, index)),
+            columns.keys(attribute),
+            values,
+            order,
             ranks,
+            columns.positions,
         )
         return {"data": pairs, "mapped": mapped}
 

@@ -115,6 +115,49 @@ class TestExecutorEquivalence:
         assert SerialExecutor().workers == 1
 
 
+class CombiningCounter(FreeSpaceCounter):
+    def combine(self, lot, values, collector):
+        collector.emit_combine(lot, len(values))
+
+    def reduce(self, lot, counts, collector):
+        collector.emit_reduce(lot, sum(counts))
+
+
+EVERY_EXECUTOR = {
+    "serial": SerialExecutor,
+    "thread-1": lambda: ThreadExecutor(1),
+    "thread-3": lambda: ThreadExecutor(3),
+    "thread-7": lambda: ThreadExecutor(7),
+    "process-2": lambda: ProcessExecutor(2),
+}
+
+
+@pytest.mark.parametrize(
+    "make_executor", EVERY_EXECUTOR.values(), ids=list(EVERY_EXECUTOR)
+)
+@pytest.mark.parametrize(
+    "job", [FreeSpaceCounter(), CombiningCounter(), SumJob(), WordLength()],
+    ids=["figure-10", "combining", "sum", "rekeying"],
+)
+def test_result_key_order_does_not_depend_on_the_executor(
+    make_executor, job
+):
+    """What is delivered must not depend on how it is executed: the
+    merged dict of a pooled run follows first-emission order, as the
+    serial run's does, whatever bucket a key hashes to."""
+    grouped = {
+        f"L{lot:03d}": [
+            str(spot) if isinstance(job, WordLength) else spot % 3 == 0
+            for spot in range(lot % 5 + 1)
+        ]
+        for lot in range(40)
+    }
+    serial = run_mapreduce(job, grouped)
+    result = run_mapreduce(job, grouped, make_executor())
+    assert list(result) == list(serial)
+    assert result == serial
+
+
 @given(
     st.dictionaries(
         st.text(min_size=1, max_size=3),

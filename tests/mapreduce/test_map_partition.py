@@ -1,15 +1,13 @@
-"""The partitioned map side — the one function under both the edge split
-and the shard workers — against the single-process engine."""
+"""The partitioned map side — the one function under the in-process
+gather, the edge split and the shard workers — against the
+single-process engine."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce import MapReduce, MapReduceEngine, map_partition
-from repro.mapreduce.engine import (
-    first_positions,
-    rank_groups,
-    sequence_partials,
-)
+from repro.mapreduce.engine import rank_groups, sequence_partials
+from repro.runtime.grouping import KeyColumns
 
 
 class Trail(MapReduce):
@@ -68,20 +66,36 @@ def partitioned(job, partitions, readings):
     ranks = rank_groups(
         (key, position) for position, (key, __, ___) in enumerate(readings)
     )
+    keys = [key for key, __, ___ in readings]
+    values = [value for __, value, ___ in readings]
     tagged, mapped = [], 0
     for partition in range(partitions):
-        owned = [
-            (position, key, value)
-            for position, (key, value, owner) in enumerate(readings)
-            if owner == partition
-        ]
-        columns = [[row[column] for row in owned] for column in range(3)]
-        pairs, emitted = map_partition(job, *columns, ranks)
+        # Each partition maps its rows in (group rank, position) order.
+        owned = sorted(
+            (
+                position
+                for position, (__, ___, owner) in enumerate(readings)
+                if owner == partition
+            ),
+            key=lambda position: (ranks[keys[position]], position),
+        )
+        pairs, emitted = map_partition(
+            job, keys, values, owned, ranks, range(len(readings))
+        )
         tagged.extend(pairs)
         mapped += emitted
     engine = MapReduceEngine()
     result = engine.merge_partials(job, sequence_partials(tagged), mapped)
     return result, engine.last_stats
+
+
+def in_one_partition(job, readings):
+    """The in-process gather's shape: one partition, no tags."""
+    keys = [key for key, __, ___ in readings]
+    values = [value for __, value, ___ in readings]
+    order = KeyColumns(None, range(len(keys)), {"lot": keys}).groups("lot")[1]
+    engine = MapReduceEngine()
+    return engine.run_columns(job, keys, values, order), engine.last_stats
 
 
 class TestMapPartition:
@@ -108,11 +122,28 @@ class TestMapPartition:
         # One partial per (partition, key) at most crosses the boundary.
         assert stats["shuffled"] <= partitions * len(expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sweeps())
+    def test_one_untagged_partition_is_exactly_the_grouped_run(self, sweep):
+        __, readings = sweep
+        for job in (Trail(), CombiningSum()):
+            expected, expected_stats = single_process(job, readings)
+            result, stats = in_one_partition(job, readings)
+            assert repr(result) == repr(expected)
+            assert stats == expected_stats
+
     def test_rows_may_arrive_in_any_order(self):
         rows = [(5, "B", 2), (0, "A", 1), (3, "B", 1), (4, "A", 2)]
         ranks = rank_groups((key, position) for position, key, __ in rows)
         assert ranks == {"A": 0, "B": 1}
-        pairs, mapped = map_partition(Trail(), *zip(*rows), ranks)
+        positions, keys, values = (list(column) for column in zip(*rows))
+        # The key columns put the rows in (group rank, position) order.
+        columns = KeyColumns(None, positions, {"lot": keys})
+        order = columns.groups("lot")[1]
+        assert order == [1, 3, 2, 0]
+        pairs, mapped = map_partition(
+            Trail(), keys, values, order, ranks, positions
+        )
         assert mapped == len(pairs) == 8
         assert [tag for tag, __, ___ in pairs] == sorted(
             tag for tag, __, ___ in pairs
@@ -120,11 +151,16 @@ class TestMapPartition:
         assert [tag[:2] for tag, key, __ in pairs if key != "all"] == [
             (0, 0), (0, 4), (1, 3), (1, 5)
         ]
+        # the emission's index among its reading's emissions
+        assert [tag[2] for tag, __, ___ in pairs] == [0, 1] * 4
 
     def test_first_positions_merges_shard_minima(self):
-        shard_a = first_positions(["A", "B", "A"], [4, 2, 6])
-        shard_b = first_positions(["A", "C"], [1, 3])
-        assert shard_a == {"A": 4, "B": 2}
-        assert list(shard_a) == ["A", "B"]  # the order the wire ships
-        merged = rank_groups([*shard_a.items(), *shard_b.items()])
+        shard_a = KeyColumns(None, [4, 2, 6], {"k": ["A", "B", "A"]})
+        shard_b = KeyColumns(None, [1, 3], {"k": ["A", "C"]})
+        firsts_a = shard_a.firsts("k")
+        assert firsts_a == {"A": 4, "B": 2}
+        assert list(firsts_a) == ["B", "A"]  # by first position
+        merged = rank_groups(
+            [*firsts_a.items(), *shard_b.firsts("k").items()]
+        )
         assert merged == {"A": 0, "B": 1, "C": 2}

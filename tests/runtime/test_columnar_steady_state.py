@@ -9,7 +9,9 @@ must be the same number — whatever the fleet size, the runtime runs the
 same frames.  Only code the application owns may scale: the ``map``
 callback (one call per reading, and whatever it calls).  The driver's
 ``batch_key`` is asked once per bound entity: a membership change asks
-only the entities it bound.
+only the entities it bound.  An in-process application groups through
+the same key-column memo, so its steady-state period loads no member's
+attribute record either.
 """
 
 import gc
@@ -318,3 +320,55 @@ def test_a_churn_period_loads_read_counters_only_of_what_it_bound():
         assert CountedProbe.loads == Counter(
             _failed=flags, _m_reads=read_counters
         )
+
+
+class AttributeCountedProbe(DeviceInstance):
+    """A probe counting, class-wide, how often its ``attributes``
+    record is loaded."""
+
+    loads = 0
+
+    @property
+    def attributes(self):
+        AttributeCountedProbe.loads += 1
+        return self._attributes
+
+    @attributes.setter
+    def attributes(self, value):
+        self._attributes = value
+
+
+def test_an_in_process_period_loads_no_attribute_record():
+    """The in-process gather groups as the worker does, through the
+    gatherer's key-column memo: a steady-state period — one grouped
+    and one MapReduce gather over the same column — loads no member's
+    ``attributes``; after a bind, only the bound member's."""
+    app = Application(analyze(DESIGN))
+    app.implement("Levels", LevelsImpl())
+    app.implement("Load", LoadImpl())
+    field = Field()
+
+    def bind(index):
+        app.bind_device(
+            AttributeCountedProbe(
+                app.design.devices["Probe"],
+                f"probe-{index:05d}",
+                ColumnDriver(field),
+                {"zone": ZONES[index % len(ZONES)]},
+            )
+        )
+
+    for index in range(300):
+        bind(index)
+    app.start()
+    app.advance(2 * PERIOD)  # the first period derives the memo
+    AttributeCountedProbe.loads = 0
+    app.advance(PERIOD)
+    assert AttributeCountedProbe.loads == 0
+    bind(300)
+    AttributeCountedProbe.loads = 0
+    app.advance(PERIOD)
+    assert AttributeCountedProbe.loads == 1
+    # the periods did the work they are counted for
+    assert app.stats["gather_sweeps"] == 8
+    assert app.mapreduce.stats()["mapped"] == 3 * 300 + 301

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import BindingError
 from repro.runtime.device import CallableDriver, DeviceInstance
 from repro.runtime.grouping import (
+    KeyColumns,
     WindowAccumulator,
     group_key_column,
     group_readings,
@@ -37,6 +38,18 @@ def sensor(design, entity_id, lot):
     )
 
 
+def group(readings, attribute):
+    """Group ``(instance, value)`` readings as a gather does: by the key
+    column and group table of the instance column."""
+    instances = [instance for instance, __ in readings]
+    columns = KeyColumns(instances, range(len(instances)), {})
+    return group_readings(
+        columns.keys(attribute),
+        columns.groups(attribute)[0],
+        [value for __, value in readings],
+    )
+
+
 class TestGroupReadings:
     def test_partition_by_attribute(self, design):
         readings = [
@@ -44,7 +57,7 @@ class TestGroupReadings:
             (sensor(design, "s2", "B16"), False),
             (sensor(design, "s3", "A22"), False),
         ]
-        grouped = group_readings(readings, "parkingLot")
+        grouped = group(readings, "parkingLot")
         assert grouped == {"A22": [True, False], "B16": [False]}
 
     def test_group_key_order_is_first_encounter(self, design):
@@ -52,10 +65,10 @@ class TestGroupReadings:
             (sensor(design, "s1", "B16"), True),
             (sensor(design, "s2", "A22"), True),
         ]
-        assert list(group_readings(readings, "parkingLot")) == ["B16", "A22"]
+        assert list(group(readings, "parkingLot")) == ["B16", "A22"]
 
     def test_empty_readings(self):
-        assert group_readings([], "parkingLot") == {}
+        assert group([], "parkingLot") == {}
 
     def test_missing_attribute_rejected(self, design):
         plain = DeviceInstance(
@@ -64,7 +77,7 @@ class TestGroupReadings:
             CallableDriver(sources={"x": lambda: 0.0}),
         )
         with pytest.raises(BindingError, match="no attribute"):
-            group_readings([(plain, 0.0)], "parkingLot")
+            group([(plain, 0.0)], "parkingLot")
 
     def test_key_column_is_the_keys_and_names_the_entity_without_one(
         self, design
@@ -147,7 +160,7 @@ def test_grouping_preserves_every_reading(design_readings):
         )
         for i, (lot, value) in enumerate(design_readings)
     ]
-    grouped = group_readings(readings, "parkingLot")
+    grouped = group(readings, "parkingLot")
     total = sum(len(values) for values in grouped.values())
     assert total == len(readings)
     for lot, values in grouped.items():

@@ -22,7 +22,11 @@ from repro.api import (
 )
 from repro.errors import BindingError
 from repro.runtime.component import SourceEvent
-from repro.runtime.grouping import group_readings, group_readings_planned
+from repro.runtime.grouping import (
+    KeyColumns,
+    group_readings,
+    group_readings_planned,
+)
 from repro.runtime.plan import DeliveryPlanner, missing, source_topics
 from repro.runtime.proxies import ProxySet, make_proxy
 
@@ -210,9 +214,16 @@ class TestMembership:
             for idx, instance in enumerate(app.registry)
             if instance.info.name.endswith("MotionSensor")
         ]
+        columns = KeyColumns(
+            [instance for instance, __ in readings], range(len(readings)), {}
+        )
         assert group_readings_planned(
             readings, membership, "zone"
-        ) == group_readings(readings, "zone")
+        ) == group_readings(
+            columns.keys("zone"),
+            columns.groups("zone")[0],
+            [value for __, value in readings],
+        )
 
     def test_missing_attribute_raises_binding_error(self):
         app, __, instance = build_app()

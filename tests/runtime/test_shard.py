@@ -1127,8 +1127,8 @@ class TestWorkerBoot:
             "s-042": 7,
         }
         worker._cmd_poll("Windowed", 0)
-        __, positions, __, __ = worker._columns["ShardPresence"]
-        assert positions == [0, 1, 3, 4, 5, 9, 7]
+        columns = worker.app.gatherer.key_columns._memo["ShardPresence"]
+        assert columns.positions == [0, 1, 3, 4, 5, 9, 7]
 
 
 class DarkDriver(TaggingDriver):
@@ -1195,25 +1195,38 @@ class TestChurnMatchesAFreshWorker:
         return mirror.payload(), keys, mapped
 
     @staticmethod
-    def derived_afresh(worker):
-        """The worker's column memo, derived from its instance column
-        as a first poll would."""
-        from repro.mapreduce.engine import first_positions
-        from repro.runtime.grouping import group_key_column
+    def memo(worker):
+        """The worker's key columns of its last sweep column: the
+        column, the positions, and per attribute the key column and the
+        groups the polls derived."""
+        memo = worker.app.gatherer.key_columns._memo["ShardPresence"]
+        return (
+            memo.column,
+            memo.positions,
+            {attribute: memo.keys(attribute) for attribute in memo._keys},
+            {
+                attribute: memo.groups(attribute)
+                for attribute in memo._groups
+            },
+        )
 
-        instances, __, keys, firsts = worker._columns["ShardPresence"]
+    @classmethod
+    def derived_afresh(cls, worker):
+        """The same, derived from the memo's instance column as a first
+        poll would."""
+        from repro.runtime.grouping import KeyColumns
+
+        instances, __, keys, groups = cls.memo(worker)
         positions = [
             worker._gpos[instance.entity_id] for instance in instances
         ]
-        keys = {
-            attribute: group_key_column(instances, attribute)
-            for attribute in keys
-        }
-        firsts = {
-            attribute: first_positions(keys[attribute], positions)
-            for attribute in firsts
-        }
-        return instances, positions, keys, firsts
+        fresh = KeyColumns(instances, positions, {})
+        return (
+            instances,
+            positions,
+            {attribute: fresh.keys(attribute) for attribute in keys},
+            {attribute: fresh.groups(attribute) for attribute in groups},
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(ops, max_size=4), min_size=1, max_size=6))
@@ -1252,9 +1265,7 @@ class TestChurnMatchesAFreshWorker:
             now += PERIOD
             try:
                 delivered = self.period(worker, now, mirror)
-                assert worker._columns[
-                    "ShardPresence"
-                ] == self.derived_afresh(worker)
+                assert self.memo(worker) == self.derived_afresh(worker)
                 fresh = self.worker(0)
                 for entity_id, position in live:
                     fresh._cmd_bind(entity_id, position)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce.partition import shard_index
-from repro.runtime.grouping import group_readings
+from repro.runtime.grouping import KeyColumns, group_readings
 from repro.runtime.shard.codec import (
     _DeltaEncoder,
     _Mirror,
@@ -266,9 +266,15 @@ class TestEncoderToMirror:
                 ]
             )
             if not flat:
+                columns = KeyColumns(
+                    [subject for __, subject, ___ in surviving],
+                    range(len(surviving)),
+                    {},
+                )
                 expected = group_readings(
-                    [(subject, value) for __, subject, value in surviving],
-                    "zone",
+                    columns.keys("zone"),
+                    columns.groups("zone")[0],
+                    [value for __, ___, value in surviving],
                 )
                 assert repr(mirror.payload()) == repr(expected)
 

@@ -195,6 +195,23 @@ class TestChaos:
         assert "no faults fired" in capsys.readouterr().err
 
 
+class TestTune:
+    def test_exits_zero_and_prints_one_report_byte_for_byte(self, capsys):
+        """Changes to the runtime are checked by comparing ``repro tune
+        --seed 7`` output byte for byte with the previous revision's:
+        two runs must print the same bytes."""
+        import json
+
+        assert main(["tune", "--seed", "7"]) == 0
+        first = capsys.readouterr().out
+        assert main(["tune", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == first
+        report = json.loads(first)
+        assert report["seed"] == 7
+        assert report["injected_read_failures"] == 7620
+        assert report["gather_errors"] == 28860
+
+
 class TestUsage:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
