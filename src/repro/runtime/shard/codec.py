@@ -19,11 +19,14 @@ spawning a process:
 from __future__ import annotations
 
 import pickle
+from array import array
+from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import gt, is_, is_not, ne, or_, sub
+from operator import add, eq, getitem, gt, is_, is_not, ne, or_, setitem, sub
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from repro.errors import ShardError
 from repro.mapreduce.partition import extend_each
 
 # ----------------------------------------------------------------------
@@ -237,14 +240,12 @@ class _Mirror:
     """Coordinator-side registration-order mirror of one gather's
     delta stream.
 
-    Holds the last applied ``position → identity`` and ``position →
-    value`` maps (positions are globally unique, so one merged map
-    serves all shards; per-shard position sets exist only so a shard
-    ``reset`` can clear exactly its slice).  Identity is opaque here —
-    whatever the :class:`_DeltaEncoder` registered: the group key of a
-    grouped gather, the ``(type, entity id, attributes)`` triple of a
-    ``flat`` one.  Registration churn (register/retract/reset) dirties
-    the cached position order; a quiescent sweep reuses it.
+    Holds each shard's slice as that shard's :class:`_DeltaEncoder`
+    last shipped it: three aligned columns — ascending global
+    positions, identities (opaque here: the group key of a grouped
+    gather, the ``(type, entity id, attributes)`` triple of a ``flat``
+    one) and values.  Registration churn (register / retract / reset)
+    dirties the merged position ``order``; a quiescent sweep reuses it.
 
     Each reply is folded in as it arrives, once (the coordinator hands
     :meth:`apply` to :meth:`~repro.runtime.shard.coordinator.
@@ -256,110 +257,169 @@ class _Mirror:
     Two reads: :meth:`payload` for grouped gathers, :meth:`rows` for
     flat ones.  The grouped payload is maintained **incrementally**:
     the groups are spans of one ``cells`` column, a value change
-    writes through its position's slot in it (one probe per changed
-    row), and the sort-and-regroup rebuild runs only when the order is
-    dirty — steady-state merge cost is O(changed), not O(fleet).
+    stores into its row and, while the order is clean, writes through
+    that row's cell, and the sort-and-regroup rebuild runs only when
+    the order is dirty — steady-state merge cost is O(changed), not
+    O(fleet).
     """
 
     __slots__ = (
         "flat",
-        "ident",
+        "positions",
+        "idents",
         "values",
-        "shard_positions",
+        "row_at",
+        "indexed",
         "order",
         "cells",
         "spans",
-        "slots",
+        "cell_of",
         "dirty",
     )
 
     def __init__(self, shards: int, flat: bool):
         self.flat = flat
-        self.ident: Dict[int, Any] = {}
-        self.values: Dict[int, Any] = {}
-        self.shard_positions: List[set] = [set() for __ in range(shards)]
+        self.positions: List[List[int]] = [[] for __ in range(shards)]
+        self.idents: List[List[Any]] = [[] for __ in range(shards)]
+        self.values: List[List[Any]] = [[] for __ in range(shards)]
+        # Global position -> its row in its shard's slice, written for
+        # a slice by the first value change it sees (:meth:`_locate`).
+        self.row_at = array("q")
+        self.indexed = [False] * shards
+        # The slices' rows laid end to end, in position order; the
+        # grouped values in payload order and each group's span of them.
         self.order: List[int] = []
-        # The grouped values, group after group, and each group's
-        # ``(start, stop)`` span of them, in payload key order.
         self.cells: List[Any] = []
         self.spans: Dict[Any, Tuple[int, int]] = {}
-        # position -> its cell; built by the first value change an
-        # order sees (:meth:`_write_through`).
-        self.slots: Dict[int, int] = {}
+        # Per shard, row -> its cell; built by the first value change
+        # an order sees (:meth:`_write_through`).
+        self.cell_of: List[array] = []
         self.dirty = False
-
-    def _drop(self, positions) -> None:
-        for position in positions:
-            self.ident.pop(position, None)
-            self.values.pop(position, None)
-        self.dirty = True
 
     def apply(self, shard: int, reply: Dict[str, Any]) -> Tuple[int, int]:
         """Fold one shard's delta blocks in; returns ``(delta_rows,
         quiescent_rows)`` — rows that crossed the pipe (registered +
-        changed + retracted) and rows that didn't."""
-        delta_rows = 0
-        mine = self.shard_positions[shard]
-        stale: set = set()
-        if reply.get("reset"):
-            stale, mine = mine, set()
-            self.shard_positions[shard] = mine
-        register = reply.get("register")
-        if register:
-            packed, *ident_columns, column = register
-            positions = _unpack_positions(packed)
-            if self.flat:
-                idents = zip(*ident_columns)
-            else:
-                idents = _decode_group_keys(ident_columns[0])
-            mine.update(positions)
-            self.ident.update(zip(positions, idents))
-            self.values.update(zip(positions, column))
-            delta_rows += len(positions)
+        changed + retracted) and rows that didn't.
+
+        Every block is checked before anything is stored: misaligned
+        columns, a position registered twice, or a ``changed`` /
+        ``retract`` row that names no row of the shard's slice raise
+        :class:`~repro.errors.ShardError` and leave the mirror as it
+        was.  The mirror keeps the reply's columns."""
+        try:
+            columns, rows, column, delta_rows = self._checked(shard, reply)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ShardError(f"malformed delta block: {exc}", shard) from None
+        if columns[0] is not self.positions[shard]:
+            self.positions[shard], self.idents[shard], self.values[shard] = (
+                columns
+            )
+            self.indexed[shard] = False
             self.dirty = True
-        # Of a reset slice, only what did not register again goes.
-        stale -= mine
-        if stale:
-            self._drop(stale)
-        retract = reply.get("retract")
-        if retract:
-            retract = _unpack_positions(retract)
-            mine.difference_update(retract)
-            self._drop(retract)
-            delta_rows += len(retract)
-        changed = reply.get("changed")
-        if changed:
-            packed, column = changed
-            positions = _unpack_positions(packed)
-            delta_rows += len(positions)
-            self.values.update(zip(positions, column))
+        if rows:
+            deque(map(setitem, repeat(columns[2]), rows, column), maxlen=0)
             if not (self.flat or self.dirty):
-                self._write_through(positions, column)
+                self._write_through(shard, rows, column)
         return delta_rows, reply.get("quiescent", 0)
 
-    def _write_through(self, positions, column) -> None:
+    def _checked(self, shard: int, reply: Dict[str, Any]):
+        """What :meth:`apply` stores, and stores nothing: the slice's
+        columns after the reset, retract and register blocks, the rows
+        and values of the ``changed`` block, and the delta row count."""
+        columns = self.positions[shard], self.idents[shard], self.values[shard]
+        if reply.get("reset") and columns[0]:
+            columns = [], [], []
+        delta_rows = 0
+        if reply.get("retract"):
+            rows = self._locate(shard, columns[0], reply["retract"])
+            keep = [True] * len(columns[0])
+            deque(map(setitem, repeat(keep), rows, repeat(False)), maxlen=0)
+            columns = [list(compress(column, keep)) for column in columns]
+            delta_rows += len(rows)
+        if reply.get("register"):
+            packed, *ident_columns, values = reply["register"]
+            positions = _unpack_positions(packed)
+            if self.flat:
+                lengths = set(map(len, ident_columns))
+                idents = list(zip(*ident_columns))
+            else:
+                (keys,) = ident_columns
+                idents = _decode_group_keys(keys)
+                lengths = {len(idents)}
+            if lengths != {len(positions)} or len(values) != len(positions):
+                raise ShardError("register columns do not align", shard)
+            if type(values) is not list:  # changes store into it
+                raise ShardError("register values are not a list", shard)
+            delta_rows += len(positions)
+            fresh = positions, idents, values
+            if columns[0]:
+                # A lossy sweep's rows come back: splice the slice.
+                columns = _by_position(shard, *map(add, columns, fresh))
+            elif min(islice(packed, 1, None), default=1) > 0:
+                columns = fresh
+            else:
+                # A worker bound someone at a freed, lower position.
+                columns = _by_position(shard, *fresh)
+        rows, column = [], []
+        if reply.get("changed"):
+            packed, column = reply["changed"]
+            rows = self._locate(shard, columns[0], packed)
+            if len(column) != len(rows):
+                raise ShardError("changed columns do not align", shard)
+            delta_rows += len(rows)
+        return columns, rows, column, delta_rows
+
+    def _locate(self, shard: int, positions: List[int], packed) -> List[int]:
+        """The rows of ``positions`` holding the packed positions; one
+        they do not hold is malformed.  The shard's stored slice is
+        looked up in ``row_at``, a slice this reply spliced bisected."""
+        wanted = _unpack_positions(packed)
+        if positions is not self.positions[shard]:
+            rows = list(map(bisect_left, repeat(positions), wanted))
+        else:
+            if not self.indexed[shard]:
+                row_at = self.row_at
+                row_at.extend(repeat(0, positions[-1] + 1 - len(row_at)))
+                deque(map(setitem, repeat(row_at), positions, count()), 0)
+                self.indexed[shard] = True
+            rows = list(map(getitem, repeat(self.row_at), wanted))
+        # A row past the slice raises IndexError: malformed too.
+        if list(map(positions.__getitem__, rows)) != wanted:
+            raise ShardError("a delta row names no row of the slice", shard)
+        return rows
+
+    def _write_through(self, shard: int, rows, column) -> None:
         """Carry value changes into the cells of a clean order."""
-        slots = self.slots
-        if not slots:
+        if not self.cell_of:
+            idents = list(chain.from_iterable(self.idents))
             members: Dict[Any, List[int]] = {key: [] for key in self.spans}
-            keys = map(self.ident.__getitem__, self.order)
+            keys = map(idents.__getitem__, self.order)
             extend_each(keys, members, self.order)
-            slots.update(zip(chain.from_iterable(members.values()), count()))
-        cells = map(slots.__getitem__, positions)
-        deque(map(self.cells.__setitem__, cells, column), maxlen=0)
+            cell_of = array("q", bytes(8 * len(idents)))
+            by_cell = chain.from_iterable(members.values())
+            deque(map(setitem, repeat(cell_of), by_cell, count()), maxlen=0)
+            stops = list(accumulate(map(len, self.positions), initial=0))
+            slices = map(slice, stops, islice(stops, 1, None))
+            self.cell_of = list(map(cell_of.__getitem__, slices))
+        cells = map(getitem, repeat(self.cell_of[shard]), rows)
+        deque(map(setitem, repeat(self.cells), cells, column), maxlen=0)
 
     def _rebuild(self) -> None:
-        self.order = sorted(self.ident)
+        positions = list(chain.from_iterable(self.positions))
+        # One ascending run per shard: timsort merges them.
+        self.order = sorted(range(len(positions)), key=positions.__getitem__)
+        self.cell_of = []
         self.dirty = False
         if self.flat:
             return
-        keys = list(map(self.ident.__getitem__, self.order))
+        idents = list(chain.from_iterable(self.idents))
+        values = list(chain.from_iterable(self.values))
+        keys = list(map(idents.__getitem__, self.order))
         groups: Dict[Any, List[Any]] = {key: [] for key in dict.fromkeys(keys)}
-        extend_each(keys, groups, map(self.values.__getitem__, self.order))
+        extend_each(keys, groups, map(values.__getitem__, self.order))
         self.cells = list(chain.from_iterable(groups.values()))
         stops = list(accumulate(map(len, groups.values()), initial=0))
         self.spans = dict(zip(groups, zip(stops, islice(stops, 1, None))))
-        self.slots = {}
 
     def payload(self) -> Dict[Any, List[Any]]:
         """The full grouped payload — fresh per-group lists (so a
@@ -379,9 +439,19 @@ class _Mirror:
         what a flat gather delivers."""
         if self.dirty:
             self._rebuild()
+        idents = list(chain.from_iterable(self.idents))
+        values = list(chain.from_iterable(self.values))
+        order = self.order
         return list(
-            zip(
-                map(self.ident.__getitem__, self.order),
-                map(self.values.__getitem__, self.order),
-            )
+            zip(map(idents.__getitem__, order), map(values.__getitem__, order))
         )
+
+
+def _by_position(shard: int, positions, *columns) -> List[List[Any]]:
+    """Aligned columns sorted by position; a position twice is
+    malformed."""
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    positions = list(map(positions.__getitem__, order))
+    if any(map(eq, positions, islice(positions, 1, None))):
+        raise ShardError("a position registered twice", shard)
+    return [positions, *(list(map(c.__getitem__, order)) for c in columns)]

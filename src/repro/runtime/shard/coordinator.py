@@ -38,9 +38,8 @@ class ShardRouter(Instrumented):
     Owns the worker pipes.  ``broadcast`` sends to every worker before
     receiving any reply, which is where the parallelism comes from —
     all shards sweep (and sleep on their modeled device I/O)
-    concurrently while the coordinator waits.  Replies come back in
-    shard order whichever shard answered first, so merge inputs are
-    deterministic.
+    concurrently while the coordinator waits.  Replies are read and
+    folded as they arrive; only the returned list is in shard order.
     """
 
     metric_specs = (
@@ -273,6 +272,12 @@ class ShardedRuntime(Instrumented):
             "wire protocol (quiescent readings cross as one count).",
         ),
         MetricSpec(
+            "shard_mirror_rebuilds_total",
+            "_mirror_rebuilds",
+            stats_key="mirror_rebuilds",
+            help="Gather mirrors re-sorted after a membership change.",
+        ),
+        MetricSpec(
             "shard_workers",
             "_worker_count",
             kind="gauge",
@@ -312,6 +317,7 @@ class ShardedRuntime(Instrumented):
         self._remote_reads = 0
         self._delta_rows = 0
         self._quiescent_rows = 0
+        self._mirror_rebuilds = 0
         self._worker_count = 0
         self._started = False
         # Delta mirrors per (context name, interaction index);
@@ -606,6 +612,7 @@ class ShardedRuntime(Instrumented):
     def _delivered(self, mirror: _Mirror, placement) -> Any:
         """The exact single-process payload of a folded mirror, in
         registration order."""
+        self._mirror_rebuilds += mirror.dirty
         if not mirror.flat:
             if placement is not None:
                 placement.account_cloud(mirror.rows())

@@ -483,6 +483,7 @@ class TestMetrics:
                 "shard_errors_total",
                 "shard_wire_bytes_total",
                 "shard_delta_rows_total",
+                "shard_mirror_rebuilds_total",
             ):
                 assert family in rendered
             stats = runtime.stats()
@@ -520,6 +521,32 @@ class TestWireProtocol:
             # sweeps, so those rows cross as quiescent counts instead.
             assert stats["delta_rows"] >= 9
             assert stats["quiescent_rows"] > 0
+        finally:
+            runtime.stop()
+
+
+class TestMirrorRebuilds:
+    def test_only_a_membership_change_rebuilds_the_mirror(self):
+        """A static fleet's steady sweeps fold into the grouped
+        gather's mirror without re-sorting it; a rebind resets one
+        shard's slice, and the next poll rebuilds it exactly once."""
+        runtime = ShardedRuntime(
+            PresenceBootstrap(
+                sensors=6, shard=ShardConfig(enabled=True, workers=2)
+            )
+        )
+        runtime.start()
+        try:
+            runtime.advance(PERIOD)
+            assert runtime.stats()["mirror_rebuilds"] == 1  # the first
+            runtime.advance(3 * PERIOD)
+            assert runtime.stats()["mirror_rebuilds"] == 1
+            runtime.rebind("s-006")
+            assert runtime.stats()["mirror_rebuilds"] == 1
+            runtime.advance(PERIOD)
+            assert runtime.stats()["mirror_rebuilds"] == 2
+            runtime.advance(2 * PERIOD)
+            assert runtime.stats()["mirror_rebuilds"] == 2
         finally:
             runtime.stop()
 
