@@ -115,15 +115,11 @@ from repro.runtime.shard import (
 )
 from repro.runtime.sweep import SweepEngine
 from repro.runtime.tracing import Tracer
-from repro.runtime.tuning import (
-    Knob,
-    KnobRegistry,
-    TuningController,
-)
 from repro.simulation.fleet import SimulatedFleetBootstrap
 from repro.simulation.network import HopProfile, TopologyModel
 from repro.sema.analyzer import AnalyzedSpec, analyze
 from repro.telemetry import MetricsRegistry
+from repro.tuning import Knob, KnobRegistry, TuningController
 
 __all__ = [
     "AnalyzedSpec",

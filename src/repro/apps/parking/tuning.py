@@ -2,8 +2,8 @@
 
 A reference scenario, not runtime machinery: it wires the parking
 application, a connection-flap fault plan and the
-:class:`~repro.runtime.tuning.TuningController` together and reports
-what the controller did.  ``repro tune`` prints the report.
+:class:`~repro.tuning.TuningController` together and reports what the
+controller did.  ``repro tune`` prints the report.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.faults.chaos import ChaosInjector, FaultPlan
 from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.runtime.clock import SimulationClock
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.tuning import TuningController
+from repro.tuning import TuningController
 
 __all__ = ["run_parking_tuning"]
 

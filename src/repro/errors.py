@@ -163,11 +163,10 @@ class TuningError(RuntimeOrchestrationError):
     """The live-tuning layer was misconfigured or misused.
 
     Raised for unknown knob names, knobs on a config section that is
-    absent or does not speak the
-    :class:`~repro.runtime.configbase.ConfigBase` protocol, a
-    controller built with no knobs or started before its application,
-    or an attempt to change a structural (non-live) config field on a
-    running application via ``Application.apply_config``.
+    absent, a controller built with no knobs or started before its
+    application, or an ``Application.apply_config`` that would change
+    a structural (non-live) config field or retune a sharded
+    application.
     """
 
 

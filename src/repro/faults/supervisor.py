@@ -261,24 +261,20 @@ class SupervisionManager(Instrumented):
         self._supervisors[instance.entity_id] = supervisor
         return supervisor
 
-    def reconfigure(
-        self,
-        default_policy: Optional[SupervisionPolicy],
-        overrides: Optional[Mapping[str, SupervisionPolicy]] = None,
-    ) -> None:
-        """Swap the policy hierarchy live and retune every supervisor.
+    def reconfigure(self, default_policy: Optional[SupervisionPolicy]) -> None:
+        """Swap the default policy live and retune every supervisor.
 
-        Each existing supervisor re-resolves against the new
-        default/override hierarchy; breakers keep their state (open
-        stays open, trip counts survive) but read thresholds, backoff
-        and quarantine limits from the new policy on their next event.
-        An entity whose resolved policy becomes ``None`` keeps its old
-        policy — supervision wiring is structural and cannot be torn
-        down live, only retuned.  Entities bound after the swap resolve
-        against the new hierarchy from scratch.
+        Each existing supervisor re-resolves against the new default
+        (per-type overrides are structural and still win); breakers
+        keep their state (open stays open, trip counts survive) but
+        read thresholds, backoff and quarantine limits from the new
+        policy on their next event.  An entity whose resolved policy
+        becomes ``None`` keeps its old policy — supervision wiring is
+        structural and cannot be torn down live, only retuned.
+        Entities bound after the swap resolve against the new default
+        from scratch.
         """
         self.default_policy = default_policy
-        self.overrides = dict(overrides or {})
         for supervisor in self._supervisors.values():
             if supervisor.info is None:
                 continue

@@ -30,7 +30,7 @@ from repro.mapreduce.engine import (
     map_partition,
     run_mapreduce,
 )
-from repro.mapreduce.partition import hash_partition, partition_items
+from repro.mapreduce.partition import partition_items
 
 __all__ = [
     "CombineCollector",
@@ -42,7 +42,6 @@ __all__ = [
     "ReduceCollector",
     "SerialExecutor",
     "ThreadExecutor",
-    "hash_partition",
     "job_combiner",
     "map_partition",
     "partition_items",

@@ -3,11 +3,10 @@
 Partitioning is what lets the phases run in parallel: the pooled
 executors split the map input into contiguous slices and the grouped
 intermediate keys into contiguous runs (:func:`partition_items`), so
-the partitions concatenate back in serial order.  :func:`hash_partition`
-is the original MapReduce design's key-hash split; a stable
-string-based hash keeps partition assignment reproducible across Python
-processes (the built-in ``hash`` is randomized for strings), which is
-also how entities are routed to runtime shards (:func:`shard_index`).
+the partitions concatenate back in serial order.  A stable
+string-based hash routes entities to runtime shards
+(:func:`shard_index`) reproducibly across Python processes (the
+built-in ``hash`` is randomized for strings).
 """
 
 from __future__ import annotations
@@ -26,33 +25,14 @@ def stable_hash(key: Hashable) -> int:
 def shard_index(key: Hashable, shards: int) -> int:
     """Deterministic shard assignment for ``key`` among ``shards`` buckets.
 
-    The same stable crc32 hash that routes intermediate pairs to reduce
-    workers routes entities to runtime shards, so a fleet partitions
-    identically across interpreter runs *and* across the processes of a
-    sharded runtime (``repro.runtime.shard``), which is what makes the
-    coordinator's registry-order merge deterministic.
+    A stable crc32 hash routes entities to runtime shards, so a fleet
+    partitions identically across interpreter runs *and* across the
+    processes of a sharded runtime (``repro.runtime.shard``), which is
+    what makes the coordinator's registry-order merge deterministic.
     """
     if shards <= 0:
         raise ValueError("shards must be >= 1")
     return stable_hash(key) % shards
-
-
-def hash_partition(
-    pairs: Sequence[Tuple[Hashable, Any]], partitions: int
-) -> List[List[Tuple[Hashable, Any]]]:
-    """Split intermediate pairs into ``partitions`` buckets by key hash.
-
-    All pairs with equal keys land in the same bucket, which is the
-    correctness requirement for parallel reduction.
-    """
-    if partitions <= 0:
-        raise ValueError("partitions must be >= 1")
-    buckets: List[List[Tuple[Hashable, Any]]] = [
-        [] for __ in range(partitions)
-    ]
-    for key, value in pairs:
-        buckets[stable_hash(key) % partitions].append((key, value))
-    return buckets
 
 
 def partition_items(

@@ -365,21 +365,13 @@ class Application:
             )
         return self.clock.advance(seconds)
 
-    # Config sections that may change on a running application.
-    # Everything else is structural wiring resolved at construction
-    # (clock, metrics registry, network model, placement/shard/planner
-    # objects, window accumulators) and must be identical in any config
-    # handed to ``apply_config``.
-    _LIVE_FIELDS = frozenset(
-        {
-            "cache",
-            "batch",
-            "supervision",
-            "supervision_overrides",
-            "stale",
-            "error_policy",
-        }
-    )
+    # Config sections that may change on a running application: the
+    # two a tuning controller turns.  Everything else is structural
+    # wiring resolved at construction (clock, metrics registry, network
+    # model, read cache, placement/shard/planner objects, window
+    # accumulators, error and stale policies) and must be identical in
+    # any config handed to ``apply_config``.
+    _LIVE_FIELDS = frozenset({"batch", "supervision"})
 
     def apply_config(self, config: RuntimeConfig) -> None:
         """Atomically adopt the live-tunable sections of ``config``.
@@ -390,13 +382,18 @@ class Application:
         running gather can never observe a torn config: every sweep
         executes wholly under the config that was live when it began.
 
-        Live sections: ``cache`` (``ttl_seconds`` — but not
-        ``enabled``), ``batch`` (``min_column``), ``supervision``
-        policies and overrides (retuned across every live breaker),
-        ``stale`` and ``error_policy``.  Changing any structural field
-        raises :class:`~repro.errors.TuningError`.
+        Live sections: ``batch`` (``min_column``) and the
+        ``supervision`` policy (retuned across every live breaker).
+        Changing any structural field, or any field of a sharded
+        application (its workers keep the config their bootstrap
+        built), raises :class:`~repro.errors.TuningError`.
         """
         old = self.config
+        if old.shard.enabled:
+            raise TuningError(
+                "a sharded application cannot be retuned live: its "
+                "workers keep the config their bootstrap built"
+            )
         for f in dataclasses.fields(RuntimeConfig):
             if f.name in self._LIVE_FIELDS:
                 continue
@@ -407,20 +404,11 @@ class Application:
                     f"config field '{f.name}' is structural wiring and "
                     "cannot change on a running application"
                 )
-        if old.cache.enabled != config.cache.enabled:
-            raise TuningError(
-                "the read cache cannot be enabled or disabled live"
-            )
         if old.supervised() != config.supervised():
             raise TuningError("supervision cannot be enabled or disabled live")
         self.config = config
-        self.error_policy = config.error_policy
-        self.gatherer.reconfigure(config)
-        if self.read_cache is not None:
-            self.read_cache.reconfigure(config.cache)
-        self.supervision.reconfigure(
-            config.supervision, config.supervision_overrides
-        )
+        self.gatherer.config = config
+        self.supervision.reconfigure(config.supervision)
 
     # ------------------------------------------------------------------
     # Introspection

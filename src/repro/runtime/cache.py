@@ -236,23 +236,6 @@ class ReadCache(Instrumented):
     def entry_count(self) -> int:
         return sum(map(len, map(_values_of, self._tables.values())))
 
-    # -- live retuning -------------------------------------------------------
-
-    def reconfigure(self, config: CacheConfig) -> None:
-        """Swap the cache section live.
-
-        The TTL is read per call, so swapping the record is the whole
-        job — existing entries keep their stamps and are re-judged
-        against the new TTL on their next hit.  The cache cannot be
-        disabled live (its existence is structural wiring);
-        ``Application.apply_config`` enforces that before calling here.
-        """
-        if not config.enabled:
-            raise ValueError(
-                "a live ReadCache cannot be reconfigured to disabled"
-            )
-        self.config = config
-
     def _extra_stats(self) -> Dict[str, Any]:
         return {
             "entries": self.entry_count(),

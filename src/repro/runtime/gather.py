@@ -194,11 +194,6 @@ class Gatherer(Instrumented):
         if metrics is not None:
             self.attach_metrics(metrics)
 
-    def reconfigure(self, config) -> None:
-        """Adopt ``config`` between sweeps (what is read here and may
-        change live: the stale policy and ``batch.min_column``)."""
-        self.config = config
-
     @property
     def errors(self) -> int:
         """Every read lost to a sweep, whatever the cause."""

@@ -1,19 +1,18 @@
 """Self-tuning orchestration: closing the telemetry → config loop.
 
-The paper's large-scale story assumes operators hand-pick deployment
-parameters; the runtime grew every knob that matters (columnar
-``min_column``, cache TTLs, breaker thresholds) plus the telemetry to
-measure each one.  This module automates that operator, as a *client*
-of the runtime: nothing else in ``repro.runtime`` imports it, and an
-application never knows a controller is watching it.
+The paper's runtime delivers what a design fixes; deployment
+parameters are the operator's to choose.  This module automates that
+operator for the few parameters a running application may change, as
+a *client* layer above the runtime (beside :mod:`repro.faults.chaos`):
+nothing in ``repro.runtime`` imports it, and an application never
+knows a controller is watching it.
 
 * :class:`Knob` / :class:`KnobRegistry` — the named tunables
-  (``batch.min_column``, ``cache.ttl_seconds``,
-  ``supervision.failure_threshold`` …), each with a safe range, a step
+  (``batch.min_column``, ``supervision.failure_threshold``,
+  ``supervision.backoff_base_seconds``), each with a safe range, a step
   rule and the metric signal that moves it.  A knob never mutates a
-  config: it derives a *replaced and re-validated* copy through the
-  :class:`~repro.runtime.configbase.ConfigBase` protocol, and the
-  application swaps the whole record atomically between sweeps.
+  config: it derives a *replaced and re-validated* copy, and
+  ``Application.apply_config`` swaps it in between sweeps.
 * :class:`TuningController` — a drift-gated hill climb.  Its owner
   builds it beside a started application with the knobs to tune and a
   cumulative-cost callable; each interval it measures that objective's
@@ -36,19 +35,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TuningError
-from repro.runtime.configbase import ConfigBase
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 __all__ = ["Knob", "KnobRegistry", "TuningController"]
@@ -71,7 +60,7 @@ _SCALES = ("linear", "geometric")
 
 
 @dataclass(frozen=True)
-class Knob(ConfigBase):
+class Knob:
     """One named tunable: where it lives, its safe range, how it steps.
 
     ``name`` is the public dotted identifier; ``section``/``attribute``
@@ -162,22 +151,13 @@ class Knob(ConfigBase):
     def apply(self, config: Any, value: float) -> Any:
         """A re-validated config copy with this knob set (clamped).
 
-        Sections speaking :class:`ConfigBase` replace through the
-        protocol; plain frozen policy records (``SupervisionPolicy``)
-        go through ``dataclasses.replace``, whose reconstruction
-        re-runs their ``__post_init__`` validation just the same.
+        Every tunable section is a frozen dataclass, and
+        ``dataclasses.replace`` re-runs its ``__post_init__``
+        validation on the copy.
         """
-        section = self._section_of(config)
-        changed = {self.attribute: self.clamp(value)}
-        if isinstance(section, ConfigBase):
-            replaced = section.replace(**changed)
-        elif dataclasses.is_dataclass(section):
-            replaced = dataclasses.replace(section, **changed)
-        else:
-            raise TuningError(
-                f"knob '{self.name}': config section '{self.section}' "
-                "is not a frozen config record"
-            )
+        replaced = dataclasses.replace(
+            self._section_of(config), **{self.attribute: self.clamp(value)}
+        )
         return config.replace(**{self.section: replaced})
 
 
@@ -213,9 +193,6 @@ class KnobRegistry:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._knobs)
 
-    def value_of(self, config: Any, name: str) -> Any:
-        return self.get(name).read(config)
-
     def with_value(self, config: Any, name: str, value: float) -> Any:
         """Re-validated config copy with ``name`` set to ``value``
         (clamped into the knob's safe range)."""
@@ -238,23 +215,13 @@ class KnobRegistry:
             rows.append(row)
         return rows
 
-    def __iter__(self) -> Iterator[Knob]:
-        return iter(self._knobs.values())
-
-    def __len__(self) -> int:
-        return len(self._knobs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._knobs
-
     @classmethod
     def for_config(cls, config: Any) -> "KnobRegistry":
-        """The standard catalog, filtered to the subsystems a config
-        actually enables (a knob on a disabled subsystem would burn
-        trial intervals changing nothing); the batch knob is always
-        listed, as no config turns that path off."""
-        registry = cls()
-        registry.register(
+        """The standard catalog: the batch knob, always listed (no
+        config turns that path off), and the two supervision knobs
+        when the config has a ``supervision`` section for them to
+        read and replace."""
+        knobs = [
             Knob(
                 name="batch.min_column",
                 section="batch",
@@ -265,25 +232,11 @@ class KnobRegistry:
                 scale="geometric",
                 signal="sweep_batch_demoted_total",
             )
-        )
-        if config.cache.enabled:
-            registry.register(
-                Knob(
-                    name="cache.ttl_seconds",
-                    section="cache",
-                    attribute="ttl_seconds",
-                    minimum=0.05,
-                    maximum=600.0,
-                    step=2,
-                    scale="geometric",
-                    integer=False,
-                    signal="read_cache_hits_total",
-                )
-            )
+        ]
         # Per-type ``supervision_overrides`` alone leave the section
         # these two knobs live on ``None``.
         if config.supervision is not None:
-            registry.register(
+            knobs += [
                 Knob(
                     name="supervision.failure_threshold",
                     section="supervision",
@@ -293,9 +246,7 @@ class KnobRegistry:
                     step=1,
                     scale="linear",
                     signal="supervision_breaker_opens_total",
-                )
-            )
-            registry.register(
+                ),
                 Knob(
                     name="supervision.backoff_base_seconds",
                     section="supervision",
@@ -306,9 +257,9 @@ class KnobRegistry:
                     scale="geometric",
                     integer=False,
                     signal="supervision_breaker_half_opens_total",
-                )
-            )
-        return registry
+                ),
+            ]
+        return cls(knobs)
 
 
 @dataclass
@@ -415,7 +366,7 @@ class TuningController(Instrumented):
         for name in self._names:
             # Unknown names, and knobs whose config section is absent,
             # fail at wiring time.
-            self.registry.value_of(app.config, name)
+            self._value_of(name)
         self._objective_fn = objective
         self._job = None
         self._phase = _WARMUP
@@ -440,13 +391,14 @@ class TuningController(Instrumented):
         for name in self._names:
             app.metrics.callback(
                 "tuning_knob_value",
-                lambda name=name: float(
-                    self.registry.value_of(self.app.config, name)
-                ),
+                lambda name=name: float(self._value_of(name)),
                 kind="gauge",
                 help="Current value of each tunable knob.",
                 knob=name,
             )
+
+    def _value_of(self, name: str) -> Any:
+        return self.registry.get(name).read(self.app.config)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -495,11 +447,17 @@ class TuningController(Instrumented):
 
         if self._phase is _SETTLED:
             assert self._baseline is not None
-            if self._within(level, self._baseline, DRIFT_TOLERANCE):
+            band = DRIFT_TOLERANCE * max(abs(self._baseline), 1e-12)
+            if abs(level - self._baseline) <= band:
                 self._baseline = level  # absorb in-band drift
                 return
             self._drifts += 1
-            self._begin_search(level)
+            self._phase = _SEARCHING
+            self._baseline = level
+            self._dead = set()
+            self._momentum = None
+            self._blocked = None
+            self._rewards = {}
             self._propose()
             return
 
@@ -512,14 +470,6 @@ class TuningController(Instrumented):
 
     # -- search mechanics -----------------------------------------------------
 
-    def _begin_search(self, level: float) -> None:
-        self._phase = _SEARCHING
-        self._baseline = level
-        self._dead = set()
-        self._momentum = None
-        self._blocked = None
-        self._rewards = {}
-
     def _judge(self, trial: _Trial, level: float) -> bool:
         """Accept or roll back ``trial`` given the level it produced.
 
@@ -531,7 +481,7 @@ class TuningController(Instrumented):
         baseline = self._baseline
         move = (trial.knob, trial.direction)
         band = ROLLBACK_TOLERANCE * max(abs(baseline), 1e-12)
-        self._note_reward(move, baseline - level)
+        self._rewards.setdefault(move, []).append(baseline - level)
         if level > baseline + band:
             # Regression: undo the step, cool the knob down.
             self.app.apply_config(
@@ -577,8 +527,7 @@ class TuningController(Instrumented):
         if not candidates:
             self._settle()
             return
-        chosen = self._choose(candidates)
-        name, direction, current, candidate = chosen
+        name, direction, current, candidate = self._choose(candidates)
         self.app.apply_config(
             self.registry.with_value(self.app.config, name, candidate)
         )
@@ -596,19 +545,14 @@ class TuningController(Instrumented):
 
         # Greedy on mean observed reward; untried moves score 0 so a
         # known-good move wins, a known-bad one loses to fresh ground.
+        # Ties go to the earliest candidate.
         def score(entry):
             history = self._rewards.get((entry[0], entry[1]))
             if not history:
                 return 0.0
             return sum(history) / len(history)
 
-        best = candidates[0]
-        best_score = score(best)
-        for entry in candidates[1:]:
-            entry_score = score(entry)
-            if entry_score > best_score:
-                best, best_score = entry, entry_score
-        return best
+        return max(candidates, key=score)
 
     def _settle(self) -> None:
         self._phase = _SETTLED
@@ -632,18 +576,11 @@ class TuningController(Instrumented):
 
     # -- accounting -----------------------------------------------------------
 
-    def _within(self, level: float, baseline: float, tolerance: float) -> bool:
-        band = tolerance * max(abs(baseline), 1e-12)
-        return abs(level - baseline) <= band
-
     def _decay_cooldowns(self) -> None:
         for name in list(self._cooldowns):
             self._cooldowns[name] -= 1
             if self._cooldowns[name] <= 0:
                 del self._cooldowns[name]
-
-    def _note_reward(self, move: Tuple[str, str], reward: float) -> None:
-        self._rewards.setdefault(move, []).append(reward)
 
     def _count_adjustment(self, name: str, direction: str) -> None:
         move = (name, direction)
@@ -690,10 +627,7 @@ class TuningController(Instrumented):
                     self._adjustments.items()
                 )
             },
-            "values": {
-                name: self.registry.value_of(self.app.config, name)
-                for name in self._names
-            },
+            "values": {name: self._value_of(name) for name in self._names},
         }
 
     def report(self) -> Dict[str, Any]:

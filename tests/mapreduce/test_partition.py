@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.mapreduce.partition import (
     group_pairs,
-    hash_partition,
     partition_items,
     stable_hash,
 )
@@ -19,24 +18,6 @@ class TestStableHash:
     def test_non_negative(self):
         assert stable_hash("x") >= 0
         assert stable_hash(("t", 1)) >= 0
-
-
-class TestHashPartition:
-    def test_same_key_same_bucket(self):
-        pairs = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("a", 5)]
-        buckets = hash_partition(pairs, 3)
-        locations = {}
-        for index, bucket in enumerate(buckets):
-            for key, __ in bucket:
-                locations.setdefault(key, set()).add(index)
-        assert all(len(where) == 1 for where in locations.values())
-
-    def test_partition_count(self):
-        assert len(hash_partition([("a", 1)], 5)) == 5
-
-    def test_invalid_partitions(self):
-        with pytest.raises(ValueError):
-            hash_partition([], 0)
 
 
 class TestPartitionItems:
@@ -65,17 +46,6 @@ class TestGroupPairs:
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
-
-pairs_strategy = st.lists(
-    st.tuples(st.text(max_size=4), st.integers()), max_size=80
-)
-
-
-@given(pairs_strategy, st.integers(min_value=1, max_value=16))
-def test_hash_partition_loses_nothing(pairs, partitions):
-    buckets = hash_partition(pairs, partitions)
-    flattened = [pair for bucket in buckets for pair in bucket]
-    assert sorted(map(repr, flattened)) == sorted(map(repr, pairs))
 
 
 @given(

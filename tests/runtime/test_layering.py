@@ -7,8 +7,8 @@ one of them must not execute an import of anything above.
 
 Inside the runtime, ``Application`` is used through its public surface:
 no module but ``runtime/app.py`` itself reads an ``app._private``.  The
-tuning controller is a client of that surface, built by its owner: no
-runtime module imports ``runtime/tuning.py``, so an application can
+tuning controller (``repro.tuning``) is a client of that surface, built
+by its owner: no runtime module imports it, so an application can
 neither build a controller nor register a ``tuning_*`` series.  A sweep
 is one loop in its process: no runtime module imports
 ``concurrent.futures`` (the MapReduce executors live in
@@ -25,7 +25,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[2] / "src"
 RUNTIME = SRC / "repro" / "runtime"
 SOURCES = sorted(RUNTIME.rglob("*.py"))
-FORBIDDEN = ("repro.apps", "repro.cli", "benchmarks")
+FORBIDDEN = ("repro.apps", "repro.cli", "repro.tuning", "benchmarks")
 
 BELOW_RUNTIME = ("telemetry", "typesys", "lang", "sema", "mapreduce")
 BELOW_SOURCES = sorted(
@@ -98,7 +98,7 @@ def within(module, layers):
 
 def test_the_runtime_has_sources():
     names = {str(p.relative_to(RUNTIME)) for p in SOURCES}
-    assert {"app.py", "tuning.py", "shard/worker.py"} <= names
+    assert {"app.py", "shard/worker.py"} <= names
 
 
 @pytest.mark.parametrize(
@@ -116,11 +116,10 @@ def test_no_runtime_module_imports_the_tuning_controller():
     importers = [
         f"runtime/{path.relative_to(RUNTIME)} imports {module}"
         for path in SOURCES
-        if path != RUNTIME / "tuning.py"
         for module in imported_modules(
             ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         )
-        if within(module, ("repro.runtime.tuning",))
+        if within(module, ("repro.tuning",))
     ]
     assert importers == []
 

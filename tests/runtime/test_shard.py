@@ -144,6 +144,8 @@ class PresenceBootstrap(ShardBootstrap):
     parameter grid simple.
     """
 
+    stale = None
+
     def __init__(
         self,
         sensors=9,
@@ -165,6 +167,7 @@ class PresenceBootstrap(ShardBootstrap):
         config = RuntimeConfig(
             shard=self.shard if self.shard is not None else ShardConfig(),
             cache=self.cache if self.cache is not None else CacheConfig(),
+            stale=self.stale,
         )
         app = Application(analyze(DESIGN), config)
         app.implement("FreeCount", FreeCountImpl())
@@ -751,9 +754,10 @@ class DarkSweepBootstrap(PresenceBootstrap):
     :class:`DarkOnceDriver`: the first sweep's poll fails on shard 0
     and succeeds everywhere else."""
 
+    stale = StalePolicy("fail")
+
     def build(self, ctx):
         app = super().build(ctx)
-        app.apply_config(app.config.replace(stale=StalePolicy("fail")))
         if ctx.index == 0:
             next(iter(app.registry)).swap_driver(
                 DarkOnceDriver(_SUBSTRATES[app], sources=("presence",))
@@ -784,9 +788,10 @@ class DarkLaterBootstrap(PresenceBootstrap):
     it: the second sweep's grouped poll fails there, after every shard
     registered its rows."""
 
+    stale = StalePolicy("fail")
+
     def build(self, ctx):
         app = super().build(ctx)
-        app.apply_config(app.config.replace(stale=StalePolicy("fail")))
         dark = next(
             entity_id
             for entity_id in self.fleet()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TuningError
-from repro.faults.policy import SupervisionPolicy
+from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.runtime.app import Application
 from repro.runtime.cache import CacheConfig
 from repro.runtime.clock import SimulationClock
@@ -12,14 +12,8 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import CallableDriver
 from repro.runtime.plan import BatchConfig
 from repro.runtime.shard import ShardConfig
-from repro.runtime.tuning import (
-    DOWN,
-    UP,
-    Knob,
-    KnobRegistry,
-    TuningController,
-)
 from repro.sema.analyzer import analyze
+from repro.tuning import DOWN, UP, Knob, KnobRegistry, TuningController
 
 
 def make_app(**config_kwargs):
@@ -187,17 +181,23 @@ class TestKnobRegistry:
         base = KnobRegistry.for_config(RuntimeConfig())
         assert base.names() == always
 
+        # A read cache adds no knob: its section is structural.
+        cached = KnobRegistry.for_config(
+            RuntimeConfig(cache=CacheConfig(enabled=True))
+        )
+        assert cached.names() == always
+
         full = KnobRegistry.for_config(
             RuntimeConfig(
                 cache=CacheConfig(enabled=True),
                 supervision=SupervisionPolicy(),
             )
         )
-        assert "batch.min_column" in full
-        assert "cache.ttl_seconds" in full
-        assert "supervision.failure_threshold" in full
-        assert "supervision.backoff_base_seconds" in full
-        assert len(full) == 4
+        assert full.names() == (
+            "batch.min_column",
+            "supervision.failure_threshold",
+            "supervision.backoff_base_seconds",
+        )
 
         # Regression: per-type overrides supervise devices without a
         # default ``supervision`` section, so there is no record for
@@ -451,15 +451,16 @@ class TestControllerPolicy:
 
 class TestApplyConfig:
     def test_live_sections_swap_atomically(self):
-        app = make_app()
+        app = make_app(supervision=SupervisionPolicy(failure_threshold=5))
         swapped = app.config.replace(
             batch=app.config.batch.replace(min_column=32),
-            error_policy="isolate",
+            supervision=SupervisionPolicy(failure_threshold=2),
         )
         app.apply_config(swapped)
         assert app.config.batch.min_column == 32
-        assert app.error_policy == "isolate"
         assert app.gatherer.config.batch.min_column == 32
+        assert app.config.supervision.failure_threshold == 2
+        assert app.supervision.default_policy.failure_threshold == 2
 
     def test_structural_fields_cannot_change(self):
         app = make_app()
@@ -470,12 +471,50 @@ class TestApplyConfig:
                 app.config.replace(shard=ShardConfig(enabled=True))
             )
 
-    def test_cache_cannot_toggle_live(self):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stale", StalePolicy("fail")),
+            ("error_policy", "isolate"),
+            (
+                "supervision_overrides",
+                {"Sensor": SupervisionPolicy(failure_threshold=1)},
+            ),
+        ],
+    )
+    def test_policy_sections_are_structural(self, field, value):
         app = make_app()
-        with pytest.raises(TuningError, match="cache"):
+        before = app.config
+        with pytest.raises(TuningError, match=f"'{field}' is structural"):
+            app.apply_config(app.config.replace(**{field: value}))
+        assert app.config is before
+        assert app.error_policy == "raise"
+
+    def test_cache_cannot_toggle_live(self):
+        # Toggled either way or retuned, the cache section is wiring.
+        for before, after in (
+            (CacheConfig(), CacheConfig(enabled=True)),
+            (CacheConfig(enabled=True), CacheConfig()),
+            (
+                CacheConfig(enabled=True, ttl_seconds=1.0),
+                CacheConfig(enabled=True, ttl_seconds=30.0),
+            ),
+        ):
+            app = make_app(cache=before)
+            with pytest.raises(TuningError, match="'cache' is structural"):
+                app.apply_config(app.config.replace(cache=after))
+            assert app.config.cache == before
+
+    def test_a_sharded_application_cannot_be_retuned(self):
+        # Its workers keep the config their bootstrap built; a
+        # coordinator-side swap would silently diverge from them.
+        app = make_app(shard=ShardConfig(enabled=True, workers=2))
+        before = app.config
+        with pytest.raises(TuningError, match="sharded"):
             app.apply_config(
-                app.config.replace(cache=CacheConfig(enabled=True))
+                before.replace(batch=before.batch.replace(min_column=4096))
             )
+        assert app.config is before
 
     def test_batch_only_tunes_min_column_live(self):
         app = make_app(batch=BatchConfig(min_column=4))
