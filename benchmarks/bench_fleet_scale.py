@@ -44,7 +44,8 @@ QUIESCENT_ROWS = 2_880_708
 
 
 def sweep(shard, sweeps):
-    """Per-sweep wall times, published values and runtime stats."""
+    """Per-sweep wall times, published values, runtime stats and each
+    worker's stats."""
     runtime = ShardedRuntime(
         FleetScaleBootstrap(
             count=DEVICES, seed=SEED, activity=ACTIVITY, shard=shard
@@ -62,9 +63,21 @@ def sweep(shard, sweeps):
             started = time.perf_counter()
             runtime.advance(PERIOD)
             seconds.append(time.perf_counter() - started)
-        return seconds, published, runtime.stats()
+        return seconds, published, runtime.stats(), runtime.worker_stats()
     finally:
         runtime.stop()
+
+
+def worker_peak(worker):
+    """A worker's peak RSS, and that over its bound devices: for the
+    record (the interpreter and the loaded code included), never
+    asserted."""
+    peak = worker["peak_rss_mb"]
+    per_device = peak * 2**20 / worker["bound_entities"]
+    return (
+        f"worker {worker['shard']} peak RSS",
+        f"{peak:.0f} MiB = {per_device:.0f} B per bound device",
+    )
 
 
 def test_fleet_scale_delta_wire_path(table, benchmark):
@@ -74,8 +87,8 @@ def test_fleet_scale_delta_wire_path(table, benchmark):
         return sharded, single
 
     sharded, single = benchmark.pedantic(run_series, rounds=1, iterations=1)
-    sharded_s, sharded_values, stats = sharded
-    single_s, single_values, __ = single
+    sharded_s, sharded_values, stats, workers = sharded
+    single_s, single_values, __, __ = single
     wire_bytes = stats["router"]["wire_bytes"]
     bytes_per_device_sweep = wire_bytes / (DEVICES * SWEEPS)
     table(
@@ -91,6 +104,7 @@ def test_fleet_scale_delta_wire_path(table, benchmark):
             ("per device-sweep", f"{bytes_per_device_sweep:.2f} B"),
             ("delta rows", stats["delta_rows"]),
             ("quiescent rows", stats["quiescent_rows"]),
+            *map(worker_peak, workers),
         ],
     )
     assert len(sharded_values) == SWEEPS

@@ -61,7 +61,7 @@ from repro.runtime.component import (
     SourceEvent,
 )
 from repro.faults.supervisor import SupervisionManager
-from repro.runtime.device import DeviceDriver, DeviceInstance
+from repro.runtime.device import DeviceDriver, DeviceInstance, Wiring
 from repro.runtime.discovery import Discover
 from repro.runtime.gather import Gatherer
 from repro.runtime.grouping import WindowAccumulator, group_readings
@@ -192,8 +192,13 @@ class Application:
             metrics=self.metrics,
         )
         self.discover = Discover(design, self.registry, self.query_context)
-        # One bound method every instance's publishes go through.
-        self._publish_hook = self.on_device_publish
+        # What every bound instance of a declaration shares: the one
+        # publish hook, the read cache, the declaration's read counters
+        # (resolved at its first bind) and the actuation recorder.
+        self.wirings: Dict[str, Wiring] = {
+            name: Wiring(self.on_device_publish, self.read_cache)
+            for name in design.devices
+        }
         self.started = False
         self._implementations: Dict[str, Component] = {}
         self._jobs: List[Any] = []
@@ -253,13 +258,13 @@ class Application:
                 "design"
             )
         self.registry.register(instance)
-        instance.attach(self._publish_hook)
-        instance.attach_metrics(self.metrics)
+        wiring = self.wirings[instance.info.name]
+        if wiring.reads is None:
+            wiring.count_into(self.metrics, instance.info.name)
+        instance.wire(wiring)
         supervisor = self.supervision.supervise(instance)
         if supervisor is not None:
             instance.attach_supervisor(supervisor)
-        if self.read_cache is not None:
-            instance.attach_cache(self.read_cache)
         return instance
 
     def create_device(

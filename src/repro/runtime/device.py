@@ -12,16 +12,16 @@ modes** so client applications are free to choose any of them:
 
 Attribute values (``parkingLot = "A22"``) are validated against the
 design's declared attribute types at construction, reproducing the
-registration step of entity binding.
+registration step of entity binding; the record is then read-only,
+and shared by every instance of the declaration with an equal one.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-import weakref
 from operator import methodcaller
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import (
     ActuationError,
@@ -169,13 +169,92 @@ class CallableDriver(DeviceDriver):
         return handler(**params)
 
 
+class Wiring:
+    """What every instance of one declaration bound in one application
+    shares: the hook its publishes go to, the read cache, its four read
+    counters, and who records its actuations (``actuated(instance,
+    action, params)``, before the action runs).  An application keeps
+    one per declaration (``app.wirings``); an unbound instance has
+    :data:`DETACHED`, and an ``attach*`` on a lone instance a copy of
+    its own."""
+
+    __slots__ = (
+        "publish_hook",
+        "cache",
+        "reads",
+        "retries",
+        "timeouts",
+        "failures",
+        "actuated",
+    )
+
+    def __init__(self, publish_hook=None, cache=None):
+        self.publish_hook = publish_hook
+        self.cache = cache
+        self.reads = self.retries = self.timeouts = self.failures = None
+        self.actuated = None
+
+    def count_into(self, metrics, device_type: str) -> None:
+        """Count reads in ``metrics``' counters of ``device_type``."""
+        self.reads, self.retries, self.timeouts, self.failures = (
+            metrics.counter(name, help=text, device_type=device_type)
+            for name, text in (
+                (
+                    "device_reads_total",
+                    "Query-driven/periodic reads attempted per device type.",
+                ),
+                (
+                    "device_read_retries_total",
+                    "Re-attempts after a failed or timed-out read.",
+                ),
+                (
+                    "device_read_timeouts_total",
+                    "Read attempts that exceeded their declared timeout.",
+                ),
+                (
+                    "device_read_failures_total",
+                    "Reads that failed after exhausting their retry budget.",
+                ),
+            )
+        )
+
+    def but(self, **fields: Any) -> "Wiring":
+        """A copy with ``fields`` replaced."""
+        copy = Wiring()
+        for name in self.__slots__:
+            setattr(copy, name, fields.get(name, getattr(self, name)))
+        return copy
+
+
+#: What an unbound instance is wired to: nothing.  Never changed.
+DETACHED = Wiring()
+
+
 class DeviceInstance:
     """One bound entity: identity + attributes + driver.
 
     Every entity in a typical IoT infrastructure "has a unique identity,
     as well as network, computing and storage capabilities" (Section I);
     here that is the ``entity_id``, the attribute record, and the driver.
+
+    The attribute record is read-only and shared by every instance of
+    the declaration with an equal record (:func:`attribute_record`);
+    what an application wires in is one shared :class:`Wiring`.
     """
+
+    __slots__ = (
+        "info",
+        "entity_id",
+        "attributes",
+        "driver",
+        "supervisor",
+        "plan",
+        "_failed",
+        "_wiring",
+        "_cached_proxy",
+        # The registry's registration ordinal (repro.runtime.registry).
+        "_registration",
+    )
 
     #: Driver swaps in this process: what voids cohort plans (a swap is
     #: rare, and an instance does not know which sweeps read it).
@@ -192,28 +271,9 @@ class DeviceInstance:
         driver: DeviceDriver,
         attributes: Optional[Dict[str, Any]] = None,
     ):
-        attributes = dict(attributes or {})
-        types = info.attribute_types
-        if attributes.keys() != types.keys():
-            missing = types.keys() - attributes.keys()
-            if missing:
-                raise BindingError(
-                    f"device '{entity_id}' of type {info.name}: attribute(s) "
-                    f"{sorted(missing)} must be set at registration"
-                )
-            raise BindingError(
-                f"device '{entity_id}' of type {info.name}: unknown "
-                f"attribute(s) {sorted(attributes.keys() - types.keys())}"
-            )
-        for name, value in attributes.items():
-            # Store the canonicalized value (e.g. dicts become immutable
-            # StructureValue records) so attribute records are hashable
-            # and indexable.
-            attributes[name] = check_value(types[name], value)
-
         self.info = info
         self.entity_id = entity_id
-        self.attributes = attributes
+        self.attributes = attribute_record(info, entity_id, attributes or {})
         self._failed = False
         self.driver = driver
         driver.instance = self
@@ -221,28 +281,23 @@ class DeviceInstance:
 
     # -- wiring -------------------------------------------------------------
 
+    def wire(self, wiring: Wiring) -> None:
+        """Point the instance at an application's shared wiring."""
+        self._wiring = wiring
+        self.plan = None
+
     def attach(self, publish_hook: Callable[..., None]) -> None:
         """Connect the instance to an application's event plumbing."""
-        self._publish_hook = publish_hook
+        self._wiring = self._wiring.but(publish_hook=publish_hook)
 
     def attach_metrics(self, metrics) -> None:
         """Export read/retry/timeout counters (labelled by device type)
         through a telemetry registry.  Instances of the same type share
-        the counters, so fleet-wide retry pressure reads as one series:
-        they are resolved once per (metrics registry, declaration) and
-        assigned as one row."""
-        rows = self.info.__dict__.get("_counter_rows")
-        if rows is None:  # weak: a design must not keep registries alive
-            rows = self.info._counter_rows = weakref.WeakKeyDictionary()
-        row = rows.get(metrics)
-        if row is None:
-            row = rows[metrics] = _counter_row(metrics, self.info.name)
-        (
-            self._m_reads,
-            self._m_retries,
-            self._m_timeouts,
-            self._m_failures,
-        ) = row
+        the counters, so fleet-wide retry pressure reads as one
+        series."""
+        wiring = self._wiring.but()
+        wiring.count_into(metrics, self.info.name)
+        self._wiring = wiring
 
     def attach_supervisor(self, supervisor) -> None:
         """Put the instance under a :class:`DeviceSupervisor`'s care.
@@ -263,23 +318,16 @@ class DeviceInstance:
         (no driver call, no breaker probe); misses run the normal path
         and populate the cache.  Pass ``None`` to detach.
         """
-        self._cache = cache
+        self._wiring = self._wiring.but(cache=cache)
         self.plan = None
 
     def detach(self) -> None:
         """Undo every ``attach*``: the instance reads and acts as one
         nothing was ever attached to."""
-        self._publish_hook: Optional[Callable[..., None]] = None
+        self._wiring = DETACHED
         # Supervision handle (repro.faults): None means unsupervised —
         # the exact pre-supervision behaviour at zero added cost.
         self.supervisor = None
-        # Read-cache handle (repro.runtime.cache): None means every
-        # read reaches the driver — the exact pre-cache behaviour.
-        self._cache = None
-        self._m_reads = None
-        self._m_retries = None
-        self._m_timeouts = None
-        self._m_failures = None
         self.plan = None
         # Drop the memoized device proxy (repro.runtime.proxies) so a
         # later rebind builds a fresh one instead of resurrecting the
@@ -302,7 +350,9 @@ class DeviceInstance:
         of each action come down to, shared by every instance of this
         declaration with this driver class and envelope (anything
         attached?).  Whatever changes one of those resets it to None."""
-        enveloped = self.supervisor is not None or self._cache is not None
+        enveloped = (
+            self.supervisor is not None or self._wiring.cache is not None
+        )
         key = (type(self.driver), enveloped)
         plans = self.info.__dict__.setdefault("_plans", {})
         plan = plans.get(key)
@@ -344,7 +394,7 @@ class DeviceInstance:
         and counted there — it goes on as :meth:`read` goes on after a
         failed first attempt: the rest of the retry budget, then the
         failure counter and the breaker."""
-        cache = self._cache
+        cache = self._wiring.cache
         if cache is None:
             return self._read_fresh(source, failed)
         if self._failed:
@@ -383,11 +433,12 @@ class DeviceInstance:
             attempts = 1 + source_info.retries
             timeout = source_info.timeout_seconds
         last_error = failed
-        if failed is None and self._m_reads is not None:
-            self._m_reads.inc()
+        wiring = self._wiring
+        if failed is None and wiring.reads is not None:
+            wiring.reads.inc()
         for attempt in range(failed is not None, attempts):
-            if attempt and self._m_retries is not None:
-                self._m_retries.inc()
+            if attempt and wiring.retries is not None:
+                wiring.retries.inc()
             # A read is timed only when a timeout is in force: nothing
             # else looks at how long it took.
             started = 0.0 if timeout is None else time.perf_counter()
@@ -407,15 +458,15 @@ class DeviceInstance:
                         f"read of '{source}' on '{self.entity_id}' "
                         f"exceeded its {timeout}s timeout"
                     )
-                    if self._m_timeouts is not None:
-                        self._m_timeouts.inc()
+                    if wiring.timeouts is not None:
+                        wiring.timeouts.inc()
                     continue
             value = coerce_value(source_info.dia_type, value)
             if supervisor is not None:
                 supervisor.record_success(source, value)
             return value
-        if self._m_failures is not None:
-            self._m_failures.inc()
+        if wiring.failures is not None:
+            wiring.failures.inc()
         if supervisor is not None:
             supervisor.record_failure()
             raise DeviceUnavailableError(
@@ -433,11 +484,15 @@ class DeviceInstance:
         value = coerce_value(source_info.dia_type, value)
         if source_info.is_indexed and index is not None:
             check_value(source_info.index_type, index)
-        if self._publish_hook is not None:
-            self._publish_hook(self, source, value, index)
+        hook = self._wiring.publish_hook
+        if hook is not None:
+            hook(self, source, value, index)
 
     def act(self, action: str, **params: Any) -> Any:
         """Issue an action, validating parameters against the declaration."""
+        wiring = self._wiring
+        if wiring.actuated is not None:
+            wiring.actuated(self, action, params)
         if self._failed:
             raise ActuationError(
                 f"device '{self.entity_id}' has failed and cannot act"
@@ -471,8 +526,8 @@ class DeviceInstance:
             # device's sources report may have changed, so cached
             # readings (even from a failed actuation, which may have
             # had partial effect) are no longer trustworthy.
-            if self._cache is not None:
-                self._cache.invalidate(self.entity_id)
+            if wiring.cache is not None:
+                wiring.cache.invalidate(self.entity_id)
         if supervisor is not None:
             supervisor.record_success()
         return result
@@ -506,29 +561,64 @@ class DeviceInstance:
         return f"<{self.info.name} {self.entity_id} {attrs}>"
 
 
-def _counter_row(metrics, device_type: str) -> tuple:
-    """The four read counters of ``device_type`` in ``metrics``."""
-    return tuple(
-        metrics.counter(name, help=text, device_type=device_type)
-        for name, text in (
-            (
-                "device_reads_total",
-                "Query-driven/periodic reads attempted per device type.",
-            ),
-            (
-                "device_read_retries_total",
-                "Re-attempts after a failed or timed-out read.",
-            ),
-            (
-                "device_read_timeouts_total",
-                "Read attempts that exceeded their declared timeout.",
-            ),
-            (
-                "device_read_failures_total",
-                "Reads that failed after exhausting their retry budget.",
-            ),
+class AttributeRecord(dict):
+    """An instance's attribute record: a dict nothing may change.  The
+    registry indexes instances by their records at registration, so a
+    record changed afterwards would give discovery two answers."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("attribute records are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return AttributeRecord, (dict(self),)
+
+
+#: Distinct records shared per declaration.  Past it a record is its
+#: instance's own, at a plain dict's cost: a declaration whose records
+#: are all distinct (a location per panel) gains nothing from sharing.
+SHARED_RECORDS = 1024
+
+
+def attribute_record(
+    info: DeviceInfo, entity_id: str, attributes: Mapping[str, Any]
+) -> AttributeRecord:
+    """The attribute record of ``entity_id``: the values checked
+    against ``info``'s declared types and canonicalized (e.g. dicts
+    become immutable StructureValue records, so records are hashable
+    and indexable), in declaration order.  Equal records of one
+    declaration are one shared object (up to :data:`SHARED_RECORDS`
+    of them); a record holding an unhashable value is its own."""
+    types = info.attribute_types
+    if attributes.keys() != types.keys():
+        missing = types.keys() - attributes.keys()
+        if missing:
+            raise BindingError(
+                f"device '{entity_id}' of type {info.name}: attribute(s) "
+                f"{sorted(missing)} must be set at registration"
+            )
+        raise BindingError(
+            f"device '{entity_id}' of type {info.name}: unknown "
+            f"attribute(s) {sorted(attributes.keys() - types.keys())}"
         )
+    values = tuple(
+        check_value(dia_type, attributes[name])
+        for name, dia_type in types.items()
     )
+    records = info.__dict__.setdefault("_records", {})
+    try:
+        record = records.get(values)
+    except TypeError:  # an unhashable value
+        return AttributeRecord(zip(types, values))
+    if record is None:
+        record = AttributeRecord(zip(types, values))
+        if len(records) < SHARED_RECORDS:
+            record = records.setdefault(values, record)
+    return record
 
 
 class _Plan(dict):
@@ -568,13 +658,14 @@ def _compile_reader(info, driver_class, enveloped, source):
         # _read_fresh, for the one attempt nobody times or supervises.
         if instance._failed:
             return instance._read_fresh(source)  # raises
-        if instance._m_reads is not None:
-            instance._m_reads.inc()
+        wiring = instance._wiring
+        if wiring.reads is not None:
+            wiring.reads.inc()
         try:
             value = call(instance.driver)
         except DeliveryError:
-            if instance._m_failures is not None:
-                instance._m_failures.inc()
+            if wiring.failures is not None:
+                wiring.failures.inc()
             raise
         return value if type(value) is exact else coerce_value(dia_type, value)
 

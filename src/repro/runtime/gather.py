@@ -55,7 +55,7 @@ _DROPPED = _Lost()
 _PENDING = object()
 _DEMOTED = object()
 
-_reads_counter_of = attrgetter("_m_reads")
+_reads_counter_of = attrgetter("_wiring.reads")
 _entity_id_of = attrgetter("entity_id")
 _failed_flag = attrgetter("_failed")
 

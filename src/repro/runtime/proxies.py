@@ -17,6 +17,7 @@ read-only properties (``sensor.parking_lot``).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ActuationError, DiscoveryError
@@ -24,29 +25,31 @@ from repro.naming import action_method_name, camel_to_snake, query_method_name
 from repro.runtime.device import DeviceInstance
 
 
+#: A declaration's proxy method names, each mapped to the facet it
+#: reaches: built once per declaration, shared by its proxies.
+Facets = namedtuple("Facets", ("sources", "actions", "attributes"))
+
+
+def facets_of(info) -> Facets:
+    """The :class:`Facets` of declaration ``info``."""
+    facets = info.__dict__.get("_facets")
+    if facets is None:
+        facets = info._facets = Facets(
+            {query_method_name(name): name for name in info.sources},
+            {action_method_name(name): name for name in info.actions},
+            {camel_to_snake(name): name for name in info.attributes},
+        )
+    return facets
+
+
 class DeviceProxy:
     """A typed handle on a single bound device instance."""
 
-    __slots__ = ("_instance", "_sources", "_actions", "_attributes")
+    __slots__ = ("_instance", "_facets")
 
     def __init__(self, instance: DeviceInstance):
         object.__setattr__(self, "_instance", instance)
-        info = instance.info
-        object.__setattr__(
-            self,
-            "_sources",
-            {query_method_name(name): name for name in info.sources},
-        )
-        object.__setattr__(
-            self,
-            "_actions",
-            {action_method_name(name): name for name in info.actions},
-        )
-        object.__setattr__(
-            self,
-            "_attributes",
-            {camel_to_snake(name): name for name in info.attributes},
-        )
+        object.__setattr__(self, "_facets", facets_of(instance.info))
 
     @property
     def entity_id(self) -> str:
@@ -73,15 +76,13 @@ class DeviceProxy:
         return self._instance.act(action, **params)
 
     def __getattr__(self, name: str) -> Any:
-        sources = object.__getattribute__(self, "_sources")
+        sources, actions, attributes = object.__getattribute__(self, "_facets")
         if name in sources:
             source = sources[name]
             return lambda: self._instance.read(source)
-        actions = object.__getattribute__(self, "_actions")
         if name in actions:
             action = actions[name]
             return lambda **params: self._instance.act(action, **params)
-        attributes = object.__getattribute__(self, "_attributes")
         if name in attributes:
             return self._instance.attributes[attributes[name]]
         raise AttributeError(
@@ -293,22 +294,21 @@ class ProxySet:
             return lambda value: self.where(**{attribute: value})
         if self._proxies:
             sample = self._proxies[0]
-            if name in object.__getattribute__(sample, "_actions"):
+            if name in sample._facets.actions:
                 def broadcast(**params: Any) -> Dict[str, Any]:
                     return {
                         proxy.entity_id: proxy.act(
-                            object.__getattribute__(proxy, "_actions")[name],
-                            **params,
+                            proxy._facets.actions[name], **params
                         )
                         for proxy in self._proxies
                     }
 
                 return broadcast
-            if name in object.__getattribute__(sample, "_sources"):
+            if name in sample._facets.sources:
                 def gather() -> Dict[str, Any]:
                     return {
                         proxy.entity_id: proxy.query(
-                            object.__getattribute__(proxy, "_sources")[name]
+                            proxy._facets.sources[name]
                         )
                         for proxy in self._proxies
                     }

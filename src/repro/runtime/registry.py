@@ -20,7 +20,6 @@ from repro.faults.policy import HEALTHY, QUARANTINED
 from repro.runtime.device import DeviceInstance
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
-Listener = Callable[[str, DeviceInstance], None]
 HealthLookup = Callable[[str], str]
 
 _failed_flag = attrgetter("_failed")
@@ -129,7 +128,6 @@ class EntityRegistry(Instrumented):
         self._by_type: Dict[str, List[DeviceInstance]] = {}
         # (type, attribute) -> value -> instances in registration order
         self._by_attribute: Dict[tuple, Dict[Any, List[DeviceInstance]]] = {}
-        self._listeners: List[Listener] = []
         self._health_lookup: Optional[HealthLookup] = None
         self._lookups = 0
         self._index_hits = 0
@@ -195,9 +193,6 @@ class EntityRegistry(Instrumented):
         # (and what unregister bisects every list above on).
         instance._registration = self._registrations
         self._version += 1
-        if self._listeners:
-            for listener in list(self._listeners):
-                listener("register", instance)
         return instance
 
     def unregister(self, entity_id: str) -> DeviceInstance:
@@ -220,8 +215,6 @@ class EntityRegistry(Instrumented):
                     _splice(bucket, instance)
         self._unregistrations += 1
         self._version += 1
-        for listener in list(self._listeners):
-            listener("unregister", instance)
         return instance
 
     def _bucket(self, type_name: str, attribute: str, value: Any):
@@ -430,16 +423,6 @@ class EntityRegistry(Instrumented):
             return False
         self._unfailed[device_type] = stamp
         return True
-
-    def add_listener(self, listener: Listener) -> Callable[[], None]:
-        """Subscribe to register/unregister events; returns a remover."""
-        self._listeners.append(listener)
-
-        def remove() -> None:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
-
-        return remove
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -19,6 +19,7 @@ spawning a process:
 from __future__ import annotations
 
 import pickle
+import struct
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -72,6 +73,25 @@ def _pack_positions(positions: List[int]) -> List[int]:
 def _unpack_positions(packed: List[int]) -> List[int]:
     """Inverse of :func:`_pack_positions`."""
     return list(accumulate(packed))
+
+
+def _int64s(ints: List[int]) -> array:
+    """``ints`` as an ``array("q")``, packed in one call: ``array("q",
+    ints)`` converts item by item, several times slower on the
+    columns a churned fleet folds every poll."""
+    column = array("q")
+    column.frombytes(struct.pack(f"{len(ints)}q", *ints))
+    return column
+
+
+def _merged_order(slices: List[array]) -> List[int]:
+    """The rows of ``slices`` laid end to end, in position order.
+    The positions are sorted as a list (an array boxes every item it
+    hands out), dropped on return: a rebuild does not hold them while
+    it groups."""
+    positions = list(chain.from_iterable(map(array.tolist, slices)))
+    # One ascending run per shard: timsort merges them.
+    return sorted(range(len(positions)), key=positions.__getitem__)
 
 
 def _encode_group_keys(keys: List[Any]) -> Tuple[Any, ...]:
@@ -242,7 +262,8 @@ class _Mirror:
 
     Holds each shard's slice as that shard's :class:`_DeltaEncoder`
     last shipped it: three aligned columns — ascending global
-    positions, identities (opaque here: the group key of a grouped
+    positions (an ``array("q")``, as is the merged ``order``),
+    identities (opaque here: the group key of a grouped
     gather, the ``(type, entity id, attributes)`` triple of a ``flat``
     one) and values.  Registration churn (register / retract / reset)
     dirties the merged position ``order``; a quiescent sweep reuses it.
@@ -279,7 +300,7 @@ class _Mirror:
 
     def __init__(self, shards: int, flat: bool):
         self.flat = flat
-        self.positions: List[List[int]] = [[] for __ in range(shards)]
+        self.positions: List[array] = [array("q") for __ in range(shards)]
         self.idents: List[List[Any]] = [[] for __ in range(shards)]
         self.values: List[List[Any]] = [[] for __ in range(shards)]
         # Global position -> its row in its shard's slice, written for
@@ -288,7 +309,7 @@ class _Mirror:
         self.indexed = [False] * shards
         # The slices' rows laid end to end, in position order; the
         # grouped values in payload order and each group's span of them.
-        self.order: List[int] = []
+        self.order = array("q")
         self.cells: List[Any] = []
         self.spans: Dict[Any, Tuple[int, int]] = {}
         # Per shard, row -> its cell; built by the first value change
@@ -328,17 +349,20 @@ class _Mirror:
         and values of the ``changed`` block, and the delta row count."""
         columns = self.positions[shard], self.idents[shard], self.values[shard]
         if reply.get("reset") and columns[0]:
-            columns = [], [], []
+            columns = array("q"), [], []
         delta_rows = 0
         if reply.get("retract"):
             rows = self._locate(shard, columns[0], reply["retract"])
             keep = [True] * len(columns[0])
             deque(map(setitem, repeat(keep), rows, repeat(False)), maxlen=0)
-            columns = [list(compress(column, keep)) for column in columns]
+            columns = (
+                array("q", compress(columns[0], keep)),
+                *(list(compress(column, keep)) for column in columns[1:]),
+            )
             delta_rows += len(rows)
         if reply.get("register"):
             packed, *ident_columns, values = reply["register"]
-            positions = _unpack_positions(packed)
+            positions = _int64s(_unpack_positions(packed))
             if self.flat:
                 lengths = set(map(len, ident_columns))
                 idents = list(zip(*ident_columns))
@@ -405,18 +429,18 @@ class _Mirror:
         deque(map(setitem, repeat(self.cells), cells, column), maxlen=0)
 
     def _rebuild(self) -> None:
-        positions = list(chain.from_iterable(self.positions))
-        # One ascending run per shard: timsort merges them.
-        self.order = sorted(range(len(positions)), key=positions.__getitem__)
+        # Walked as a list, kept as an array.
+        order = _merged_order(self.positions)
+        self.order = _int64s(order)
         self.cell_of = []
         self.dirty = False
         if self.flat:
             return
         idents = list(chain.from_iterable(self.idents))
         values = list(chain.from_iterable(self.values))
-        keys = list(map(idents.__getitem__, self.order))
+        keys = list(map(idents.__getitem__, order))
         groups: Dict[Any, List[Any]] = {key: [] for key in dict.fromkeys(keys)}
-        extend_each(keys, groups, map(values.__getitem__, self.order))
+        extend_each(keys, groups, map(values.__getitem__, order))
         self.cells = list(chain.from_iterable(groups.values()))
         stops = list(accumulate(map(len, groups.values()), initial=0))
         self.spans = dict(zip(groups, zip(stops, islice(stops, 1, None))))
@@ -439,19 +463,20 @@ class _Mirror:
         what a flat gather delivers."""
         if self.dirty:
             self._rebuild()
-        idents = list(chain.from_iterable(self.idents))
-        values = list(chain.from_iterable(self.values))
-        order = self.order
-        return list(
-            zip(map(idents.__getitem__, order), map(values.__getitem__, order))
+        rows = list(
+            zip(
+                chain.from_iterable(self.idents),
+                chain.from_iterable(self.values),
+            )
         )
+        return list(map(rows.__getitem__, self.order))
 
 
-def _by_position(shard: int, positions, *columns) -> List[List[Any]]:
+def _by_position(shard: int, positions, *columns) -> List[Any]:
     """Aligned columns sorted by position; a position twice is
     malformed."""
     order = sorted(range(len(positions)), key=positions.__getitem__)
-    positions = list(map(positions.__getitem__, order))
+    positions = array("q", map(positions.__getitem__, order))
     if any(map(eq, positions, islice(positions, 1, None))):
         raise ShardError("a position registered twice", shard)
     return [positions, *(list(map(c.__getitem__, order)) for c in columns)]

@@ -12,6 +12,7 @@ bind/unbind, stats — until ``stop`` or a closed pipe.
 from __future__ import annotations
 
 import functools
+import sys
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Dict, List, Tuple
@@ -26,6 +27,11 @@ from repro.runtime.shard.codec import (
     _wire_recv,
     _wire_send,
 )
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 _entity_id_of = attrgetter("entity_id")
 _type_name_of = attrgetter("info.name")
@@ -55,13 +61,16 @@ class _ShardWorker:
         self.clock: SimulationClock = self.app.clock
         # Bound entity id -> global registration position, derived
         # from the full-fleet enumeration so every shard agrees on
-        # merge order; the build bound what this shard owns.
-        bound = set(map(_entity_id_of, self.app.registry))
-        self._gpos = {
-            entity_id: position
-            for position, entity_id in enumerate(bootstrap.fleet())
-            if entity_id in bound
-        }
+        # merge order; the build bound what this shard owns.  Keyed by
+        # the bound instances' own id strings: storing under an equal
+        # key keeps the key already there, so the enumeration's copies
+        # are not kept.
+        gpos = self._gpos = dict.fromkeys(
+            map(_entity_id_of, self.app.registry)
+        )
+        for position, entity_id in enumerate(bootstrap.fleet()):
+            if entity_id in gpos:
+                gpos[entity_id] = position
         self._events: List[Tuple[Any, ...]] = []
         # Poll results parked between the poll and map rounds of a
         # MapReduce gather: (context, interaction) -> the readings'
@@ -73,14 +82,14 @@ class _ShardWorker:
         self._encoders: Dict[Tuple[str, int], _DeltaEncoder] = {}
         # The column memo numbers rows by global position.
         self.app.gatherer.key_columns.positions = self._gpos
-        # Re-attach every instance's publish hook to the recorder so
-        # pushes surface in command replies instead of dead-ending in
-        # the worker's subscriber-less bus.  Recording happens at the
-        # instance (one record per publish), not at the bus (which
-        # would double-count ancestor-topic deliveries).
-        self._recorder = self._record_publish
-        for instance in self.app.registry:
-            instance.attach(self._recorder)
+        # Point every instance's publish hook at the recorder — the
+        # ones bound now and the ones ``bind`` adds, which share the
+        # wiring — so pushes surface in command replies instead of
+        # dead-ending in the worker's subscriber-less bus.  Recording
+        # happens at the instance (one record per publish), not at the
+        # bus (which would double-count ancestor-topic deliveries).
+        for wiring in self.app.wirings.values():
+            wiring.publish_hook = self._record_publish
 
     # -- event recording ------------------------------------------------
 
@@ -211,15 +220,13 @@ class _ShardWorker:
         shard's running application.
 
         The bootstrap constructs the device (it knows the drivers); the
-        worker wires the publish recorder and records the
-        coordinator-assigned global position.  The registry version
-        bump this causes hands the next sweep a new column: the cohort
-        plans and the column memo are patched by the registry's column
-        edit, and the delta epochs reset, so the next poll
-        re-registers — no static fleet required.
+        worker records the coordinator-assigned global position.  The
+        registry version bump this causes hands the next sweep a new
+        column: the cohort plans and the column memo are patched by the
+        registry's column edit, and the delta epochs reset, so the next
+        poll re-registers — no static fleet required.
         """
         self.bootstrap.bind_entity(self.app, entity_id, position)
-        self.app.registry.get(entity_id).attach(self._recorder)
         self._gpos[entity_id] = position
         return {"bound": len(self.app.registry)}
 
@@ -239,6 +246,7 @@ class _ShardWorker:
                 "sweep": stats["sweep"],
                 "supervision": stats["supervision"],
                 "cache": stats["read_cache"],
+                "peak_rss_mb": _peak_rss_mb(),
             }
         }
 
@@ -290,6 +298,16 @@ class _ShardWorker:
             else:
                 _wire_send(conn, ("ok", reply))
         conn.close()
+
+
+def _peak_rss_mb():
+    """This process's peak resident set size in MiB; ``None`` where
+    there is no ``resource`` module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Kibibytes, but bytes on macOS.
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def _flat_columns(instances, rows) -> Tuple[list, list, list]:

@@ -7,13 +7,14 @@ actions issued to devices.  Traces serve the examples ("show me the day"),
 debugging, and assertions about *ordering* that per-component counters
 cannot express.
 
-The tracer hooks the application's bus delivery and wraps device actuation;
-it is observation-only (no behavioural change) and can be detached.
+The tracer hooks the application's bus delivery and records device
+actuation through the wiring every bound instance shares; it is
+observation-only (no behavioural change) and can be detached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.runtime.component import ContextEvent, SourceEvent
 from repro.telemetry.chrometrace import TraceEntry
@@ -34,8 +35,6 @@ class Tracer:
         self.capacity = capacity
         self.entries: List[TraceEntry] = []
         self.dropped = 0
-        # entity id -> an instance whose ``act`` this tracer patched
-        self._patched_instances: Dict[str, Any] = {}
         self._attached = False
         self._original_dispatch = None
 
@@ -47,12 +46,16 @@ class Tracer:
         Intercepts the bus's delivery loop — which a topic publish and a
         compiled delivery plan both go through — recording *before*
         delivery, so entries appear in causal order: source → context →
-        action; and wraps device actuation.
+        action; and records the actions issued to every instance the
+        application binds, now or later (:class:`~repro.runtime.device.
+        Wiring`).
         """
         if self._attached:
             raise RuntimeError("tracer already attached")
-        self._attached = True
         app = self.application
+        if any(wiring.actuated for wiring in app.wirings.values()):
+            raise RuntimeError("another tracer is attached to this app")
+        self._attached = True
         self._original_dispatch = app.bus.dispatch_compiled
 
         def traced_dispatch(targets, topic_count, payload):
@@ -60,23 +63,16 @@ class Tracer:
             return self._original_dispatch(targets, topic_count, payload)
 
         app.bus.dispatch_compiled = traced_dispatch
-        for instance in app.registry:
-            self._patch_instance(instance)
-        self._registry_remover = app.registry.add_listener(
-            self._on_registry_change
-        )
+        for wiring in app.wirings.values():
+            wiring.actuated = self._on_action
         return self
 
     def detach(self) -> None:
         if not self._attached:
             return
         self.application.bus.dispatch_compiled = self._original_dispatch
-        for instance in self._patched_instances.values():
-            # Deleted, not assigned back: a bound method in the
-            # instance's own dict would hold it in a cycle.
-            del instance.act
-        self._patched_instances.clear()
-        self._registry_remover()
+        for wiring in self.application.wirings.values():
+            wiring.actuated = None
         self._attached = False
 
     def _on_dispatch(self, payload) -> None:
@@ -87,29 +83,16 @@ class Tracer:
 
     # -- hooks ---------------------------------------------------------------
 
-    def _on_registry_change(self, kind, instance) -> None:
-        if kind == "register":
-            self._patch_instance(instance)
-        else:
-            del self._patched_instances.pop(instance.entity_id).act
-
-    def _patch_instance(self, instance) -> None:
-        original = instance.act
-
-        def traced_act(action, **params):
-            self._record(
-                TraceEntry(
-                    timestamp=self.application.clock.now(),
-                    kind="action",
-                    subject=instance.entity_id,
-                    detail=action,
-                    value=params or None,
-                )
+    def _on_action(self, instance, action, params) -> None:
+        self._record(
+            TraceEntry(
+                timestamp=self.application.clock.now(),
+                kind="action",
+                subject=instance.entity_id,
+                detail=action,
+                value=params or None,
             )
-            return original(action, **params)
-
-        instance.act = traced_act
-        self._patched_instances[instance.entity_id] = instance
+        )
 
     def _on_source(self, event: SourceEvent) -> None:
         self._record(

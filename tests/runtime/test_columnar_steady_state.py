@@ -240,10 +240,12 @@ def test_a_membership_change_costs_frames_only_in_application_code(fleets):
 
 class CountedProbe(DeviceInstance):
     """A probe counting, class-wide, how often ``_failed`` (the flag
-    behind ``failed``) and ``_m_reads`` are loaded — the passes over
-    the fleet's memory no frame count sees."""
+    behind ``failed``) and ``_wiring`` (the shared wiring, whose
+    ``reads`` is the read counter) are loaded — the passes over the
+    fleet's memory no frame count sees."""
 
     loads = Counter()
+    wired = set()  # the entity ids whose ``_wiring`` was loaded
 
     @property
     def _failed(self):
@@ -255,13 +257,14 @@ class CountedProbe(DeviceInstance):
         self._flag = value
 
     @property
-    def _m_reads(self):
-        CountedProbe.loads["_m_reads"] += 1
-        return self._reads
+    def _wiring(self):
+        CountedProbe.loads["_wiring"] += 1
+        CountedProbe.wired.add(self.entity_id)
+        return self._shared
 
-    @_m_reads.setter
-    def _m_reads(self, value):
-        self._reads = value
+    @_wiring.setter
+    def _wiring(self, value):
+        self._shared = value
 
 
 class CountedBootstrap(ProbeBootstrap):
@@ -300,9 +303,11 @@ def test_a_steady_state_poll_loads_per_entity_state_once():
 
 def test_a_churn_period_loads_read_counters_only_of_what_it_bound():
     """After an unbind and a bind the cohort plan is patched: its tally
-    asks the read counter of the one entity bound.  The registry's
-    failed-flag scan runs once for the new registry version: the first
-    poll loads ``_failed`` once per member, the second not at all."""
+    asks the read counter of the one entity bound, and its read plan
+    that entity's cache handle — both through that entity's wiring,
+    and no other member's.  The registry's failed-flag scan runs once
+    for the new registry version: the first poll loads ``_failed`` once
+    per member, the second not at all."""
     fleet = Fleet(300, bootstrap=CountedBootstrap)
     fleet.period()
     fleet.period()
@@ -311,15 +316,16 @@ def test_a_churn_period_loads_read_counters_only_of_what_it_bound():
     assert CountedProbe.loads == {}
     worker = fleet.worker
     worker.clock.run_until(fleet.now + PERIOD)
-    for name, flags, read_counters in (
-        ("Levels", fleet.count, 1),
-        ("Load", 0, 0),
+    for name, flags, wired in (
+        ("Levels", fleet.count, {f"probe-{fleet.count:05d}"}),
+        ("Load", 0, set()),
     ):
         CountedProbe.loads.clear()
+        CountedProbe.wired.clear()
         worker._cmd_poll(name, 0)
-        assert CountedProbe.loads == Counter(
-            _failed=flags, _m_reads=read_counters
-        )
+        assert set(CountedProbe.loads) <= {"_failed", "_wiring"}
+        assert CountedProbe.loads["_failed"] == flags
+        assert CountedProbe.wired == wired
 
 
 class AttributeCountedProbe(DeviceInstance):

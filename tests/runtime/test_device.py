@@ -1,6 +1,8 @@
 """Device instances, drivers and the three delivery modes."""
 
+import copy
 import operator
+import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +22,13 @@ from repro.faults.supervisor import SupervisionManager
 from repro.runtime.app import Application
 from repro.runtime.cache import CacheConfig, ReadCache
 from repro.runtime.clock import SimulationClock
-from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
+from repro.runtime.device import (
+    SHARED_RECORDS,
+    AttributeRecord,
+    CallableDriver,
+    DeviceDriver,
+    DeviceInstance,
+)
 from repro.sema.analyzer import analyze
 from repro.telemetry import MetricsRegistry
 
@@ -650,12 +658,8 @@ def bind_sensors(app, count):
 
 
 def counter_row(instance):
-    return (
-        instance._m_reads,
-        instance._m_retries,
-        instance._m_timeouts,
-        instance._m_failures,
-    )
+    wiring = instance._wiring
+    return (wiring.reads, wiring.retries, wiring.timeouts, wiring.failures)
 
 
 def reads_counted(app):
@@ -754,3 +758,100 @@ class TestBindRow:
             )
         assert str(direct.value) == str(created.value) == text
         assert len(app.registry) == 0
+
+
+def lot_sensor(design, entity_id, lot, info=None):
+    return DeviceInstance(
+        info or design.devices["PresenceSensor"],
+        entity_id,
+        CallableDriver(),
+        {"parkingLot": lot},
+    )
+
+
+class TestAttributeRecords:
+    """An attribute record is checked once, read-only, and shared by
+    every instance of the declaration with an equal record."""
+
+    def test_equal_records_of_one_declaration_are_one_object(self, design):
+        first, second, other = (
+            lot_sensor(design, f"s{n}", lot)
+            for n, lot in enumerate(["A22", "A22", "B16"])
+        )
+        assert first.attributes is second.attributes
+        assert first.attributes is not other.attributes
+        assert first.attributes == {"parkingLot": "A22"}
+        # Another declaration (a second analysis) keeps its own.
+        again = lot_sensor(
+            design, "s3", "A22", analyze(DESIGN).devices["PresenceSensor"]
+        )
+        assert again.attributes == first.attributes
+        assert again.attributes is not first.attributes
+
+    def test_a_record_is_read_only(self, design):
+        record = lot_sensor(design, "s1", "A22").attributes
+        for mutate in (
+            lambda: record.__setitem__("parkingLot", "B16"),
+            lambda: record.__delitem__("parkingLot"),
+            lambda: record.update(parkingLot="B16"),
+            lambda: record.setdefault("floor", 2),
+            lambda: record.pop("parkingLot"),
+            lambda: record.popitem(),
+            lambda: record.clear(),
+            lambda: record.__ior__({"parkingLot": "B16"}),
+        ):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate()
+        assert record == {"parkingLot": "A22"}
+
+    def test_a_record_copies_and_pickles_as_a_record(self, design):
+        record = lot_sensor(design, "s1", "A22").attributes
+        for twin in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert type(twin) is AttributeRecord
+            assert twin == record
+
+    def test_records_follow_the_declaration_order(self):
+        info = analyze(
+            "device Meter { attribute b as Integer; attribute a as Integer;"
+            " source level as Float; }"
+        ).devices["Meter"]
+        one = DeviceInstance(info, "m1", CallableDriver(), {"a": 1, "b": 2})
+        two = DeviceInstance(info, "m2", CallableDriver(), {"b": 2, "a": 1})
+        assert list(one.attributes) == ["b", "a"]
+        assert one.attributes is two.attributes
+
+    def test_an_unhashable_record_is_its_own(self):
+        info = analyze(
+            "device Tagged { attribute tags as String[];"
+            " source level as Float; }"
+        ).devices["Tagged"]
+        one, two = (
+            DeviceInstance(info, f"t{n}", CallableDriver(), {"tags": ["a"]})
+            for n in range(2)
+        )
+        assert one.attributes == two.attributes
+        assert one.attributes is not two.attributes
+        with pytest.raises(TypeError, match="read-only"):
+            one.attributes["tags"] = ["b"]
+
+    def test_past_the_shared_records_a_record_is_its_own(self):
+        info = analyze(
+            "device Meter { attribute serial as Integer;"
+            " source level as Float; }"
+        ).devices["Meter"]
+
+        def meter(serial):
+            return DeviceInstance(
+                info, f"m{serial}", CallableDriver(), {"serial": serial}
+            )
+
+        for serial in range(SHARED_RECORDS):
+            meter(serial)
+        assert meter(0).attributes is meter(0).attributes
+        late = meter(SHARED_RECORDS), meter(SHARED_RECORDS)
+        assert late[0].attributes == late[1].attributes
+        assert late[0].attributes is not late[1].attributes

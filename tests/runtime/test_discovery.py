@@ -140,6 +140,27 @@ class TestDeviceDiscovery:
         bind_panel(design, registry, "p1", "A22")
         assert len(discover.parking_entrance_panels()) == 1
 
+    def test_a_bound_record_cannot_move_under_the_index(
+        self, design, registry, discover
+    ):
+        """The registry indexes ``(type, attribute, value)`` at
+        registration: a record that could change afterwards would be
+        answered one way by the index and another by the members."""
+        bind_panel(design, registry, "panel-A22", "A22")
+        bind_panel(design, registry, "panel-B16", "B16")
+        walked = discover.devices("ParkingEntrancePanel")
+        assert len(walked) == 2  # looked at: ``where`` filters members
+        panel = registry.get("panel-A22")
+        with pytest.raises(TypeError):
+            panel.attributes["location"] = "B16"
+        for lot in ("A22", "B16"):
+            indexed = discover.devices("ParkingEntrancePanel").where(
+                location=lot
+            )
+            assert indexed.entity_ids() == walked.where(
+                location=lot
+            ).entity_ids() == [f"panel-{lot}"]
+
 
 LAZY_DESIGN = analyze("""\
 device Panel {

@@ -198,24 +198,6 @@ device Tagged {
         assert registry.instances_of("Tagged") == []
 
 
-class TestListeners:
-    def test_register_event(self, design, registry):
-        events = []
-        registry.add_listener(lambda kind, inst: events.append((kind,
-                                                                inst.entity_id)))
-        registry.register(sensor(design, "s1", "A22"))
-        registry.unregister("s1")
-        assert events == [("register", "s1"), ("unregister", "s1")]
-
-    def test_listener_removal(self, design, registry):
-        events = []
-        remove = registry.add_listener(lambda *a: events.append(a))
-        remove()
-        registry.register(sensor(design, "s1", "A22"))
-        assert events == []
-        remove()  # second removal is a no-op
-
-
 class TestChurnMatchesAListReference:
     """Register, unregister, and register again under a freed id — the
     same instance or a new one — over subtypes and unhashable

@@ -504,6 +504,30 @@ class TestMetrics:
         finally:
             runtime.stop()
 
+    def test_worker_stats_report_each_workers_peak_rss(self):
+        runtime = ShardedRuntime(
+            PresenceBootstrap(
+                sensors=6, shard=ShardConfig(enabled=True, workers=2)
+            )
+        )
+        runtime.start()
+        try:
+            peaks = [s["peak_rss_mb"] for s in runtime.worker_stats()]
+        finally:
+            runtime.stop()
+        # A worker is at least an interpreter with the runtime loaded.
+        assert len(peaks) == 2 and all(10 < peak < 10_000 for peak in peaks)
+
+    def test_peak_rss_is_none_without_the_resource_module(self, monkeypatch):
+        from repro.runtime.shard import worker as module
+
+        worker = module._ShardWorker(
+            PresenceBootstrap(sensors=2), ShardContext(shards=1, index=0)
+        )
+        assert worker._cmd_stats()["value"]["peak_rss_mb"] > 10
+        monkeypatch.setattr(module, "resource", None)
+        assert worker._cmd_stats()["value"]["peak_rss_mb"] is None
+
 
 class TestWireProtocol:
     """The delta protocol actually suppresses quiescent rows."""

@@ -7,7 +7,6 @@ so a format bug shows up here rather than as a diverging sharded run.
 """
 
 import pickle
-import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +24,7 @@ from repro.runtime.shard.codec import (
     _pack_positions,
     _unpack_positions,
 )
+from tests.runtime.footprint import mirror_bytes_per_reading
 
 
 def over_the_wire(obj):
@@ -501,27 +501,8 @@ class TestMalformedBlocks:
 
 def test_a_grouped_mirror_holds_under_150_bytes_per_reading():
     """100 000 readings over 2 shards, after one register and one
-    steady ``changed`` fold, every block unpickled under tracing: the
-    mirror holds about 123 B per reading on CPython 3.11 (the former
-    four position-keyed tables held about 275 B)."""
-    count = 100_000
-    tracemalloc.start()
-    try:
-        mirror = _Mirror(2, flat=False)
-        for shard in range(2):
-            positions = list(range(shard, count, 2))
-            keys = [f"Z{position % 8}" for position in positions]
-            block = register(positions, keys, [p % 101 for p in positions])
-            reply = {"reset": True, "register": block}
-            mirror.apply(shard, over_the_wire(reply))
-            del positions, keys, block, reply
-        mirror.payload()
-        for shard in range(2):
-            moved = list(range(shard, count, 100))
-            mirror.apply(shard, over_the_wire(changed(moved, [7] * 1000)))
-        del moved
-        mirror.payload()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held / count <= 150
+    steady ``changed`` fold: the mirror holds about 59 B per reading on
+    CPython 3.10–3.13, with positions and the merged order as
+    ``array("q")`` columns (as lists of int objects it held about
+    123 B; the former four position-keyed tables about 275 B)."""
+    assert mirror_bytes_per_reading() <= 80

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.cooker import build_cooker_app
 from repro.runtime.component import SourceEvent
+from repro.runtime.device import DeviceInstance
 from repro.runtime.plan import source_topics
 from repro.runtime.proxies import make_proxy
 from repro.runtime.tracing import TraceEntry, Tracer
@@ -157,10 +158,12 @@ class TestLifecycle:
         app, tracer = traced_app
         instance = app.application.registry.get("tv-living-room")
         tracer.detach()
-        assert instance.act.__name__ != "traced_act"
-        # Deleted, not assigned: a bound method in the instance's own
-        # dict would hold the instance in a cycle.
-        assert "act" not in instance.__dict__
+        assert instance.act.__func__ is DeviceInstance.act
+        # Nothing of the tracer was ever on the instance: it records
+        # through the wiring the application's instances share.
+        assert not hasattr(instance, "__dict__")
+        instance.act("askQuestion", question="untraced?", questionId="q8")
+        assert not tracer.of_kind("action")
 
     def test_an_unbound_instance_is_released_and_traced_again_on_rebind(
         self, traced_app
@@ -168,17 +171,34 @@ class TestLifecycle:
         app, tracer = traced_app
         application = app.application
         instance = application.unbind_device("tv-living-room")
-        assert "act" not in instance.__dict__
+        instance.act("askQuestion", question="unbound?", questionId="q8")
+        assert not tracer.of_kind("action")
         application.bind_device(instance)
         instance.act("askQuestion", question="again?", questionId="q9")
-        assert tracer.of_kind("action")[-1].detail == "askQuestion"
+        assert [e.value["questionId"] for e in tracer.of_kind("action")] == [
+            "q9"
+        ]
         tracer.detach()
-        assert "act" not in instance.__dict__
+        instance.act("askQuestion", question="detached?", questionId="q10")
+        assert len(tracer.of_kind("action")) == 1
 
     def test_double_attach_rejected(self, traced_app):
         __, tracer = traced_app
         with pytest.raises(RuntimeError):
             tracer.attach()
+
+    def test_a_second_tracer_waits_for_the_first_to_detach(self, traced_app):
+        app, tracer = traced_app
+        second = Tracer(app.application)
+        with pytest.raises(RuntimeError, match="another tracer"):
+            second.attach()
+        tracer.detach()
+        second.attach()
+        app.application.registry.get("tv-living-room").act(
+            "askQuestion", question="second?", questionId="q8"
+        )
+        assert len(second.of_kind("action")) == 1
+        assert not tracer.of_kind("action")
 
     def test_runtime_bound_devices_are_traced(self, traced_app):
         app, tracer = traced_app
