@@ -63,7 +63,6 @@ from repro.runtime.component import (
 from repro.faults.supervisor import SupervisionManager
 from repro.runtime.device import DeviceDriver, DeviceInstance, Wiring
 from repro.runtime.discovery import Discover
-from repro.runtime.gather import Gatherer
 from repro.runtime.grouping import WindowAccumulator, group_readings
 from repro.runtime.placement import PlacementExecutor, Tier
 from repro.runtime.plan import DeliveryPlanner
@@ -141,9 +140,6 @@ class Application:
         )
         self.supervision.attach_metrics(self.metrics)
         self.registry.attach_health(self.supervision.health_of)
-        # Sweep execution: periodic gathers read each device type as
-        # one registry-ordered column (repro.runtime.sweep).
-        self.sweeper = SweepEngine(self.registry, metrics=self.metrics)
         # Query-driven fast path: one freshness-aware read cache shared
         # by sweeps, proxy reads and query_context pulls.  ``None`` when
         # disabled — the device read path is then byte-identical to the
@@ -180,10 +176,11 @@ class Application:
             )
             else None
         )
-        # The read path of every periodic gather (repro.runtime.gather);
-        # a shard coordinator only books its workers' losses on it.
-        self.gatherer = Gatherer(
-            self.sweeper,
+        # The read path of every periodic gather: each device type read
+        # as one registry-ordered column (repro.runtime.sweep); a shard
+        # coordinator only books its workers' losses on it.
+        self.sweeper = SweepEngine(
+            self.registry,
             config,
             network=self.network,
             placement=self.placement,
@@ -412,7 +409,7 @@ class Application:
         if old.supervised() != config.supervised():
             raise TuningError("supervision cannot be enabled or disabled live")
         self.config = config
-        self.gatherer.config = config
+        self.sweeper.config = config
         self.supervision.reconfigure(config.supervision)
 
     # ------------------------------------------------------------------
@@ -432,9 +429,9 @@ class Application:
                 for name, accumulator in self._accumulators.items()
             },
             "gather_sweeps": self._gather_sweeps,
-            "gather_errors": self.gatherer.errors,
-            "gather_network_dropped": self.gatherer.network_dropped,
-            "gather_read_failed": self.gatherer.read_failed,
+            "gather_errors": self.sweeper.errors,
+            "gather_network_dropped": self.sweeper.network_dropped,
+            "gather_read_failed": self.sweeper.read_failed,
             "sweep": self.sweeper.stats(),
             "read_cache": (
                 self.read_cache.stats()
@@ -805,7 +802,7 @@ class Application:
     ) -> None:
         """One periodic sweep: poll, group, mapreduce, window, deliver.
 
-        Polling is :meth:`Gatherer.sweep` (sampler, sweep engine,
+        Polling is :meth:`SweepEngine.sweep` (sampler, column reader,
         outcome fold with loss counters and the stale policy) — this
         application's, or its shard workers' behind the delegate."""
         self._gather_sweeps += 1
@@ -842,13 +839,11 @@ class Application:
         sweeps its own registry shard — while windowing, payload
         memoization and delivery stay with the caller."""
         decl = self.design.contexts[name].decl
-        gatherer = self.gatherer
-        instances, values, dropped, failed = gatherer.sweep(decl, interaction)
+        sweeper = self.sweeper
+        instances, values, __, ___ = sweeper.sweep(decl, interaction)
         group = interaction.group
         if group is not None:
-            columns = gatherer.key_columns.of(
-                interaction.device, instances, dropped or failed
-            )
+            columns = sweeper.key_columns(interaction.device, instances)
         placement = self.placement
         if placement is not None:
             if placement.splits(decl, interaction):

@@ -175,8 +175,7 @@ class Wiring:
     counters, and who records its actuations (``actuated(instance,
     action, params)``, before the action runs).  An application keeps
     one per declaration (``app.wirings``); an unbound instance has
-    :data:`DETACHED`, and an ``attach*`` on a lone instance a copy of
-    its own."""
+    :data:`DETACHED`."""
 
     __slots__ = (
         "publish_hook",
@@ -217,13 +216,6 @@ class Wiring:
                 ),
             )
         )
-
-    def but(self, **fields: Any) -> "Wiring":
-        """A copy with ``fields`` replaced."""
-        copy = Wiring()
-        for name in self.__slots__:
-            setattr(copy, name, fields.get(name, getattr(self, name)))
-        return copy
 
 
 #: What an unbound instance is wired to: nothing.  Never changed.
@@ -286,19 +278,6 @@ class DeviceInstance:
         self._wiring = wiring
         self.plan = None
 
-    def attach(self, publish_hook: Callable[..., None]) -> None:
-        """Connect the instance to an application's event plumbing."""
-        self._wiring = self._wiring.but(publish_hook=publish_hook)
-
-    def attach_metrics(self, metrics) -> None:
-        """Export read/retry/timeout counters (labelled by device type)
-        through a telemetry registry.  Instances of the same type share
-        the counters, so fleet-wide retry pressure reads as one
-        series."""
-        wiring = self._wiring.but()
-        wiring.count_into(metrics, self.info.name)
-        self._wiring = wiring
-
     def attach_supervisor(self, supervisor) -> None:
         """Put the instance under a :class:`DeviceSupervisor`'s care.
 
@@ -310,20 +289,9 @@ class DeviceInstance:
         self.supervisor = supervisor
         self.plan = None
 
-    def attach_cache(self, cache) -> None:
-        """Serve reads through a freshness-aware
-        :class:`~repro.runtime.cache.ReadCache`.
-
-        A fresh cached value short-circuits the whole supervised read
-        (no driver call, no breaker probe); misses run the normal path
-        and populate the cache.  Pass ``None`` to detach.
-        """
-        self._wiring = self._wiring.but(cache=cache)
-        self.plan = None
-
     def detach(self) -> None:
-        """Undo every ``attach*``: the instance reads and acts as one
-        nothing was ever attached to."""
+        """Undo ``wire`` and ``attach_supervisor``: the instance reads
+        and acts as one nothing was ever attached to."""
         self._wiring = DETACHED
         # Supervision handle (repro.faults): None means unsupervised —
         # the exact pre-supervision behaviour at zero added cost.

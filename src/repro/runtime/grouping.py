@@ -5,7 +5,7 @@ Implements the two data-shaping constructs of Figure 8:
 * ``grouped by <attribute>`` — "requires these statuses to be split into
   (or grouped by) parking lots": readings gathered in one periodic sweep
   are partitioned by a device attribute (:func:`group_readings`), whose
-  column of keys a :class:`KeyColumnMemo` keeps per sweep column;
+  column of keys :class:`KeyColumns` keeps per sweep column;
 * ``every <24 hr>`` — the ``AverageOccupancy`` context gathers every
   10 minutes but publishes once per 24-hour window; the
   :class:`WindowAccumulator` buffers successive grouped deliveries and
@@ -43,7 +43,6 @@ from repro.telemetry.instrument import Instrumented, MetricSpec
 
 Fold = Callable[[Hashable, Any, Any], Any]
 _attributes_of = attrgetter("attributes")
-_entity_id_of = attrgetter("entity_id")
 _first = itemgetter(0)
 
 
@@ -83,7 +82,9 @@ class KeyColumns:
     of its rows (global registration positions in a shard worker, the
     row indexes in a process) and, per ``grouped by`` attribute, derived
     on first use, the key column and the group table with the row order.
-    Shared by every gather over the column: do not mutate."""
+    The column's sweep cut holds them
+    (:meth:`~repro.runtime.sweep.SweepEngine.key_columns`), shared by
+    every gather over the column: do not mutate."""
 
     __slots__ = ("column", "positions", "_keys", "_groups")
 
@@ -129,49 +130,25 @@ class KeyColumns:
         rows = map(_first, table.values())
         return dict(zip(table, map(self.positions.__getitem__, rows)))
 
-
-class KeyColumnMemo:
-    """The :class:`KeyColumns` of the last sweep column of each device
-    type, owned by a :class:`~repro.runtime.gather.Gatherer`.
-
-    ``positions`` maps entity ids to global positions in a shard
-    worker (``None`` in a process).  A sweep hands every gather over a
-    type the same column until the membership moves; a bind or an
-    unbind patches the memo by the registry's column edit
-    (:meth:`~repro.runtime.registry.EntityRegistry.sweep_edit`), asking
-    only the members bound since, and a column that is not the
-    registry's (a reading was lost) is derived afresh."""
-
-    def __init__(self, registry):
-        self.registry = registry
-        self.positions: Optional[Dict[str, int]] = None
-        self._memo: Dict[str, KeyColumns] = {}
-
-    def of(self, device_type: str, instances, lost: bool) -> KeyColumns:
-        """The key columns of a sweep of ``device_type`` that returned
-        ``instances`` and ``lost`` readings (dropped or failed)."""
-        memo = self._memo.get(device_type)
-        if memo is not None and memo.column is instances:
-            return memo
-        edit = None
-        if memo is not None and not lost:
-            edit = self.registry.sweep_edit(device_type, memo.column)
-        removed, start = edit or ((), 0)
-        appended = instances[start:] if start else instances
-        positions = range(len(instances))
-        if self.positions is not None:
-            ids = map(_entity_id_of, appended)
-            positions = list(map(self.positions.__getitem__, ids))
-            if edit is not None:
-                positions = splice_column(memo.positions, removed, positions)
+    def spliced(self, column, removed, start, positions) -> "KeyColumns":
+        """These key columns carried over to ``column``: this one
+        without its ascending ``removed`` rows, then from ``start`` on
+        the rows bound since, at ``positions`` (``None``: row indexes) —
+        the registry's column edit
+        (:meth:`~repro.runtime.registry.EntityRegistry.sweep_edit`).
+        Only the rows bound since are asked their keys."""
+        appended = column[start:]
+        if positions is None:
+            positions = range(len(column))
+        else:
+            positions = splice_column(self.positions, removed, positions)
         keys = {
             attribute: splice_column(
-                column, removed, group_key_column(appended, attribute)
+                keys, removed, group_key_column(appended, attribute)
             )
-            for attribute, column in (memo._keys if edit else {}).items()
+            for attribute, keys in self._keys.items()
         }
-        memo = self._memo[device_type] = KeyColumns(instances, positions, keys)
-        return memo
+        return KeyColumns(column, positions, keys)
 
 
 def group_readings_planned(

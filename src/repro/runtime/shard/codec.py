@@ -450,7 +450,7 @@ class _Mirror:
         context implementation mutating its payload cannot corrupt the
         mirror), in first-occurrence-by-position key order: what an
         in-process application's ``group_readings`` builds from the
-        group table of its key-column memo."""
+        group table of its sweep cut's key columns."""
         if self.dirty:
             self._rebuild()
         cells = self.cells

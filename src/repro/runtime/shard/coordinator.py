@@ -484,7 +484,7 @@ class ShardedRuntime(Instrumented):
 
         The bind routes to the owning worker incrementally — no static
         fleet, no restart: the worker's registry version bump resets
-        its delta epoch (its cohort plans and column memo are patched),
+        its delta epoch (its cohort plans and key columns are patched),
         and the entity joins the next sweep at the end of global
         registration order (exactly where a single-process late
         ``bind_device`` would put it).  Requires a
@@ -565,7 +565,7 @@ class ShardedRuntime(Instrumented):
             (app.clock.now(), name, index),
             on_reply=functools.partial(self._fold, (name, index)),
         )
-        app.gatherer.note_losses(
+        app.sweeper.note_losses(
             sum(reply["dropped"] for reply in polls),
             sum(reply["failed"] for reply in polls),
         )

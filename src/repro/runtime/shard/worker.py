@@ -44,8 +44,8 @@ class _ShardWorker:
 
     The worker's application is never ``start()``-ed — its periodic
     jobs live at the coordinator — but all of its machinery below the
-    wiring layer (registry, sweep engine, supervision, read cache,
-    the gatherer over them) is fully live, which is exactly what the
+    wiring layer (registry, supervision, read cache, the sweep engine
+    over them) is fully live, which is exactly what the
     coordinator's gather commands exercise.
     """
 
@@ -80,8 +80,8 @@ class _ShardWorker:
         # version bump (bind/unbind) resets its epoch — the worker
         # re-registers everything.
         self._encoders: Dict[Tuple[str, int], _DeltaEncoder] = {}
-        # The column memo numbers rows by global position.
-        self.app.gatherer.key_columns.positions = self._gpos
+        # The sweep cuts' key columns number rows by global position.
+        self.app.sweeper.positions = self._gpos
         # Point every instance's publish hook at the recorder — the
         # ones bound now and the ones ``bind`` adds, which share the
         # wiring — so pushes surface in command replies instead of
@@ -123,10 +123,10 @@ class _ShardWorker:
     def _cmd_poll(self, name: str, index: int) -> Dict[str, Any]:
         """Sweep this shard for one periodic gather.
 
-        Runs the same :meth:`~repro.runtime.gather.Gatherer.sweep` the
-        single-process gather runs (sampler, sweep engine, outcome
-        fold), then takes positions and group keys from the gatherer's
-        key-column memo, as the single-process gather does.  Values
+        Runs the same :meth:`~repro.runtime.sweep.SweepEngine.sweep`
+        the single-process gather runs (sampler, column reader, outcome
+        fold), then takes positions and group keys from the sweep cut's
+        key columns, as the single-process gather does.  Values
         stay in this process for MapReduce gathers — only ``{group:
         min gpos}`` crosses the pipe until the map round.  Flat and
         grouped gathers reply with the delta blocks of
@@ -135,13 +135,11 @@ class _ShardWorker:
         app = self.app
         decl = app.design.contexts[name].decl
         interaction = decl.interactions[index]
-        instances, values, dropped, failed = app.gatherer.sweep(
+        instances, values, dropped, failed = app.sweeper.sweep(
             decl, interaction
         )
         reply: Dict[str, Any] = {"dropped": dropped, "failed": failed}
-        columns = app.gatherer.key_columns.of(
-            interaction.device, instances, dropped or failed
-        )
+        columns = app.sweeper.key_columns(interaction.device, instances)
         group = interaction.group
         if group is not None and group.uses_mapreduce:
             self._pending[(name, index)] = (columns, group.attribute, values)
@@ -222,8 +220,8 @@ class _ShardWorker:
         The bootstrap constructs the device (it knows the drivers); the
         worker records the coordinator-assigned global position.  The
         registry version bump this causes hands the next sweep a new
-        column: the cohort plans and the column memo are patched by the
-        registry's column edit, and the delta epochs reset, so the next
+        column: the sweep cut's cohort plans and key columns are patched
+        by the registry's column edit, and the delta epochs reset, so the next
         poll re-registers — no static fleet required.
         """
         self.bootstrap.bind_entity(self.app, entity_id, position)

@@ -15,7 +15,7 @@ from repro.runtime.clock import SimulationClock
 from repro.runtime.component import Context
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import DeviceDriver
-from repro.runtime.gather import _DROPPED, _Lost
+from repro.runtime.sweep import _DROPPED, _Lost
 from repro.sema.analyzer import analyze
 
 DESIGN = """\
@@ -140,7 +140,7 @@ class TestStaleServingIntoSweeps:
 
 
 class TestFoldReadOutcomes:
-    """``Gatherer._fold_read_outcomes`` on the outcome column of one
+    """``SweepEngine._fold_read_outcomes`` on the outcome column of one
     sweep: the identity on a sweep that lost nothing, one rebuild of
     both columns otherwise."""
 
@@ -151,7 +151,7 @@ class TestFoldReadOutcomes:
         return app, instances, [10.0, 20.0, 30.0, 40.0]
 
     def fold(self, app, instances, outcomes):
-        return app.gatherer._fold_read_outcomes(instances, outcomes, "reading")
+        return app.sweeper._fold_read_outcomes(instances, outcomes, "reading")
 
     def lost_counters(self, app):
         return (

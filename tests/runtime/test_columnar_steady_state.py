@@ -10,8 +10,8 @@ same frames.  Only code the application owns may scale: the ``map``
 callback (one call per reading, and whatever it calls).  The driver's
 ``batch_key`` is asked once per bound entity: a membership change asks
 only the entities it bound.  An in-process application groups through
-the same key-column memo, so its steady-state period loads no member's
-attribute record either.
+the key columns of the same sweep cut, so its steady-state period loads
+no member's attribute record either.
 """
 
 import gc
@@ -28,8 +28,10 @@ from repro.api import (
     RuntimeConfig,
     ShardBootstrap,
     ShardContext,
+    StalePolicy,
     analyze,
 )
+from repro.errors import DeliveryError
 from repro.mapreduce.engine import rank_groups
 from repro.runtime.device import DeviceInstance
 from repro.runtime.shard.worker import _ShardWorker
@@ -346,7 +348,7 @@ class AttributeCountedProbe(DeviceInstance):
 
 def test_an_in_process_period_loads_no_attribute_record():
     """The in-process gather groups as the worker does, through the
-    gatherer's key-column memo: a steady-state period — one grouped
+    key columns of the sweep cut: a steady-state period — one grouped
     and one MapReduce gather over the same column — loads no member's
     ``attributes``; after a bind, only the bound member's."""
     app = Application(analyze(DESIGN))
@@ -378,3 +380,50 @@ def test_an_in_process_period_loads_no_attribute_record():
     # the periods did the work they are counted for
     assert app.stats["gather_sweeps"] == 8
     assert app.mapreduce.stats()["mapped"] == 3 * 300 + 301
+
+
+class DarkDriver(DeviceDriver):
+    """Reads one at a time; the entities in ``dark`` fail."""
+
+    def __init__(self, dark):
+        self.dark = dark
+
+    def read(self, source):
+        if self.instance.entity_id in self.dark:
+            raise DeliveryError("probe is dark")
+        return 1
+
+
+def test_a_lossy_period_leaves_the_cut_its_key_columns():
+    """A sweep that lost a reading groups through throwaway key
+    columns, not the cut's: the clean period after it groups through
+    the cut's own again and loads no member's ``attributes``."""
+    app = Application(
+        analyze(DESIGN), RuntimeConfig(stale=StalePolicy("skip"))
+    )
+    app.implement("Levels", LevelsImpl())
+    app.implement("Load", LoadImpl())
+    dark = set()
+    for index in range(6):
+        app.bind_device(
+            AttributeCountedProbe(
+                app.design.devices["Probe"],
+                f"probe-{index:05d}",
+                DarkDriver(dark),
+                {"zone": ZONES[index % len(ZONES)]},
+            )
+        )
+    app.start()
+    app.advance(PERIOD)
+    cut = app.sweeper._cuts["Probe"]
+    keys = cut.keys
+    dark.add("probe-00002")
+    app.advance(PERIOD)
+    assert app.stats["gather_read_failed"] == 2  # one per gather
+    dark.clear()
+    AttributeCountedProbe.loads = 0
+    app.advance(PERIOD)
+    assert AttributeCountedProbe.loads == 0
+    assert app.sweeper._cuts["Probe"] is cut
+    assert cut.keys is keys
+    assert app.stats["gather_sweeps"] == 6

@@ -28,6 +28,7 @@ from repro.runtime.device import (
     CallableDriver,
     DeviceDriver,
     DeviceInstance,
+    Wiring,
 )
 from repro.sema.analyzer import analyze
 from repro.telemetry import MetricsRegistry
@@ -124,7 +125,7 @@ class TestEventDelivery:
     def test_publish_reaches_hook(self, design):
         instance = sensor(design)
         got = []
-        instance.attach(lambda *args: got.append(args))
+        instance.wire(Wiring(publish_hook=lambda *args: got.append(args)))
         instance.publish("presence", False)
         ((published_instance, source, value, index),) = got
         assert published_instance is instance
@@ -156,7 +157,7 @@ class TestEventDelivery:
             {"parkingLot": "A22"},
         )
         got = []
-        instance.attach(lambda *args: got.append(args))
+        instance.wire(Wiring(publish_hook=lambda *args: got.append(args)))
         driver.trigger()
         assert len(got) == 1
 
@@ -233,7 +234,7 @@ class TestFailureState:
     def test_failed_device_drops_pushes(self, design):
         instance = sensor(design)
         got = []
-        instance.attach(lambda *args: got.append(args))
+        instance.wire(Wiring(publish_hook=lambda *args: got.append(args)))
         instance.fail()
         instance.publish("presence", True)
         assert got == []
@@ -379,7 +380,9 @@ _step = st.one_of(
 
 class Twin:
     """One of two identically wired instances the same script runs on:
-    one reads through its plan, the other through the general body."""
+    one reads through its plan, the other through the general body.
+    Read counters and a read cache are attached as a bind attaches
+    them: a :class:`Wiring` with them, which the instance is wired to."""
 
     def __init__(self, shape, responses):
         self.feed = Feed(responses)
@@ -392,22 +395,36 @@ class Twin:
         self.instance = DeviceInstance(
             PLAN_DESIGN.devices["Meter"], "m1", shape(self.feed)
         )
+        self.wiring = {}  # the fields of the instance's current Wiring
+
+    def wire(self, **fields):
+        """Wire the instance to a :class:`Wiring` with ``fields`` more:
+        ``counted``, ``cache`` or ``publish_hook``."""
+        self.wiring.update(fields)
+        wiring = Wiring(
+            self.wiring.get("publish_hook"), self.wiring.get("cache")
+        )
+        if self.wiring.get("counted"):
+            wiring.count_into(self.metrics, "Meter")
+        self.instance.wire(wiring)
 
     def apply(self, step, argument):
         instance = self.instance
         if step == "swap":
             instance.swap_driver(argument(self.feed))
         elif step == "attach_metrics":
-            instance.attach_metrics(self.metrics)
+            self.wire(counted=True)
         elif step == "attach_supervisor":
             instance.attach_supervisor(self.manager.supervise(instance))
         elif step == "attach_cache":
-            instance.attach_cache(self.cache)
+            self.wire(cache=self.cache)
         elif step == "uncache":
-            instance.attach_cache(None)
+            self.wire(cache=None)
         elif step == "tick":
             self.clock.advance(2.0)  # past the cache TTL
         else:
+            if step == "detach":
+                self.wiring.clear()
             getattr(instance, step)()
 
     def counters(self):
@@ -544,7 +561,7 @@ class TestReadPlan:
         twin = Twin(method_driver, [2])
         for step in ("attach_metrics", "attach_supervisor", "attach_cache"):
             twin.apply(step, None)
-        twin.instance.attach(lambda *args: pytest.fail("detached"))
+        twin.wire(publish_hook=lambda *args: pytest.fail("detached"))
         twin.instance.read("level")
         assert twin.counters() == [1, 0, 0, 0]
         twin.instance.detach()

@@ -1,7 +1,7 @@
-"""``Gatherer.sweep`` on its own: a registry, a sweep engine and the
-runtime config are all it needs — no ``Application``, no bus, no
-components.  That it can be built this way is what lets the
-single-process gather and the shard worker's poll be the same call."""
+"""``SweepEngine.sweep`` on its own: a registry and the runtime config
+are all it needs — no ``Application``, no bus, no components.  That it
+can be built this way is what lets the single-process gather and the
+shard worker's poll be the same call."""
 
 import functools
 
@@ -13,8 +13,12 @@ from repro.faults.supervisor import SupervisionManager
 from repro.runtime.cache import CacheConfig, ReadCache
 from repro.runtime.clock import SimulationClock
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.device import CallableDriver, DeviceDriver, DeviceInstance
-from repro.runtime.gather import Gatherer
+from repro.runtime.device import (
+    CallableDriver,
+    DeviceDriver,
+    DeviceInstance,
+    Wiring,
+)
 from repro.runtime.placement import NetworkConfig
 from repro.runtime.registry import EntityRegistry
 from repro.runtime.sweep import SweepEngine
@@ -91,7 +95,7 @@ class ScalarBankDriver(BankDriver):
 
 
 def build(config=RuntimeConfig(), driver=ScalarBankDriver):
-    """A gatherer over a four-sensor fleet, wired by hand."""
+    """A sweep engine over a four-sensor fleet, wired by hand."""
     clock = SimulationClock()
     registry = EntityRegistry()
     supervision = SupervisionManager(clock, default_policy=config.supervision)
@@ -104,15 +108,15 @@ def build(config=RuntimeConfig(), driver=ScalarBankDriver):
         supervisor = supervision.supervise(instance)
         if supervisor is not None:
             instance.attach_supervisor(supervisor)
-    gatherer = Gatherer(
-        SweepEngine(registry),
+    sweeper = SweepEngine(
+        registry,
         config,
         network=(
             config.network.build() if config.network is not None else None
         ),
         supervision=supervision,
     )
-    return gatherer, bank
+    return sweeper, bank
 
 
 def ids(instances):
@@ -120,30 +124,30 @@ def ids(instances):
 
 
 def test_a_clean_sweep_returns_the_engine_columns():
-    gatherer, __ = build()
-    instances, values, dropped, failed = gatherer.sweep(DECL, INTERACTION)
+    sweeper, __ = build()
+    instances, values, dropped, failed = sweeper.sweep(DECL, INTERACTION)
     assert ids(instances) == list(FLEET)
     assert values == [0.0, 1.0, 2.0, 3.0]
-    assert (dropped, failed, gatherer.errors) == (0, 0, 0)
+    assert (dropped, failed, sweeper.errors) == (0, 0, 0)
     # The instance column is the sweep cut's own, sweep after sweep.
-    assert gatherer.sweep(DECL, INTERACTION)[0] is instances
+    assert sweeper.sweep(DECL, INTERACTION)[0] is instances
 
 
 def test_reads_the_network_drops_leave_the_columns():
     network = NetworkConfig(
         hops={"link": HopProfile(loss=0.5)}, seed=11, apply_to_reads=True
     )
-    gatherer, __ = build(RuntimeConfig(network=network))
+    sweeper, __ = build(RuntimeConfig(network=network))
     twin = network.build()  # same seed, same draws
     survivors = [
         position for position in range(len(FLEET)) if twin.sample_read_ok()
     ]
     assert 0 < len(survivors) < len(FLEET)
-    instances, values, dropped, failed = gatherer.sweep(DECL, INTERACTION)
+    instances, values, dropped, failed = sweeper.sweep(DECL, INTERACTION)
     assert ids(instances) == [FLEET[position] for position in survivors]
     assert values == [float(position) for position in survivors]
     assert (dropped, failed) == (len(FLEET) - len(survivors), 0)
-    assert gatherer.network_dropped == dropped
+    assert sweeper.network_dropped == dropped
 
 
 @pytest.mark.parametrize(
@@ -155,32 +159,31 @@ def test_reads_the_network_drops_leave_the_columns():
     ],
 )
 def test_a_failed_read_follows_the_stale_policy(mode, entities, readings):
-    gatherer, bank = build(
+    sweeper, bank = build(
         RuntimeConfig(
             supervision=SupervisionPolicy(max_retries=0),
             stale=StalePolicy(mode),
         )
     )
-    gatherer.sweep(DECL, INTERACTION)  # every sensor has a last value
+    sweeper.sweep(DECL, INTERACTION)  # every sensor has a last value
     bank.dark.add("s-1")
-    instances, values, dropped, failed = gatherer.sweep(DECL, INTERACTION)
+    instances, values, dropped, failed = sweeper.sweep(DECL, INTERACTION)
     assert ids(instances) == entities
     assert values == readings
     assert (dropped, failed) == (0, 1)
-    assert gatherer.read_failed == gatherer.errors == 1
-    assert gatherer.supervision.stats()["stale_serves"] == (
+    assert sweeper.read_failed == sweeper.errors == 1
+    assert sweeper.supervision.stats()["stale_serves"] == (
         1 if mode == "last_known" else 0
     )
 
 
 def test_a_mis_shaped_batch_column_demotes_its_cohort_whole():
-    gatherer, bank = build(driver=BankDriver)
-    sweeper = gatherer.sweeper
-    clean = gatherer.sweep(DECL, INTERACTION)
+    sweeper, bank = build(driver=BankDriver)
+    clean = sweeper.sweep(DECL, INTERACTION)
     assert clean[1] == [0.0, 1.0, 2.0, 3.0]
     assert (bank.batch_calls, sweeper.stats()["batch_demoted"]) == (1, 0)
     bank.short = True
-    instances, values, dropped, failed = gatherer.sweep(DECL, INTERACTION)
+    instances, values, dropped, failed = sweeper.sweep(DECL, INTERACTION)
     # Asked once more, declined, and read one by one instead: the same
     # columns as the batch read would have produced.
     assert bank.batch_calls == 2
@@ -189,20 +192,20 @@ def test_a_mis_shaped_batch_column_demotes_its_cohort_whole():
     assert values == clean[1]
     assert (dropped, failed) == (0, 0)
     # One cohort plan for the one column of the cut, replayed since.
-    assert (gatherer._plan_compiles, gatherer._plan_hits) == (1, 1)
+    assert (sweeper._plan_compiles, sweeper._plan_hits) == (1, 1)
 
 
 def test_a_swapped_driver_leaves_its_batch_cohort():
     """The cohort plan grouped every sensor behind the bank; a driver
     swapped in later is read, not the bank — also when the same sweep
     recompiles its plans for a membership change."""
-    gatherer, bank = build(driver=BankDriver)
-    registry = gatherer.sweeper.registry
-    assert gatherer.sweep(DECL, INTERACTION)[1] == [0.0, 1.0, 2.0, 3.0]
+    sweeper, bank = build(driver=BankDriver)
+    registry = sweeper.registry
+    assert sweeper.sweep(DECL, INTERACTION)[1] == [0.0, 1.0, 2.0, 3.0]
     registry.get("s-3").swap_driver(
         CallableDriver(sources={"reading": lambda: 77.0})
     )
-    assert gatherer.sweep(DECL, INTERACTION)[1] == [0.0, 1.0, 2.0, 77.0]
+    assert sweeper.sweep(DECL, INTERACTION)[1] == [0.0, 1.0, 2.0, 77.0]
     registry.get("s-1").swap_driver(
         CallableDriver(sources={"reading": lambda: 55.0})
     )
@@ -210,7 +213,7 @@ def test_a_swapped_driver_leaves_its_batch_cohort():
     registry.register(
         DeviceInstance(DESIGN.devices["Sensor"], "s-4", BankDriver(bank), {})
     )
-    instances, values, __, ___ = gatherer.sweep(DECL, INTERACTION)
+    instances, values, __, ___ = sweeper.sweep(DECL, INTERACTION)
     assert ids(instances) == [*FLEET, "s-4"]
     assert values == [0.0, 55.0, 2.0, 77.0, 4.0]
 
@@ -234,9 +237,11 @@ ZONED_DECL = ZONED.contexts["Levels"].decl
 
 
 class Zoned:
-    """A gatherer over probes sharded by zone — a serial sweep reads
-    them in one task, in registration order — read from one bank, with
-    read counters and, if asked, a read cache with a 30 s TTL."""
+    """A sweep engine over probes sharded by zone — a serial sweep
+    reads them in one task, in registration order — read from one bank,
+    wired as an application wires them: one :class:`Wiring` per
+    declaration, with read counters and, if asked, a read cache with a
+    30 s TTL."""
 
     def __init__(self, driver, cache=False):
         config = RuntimeConfig()
@@ -250,11 +255,8 @@ class Zoned:
             else None
         )
         self.bank = Bank()
-        self.gatherer = Gatherer(
-            SweepEngine(self.registry),
-            config,
-            cache=self.cache,
-        )
+        self.sweeper = SweepEngine(self.registry, config, cache=self.cache)
+        self.wirings = {}
 
     def bind(self, entity_id, zone, device="Probe", counted=True):
         self.bank.readings[entity_id] = float(len(self.bank.readings))
@@ -265,14 +267,16 @@ class Zoned:
             {"zone": zone},
         )
         self.registry.register(instance)
-        if counted:
-            instance.attach_metrics(self.metrics)
-        if self.cache is not None:
-            instance.attach_cache(self.cache)
+        wiring = self.wirings.get((device, counted))
+        if wiring is None:
+            wiring = self.wirings[device, counted] = Wiring(cache=self.cache)
+            if counted:
+                wiring.count_into(self.metrics, device)
+        instance.wire(wiring)
         return instance
 
     def sweep(self):
-        return self.gatherer.sweep(ZONED_DECL, ZONED_INTERACTION)
+        return self.sweeper.sweep(ZONED_DECL, ZONED_INTERACTION)
 
     def reads(self):
         return self.metrics.snapshot()["device_reads_total"]
@@ -310,8 +314,8 @@ def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
         0,
         1,
     )
-    assert columnar.gatherer.read_failed == 1
-    stats = columnar.gatherer.sweeper.stats()
+    assert columnar.sweeper.read_failed == 1
+    stats = columnar.sweeper.stats()
     assert (stats["batch_reads"], stats["batch_demoted"]) == (0, 6)
     for twin in (columnar, scalar):
         twin.registry.get("p-3").recover()
@@ -320,7 +324,7 @@ def test_a_peer_failed_mid_sweep_demotes_as_on_the_scalar_path():
     assert swept == readings(scalar.sweep())
     assert swept[0] == ["p-0", "p-2", "p-3", "p-4", "p-5"]
     assert swept[2:] == (0, 0)
-    assert columnar.gatherer.sweeper.stats()["batch_demoted"] == 6
+    assert columnar.sweeper.stats()["batch_demoted"] == 6
 
 
 def test_a_peer_failed_mid_sweep_by_assignment_demotes_as_by_fail():
@@ -339,11 +343,11 @@ def test_a_peer_failed_mid_sweep_by_assignment_demotes_as_by_fail():
             twin.bank.trips["p-0"] = functools.partial(trip, victim)
         swept = readings(columnar.sweep())
         assert swept == readings(scalar.sweep())
-        stats = columnar.gatherer.sweeper.stats()
+        stats = columnar.sweeper.stats()
         outcomes.append(
             (
                 swept,
-                columnar.gatherer.read_failed,
+                columnar.sweeper.read_failed,
                 stats["batch_reads"],
                 stats["batch_demoted"],
             )
@@ -360,14 +364,14 @@ def test_read_counters_tally_as_on_the_scalar_path():
     columnar, scalar = twins(cache=True)
 
     def step(act):
-        batch_reads = columnar.gatherer.sweeper.stats()["batch_reads"]
+        batch_reads = columnar.sweeper.stats()["batch_reads"]
         for twin in (columnar, scalar):
             twin.clock.advance(60.0)  # every cached reading is stale
             act(twin)
             twin.sweep()
         assert columnar.reads() == scalar.reads()
         # the column's cohort was batch-read
-        stats = columnar.gatherer.sweeper.stats()
+        stats = columnar.sweeper.stats()
         assert stats["batch_reads"] == batch_reads + 1
 
     step(lambda twin: None)

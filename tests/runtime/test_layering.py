@@ -150,7 +150,7 @@ def test_lower_layers_import_nothing_above_them_at_import_time(path):
 def test_only_app_py_reads_application_privates():
     """What another module reaches through an ``app._private`` it has
     to know the format of: the shard package drives the gather through
-    ``app.gatherer`` and ``Application.on_device_publish`` instead."""
+    ``app.sweeper`` and ``Application.on_device_publish`` instead."""
     reaches = [
         f"{path.relative_to(SRC)}: {reach}"
         for path in sorted((SRC / "repro").rglob("*.py"))

@@ -1183,7 +1183,7 @@ class TestWorkerBoot:
             "s-042": 7,
         }
         worker._cmd_poll("Windowed", 0)
-        columns = worker.app.gatherer.key_columns._memo["ShardPresence"]
+        columns = worker.app.sweeper._cuts["ShardPresence"].keys
         assert columns.positions == [0, 1, 3, 4, 5, 9, 7]
 
 
@@ -1211,11 +1211,11 @@ class TestChurnMatchesAFreshWorker:
     too), unbinds, ``fail()`` and ``recover()`` between the polls of
     an in-process worker with the read cache on, some periods with
     members whose reads fail (``dark``: the sweep loses them).  After
-    every period the worker's column memo — patched across binds and
-    unbinds by the registry's column edit — equals one derived from
-    scratch, and its poll replies, the grouped ones folded through a
-    ``_Mirror``, deliver what a worker built afresh with the same
-    membership, registration order and positions delivers."""
+    every period the key columns of the worker's sweep cut — spliced
+    across binds and unbinds by the registry's column edit — equal ones
+    derived from scratch, and its poll replies, the grouped ones folded
+    through a ``_Mirror``, deliver what a worker built afresh with the
+    same membership, registration order and positions delivers."""
 
     ops = st.one_of(
         st.tuples(st.just("bind"), st.integers(0, 20)),
@@ -1252,10 +1252,13 @@ class TestChurnMatchesAFreshWorker:
 
     @staticmethod
     def memo(worker):
-        """The worker's key columns of its last sweep column: the
-        column, the positions, and per attribute the key column and the
-        groups the polls derived."""
-        memo = worker.app.gatherer.key_columns._memo["ShardPresence"]
+        """The key columns of the worker's sweep cut: the column, the
+        positions, and per attribute the key column and the groups the
+        polls derived — ``None`` when the cut has none (its column was
+        only swept lossily, and a lossy sweep's keys are thrown away)."""
+        memo = worker.app.sweeper._cuts["ShardPresence"].keys
+        if memo is None:
+            return None
         return (
             memo.column,
             memo.positions,
@@ -1272,7 +1275,10 @@ class TestChurnMatchesAFreshWorker:
         poll would."""
         from repro.runtime.grouping import KeyColumns
 
-        instances, __, keys, groups = cls.memo(worker)
+        memo = cls.memo(worker)
+        if memo is None:
+            return None  # nothing to compare
+        instances, __, keys, groups = memo
         positions = [
             worker._gpos[instance.entity_id] for instance in instances
         ]
@@ -1286,7 +1292,7 @@ class TestChurnMatchesAFreshWorker:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(ops, max_size=4), min_size=1, max_size=6))
-    # A lossy sweep's column is not the registry's: nothing to patch.
+    # A lossy sweep's column is not the cut's: its keys are thrown away.
     @example([[], [("unbind", 0), ("dark", 2)]])
     def test_every_period_delivers_what_a_fresh_worker_does(self, script):
         from repro.runtime.shard.codec import _Mirror

@@ -55,11 +55,6 @@ context Windowed as Integer {
 LOTS = ("A22", "B16", "D6")
 
 
-def column_of(read_one):
-    """A per-instance read as the column reader a sweep runs."""
-    return lambda instances: [read_one(instance) for instance in instances]
-
-
 class FreeCountImpl(Context):
     def __init__(self):
         super().__init__()
@@ -113,9 +108,20 @@ def build_app(sensors=6, **config_kwargs):
 
 class ColumnDriver(CallableDriver):
     """A :class:`CallableDriver` with the batch capability (its class
-    overrides ``read_batch``), which is what makes a sweep columnar."""
+    overrides ``read_batch``), which is what makes a sweep columnar.
+    The drivers sharing one ``columns`` list are one cohort: each batch
+    read they are handed is noted there and declined, so its members
+    are read one at a time."""
+
+    def __init__(self, sources, columns):
+        super().__init__(sources=sources)
+        self.columns = columns
+
+    def batch_key(self, source):
+        return self.columns
 
     def read_batch(self, entity_ids, source):
+        self.columns.append(list(entity_ids))
         return NotImplemented
 
 
@@ -125,54 +131,52 @@ class TestOneSweepLoop:
 
     SENSORS = 7  # round-robin over three lots: shards of 3, 2 and 2
 
-    def build(self, driver=CallableDriver):
+    def build(self, columnar=False):
+        """An application over the sensors, read by one cohort of
+        column drivers or one at a time; returns it, the entity ids in
+        the order the drivers read them, and the batch reads asked."""
         app = Application(analyze(DESIGN))
         driver_reads = []
+        columns = []
         for index in range(self.SENSORS):
             entity_id = f"s-{index}"
+            sources = {
+                "presence": lambda e=entity_id, i=index: (
+                    driver_reads.append(e) or i % 3 == 0
+                )
+            }
             app.create_device(
                 "PresenceSensor",
                 entity_id,
-                driver(
-                    sources={
-                        "presence": lambda e=entity_id: (
-                            driver_reads.append(e) or True
-                        )
-                    }
+                (
+                    ColumnDriver(sources, columns)
+                    if columnar
+                    else CallableDriver(sources=sources)
                 ),
                 parkingLot=LOTS[index % len(LOTS)],
             )
-        return app, driver_reads
+        return app, driver_reads, columns
+
+    @staticmethod
+    def sweep(app):
+        decl = app.design.contexts["FreeCount"].decl
+        return app.sweeper.sweep(decl, decl.interactions[0])
 
     @pytest.mark.parametrize("columnar", [False, True])
     def test_results_come_back_in_registry_order(self, columnar):
-        app, driver_reads = self.build(
-            driver=ColumnDriver if columnar else CallableDriver
-        )
-        columns = []
-
-        def read_one(instance):
-            return (instance.entity_id, instance.read("presence"))
-
-        def read_column(instances):
-            columns.append([i.entity_id for i in instances])
-            return [read_one(instance) for instance in instances]
-
-        instances, results = app.sweeper.sweep(
-            "PresenceSensor",
-            column_of(read_one),
-            read_column,
-        )
+        app, driver_reads, columns = self.build(columnar)
+        instances, values, dropped, failed = self.sweep(app)
         expected = [f"s-{i}" for i in range(self.SENSORS)]
         # Two columns, aligned, both in registry order.
         assert [instance.entity_id for instance in instances] == expected
-        assert results == [(entity_id, True) for entity_id in expected]
+        assert values == [i % 3 == 0 for i in range(self.SENSORS)]
+        assert (dropped, failed) == (0, 0)
         assert driver_reads == expected
         stats = app.sweeper.stats()
         assert stats["sweeps"] == 1
         assert stats["reads"] == self.SENSORS
         assert stats["columnar_sweeps"] == (1 if columnar else 0)
-        # One read_column call over the whole type, across the shards.
+        # One read_batch over the whole type, across the lots.
         assert columns == ([expected] if columnar else [])
 
     @pytest.mark.parametrize("columnar", [False, True])
@@ -181,16 +185,11 @@ class TestOneSweepLoop:
         same list comes back while the registry partition holds, and a
         bind, an unbind and a flipped ``failed`` flag each recompile
         it."""
-        app, __ = self.build(
-            driver=ColumnDriver if columnar else CallableDriver
-        )
+        app, __, ___ = self.build(columnar)
 
         def ids():
-            instances, results = app.sweeper.sweep(
-                "PresenceSensor",
-                lambda column: [i.entity_id for i in column],
-            )
-            assert results == [i.entity_id for i in instances]
+            instances, values, __, ___ = self.sweep(app)
+            assert len(values) == len(instances)
             return instances
 
         first = ids()
@@ -225,37 +224,34 @@ class TestOneSweepLoop:
 
     def test_the_drivers_decide_the_cut(self):
         """One batch-capable member makes the type's sweep columnar —
-        still one serial task, now read by the batch reader — and a
-        driver swap re-decides it."""
-        app, __ = self.build()
-        columns = []
-
-        def read_column(instances):
-            columns.append([i.entity_id for i in instances])
-            return [True] * len(instances)
+        still one serial loop, its one-member cohort demoted to the
+        scalar read with the rest — and a driver swap re-decides it."""
+        app, __, columns = self.build()
 
         def sweep():
-            del columns[:]
-            app.sweeper.sweep("PresenceSensor", read_column)
-            return len(columns), app.sweeper.stats()["columnar_sweeps"]
+            before = app.sweeper.stats()
+            self.sweep(app)
+            after = app.sweeper.stats()
+            return tuple(
+                after[key] - before[key]
+                for key in ("columnar_sweeps", "batch_demoted")
+            )
 
-        assert sweep() == (1, 0)  # the reference cut
+        assert sweep() == (0, 0)  # the reference cut
         scalar = app.registry.get("s-4").swap_driver(
-            ColumnDriver(sources={"presence": lambda: True})
+            ColumnDriver({"presence": lambda: True}, columns)
         )
-        assert sweep() == (1, 1)
+        assert sweep() == (1, self.SENSORS)
         app.registry.get("s-4").swap_driver(scalar)
-        assert sweep() == (1, 1)
+        assert sweep() == (0, 0)
+        assert columns == []  # below min_column: never a batch read
 
     def test_serial_scalar_reads_in_registration_order(self):
         """Shards interleave in registration order; the reference loop
         must still poll s-0, s-1, s-2, ... so sampler RNG draws and
         breaker probes keep their sequence."""
-        app, driver_reads = self.build()
-        app.sweeper.sweep(
-            "PresenceSensor",
-            column_of(lambda instance: instance.read("presence")),
-        )
+        app, driver_reads, __ = self.build()
+        self.sweep(app)
         assert driver_reads == [f"s-{i}" for i in range(self.SENSORS)]
 
 

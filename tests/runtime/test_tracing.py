@@ -85,8 +85,8 @@ class TestRecording:
             application = app.application
             tracer = Tracer(application).attach()
             if not plans:
-                for instance in application.registry:
-                    instance.attach(functools.partial(walk, application))
+                for wiring in application.wirings.values():
+                    wiring.publish_hook = functools.partial(walk, application)
             app.environment.set_cooker(True)
             app.advance(5)
             assert (application.planner.stats()["compiles"] > 0) is plans

@@ -458,7 +458,7 @@ class TestApplyConfig:
         )
         app.apply_config(swapped)
         assert app.config.batch.min_column == 32
-        assert app.gatherer.config.batch.min_column == 32
+        assert app.sweeper.config.batch.min_column == 32
         assert app.config.supervision.failure_threshold == 2
         assert app.supervision.default_policy.failure_threshold == 2
 
