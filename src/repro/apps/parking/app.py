@@ -60,7 +60,6 @@ def build_parking_app(
     usage_period: str = "1 hr",
     occupancy_window: str = "24 hr",
     environment_step_seconds: float = 60.0,
-    mapreduce_executor=None,
     seed: int = 0,
     start: bool = True,
     extra_lots: Sequence[str] = (),
@@ -74,7 +73,7 @@ def build_parking_app(
     the continuum claim (Figure 1).
 
     ``config`` carries runtime policy (supervision, stale delivery,
-    error policy...); its clock/executor/name are overridden by this
+    error policy...); its clock and name are overridden by this
     function's own arguments so existing callers keep their semantics.
     """
     capacities = dict(capacities or PAPER_CAPACITIES)
@@ -94,11 +93,6 @@ def build_parking_app(
     base = config if config is not None else RuntimeConfig()
     config = base.replace(
         clock=clock,
-        mapreduce_executor=(
-            mapreduce_executor
-            if mapreduce_executor is not None
-            else base.mapreduce_executor
-        ),
         name=base.name if base.name != "app" else "ParkingManagement",
     )
     application = Application(design, config)

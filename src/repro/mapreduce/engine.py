@@ -2,30 +2,36 @@
 
 Runs a :class:`~repro.mapreduce.api.MapReduce` job over grouped sensor
 data (``{group_key: [readings]}``) and returns the reduced results
-(``{intermediate_key: reduced_value}``).  Three executors:
+(``{intermediate_key: reduced_value}``).  Three executors run the map
+side of :func:`run_mapreduce` (the reduce is always the engine's
+:meth:`MapReduceEngine.merge_partials`):
 
 * :class:`SerialExecutor` — single-threaded reference implementation; the
   baseline of the scaling benchmarks.
-* :class:`ThreadExecutor` — contiguous slices of the map input and
-  contiguous runs of the intermediate keys fan out to a thread pool.
-  Python threads do not speed up pure-Python byte-code, but they
-  parallelize readings whose processing releases the GIL and they
-  exercise the same partitioned dataflow as a distributed backend.
+* :class:`ThreadExecutor` — contiguous slices of the map input fan out
+  to a thread pool.  Python threads do not speed up pure-Python
+  byte-code, but they parallelize readings whose processing releases
+  the GIL and they exercise the same partitioned dataflow as a
+  distributed backend.
 * :class:`ProcessExecutor` — fan-out to worker processes; requires the job
   and data to be picklable.  This stands in for the cluster backend of the
   DiaSwarm work the paper builds on.
+
+A running application maps each gather with :func:`map_partition`
+itself: the whole sweep as one partition in process, one partition per
+edge node or shard worker otherwise.
 
 Results are identical across executors for deterministic jobs, key
 order included (a pool's slices concatenate back in serial order) — the
 framework interface "prevents the specificities of a target MapReduce
 implementation to percolate to the application logic" (Section V.B).
 
-When the job provides the optional ``combine`` hook, every executor runs
-it per map slice *before* the shuffle, so only one partial aggregate per
-(slice, key) crosses the shuffle boundary.  Each run records shuffle
-volume in ``executor.last_stats`` / ``engine.last_stats``, with key
-names aligned with the bus's ``published``/``delivered`` convention
-(past-participle verb per phase)::
+When the job provides the optional ``combine`` hook, every map
+partition runs it *before* the shuffle, so only one partial aggregate
+per (partition, key) crosses the shuffle boundary.  Each run records
+shuffle volume in ``engine.last_stats``, with key names aligned with
+the bus's ``published``/``delivered`` convention (past-participle verb
+per phase)::
 
     {"mapped":       <pairs the Map phase produced>,
      "shuffled":     <pairs that crossed the map->reduce boundary>,
@@ -202,10 +208,9 @@ def _stats(mapped: int, shuffled: int, reduced: int, combine_used: bool):
 
 
 class SerialExecutor:
-    """Reference executor: both phases run inline."""
+    """Reference executor: the map side runs inline."""
 
     workers = 1
-    last_stats: Dict[str, Any] = _stats(0, 0, 0, False)
 
     def _pool(self):
         return nullcontext(_INLINE)
@@ -214,10 +219,6 @@ class SerialExecutor:
         """Map and map-side combine the rows ``order`` of aligned group
         key and value columns, in that order: ``(pairs to shuffle, raw
         map emission count)``."""
-        with self._pool() as pool:
-            return self._map_side(pool, job, keys, values, order)
-
-    def _map_side(self, pool, job, keys, values, order):
         # Contiguous slices of one order concatenate in emission order.
         slices = partition_items(order, self.workers)
         if len(slices) > 1:
@@ -228,44 +229,22 @@ class SerialExecutor:
             slices = list(map(range, map(len, keys)))
         else:
             keys, values = [keys] * len(slices), [values] * len(slices)
-        results = list(
-            pool.map(
-                map_partition, repeat(job, len(slices)), keys, values, slices
-            )
-        )
+        jobs = repeat(job, len(slices))
+        with self._pool() as pool:
+            results = list(pool.map(map_partition, jobs, keys, values, slices))
         pairs = list(chain.from_iterable(map(_first, results)))
         return pairs, sum(map(_second, results))
-
-    def run(self, job: MapReduce, grouped: Mapping[Hashable, Sequence[Any]]):
-        counts = map(len, grouped.values())
-        keys = list(chain.from_iterable(map(repeat, grouped, counts)))
-        values = list(chain.from_iterable(grouped.values()))
-        with self._pool() as pool:
-            pairs, mapped = self._map_side(
-                pool, job, keys, values, range(len(keys))
-            )
-            # Contiguous runs of the intermediate keys, in key order.
-            items = list(group_pairs(pairs).items())
-            runs = partition_items(items, self.workers)
-            reduced = list(pool.map(_reduce, repeat(job, len(runs)), runs))
-        result = dict(chain.from_iterable(reduced))
-        self.last_stats = _stats(
-            mapped, len(pairs), len(result), job_combiner(job) is not None
-        )
-        return result
 
 
 class _PooledExecutor(SerialExecutor):
     """Shared fan-out logic for thread and process pools: the map side
-    runs over contiguous slices of the row order, the reduce side over
-    contiguous runs of the intermediate keys, so both concatenate back
-    in serial order."""
+    runs over contiguous slices of the row order, which concatenate
+    back in serial order."""
 
     def __init__(self, workers: int = 4):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.last_stats: Dict[str, Any] = _stats(0, 0, 0, False)
 
     def _pool(self):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -327,6 +306,7 @@ class MapReduceEngine(Instrumented):
 
     def __init__(self, executor=None, metrics=None):
         self.executor = executor or SerialExecutor()
+        self._last_stats = _stats(0, 0, 0, False)
         self._runs = 0
         self._combined_runs = 0
         self._mapped = 0
@@ -338,30 +318,13 @@ class MapReduceEngine(Instrumented):
     def run(
         self, job: MapReduce, grouped: Mapping[Hashable, Sequence[Any]]
     ) -> Dict[Hashable, Any]:
-        result = self.executor.run(job, grouped)
-        self._account(self.executor.last_stats)
-        return result
-
-    def _account(self, stats: Dict[str, Any]) -> None:
-        self._runs += 1
-        self._combined_runs += 1 if stats["combine_used"] else 0
-        self._mapped += stats["mapped"]
-        self._shuffled += stats["shuffled"]
-        self._reduced += stats["reduced"]
-
-    def run_columns(
-        self,
-        job: MapReduce,
-        keys: Sequence[Hashable],
-        values: Sequence[Any],
-        order: Sequence[int],
-    ) -> Dict[Hashable, Any]:
-        """Run ``job`` over one sweep's aligned group-key and value
-        columns: the executor maps the rows ``order`` — the sweep's
-        ``(group rank, position)`` order, in which :meth:`run` over the
-        grouped readings would meet them — and :meth:`merge_partials`
-        reduces what it shuffles.  The result equals :meth:`run`'s,
-        key order included, with no grouped mapping built."""
+        """Run ``job`` over grouped readings: the executor maps them in
+        group order and :meth:`merge_partials` reduces what it
+        shuffles."""
+        counts = map(len, grouped.values())
+        keys = list(chain.from_iterable(map(repeat, grouped, counts)))
+        values = list(chain.from_iterable(grouped.values()))
+        order = range(len(keys))
         pairs, mapped = self.executor.map_side(job, keys, values, order)
         return self.merge_partials(job, pairs, mapped)
 
@@ -370,26 +333,30 @@ class MapReduceEngine(Instrumented):
     ) -> Dict[Hashable, Any]:
         """Reduce partials the map side produced, in emission order.
 
-        Every gather reduces here: the in-process one after
-        :meth:`run_columns`, an edge split or a shard coordinator after
+        Every run reduces here: :meth:`run` after its executor's map
+        side, the in-process gather after :func:`map_partition` over
+        the whole sweep, an edge split or a shard coordinator after
         re-sequencing the tagged partials of its partitions
         (:func:`sequence_partials`).  ``mapped`` is the raw map emission
         count across partitions, so the engine's cumulative counters
-        (and ``last_stats``) stay truthful about shuffle volume even
-        though the executor never saw the run.
+        (and ``last_stats``) stay truthful about shuffle volume.
         """
         result = dict(_reduce(job, group_pairs(pairs).items()))
         stats = _stats(
             mapped, len(pairs), len(result), job_combiner(job) is not None
         )
-        self.executor.last_stats = stats
-        self._account(stats)
+        self._last_stats = stats
+        self._runs += 1
+        self._combined_runs += 1 if stats["combine_used"] else 0
+        self._mapped += mapped
+        self._shuffled += len(pairs)
+        self._reduced += len(result)
         return result
 
     @property
     def last_stats(self) -> Dict[str, Any]:
         """Shuffle-volume counters of the most recent run."""
-        return dict(self.executor.last_stats)
+        return dict(self._last_stats)
 
 
 def run_mapreduce(

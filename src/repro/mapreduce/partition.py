@@ -1,9 +1,9 @@
 """Partitioning helpers for the MapReduce engine.
 
-Partitioning is what lets the phases run in parallel: the pooled
-executors split the map input into contiguous slices and the grouped
-intermediate keys into contiguous runs (:func:`partition_items`), so
-the partitions concatenate back in serial order.  A stable
+Partitioning is what lets the map side run in parallel: the pooled
+executors split the map input into contiguous slices
+(:func:`partition_items`), so the partitions concatenate back in serial
+order.  A stable
 string-based hash routes entities to runtime shards
 (:func:`shard_index`) reproducibly across Python processes (the
 built-in ``hash`` is randomized for strings).

@@ -46,7 +46,7 @@ from repro.lang.ast_nodes import (
     WhenRequired,
 )
 from repro.mapreduce.api import MapReduce
-from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.engine import MapReduceEngine, map_partition
 from repro.runtime.bus import EventBus
 from repro.runtime.cache import ReadCache
 from repro.runtime.clock import Clock, SimulationClock
@@ -126,9 +126,7 @@ class Application:
             # Network delivery counters join app.metrics like every
             # other layer (per-hop series too, for a topology).
             self.network.attach_metrics(self.metrics)
-        self.mapreduce = MapReduceEngine(
-            config.mapreduce_executor, self.metrics
-        )
+        self.mapreduce = MapReduceEngine(metrics=self.metrics)
         self.qos = QoSMonitor(metrics=self.metrics)
         # Fault-tolerance layer: per-entity breakers/health plus the
         # degraded-delivery policy gathers apply when a source is dark.
@@ -653,9 +651,7 @@ class Application:
                 )
             else:
                 accumulator = WindowAccumulator.for_design(
-                    interaction.period.seconds,
-                    group.window.seconds,
-                    flatten=True,
+                    interaction.period.seconds, group.window.seconds
                 )
             accumulator.attach_metrics(self.metrics, context=name)
             self._accumulators[name] = accumulator
@@ -867,9 +863,9 @@ class Application:
         keys = columns.keys(group.attribute)
         table, order = columns.groups(group.attribute)
         if group.uses_mapreduce:
-            return self.mapreduce.run_columns(
-                implementation, keys, values, order
-            )
+            # The whole sweep is one partition, mapped untagged.
+            pairs, mapped = map_partition(implementation, keys, values, order)
+            return self.mapreduce.merge_partials(implementation, pairs, mapped)
         return group_readings(keys, table, values)
 
     def _publish_context(self, name: str, discipline: Publish, result) -> None:

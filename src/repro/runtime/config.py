@@ -1,9 +1,9 @@
 """Runtime configuration: the one record an application is built from.
 
-:class:`RuntimeConfig` gathers every runtime choice (clock, executor,
-network model, error policy, metrics, the supervision/stale policies of
-:mod:`repro.faults`, and the cache/batch/shard/placement sections)
-into a single validated dataclass::
+:class:`RuntimeConfig` gathers every runtime choice (clock, network
+model, error policy, metrics, the supervision/stale policies of
+:mod:`repro.faults`, and the cache/batch/shard/placement sections) into
+a single validated dataclass::
 
     from repro.runtime.config import RuntimeConfig
 
@@ -60,8 +60,6 @@ class RuntimeConfig(ConfigBase):
 
     * ``clock`` — application clock; ``None`` means a fresh
       :class:`~repro.runtime.clock.SimulationClock`.
-    * ``mapreduce_executor`` — executor for ``with map ... reduce ...``
-      contexts (serial when ``None``).
     * ``network`` — a frozen :class:`NetworkConfig` describing the
       simulated network as a chain of hops (one hop for a single link);
       the application builds a fresh stateful topology from it.
@@ -104,7 +102,6 @@ class RuntimeConfig(ConfigBase):
     """
 
     clock: Optional["Clock"] = None
-    mapreduce_executor: Any = None
     name: str = "app"
     network: Optional[NetworkConfig] = None
     error_policy: str = "raise"

@@ -211,13 +211,13 @@ class WindowAccumulator(Instrumented):
 
     Two modes:
 
-    * **buffered** (default, ``fold=None``) — concatenate (``flatten``)
-      or append each delivery's per-group values; the completed window
-      maps each group to the full value list.
-    * **incremental** (``fold`` given) — fold each arriving value into
-      one partial aggregate per group; the completed window maps each
-      group to its folded value.  State is O(groups) regardless of the
-      number of deliveries or readings.
+    * **buffered** (default, ``fold=None``) — concatenate each
+      delivery's per-group value lists; the completed window maps each
+      group to the full value list.
+    * **incremental** (``fold`` given) — fold each delivery's per-group
+      value into one partial aggregate per group; the completed window
+      maps each group to its folded value.  State is O(groups)
+      regardless of the number of deliveries or readings.
     """
 
     metric_specs = (
@@ -259,13 +259,11 @@ class WindowAccumulator(Instrumented):
     def __init__(
         self,
         deliveries_per_window: int,
-        flatten: bool,
         fold: Optional[Fold] = None,
     ):
         if deliveries_per_window < 1:
             raise ValueError("a window must span at least one delivery")
         self.deliveries_per_window = deliveries_per_window
-        self.flatten = flatten
         self.fold = fold
         self._buffer: Dict[Hashable, Any] = {}
         self._count = 0
@@ -276,10 +274,10 @@ class WindowAccumulator(Instrumented):
 
     @classmethod
     def for_design(
-        cls, period_seconds: float, window_seconds: float, flatten: bool
+        cls, period_seconds: float, window_seconds: float
     ) -> "WindowAccumulator":
         deliveries = max(1, round(window_seconds / period_seconds))
-        return cls(deliveries, flatten)
+        return cls(deliveries)
 
     @classmethod
     def incremental_for_job(
@@ -287,7 +285,6 @@ class WindowAccumulator(Instrumented):
         period_seconds: float,
         window_seconds: float,
         job: Any,
-        flatten: bool = False,
     ) -> "WindowAccumulator":
         """Incremental accumulator folding deliveries through ``job``.
 
@@ -296,7 +293,7 @@ class WindowAccumulator(Instrumented):
         its ``reduce`` phase is the fallback.
         """
         deliveries = max(1, round(window_seconds / period_seconds))
-        return cls(deliveries, flatten, fold=fold_for_job(job))
+        return cls(deliveries, fold=fold_for_job(job))
 
     @property
     def incremental(self) -> bool:
@@ -323,27 +320,19 @@ class WindowAccumulator(Instrumented):
         return window
 
     def _add_buffered(self, grouped: Dict[Hashable, Any]) -> None:
-        for key, value in grouped.items():
-            bucket = self._buffer.setdefault(key, [])
-            if self.flatten and isinstance(value, (list, tuple)):
-                bucket.extend(value)
-                self._buffered_values += len(value)
-            else:
-                bucket.append(value)
-                self._buffered_values += 1
+        for key, values in grouped.items():
+            self._buffer.setdefault(key, []).extend(values)
+            self._buffered_values += len(values)
 
     def _add_incremental(self, grouped: Dict[Hashable, Any]) -> None:
         buffer = self._buffer
         fold = self.fold
         for key, value in grouped.items():
-            is_column = self.flatten and isinstance(value, (list, tuple))
-            values = value if is_column else (value,)
-            for item in values:
-                if key in buffer:
-                    buffer[key] = fold(key, buffer[key], item)
-                else:
-                    buffer[key] = item
-                    self._buffered_values += 1
+            if key in buffer:
+                buffer[key] = fold(key, buffer[key], value)
+            else:
+                buffer[key] = value
+                self._buffered_values += 1
 
     @property
     def pending_deliveries(self) -> int:

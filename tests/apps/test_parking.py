@@ -8,7 +8,6 @@ from repro.apps.parking import (
     ParkingAvailabilityContext,
     build_parking_app,
 )
-from repro.mapreduce.engine import ThreadExecutor
 from repro.runtime import device, proxies
 from repro.sema.symbols import DeviceInfo
 
@@ -137,24 +136,6 @@ class TestScaleContinuum:
         assert all(
             panel.history for panel in app.entrance_panels.values()
         )
-
-    def test_thread_executor_produces_same_panels(self):
-        serial = build_parking_app(
-            capacities={"A22": 20, "B16": 20}, seed=7
-        )
-        threaded = build_parking_app(
-            capacities={"A22": 20, "B16": 20},
-            seed=7,
-            mapreduce_executor=ThreadExecutor(workers=4),
-        )
-        serial.advance(600)
-        threaded.advance(600)
-        assert {
-            lot: panel.status for lot, panel in serial.entrance_panels.items()
-        } == {
-            lot: panel.status
-            for lot, panel in threaded.entrance_panels.items()
-        }
 
 
 class TestDefaultPathSteadyState:

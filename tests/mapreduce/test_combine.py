@@ -130,18 +130,18 @@ class TestShuffleStats:
         assert stats["combine_used"] is True
 
     def test_pooled_combiner_shuffles_at_most_chunks_x_groups(self):
-        executor = ThreadExecutor(2)
-        executor.run(CombiningSum(), GROUPED)
-        stats = executor.last_stats
+        engine = MapReduceEngine(ThreadExecutor(2))
+        engine.run(CombiningSum(), GROUPED)
+        stats = engine.last_stats
         assert stats["mapped"] == 7
         assert stats["shuffled"] <= 2 * 3
         assert stats["shuffled"] < stats["mapped"]
 
     def test_empty_run_resets_stats(self):
-        executor = ThreadExecutor(2)
-        executor.run(CombiningSum(), GROUPED)
-        executor.run(CombiningSum(), {})
-        assert executor.last_stats["shuffled"] == 0
+        engine = MapReduceEngine(ThreadExecutor(2))
+        engine.run(CombiningSum(), GROUPED)
+        engine.run(CombiningSum(), {})
+        assert engine.last_stats["shuffled"] == 0
 
     def test_engine_stats_are_a_snapshot(self):
         engine = MapReduceEngine(SerialExecutor())

@@ -1,11 +1,19 @@
 """The partitioned map side — the one function under the in-process
-gather, the edge split and the shard workers — against the
-single-process engine."""
+gather, the edge split and the shard workers — against the engine's
+grouped run on every executor."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapreduce import MapReduce, MapReduceEngine, map_partition
+from repro.mapreduce import (
+    MapReduce,
+    MapReduceEngine,
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadExecutor,
+    job_combiner,
+    map_partition,
+)
 from repro.mapreduce.engine import rank_groups, sequence_partials
 from repro.runtime.grouping import KeyColumns
 
@@ -54,11 +62,23 @@ def sweeps(draw):
     return partitions, readings
 
 
-def single_process(job, readings):
+# Executors hold no state between runs, so one of each serves every
+# example.
+executors = st.sampled_from(
+    [
+        SerialExecutor(),
+        ThreadExecutor(1),
+        ThreadExecutor(3),
+        ProcessExecutor(2),
+    ]
+)
+
+
+def single_process(job, readings, executor=None):
     grouped = {}
     for key, value, __ in readings:
         grouped.setdefault(key, []).append(value)
-    engine = MapReduceEngine()
+    engine = MapReduceEngine(executor)
     return engine.run(job, grouped), engine.last_stats
 
 
@@ -90,12 +110,14 @@ def partitioned(job, partitions, readings):
 
 
 def in_one_partition(job, readings):
-    """The in-process gather's shape: one partition, no tags."""
+    """The in-process gather's shape: the whole sweep is one
+    partition, mapped untagged in the key columns' row order."""
     keys = [key for key, __, ___ in readings]
     values = [value for __, value, ___ in readings]
     order = KeyColumns(None, range(len(keys)), {"lot": keys}).groups("lot")[1]
+    pairs, mapped = map_partition(job, keys, values, order)
     engine = MapReduceEngine()
-    return engine.run_columns(job, keys, values, order), engine.last_stats
+    return engine.merge_partials(job, pairs, mapped), engine.last_stats
 
 
 class TestMapPartition:
@@ -123,14 +145,27 @@ class TestMapPartition:
         assert stats["shuffled"] <= partitions * len(expected)
 
     @settings(max_examples=100, deadline=None)
-    @given(sweeps())
-    def test_one_untagged_partition_is_exactly_the_grouped_run(self, sweep):
+    @given(sweeps(), executors)
+    def test_one_untagged_partition_is_exactly_the_grouped_run(
+        self, sweep, executor
+    ):
         __, readings = sweep
         for job in (Trail(), CombiningSum()):
-            expected, expected_stats = single_process(job, readings)
+            expected, expected_stats = single_process(job, readings, executor)
             result, stats = in_one_partition(job, readings)
             assert repr(result) == repr(expected)
-            assert stats == expected_stats
+            if job_combiner(job) is None or executor.workers == 1:
+                assert stats == expected_stats
+                continue
+            # A pool combines each of its slices: one partial per
+            # (slice, key) crosses, the rest of the stats are the same.
+            assert {**stats, "shuffled": 0} == {
+                **expected_stats,
+                "shuffled": 0,
+            }
+            shuffled = expected_stats["shuffled"]
+            assert stats["shuffled"] <= shuffled
+            assert shuffled <= executor.workers * stats["shuffled"]
 
     def test_rows_may_arrive_in_any_order(self):
         rows = [(5, "B", 2), (0, "A", 1), (3, "B", 1), (4, "A", 2)]

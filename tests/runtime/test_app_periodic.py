@@ -1,8 +1,6 @@
 """Periodic gathering: polling, grouping, MapReduce, windows, queries."""
 
-from repro.mapreduce.engine import ThreadExecutor
 from repro.runtime.app import Application
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.component import Context
 from repro.runtime.device import CallableDriver
 from repro.sema.analyzer import analyze
@@ -91,10 +89,8 @@ class OnDemandImpl(Context):
         return self.state
 
 
-def build(executor=None):
-    app = Application(
-        analyze(DESIGN), RuntimeConfig(mapreduce_executor=executor)
-    )
+def build():
+    app = Application(analyze(DESIGN))
     app.implement("FreeCount", FreeCountImpl())
     app.implement("RawSweep", RawSweepImpl())
     app.implement("Windowed", WindowedImpl())
@@ -139,16 +135,6 @@ class TestGroupedMapReduce:
             occupancy[key] = True  # everything occupied now
         app.advance(600)
         assert app.implementation("FreeCount").deliveries[-1] == {}
-
-    def test_thread_executor_equivalent(self):
-        serial_app, __ = build()
-        thread_app, __ = build(executor=ThreadExecutor(workers=4))
-        serial_app.advance(600)
-        thread_app.advance(600)
-        assert (
-            serial_app.implementation("FreeCount").deliveries
-            == thread_app.implementation("FreeCount").deliveries
-        )
 
 
 class TestUngroupedSweep:

@@ -73,6 +73,7 @@ class TestRemovedSettings:
         "config_type, name, value",
         [
             (RuntimeConfig, "sweep", None),
+            (RuntimeConfig, "mapreduce_executor", None),
             (CacheConfig, "coalesce", False),
             (CacheConfig, "invalidate_on_publish", False),
             (CacheConfig, "shard_attribute", "zone"),

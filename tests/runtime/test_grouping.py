@@ -96,24 +96,18 @@ class TestGroupReadings:
 
 class TestWindowAccumulator:
     def test_flattening_accumulation(self):
-        window = WindowAccumulator(deliveries_per_window=2, flatten=True)
+        window = WindowAccumulator(deliveries_per_window=2)
         assert window.add({"A": [True], "B": [False]}) is None
         result = window.add({"A": [False]})
         assert result == {"A": [True, False], "B": [False]}
 
-    def test_non_flatten_appends_whole_values(self):
-        window = WindowAccumulator(deliveries_per_window=2, flatten=False)
-        window.add({"A": 3})
-        result = window.add({"A": 5})
-        assert result == {"A": [3, 5]}
-
     def test_window_resets_after_completion(self):
-        window = WindowAccumulator(deliveries_per_window=1, flatten=False)
-        assert window.add({"A": 1}) == {"A": [1]}
-        assert window.add({"A": 2}) == {"A": [2]}
+        window = WindowAccumulator(deliveries_per_window=1)
+        assert window.add({"A": [1]}) == {"A": [1]}
+        assert window.add({"A": [2]}) == {"A": [2]}
 
     def test_pending_counter(self):
-        window = WindowAccumulator(deliveries_per_window=3, flatten=False)
+        window = WindowAccumulator(deliveries_per_window=3)
         window.add({})
         assert window.pending_deliveries == 1
         window.add({})
@@ -121,15 +115,15 @@ class TestWindowAccumulator:
         assert window.pending_deliveries == 0
 
     def test_for_design_rounding(self):
-        window = WindowAccumulator.for_design(600.0, 86400.0, flatten=True)
+        window = WindowAccumulator.for_design(600.0, 86400.0)
         assert window.deliveries_per_window == 144
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError):
-            WindowAccumulator(0, flatten=True)
+            WindowAccumulator(0)
 
     def test_groups_appearing_mid_window(self):
-        window = WindowAccumulator(deliveries_per_window=2, flatten=True)
+        window = WindowAccumulator(deliveries_per_window=2)
         window.add({"A": [1]})
         result = window.add({"A": [2], "B": [9]})
         assert result == {"A": [1, 2], "B": [9]}
@@ -180,7 +174,7 @@ def test_grouping_preserves_every_reading(design_readings):
     st.integers(min_value=1, max_value=4),
 )
 def test_window_never_loses_values(deliveries, per_window):
-    window = WindowAccumulator(per_window, flatten=True)
+    window = WindowAccumulator(per_window)
     released = {}
     for delivery in deliveries:
         result = window.add(delivery)

@@ -12,7 +12,10 @@ by its owner: no runtime module imports it, so an application can
 neither build a controller nor register a ``tuning_*`` series.  A sweep
 is one loop in its process: no runtime module imports
 ``concurrent.futures`` (the MapReduce executors live in
-``repro.mapreduce``)."""
+``repro.mapreduce``).  A gather maps through ``map_partition`` and
+reduces through ``MapReduceEngine.merge_partials``: no runtime module
+takes an executor from the engine or names the removed
+``mapreduce_executor`` setting."""
 
 import ast
 import pkgutil
@@ -134,6 +137,26 @@ def test_no_runtime_module_imports_an_executor_pool():
         if within(module, ("concurrent.futures",))
     ]
     assert importers == []
+
+
+def test_no_runtime_module_takes_an_executor_from_the_engine():
+    engine = "repro.mapreduce.engine"
+    allowed = {"MapReduceEngine", "map_partition", "rank_groups"}
+    allowed.add("sequence_partials")
+    reaches = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        where = f"runtime/{path.relative_to(RUNTIME)}"
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == engine:
+                taken = {alias.name for alias in node.names} - allowed
+                reaches.extend(f"{where} imports {name}" for name in taken)
+            elif isinstance(node, ast.Import):
+                if engine in (alias.name for alias in node.names):
+                    reaches.append(f"{where} imports {engine}")
+        if "mapreduce_executor" in text:
+            reaches.append(f"{where} names mapreduce_executor")
+    assert reaches == []
 
 
 @pytest.mark.parametrize(

@@ -61,7 +61,7 @@ class TestFoldForJob:
 
 class TestIncrementalAccumulator:
     def test_incremental_folds_per_delivery(self):
-        acc = WindowAccumulator(3, flatten=False, fold=fold_for_job(SumJob()))
+        acc = WindowAccumulator(3, fold=fold_for_job(SumJob()))
         assert acc.add({"A": 1}) is None
         assert acc.add({"A": 2, "B": 10}) is None
         assert acc.add({"A": 4}) == {"A": 7, "B": 10}
@@ -77,25 +77,18 @@ class TestIncrementalAccumulator:
         assert acc.stats()["mode"] == "incremental"
 
     def test_buffered_state_grows_with_deliveries(self):
-        acc = WindowAccumulator(144, flatten=False)
+        acc = WindowAccumulator(144)
         for __ in range(100):
-            acc.add({"A": 1, "B": 2})
+            acc.add({"A": [1], "B": [2]})
         assert acc.peak_buffered_values == 200
         assert acc.stats()["mode"] == "buffered"
 
     def test_incremental_resets_between_windows(self):
-        acc = WindowAccumulator(2, flatten=False, fold=fold_for_job(SumJob()))
+        acc = WindowAccumulator(2, fold=fold_for_job(SumJob()))
         acc.add({"A": 1})
         assert acc.add({"A": 2}) == {"A": 3}
         acc.add({"A": 5})
         assert acc.add({"A": 6}) == {"A": 11}
-
-    def test_incremental_flatten_folds_each_value(self):
-        acc = WindowAccumulator(
-            2, flatten=True, fold=fold_for_job(SumJob())
-        )
-        acc.add({"A": [1, 2, 3]})
-        assert acc.add({"A": [4]}) == {"A": 10}
 
 
 # Deliveries: per-sweep reduced values, one int per group per delivery.
@@ -117,12 +110,12 @@ def test_incremental_equals_buffered_for_associative_jobs(
 ):
     """Folding as values arrive == reducing the buffered window at once."""
     for job in (SumJob(), CombineSumJob(), MaxJob()):
-        buffered = WindowAccumulator(per_window, flatten=False)
-        incremental = WindowAccumulator(
-            per_window, flatten=False, fold=fold_for_job(job)
-        )
+        buffered = WindowAccumulator(per_window)
+        incremental = WindowAccumulator(per_window, fold=fold_for_job(job))
         for delivery in deliveries:
-            buffered_window = buffered.add(delivery)
+            # Buffered windows concatenate value lists: one per group.
+            as_lists = {key: [value] for key, value in delivery.items()}
+            buffered_window = buffered.add(as_lists)
             incremental_window = incremental.add(delivery)
             assert (buffered_window is None) == (incremental_window is None)
             if buffered_window is None:

@@ -22,7 +22,6 @@ from repro.api import (
     SimulationClock,
     StalePolicy,
     SupervisionPolicy,
-    ThreadExecutor,
     analyze,
 )
 from repro.errors import DeliveryError, DeviceUnavailableError
@@ -354,8 +353,7 @@ class TestChurnMatchesAFreshApplication:
     """Random scripts of binds and unbinds (under freed ids too),
     ``fail()`` / ``recover()``, a ``failed`` flag set by assignment and
     ``swap_driver`` over a fleet that mixes a batching and a scalar
-    driver, with the read cache off and on, the MapReduce job mapped
-    serially or in a thread pool.  After every step the
+    driver, with the read cache off and on.  After every step the
     memoized sweep column, cut, cohort plans and (with the cache) the
     column answers the second and third contexts over the source get
     must deliver what an application built from scratch with the live
@@ -383,17 +381,15 @@ class TestChurnMatchesAFreshApplication:
     def meter(fleet, batching):
         return (BatchMeter if batching else ScalarMeter)(fleet)
 
-    def build(self, members, start, cache, executor=None):
+    def build(self, members, start, cache):
         """An application over ``members`` — ``(entity id, lot,
         batching)`` in registration order — whose clock starts at
-        ``start``, running its MapReduce job on ``executor``; returns
-        it, its fleet and its three recorders."""
+        ``start``; returns it, its fleet and its three recorders."""
         app = Application(
             CHURN,
             RuntimeConfig(
                 clock=SimulationClock(start),
                 cache=CacheConfig(enabled=cache),
-                mapreduce_executor=executor,
             ),
         )
         recorders = [
@@ -442,27 +438,20 @@ class TestChurnMatchesAFreshApplication:
             instance.swap_driver(self.meter(fleet, batching))
         return instance.failed != was
 
-    # The application under test maps on a serial executor (0) or on
-    # a pool of that many threads; the fresh one is always serial.
-    workers = st.integers(0, 4)
-
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(steps, min_size=1, max_size=10), workers)
+    @given(st.lists(steps, min_size=1, max_size=10))
     def test_every_step_delivers_what_a_fresh_application_does(
-        self, script, workers
+        self, script
     ):
-        self.check(script, cache=False, workers=workers)
+        self.check(script, cache=False)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(steps, min_size=1, max_size=10), workers)
-    def test_every_step_delivers_it_with_the_read_cache_too(
-        self, script, workers
-    ):
-        self.check(script, cache=True, workers=workers)
+    @given(st.lists(steps, min_size=1, max_size=10))
+    def test_every_step_delivers_it_with_the_read_cache_too(self, script):
+        self.check(script, cache=True)
 
-    def check(self, script, cache, workers):
-        executor = ThreadExecutor(workers) if workers else None
-        app, fleet, recorders = self.build([], 0.0, cache, executor)
+    def check(self, script, cache):
+        app, fleet, recorders = self.build([], 0.0, cache)
         registry = app.registry
         live = []  # what is bound, in registration order
         for step in script:
