@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from operator import itemgetter
+from collections.abc import Iterable, Iterator
+from itertools import repeat
+from operator import itemgetter, mod
 from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 
@@ -33,6 +35,15 @@ def shard_index(key: Hashable, shards: int) -> int:
     if shards <= 0:
         raise ValueError("shards must be >= 1")
     return stable_hash(key) % shards
+
+
+def shard_indexes(keys: Iterable[Hashable], shards: int) -> Iterator[int]:
+    """:func:`shard_index` of each of ``keys``, lazily and with no Python
+    frame per key (the same crc32 of the UTF-8 ``repr``)."""
+    if shards <= 0:
+        raise ValueError("shards must be >= 1")
+    hashes = map(zlib.crc32, map(str.encode, map(repr, keys)))
+    return map(mod, hashes, repeat(shards))
 
 
 def partition_items(

@@ -36,12 +36,13 @@ def _splice(members: List[DeviceInstance], instance: DeviceInstance) -> None:
     del members[at]
 
 
-def splice_column(column: list, removed_rows, appended) -> list:
+def splice_column(column, removed_rows, appended):
     """``column`` without the rows ``removed_rows`` (ascending), then
     ``appended``: a sweep column edit
     (:meth:`EntityRegistry.sweep_edit`) applied to any column aligned
-    with the old sweep column, in list slices."""
-    spliced = []
+    with the old sweep column, in slices.  The result is of the
+    column's type (a list, or an ``array`` of positions)."""
+    spliced = column[:0]
     start = 0
     for row in removed_rows:
         spliced += column[start:row]

@@ -61,10 +61,12 @@ the wire format; :mod:`.worker` is the per-process command loop;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, TYPE_CHECKING
+from itertools import repeat
+from operator import eq
+from typing import Iterable, Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ShardError
-from repro.mapreduce.partition import shard_index
+from repro.mapreduce.partition import shard_index, shard_indexes
 from repro.runtime.configbase import ConfigBase
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -143,6 +145,12 @@ class ShardContext:
         if self.index is None:
             return False
         return shard_index(entity_id, self.shards) == self.index
+
+    def owns_each(self, entity_ids: Iterable[str]) -> Iterator[bool]:
+        """:meth:`owns` of each of ``entity_ids``, lazily and with no
+        Python frame per id."""
+        indexes = shard_indexes(entity_ids, self.shards)
+        return map(eq, indexes, repeat(self.index))
 
 
 class ShardBootstrap:

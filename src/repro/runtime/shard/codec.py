@@ -19,10 +19,9 @@ spawning a process:
 from __future__ import annotations
 
 import pickle
-import struct
 from array import array
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, eq, getitem, gt, is_, is_not, ne, or_, setitem, sub
 from typing import Any, Callable, Dict, List, Sequence, Tuple
@@ -58,40 +57,64 @@ def _wire_recv(conn) -> Tuple[Any, int]:
     return pickle.loads(data), len(data)
 
 
-def _pack_positions(positions: List[int]) -> List[int]:
-    """Gap-encode an ascending position list: ``[first, gap, gap, ...]``.
+def _pack_positions(positions: Sequence[int]) -> List[int]:
+    """Gap-encode ascending positions: ``[first, gap, gap, ...]``.
 
     Worker reading positions are ascending (registry order is bind
     order is ascending coordinator position), so the gaps are small
     ints that pickle in 2 bytes where a million-device fleet's
-    absolute positions cost 5."""
+    absolute positions cost 5.  Packed straight off a list or an
+    ``array``; the result is a list either way."""
     if not positions:
-        return positions
+        return []
     return [positions[0], *map(sub, islice(positions, 1, None), positions)]
 
 
-def _unpack_positions(packed: List[int]) -> List[int]:
-    """Inverse of :func:`_pack_positions`."""
-    return list(accumulate(packed))
-
-
-def _int64s(ints: List[int]) -> array:
-    """``ints`` as an ``array("q")``, packed in one call: ``array("q",
-    ints)`` converts item by item, several times slower on the
-    columns a churned fleet folds every poll."""
+def _unpack_positions(packed: List[int]) -> array:
+    """Inverse of :func:`_pack_positions`, as an ``array("q")``: summed
+    :data:`_CHUNK` gaps at a time, so only one chunk of positions is
+    ever int objects."""
     column = array("q")
-    column.frombytes(struct.pack(f"{len(ints)}q", *ints))
+    sums = accumulate(packed)
+    for __ in range(0, len(packed), _CHUNK):
+        column.fromlist(list(islice(sums, _CHUNK)))
     return column
 
 
-def _merged_order(slices: List[array]) -> List[int]:
-    """The rows of ``slices`` laid end to end, in position order.
-    The positions are sorted as a list (an array boxes every item it
-    hands out), dropped on return: a rebuild does not hold them while
-    it groups."""
-    positions = list(chain.from_iterable(map(array.tolist, slices)))
-    # One ascending run per shard: timsort merges them.
-    return sorted(range(len(positions)), key=positions.__getitem__)
+# Rows per bounded step of :func:`_unpack_positions` and, per slice, of
+# :func:`_merged_order`.
+_CHUNK = 4096
+
+
+def _merged_order(slices: List[array]) -> array:
+    """The rows of ``slices`` (ascending positions each) laid end to
+    end, in position order.
+
+    The runs are merged a chunk at a time: the chunks are cut at every
+    slice's every :data:`_CHUNK`-th position, so no chunk holds
+    more rows of one slice than that, and only one chunk's rows and
+    positions are ever int objects."""
+    stops = list(accumulate(map(len, slices), initial=0))
+    if sum(map(bool, slices)) < 2:
+        return array("q", range(stops[-1]))  # one run: already merged
+    starts = stops[:-1]
+    position_of = array("q")
+    for positions in slices:
+        position_of += positions
+    cuts = sorted(
+        chain.from_iterable(positions[_CHUNK::_CHUNK] for positions in slices)
+    )
+    cuts.append(max(positions[-1] for positions in slices if positions) + 1)
+    order = array("q")
+    lows = [0] * len(slices)
+    for cut in cuts:
+        highs = list(map(bisect_left, slices, repeat(cut)))
+        runs = map(range, map(add, starts, lows), map(add, starts, highs))
+        rows = list(chain.from_iterable(runs))
+        rows.sort(key=position_of.__getitem__)
+        order.fromlist(rows)
+        lows = highs
+    return order
 
 
 def _encode_group_keys(keys: List[Any]) -> Tuple[Any, ...]:
@@ -200,7 +223,7 @@ class _DeltaEncoder:
             # there is nothing to compare or retract.
             if values:
                 blocks["register"] = (
-                    _pack_positions(list(positions)),
+                    _pack_positions(positions),
                     *ident_columns(range(len(values))),
                     list(values),
                 )
@@ -362,7 +385,7 @@ class _Mirror:
             delta_rows += len(rows)
         if reply.get("register"):
             packed, *ident_columns, values = reply["register"]
-            positions = _int64s(_unpack_positions(packed))
+            positions = _unpack_positions(packed)
             if self.flat:
                 lengths = set(map(len, ident_columns))
                 idents = list(zip(*ident_columns))
@@ -408,39 +431,44 @@ class _Mirror:
                 self.indexed[shard] = True
             rows = list(map(getitem, repeat(self.row_at), wanted))
         # A row past the slice raises IndexError: malformed too.
-        if list(map(positions.__getitem__, rows)) != wanted:
+        if array("q", map(positions.__getitem__, rows)) != wanted:
             raise ShardError("a delta row names no row of the slice", shard)
         return rows
 
     def _write_through(self, shard: int, rows, column) -> None:
         """Carry value changes into the cells of a clean order."""
         if not self.cell_of:
+            # Walking the order, each row takes the next cell of its
+            # group's span.
             idents = list(chain.from_iterable(self.idents))
-            members: Dict[Any, List[int]] = {key: [] for key in self.spans}
+            spans = self.spans.items()
+            nexts = {key: count(start) for key, (start, __) in spans}
             keys = map(idents.__getitem__, self.order)
-            extend_each(keys, members, self.order)
+            cells = map(next, map(nexts.__getitem__, keys))
             cell_of = array("q", bytes(8 * len(idents)))
-            by_cell = chain.from_iterable(members.values())
-            deque(map(setitem, repeat(cell_of), by_cell, count()), maxlen=0)
+            deque(map(setitem, repeat(cell_of), self.order, cells), maxlen=0)
+            del idents
             stops = list(accumulate(map(len, self.positions), initial=0))
             slices = map(slice, stops, islice(stops, 1, None))
-            self.cell_of = list(map(cell_of.__getitem__, slices))
+            # Views of the one index, not copies.
+            self.cell_of = list(map(memoryview(cell_of).__getitem__, slices))
         cells = map(getitem, repeat(self.cell_of[shard]), rows)
         deque(map(setitem, repeat(self.cells), cells, column), maxlen=0)
 
     def _rebuild(self) -> None:
-        # Walked as a list, kept as an array.
-        order = _merged_order(self.positions)
-        self.order = _int64s(order)
+        order = self.order = _merged_order(self.positions)
         self.cell_of = []
         self.dirty = False
         if self.flat:
             return
+        self.cells = []  # dropped before the new one is built
         idents = list(chain.from_iterable(self.idents))
         values = list(chain.from_iterable(self.values))
-        keys = list(map(idents.__getitem__, order))
-        groups: Dict[Any, List[Any]] = {key: [] for key in dict.fromkeys(keys)}
+        # Keys in the order of their first position.
+        groups: Dict[Any, List[Any]] = defaultdict(list)
+        keys = map(idents.__getitem__, order)
         extend_each(keys, groups, map(values.__getitem__, order))
+        del idents, values
         self.cells = list(chain.from_iterable(groups.values()))
         stops = list(accumulate(map(len, groups.values()), initial=0))
         self.spans = dict(zip(groups, zip(stops, islice(stops, 1, None))))

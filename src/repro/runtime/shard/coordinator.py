@@ -324,8 +324,10 @@ class ShardedRuntime(Instrumented):
         # populated lazily on the first flat or grouped poll.
         self._mirrors: Dict[Tuple[str, int], _Mirror] = {}
         # Next global registration position handed to a dynamic
-        # rebind — the static fleet occupies [0, len(fleet)).
-        self._next_position = len(bootstrap.fleet())
+        # rebind — the static fleet occupies [0, len(fleet)).  Sharded,
+        # the workers report that length when they are ready, so the
+        # coordinator never enumerates the fleet.
+        self._next_position = 0 if self.sharded else len(bootstrap.fleet())
         # interaction identity -> its index in its context; with the
         # context name, how the delegate names a gather to the workers.
         self._interactions: Dict[int, int] = {}
@@ -365,10 +367,11 @@ class ShardedRuntime(Instrumented):
             child.close()
             workers.append((process, parent))
         self.router.attach(workers)
-        # Ready handshake: every worker reports its shard build (or the
-        # exception that killed it) before the first command.
+        # Ready handshake: every worker reports its shard build and the
+        # fleet's length (or the exception that killed it) before the
+        # first command.
         for shard in range(len(workers)):
-            self.router._receive(shard)
+            self._next_position = self.router._receive(shard)["fleet"]
         self._worker_count = len(workers)
 
     def stop(self) -> None:

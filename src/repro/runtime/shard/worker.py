@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import functools
 import sys
-from itertools import chain
+from array import array
+from collections import deque
+from itertools import chain, compress, count, repeat
 from operator import attrgetter
 from typing import Any, Dict, List, Tuple
 
@@ -34,6 +36,7 @@ except ImportError:  # not on Windows
     resource = None
 
 _entity_id_of = attrgetter("entity_id")
+_registration_of = attrgetter("_registration")
 _type_name_of = attrgetter("info.name")
 _attributes_of = attrgetter("attributes")
 
@@ -52,6 +55,13 @@ class _ShardWorker:
     def __init__(self, bootstrap: ShardBootstrap, ctx: ShardContext):
         self.ctx = ctx
         self.bootstrap = bootstrap
+        # Global positions come from the full-fleet enumeration, so
+        # every shard agrees on merge order.  It is walked once, before
+        # the build, and what this shard owns is kept as two arrays,
+        # not as the enumeration's id strings.
+        owned, hashes, self.fleet_size = _owned_positions(
+            bootstrap.fleet(), ctx
+        )
         self.app = bootstrap.build(ctx)
         if not isinstance(self.app.clock, SimulationClock):
             raise ShardError(
@@ -59,18 +69,11 @@ class _ShardWorker:
                 shard=ctx.index,
             )
         self.clock: SimulationClock = self.app.clock
-        # Bound entity id -> global registration position, derived
-        # from the full-fleet enumeration so every shard agrees on
-        # merge order; the build bound what this shard owns.  Keyed by
-        # the bound instances' own id strings: storing under an equal
-        # key keeps the key already there, so the enumeration's copies
-        # are not kept.
-        gpos = self._gpos = dict.fromkeys(
-            map(_entity_id_of, self.app.registry)
+        # Registration ordinal -> global position
+        # (``DeviceInstance._registration`` runs 1, 2, ...).
+        self._gpos = _positions_by_ordinal(
+            self.app.registry, owned, hashes, bootstrap.fleet
         )
-        for position, entity_id in enumerate(bootstrap.fleet()):
-            if entity_id in gpos:
-                gpos[entity_id] = position
         self._events: List[Tuple[Any, ...]] = []
         # Poll results parked between the poll and map rounds of a
         # MapReduce gather: (context, interaction) -> the readings'
@@ -225,13 +228,22 @@ class _ShardWorker:
         poll re-registers — no static fleet required.
         """
         self.bootstrap.bind_entity(self.app, entity_id, position)
-        self._gpos[entity_id] = position
+        ordinal = _registration_of(self.app.registry.get(entity_id))
+        gpos = self._gpos
+        gpos.extend(repeat(-1, ordinal + 1 - len(gpos)))
+        gpos[ordinal] = position
         return {"bound": len(self.app.registry)}
 
     def _cmd_unbind(self, entity_id) -> Dict[str, Any]:
+        # The departed ordinal's position is left as it is: no
+        # registration takes that ordinal again.
         self.app.unbind_device(entity_id)
-        self._gpos.pop(entity_id, None)
         return {"bound": len(self.app.registry)}
+
+    def position_of(self, entity_id: str) -> int:
+        """The global position of the bound ``entity_id``."""
+        instance = self.app.registry.get(entity_id)
+        return self._gpos[_registration_of(instance)]
 
     def _cmd_stats(self) -> Dict[str, Any]:
         stats = self.app.stats
@@ -308,6 +320,37 @@ def _peak_rss_mb():
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
+def _owned_positions(fleet, ctx: ShardContext) -> Tuple[array, array, int]:
+    """The fleet positions ``ctx`` owns, ascending, the ``hash`` of the
+    id at each and the fleet's length: one pass over the enumeration,
+    which is dropped on return."""
+    mine = list(ctx.owns_each(fleet))
+    owned = array("q", compress(count(), mine))
+    return owned, array("q", map(hash, compress(fleet, mine))), len(mine)
+
+
+def _positions_by_ordinal(registry, owned, hashes, fleet) -> array:
+    """Registration ordinal -> global position of what ``registry``
+    holds after the build, with ``-1`` at ordinals it holds none of.
+
+    A build that bound exactly the owned entities in ``fleet()`` order
+    bound them at the ``owned`` positions, in registration order.  That
+    is checked without the enumeration's ids: the bound ids, in
+    registration order, hash as the owned ids did, row by row.  Any
+    other build (another order, another set) is mapped by id over a
+    second ``fleet()`` pass."""
+    if array("q", map(hash, map(_entity_id_of, registry))) != hashes:
+        by_id = dict.fromkeys(map(_entity_id_of, registry))
+        for position, entity_id in enumerate(fleet()):
+            if entity_id in by_id:
+                by_id[entity_id] = position
+        owned = by_id.values()
+    ordinals = list(map(_registration_of, registry))
+    gpos = array("q", [-1]) * (max(ordinals, default=0) + 1)
+    deque(map(gpos.__setitem__, ordinals, owned), maxlen=0)
+    return gpos
+
+
 def _flat_columns(instances, rows) -> Tuple[list, list, list]:
     """What a flat gather registers for the readings at ``rows``: the
     type-name, entity-id and attribute columns — enough for the
@@ -344,5 +387,6 @@ def _shard_worker_main(conn, bootstrap, index, shards) -> None:
         _send_error(conn, exc, index)
         conn.close()
         return
-    _wire_send(conn, ("ok", {"bound": len(worker.app.registry)}))
+    ready = {"bound": len(worker.app.registry), "fleet": worker.fleet_size}
+    _wire_send(conn, ("ok", ready))
     worker.serve(conn)

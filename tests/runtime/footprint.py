@@ -71,31 +71,64 @@ def _over_the_wire(obj):
     return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
 
 
+def _grouped_mirror_folds(count):
+    """The folds a two-shard grouped coordinator mirror of ``count``
+    readings sees first, as ``(shard, reply)`` pairs: each shard's
+    register block, then a steady ``changed`` block moving every
+    hundredth reading."""
+    registers, changes = [], []
+    for shard in range(2):
+        positions = list(range(shard, count, 2))
+        block = (
+            _pack_positions(positions),
+            _encode_group_keys([f"Z{p % 8}" for p in positions]),
+            [p % 101 for p in positions],
+        )
+        registers.append((shard, {"reset": True, "register": block}))
+        moved = list(range(shard, count, 100))
+        block = (_pack_positions(moved), [7] * len(moved))
+        changes.append((shard, {"changed": block}))
+    return registers, changes
+
+
+def _fold(mirror, folds):
+    for shard, reply in folds:
+        mirror.apply(shard, _over_the_wire(reply))
+    mirror.payload()
+
+
 def mirror_bytes_per_reading(count=100_000):
     """Bytes per reading of a grouped coordinator mirror over two
     shards, after one register and one steady ``changed`` fold, every
     block unpickled under tracing."""
+    registers, changes = _grouped_mirror_folds(count)
 
     def build():
         mirror = _Mirror(2, flat=False)
-        for shard in range(2):
-            positions = list(range(shard, count, 2))
-            block = (
-                _pack_positions(positions),
-                _encode_group_keys([f"Z{p % 8}" for p in positions]),
-                [p % 101 for p in positions],
-            )
-            reply = {"reset": True, "register": block}
-            mirror.apply(shard, _over_the_wire(reply))
-        mirror.payload()
-        for shard in range(2):
-            moved = list(range(shard, count, 100))
-            block = (_pack_positions(moved), [7] * len(moved))
-            mirror.apply(shard, _over_the_wire({"changed": block}))
-        mirror.payload()
+        _fold(mirror, registers)
+        _fold(mirror, changes)
         return mirror
 
     return _held(build)[0] / count
+
+
+def mirror_fold_peak_bytes_per_reading(count=100_000):
+    """Peak traced bytes per reading while a grouped coordinator
+    mirror over two shards folds its first register blocks, builds
+    its first payload and folds its first ``changed`` blocks (the
+    write-through's first cell index): what the mirror holds plus the
+    largest transient of those folds, every block unpickled under
+    tracing."""
+    registers, changes = _grouped_mirror_folds(count)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mirror = _Mirror(2, flat=False)
+        _fold(mirror, registers)
+        _fold(mirror, changes)
+        return tracemalloc.get_traced_memory()[1] / count
+    finally:
+        tracemalloc.stop()
 
 
 def _panels(count, location):
@@ -143,6 +176,8 @@ if __name__ == "__main__":
     print(sys.version.split()[0])
     print(f"worker bytes per bound device {worker_bytes_per_device():.1f}")
     print(f"mirror bytes per reading      {mirror_bytes_per_reading():.1f}")
+    peak = mirror_fold_peak_bytes_per_reading()
+    print(f"mirror fold peak B/reading    {peak:.1f}")
     print(f"bytes per proxy               {proxy_bytes():.1f}")
     record, plain = unique_record_bytes()
     print(f"unique record bytes           {record:.1f} (dict {plain:.1f})")

@@ -14,6 +14,7 @@ import os
 import signal
 import threading
 import weakref
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,6 +200,46 @@ class PresenceBootstrap(ShardBootstrap):
         )
 
 
+class ReversedBootstrap(PresenceBootstrap):
+    """Binds its owned entities in reverse ``fleet()`` order."""
+
+    def build(self, ctx):
+        # The application as the coordinator builds it: nothing bound.
+        app = super().build(ShardContext(shards=ctx.shards, index=None))
+        substrate = _SUBSTRATES[app]
+        for position, entity_id in reversed(list(enumerate(self.fleet()))):
+            if ctx.owns(entity_id):
+                app.create_device(
+                    "ShardPresence",
+                    entity_id,
+                    self.driver(substrate, sources=("presence",)),
+                    parkingLot=LOTS[position % len(LOTS)],
+                )
+        return app
+
+
+class CountingBootstrap(PresenceBootstrap):
+    """Notes every ``fleet()`` call made outside its own build."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = []
+        self.building = self.built = False
+
+    def fleet(self):
+        if not self.building:
+            self.calls.append("after build" if self.built else "before build")
+        return super().fleet()
+
+    def build(self, ctx):
+        self.building = True
+        try:
+            return super().build(ctx)
+        finally:
+            self.building = False
+            self.built = True
+
+
 def run_scenario(bootstrap, periods=4, publishes=(), queries=()):
     """Drive one runtime and capture every observable output."""
     runtime = ShardedRuntime(bootstrap)
@@ -262,6 +303,19 @@ class TestShardContext:
         for entity_id in fleet:
             owners = [c.index for c in contexts if c.owns(entity_id)]
             assert owners == [shard_index(entity_id, 4)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.text(max_size=12), max_size=30),
+        st.integers(min_value=1, max_value=5),
+        st.data(),
+    )
+    def test_owns_each_is_owns_id_by_id(self, fleet, shards, data):
+        index = data.draw(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=shards))
+        )
+        ctx = ShardContext(shards=shards, index=index)
+        assert list(ctx.owns_each(fleet)) == list(map(ctx.owns, fleet))
 
     def test_coordinator_owns_nothing(self):
         ctx = ShardContext(shards=4, index=None)
@@ -1143,8 +1197,17 @@ class TestPollAllocation:
 
 
 class TestWorkerBoot:
-    """A worker's global positions come from one pass over ``fleet()``,
-    filtered by what its build bound."""
+    """A worker's global positions come from one pass over ``fleet()``
+    before its build, kept per registration ordinal."""
+
+    @staticmethod
+    def positions(worker):
+        """Each bound entity id's global position, as the worker knows
+        it."""
+        return {
+            instance.entity_id: worker.position_of(instance.entity_id)
+            for instance in worker.app.registry
+        }
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_positions_are_the_owned_fleet_positions(self, shards):
@@ -1155,12 +1218,13 @@ class TestWorkerBoot:
         for index in range(shards):
             ctx = ShardContext(shards=shards, index=index)
             worker = _ShardWorker(bootstrap, ctx)
-            assert worker._gpos == {
+            positions = self.positions(worker)
+            assert positions == {
                 entity_id: position
                 for position, entity_id in enumerate(bootstrap.fleet())
                 if ctx.owns(entity_id)
             }
-            seen.update(worker._gpos)
+            seen.update(positions)
         assert sorted(seen.values()) == list(range(30))
 
     def test_a_rebind_keeps_its_assigned_position(self):
@@ -1170,10 +1234,10 @@ class TestWorkerBoot:
             PresenceBootstrap(sensors=6), ShardContext(shards=1, index=0)
         )
         worker._cmd_unbind("s-002")
-        assert "s-002" not in worker._gpos
+        assert "s-002" not in self.positions(worker)
         worker._cmd_bind("s-002", 9)
         worker._cmd_bind("s-042", 7)
-        assert worker._gpos == {
+        assert self.positions(worker) == {
             "s-000": 0,
             "s-001": 1,
             "s-003": 3,
@@ -1184,7 +1248,50 @@ class TestWorkerBoot:
         }
         worker._cmd_poll("Windowed", 0)
         columns = worker.app.sweeper._cuts["ShardPresence"].keys
-        assert columns.positions == [0, 1, 3, 4, 5, 9, 7]
+        assert type(columns.positions) is array
+        assert list(columns.positions) == [0, 1, 3, 4, 5, 9, 7]
+
+    def test_the_worker_enumerates_the_fleet_once_before_its_build(self):
+        from repro.runtime.shard.worker import _ShardWorker
+
+        bootstrap = CountingBootstrap(sensors=12)
+        worker = _ShardWorker(bootstrap, ShardContext(shards=2, index=1))
+        # The build's own enumeration is not the worker's.
+        assert bootstrap.calls == ["before build"]
+        assert self.positions(worker) == {
+            entity_id: position
+            for position, entity_id in enumerate(bootstrap.fleet())
+            if ShardContext(shards=2, index=1).owns(entity_id)
+        }
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_build_in_another_order_keeps_the_fleet_positions(self, shards):
+        from repro.runtime.shard.worker import _ShardWorker
+
+        bootstrap = ReversedBootstrap(sensors=20)
+        for index in range(shards):
+            ctx = ShardContext(shards=shards, index=index)
+            worker = _ShardWorker(bootstrap, ctx)
+            assert self.positions(worker) == {
+                entity_id: position
+                for position, entity_id in enumerate(bootstrap.fleet())
+                if ctx.owns(entity_id)
+            }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_build_in_another_order_merges_as_a_single_process(
+        self, workers
+    ):
+        """Workers that bind in reverse ``fleet()`` order deliver what
+        a single process binding in ``fleet()`` order does: the merge
+        order is the fleet's, whatever order a build binds in."""
+        single = run_scenario(PresenceBootstrap(sensors=14))
+        sharded = run_scenario(
+            ReversedBootstrap(
+                sensors=14, shard=ShardConfig(enabled=True, workers=workers)
+            )
+        )
+        assert sharded == single
 
 
 class DarkDriver(TaggingDriver):
@@ -1279,9 +1386,10 @@ class TestChurnMatchesAFreshWorker:
         if memo is None:
             return None  # nothing to compare
         instances, __, keys, groups = memo
-        positions = [
-            worker._gpos[instance.entity_id] for instance in instances
-        ]
+        positions = array(
+            "q",
+            (worker.position_of(instance.entity_id) for instance in instances),
+        )
         fresh = KeyColumns(instances, positions, {})
         return (
             instances,
