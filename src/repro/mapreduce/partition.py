@@ -38,12 +38,11 @@ def shard_index(key: Hashable, shards: int) -> int:
 
 
 def shard_indexes(keys: Iterable[Hashable], shards: int) -> Iterator[int]:
-    """:func:`shard_index` of each of ``keys``, lazily and with no Python
-    frame per key (the same crc32 of the UTF-8 ``repr``)."""
+    """:func:`shard_index` of each of ``keys``, lazily, with one Python
+    frame per key (:func:`stable_hash`)."""
     if shards <= 0:
         raise ValueError("shards must be >= 1")
-    hashes = map(zlib.crc32, map(str.encode, map(repr, keys)))
-    return map(mod, hashes, repeat(shards))
+    return map(mod, map(stable_hash, keys), repeat(shards))
 
 
 def partition_items(

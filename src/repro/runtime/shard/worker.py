@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
+from bisect import bisect_left
 from collections import deque
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 from operator import attrgetter
 from typing import Any, Dict, List, Tuple
 
@@ -69,9 +70,7 @@ class _ShardWorker:
                 shard=ctx.index,
             )
         self.clock: SimulationClock = self.app.clock
-        # Registration ordinal -> global position
-        # (``DeviceInstance._registration`` runs 1, 2, ...).
-        self._gpos = _positions_by_ordinal(
+        self._gpos = _GlobalPositions(
             self.app.registry, owned, hashes, bootstrap.fleet
         )
         self._events: List[Tuple[Any, ...]] = []
@@ -228,22 +227,18 @@ class _ShardWorker:
         poll re-registers — no static fleet required.
         """
         self.bootstrap.bind_entity(self.app, entity_id, position)
-        ordinal = _registration_of(self.app.registry.get(entity_id))
-        gpos = self._gpos
-        gpos.extend(repeat(-1, ordinal + 1 - len(gpos)))
-        gpos[ordinal] = position
+        instance = self.app.registry.get(entity_id)
+        self._gpos.late[instance._registration] = position
         return {"bound": len(self.app.registry)}
 
     def _cmd_unbind(self, entity_id) -> Dict[str, Any]:
-        # The departed ordinal's position is left as it is: no
-        # registration takes that ordinal again.
-        self.app.unbind_device(entity_id)
+        instance = self.app.unbind_device(entity_id)
+        self._gpos.late.pop(instance._registration, None)
         return {"bound": len(self.app.registry)}
 
     def position_of(self, entity_id: str) -> int:
         """The global position of the bound ``entity_id``."""
-        instance = self.app.registry.get(entity_id)
-        return self._gpos[_registration_of(instance)]
+        return self._gpos.of([self.app.registry.get(entity_id)])[0]
 
     def _cmd_stats(self) -> Dict[str, Any]:
         stats = self.app.stats
@@ -329,26 +324,51 @@ def _owned_positions(fleet, ctx: ShardContext) -> Tuple[array, array, int]:
     return owned, array("q", map(hash, compress(fleet, mine))), len(mine)
 
 
-def _positions_by_ordinal(registry, owned, hashes, fleet) -> array:
-    """Registration ordinal -> global position of what ``registry``
-    holds after the build, with ``-1`` at ordinals it holds none of.
+class _GlobalPositions:
+    """Registration ordinal (``DeviceInstance._registration``) -> global
+    position of a worker's bound entities: what its sweep cuts number
+    their rows by.
 
-    A build that bound exactly the owned entities in ``fleet()`` order
-    bound them at the ``owned`` positions, in registration order.  That
-    is checked without the enumeration's ids: the bound ids, in
-    registration order, hash as the owned ids did, row by row.  Any
-    other build (another order, another set) is mapped by id over a
-    second ``fleet()`` pass."""
-    if array("q", map(hash, map(_entity_id_of, registry))) != hashes:
-        by_id = dict.fromkeys(map(_entity_id_of, registry))
-        for position, entity_id in enumerate(fleet()):
-            if entity_id in by_id:
-                by_id[entity_id] = position
-        owned = by_id.values()
-    ordinals = list(map(_registration_of, registry))
-    gpos = array("q", [-1]) * (max(ordinals, default=0) + 1)
-    deque(map(gpos.__setitem__, ordinals, owned), maxlen=0)
-    return gpos
+    The build's registrations are an ``array("q")`` indexed by ordinal,
+    ``-1`` where an ordinal has no position (the build bound an entity
+    outside ``fleet()``).  Later binds are a dict that an unbind pops,
+    so it stays the size of the live population however many binds
+    churn through."""
+
+    __slots__ = ("boot", "late")
+
+    def __init__(self, registry, owned, hashes, fleet):
+        """From what ``registry`` holds after the build.
+
+        A build that bound exactly the owned entities in ``fleet()``
+        order bound them at the ``owned`` positions, in registration
+        order.  That is checked without the enumeration's ids: the
+        bound ids, in registration order, hash as the owned ids did,
+        row by row.  Any other build (another order, another set) is
+        mapped by id over a second ``fleet()`` pass."""
+        if array("q", map(hash, map(_entity_id_of, registry))) != hashes:
+            by_id = dict.fromkeys(map(_entity_id_of, registry), -1)
+            for position, entity_id in enumerate(fleet()):
+                if entity_id in by_id:
+                    by_id[entity_id] = position
+            owned = by_id.values()
+        ordinals = array("q", map(_registration_of, registry))
+        self.boot = array("q", [-1]) * (max(ordinals, default=0) + 1)
+        deque(map(self.boot.__setitem__, ordinals, owned), maxlen=0)
+        self.late: Dict[int, int] = {}
+
+    def of(self, instances) -> array:
+        """The positions of ``instances``, rows of a registry column.
+
+        A column is in registration order, so the build's ordinals come
+        first.  A row with no position raises ``KeyError``."""
+        ordinals = array("q", map(_registration_of, instances))
+        split = bisect_left(ordinals, len(self.boot))
+        positions = array("q", map(self.boot.__getitem__, ordinals[:split]))
+        positions.extend(map(self.late.__getitem__, ordinals[split:]))
+        if positions and min(positions) < 0:
+            raise KeyError("a bound entity outside fleet() has no position")
+        return positions
 
 
 def _flat_columns(instances, rows) -> Tuple[list, list, list]:

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import functools
 import time
-from array import array
 from collections import Counter
 from itertools import compress, count, repeat
 from operator import attrgetter, is_, not_
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import DeliveryError
 from repro.faults.policy import HEALTHY
@@ -100,7 +99,6 @@ _DEMOTED = object()
 _driver_of = attrgetter("driver")
 _reads_counter_of = attrgetter("_wiring.reads")
 _entity_id_of = attrgetter("entity_id")
-_registration_of = attrgetter("_registration")
 _failed_flag = attrgetter("_failed")
 
 
@@ -204,11 +202,10 @@ class SweepEngine(Instrumented):
     leaves off.  Between sweeps it keeps its cumulative counters and
     one compiled :class:`_SweepCut` per swept device type.
 
-    ``positions`` maps registration ordinals
-    (``DeviceInstance._registration``) to global registration positions
-    in a shard worker (``None`` in a process): what the rows of a
-    sweep's :class:`~repro.runtime.grouping.KeyColumns` are numbered
-    by, as an ``array("q")``."""
+    ``positions`` numbers the rows of a sweep's
+    :class:`~repro.runtime.grouping.KeyColumns` in a shard worker
+    (``None`` in a process): its ``of(instances)`` is their global
+    registration positions, an ``array("q")``."""
 
     metric_specs = (
         MetricSpec(
@@ -290,7 +287,7 @@ class SweepEngine(Instrumented):
         self.placement = placement
         self.cache = cache
         self.supervision = supervision
-        self.positions: Optional[Sequence[int]] = None
+        self.positions: Any = None
         self._sweeps = 0
         self._reads = 0
         self._columnar_sweeps = 0
@@ -392,8 +389,7 @@ class SweepEngine(Instrumented):
         indexes in a process."""
         if self.positions is None:
             return range(len(instances))
-        ordinals = map(_registration_of, instances)
-        return array("q", map(self.positions.__getitem__, ordinals))
+        return self.positions.of(instances)
 
     def _cut(self, device_type: str) -> _SweepCut:
         """The compiled cut of the registry's current sweep column of

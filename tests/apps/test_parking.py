@@ -303,6 +303,12 @@ class TestDescriptorShardedDeployment:
         assert sharded == single
         assert single["panel"]  # the run actually drove the panels
 
+    def test_one_worker_matches_single_process(self):
+        """One worker binds the panels too, which are not in the
+        fleet."""
+        single = self.run_deployment(None)
+        assert self.run_deployment({"workers": 1}) == single
+
     def test_descriptor_without_shard_stays_single_process(self):
         from repro.apps.parking.app import (
             build_sharded_parking_app,

@@ -240,6 +240,20 @@ class CountingBootstrap(PresenceBootstrap):
             self.built = True
 
 
+class StrayBootstrap(PresenceBootstrap):
+    """Also binds one entity that is not in ``fleet()``."""
+
+    def build(self, ctx):
+        app = super().build(ctx)
+        app.create_device(
+            "ShardPresence",
+            "stray",
+            self.driver(_SUBSTRATES[app], sources=("presence",)),
+            parkingLot=LOTS[0],
+        )
+        return app
+
+
 def run_scenario(bootstrap, periods=4, publishes=(), queries=()):
     """Drive one runtime and capture every observable output."""
     runtime = ShardedRuntime(bootstrap)
@@ -1292,6 +1306,39 @@ class TestWorkerBoot:
             )
         )
         assert sharded == single
+
+
+    def test_a_build_binding_outside_the_fleet_boots(self):
+        """An entity the build binds outside ``fleet()`` has no
+        position: the worker boots, and reading one raises."""
+        from repro.runtime.shard.worker import _ShardWorker
+
+        worker = _ShardWorker(
+            StrayBootstrap(sensors=6), ShardContext(shards=1, index=0)
+        )
+        assert worker.position_of("s-004") == 4
+        with pytest.raises(KeyError):
+            worker.position_of("stray")
+        with pytest.raises(KeyError):
+            worker._cmd_poll("Windowed", 0)
+
+    def test_churn_keeps_the_position_map_the_size_of_the_fleet(self):
+        """Binds after the build are kept only while they are bound."""
+        from repro.runtime.shard.worker import _ShardWorker
+
+        worker = _ShardWorker(
+            PresenceBootstrap(sensors=6), ShardContext(shards=1, index=0)
+        )
+        boot = len(worker._gpos.boot)
+        for cycle in range(40):
+            worker._cmd_bind(f"s-{100 + cycle}", 100 + cycle)
+            if cycle % 2:
+                worker._cmd_unbind(f"s-{100 + cycle}")
+        assert len(worker._gpos.boot) == boot
+        assert sorted(worker._gpos.late.values()) == list(range(100, 140, 2))
+        worker._cmd_poll("Windowed", 0)
+        columns = worker.app.sweeper._cuts["ShardPresence"].keys
+        assert list(columns.positions) == [*range(6), *range(100, 140, 2)]
 
 
 class DarkDriver(TaggingDriver):
