@@ -150,11 +150,6 @@ class Application:
         # Every device publish goes out through a precompiled dispatch
         # table (repro.runtime.plan).
         self.planner = DeliveryPlanner(design, self.bus, metrics=self.metrics)
-        self._context_cache_hits: Dict[str, int] = {}
-        # query_context memo: name -> (checked value, stamp, generation)
-        self._query_memo: Dict[str, Any] = {}
-        # periodic-gather memo: name -> content hash of the last payload
-        self._gather_digests: Dict[str, int] = {}
         # Sharded runtime hook: when set, periodic gathers delegate
         # payload collection (poll + group + mapreduce) to the shard
         # coordinator instead of sweeping the local registry.  ``None``
@@ -314,9 +309,9 @@ class Application:
 
         ``delegate(name, interaction, implementation)`` must return exactly
         what :meth:`_collect_payload` would — the pre-window payload in
-        registry order — while windowing, payload memoization, delivery
-        and publishing stay here on the calling application.  Pass
-        ``None`` to restore local collection."""
+        registry order — while windowing, delivery and publishing stay
+        here on the calling application.  Pass ``None`` to restore
+        local collection."""
         self._gather_delegate = delegate
 
     # ------------------------------------------------------------------
@@ -443,7 +438,6 @@ class Application:
             "network": (
                 self.network.stats() if self.network is not None else None
             ),
-            "context_cache_hits": dict(self._context_cache_hits),
             "context_activations": dict(self._context_activations),
             "controller_activations": dict(self._controller_activations),
             "bound_entities": len(self.registry),
@@ -467,11 +461,8 @@ class Application:
     def query_context(self, context_name: str) -> Any:
         """Query-driven pull of a ``when required`` context (checked).
 
-        With the read cache enabled, the checked result is reused
-        within the cache's ``ttl_seconds`` — and implicitly expired by
-        any cache invalidation (actuations, publishes), via the cache's
-        ``generation`` counter.
-        """
+        Each pull calls ``when_required``; with the read cache enabled
+        only the device reads it makes may be served from the cache."""
         info = self.design.contexts.get(context_name)
         if info is None:
             raise DeliveryError(f"unknown context '{context_name}'")
@@ -480,32 +471,8 @@ class Application:
                 f"context '{context_name}' does not declare 'when required'",
                 context=context_name,
             )
-        if self.read_cache is not None:
-            memo = self._query_memo.get(context_name)
-            if memo is not None:
-                value, stamp, generation = memo
-                if (
-                    generation == self.read_cache.generation
-                    and self.clock.now() - stamp
-                    <= self.config.cache.ttl_seconds
-                ):
-                    self._count_context_cache_hit(context_name)
-                    return value
-        implementation = self.implementation(context_name)
-        value = implementation.when_required(self.discover)
-        checked = check_value(info.result_type, value)
-        if self.read_cache is not None:
-            self._query_memo[context_name] = (
-                checked,
-                self.clock.now(),
-                self.read_cache.generation,
-            )
-        return checked
-
-    def _count_context_cache_hit(self, name: str) -> None:
-        self._context_cache_hits[name] = (
-            self._context_cache_hits.get(name, 0) + 1
-        )
+        value = self.implementation(context_name).when_required(self.discover)
+        return check_value(info.result_type, value)
 
     # ------------------------------------------------------------------
     # Internal wiring
@@ -590,13 +557,6 @@ class Application:
             "context_activations_total",
             lambda: self._context_activations.get(name, 0),
             help="Context callback activations.",
-            component=name,
-        )
-        self.metrics.callback(
-            "context_cache_hits_total",
-            lambda: self._context_cache_hits.get(name, 0),
-            help="Context recomputations skipped by memoization "
-            "(unchanged gather payload or fresh query result).",
             component=name,
         )
         for interaction in info.decl.interactions:
@@ -808,16 +768,6 @@ class Application:
             payload = accumulator.add(payload)
             if payload is None:
                 return
-        if self.read_cache is not None:
-            # Context memoization: when the merged payload is
-            # content-identical to the previous delivery, recompute and
-            # republish would be byte-identical too — skip both and
-            # count a context cache hit.
-            digest = hash((name, repr(payload)))
-            if self._gather_digests.get(name) == digest:
-                self._count_context_cache_hit(name)
-                return
-            self._gather_digests[name] = digest
         self._context_activations[name] = (
             self._context_activations.get(name, 0) + 1
         )
@@ -832,8 +782,8 @@ class Application:
 
         Split from :meth:`_gather` so a sharded runtime can substitute
         collection (:meth:`attach_gather_delegate`) — each worker
-        sweeps its own registry shard — while windowing, payload
-        memoization and delivery stay with the caller."""
+        sweeps its own registry shard — while windowing and delivery
+        stay with the caller."""
         decl = self.design.contexts[name].decl
         sweeper = self.sweeper
         instances, values, __, ___ = sweeper.sweep(decl, interaction)

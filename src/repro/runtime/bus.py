@@ -64,14 +64,12 @@ class EventBus(Instrumented):
             "bus_published_total",
             "_published",
             stats_key="published",
-            resettable=True,
             help="Events published on the bus.",
         ),
         MetricSpec(
             "bus_delivered_total",
             "_delivered",
             stats_key="delivered",
-            resettable=True,
             help="Subscriber deliveries performed by the bus.",
         ),
         MetricSpec(

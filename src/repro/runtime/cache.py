@@ -30,9 +30,12 @@ replays stay deterministic.  Three mechanisms keep cached values honest:
   source of that device (the physical state its sources report may
   have changed); an event-driven publish drops the publisher's entry
   for that source (the push supersedes it).  Every invalidation bumps
-  a monotonically increasing ``generation`` that the application's
-  context memoization checks, so actuations implicitly expire memoized
-  context results too.
+  a monotonically increasing ``generation``, so a read that an
+  invalidation overtakes stores nothing.
+
+The cache memoizes device reads only, never what a context computes
+from them: every period still activates its context, and every
+``query_context`` pull still calls ``when_required``.
 
 A periodic gather asks and tells the cache a whole column at a time
 (:meth:`ReadCache.lookup_column`, :meth:`ReadCache.store_column`), and
@@ -99,10 +102,7 @@ class CacheConfig(ConfigBase):
     * ``ttl_seconds`` — freshness window for device reads, in
       application-clock seconds.  ``0`` caches only within a single
       simulated instant (still enough to collapse a burst of queries
-      issued at one timestamp).  Memoized context results share the
-      window: ``query_context`` results are reused within it (until
-      any invalidation), and periodic gathers whose merged payload
-      hash is unchanged skip the recompute-and-republish entirely.
+      issued at one timestamp).
 
     Concurrent misses on one key always share one driver read, and a
     publish always drops the publisher's entry for that source.
@@ -166,14 +166,12 @@ class ReadCache(Instrumented):
             "read_cache_hits_total",
             "_hits",
             stats_key="hits",
-            resettable=True,
             help="Device reads served from the freshness cache.",
         ),
         MetricSpec(
             "read_cache_misses_total",
             "_misses",
             stats_key="misses",
-            resettable=True,
             help="Device reads that went to the driver (cold or stale "
             "entry).",
         ),
@@ -181,7 +179,6 @@ class ReadCache(Instrumented):
             "read_cache_coalesced_total",
             "_coalesced",
             stats_key="coalesced",
-            resettable=True,
             help="Concurrent reads that shared another caller's "
             "in-flight driver read (single-flight).",
         ),
@@ -189,7 +186,6 @@ class ReadCache(Instrumented):
             "read_cache_invalidations_total",
             "_invalidations",
             stats_key="invalidations",
-            resettable=True,
             help="Cached entries dropped by actuations, publishes or "
             "explicit invalidation.",
         ),
@@ -247,11 +243,9 @@ class ReadCache(Instrumented):
     def generation(self) -> int:
         """Monotonic invalidation counter.
 
-        Consumers memoizing values *derived from* cached reads (the
-        application's context memoization) record the generation at
-        compute time and treat any later invalidation as expiry; a
-        reader bypassing :meth:`get_or_read` records it before its read
-        and hands it to :meth:`store_column`."""
+        A reader bypassing :meth:`get_or_read` records it before its
+        read and hands it to :meth:`store_column`, which stores nothing
+        if an invalidation came in between."""
         return self._generation
 
     # -- the fast path -------------------------------------------------------
@@ -402,7 +396,7 @@ class ReadCache(Instrumented):
         reached the driver, on unbind, and with ``source`` after an
         event-driven publish (the push supersedes the cached read).
         Bumps the generation even when nothing was cached: the world
-        changed, so derived memoizations must expire regardless.
+        changed, so a read already in flight must not store.
         """
         with self._lock:
             self._generation += 1

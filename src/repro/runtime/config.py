@@ -78,9 +78,10 @@ class RuntimeConfig(ConfigBase):
       supervised source is dark; ``None`` means ``StalePolicy('skip')``.
     * ``cache`` — :class:`~repro.runtime.cache.CacheConfig` governing
       the query-driven read fast path (freshness-aware read cache,
-      single-flight coalescing, actuation/publish invalidation and
-      context memoization); disabled by default, which keeps the read
-      path byte-identical to the uncached runtime.
+      single-flight coalescing, actuation/publish invalidation);
+      disabled by default, which keeps the read path byte-identical to
+      the uncached runtime.  It memoizes device reads, never context
+      results.
     * ``batch`` — :class:`~repro.runtime.plan.BatchConfig` tuning the
       columnar read path (driver-level batch reads), which a sweep
       takes when the swept drivers implement ``read_batch`` — the

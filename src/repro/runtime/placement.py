@@ -92,7 +92,7 @@ def payload_nbytes(value: Any) -> int:
     Deliberately representation-level, not serialization-level — the
     simulation compares traffic *shapes* (raw readings vs partial
     aggregates), and ``repr`` is already the runtime's canonical content
-    form (payload digests, trace output)."""
+    form (trace output)."""
     return len(repr(value).encode("utf-8"))
 
 
@@ -220,28 +220,24 @@ class PlacementExecutor(Instrumented):
             "placement_edge_sweeps_total",
             "_edge_sweeps",
             stats_key="edge_sweeps",
-            resettable=True,
             help="Periodic gathers executed with the edge split.",
         ),
         MetricSpec(
             "placement_partials_sent_total",
             "_partials_sent",
             stats_key="partials_sent",
-            resettable=True,
             help="Per-group partial aggregates shipped edge->cloud.",
         ),
         MetricSpec(
             "placement_partials_dropped_total",
             "_partials_dropped",
             stats_key="partials_dropped",
-            resettable=True,
             help="Partial aggregates lost on the WAN hop.",
         ),
         MetricSpec(
             "placement_raw_readings_total",
             "_raw_sent",
             stats_key="raw_readings",
-            resettable=True,
             help="Raw readings shipped over the WAN by cloud-placed "
             "gathers.",
         ),
@@ -249,7 +245,6 @@ class PlacementExecutor(Instrumented):
             "placement_bytes_wan_total",
             "_wan_bytes",
             stats_key="wan_bytes",
-            resettable=True,
             help="Modeled gather bytes crossing the edge->cloud hop "
             "(raw readings or partials, by placement).",
         ),

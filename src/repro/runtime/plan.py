@@ -15,7 +15,7 @@ order.  Staleness is detected by a monotonic counter instead of
 listeners: the bus bumps its ``epoch`` on every subscribe/unsubscribe,
 so a plan is valid iff the counter still matches the value captured at
 compile time (the same generation-counter discipline the read cache
-uses for context memoization).  Bindings do not enter into it: who
+uses to drop a read that an invalidation overtook).  Bindings do not enter into it: who
 receives a publish depends on the design and the subscriptions only.
 A hit is a dict lookup plus one integer compare.
 

@@ -145,9 +145,6 @@ class QoSMonitor(Instrumented):
     def __contains__(self, name: str) -> bool:
         return name in self._components
 
-    def monitored(self) -> List[str]:
-        return sorted(self._components)
-
     def _extra_stats(self) -> Dict[str, Dict[str, float]]:
         return {
             name: {

@@ -198,7 +198,7 @@ class _DeltaEncoder:
 
         The sweep's readings come as two aligned columns the encoder
         keeps until the next sweep (do not mutate them): ascending
-        global ``positions`` and their ``values``.
+        global ``positions`` and the list of their ``values``.
         ``ident_columns(rows)`` — the identity columns, as they go on
         the wire, of the rows at those indexes: the key block of a
         grouped gather, the type-name, entity-id and attribute columns
@@ -220,12 +220,13 @@ class _DeltaEncoder:
             blocks["reset"] = True
         if not self.positions:
             # Nothing shipped this epoch: every row registers, and
-            # there is nothing to compare or retract.
+            # there is nothing to compare or retract.  The columns go
+            # as they are: the pipe copies them.
             if values:
                 blocks["register"] = (
                     _pack_positions(positions),
                     *ident_columns(range(len(values))),
-                    list(values),
+                    values,
                 )
             blocks["quiescent"] = 0
             self.kinds = set(map(type, values))

@@ -201,7 +201,7 @@ class _RemoteInstance:
     ``info``, ``entity_id``, ``attributes`` — and routes ``read`` /
     ``act`` through the :class:`ShardedRuntime` to the owning shard.
     Handlers therefore receive the same ``DeviceProxy`` type (same
-    facets, same ``repr``, so payload digests agree) in both modes.
+    facets, same ``repr``) in both modes.
     """
 
     __slots__ = (

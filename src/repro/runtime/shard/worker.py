@@ -384,8 +384,11 @@ def _flat_columns(instances, rows) -> Tuple[list, list, list]:
 
 
 def _key_block(keys, rows) -> Tuple[Tuple[Any, ...]]:
-    """What a grouped gather registers for the readings at ``rows``."""
-    return (_encode_group_keys(list(map(keys.__getitem__, rows))),)
+    """What a grouped gather registers for the readings at ``rows``;
+    the whole column is encoded as it is, uncopied."""
+    if len(rows) != len(keys):
+        keys = list(map(keys.__getitem__, rows))
+    return (_encode_group_keys(keys),)
 
 
 def _send_error(conn, exc: Exception, shard: int) -> None:

@@ -2,11 +2,12 @@
 
 Before this module existed, every instrumented layer (event bus, entity
 registry, QoS monitor, window accumulators, MapReduce engine) hand-wrote
-the same three members: an ``attach_metrics(registry)`` that registered
-pull-time callbacks, a ``stats()`` snapshot dict, and sometimes a
-``reset_stats()``.  The :class:`Instrumented` mixin factors the pattern
-out: a subclass declares its observable surface once, as a tuple of
-:class:`MetricSpec` records, and inherits all three members.
+the same two members: an ``attach_metrics(registry)`` that registered
+pull-time callbacks and a ``stats()`` snapshot dict.  The
+:class:`Instrumented` mixin factors the pattern out: a subclass declares
+its observable surface once, as a tuple of :class:`MetricSpec` records,
+and inherits both members.  Counters never reset: an exported
+``counter`` family only goes up.
 
 A spec names the telemetry family, the attribute (plain integer,
 property, or zero-argument method) that backs it, and optionally the key
@@ -35,9 +36,7 @@ class MetricSpec:
 
     ``source`` is resolved with ``getattr`` at collection time: a plain
     attribute or property yields its value directly; a bound method is
-    called.  ``stats_key`` publishes the same number in ``stats()``;
-    ``resettable`` opts the attribute into ``reset_stats()`` (only
-    meaningful for plain integer attributes).
+    called.  ``stats_key`` publishes the same number in ``stats()``.
     """
 
     metric: str
@@ -45,7 +44,6 @@ class MetricSpec:
     kind: str = "counter"
     help: str = ""
     stats_key: Optional[str] = None
-    resettable: bool = False
 
 
 def _read_source(subsystem: Any, source: str) -> Any:
@@ -54,7 +52,7 @@ def _read_source(subsystem: Any, source: str) -> Any:
 
 
 class Instrumented:
-    """Mixin: declarative ``attach_metrics`` / ``stats`` / ``reset_stats``."""
+    """Mixin: declarative ``attach_metrics`` / ``stats``."""
 
     metric_specs: ClassVar[Tuple[MetricSpec, ...]] = ()
 
@@ -87,9 +85,3 @@ class Instrumented:
     def _extra_stats(self) -> Dict[str, Any]:
         """Subclass hook for stats-only entries with no metric family."""
         return {}
-
-    def reset_stats(self) -> None:
-        """Zero every resettable counter (e.g. between benchmark phases)."""
-        for spec in self.metric_specs:
-            if spec.resettable:
-                setattr(self, spec.source, 0)

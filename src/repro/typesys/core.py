@@ -32,10 +32,6 @@ class PrimitiveType(DiaType):
 
     name: str
 
-    def python_types(self) -> Tuple[type, ...]:
-        """Python types accepted as runtime representations."""
-        return _PY_TYPES[self.name]
-
 
 INTEGER = PrimitiveType("Integer")
 FLOAT = PrimitiveType("Float")
@@ -44,15 +40,6 @@ STRING = PrimitiveType("String")
 
 PRIMITIVES: Dict[str, PrimitiveType] = {
     t.name: t for t in (INTEGER, FLOAT, BOOLEAN, STRING)
-}
-
-# bool is a subclass of int, so Boolean must be checked before Integer and
-# Integer must explicitly exclude bool (done in values.check_value).
-_PY_TYPES: Dict[str, Tuple[type, ...]] = {
-    "Integer": (int,),
-    "Float": (float, int),
-    "Boolean": (bool,),
-    "String": (str,),
 }
 
 

@@ -91,15 +91,6 @@ class TestStats:
         bus.publish("u", 1)
         assert bus.stats() == {"published": 2, "delivered": 2}
 
-    def test_reset_stats(self):
-        bus = EventBus()
-        bus.subscribe("t", lambda __: None)
-        bus.publish("t", 1)
-        bus.reset_stats()
-        assert bus.stats() == {"published": 0, "delivered": 0}
-        bus.publish("t", 1)
-        assert bus.stats() == {"published": 1, "delivered": 1}
-
     def test_stats_is_a_snapshot(self):
         bus = EventBus()
         snapshot = bus.stats()

@@ -1,11 +1,14 @@
-"""The query-driven read fast path: ReadCache + context memoization.
+"""The query-driven read fast path: ReadCache.
 
 Covers the cache record itself (TTL freshness on the application
 clock, single-flight coalescing, invalidation, generation) and
 its wiring through the application (bind/unbind, actuation and publish
-invalidation, gather memoization, ``query_context`` memo, metrics and
-stats surfaces).  The off-by-default guarantee — no cache object, one
-driver read per pull — is pinned explicitly.
+invalidation, reads under gathers and ``query_context`` pulls, metrics
+and stats surfaces).  The off-by-default guarantee — no cache object,
+one driver read per pull — is pinned explicitly, and so is the
+contract that the cache memoizes device reads only: a cached
+application activates, publishes and answers exactly as an uncached
+one does.
 """
 
 import threading
@@ -20,7 +23,7 @@ from repro.errors import DeliveryError
 from repro.runtime.app import Application
 from repro.runtime.cache import CACHE_AGE_BUCKETS, CacheConfig, ReadCache
 from repro.runtime.clock import SimulationClock
-from repro.runtime.component import Context
+from repro.runtime.component import Context, Controller
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.device import CallableDriver
 from repro.sema.analyzer import analyze
@@ -43,6 +46,24 @@ context Sweep as Integer {
     when periodic reading from Sensor <1 min>
     always publish;
 }
+
+context Tally as Integer {
+    when periodic reading from Sensor <1 min>
+    no publish;
+    when required;
+}
+
+context Count as Integer {
+    when periodic reading from Sensor <1 min>
+    always publish;
+}
+
+controller Panel {
+    when provided Sweep
+    do Nudge on Sensor;
+    when provided Count
+    do Nudge on Sensor;
+}
 """
 
 
@@ -59,6 +80,40 @@ class SweepContext(Context):
     def on_periodic_reading(self, readings, discover):
         self.activations += 1
         return len(readings)
+
+
+class TallyContext(Context):
+    """Counts its periods; a pull answers the count so far."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def on_periodic_reading(self, readings, discover):
+        self.count += 1
+
+    def when_required(self, discover):
+        return self.count
+
+
+class CountContext(TallyContext):
+    def on_periodic_reading(self, readings, discover):
+        self.count += 1
+        return self.count
+
+
+class PanelController(Controller):
+    """Shows what Sweep and Count publish, in delivery order."""
+
+    def __init__(self):
+        super().__init__()
+        self.shown = []
+
+    def on_sweep(self, value, discover):
+        self.shown.append(("Sweep", value))
+
+    def on_count(self, value, discover):
+        self.shown.append(("Count", value))
 
 
 class CountingSource:
@@ -82,6 +137,9 @@ def build(cache=None, sensors=2):
     app.implement("Snapshot", SnapshotContext())
     sweep = SweepContext()
     app.implement("Sweep", sweep)
+    app.implement("Tally", TallyContext())
+    app.implement("Count", CountContext())
+    app.implement("Panel", PanelController())
     sources = {}
     for i in range(sensors):
         source = CountingSource(value=float(i))
@@ -301,38 +359,25 @@ class TestInvalidation:
         assert cache.peek("e2", "s") == (3.0, 0.0)
 
 
-class TestContextMemoization:
-    def test_query_context_memoized_within_ttl(self):
+class TestContextReads:
+    def test_a_pull_within_the_ttl_reads_no_driver_again(self):
         app, clock, sources, __sweep = build(ON)
         first = app.query_context("Snapshot")
         again = app.query_context("Snapshot")
         assert first == again
         assert sources["s-0"].calls == 1
-        assert app.stats["context_cache_hits"]["Snapshot"] == 1
         clock.advance(ON.ttl_seconds + 0.1)
         app.query_context("Snapshot")
         assert sources["s-0"].calls == 2
 
-    def test_actuation_expires_query_memo(self):
+    def test_an_actuation_expires_what_a_pull_read(self):
         app, __, sources, __sweep = build(ON)
         app.query_context("Snapshot")
         app.discover.device("s-0").nudge()
         sources["s-0"].value = 5.0
         assert app.query_context("Snapshot")[0] == 5.0
 
-    def test_gather_skips_recompute_on_unchanged_payload(self):
-        app, clock, __, sweep = build(ON)
-        clock.advance(60.0)
-        clock.advance(60.0)
-        clock.advance(60.0)
-        assert sweep.activations == 1  # identical payloads collapsed
-        assert app.stats["context_cache_hits"]["Sweep"] == 2
-        metric = app.metrics.value(
-            "context_cache_hits_total", component="Sweep"
-        )
-        assert metric == 2
-
-    def test_gather_reactivates_on_changed_payload(self):
+    def test_a_gather_sees_a_changed_reading(self):
         app, clock, sources, sweep = build(ON)
         clock.advance(60.0)
         sources["s-0"].value = 7.0
@@ -361,13 +406,17 @@ class TestTypedQueryError:
 
 class TestCacheOnEqualsCacheOff:
     """While every state change flows through an actuation (which
-    invalidates), a cached application answers every query exactly as
-    an uncached one does, with no more driver reads."""
+    invalidates), a cached application delivers exactly what an
+    uncached one does, with no more driver reads: every period
+    activates the same contexts and publishes the same values, and
+    every pull returns the same answer — the cache memoizes device
+    reads, never a context's result."""
 
     SENSORS = 6
 
     @settings(max_examples=25, deadline=None)
     @given(
+        ttl=st.sampled_from([0.0, 1.0, 10.0]),
         ops=st.lists(
             st.one_of(
                 st.just(("query",)),
@@ -376,15 +425,29 @@ class TestCacheOnEqualsCacheOff:
             ),
             min_size=1,
             max_size=12,
-        )
+        ),
     )
-    def test_queries_agree_under_actuation_and_time(self, ops):
-        cached, cached_clock, cached_sources, __ = build(ON, self.SENSORS)
+    # A constant sensor under an ``always publish`` counter: every
+    # period activates it and shows the next count on the panel.
+    @example(ttl=1.0, ops=[("advance", 60.0)] * 3)
+    # A pull after a periodic delivery in the same instant as the
+    # delivery, within the TTL of the pull before it, sees that
+    # delivery.
+    @example(
+        ttl=1.0,
+        ops=[("advance", 59.5), ("query",), ("advance", 0.5), ("query",)],
+    )
+    def test_queries_agree_under_actuation_and_time(self, ttl, ops):
+        on = CacheConfig(enabled=True, ttl_seconds=ttl)
+        cached, cached_clock, cached_sources, __ = build(on, self.SENSORS)
         plain, plain_clock, plain_sources, __ = build(None, self.SENSORS)
+        cached_panel = cached.implementation("Panel")
+        plain_panel = plain.implementation("Panel")
         for op in ops:
             if op[0] == "query":
-                expected = plain.query_context("Snapshot")
-                assert cached.query_context("Snapshot") == expected
+                for name in ("Snapshot", "Tally"):
+                    expected = plain.query_context(name)
+                    assert cached.query_context(name) == expected
             elif op[0] == "act":
                 entity_id = f"s-{op[1]}"
                 for app, sources in (
@@ -396,6 +459,11 @@ class TestCacheOnEqualsCacheOff:
             else:
                 cached_clock.advance(op[1])
                 plain_clock.advance(op[1])
+            assert (
+                cached.stats["context_activations"]
+                == plain.stats["context_activations"]
+            )
+            assert cached_panel.shown == plain_panel.shown
         assert sum(s.calls for s in cached_sources.values()) <= sum(
             s.calls for s in plain_sources.values()
         )

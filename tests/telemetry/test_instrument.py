@@ -1,4 +1,4 @@
-"""The Instrumented mixin: declarative attach_metrics/stats/reset_stats."""
+"""The Instrumented mixin: declarative attach_metrics/stats."""
 
 from repro.runtime.bus import EventBus
 from repro.telemetry import (
@@ -17,7 +17,6 @@ class Widget(Instrumented):
             "widget_events_total",
             "_events",
             stats_key="events",
-            resettable=True,
         ),
         MetricSpec("widget_errors_total", "_errors"),  # metric-only
         MetricSpec(
@@ -99,20 +98,9 @@ class TestStats:
         widget._errors = 9  # no stats_key: metric-only, not in stats()
         assert widget.stats() == {"events": 2, "depth": 0, "mode": "test"}
 
-    def test_reset_stats_zeroes_only_resettable(self):
-        widget = Widget()
-        widget._events = 5
-        widget._errors = 5
-        widget._items.append(object())
-        widget.reset_stats()
-        assert widget._events == 0
-        assert widget._errors == 5  # not declared resettable
-        assert widget.depth() == 1  # gauges untouched
-
 
 class TestDefaults:
     def test_base_class_is_inert(self):
         subsystem = Instrumented()
         subsystem.attach_metrics(MetricsRegistry())  # no specs: no-op
         assert subsystem.stats() == {}
-        subsystem.reset_stats()
