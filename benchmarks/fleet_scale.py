@@ -82,12 +82,15 @@ class FleetScaleBootstrap(ShardBootstrap):
             models={"level": _make_activity_model(self.activity)},
         )
         zones = len(_FLEET_SCALE_ZONES)
-        for position, entity_id in enumerate(self.fleet()):
-            if ctx.owns(entity_id):
-                app.create_device(
-                    "FleetSensor",
-                    entity_id,
-                    substrate.driver("level"),
-                    zone=_FLEET_SCALE_ZONES[position % zones],
-                )
+        owned = [
+            (entity_id, _FLEET_SCALE_ZONES[position % zones])
+            for position, entity_id in enumerate(self.fleet())
+            if ctx.owns(entity_id)
+        ]
+        app.bind_column(
+            "FleetSensor",
+            [entity_id for entity_id, __ in owned],
+            [substrate.driver("level") for __ in owned],
+            zone=[zone for __, zone in owned],
+        )
         return app

@@ -39,7 +39,9 @@ class ParkingApp:
     application: Application
     environment: ParkingLotEnvironment
     sensors: List = field(default_factory=list)
-    entrance_panels: Dict[str, DisplayPanelDriver] = field(default_factory=dict)
+    entrance_panels: Dict[str, DisplayPanelDriver] = field(
+        default_factory=dict
+    )
     city_panels: Dict[str, DisplayPanelDriver] = field(default_factory=dict)
     messenger: MessengerDriver = None
     implementations: Dict[str, object] = field(default_factory=dict)
@@ -102,23 +104,21 @@ def build_parking_app(
         application.implement(name, implementation)
 
     sensors = deploy_sensors(application, environment)
-    entrance_panels: Dict[str, DisplayPanelDriver] = {}
-    for lot in sorted(capacities):
-        driver = DisplayPanelDriver()
-        application.create_device(
-            "ParkingEntrancePanel", f"panel-{lot}", driver, location=lot
-        )
-        entrance_panels[lot] = driver
-    city_panels: Dict[str, DisplayPanelDriver] = {}
-    for entrance in entrances:
-        driver = DisplayPanelDriver()
-        application.create_device(
-            "CityEntrancePanel",
-            f"city-panel-{entrance}",
-            driver,
-            location=entrance,
-        )
-        city_panels[entrance] = driver
+    lots = sorted(capacities)
+    entrance_panels = {lot: DisplayPanelDriver() for lot in lots}
+    application.bind_column(
+        "ParkingEntrancePanel",
+        [f"panel-{lot}" for lot in lots],
+        list(entrance_panels.values()),
+        location=lots,
+    )
+    city_panels = {entrance: DisplayPanelDriver() for entrance in entrances}
+    application.bind_column(
+        "CityEntrancePanel",
+        [f"city-panel-{entrance}" for entrance in entrances],
+        list(city_panels.values()),
+        location=list(entrances),
+    )
     messenger = MessengerDriver()
     application.create_device("Messenger", "ops-messenger", messenger)
 
@@ -274,18 +274,29 @@ class ShardedParkingBootstrap(ShardBootstrap):
         # to the owning worker's.  Sweeps still run on the workers —
         # the gather delegate bypasses the coordinator's own read path.
         coordinator = ctx.index is None
+        columns: Dict[Tuple[str, Tuple[str, ...]], List[Any]] = {}
         for record in descriptor.entities:
             if record.device_type == "PresenceSensor":
                 if not (coordinator or ctx.owns(record.entity_id)):
                     continue
             elif not (coordinator or ctx.shards == 1):
                 continue
-            driver = catalog.create(record.driver, **record.config)
-            app.create_device(
-                record.device_type,
-                record.entity_id,
-                driver,
-                **record.attributes,
+            key = record.device_type, tuple(record.attributes)
+            columns.setdefault(key, []).append(record)
+        # One column per device type (and set of attribute names given),
+        # in descriptor order.
+        for (device_type, names), records in columns.items():
+            app.bind_column(
+                device_type,
+                [record.entity_id for record in records],
+                [
+                    catalog.create(record.driver, **record.config)
+                    for record in records
+                ],
+                **{
+                    name: [record.attributes[name] for record in records]
+                    for name in names
+                },
             )
         environment.attach(app.clock)
         _ENVIRONMENTS[app] = environment

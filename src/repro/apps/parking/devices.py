@@ -113,17 +113,19 @@ def deploy_sensors(
     application,
     environment: ParkingLotEnvironment,
 ) -> List[Tuple[str, PresenceSensorDriver]]:
-    """Bind one presence sensor per space of every lot.
+    """Bind one presence sensor per space of every lot, as one column.
 
     Returns ``(entity_id, driver)`` pairs in deployment order.
     """
-    deployed = []
+    entity_ids: List[str] = []
+    drivers: List[PresenceSensorDriver] = []
+    lots: List[str] = []
     for lot, capacity in sorted(environment.lots.items()):
         for space in range(capacity):
-            driver = PresenceSensorDriver(environment, lot, space)
-            entity_id = sensor_id(lot, space)
-            application.create_device(
-                "PresenceSensor", entity_id, driver, parkingLot=lot
-            )
-            deployed.append((entity_id, driver))
-    return deployed
+            entity_ids.append(sensor_id(lot, space))
+            drivers.append(PresenceSensorDriver(environment, lot, space))
+        lots += [lot] * capacity
+    application.bind_column(
+        "PresenceSensor", entity_ids, drivers, parkingLot=lots
+    )
+    return list(zip(entity_ids, drivers))

@@ -691,6 +691,19 @@ class _FrameworkGenerator:
             for name in attribute_names:
                 e.line(f"    {name}={camel_to_snake(name)},")
             e.line(")")
+        e.blank()
+        e.line(f"def create_{snake}s(self, entity_ids, drivers{params}):")
+        with e.indented():
+            e.docstring(
+                f"Bind {device.name} entities as one column (all or none)."
+            )
+            e.line("return self.application.bind_column(")
+            e.line(f'    "{device.name}",')
+            e.line("    entity_ids,")
+            e.line("    drivers,")
+            for name in attribute_names:
+                e.line(f"    {name}={camel_to_snake(name)},")
+            e.line(")")
 
 
 def _publish_doc(publish, context_name: str) -> str:

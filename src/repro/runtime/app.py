@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import (
     BindingError,
@@ -240,22 +240,51 @@ class Application:
         self._implementations[name] = implementation
         return implementation
 
+    def bind_column(
+        self,
+        device_type: str,
+        entity_ids: Sequence[str],
+        drivers: Sequence[DeviceDriver],
+        **attribute_columns: Sequence[Any],
+    ) -> List[DeviceInstance]:
+        """Construct and bind one ``device_type`` instance per entity
+        id, all or none: ``drivers`` and each attribute column
+        (attribute -> values) are aligned with ``entity_ids``
+        (:meth:`DeviceInstance.column`)."""
+        info = self._device_info(device_type)
+        return self.bind_instances(
+            DeviceInstance.column(info, entity_ids, drivers, attribute_columns)
+        )
+
+    def bind_instances(
+        self, instances: Sequence[DeviceInstance]
+    ) -> Sequence[DeviceInstance]:
+        """The one bind path: bind constructed instances (any time,
+        including at runtime) as one column, in order, all or none —
+        every check runs before the registry stores any of them
+        (:meth:`EntityRegistry.register_column`).  Then each is wired
+        and supervised, and its driver pointed at it."""
+        devices = self.design.devices
+        for instance in instances:
+            if instance.info.name not in devices:
+                self._device_info(instance.info.name)  # raises
+        self.registry.register_column(instances)
+        wirings = self.wirings
+        supervise = self.supervision.supervise
+        for instance in instances:
+            instance.driver.instance = instance
+            wiring = wirings[instance.info.name]
+            if wiring.reads is None:
+                wiring.count_into(self.metrics, instance.info.name)
+            instance.wire(wiring)
+            supervisor = supervise(instance)
+            if supervisor is not None:
+                instance.attach_supervisor(supervisor)
+        return instances
+
     def bind_device(self, instance: DeviceInstance) -> DeviceInstance:
-        """Bind a device instance (any time, including at runtime)."""
-        if instance.info.name not in self.design.devices:
-            raise BindingError(
-                f"device type '{instance.info.name}' is not part of this "
-                "design"
-            )
-        self.registry.register(instance)
-        wiring = self.wirings[instance.info.name]
-        if wiring.reads is None:
-            wiring.count_into(self.metrics, instance.info.name)
-        instance.wire(wiring)
-        supervisor = self.supervision.supervise(instance)
-        if supervisor is not None:
-            instance.attach_supervisor(supervisor)
-        return instance
+        """Bind one constructed instance: a column of one."""
+        return self.bind_instances((instance,))[0]
 
     def create_device(
         self,
@@ -264,15 +293,18 @@ class Application:
         driver: DeviceDriver,
         **attributes: Any,
     ) -> DeviceInstance:
-        """Construct and bind a device instance in one step."""
+        """Construct and bind one device instance: a column of one."""
+        info = self._device_info(device_type)
+        instance = DeviceInstance(info, entity_id, driver, attributes)
+        return self.bind_instances((instance,))[0]
+
+    def _device_info(self, device_type: str):
         try:
-            info = self.design.devices[device_type]
+            return self.design.devices[device_type]
         except KeyError:
             raise BindingError(
                 f"device type '{device_type}' is not part of this design"
             ) from None
-        instance = DeviceInstance(info, entity_id, driver, attributes)
-        return self.bind_device(instance)
 
     def unbind_device(self, entity_id: str) -> DeviceInstance:
         instance = self.registry.unregister(entity_id)

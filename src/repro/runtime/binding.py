@@ -84,16 +84,12 @@ class Deployment:
         return self._bind_stage(BindingTime.RUNTIME)
 
     def _bind_stage(self, when: BindingTime) -> int:
-        """Bind the stage in order; an instance leaves it as it binds,
-        so a bind that raises leaves the rest staged for a retry."""
+        """Bind the stage as one column, in order: all of it, or (when
+        a bind check fails) none of it, left staged for a retry."""
         staged = self._staged[when]
-        bound = 0
-        try:
-            for instance in staged:
-                self.application.bind_device(instance)
-                bound += 1
-        finally:
-            del staged[:bound]
+        self.application.bind_instances(staged)
+        bound = len(staged)
+        staged.clear()
         return bound
 
     @property

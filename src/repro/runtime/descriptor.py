@@ -405,9 +405,15 @@ def apply_descriptor(
         )
         instances.append((record, instance))
 
-    deployment = Deployment(application)
+    # Configuration-time entities bind now, as one column, and every
+    # later stage binds as one column of its own.
+    deployment, now = Deployment(application), BindingTime.CONFIGURATION
+    application.bind_instances(
+        [instance for record, instance in instances if record.binding is now]
+    )
     for record, instance in instances:
-        deployment.stage(instance, record.binding)
+        if record.binding is not now:
+            deployment.stage(instance, record.binding)
     if getattr(application, "placement", None) is not None:
         for record, _ in instances:
             if record.placement is not None and record.placement.node:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import time
+from itertools import repeat
 from operator import methodcaller
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import (
     ActuationError,
@@ -29,6 +30,7 @@ from repro.errors import (
     CircuitOpenError,
     DeliveryError,
     DeviceUnavailableError,
+    ValueConformanceError,
 )
 from repro.naming import (
     camel_to_snake,
@@ -270,6 +272,50 @@ class DeviceInstance:
         self.driver = driver
         driver.instance = self
         self.detach()
+
+    @classmethod
+    def column(
+        cls,
+        info: DeviceInfo,
+        entity_ids: Sequence[str],
+        drivers: Sequence[DeviceDriver],
+        columns: Mapping[str, Sequence[Any]],
+    ) -> List["DeviceInstance"]:
+        """One instance per entity id, as the constructor builds it from
+        its driver and its row of ``columns`` (attribute -> values),
+        except that no driver points at its instance yet: binding does
+        (:meth:`~repro.runtime.app.Application.bind_column`), so a
+        column that fails leaves its drivers as they were.  A row seen
+        before maps to its record unchecked (:func:`attribute_record`);
+        the first bad row raises what its own bind would."""
+        for name, values in (("drivers", drivers), *columns.items()):
+            if len(values) != len(entity_ids):
+                raise BindingError(
+                    f"column '{name}' holds {len(values)} values for "
+                    f"{len(entity_ids)} {info.name} entities"
+                )
+        names = tuple(columns)
+        rows = zip(*columns.values()) if names else repeat(())
+        checked = info.__dict__.setdefault("_checked", {})
+        new = cls.__new__
+        column = []
+        for entity_id, driver, row in zip(entity_ids, drivers, rows):
+            try:
+                record = checked.get((*names, *row, *map(type, row)))
+            except TypeError:  # an unhashable value: checked on its own
+                record = None
+            if record is None:
+                attributes = dict(zip(names, row))
+                record = attribute_record(info, entity_id, attributes)
+            instance = new(cls)
+            instance.info = info
+            instance.entity_id = entity_id
+            instance.attributes = record
+            instance._failed = False
+            instance.driver = driver
+            instance.detach()
+            column.append(instance)
+        return column
 
     # -- wiring -------------------------------------------------------------
 
@@ -560,7 +606,21 @@ def attribute_record(
     become immutable StructureValue records, so records are hashable
     and indexable), in declaration order.  Equal records of one
     declaration are one shared object (up to :data:`SHARED_RECORDS`
-    of them); a record holding an unhashable value is its own."""
+    of them); a record holding an unhashable value is its own.
+
+    Attributes that made a shared record map to it unchecked after
+    that (:meth:`DeviceInstance.column` probes the same memo), keyed by
+    their names, values *and classes*, so ``1``, ``True`` and ``1.0``
+    are each checked."""
+    checked = info.__dict__.setdefault("_checked", {})
+    given = attributes.values()
+    key = (*attributes, *given, *map(type, given))
+    try:
+        record = checked.get(key)
+    except TypeError:  # an unhashable value: checked on its own
+        record = key = None
+    if record is not None:
+        return record
     types = info.attribute_types
     if attributes.keys() != types.keys():
         missing = types.keys() - attributes.keys()
@@ -573,10 +633,15 @@ def attribute_record(
             f"device '{entity_id}' of type {info.name}: unknown "
             f"attribute(s) {sorted(attributes.keys() - types.keys())}"
         )
-    values = tuple(
-        check_value(dia_type, attributes[name])
-        for name, dia_type in types.items()
-    )
+    try:
+        values = tuple(
+            check_value(dia_type, attributes[name])
+            for name, dia_type in types.items()
+        )
+    except ValueConformanceError as error:
+        raise ValueConformanceError(
+            f"device '{entity_id}' of type {info.name}: {error}"
+        ) from None
     records = info.__dict__.setdefault("_records", {})
     try:
         record = records.get(values)
@@ -584,8 +649,11 @@ def attribute_record(
         return AttributeRecord(zip(types, values))
     if record is None:
         record = AttributeRecord(zip(types, values))
-        if len(records) < SHARED_RECORDS:
-            record = records.setdefault(values, record)
+        if len(records) >= SHARED_RECORDS:
+            return record
+        record = records.setdefault(values, record)
+    if key is not None and len(checked) < SHARED_RECORDS:
+        checked[key] = record
     return record
 
 

@@ -13,11 +13,21 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import BindingError
 from repro.faults.policy import HEALTHY, QUARANTINED
 from repro.runtime.device import DeviceInstance
+from repro.sema.symbols import DeviceInfo
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 HealthLookup = Callable[[str], str]
@@ -173,28 +183,68 @@ class EntityRegistry(Instrumented):
         return HEALTHY if lookup is None else lookup(entity_id)
 
     def register(self, instance: DeviceInstance) -> DeviceInstance:
-        """Bind an instance; rejects duplicate entity ids."""
-        if instance.entity_id in self._by_id:
-            raise BindingError(
-                f"entity id '{instance.entity_id}' is already registered"
-            )
-        self._by_id[instance.entity_id] = instance
-        for type_name in instance.info.lineage:
-            self._by_type.setdefault(type_name, []).append(instance)
-            for attribute, value in instance.attributes.items():
+        """Bind one instance: a column of one."""
+        self.register_column((instance,))
+        return instance
+
+    def register_column(self, instances: Sequence[DeviceInstance]) -> None:
+        """Bind ``instances``, in column order, all or none: a duplicate
+        entity id (inside the column or already bound) raises before
+        the column is filed, and leaves the registry as it was.  Then
+        ordinals in column order, per run of one declaration one extend
+        of each lineage type list, and one version bump for the whole
+        column."""
+        by_id = self._by_id
+        bound = len(by_id)
+        claim = by_id.setdefault
+        for instance in instances:
+            claim(instance.entity_id, instance)
+        if len(by_id) - bound != len(instances):
+            # A clash claimed nothing: hand back what the column did.
+            for __ in range(len(by_id) - bound):
+                by_id.popitem()
+            seen = set(by_id)
+            for entity_id in map(attrgetter("entity_id"), instances):
+                if entity_id in seen:
+                    raise BindingError(
+                        f"entity id '{entity_id}' is already registered"
+                    )
+                seen.add(entity_id)
+        if not instances:
+            return
+        # Registration order, comparable without walking a type bucket
+        # (and what unregister bisects every list above on).
+        first = ordinal = self._registrations
+        run = 0
+        info = instances[0].info
+        for instance in instances:
+            if instance.info is not info:
+                self._file(info, instances[run : ordinal - first])
+                run, info = ordinal - first, instance.info
+            ordinal += 1
+            instance._registration = ordinal
+        self._file(info, instances[run:])
+        self._registrations = ordinal
+        self._version += 1
+
+    def _file(self, info: DeviceInfo, run: Sequence[DeviceInstance]) -> None:
+        """File a registered run of ``info`` instances under its lineage
+        types and their ``(type, attribute, value)`` buckets."""
+        for type_name in info.lineage:
+            self._by_type.setdefault(type_name, []).extend(run)
+            for attribute in info.attribute_types:
                 values = self._by_attribute.setdefault(
                     (type_name, attribute), {}
                 )
-                try:
-                    values.setdefault(value, []).append(instance)
-                except TypeError:
-                    pass  # unhashable: not indexed, see _bucket
-        self._registrations += 1
-        # Registration order, comparable without walking a type bucket
-        # (and what unregister bisects every list above on).
-        instance._registration = self._registrations
-        self._version += 1
-        return instance
+                for instance in run:
+                    value = instance.attributes[attribute]
+                    try:
+                        bucket = values.get(value)
+                    except TypeError:
+                        continue  # unhashable: not indexed, see _bucket
+                    if bucket is None:
+                        bucket = values[value] = []
+                    bucket.append(instance)
 
     def unregister(self, entity_id: str) -> DeviceInstance:
         try:

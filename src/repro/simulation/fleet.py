@@ -110,14 +110,17 @@ class SimulatedFleetBootstrap(ShardBootstrap):
             service_time=self.service_time,
         )
         _SUBSTRATES[app] = substrate
-        for position, entity_id in enumerate(self.fleet()):
-            if ctx.owns(entity_id):
-                app.create_device(
-                    "ShardSensor",
-                    entity_id,
-                    substrate.driver("level"),
-                    zone=_ZONES[position % len(_ZONES)],
-                )
+        owned = [
+            (entity_id, _ZONES[position % len(_ZONES)])
+            for position, entity_id in enumerate(self.fleet())
+            if ctx.owns(entity_id)
+        ]
+        app.bind_column(
+            "ShardSensor",
+            [entity_id for entity_id, __ in owned],
+            [substrate.driver("level") for __ in owned],
+            zone=[zone for __, zone in owned],
+        )
         return app
 
     def bind_entity(

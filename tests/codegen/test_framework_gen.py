@@ -199,6 +199,21 @@ class TestFrameworkConformance:
             "parking_lot",
         ]
 
+    def test_column_factories_take_snake_attribute_columns(
+        self, parking_module
+    ):
+        import inspect
+
+        factory = (
+            parking_module.ParkingManagementFramework.create_presence_sensors
+        )
+        assert list(inspect.signature(factory).parameters) == [
+            "self",
+            "entity_ids",
+            "drivers",
+            "parking_lot",
+        ]
+
 
 class TestModuleCompilation:
     def test_compile_design_returns_module(self, cooker_module):

@@ -9,6 +9,7 @@ import pytest
 from repro.apps.cooker.design import DESIGN_SOURCE as COOKER
 from repro.apps.parking.design import DESIGN_SOURCE as PARKING
 from repro.codegen.framework_gen import compile_design
+from repro.errors import ValueConformanceError
 from repro.runtime.device import CallableDriver
 
 
@@ -195,6 +196,38 @@ class TestParkingViaGeneratedFramework:
         # absent from the reduced dict and its panel never updates —
         # exactly the Figure 10 data flow.
         assert not any(lot == "B16" for lot, __ in updates)
+
+    def test_a_column_factory_binds_like_its_single_factories(
+        self, parking_module
+    ):
+        lots = ["A22", "B16", "A22"]
+        by_column = parking_module.ParkingManagementFramework()
+        instances = by_column.create_presence_sensors(
+            [f"s{index}" for index in range(3)],
+            [CallableDriver() for __ in lots],
+            parking_lot=lots,
+        )
+        by_device = parking_module.ParkingManagementFramework()
+        for index, lot in enumerate(lots):
+            by_device.create_presence_sensor(
+                f"s{index}", CallableDriver(), parking_lot=lot
+            )
+        for framework in (by_column, by_device):
+            registry = framework.application.registry
+            assert [
+                (instance.entity_id, instance.attributes["parkingLot"])
+                for instance in registry.instances_of(
+                    "PresenceSensor", parkingLot="A22"
+                )
+            ] == [("s0", "A22"), ("s2", "A22")]
+        assert [instance.driver.instance for instance in instances] == (
+            instances
+        )
+        with pytest.raises(ValueConformanceError, match="'s4'"):
+            by_column.create_presence_sensors(
+                ["s3", "s4"], [CallableDriver()] * 2, parking_lot=["A22", "X"]
+            )
+        assert len(by_column.application.registry) == 3
 
     def test_query_helper(self, parking_module):
         mod = parking_module

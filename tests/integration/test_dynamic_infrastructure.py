@@ -69,13 +69,13 @@ class TestParkingRuntimeExpansion:
         app.environment.lots["D6"] = 5
         app.environment._occupied["D6"] = [False] * 5
         app.environment.pressure["D6"] = 1.0
-        for space in range(5):
-            application.create_device(
-                "PresenceSensor",
-                f"sensor-D6-{space:04d}",
-                PresenceSensorDriver(app.environment, "D6", space),
-                parkingLot="D6",
-            )
+        application.bind_column(
+            "PresenceSensor",
+            [f"sensor-D6-{space:04d}" for space in range(5)],
+            [PresenceSensorDriver(app.environment, "D6", space)
+             for space in range(5)],
+            parkingLot=["D6"] * 5,
+        )
         panel = DisplayPanelDriver()
         application.create_device(
             "ParkingEntrancePanel", "panel-D6", panel, location="D6"

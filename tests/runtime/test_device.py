@@ -754,7 +754,8 @@ class TestBindRow:
             (
                 {"parkingLot": "Z99"},
                 ValueConformanceError,
-                "'Z99' is not a member of enumeration LotEnum",
+                "device 's1' of type PresenceSensor: 'Z99' is not a member "
+                "of enumeration LotEnum",
             ),
         ],
     )
