@@ -45,9 +45,7 @@ def shard_indexes(keys: Iterable[Hashable], shards: int) -> Iterator[int]:
     return map(mod, map(stable_hash, keys), repeat(shards))
 
 
-def partition_items(
-    items: Sequence[Any], chunks: int
-) -> List[Sequence[Any]]:
+def partition_items(items: Sequence[Any], chunks: int) -> List[Sequence[Any]]:
     """Split a work list into at most ``chunks`` contiguous, balanced
     slices."""
     if chunks <= 0:

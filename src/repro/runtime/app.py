@@ -46,6 +46,11 @@ from repro.lang.ast_nodes import (
     WhenRequired,
 )
 from repro.mapreduce.api import MapReduce
+from repro.naming import (
+    camel_to_snake,
+    event_handler_name,
+    periodic_handler_name,
+)
 from repro.mapreduce.engine import MapReduceEngine, map_partition
 from repro.runtime.bus import EventBus
 from repro.runtime.cache import ReadCache
@@ -530,17 +535,21 @@ class Application:
                 if implementation.find_event_handler(
                     interaction.source, interaction.device
                 ) is None:
+                    callback = event_handler_name(
+                        interaction.source, interaction.device
+                    )
                     raise BindingError(
-                        f"context '{name}' lacks callback "
-                        f"'{_event_name(interaction)}'"
+                        f"context '{name}' lacks callback '{callback}'"
                     )
             elif isinstance(interaction, WhenPeriodic):
                 if implementation.find_periodic_handler(
                     interaction.source, interaction.device
                 ) is None:
+                    callback = periodic_handler_name(
+                        interaction.source, interaction.device
+                    )
                     raise BindingError(
-                        f"context '{name}' lacks callback "
-                        f"'{_periodic_name(interaction)}'"
+                        f"context '{name}' lacks callback '{callback}'"
                     )
                 if interaction.group and interaction.group.uses_mapreduce:
                     if not isinstance(implementation, MapReduce) and not (
@@ -558,7 +567,7 @@ class Application:
                 ) is None:
                     raise BindingError(
                         f"context '{name}' lacks callback "
-                        f"'on_{_snake(interaction.context)}'"
+                        f"'on_{camel_to_snake(interaction.context)}'"
                     )
             elif isinstance(interaction, WhenRequired):
                 if type(implementation).when_required is Context.when_required:
@@ -573,7 +582,7 @@ class Application:
             if implementation.find_context_handler(reaction.context) is None:
                 raise BindingError(
                     f"controller '{name}' lacks callback "
-                    f"'on_{_snake(reaction.context)}'"
+                    f"'on_{camel_to_snake(reaction.context)}'"
                 )
 
     def _qos_wrap(self, name: str, handler):
@@ -868,21 +877,3 @@ class Application:
             ("context", name),
             ContextEvent(name, checked, self.clock.now()),
         )
-
-
-def _snake(name: str) -> str:
-    from repro.naming import camel_to_snake
-
-    return camel_to_snake(name)
-
-
-def _event_name(interaction) -> str:
-    from repro.naming import event_handler_name
-
-    return event_handler_name(interaction.source, interaction.device)
-
-
-def _periodic_name(interaction) -> str:
-    from repro.naming import periodic_handler_name
-
-    return periodic_handler_name(interaction.source, interaction.device)

@@ -18,7 +18,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, List, Optional, Protocol, Tuple
 
 
 @dataclass(order=True)
@@ -66,7 +66,7 @@ class SimulationClock:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._heap: List[ScheduledJob] = []
+        self._heap: List[Tuple[float, int, ScheduledJob]] = []
         self._counter = itertools.count()
 
     def now(self) -> float:
@@ -76,7 +76,7 @@ class SimulationClock:
         if delay < 0:
             raise ValueError("delay must be >= 0")
         job = ScheduledJob(self._now + delay, next(self._counter), callback)
-        heapq.heappush(self._heap, job)
+        heapq.heappush(self._heap, (job.when, job.sequence, job))
         return job
 
     def schedule_periodic(self, period, callback) -> ScheduledJob:
@@ -85,7 +85,7 @@ class SimulationClock:
         job = ScheduledJob(
             self._now + period, next(self._counter), callback, period=period
         )
-        heapq.heappush(self._heap, job)
+        heapq.heappush(self._heap, (job.when, job.sequence, job))
         return job
 
     def advance(self, duration: float) -> int:
@@ -101,18 +101,19 @@ class SimulationClock:
     def run_until(self, deadline: float) -> int:
         """Advance virtual time to ``deadline``, firing due jobs."""
         fired = 0
-        while self._heap and self._heap[0].when <= deadline:
-            job = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= deadline:
+            when, __, job = heapq.heappop(heap)
             if job.cancelled:
                 continue
-            self._now = job.when
+            self._now = when
             if job.period is not None:
                 # Re-arm before running so a raising callback cannot kill
                 # the periodic schedule; the caller's handle (this same
                 # object) keeps working for cancellation.
-                job.when += job.period
+                job.when = when + job.period
                 job.sequence = next(self._counter)
-                heapq.heappush(self._heap, job)
+                heapq.heappush(heap, (job.when, job.sequence, job))
             job.callback()
             fired += 1
         self._now = max(self._now, deadline)
@@ -120,12 +121,12 @@ class SimulationClock:
 
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) jobs."""
-        return sum(1 for job in self._heap if not job.cancelled)
+        return sum(1 for __, __, job in self._heap if not job.cancelled)
 
     def next_event_at(self) -> Optional[float]:
-        for job in sorted(self._heap):
+        for when, __, job in sorted(self._heap):
             if not job.cancelled:
-                return job.when
+                return when
         return None
 
 

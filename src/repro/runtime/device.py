@@ -38,7 +38,7 @@ from repro.naming import (
     driver_reader_name,
 )
 from repro.sema.symbols import DeviceInfo
-from repro.typesys.values import check_value, coerce_value, exact_class
+from repro.typesys.values import check_value, checker, coerce_value, coercer
 
 
 class DeviceDriver:
@@ -514,14 +514,14 @@ class DeviceInstance:
         plan = self.plan
         if plan is None:
             plan = self.bind_plan()
-        declared, types, call = plan.actors[action]
-        if sorted(declared) != sorted(params):
+        declared, checks, call = plan.actors[action]
+        if params.keys() != checks.keys():
             raise ActuationError(
                 f"action '{action}' on '{self.entity_id}' expects parameters "
                 f"{declared}, got {sorted(params)}"
             )
         for name, value in params.items():
-            check_value(types[name], value)
+            checks[name](value)
         supervisor = self.supervisor
         if supervisor is not None and not supervisor.allow():
             raise CircuitOpenError(
@@ -659,7 +659,7 @@ def attribute_record(
 
 class _Plan(dict):
     """``source -> reader(instance)``, each entry compiled on first
-    use; ``actors`` is the same for ``action -> (declared, types,
+    use; ``actors`` is the same for ``action -> (declared, checks,
     call)``.  Holds no instance: drivers are reached by method name."""
 
     def __init__(self, compile: Callable[..., Any], *key: Any):
@@ -686,8 +686,7 @@ def _compile_reader(info, driver_class, enveloped, source):
         or not hasattr(driver_class, method)
     ):
         return functools.partial(DeviceInstance._read_general, source=source)
-    dia_type = source_info.dia_type
-    exact = exact_class(dia_type)
+    coerce = coercer(source_info.dia_type)
     call = methodcaller(method)
 
     def read(instance: DeviceInstance) -> Any:
@@ -703,18 +702,21 @@ def _compile_reader(info, driver_class, enveloped, source):
             if wiring.failures is not None:
                 wiring.failures.inc()
             raise
-        return value if type(value) is exact else coerce_value(dia_type, value)
+        return coerce(value)
 
     return read
 
 
 def _compile_actor(info, driver_class, action):
-    """``(declared names, their types, call(driver, params))``: under
-    the stock :meth:`DeviceDriver.invoke` the ``do_<action>`` method is
-    called with names already snake case, else ``invoke`` itself."""
+    """``(declared names, name -> its compiled check, call(driver,
+    params))``: under the stock :meth:`DeviceDriver.invoke` the
+    ``do_<action>`` method is called with the parameters as given, or
+    renamed to snake case where a name needs it; else ``invoke``."""
     params = info.action(action).params
     handler = driver_handler_name(action)
-    snake = {name: camel_to_snake(name) for name, __ in params}
+    checks = {name: checker(dia_type) for name, dia_type in params}
+    snake = {name: camel_to_snake(name) for name in checks}
+    renames = snake != dict(zip(snake, snake))
     direct = driver_class.invoke is DeviceDriver.invoke and hasattr(
         driver_class, handler
     )
@@ -722,7 +724,8 @@ def _compile_actor(info, driver_class, action):
     def call(driver, given):
         if not direct:
             return driver.invoke(action, **given)
-        renamed = {snake[name]: value for name, value in given.items()}
-        return getattr(driver, handler)(**renamed)
+        if renames:
+            given = {snake[name]: value for name, value in given.items()}
+        return getattr(driver, handler)(**given)
 
-    return [name for name, __ in params], dict(params), call
+    return list(checks), checks, call

@@ -17,6 +17,7 @@ read-only properties (``sensor.parking_lot``).
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -78,11 +79,9 @@ class DeviceProxy:
     def __getattr__(self, name: str) -> Any:
         sources, actions, attributes = object.__getattribute__(self, "_facets")
         if name in sources:
-            source = sources[name]
-            return lambda: self._instance.read(source)
+            return functools.partial(self._instance.read, sources[name])
         if name in actions:
-            action = actions[name]
-            return lambda **params: self._instance.act(action, **params)
+            return functools.partial(self._instance.act, actions[name])
         if name in attributes:
             return self._instance.attributes[attributes[name]]
         raise AttributeError(
@@ -202,7 +201,7 @@ class ProxySet:
     def entity_ids(self) -> List[str]:
         return [proxy.entity_id for proxy in self._proxies]
 
-    # -- selection -------------------------------------------------------------
+    # -- selection ------------------------------------------------------------
 
     def where(self, **attribute_filters: Any) -> "ProxySet":
         """Keep proxies whose attributes match all given values.
@@ -286,34 +285,20 @@ class ProxySet:
             raise DiscoveryError(f"no {self._device_type} entity is bound")
         return self._proxies[0]
 
-    # -- dynamic filter / broadcast methods --------------------------------------
+    # -- dynamic filter / broadcast methods -----------------------------------
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("where_"):
             attribute = name[len("where_") :]
             return lambda value: self.where(**{attribute: value})
         if self._proxies:
-            sample = self._proxies[0]
-            if name in sample._facets.actions:
-                def broadcast(**params: Any) -> Dict[str, Any]:
-                    return {
-                        proxy.entity_id: proxy.act(
-                            proxy._facets.actions[name], **params
-                        )
-                        for proxy in self._proxies
-                    }
-
-                return broadcast
-            if name in sample._facets.sources:
-                def gather() -> Dict[str, Any]:
-                    return {
-                        proxy.entity_id: proxy.query(
-                            proxy._facets.sources[name]
-                        )
-                        for proxy in self._proxies
-                    }
-
-                return gather
+            # A facet's method name spells its declared name alike in
+            # every declaration a set may mix.
+            facets = self._proxies[0]._facets
+            if name in facets.actions:
+                return functools.partial(self.act, facets.actions[name])
+            if name in facets.sources:
+                return functools.partial(self._gather, facets.sources[name])
         raise AttributeError(
             f"proxy set of {self._device_type} has no method '{name}' "
             "(empty sets only support filtering)"
@@ -321,12 +306,21 @@ class ProxySet:
 
     def act(self, action: str, **params: Any) -> Dict[str, Any]:
         """Broadcast an action by its DiaSpec name."""
-        if not self._proxies:
+        proxies = self._proxies
+        if not proxies:
             raise ActuationError(
                 f"no {self._device_type} entity to receive '{action}'"
             )
+        instances = [proxy._instance for proxy in proxies]
         return {
-            proxy.entity_id: proxy.act(action, **params)
+            instance.entity_id: instance.act(action, **params)
+            for instance in instances
+        }
+
+    def _gather(self, source: str) -> Dict[str, Any]:
+        """Query ``source`` of every member."""
+        return {
+            proxy.entity_id: proxy._instance.read(source)
             for proxy in self._proxies
         }
 

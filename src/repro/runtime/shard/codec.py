@@ -193,6 +193,7 @@ class _DeltaEncoder:
         positions: Sequence[int],
         values: Sequence[Any],
         ident_columns: Callable[[Sequence[int]], Sequence[Any]],
+        exact: Any = None,
     ) -> Dict[str, Any]:
         """One sweep's blocks.
 
@@ -205,6 +206,9 @@ class _DeltaEncoder:
         of a flat one — is asked only for rows that register, so a
         steady-state sweep never touches identity.  A registry
         ``version`` other than the epoch's starts a new epoch.
+        ``exact``, when given, is the class every value is exactly —
+        what the sweep's ``coerce_column`` proved — and stands in for
+        the encoder's own scan of the value types.
 
         Nothing here takes a step per reading: a sweep after one that
         shipped nothing this epoch (a new epoch, or every row lost)
@@ -229,7 +233,7 @@ class _DeltaEncoder:
                     values,
                 )
             blocks["quiescent"] = 0
-            self.kinds = set(map(type, values))
+            self.kinds = {exact} if exact else set(map(type, values))
             self.positions = positions
             self.values = values
             return blocks
@@ -245,7 +249,7 @@ class _DeltaEncoder:
                 blocks["retract"] = _pack_positions(retract)
         # Unseen rows differ from any value, so they count as moved.
         moved = map(ne, was, values)
-        kinds = set(map(type, values))
+        kinds = {exact} if exact else set(map(type, values))
         if len(kinds) > 1 or kinds != self.kinds:
             # Equal across types (1, 1.0, True) is still a change.
             retyped = map(is_not, map(type, was), map(type, values))

@@ -166,6 +166,7 @@ class _ShardWorker:
                     columns.positions,
                     values,
                     ident_columns,
+                    app.sweeper._exact,
                 )
             )
         except Exception:

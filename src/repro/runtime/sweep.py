@@ -53,7 +53,7 @@ from repro.runtime.placement import ACCESS_HOP
 from repro.runtime.plan import BATCH_COLUMN_BUCKETS
 from repro.runtime.registry import splice_column
 from repro.telemetry.instrument import Instrumented, MetricSpec
-from repro.typesys.values import coerce_column
+from repro.typesys.values import coerce_column, exact_class
 
 __all__ = ["SweepEngine"]
 
@@ -288,6 +288,9 @@ class SweepEngine(Instrumented):
         self.cache = cache
         self.supervision = supervision
         self.positions: Any = None
+        # The class coerce_column proved all of the last sweep's values
+        # to be exactly, if it did: a worker's encoder trusts it.
+        self._exact = None
         self._sweeps = 0
         self._reads = 0
         self._columnar_sweeps = 0
@@ -370,6 +373,7 @@ class SweepEngine(Instrumented):
         if clean:
             # coerce_column proved the whole column: nothing was lost.
             return instances, outcomes, 0, 0
+        self._exact = None
         return self._fold_read_outcomes(instances, outcomes, source)
 
     def key_columns(self, device_type: str, instances) -> KeyColumns:
@@ -740,6 +744,7 @@ class SweepEngine(Instrumented):
         # A clean column comes back as it is: only one that is not (a
         # member's error, a value to convert) is looked through.
         coerced = coerce_column(dia_type, values)
+        self._exact = exact_class(dia_type) if coerced is values else None
         errors = ()
         if coerced is not values:
             errors = list(map(isinstance, coerced, repeat(DeliveryError)))

@@ -80,9 +80,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 def _render_histogram(lines, name, labels, histogram) -> None:
     for bound, cumulative in histogram.bucket_counts():
         bucket_labels = labels + (("le", _format_value(bound)),)
-        lines.append(
-            f"{name}_bucket{_label_text(bucket_labels)} {cumulative}"
-        )
+        lines.append(f"{name}_bucket{_label_text(bucket_labels)} {cumulative}")
     lines.append(
         f"{name}_sum{_label_text(labels)} {_format_value(histogram.sum)}"
     )

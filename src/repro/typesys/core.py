@@ -12,7 +12,7 @@ parsed designs that declare the same types produce equal type objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import DuplicateDeclarationError, UnknownNameError
 
@@ -24,6 +24,13 @@ class DiaType:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The conformance check repro.typesys.values compiles from a
+        # type is hung on it: rebuilt where it is needed, never pickled.
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ an action argument) is checked against its declared type before delivery.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, List
 
 from repro.errors import DeliveryError, ValueConformanceError
 from repro.typesys.core import (
@@ -35,24 +36,8 @@ class StructureValue:
     __slots__ = ("_type", "_values")
 
     def __init__(self, structure_type: StructureType, **field_values: Any):
-        declared = set(structure_type.field_names)
-        supplied = set(field_values)
-        if declared != supplied:
-            missing = sorted(declared - supplied)
-            extra = sorted(supplied - declared)
-            parts = []
-            if missing:
-                parts.append(f"missing fields {missing}")
-            if extra:
-                parts.append(f"unknown fields {extra}")
-            raise ValueConformanceError(
-                f"structure {structure_type.name}: " + ", ".join(parts)
-            )
-        checked = {}
-        for name, dia_type in structure_type.fields:
-            checked[name] = check_value(dia_type, field_values[name])
-        object.__setattr__(self, "_type", structure_type)
-        object.__setattr__(self, "_values", checked)
+        _set_values(self, _compiled(structure_type).fields(field_values))
+        _set_type(self, structure_type)
 
     @property
     def structure_type(self) -> StructureType:
@@ -67,8 +52,13 @@ class StructureValue:
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("StructureValue instances are immutable")
 
-    def as_dict(self) -> Mapping[str, Any]:
+    def as_dict(self) -> Dict[str, Any]:
         return dict(self._values)
+
+    def __reduce__(self):
+        # Fields checked once are restored as they are; the slots' own
+        # restore would meet __getattr__ before _values is set.
+        return _restore, (self._type, self._values)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -85,43 +75,31 @@ class StructureValue:
         return f"{self._type.name}({fields})"
 
 
-def check_value(dia_type: DiaType, value: Any) -> Any:
-    """Validate ``value`` against ``dia_type`` and return it unchanged.
+_set_type = StructureValue._type.__set__
+_set_values = StructureValue._values.__set__
 
-    Raises :class:`ValueConformanceError` on mismatch.  Lists and tuples are
-    both accepted for array types; tuples are returned as-is (no copying).
+
+def _restore(structure_type: StructureType, values: Dict[str, Any]) -> Any:
+    """A record of fields already checked."""
+    record = StructureValue.__new__(StructureValue)
+    _set_values(record, values)
+    _set_type(record, structure_type)
+    return record
+
+
+def check_value(dia_type: DiaType, value: Any) -> Any:
+    """Validate ``value`` against ``dia_type`` and return it, or its
+    canonical form: a mapping or a generated structure object becomes a
+    :class:`StructureValue`, an array a new list (tuples included).
+
+    Raises :class:`ValueConformanceError` on mismatch.
     """
-    if isinstance(dia_type, PrimitiveType):
-        _check_primitive(dia_type, value)
-        return value
-    if isinstance(dia_type, EnumerationType):
-        if value not in dia_type:
-            raise ValueConformanceError(
-                f"{value!r} is not a member of enumeration {dia_type.name}"
-            )
-        return value
-    if isinstance(dia_type, StructureType):
-        if (
-            isinstance(value, StructureValue)
-            and value.structure_type == dia_type
-        ):
-            return value
-        if isinstance(value, Mapping):
-            return StructureValue(dia_type, **value)
-        as_dict = getattr(value, "as_dict", None)
-        if callable(as_dict):
-            # Generated structure classes expose their fields via as_dict().
-            return StructureValue(dia_type, **as_dict())
-        raise ValueConformanceError(
-            f"{value!r} is not a value of structure {dia_type.name}"
-        )
-    if isinstance(dia_type, ArrayType):
-        if not isinstance(value, (list, tuple)):
-            raise ValueConformanceError(
-                f"{value!r} is not an array of {dia_type.element.name}"
-            )
-        return [check_value(dia_type.element, item) for item in value]
-    raise ValueConformanceError(f"unsupported type {dia_type!r}")
+    return _compiled(dia_type).check(value)
+
+
+def checker(dia_type: DiaType) -> Callable[[Any], Any]:
+    """:func:`check_value` for ``dia_type``, as one function."""
+    return _compiled(dia_type).check
 
 
 # The Python class whose exact instances conform to a primitive as they
@@ -151,16 +129,12 @@ def coerce_value(dia_type: DiaType, value: Any) -> Any:
     Integer, a subclass, ``None``, every non-primitive type — is checked
     in full.
     """
-    if isinstance(dia_type, PrimitiveType):
-        name = dia_type.name
-        if type(value) is _EXACT_CLASS.get(name):
-            return value
-        if name == "Float":
-            if isinstance(value, bool):
-                raise ValueConformanceError("Boolean is not a Float")
-            if isinstance(value, int):
-                return float(value)
-    return check_value(dia_type, value)
+    return _compiled(dia_type).coerce(value)
+
+
+def coercer(dia_type: DiaType) -> Callable[[Any], Any]:
+    """:func:`coerce_value` for ``dia_type``, as one function."""
+    return _compiled(dia_type).coerce
 
 
 def coerce_column(dia_type: DiaType, values: List[Any]) -> List[Any]:
@@ -177,12 +151,158 @@ def coerce_column(dia_type: DiaType, values: List[Any]) -> List[Any]:
     exact = exact_class(dia_type)
     if exact is not None and set(map(type, values)) <= {exact}:
         return values
+    coerce = coercer(dia_type)
     return [
-        value
-        if isinstance(value, DeliveryError)
-        else coerce_value(dia_type, value)
+        value if isinstance(value, DeliveryError) else coerce(value)
         for value in values
     ]
+
+
+# ----------------------------------------------------------------------
+# One compiled check per type object
+# ----------------------------------------------------------------------
+
+
+class _Compiled:
+    """What conformance to one type comes down to, built once from the
+    type and hung on it (``_compiled``, which
+    :meth:`~repro.typesys.core.DiaType.__getstate__` leaves out of a
+    pickle): ``check`` and ``coerce`` are :func:`check_value` and
+    :func:`coerce_value` for the type, and a structure's
+    ``fields(given)`` checks a dict of field values into a record's."""
+
+    __slots__ = ("check", "coerce", "fields")
+
+    def __init__(self, check, coerce=None, fields=None):
+        self.check = check
+        self.coerce = check if coerce is None else coerce
+        self.fields = fields
+
+
+def _compiled(dia_type: DiaType) -> _Compiled:
+    try:
+        return dia_type._compiled
+    except AttributeError:
+        pass
+    if isinstance(dia_type, PrimitiveType):
+        compiled = _primitive(dia_type)
+    elif isinstance(dia_type, EnumerationType):
+        compiled = _enumeration(dia_type)
+    elif isinstance(dia_type, StructureType):
+        compiled = _structure(dia_type)
+    elif isinstance(dia_type, ArrayType):
+        compiled = _array(dia_type)
+    else:
+
+        def unsupported(value: Any) -> Any:
+            raise ValueConformanceError(f"unsupported type {dia_type!r}")
+
+        return _Compiled(unsupported)
+    # Built twice by two threads at once, the second simply wins.
+    object.__setattr__(dia_type, "_compiled", compiled)
+    return compiled
+
+
+def _primitive(dia_type: PrimitiveType) -> _Compiled:
+    """The exact class passes as it is; anything else takes the rule
+    (:func:`_check_primitive`) and its message."""
+    exact = _EXACT_CLASS.get(dia_type.name)
+
+    def check(value: Any) -> Any:
+        if type(value) is not exact:
+            _check_primitive(dia_type, value)
+        return value
+
+    if exact is not float:
+        return _Compiled(check)
+
+    def coerce(value: Any) -> Any:
+        if type(value) is float:
+            return value
+        if isinstance(value, bool):
+            raise ValueConformanceError("Boolean is not a Float")
+        if isinstance(value, int):
+            return float(value)
+        _check_primitive(dia_type, value)
+        return value
+
+    return _Compiled(check, coerce)
+
+
+def _enumeration(dia_type: EnumerationType) -> _Compiled:
+    """A ``str`` is a member by set lookup; any other value by the
+    type's own rule (``value in dia_type``: equality, as a tuple scan,
+    so an unhashable value is simply no member)."""
+    members = frozenset(dia_type.members)
+
+    def check(value: Any) -> Any:
+        if value in members if type(value) is str else value in dia_type:
+            return value
+        raise ValueConformanceError(
+            f"{value!r} is not a member of enumeration {dia_type.name}"
+        )
+
+    return _Compiled(check)
+
+
+def _structure(dia_type: StructureType) -> _Compiled:
+    """Field names and one check per field, resolved once.  A plain
+    dict (or a generated class's ``as_dict()``) naming exactly the
+    declared fields is checked field by field into a new record; a
+    :class:`StructureValue` of this type passes as it is; any other
+    value takes the constructor's path, and its errors."""
+    names = frozenset(dia_type.field_names)
+    checks = tuple((name, checker(field)) for name, field in dia_type.fields)
+
+    def fields(given: Dict[str, Any]) -> Dict[str, Any]:
+        if given.keys() != names:
+            supplied = set(given)
+            missing = sorted(names - supplied)
+            extra = sorted(supplied - names)
+            parts = [f"missing fields {missing}"] if missing else []
+            if extra:
+                parts.append(f"unknown fields {extra}")
+            raise ValueConformanceError(
+                f"structure {dia_type.name}: " + ", ".join(parts)
+            )
+        return {name: check(given[name]) for name, check in checks}
+
+    def build(given: Any) -> StructureValue:
+        if type(given) is dict and given.keys() == names:
+            return _restore(dia_type, fields(given))
+        return StructureValue(dia_type, **given)
+
+    def check(value: Any) -> Any:
+        if type(value) is dict:
+            return build(value)
+        if isinstance(value, StructureValue) and (
+            value._type is dia_type or value._type == dia_type
+        ):
+            return value
+        if isinstance(value, Mapping):
+            return StructureValue(dia_type, **value)
+        as_dict = getattr(value, "as_dict", None)
+        if callable(as_dict):
+            # Generated structure classes expose their fields this way.
+            return build(as_dict())
+        raise ValueConformanceError(
+            f"{value!r} is not a value of structure {dia_type.name}"
+        )
+
+    return _Compiled(check, fields=fields)
+
+
+def _array(dia_type: ArrayType) -> _Compiled:
+    element = checker(dia_type.element)
+
+    def check(value: Any) -> Any:
+        if isinstance(value, (list, tuple)):
+            return list(map(element, value))
+        raise ValueConformanceError(
+            f"{value!r} is not an array of {dia_type.element.name}"
+        )
+
+    return _Compiled(check)
 
 
 def _check_primitive(dia_type: PrimitiveType, value: Any) -> None:

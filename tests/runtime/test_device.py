@@ -187,6 +187,40 @@ class TestActuation:
         with pytest.raises(ActuationError, match="expects parameters"):
             prompter.act("askQuestion")
 
+    def test_a_compiled_actuation_checks_and_calls_as_before(self):
+        """Names compared as a set, the error naming them in declaration
+        order; each parameter checked by its compiled check; the
+        ``do_`` handler called with the parameters as given, or renamed
+        where a name is not snake case."""
+        design = analyze(
+            "device Board {\n"
+            "    action show(text as String, lineNo as Integer);\n"
+            "    action clear(level as Integer);\n"
+            "}\n"
+        )
+        calls = []
+
+        class Board(DeviceDriver):
+            def do_show(self, **params):
+                calls.append(params)
+
+            def do_clear(self, **params):
+                calls.append(params)
+
+        board = DeviceInstance(design.devices["Board"], "b1", Board())
+        board.act("show", lineNo=2, text="hi")
+        board.act("clear", level=3)
+        assert calls == [{"line_no": 2, "text": "hi"}, {"level": 3}]
+        with pytest.raises(ActuationError) as raised:
+            board.act("show", text="hi")
+        assert str(raised.value) == (
+            "action 'show' on 'b1' expects parameters ['text', 'lineNo'], "
+            "got ['text']"
+        )
+        with pytest.raises(ValueConformanceError, match="True is not an"):
+            board.act("show", text="hi", lineNo=True)
+        assert len(calls) == 2
+
     def test_extra_parameter_rejected(self, design):
         prompter = DeviceInstance(
             design.devices["Prompter"], "p1", CallableDriver()

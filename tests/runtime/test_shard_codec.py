@@ -448,6 +448,34 @@ class TestEncoderToMirror:
             ["changed", "quiescent"],
         ]
 
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_a_proved_class_encodes_as_the_type_scan_does(self, flat):
+        """A sweep whose ``coerce_column`` proved one exact class hands
+        it over instead of the encoder's scan: the same bytes."""
+        positions = [3, 5, 8, 9]
+        sweeps = [
+            (1, positions, [1, 2, 3, 4]),
+            (1, positions, [1, 2, 5, 4]),
+            (1, positions, [1.0, 2.0, 5.0, 4.0]),
+            (1, [3, 8, 9], [1.0, 5.0, 4.0]),
+            (1, positions, [True, True, False, True]),
+            (1, positions, [1, True, 2, 3]),  # mixed: nothing proved
+            (2, positions, ["a", "b", "c", "d"]),
+            (2, positions, [1, 1, 1, 1]),
+        ]
+        scanned, proved = _DeltaEncoder(), _DeltaEncoder()
+        for version, where, values in sweeps:
+            subjects = [entity(position, version) for position in where]
+            kinds = set(map(type, values))
+            exact = next(iter(kinds)) if len(kinds) == 1 else None
+            columns = ident_columns_of(subjects, flat)
+            expected = scanned.encode(version, where, values, columns)
+            got = proved.encode(version, where, values, columns, exact)
+            assert pickle.dumps(got, pickle.HIGHEST_PROTOCOL) == (
+                pickle.dumps(expected, pickle.HIGHEST_PROTOCOL)
+            )
+            assert proved.kinds == scanned.kinds
+
     def test_steady_state_ships_one_integer(self):
         encoder = _DeltaEncoder()
         subjects = [entity(p, 0) for p in range(50)]

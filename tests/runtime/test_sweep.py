@@ -124,6 +124,21 @@ class ColumnDriver(CallableDriver):
         return NotImplemented
 
 
+class AnsweringDriver(CallableDriver):
+    """Reads ``presence`` as ``True`` one at a time; a batch read
+    answers the shared ``column`` as it is."""
+
+    def __init__(self, column):
+        super().__init__(sources={"presence": lambda: True})
+        self.column = column
+
+    def batch_key(self, source):
+        return self.column
+
+    def read_batch(self, entity_ids, source):
+        return list(self.column)
+
+
 class TestOneSweepLoop:
     """Scalar and columnar sweeps are one loop over one registry-ordered
     cut; what the cut promises is pinned here."""
@@ -177,6 +192,26 @@ class TestOneSweepLoop:
         assert stats["columnar_sweeps"] == (1 if columnar else 0)
         # One read_batch over the whole type, across the lots.
         assert columns == ([expected] if columnar else [])
+
+    def test_a_proved_column_names_its_class_for_the_encoder(self):
+        """A clean column ``coerce_column`` returned as it is leaves
+        its exact class on the engine (what a worker's delta encoder
+        takes instead of scanning value types); any other sweep, none."""
+        app = Application(analyze(DESIGN))
+        column = [True, False, True]
+        for index in range(len(column)):
+            app.create_device(
+                "PresenceSensor",
+                f"s-{index}",
+                AnsweringDriver(column),
+                parkingLot=LOTS[index % len(LOTS)],
+            )
+        instances, values, __, ___ = self.sweep(app)
+        assert values == column and app.sweeper._exact is bool
+        column[1] = DeliveryError("dark")  # a failed first attempt
+        instances, values, __, failed = self.sweep(app)
+        assert (values, failed) == ([True, True], 1)
+        assert app.sweeper._exact is None
 
     @pytest.mark.parametrize("columnar", [False, True])
     def test_the_cut_is_reused_until_the_membership_moves(self, columnar):

@@ -1,5 +1,9 @@
 """Runtime value conformance, including property-based checks."""
 
+import collections.abc
+import pickle
+import typing
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from repro.typesys.core import (
     EnumerationType,
     FLOAT,
     INTEGER,
+    PrimitiveType,
     STRING,
     StructureType,
 )
@@ -280,3 +285,319 @@ def test_coerce_column_returns_an_exact_column_as_it_is():
         coerce_column(INTEGER, [1, True])
     with pytest.raises(ValueConformanceError, match="None is not a String"):
         coerce_column(STRING, ["a", None])
+
+
+# ---------------------------------------------------------------------------
+# The compiled checks against the interpreter they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_record(structure_type, field_values):
+    """``StructureValue(structure_type, **field_values)``, interpreted."""
+    declared = set(structure_type.field_names)
+    supplied = set(field_values)
+    if declared != supplied:
+        missing = sorted(declared - supplied)
+        extra = sorted(supplied - declared)
+        parts = []
+        if missing:
+            parts.append(f"missing fields {missing}")
+        if extra:
+            parts.append(f"unknown fields {extra}")
+        raise ValueConformanceError(
+            f"structure {structure_type.name}: " + ", ".join(parts)
+        )
+    checked = {}
+    for name, dia_type in structure_type.fields:
+        checked[name] = reference_check_value(dia_type, field_values[name])
+    record = object.__new__(StructureValue)
+    object.__setattr__(record, "_type", structure_type)
+    object.__setattr__(record, "_values", checked)
+    return record
+
+
+def _reference_primitive(dia_type, value):
+    name = dia_type.name
+    if name == "Boolean":
+        if not isinstance(value, bool):
+            raise ValueConformanceError(f"{value!r} is not a Boolean")
+        return
+    if name == "Integer":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueConformanceError(f"{value!r} is not an Integer")
+        return
+    if name == "Float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueConformanceError(f"{value!r} is not a Float")
+        return
+    if name == "String":
+        if not isinstance(value, str):
+            raise ValueConformanceError(f"{value!r} is not a String")
+        return
+    raise ValueConformanceError(f"unknown primitive {name}")
+
+
+def reference_check_value(dia_type, value):
+    """``check_value`` as an interpreter over the declared type, asked
+    afresh for every value: what each compiled check must equal."""
+    if isinstance(dia_type, PrimitiveType):
+        _reference_primitive(dia_type, value)
+        return value
+    if isinstance(dia_type, EnumerationType):
+        if value not in dia_type:
+            raise ValueConformanceError(
+                f"{value!r} is not a member of enumeration {dia_type.name}"
+            )
+        return value
+    if isinstance(dia_type, StructureType):
+        if (
+            isinstance(value, StructureValue)
+            and value.structure_type == dia_type
+        ):
+            return value
+        if isinstance(value, typing.Mapping):
+            return _reference_record(dia_type, dict(**value))
+        as_dict = getattr(value, "as_dict", None)
+        if callable(as_dict):
+            return _reference_record(dia_type, dict(**as_dict()))
+        raise ValueConformanceError(
+            f"{value!r} is not a value of structure {dia_type.name}"
+        )
+    if isinstance(dia_type, ArrayType):
+        if not isinstance(value, (list, tuple)):
+            raise ValueConformanceError(
+                f"{value!r} is not an array of {dia_type.element.name}"
+            )
+        return [reference_check_value(dia_type.element, v) for v in value]
+    raise ValueConformanceError(f"unsupported type {dia_type!r}")
+
+
+def reference_coerce_value(dia_type, value):
+    """``coerce_value`` over :func:`reference_check_value`."""
+    if isinstance(dia_type, PrimitiveType):
+        name = dia_type.name
+        exact = dict(Boolean=bool, Integer=int, Float=float, String=str)
+        if type(value) is exact.get(name):
+            return value
+        if name == "Float":
+            if isinstance(value, bool):
+                raise ValueConformanceError("Boolean is not a Float")
+            if isinstance(value, int):
+                return float(value)
+    return reference_check_value(dia_type, value)
+
+
+CITY_LOTS = EnumerationType(
+    "CityLotEnum", tuple(f"L{index:03d}" for index in range(200))
+)
+
+
+class _Text(str):
+    """A ``str`` subclass: equal to a member, but not exactly a str."""
+
+
+class _Fields(collections.abc.Mapping):
+    """A mapping that is not a dict."""
+
+    def __init__(self, fields):
+        self._fields = dict(fields)
+
+    def __getitem__(self, name):
+        return self._fields[name]
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self):
+        return len(self._fields)
+
+
+class _Generated:
+    """The shape of a generated structure class: slots and
+    ``as_dict()``."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields):
+        self._fields = dict(fields)
+
+    def as_dict(self):
+        return dict(self._fields)
+
+
+_FIELD_NAMES = ("parkingLot", "count", "level", "spots", "ok")
+
+_TYPES = st.recursive(
+    st.sampled_from([BOOLEAN, INTEGER, FLOAT, STRING, LOTS, CITY_LOTS]),
+    lambda inner: st.one_of(
+        inner.map(ArrayType),
+        st.lists(
+            st.tuples(st.sampled_from(_FIELD_NAMES), inner),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda field: field[0],
+        ).map(lambda fields: StructureType("Record", tuple(fields))),
+    ),
+    max_leaves=5,
+)
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=False, width=16),
+    st.builds(_Level, st.integers(min_value=0, max_value=3)),
+    st.sampled_from(["A22", "L007", "nowhere", b"A22"]),
+    st.builds(_Text, st.sampled_from(["A22", "L199", "Z"])),
+    st.just([1]),
+    st.just(("A22",)),
+    st.just({1: 2}),
+)
+
+
+def _values_of(dia_type):
+    """Values for ``dia_type``: conforming ones and near misses, down
+    to nested fields and elements."""
+    return st.one_of(_conforming(dia_type), _near_misses(dia_type), _JUNK)
+
+
+def _conforming(dia_type):
+    if isinstance(dia_type, PrimitiveType):
+        return {
+            "Boolean": st.booleans(),
+            "Integer": st.integers(),
+            "Float": st.one_of(st.floats(allow_nan=False), st.integers()),
+            "String": st.text(max_size=3),
+        }[dia_type.name]
+    if isinstance(dia_type, EnumerationType):
+        return st.sampled_from(dia_type.members)
+    if isinstance(dia_type, ArrayType):
+        return st.lists(_values_of(dia_type.element), max_size=3)
+    return st.fixed_dictionaries(
+        {name: _values_of(field) for name, field in dia_type.fields}
+    )
+
+
+def _near_misses(dia_type):
+    if not isinstance(dia_type, StructureType):
+        if isinstance(dia_type, ArrayType):
+            return st.tuples(_values_of(dia_type.element))
+        return _JUNK
+    fields = _conforming(dia_type)
+    equal_but_distinct = StructureType(dia_type.name, dia_type.fields)
+    return st.one_of(
+        fields.map(lambda f: dict(list(f.items())[1:])),
+        fields.map(lambda f: {**f, "bogus": 1}),
+        fields.map(_Fields),
+        fields.map(_Generated),
+        fields.map(lambda f: _record_or(equal_but_distinct, f)),
+        fields.map(lambda f: _record_or(dia_type, f)),
+        fields.map(lambda f: _record_or(AVAILABILITY, f)),
+    )
+
+
+def _record_or(structure_type, fields):
+    """A record of ``structure_type`` from ``fields``, or the fields
+    when they do not make one."""
+    try:
+        return reference_check_value(structure_type, fields)
+    except (ValueConformanceError, TypeError):
+        return fields
+
+
+def _shape(value):
+    """``value`` down to classes, equality and, for a record, which
+    type object it is of."""
+    if isinstance(value, StructureValue):
+        return (
+            StructureValue,
+            id(value._type),
+            {k: _shape(v) for k, v in value._values.items()},
+        )
+    if isinstance(value, list):
+        return (list, [_shape(item) for item in value])
+    return (type(value), value if value == value else "nan")
+
+
+def _same(compiled, reference):
+    """Run both; the same value, or the same exception and message."""
+    try:
+        expected = ("ok", reference())
+    except Exception as error:  # any exception: the same one must follow
+        expected = ("raised", type(error), str(error))
+    try:
+        got = ("ok", compiled())
+    except Exception as error:
+        got = ("raised", type(error), str(error))
+    if expected[0] == "ok" and got[0] == "ok":
+        assert _shape(got[1]) == _shape(expected[1])
+    else:
+        assert got == expected
+
+
+@given(_TYPES.flatmap(lambda t: st.tuples(st.just(t), _values_of(t))))
+def test_compiled_checks_match_the_reference(drawn):
+    dia_type, value = drawn
+    _same(
+        lambda: check_value(dia_type, value),
+        lambda: reference_check_value(dia_type, value),
+    )
+    _same(
+        lambda: coerce_value(dia_type, value),
+        lambda: reference_coerce_value(dia_type, value),
+    )
+
+
+def test_the_reference_is_met_on_the_corners():
+    record = reference_check_value(
+        AVAILABILITY, {"parkingLot": "A22", "count": 1}
+    )
+    twin = StructureType(AVAILABILITY.name, AVAILABILITY.fields)
+    for dia_type, value in (
+        (INTEGER, True),
+        (FLOAT, 1),
+        (FLOAT, True),
+        (LOTS, [1]),
+        (LOTS, _Text("A22")),
+        (CITY_LOTS, "L199"),
+        (CITY_LOTS, 7),
+        (AVAILABILITY, {"parkingLot": "A22"}),
+        (AVAILABILITY, {"parkingLot": "A22", "count": 1, "x": 0}),
+        (AVAILABILITY, {1: 2}),
+        (StructureType("One", (("count", INTEGER),)), {1: 2}),
+        (AVAILABILITY, _Fields({"parkingLot": "D6", "count": 2})),
+        (AVAILABILITY, _Generated({"parkingLot": "D6", "count": 2})),
+        (twin, record),
+        (ArrayType(AVAILABILITY), ({"parkingLot": "B16", "count": 0},)),
+    ):
+        _same(
+            lambda: check_value(dia_type, value),
+            lambda: reference_check_value(dia_type, value),
+        )
+        _same(
+            lambda: coerce_value(dia_type, value),
+            lambda: reference_coerce_value(dia_type, value),
+        )
+    # A record of an equal type passes as it is, as it always did.
+    assert check_value(twin, record) is record
+
+
+def test_a_checked_record_and_its_type_pickle_unchanged():
+    structure_type = StructureType(
+        "Usage", (("parkingLot", CITY_LOTS), ("levels", ArrayType(FLOAT)))
+    )
+    fresh = StructureType(structure_type.name, structure_type.fields)
+    before = repr(structure_type), hash(structure_type)
+    record = check_value(
+        structure_type, {"parkingLot": "L001", "levels": [0.5, 1.0]}
+    )
+    assert (repr(structure_type), hash(structure_type)) == before
+    assert structure_type == fresh
+    # The compiled check stays behind: the pickle is a never-checked
+    # type's.
+    assert pickle.dumps(structure_type) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(record))
+    assert restored == record
+    assert restored.structure_type == structure_type
+    assert restored.as_dict() == {"parkingLot": "L001", "levels": [0.5, 1.0]}
+    assert check_value(restored.structure_type, restored) is restored
