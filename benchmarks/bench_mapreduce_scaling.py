@@ -1,152 +1,215 @@
 """C2 — `grouped by` exposes parallelism (§IV.2, DiaSwarm).
 
-Reproduced shape: a job written once against the map/reduce interface
-runs unchanged on a serial loop, a thread pool and a process pool and
-returns the same result from each, and under the process pool its map
-phase really does execute in several worker processes at once — the
-parallelism the design-level ``grouped by`` hands to the backend.  The
-wall times are printed for the record (on a compute-light job such as
-Figure 10's free-space count the serial executor wins at every size,
-which is why the paper targets a real MapReduce backend for city scale;
-a compute-heavy per-reading job is where the process pool can overtake
-it, given the cores); they are not asserted — on a two-core box the
-best case is under 2x and a single shot cannot resolve it.
+Reproduced shape: a design's grouped ``with map … reduce`` context,
+written once, runs unchanged on a single process and on a sharded
+runtime of 1 and 2 worker processes, and publishes the same values on
+each, while on the sharded runtime its map phase really executes in
+the worker processes — one per shard, never the coordinator — the
+partitioned backend the design-level ``grouped by`` hands its
+parallelism to.  The map is deliberately heavy (a 300-term sine series
+per reading) and each emission carries the pid of the process that
+computed it.
+
+The job has a combiner, so each worker ships one partial per zone
+across the pipe instead of one pair per reading; the coordinator's
+``app.mapreduce.last_stats`` gives both counts (``mapped`` /
+``shuffled``) and the table prints them.  The wall time per period is
+printed for the record, not asserted: on a two-core box the best case
+is under 2x and a single shot cannot resolve it.
 """
 
 import math
 import multiprocessing
 import os
+import statistics
 import time
+import weakref
 
-import pytest
-
-from repro.mapreduce.api import MapReduce
-from repro.mapreduce.engine import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    run_mapreduce,
+from repro.api import (
+    Application,
+    Context,
+    RuntimeConfig,
+    ShardBootstrap,
+    ShardConfig,
+    ShardedRuntime,
+    analyze,
 )
-from repro.simulation.traces import grouped_bernoulli
+from repro.simulation.sensors import GatewaySubstrate
+
+DESIGN = """\
+device SpectrumSensor {
+    attribute zone as ZoneEnum;
+    source level as Integer;
+}
+enumeration ZoneEnum { Z0, Z1, Z2, Z3 }
+
+context ZoneSpectrum as Integer {
+    when periodic level from SpectrumSensor <1 min>
+    grouped by zone
+    with map as Integer reduce as Integer
+    always publish;
+}
+"""
+
+ZONES = ("Z0", "Z1", "Z2", "Z3")
+READINGS = 4000
+PERIODS = 3
+PERIOD = 60.0
+
+_SUBSTRATES = weakref.WeakKeyDictionary()
 
 
-class FreeSpaceCounter(MapReduce):
-    """Figure 10's job: count free spaces per lot (compute-light)."""
-
-    def map(self, lot, presence, collector):
-        if not presence:
-            collector.emit_map(lot, True)
-
-    def reduce(self, lot, values, collector):
-        collector.emit_reduce(lot, len(values))
-
-
-class SpectralJob(MapReduce):
+class ZoneSpectrum(Context):
     """Compute-heavy per-reading work (per-sensor signal analysis).
 
-    Each mapped value carries the pid that computed it, so the result
-    also says where the map phase ran."""
+    A map emission is ``(level, pid)``: the reading's series, scaled to
+    an integer so the sums are exact in any partitioning, and the pid
+    that computed it.  The combine folds a partition's emissions of a
+    zone into one ``(total, count, pids)`` partial; the handler, on the
+    coordinator, keeps the pids and publishes the totals."""
 
     WORK = 300
 
-    def map(self, lot, reading, collector):
+    def __init__(self):
+        super().__init__()
+        self.map_pids = set()
+        self.zones = []
+
+    def map(self, zone, level, collector):
         acc = 0.0
         for i in range(1, self.WORK):
-            acc += math.sin(i * (2.0 if reading else 1.0)) / i
-        collector.emit_map(lot, (acc, os.getpid()))
+            acc += math.sin(i * (level + 1) / 100.0) / i
+        collector.emit_map(zone, (round(acc * 1e6), os.getpid()))
 
-    def reduce(self, lot, values, collector):
-        mean = sum(acc for acc, __ in values) / len(values)
-        collector.emit_reduce(lot, (mean, {pid for __, pid in values}))
+    def combine(self, zone, values, collector):
+        levels = [level for level, __ in values]
+        pids = {pid for __, pid in values}
+        collector.emit_combine(zone, (sum(levels), len(levels), pids))
+
+    def reduce(self, zone, partials, collector):
+        total = sum(partial[0] for partial in partials)
+        count = sum(partial[1] for partial in partials)
+        pids = set().union(*(partial[2] for partial in partials))
+        collector.emit_reduce(zone, (total, count, pids))
+
+    def on_periodic_level(self, by_zone, discover):
+        totals = {}
+        for zone, (total, count, pids) in by_zone.items():
+            totals[zone] = (total, count)
+            self.map_pids |= pids
+        self.zones.append(totals)
+        return sum(total for total, __ in totals.values())
 
 
-def means(result):
-    return {lot: mean for lot, (mean, __) in result.items()}
+class SpectrumBootstrap(ShardBootstrap):
+    """``READINGS`` zoned sensors over one gateway substrate per
+    process: a reading is a pure function of (seed, entity, time), so
+    every partitioning reads the same values."""
+
+    def __init__(self, shard):
+        self.shard = shard
+
+    def fleet(self):
+        return [f"spectrum-{index:05d}" for index in range(READINGS)]
+
+    def build(self, ctx):
+        app = Application(analyze(DESIGN), RuntimeConfig(shard=self.shard))
+        app.implement("ZoneSpectrum", ZoneSpectrum())
+        substrate = _SUBSTRATES[app] = GatewaySubstrate(
+            app.clock, seed=3, models={"level": lambda draw: int(draw * 100)}
+        )
+        owned = [
+            (entity_id, ZONES[position % len(ZONES)])
+            for position, entity_id in enumerate(self.fleet())
+            if ctx.owns(entity_id)
+        ]
+        app.bind_column(
+            "SpectrumSensor",
+            [entity_id for entity_id, __ in owned],
+            [substrate.driver("level") for __ in owned],
+            zone=[zone for __, zone in owned],
+        )
+        return app
+
+    def bind_entity(self, app, entity_id, position):
+        app.create_device(
+            "SpectrumSensor",
+            entity_id,
+            _SUBSTRATES[app].driver("level"),
+            zone=ZONES[position % len(ZONES)],
+        )
 
 
-def map_pids(result):
-    return set().union(*(pids for __, pids in result.values()))
-
-
-def dataset(sensors_per_lot, lots=8, seed=0):
-    return grouped_bernoulli(
-        [f"L{i:02d}" for i in range(lots)], sensors_per_lot, 0.5, seed=seed
+def run(workers):
+    """``PERIODS`` periods on ``workers`` worker processes (0: one
+    process, no workers): what was published, what each period
+    delivered, where the map ran, and the wall time per period."""
+    shard = ShardConfig(enabled=workers > 0, workers=max(workers, 1))
+    runtime = ShardedRuntime(SpectrumBootstrap(shard))
+    published = []
+    runtime.app.bus.subscribe(
+        ("context", "ZoneSpectrum"),
+        lambda event: published.append((event.value, event.timestamp)),
     )
+    runtime.start()
+    try:
+        shard_pids = {
+            child.pid
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")
+        }
+        period_ms = []
+        for __ in range(PERIODS):
+            start = time.perf_counter()
+            runtime.advance(PERIOD)
+            period_ms.append((time.perf_counter() - start) * 1e3)
+        job = runtime.app.implementation("ZoneSpectrum")
+        return {
+            "published": published,
+            "zones": job.zones,
+            "map_pids": job.map_pids,
+            "shard_pids": shard_pids,
+            "period_ms": period_ms,
+            "stats": runtime.app.mapreduce.last_stats,
+        }
+    finally:
+        runtime.stop()
 
 
-def timed(job, grouped, executor, repeats=3):
-    best = float("inf")
-    result = None
-    for __ in range(repeats):
-        start = time.perf_counter()
-        result = run_mapreduce(job, grouped, executor)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def test_executor_scaling_series(table, benchmark):
+def test_the_map_runs_in_the_shard_workers(table, benchmark):
     def run_series():
-        rows = []
-        for per_lot in (50, 500, 2000):
-            grouped = dataset(per_lot)
-            light_serial, light_result = timed(FreeSpaceCounter(), grouped,
-                                               SerialExecutor())
-            light_thread, thread_result = timed(FreeSpaceCounter(), grouped,
-                                                ThreadExecutor(4))
-            assert light_result == thread_result
-            heavy_serial, heavy_s = timed(SpectralJob(), grouped,
-                                          SerialExecutor(), repeats=1)
-            heavy_process, heavy_p = timed(SpectralJob(), grouped,
-                                           ProcessExecutor(4), repeats=1)
-            assert means(heavy_s) == means(heavy_p)
-            assert map_pids(heavy_s) == {os.getpid()}
-            pool_pids = map_pids(heavy_p)
-            rows.append(
-                (
-                    per_lot * 8,
-                    f"{light_serial * 1e3:.1f} ms",
-                    f"{light_thread * 1e3:.1f} ms",
-                    f"{heavy_serial * 1e3:.0f} ms",
-                    f"{heavy_process * 1e3:.0f} ms",
-                    len(pool_pids),
-                )
-            )
-        return rows, pool_pids
+        return {workers: run(workers) for workers in (0, 1, 2)}
 
-    rows, pool_pids = benchmark.pedantic(run_series, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run_series, rounds=1, iterations=1)
     table(
-        "C2: MapReduce executors vs dataset size (8 lots, "
-        f"{multiprocessing.cpu_count()} CPU core(s))",
-        ("readings", "light/serial", "light/4 threads", "heavy/serial",
-         "heavy/4 procs", "map processes"),
-        rows,
+        f"C2: grouped map/reduce over {READINGS} readings, "
+        f"{len(ZONES)} zones, {ZoneSpectrum.WORK} sine terms per reading "
+        f"({multiprocessing.cpu_count()} CPU core(s))",
+        ("workers", "map processes", "ms/period (median)", "mapped",
+         "shuffled"),
+        [
+            (
+                workers,
+                len(result["map_pids"]),
+                f"{statistics.median(result['period_ms']):.0f}",
+                result["stats"]["mapped"],
+                result["stats"]["shuffled"],
+            )
+            for workers, result in runs.items()
+        ],
     )
-    # Shape: at the largest size the untouched job's map phase ran in
-    # several pool processes, none of them the caller's.
-    assert os.getpid() not in pool_pids
-    assert len(pool_pids) >= 2
-
-
-@pytest.mark.parametrize("per_lot", [100, 1000])
-def test_bench_figure10_job_serial(benchmark, per_lot):
-    grouped = dataset(per_lot)
-    result = benchmark(run_mapreduce, FreeSpaceCounter(), grouped)
-    assert len(result) == 8
-
-
-def test_bench_figure10_job_threaded(benchmark):
-    grouped = dataset(1000)
-    executor = ThreadExecutor(4)
-    result = benchmark(run_mapreduce, FreeSpaceCounter(), grouped, executor)
-    assert len(result) == 8
-
-
-def test_bench_heavy_job_process_pool(benchmark):
-    grouped = dataset(200, lots=4)
-    executor = ProcessExecutor(4)
-
-    def run():
-        return run_mapreduce(SpectralJob(), grouped, executor)
-
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert len(result) == 4
+    single = runs[0]
+    assert len(single["published"]) == PERIODS
+    assert single["map_pids"] == {os.getpid()}
+    for workers in (1, 2):
+        sharded = runs[workers]
+        # The same values, period by period and zone by zone ...
+        assert sharded["published"] == single["published"]
+        assert sharded["zones"] == single["zones"]
+        # ... mapped in the workers, one pid each, never the caller.
+        assert len(sharded["shard_pids"]) == workers
+        assert sharded["map_pids"] == sharded["shard_pids"]
+        assert os.getpid() not in sharded["map_pids"]
+        # One combined partial per (worker, zone) crossed the pipe.
+        assert sharded["stats"]["mapped"] == READINGS
+        assert sharded["stats"]["shuffled"] == workers * len(ZONES)

@@ -29,8 +29,6 @@ The surface, by concern:
   :class:`GatherReading`);
 * **Devices** — :class:`DeviceDriver`, :class:`CallableDriver`,
   :class:`DeviceInstance`;
-* **MapReduce executors** — :class:`SerialExecutor`,
-  :class:`ThreadExecutor`, :class:`ProcessExecutor`;
 * **Fault tolerance** — :class:`SupervisionPolicy`,
   :class:`StalePolicy`, :class:`FaultPlan`, :class:`ChaosInjector`;
 * **Query-driven caching** — :class:`ReadCache` (usually reached via
@@ -44,6 +42,8 @@ The surface, by concern:
   ``shard=`` on the runtime config), :class:`ShardContext`,
   :class:`ShardBootstrap`, :class:`ShardedRuntime`,
   :class:`SimulatedFleetBootstrap`, and the typed :class:`ShardError`;
+  the worker processes are also where a grouped ``with map … reduce``
+  context maps in parallel, one shard each;
 * **Network & placement** — :class:`NetworkConfig` (the frozen network
   section of the runtime config), the topology it builds
   (:class:`TopologyModel` of :class:`HopProfile` hops; a single link
@@ -74,11 +74,6 @@ from repro.errors import (
 from repro.faults.chaos import ChaosInjector, FaultEvent, FaultPlan
 from repro.faults.policy import StalePolicy, SupervisionPolicy
 from repro.mapreduce.api import MapReduce
-from repro.mapreduce.engine import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
 from repro.runtime.app import Application
 from repro.runtime.cache import CacheConfig, ReadCache
 from repro.runtime.clock import Clock, SimulationClock, WallClock
@@ -152,11 +147,9 @@ __all__ = [
     "NetworkConfig",
     "PlacementConfig",
     "PlacementError",
-    "ProcessExecutor",
     "Publishable",
     "ReadCache",
     "RuntimeConfig",
-    "SerialExecutor",
     "ShardBootstrap",
     "ShardConfig",
     "ShardContext",
@@ -168,7 +161,6 @@ __all__ = [
     "StalePolicy",
     "SupervisionPolicy",
     "SweepEngine",
-    "ThreadExecutor",
     "Tier",
     "TopologyModel",
     "Tracer",

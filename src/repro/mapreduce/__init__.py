@@ -6,12 +6,14 @@ amounts of data" (Section IV); the paper's answer is to leverage the
 the design level.  This package is the processing substrate: the
 :class:`~repro.mapreduce.api.MapReduce` interface implemented by context
 components (Figure 10), the collectors their phases emit into, and an
-engine with serial, thread-pool and process-pool executors.
+engine whose map side (:func:`map_partition`) maps one partition of the
+readings — a whole sweep in process, or a shard per worker process of a
+sharded runtime, in parallel — and whose reduce merges the partitions.
 
 The generated programming framework "exposes an interface that prevents
 the specificities of a target MapReduce implementation to percolate to the
-application logic" — accordingly, swapping executors never changes
-results, which the property-based tests assert.
+application logic" — accordingly, how the readings are partitioned never
+changes results, which the property-based tests assert.
 """
 
 from repro.mapreduce.api import (
@@ -24,13 +26,9 @@ from repro.mapreduce.api import (
 )
 from repro.mapreduce.engine import (
     MapReduceEngine,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     map_partition,
     run_mapreduce,
 )
-from repro.mapreduce.partition import partition_items
 
 __all__ = [
     "CombineCollector",
@@ -38,12 +36,8 @@ __all__ = [
     "MapCollector",
     "MapReduce",
     "MapReduceEngine",
-    "ProcessExecutor",
     "ReduceCollector",
-    "SerialExecutor",
-    "ThreadExecutor",
     "job_combiner",
     "map_partition",
-    "partition_items",
     "run_mapreduce",
 ]

@@ -1,30 +1,22 @@
 """MapReduce execution engine.
 
 Runs a :class:`~repro.mapreduce.api.MapReduce` job over grouped sensor
-data (``{group_key: [readings]}``) and returns the reduced results
-(``{intermediate_key: reduced_value}``).  Three executors run the map
-side of :func:`run_mapreduce` (the reduce is always the engine's
-:meth:`MapReduceEngine.merge_partials`):
-
-* :class:`SerialExecutor` — single-threaded reference implementation; the
-  baseline of the scaling benchmarks.
-* :class:`ThreadExecutor` — contiguous slices of the map input fan out
-  to a thread pool.  Python threads do not speed up pure-Python
-  byte-code, but they parallelize readings whose processing releases
-  the GIL and they exercise the same partitioned dataflow as a
-  distributed backend.
-* :class:`ProcessExecutor` — fan-out to worker processes; requires the job
-  and data to be picklable.  This stands in for the cluster backend of the
-  DiaSwarm work the paper builds on.
-
-A running application maps each gather with :func:`map_partition`
-itself: the whole sweep as one partition in process, one partition per
-edge node or shard worker otherwise.
-
-Results are identical across executors for deterministic jobs, key
-order included (a pool's slices concatenate back in serial order) — the
+data.  Every run has the same two halves: a map side,
+:func:`map_partition`, maps one partition of the readings (with the
+job's map-side combine, if it has one), and
+:meth:`MapReduceEngine.merge_partials` reduces what the map sides
+shuffled.  The partitions are wherever the readings live: a gather
+maps its whole sweep as one partition in process, an ``at edge``
+context one per edge node, and a sharded runtime one per worker
+process, in parallel — the partitioned backend the paper hands
+``grouped by … with map … reduce …`` to (DiaSwarm).  Partitions that
+ran apart carry tags (:func:`rank_groups`, :func:`sequence_partials`)
+that put their partials back in single-process emission order, so the
+result, key order included, never depends on the partitioning — the
 framework interface "prevents the specificities of a target MapReduce
 implementation to percolate to the application logic" (Section V.B).
+:func:`run_mapreduce` runs a job once over a grouped dict
+(``{group_key: [readings]}``), as one partition.
 
 When the job provides the optional ``combine`` hook, every map
 partition runs it *before* the shuffle, so only one partial aggregate
@@ -48,9 +40,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
-from types import SimpleNamespace
 from itertools import chain, repeat
 from operator import itemgetter, sub
 from typing import (
@@ -73,13 +62,11 @@ from repro.mapreduce.api import (
     job_combiner,
 )
 from repro.telemetry.instrument import Instrumented, MetricSpec
-from repro.mapreduce.partition import group_pairs, partition_items
+from repro.mapreduce.partition import group_pairs
 
 Pairs = List[Tuple[Hashable, Any]]
 _first = itemgetter(0)
 _second = itemgetter(1)
-# The serial executor's "pool": ``map`` on the calling thread.
-_INLINE = SimpleNamespace(map=map)
 
 
 def _reduce(job: MapReduce, grouped: Iterable[Tuple[Hashable, Any]]) -> Pairs:
@@ -91,16 +78,15 @@ def _reduce(job: MapReduce, grouped: Iterable[Tuple[Hashable, Any]]) -> Pairs:
 
 
 # The map side.  One function maps every partition of a sweep: the
-# whole sweep in one process, a contiguous slice of it in a pool, an
-# edge node's or a shard worker's rows.  A partition whose output is
-# merged with other partitions' by tag carries a ``(rank, position,
-# emission)`` tag per pair: the rank of its row's group among the
-# sweep's groups, the row's position in the sweep, and the index of
-# the emission among its row's emissions (a combined partial takes
-# the tag of the first emission it folded).  Tags compare across
-# partitions, so sorting the partials by tag reproduces the
-# single-process emission sequence.  Only the functions below know the
-# tag format.
+# whole sweep in one process, an edge node's or a shard worker's rows.
+# A partition whose output is merged with other partitions' by tag
+# carries a ``(rank, position, emission)`` tag per pair: the rank of
+# its row's group among the sweep's groups, the row's position in the
+# sweep, and the index of the emission among its row's emissions (a
+# combined partial takes the tag of the first emission it folded).
+# Tags compare across partitions, so sorting the partials by tag
+# reproduces the single-process emission sequence.  Only the functions
+# below know the tag format.
 
 Tagged = List[Tuple[Tuple[int, int, int], Hashable, Any]]
 
@@ -207,65 +193,8 @@ def _stats(mapped: int, shuffled: int, reduced: int, combine_used: bool):
     }
 
 
-class SerialExecutor:
-    """Reference executor: the map side runs inline."""
-
-    workers = 1
-
-    def _pool(self):
-        return nullcontext(_INLINE)
-
-    def map_side(self, job, keys, values, order) -> Tuple[Pairs, int]:
-        """Map and map-side combine the rows ``order`` of aligned group
-        key and value columns, in that order: ``(pairs to shuffle, raw
-        map emission count)``."""
-        # Contiguous slices of one order concatenate in emission order.
-        slices = partition_items(order, self.workers)
-        if len(slices) > 1:
-            # Each task maps its own slice of the columns: a process
-            # pool pickles every reading once.
-            keys = [list(map(keys.__getitem__, rows)) for rows in slices]
-            values = [list(map(values.__getitem__, rows)) for rows in slices]
-            slices = list(map(range, map(len, keys)))
-        else:
-            keys, values = [keys] * len(slices), [values] * len(slices)
-        jobs = repeat(job, len(slices))
-        with self._pool() as pool:
-            results = list(pool.map(map_partition, jobs, keys, values, slices))
-        pairs = list(chain.from_iterable(map(_first, results)))
-        return pairs, sum(map(_second, results))
-
-
-class _PooledExecutor(SerialExecutor):
-    """Shared fan-out logic for thread and process pools: the map side
-    runs over contiguous slices of the row order, which concatenate
-    back in serial order."""
-
-    def __init__(self, workers: int = 4):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def _pool(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class ThreadExecutor(_PooledExecutor):
-    """Thread-pool executor."""
-
-    def _pool(self):
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Process-pool executor; job and data must be picklable."""
-
-    def _pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-
 class MapReduceEngine(Instrumented):
-    """Facade bundling an executor with result post-processing.
+    """The reduce half of every run, and its shuffle counters.
 
     Cumulative run counters are declared through the shared
     :class:`Instrumented` protocol and exported as pull-time callbacks.
@@ -304,8 +233,7 @@ class MapReduceEngine(Instrumented):
         ),
     )
 
-    def __init__(self, executor=None, metrics=None):
-        self.executor = executor or SerialExecutor()
+    def __init__(self, metrics=None):
         self._last_stats = _stats(0, 0, 0, False)
         self._runs = 0
         self._combined_runs = 0
@@ -318,14 +246,14 @@ class MapReduceEngine(Instrumented):
     def run(
         self, job: MapReduce, grouped: Mapping[Hashable, Sequence[Any]]
     ) -> Dict[Hashable, Any]:
-        """Run ``job`` over grouped readings: the executor maps them in
-        group order and :meth:`merge_partials` reduces what it
-        shuffles."""
+        """Run ``job`` over grouped readings: :func:`map_partition`
+        maps them in group order as one partition and
+        :meth:`merge_partials` reduces what it shuffles."""
         counts = map(len, grouped.values())
         keys = list(chain.from_iterable(map(repeat, grouped, counts)))
         values = list(chain.from_iterable(grouped.values()))
         order = range(len(keys))
-        pairs, mapped = self.executor.map_side(job, keys, values, order)
+        pairs, mapped = map_partition(job, keys, values, order)
         return self.merge_partials(job, pairs, mapped)
 
     def merge_partials(
@@ -333,13 +261,13 @@ class MapReduceEngine(Instrumented):
     ) -> Dict[Hashable, Any]:
         """Reduce partials the map side produced, in emission order.
 
-        Every run reduces here: :meth:`run` after its executor's map
-        side, the in-process gather after :func:`map_partition` over
-        the whole sweep, an edge split or a shard coordinator after
-        re-sequencing the tagged partials of its partitions
-        (:func:`sequence_partials`).  ``mapped`` is the raw map emission
-        count across partitions, so the engine's cumulative counters
-        (and ``last_stats``) stay truthful about shuffle volume.
+        Every run reduces here: :meth:`run` and the in-process gather
+        after :func:`map_partition` over the whole input, an edge split
+        or a shard coordinator after re-sequencing the tagged partials
+        of its partitions (:func:`sequence_partials`).  ``mapped`` is
+        the raw map emission count across partitions, so the engine's
+        cumulative counters (and ``last_stats``) stay truthful about
+        shuffle volume.
         """
         result = dict(_reduce(job, group_pairs(pairs).items()))
         stats = _stats(
@@ -360,9 +288,7 @@ class MapReduceEngine(Instrumented):
 
 
 def run_mapreduce(
-    job: MapReduce,
-    grouped: Mapping[Hashable, Sequence[Any]],
-    executor=None,
+    job: MapReduce, grouped: Mapping[Hashable, Sequence[Any]]
 ) -> Dict[Hashable, Any]:
     """One-shot convenience wrapper around :class:`MapReduceEngine`."""
-    return MapReduceEngine(executor).run(job, grouped)
+    return MapReduceEngine().run(job, grouped)

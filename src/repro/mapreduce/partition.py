@@ -1,12 +1,11 @@
 """Partitioning helpers for the MapReduce engine.
 
-Partitioning is what lets the map side run in parallel: the pooled
-executors split the map input into contiguous slices
-(:func:`partition_items`), so the partitions concatenate back in serial
-order.  A stable
-string-based hash routes entities to runtime shards
+Partitioning is what lets the map side run in parallel: a sharded
+runtime's worker processes each map their own shard of the fleet.  A
+stable string-based hash routes entities to those shards
 (:func:`shard_index`) reproducibly across Python processes (the
-built-in ``hash`` is randomized for strings).
+built-in ``hash`` is randomized for strings).  The shuffle groups the
+map sides' pairs by key (:func:`group_pairs`).
 """
 
 from __future__ import annotations
@@ -43,25 +42,6 @@ def shard_indexes(keys: Iterable[Hashable], shards: int) -> Iterator[int]:
     if shards <= 0:
         raise ValueError("shards must be >= 1")
     return map(mod, map(stable_hash, keys), repeat(shards))
-
-
-def partition_items(items: Sequence[Any], chunks: int) -> List[Sequence[Any]]:
-    """Split a work list into at most ``chunks`` contiguous, balanced
-    slices."""
-    if chunks <= 0:
-        raise ValueError("chunks must be >= 1")
-    total = len(items)
-    if total == 0:
-        return []
-    chunks = min(chunks, total)
-    base, remainder = divmod(total, chunks)
-    slices = []
-    start = 0
-    for index in range(chunks):
-        size = base + (1 if index < remainder else 0)
-        slices.append(items[start : start + size])
-        start += size
-    return slices
 
 
 def extend_each(keys, columns: Dict[Any, List[Any]], items) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Collection
 from itertools import repeat
 from operator import methodcaller
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -267,7 +268,8 @@ class DeviceInstance:
     ):
         self.info = info
         self.entity_id = entity_id
-        self.attributes = attribute_record(info, entity_id, attributes or {})
+        row = attributes or {}
+        self.attributes = attribute_record(info, entity_id, row, row.values())
         self._failed = False
         self.driver = driver
         driver.instance = self
@@ -296,17 +298,10 @@ class DeviceInstance:
                 )
         names = tuple(columns)
         rows = zip(*columns.values()) if names else repeat(())
-        checked = info.__dict__.setdefault("_checked", {})
         new = cls.__new__
         column = []
         for entity_id, driver, row in zip(entity_ids, drivers, rows):
-            try:
-                record = checked.get((*names, *row, *map(type, row)))
-            except TypeError:  # an unhashable value: checked on its own
-                record = None
-            if record is None:
-                attributes = dict(zip(names, row))
-                record = attribute_record(info, entity_id, attributes)
+            record = attribute_record(info, entity_id, names, row)
             instance = new(cls)
             instance.info = info
             instance.entity_id = entity_id
@@ -599,28 +594,31 @@ SHARED_RECORDS = 1024
 
 
 def attribute_record(
-    info: DeviceInfo, entity_id: str, attributes: Mapping[str, Any]
+    info: DeviceInfo,
+    entity_id: str,
+    names: Collection[str],
+    values: Collection[Any],
 ) -> AttributeRecord:
-    """The attribute record of ``entity_id``: the values checked
-    against ``info``'s declared types and canonicalized (e.g. dicts
-    become immutable StructureValue records, so records are hashable
-    and indexable), in declaration order.  Equal records of one
-    declaration are one shared object (up to :data:`SHARED_RECORDS`
-    of them); a record holding an unhashable value is its own.
+    """The attribute record of ``entity_id`` from its row, ``names``
+    and aligned ``values``: the values checked against ``info``'s
+    declared types and canonicalized (e.g. dicts become immutable
+    StructureValue records, so records are hashable and indexable), in
+    declaration order.  Equal records of one declaration are one shared
+    object (up to :data:`SHARED_RECORDS` of them); a record holding an
+    unhashable value is its own.
 
-    Attributes that made a shared record map to it unchecked after
-    that (:meth:`DeviceInstance.column` probes the same memo), keyed by
-    their names, values *and classes*, so ``1``, ``True`` and ``1.0``
-    are each checked."""
+    A row that made a shared record maps to it unchecked after that
+    (no dict built), keyed by its names, values *and classes*, so
+    ``1``, ``True`` and ``1.0`` are each checked."""
     checked = info.__dict__.setdefault("_checked", {})
-    given = attributes.values()
-    key = (*attributes, *given, *map(type, given))
+    key = (*names, *values, *map(type, values))
     try:
         record = checked.get(key)
     except TypeError:  # an unhashable value: checked on its own
         record = key = None
     if record is not None:
         return record
+    attributes = dict(zip(names, values))
     types = info.attribute_types
     if attributes.keys() != types.keys():
         missing = types.keys() - attributes.keys()

@@ -58,7 +58,7 @@ __all__ = [
 
 # Seconds-oriented default buckets: component activations in this
 # runtime range from microseconds (pure-Python callbacks) to whole
-# seconds (process-pool MapReduce runs).
+# seconds (city-scale MapReduce gathers).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.000_1,
     0.000_25,

@@ -1,6 +1,5 @@
 """The map-side combine hook: equivalence, shuffle savings, stats."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +10,10 @@ from repro.mapreduce.api import (
 )
 from repro.mapreduce.engine import (
     MapReduceEngine,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
+    map_partition,
+    rank_groups,
     run_mapreduce,
+    sequence_partials,
 )
 
 
@@ -55,13 +54,6 @@ GROUPED = {
     "D6": [7],
 }
 
-EXECUTORS = [
-    lambda: SerialExecutor(),
-    lambda: ThreadExecutor(2),
-    lambda: ThreadExecutor(7),
-    lambda: ProcessExecutor(2),
-]
-
 
 class TestCombinerDetection:
     def test_base_class_has_no_combiner(self):
@@ -85,33 +77,28 @@ class TestCombinerDetection:
         assert job_combiner(Duck()) is not None
 
 
-class TestExecutorEquivalenceWithCombine:
-    @pytest.mark.parametrize("make_executor", EXECUTORS)
-    def test_combined_matches_plain(self, make_executor):
-        plain = run_mapreduce(PlainSum(), GROUPED, make_executor())
-        combined = run_mapreduce(CombiningSum(), GROUPED, make_executor())
+class TestCombineEquivalence:
+    def test_combined_matches_plain(self):
+        plain = run_mapreduce(PlainSum(), GROUPED)
+        combined = run_mapreduce(CombiningSum(), GROUPED)
         assert plain == combined == {"A22": 10, "B16": 30, "D6": 7}
 
-    @pytest.mark.parametrize("make_executor", EXECUTORS)
-    def test_free_space_counter(self, make_executor):
+    def test_free_space_counter(self):
         grouped = {
             "A22": [True, False, False],
             "B16": [True, True],
             "D6": [False],
         }
-        result = run_mapreduce(
-            CombiningFreeSpaceCounter(), grouped, make_executor()
-        )
+        result = run_mapreduce(CombiningFreeSpaceCounter(), grouped)
         assert result == {"A22": 2, "D6": 1}
 
     def test_empty_input_with_combiner(self):
-        for make_executor in EXECUTORS:
-            assert run_mapreduce(CombiningSum(), {}, make_executor()) == {}
+        assert run_mapreduce(CombiningSum(), {}) == {}
 
 
 class TestShuffleStats:
     def test_serial_stats_without_combiner(self):
-        engine = MapReduceEngine(SerialExecutor())
+        engine = MapReduceEngine()
         engine.run(PlainSum(), GROUPED)
         stats = engine.last_stats
         assert stats == {
@@ -122,7 +109,7 @@ class TestShuffleStats:
         }
 
     def test_serial_combiner_shuffles_one_pair_per_group(self):
-        engine = MapReduceEngine(SerialExecutor())
+        engine = MapReduceEngine()
         engine.run(CombiningSum(), GROUPED)
         stats = engine.last_stats
         assert stats["mapped"] == 7
@@ -130,21 +117,36 @@ class TestShuffleStats:
         assert stats["combine_used"] is True
 
     def test_pooled_combiner_shuffles_at_most_chunks_x_groups(self):
-        engine = MapReduceEngine(ThreadExecutor(2))
-        engine.run(CombiningSum(), GROUPED)
+        # The readings split over two partitions (edge nodes / shards),
+        # each combining its own rows before the merge.
+        keys = [key for key, values in GROUPED.items() for __ in values]
+        values = [value for vals in GROUPED.values() for value in vals]
+        ranks = rank_groups((key, keys.index(key)) for key in GROUPED)
+        tagged, mapped = [], 0
+        for chunk in (range(0, len(keys), 2), range(1, len(keys), 2)):
+            pairs, emitted = map_partition(
+                CombiningSum(), keys, values, chunk, ranks, range(len(keys))
+            )
+            tagged.extend(pairs)
+            mapped += emitted
+        engine = MapReduceEngine()
+        result = engine.merge_partials(
+            CombiningSum(), sequence_partials(tagged), mapped
+        )
         stats = engine.last_stats
+        assert result == run_mapreduce(PlainSum(), GROUPED)
         assert stats["mapped"] == 7
         assert stats["shuffled"] <= 2 * 3
         assert stats["shuffled"] < stats["mapped"]
 
     def test_empty_run_resets_stats(self):
-        engine = MapReduceEngine(ThreadExecutor(2))
+        engine = MapReduceEngine()
         engine.run(CombiningSum(), GROUPED)
         engine.run(CombiningSum(), {})
         assert engine.last_stats["shuffled"] == 0
 
     def test_engine_stats_are_a_snapshot(self):
-        engine = MapReduceEngine(SerialExecutor())
+        engine = MapReduceEngine()
         engine.run(PlainSum(), GROUPED)
         snapshot = engine.last_stats
         snapshot["shuffled"] = -1
@@ -165,12 +167,10 @@ class TestCombineCollector:
         st.lists(st.integers(min_value=-1000, max_value=1000), max_size=12),
         max_size=8,
     ),
-    st.integers(min_value=1, max_value=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_combiner_never_changes_results(grouped, workers):
-    """Combine on/off and serial/threaded all agree, for any input."""
-    baseline = run_mapreduce(PlainSum(), grouped)
-    for job in (PlainSum(), CombiningSum()):
-        for executor in (SerialExecutor(), ThreadExecutor(workers)):
-            assert run_mapreduce(job, grouped, executor) == baseline
+def test_combiner_never_changes_results(grouped):
+    """Combine on and off agree, for any input."""
+    assert run_mapreduce(CombiningSum(), grouped) == run_mapreduce(
+        PlainSum(), grouped
+    )

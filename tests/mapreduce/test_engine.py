@@ -1,16 +1,11 @@
-"""The MapReduce engine: correctness and executor equivalence."""
+"""The MapReduce engine: correctness and result order."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce.api import MapCollector, MapReduce, ReduceCollector
-from repro.mapreduce.engine import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    run_mapreduce,
-)
+from repro.mapreduce.engine import run_mapreduce
 
 
 class FreeSpaceCounter(MapReduce):
@@ -91,30 +86,6 @@ class TestCollectors:
         assert collector.pairs == [("k", 3)]
 
 
-class TestExecutorEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 7])
-    def test_thread_matches_serial(self, workers):
-        serial = run_mapreduce(FreeSpaceCounter(), GROUPED)
-        threaded = run_mapreduce(
-            FreeSpaceCounter(), GROUPED, ThreadExecutor(workers)
-        )
-        assert serial == threaded
-
-    def test_process_matches_serial(self):
-        serial = run_mapreduce(SumJob(), GROUPED)
-        multiprocess = run_mapreduce(
-            SumJob(), GROUPED, ProcessExecutor(workers=2)
-        )
-        assert serial == multiprocess
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(0)
-
-    def test_serial_executor_workers_attribute(self):
-        assert SerialExecutor().workers == 1
-
-
 class CombiningCounter(FreeSpaceCounter):
     def combine(self, lot, values, collector):
         collector.emit_combine(lot, len(values))
@@ -123,28 +94,14 @@ class CombiningCounter(FreeSpaceCounter):
         collector.emit_reduce(lot, sum(counts))
 
 
-EVERY_EXECUTOR = {
-    "serial": SerialExecutor,
-    "thread-1": lambda: ThreadExecutor(1),
-    "thread-3": lambda: ThreadExecutor(3),
-    "thread-7": lambda: ThreadExecutor(7),
-    "process-2": lambda: ProcessExecutor(2),
-}
-
-
-@pytest.mark.parametrize(
-    "make_executor", EVERY_EXECUTOR.values(), ids=list(EVERY_EXECUTOR)
-)
 @pytest.mark.parametrize(
     "job", [FreeSpaceCounter(), CombiningCounter(), SumJob(), WordLength()],
     ids=["figure-10", "combining", "sum", "rekeying"],
 )
-def test_result_key_order_does_not_depend_on_the_executor(
-    make_executor, job
-):
-    """What is delivered must not depend on how it is executed: the
-    merged dict of a pooled run follows first-emission order, as the
-    serial run's does, whatever bucket a key hashes to."""
+def test_result_key_order_is_first_emission_order(job):
+    """What is delivered must not depend on how keys hash: the merged
+    dict follows the order the map phase first emitted each key in,
+    which a sharded run reproduces by re-sequencing its partials."""
     grouped = {
         f"L{lot:03d}": [
             str(spot) if isinstance(job, WordLength) else spot % 3 == 0
@@ -152,25 +109,12 @@ def test_result_key_order_does_not_depend_on_the_executor(
         ]
         for lot in range(40)
     }
-    serial = run_mapreduce(job, grouped)
-    result = run_mapreduce(job, grouped, make_executor())
-    assert list(result) == list(serial)
-    assert result == serial
-
-
-@given(
-    st.dictionaries(
-        st.text(min_size=1, max_size=3),
-        st.lists(st.integers(min_value=-1000, max_value=1000), max_size=10),
-        max_size=8,
-    ),
-    st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_thread_executor_always_matches_serial(grouped, workers):
-    serial = run_mapreduce(SumJob(), grouped)
-    threaded = run_mapreduce(SumJob(), grouped, ThreadExecutor(workers))
-    assert serial == threaded
+    collector = MapCollector()
+    for lot, readings in grouped.items():
+        for reading in readings:
+            job.map(lot, reading, collector)
+    first_emitted = dict.fromkeys(key for key, __ in collector.pairs)
+    assert list(run_mapreduce(job, grouped)) == list(first_emitted)
 
 
 @given(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.mapreduce.partition import (
     group_pairs,
-    partition_items,
     shard_index,
     shard_indexes,
     stable_hash,
@@ -43,41 +42,8 @@ class TestShardIndexes:
             shard_indexes(["a"], 0)
 
 
-class TestPartitionItems:
-    def test_balanced_split(self):
-        chunks = partition_items(list(range(10)), 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-
-    def test_fewer_items_than_chunks(self):
-        chunks = partition_items([1, 2], 5)
-        assert [len(c) for c in chunks] == [1, 1]
-
-    def test_empty(self):
-        assert partition_items([], 4) == []
-
-    def test_invalid_chunks(self):
-        with pytest.raises(ValueError):
-            partition_items([1], 0)
-
-
 class TestGroupPairs:
     def test_grouping_preserves_order(self):
         grouped = group_pairs([("a", 1), ("b", 2), ("a", 3)])
         assert grouped == {"a": [1, 3], "b": [2]}
 
-
-# ---------------------------------------------------------------------------
-# Properties
-# ---------------------------------------------------------------------------
-
-
-@given(
-    st.lists(st.integers(), max_size=100),
-    st.integers(min_value=1, max_value=12),
-)
-def test_partition_items_concatenates_to_input(items, chunks):
-    split = partition_items(items, chunks)
-    assert [x for chunk in split for x in chunk] == items
-    if items:
-        sizes = [len(chunk) for chunk in split]
-        assert max(sizes) - min(sizes) <= 1

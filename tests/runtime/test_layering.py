@@ -10,9 +10,9 @@ no module but ``runtime/app.py`` itself reads an ``app._private``.  The
 tuning controller (``repro.tuning``) is a client of that surface, built
 by its owner: no runtime module imports it, so an application can
 neither build a controller nor register a ``tuning_*`` series.  A sweep
-is one loop in its process: no runtime module imports
-``concurrent.futures`` (the MapReduce executors live in
-``repro.mapreduce``).  A gather maps through ``map_partition`` and
+is one loop in its process, and a map side runs in parallel only as a
+shard worker: no module under ``src/repro`` imports
+``concurrent.futures``.  A gather maps through ``map_partition`` and
 reduces through ``MapReduceEngine.merge_partials``: no runtime module
 takes an executor from the engine or names the removed
 ``mapreduce_executor`` setting."""
@@ -128,9 +128,11 @@ def test_no_runtime_module_imports_the_tuning_controller():
 
 
 def test_no_runtime_module_imports_an_executor_pool():
+    """Nor any other module of the package: the shard workers are the
+    one parallel surface."""
     importers = [
-        f"runtime/{path.relative_to(RUNTIME)} imports {module}"
-        for path in SOURCES
+        f"{path.relative_to(SRC)} imports {module}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
         for module in imported_modules(
             ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         )

@@ -93,6 +93,30 @@ class FreeCountImpl(Context):
         return sum(by_lot.values())
 
 
+class WhereMappedImpl(FreeCountImpl):
+    """``FreeCount`` whose map emissions carry the pid of the process
+    that mapped them; the handler keeps the pids and delivers the
+    counts, so it publishes what :class:`FreeCountImpl` does."""
+
+    def __init__(self):
+        super().__init__()
+        self.map_pids = set()
+
+    def map(self, lot, presence, collector):
+        if not presence:
+            collector.emit_map(lot, os.getpid())
+
+    def reduce(self, lot, pids, collector):
+        collector.emit_reduce(lot, pids)
+
+    def on_periodic_presence(self, by_lot, discover):
+        counts = {}
+        for lot, pids in by_lot.items():
+            self.map_pids.update(pids)
+            counts[lot] = len(pids)
+        return super().on_periodic_presence(counts, discover)
+
+
 class WindowedImpl(Context):
     def __init__(self):
         super().__init__()
@@ -146,6 +170,7 @@ class PresenceBootstrap(ShardBootstrap):
     """
 
     stale = None
+    free_count = FreeCountImpl
 
     def __init__(
         self,
@@ -171,7 +196,7 @@ class PresenceBootstrap(ShardBootstrap):
             stale=self.stale,
         )
         app = Application(analyze(DESIGN), config)
-        app.implement("FreeCount", FreeCountImpl())
+        app.implement("FreeCount", self.free_count())
         app.implement("Windowed", WindowedImpl())
         app.implement("Pushes", PushesImpl())
         substrate = FleetSubstrate(
@@ -1156,6 +1181,45 @@ class TestShardScalingShape:
             assert sweep["reads"] == worker["bound_entities"]
             assert sweep["batch_reads"] == 1  # one column per worker
             assert sweep["batch_demoted"] == 0
+
+    def test_the_map_runs_in_the_workers(self):
+        """Claim C2 as structure: a grouped ``with map … reduce``
+        context maps in the worker processes, each its own shard, never
+        in the coordinator, and publishes what the single-process run
+        does."""
+
+        class WhereMapped(PresenceBootstrap):
+            free_count = WhereMappedImpl
+
+        def run(sharded):
+            runtime = ShardedRuntime(
+                WhereMapped(
+                    sensors=12, shard=ShardConfig(enabled=sharded, workers=2)
+                )
+            )
+            published = []
+            runtime.app.bus.subscribe(
+                ("context", "FreeCount"),
+                lambda event: published.append((event.value, event.timestamp)),
+            )
+            runtime.start()
+            try:
+                shards = {
+                    child.pid
+                    for child in multiprocessing.active_children()
+                    if child.name.startswith("repro-shard-")
+                }
+                runtime.advance(3 * PERIOD)
+                implementation = runtime.app.implementation("FreeCount")
+                return published, implementation.map_pids, shards
+            finally:
+                runtime.stop()
+
+        single, single_pids, no_shards = run(False)
+        sharded, map_pids, shards = run(True)
+        assert len(single) == 3 and sharded == single
+        assert single_pids == {os.getpid()} and no_shards == set()
+        assert len(shards) == 2 and map_pids == shards
 
 
 class TestPollAllocation:
